@@ -214,32 +214,43 @@ class AnnotationPipeline:
     # ------------------------------------------------------------------
 
     def generate_candidates(self, sql: str, query_id: str | None = None) -> CandidateSet:
-        """Run decomposition, retrieval and LLM generation for one query."""
+        """Run decomposition, retrieval and LLM generation for one query.
+
+        This is a wave's phase 1 followed by the sequential regeneration step
+        for a single item, so it produces exactly what a size-1 wave would.
+        """
+        return self._regenerate(self._prepare_item(sql, query_id), None, None)
+
+    def _prepare_item(
+        self, sql: str, query_id: str | None = None, commit_tag: object = None
+    ) -> _WaveItem:
+        """Strip, parse and (when nested) decompose one statement."""
         sql = sql.strip().rstrip(";")
         if not sql:
             raise PipelineError("cannot annotate an empty SQL string")
         select = parse_select(sql)
-
-        use_decomposition = self.config.decomposition_enabled and is_nested(select)
-        decomposition = decompose(select) if use_decomposition else None
-
+        decomposition = (
+            decompose(select)
+            if self.config.decomposition_enabled and is_nested(select)
+            else None
+        )
         if decomposition is not None and decomposition.was_nested:
-            candidates, unit_candidates = self._generate_decomposed(decomposition)
+            unit_names: list[str | None] = [unit.name for unit in decomposition.units]
+            unit_sqls = [unit.sql for unit in decomposition.units]
+            unit_asts: list[object | None] = [None] * len(unit_sqls)
         else:
-            candidates = self._generate_flat(sql)
-            unit_candidates = {}
-
-        context = self._retrieve(sql)
-        prompt = self._build_prompt(sql, context)
-        return CandidateSet(
+            decomposition = None
+            unit_names = [None]
+            unit_sqls = [sql]
+            unit_asts = [select]  # phase-1 parse reused downstream
+        return _WaveItem(
             sql=sql,
-            candidates=candidates,
-            dataset=self.dataset_name,
-            prompt=prompt,
-            context=context,
+            query_id=query_id,
             decomposition=decomposition,
-            unit_candidates=unit_candidates,
-            model_name=self.llm.name,
+            unit_names=unit_names,
+            unit_sqls=unit_sqls,
+            commit_tag=commit_tag,
+            unit_asts=unit_asts,
         )
 
     def _retrieve(self, sql: str) -> RetrievedContext | None:
@@ -260,35 +271,6 @@ class AnnotationPipeline:
             priorities=self.feedback_loop.priorities,
             ast=ast,
         )
-
-    def _generate_flat(self, sql: str, deadline: Deadline | None = None) -> list[str]:
-        context = self._retrieve(sql)
-        prompt = self._build_prompt(sql, context)
-        return self.llm.generate_with_retry(
-            prompt,
-            self._retry_policy,
-            salt=self._retry_salt,
-            deadline=deadline,
-            breaker=self.breaker,
-            hedge=self._hedge,
-        ).candidates
-
-    def _generate_decomposed(
-        self, decomposition: DecompositionResult, deadline: Deadline | None = None
-    ) -> tuple[list[str], dict[str, list[str]]]:
-        unit_candidates: dict[str, list[str]] = {}
-        for unit in decomposition.units:
-            context = self._retrieve(unit.sql)
-            prompt = self._build_prompt(unit.sql, context)
-            unit_candidates[unit.name] = self.llm.generate_with_retry(
-                prompt,
-                self._retry_policy,
-                salt=self._retry_salt,
-                deadline=deadline,
-                breaker=self.breaker,
-                hedge=self._hedge,
-            ).candidates
-        return self._merge_unit_candidates(decomposition, unit_candidates), unit_candidates
 
     def _merge_unit_candidates(
         self, decomposition: DecompositionResult, unit_candidates: dict[str, list[str]]
@@ -447,7 +429,7 @@ class AnnotationPipeline:
         """An incremental :class:`WaveRun` over these statements.
 
         :meth:`annotate_many` is exactly ``wave_run(...)`` driven to
-        completion in a loop; the concurrent multi-project scheduler instead
+        completion in a loop; the service's drain scheduler instead
         interleaves ``run_next_wave`` calls from several projects' runs, one
         wave per project per round, which is what makes drains fair *and*
         bit-identical per project.  A ``deadline`` is carried into every
@@ -490,37 +472,10 @@ class AnnotationPipeline:
         deadline: Deadline | None = None,
     ) -> list[AnnotationRecord]:
         # Phase 1 — parse and decompose every statement in the wave.
-        items: list[_WaveItem] = []
-        for sql, query_id, commit_tag in zip(statements, query_ids, commit_tags):
-            sql = sql.strip().rstrip(";")
-            if not sql:
-                raise PipelineError("cannot annotate an empty SQL string")
-            select = parse_select(sql)
-            decomposition = (
-                decompose(select)
-                if self.config.decomposition_enabled and is_nested(select)
-                else None
-            )
-            if decomposition is not None and decomposition.was_nested:
-                unit_names: list[str | None] = [unit.name for unit in decomposition.units]
-                unit_sqls = [unit.sql for unit in decomposition.units]
-                unit_asts: list[object | None] = [None] * len(unit_sqls)
-            else:
-                decomposition = None
-                unit_names = [None]
-                unit_sqls = [sql]
-                unit_asts = [select]  # phase-1 parse reused downstream
-            items.append(
-                _WaveItem(
-                    sql=sql,
-                    query_id=query_id,
-                    decomposition=decomposition,
-                    unit_names=unit_names,
-                    unit_sqls=unit_sqls,
-                    commit_tag=commit_tag,
-                    unit_asts=unit_asts,
-                )
-            )
+        items = [
+            self._prepare_item(sql, query_id, commit_tag)
+            for sql, query_id, commit_tag in zip(statements, query_ids, commit_tags)
+        ]
 
         # Phase 2 — one vectorized retrieval pass over every generation unit.
         all_unit_sqls = [unit_sql for item in items for unit_sql in item.unit_sqls]
@@ -666,10 +621,13 @@ class AnnotationPipeline:
         fresh_prompts: list[Prompt] | None,
         deadline: Deadline | None = None,
     ) -> CandidateSet:
-        """Sequential-equivalent regeneration of one stale wave item.
+        """Generate one wave item's candidates with per-unit LLM calls.
 
-        Uses the fresh contexts/prompts computed during validation when
-        available so retrieval is not repeated.
+        This is the sequential path: :meth:`generate_candidates` is exactly
+        this step on a freshly prepared item, and a wave falls back to it for
+        items whose batched prompts went stale.  Uses the fresh
+        contexts/prompts computed during validation when available so
+        retrieval is not repeated.
         """
         if fresh_contexts is None or fresh_prompts is None:
             fresh_contexts = [self._retrieve(unit_sql) for unit_sql in item.unit_sqls]

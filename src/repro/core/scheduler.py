@@ -1,12 +1,15 @@
-"""Round-based concurrent wave scheduler for multi-tenant drains.
+"""Round-based wave scheduler: the one drain path of the annotation service.
 
-Sequential :meth:`~repro.core.service.AnnotationService.drain` runs one
-project's waves to completion before touching the next, so N tenants queue
-behind each other even though their pipelines share no mutable state.  The
-:class:`WaveScheduler` instead advances *every* project with pending work one
-wave per round through a bounded thread pool: the slow part of a wave — the
-batched LLM call — overlaps across tenants, while each tenant's own waves
-still run strictly in order on a single thread at a time.
+Every :meth:`~repro.core.service.AnnotationService.drain` hands its
+projects' :class:`~repro.core.pipeline.WaveRun` steppers to a
+:class:`WaveScheduler`, which advances *every* project with pending work one
+wave per round.  With one worker (or a single active project) the rounds run
+inline on the calling thread; with more, each round's waves go through a
+bounded thread pool so the slow part of a wave — the batched LLM call —
+overlaps across tenants, while each tenant's own waves still run strictly in
+order on a single thread at a time.  Both modes share the same round
+barrier, so breaker, deadline and wave accounting are identical at every
+concurrency.
 
 Correctness argument, in brief:
 
@@ -16,7 +19,7 @@ Correctness argument, in brief:
   at a time, and never before its previous wave returned.  Each project
   therefore sees exactly the wave sequence of a sequential
   ``annotate_many`` run, which is what makes per-project results
-  bit-identical to sequential drain.
+  bit-identical however the drain is scheduled.
 * Shared mutable state is limited to the event journal (appends serialized
   by its internal lock, so the CRC-framed record stream interleaves only at
   whole-record boundaries) and :class:`~repro.llm.base.UsageStats` when one
@@ -24,19 +27,24 @@ Correctness argument, in brief:
 * The round barrier gives fairness: no tenant can get more than one wave
   ahead of another, so a hot tenant with a deep queue cannot starve the
   rest of pool slots.
+* The round barrier is also the one place scheduling decisions are made:
+  no round starts after the drain deadline expired, and a project whose
+  circuit breaker refuses calls is retired before its next wave.  Retired
+  and unfinished runs keep their committed prefix for the caller to settle.
 
-Failure semantics mirror the sequential drain: an ``Exception`` from one
-project's wave stops only that project (the error is reported per project so
-the service can fall back to its per-job quarantine path), while
-:class:`~repro.errors.JournalError` and ``BaseException`` (e.g. injected
-crashes) are fatal and re-raised — but only after every wave of the current
-round has settled, so no worker thread is left running against a
-half-torn-down service.
+Failure semantics: an ``Exception`` from one project's wave stops only that
+project (the error is reported per project so the service can fall back to
+its per-job quarantine path), while :class:`~repro.errors.JournalError` and
+``BaseException`` (e.g. injected crashes) are fatal and re-raised — in the
+pool only after every wave of the current round has settled, so no worker
+thread is left running against a half-torn-down service.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import Future, ThreadPoolExecutor
+from contextlib import nullcontext
+from typing import Callable
 
 from repro.core.pipeline import WaveRun
 from repro.errors import JournalError, PipelineError
@@ -47,11 +55,12 @@ __all__ = ["WaveScheduler"]
 
 
 class WaveScheduler:
-    """Drive many projects' :class:`WaveRun` steppers concurrently and fairly.
+    """Drive many projects' :class:`WaveRun` steppers fairly, round by round.
 
     ``max_workers`` bounds how many waves are in flight simultaneously; with
     more active projects than workers, the pool queues the excess within the
-    round (the barrier still holds).
+    round (the barrier still holds).  ``max_workers == 1`` runs every round
+    inline, without a pool.
     """
 
     def __init__(
@@ -69,30 +78,35 @@ class WaveScheduler:
     ) -> dict[str, Exception]:
         """Advance every run to completion; returns per-project errors.
 
-        Each round submits one ``run_next_wave`` per still-active project and
-        waits for all of them before starting the next round.  A project
-        whose wave raises an ``Exception`` is retired with that exception
-        recorded under its name (its committed prefix is untouched); fatal
-        conditions — :class:`JournalError` or any non-``Exception``
-        ``BaseException`` — are re-raised once the round has fully settled.
+        Each round advances every still-active project by one
+        ``run_next_wave`` and waits for all of them before starting the next
+        round.  The rounds run inline on the calling thread when there is
+        one worker or only one active run, and through a thread pool
+        otherwise.  A project whose wave raises an ``Exception`` is retired
+        with that exception recorded under its name (its committed prefix is
+        untouched); fatal conditions — :class:`JournalError` or any
+        non-``Exception`` ``BaseException`` — are re-raised.
 
-        With a ``deadline``, no new round starts once the budget has expired:
-        the loop stops at the round barrier and the unfinished runs are left
-        for the caller to defer (each run's committed prefix is intact).  The
-        deadline also rides inside every wave (via
-        :attr:`WaveRun.deadline`), shrinking per-call LLM timeouts, so the
-        in-flight round itself cannot overshoot by more than the budget's
-        remaining slice.
+        At every round barrier, before the first wave and between waves, a
+        run whose pipeline's circuit breaker refuses calls is retired without
+        an error, and with a ``deadline`` no new round starts once the budget
+        has expired.  Either way the unfinished runs are left for the caller
+        to defer (each run's committed prefix is intact).  The deadline also
+        rides inside every wave (via :attr:`WaveRun.deadline`), shrinking
+        per-call LLM timeouts, so the in-flight round itself cannot overshoot
+        by more than the budget's remaining slice.
         """
         self.rounds = 0
         errors: dict[str, Exception] = {}
         active = {project: run for project, run in runs.items() if not run.done}
-        if not active:
-            return errors
+        if self.max_workers == 1 or len(active) <= 1:
+            executor = nullcontext(_InlineExecutor())
+        else:
+            executor = ThreadPoolExecutor(
+                max_workers=self.max_workers, thread_name_prefix="wave"
+            )
         tel = self.telemetry
-        with ThreadPoolExecutor(
-            max_workers=self.max_workers, thread_name_prefix="wave"
-        ) as pool:
+        with executor as pool:
             while active:
                 if deadline is not None and deadline.expired:
                     if tel.enabled:
@@ -101,6 +115,12 @@ class WaveScheduler:
                             "scheduler_deadline_stop",
                             unfinished_projects=len(active),
                         )
+                    break
+                for project in list(active):
+                    breaker = active[project].pipeline.breaker
+                    if breaker is not None and not breaker.would_allow():
+                        del active[project]
+                if not active:
                     break
                 self.rounds += 1
                 if tel.enabled:
@@ -129,3 +149,22 @@ class WaveScheduler:
                 if fatal is not None:
                     raise fatal
         return errors
+
+
+class _InlineExecutor:
+    """Runs each submitted wave at once on the calling thread.
+
+    Non-fatal errors are parked in the returned future, as a pool would;
+    fatal ones propagate immediately, since on one thread no other wave is
+    in flight that would have to settle first.
+    """
+
+    def submit(self, fn: Callable[[], object]) -> Future:
+        future: Future = Future()
+        try:
+            future.set_result(fn())
+        except JournalError:
+            raise
+        except Exception as exc:
+            future.set_exception(exc)
+        return future

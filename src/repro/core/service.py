@@ -9,14 +9,20 @@ the growing-archive effect is preserved.  It models the server side of
 BenchPress under heavy multi-user load, where annotation requests arrive
 faster than they are processed.
 
-Concurrency.  With ``max_concurrency > 1`` (or ``drain(concurrency=...)``),
-independent projects' waves run through a bounded worker pool
-(:class:`~repro.core.scheduler.WaveScheduler`) so their batched LLM calls
-overlap instead of queueing behind each other; per-project results are
-bit-identical to the sequential drain.  Per-tenant admission control
-(``TaskConfig.max_pending_per_project``) rejects submits with
-:class:`~repro.errors.BackpressureError` once a tenant's queue is full, and
-:class:`ServiceStats` keeps a lock-guarded per-tenant breakdown.
+One drain path.  Every drain hands one
+:class:`~repro.core.pipeline.WaveRun` per project to a
+:class:`~repro.core.scheduler.WaveScheduler`, which advances every project
+one wave per round; the sequential drain is simply that scheduler with one
+inline worker, as is any single-project drain.  With ``max_concurrency > 1`` (or ``drain(concurrency=...)``)
+the rounds run through a bounded worker pool, so independent projects'
+batched LLM calls overlap instead of queueing behind each other.  Breaker and
+deadline checks happen at the round barrier, and every project is settled
+the same way afterwards, so per-project records, the returned jobs, the
+drain report and the wave accounting are identical at every concurrency.
+Per-tenant admission control (``TaskConfig.max_pending_per_project``)
+rejects submits with :class:`~repro.errors.BackpressureError` once a
+tenant's queue is full, and :class:`ServiceStats` keeps a lock-guarded
+per-tenant breakdown.
 
 Durability.  The service can run on top of an append-only
 :class:`~repro.core.journal.EventJournal`: every state change (project
@@ -184,26 +190,6 @@ class DrainReport:
 
 
 @dataclass
-class _DrainOutcome:
-    """Internal per-drain accumulator (completed + deferred + wave counters)."""
-
-    completed: list[CompletedJob] = field(default_factory=list)
-    deferred: list[AnnotationJob] = field(default_factory=list)
-    waves: int = 0
-    batched: int = 0
-    regenerated: int = 0
-    llm_requests: int = 0
-
-    def absorb(self, other: "_DrainOutcome") -> None:
-        self.completed.extend(other.completed)
-        self.deferred.extend(other.deferred)
-        self.waves += other.waves
-        self.batched += other.batched
-        self.regenerated += other.regenerated
-        self.llm_requests += other.llm_requests
-
-
-@dataclass
 class ServiceStats:
     """Aggregate accounting across every drain.
 
@@ -281,12 +267,11 @@ class ServiceStats:
 class AnnotationService:
     """Multi-project submit/drain facade over batched annotation pipelines.
 
-    ``max_concurrency`` sets the default worker-pool width used by
-    :meth:`drain` when several projects have pending jobs: 1 (the default)
-    keeps the classic fully sequential drain, larger values overlap
-    independent projects' waves on the LLM boundary via
-    :class:`~repro.core.scheduler.WaveScheduler`.  Per-project results are
-    bit-identical either way.
+    ``max_concurrency`` sets the default worker count of the
+    :class:`~repro.core.scheduler.WaveScheduler` behind :meth:`drain`: 1 (the
+    default) runs every round inline on the calling thread, larger values
+    overlap independent projects' waves on the LLM boundary.  Results and
+    accounting are identical either way.
     """
 
     def __init__(
@@ -533,27 +518,26 @@ class AnnotationService:
         """Process queued jobs through the batched wave scheduler.
 
         Jobs are grouped per project (preserving submission order within a
-        project) and each group runs through that project's wave scheduler.
-        Returns the completed jobs ordered by project (projects in
-        first-submission order, jobs in submission order within each) —
-        including failed ones, whose ``record`` is ``None`` (see
-        :attr:`CompletedJob.failed`).
+        project) into one :class:`WaveRun` each, and a :class:`WaveScheduler`
+        advances every run one wave per round.  Returns the completed jobs
+        ordered by project (projects in first-submission order, jobs in
+        submission order within each) — including failed ones, whose
+        ``record`` is ``None`` (see :attr:`CompletedJob.failed`).
 
         ``concurrency`` (defaulting to the service's :attr:`max_concurrency`)
-        sets how many projects' waves may be in flight at once.  Above 1,
-        independent projects advance round-by-round through a bounded worker
-        pool (:class:`WaveScheduler`) so their batched LLM calls overlap;
-        each project still runs its own waves strictly in order, so its
-        records are bit-identical to a sequential drain, and the returned
-        list is identical too.
+        sets how many projects' waves may be in flight at once: 1 runs the
+        rounds inline, above 1 through a bounded worker pool so batched LLM
+        calls overlap.  Each project still runs its own waves strictly in
+        order, so records, the returned list, :attr:`last_drain_report` and
+        the wave accounting in :attr:`stats` do not depend on it.
 
         ``deadline`` (seconds or a :class:`Deadline`) bounds the drain's wall
         clock: it is carried through scheduler rounds into every LLM call
         (shrinking per-call timeouts), and jobs that don't fit the budget are
         *deferred* — re-queued at the front, counted in
         :attr:`ServiceStats.deferred` and :attr:`last_drain_report`, never
-        quarantined.  Projects whose circuit breaker is open are deferred the
-        same way.
+        quarantined.  Projects whose circuit breaker refuses calls at a round
+        barrier are deferred the same way.
 
         Failure isolation: when a batched group raises, the jobs already
         committed keep their records, and the remainder re-runs one job at a
@@ -604,35 +588,50 @@ class AnnotationService:
                 projects=len(by_project),
                 concurrency=workers,
             ):
-                if workers > 1 and len(by_project) > 1:
-                    outcome = self._drain_concurrent(
-                        by_project, workers, records_before, deadline
+                runs = {
+                    project: self._pipelines[project].wave_run(
+                        [job.sql for job in jobs],
+                        query_ids=[job.query_id for job in jobs],
+                        commit_tags=[job.job_id for job in jobs],
+                        deadline=deadline,
                     )
-                else:
-                    outcome = _DrainOutcome()
-                    for project, jobs in by_project.items():
-                        outcome.absorb(
-                            self._drain_project(project, jobs, deadline)
-                        )
-                for item in outcome.completed:
+                    for project, jobs in by_project.items()
+                }
+                scheduler = WaveScheduler(max_workers=workers, telemetry=tel)
+                errors = scheduler.run_all(runs, deadline=deadline)
+                wave_stats = WaveStats()
+                completed: list[CompletedJob] = []
+                deferred: list[AnnotationJob] = []
+                for project, jobs in by_project.items():
+                    run = runs[project]
+                    settled, rest = self._settle_project(
+                        project, jobs, run, errors.get(project), records_before[project]
+                    )
+                    completed.extend(settled)
+                    deferred.extend(rest)
+                    wave_stats.waves += run.stats.waves
+                    wave_stats.batched_queries += run.stats.batched_queries
+                    wave_stats.regenerated_queries += run.stats.regenerated_queries
+                    wave_stats.llm_requests += run.stats.llm_requests
+                for item in completed:
                     if not item.failed:
                         self.stats.note_completed(item.job.project)
-                self._requeue_deferred(outcome.deferred)
+                self._requeue_deferred(deferred)
                 self.stats.note_drain(
-                    outcome.waves,
-                    outcome.batched,
-                    outcome.regenerated,
-                    outcome.llm_requests,
+                    wave_stats.waves,
+                    wave_stats.batched_queries,
+                    wave_stats.regenerated_queries,
+                    wave_stats.llm_requests,
                 )
                 self._refresh_usage()
                 if self._journal is not None:
                     self._journal.append(
                         DRAIN_STATS,
                         {
-                            "waves": outcome.waves,
-                            "batched_queries": outcome.batched,
-                            "regenerated_queries": outcome.regenerated,
-                            "llm_requests": outcome.llm_requests,
+                            "waves": wave_stats.waves,
+                            "batched_queries": wave_stats.batched_queries,
+                            "regenerated_queries": wave_stats.regenerated_queries,
+                            "llm_requests": wave_stats.llm_requests,
                         },
                     )
                     self._journal.commit()  # group-commit point for "batch" fsync
@@ -641,11 +640,10 @@ class AnnotationService:
             return self._salvage_disk_fault(
                 by_project, records_before, exc, drain_started
             )
-        completed = outcome.completed
         self.last_drain_report = DrainReport(
             completed=sum(1 for item in completed if not item.failed),
             failed=sum(1 for item in completed if item.failed),
-            deferred=len(outcome.deferred),
+            deferred=len(deferred),
             deadline_expired=deadline is not None and deadline.expired,
             duration_seconds=time.perf_counter() - drain_started,
         )
@@ -684,160 +682,53 @@ class AnnotationService:
                 tel.count("service_jobs_deferred_total", count, project=project)
                 tel.event("jobs_deferred", project=project, count=count)
 
-    def _drain_project(
+    def _settle_project(
         self,
         project: str,
         jobs: list[AnnotationJob],
-        deadline: Deadline | None = None,
-    ) -> _DrainOutcome:
-        """Run one project's jobs on the calling thread, wave by wave.
-
-        Stops early — deferring the uncommitted remainder — when the drain
-        deadline expires or the project's circuit breaker refuses calls; any
-        other failure falls back to the committed-prefix + per-job quarantine
-        salvage path (whose wave counters stay zero, matching the historical
-        accounting).
-        """
-        pipeline = self._pipelines[project]
-        breaker = pipeline.breaker
-        if (breaker is not None and not breaker.would_allow()) or (
-            deadline is not None and deadline.expired
-        ):
-            return _DrainOutcome(deferred=list(jobs))
-        records_before = len(pipeline.annotations)
-        run = pipeline.wave_run(
-            [job.sql for job in jobs],
-            query_ids=[job.query_id for job in jobs],
-            commit_tags=[job.job_id for job in jobs],
-            deadline=deadline,
-        )
-        try:
-            while not run.done:
-                if deadline is not None and deadline.expired:
-                    break
-                if breaker is not None and not breaker.would_allow():
-                    break
-                run.run_next_wave()
-        except JournalError:
-            raise
-        except (CircuitOpenError, DeadlineExceededError):
-            pass  # defer the uncommitted remainder below
-        except Exception:
-            # The already-committed prefix (journaled, archived) is kept;
-            # everything after it — including the job that raised — is
-            # retried individually so one bad statement cannot sink its
-            # wave-mates.
-            return self._recover_project_drain(project, jobs, records_before)
-        run.finish()
-        return self._settle_partial_run(
-            pipeline, jobs, records_before, run_stats=run.stats
-        )
-
-    def _settle_partial_run(
-        self,
-        pipeline: AnnotationPipeline,
-        jobs: list[AnnotationJob],
+        run: WaveRun,
+        error: Exception | None,
         records_before: int,
-        run_stats: "WaveStats | None" = None,
-    ) -> _DrainOutcome:
-        """Split a (possibly unfinished) run into completed + deferred jobs.
+    ) -> tuple[list[CompletedJob], list[AnnotationJob]]:
+        """Split one project's scheduled run into completed + deferred jobs.
 
-        The committed prefix is read off the pipeline's annotation list, not
-        the run's record buffer, so commits that landed mid-wave before a
-        deferral signal are never re-run.
+        The committed prefix is completed.  A run the scheduler retired with
+        a non-deferral error retries everything after that prefix —
+        including the job that raised — one job at a time, so one bad
+        statement is quarantined instead of sinking its wave-mates.  The rest
+        of a run stopped by its breaker, the deadline or a deferral signal
+        mid-wave is deferred.  The run is finished first either way, so its
+        wave accounting is always counted: those waves and LLM calls really
+        happened.
         """
-        committed = pipeline.annotations[records_before:]
+        run.finish()
+        completed, rest = self._committed_prefix(project, jobs, records_before)
+        if error is None or isinstance(
+            error, (CircuitOpenError, DeadlineExceededError)
+        ):
+            return completed, rest
+        sequential, deferred = self._drain_sequentially(self._pipelines[project], rest)
+        return completed + sequential, deferred
+
+    def _committed_prefix(
+        self, project: str, jobs: list[AnnotationJob], records_before: int
+    ) -> tuple[list[CompletedJob], list[AnnotationJob]]:
+        """Pair the jobs with the records their drain committed, in order.
+
+        The prefix is read off the pipeline's annotation list, not a run's
+        record buffer, so commits that landed mid-wave before a failure or a
+        deferral signal are never re-run.  Returns the completed jobs and the
+        uncommitted remainder.
+        """
+        committed = self._pipelines[project].annotations[records_before:]
         done = min(len(committed), len(jobs))
-        outcome = _DrainOutcome(
-            completed=[
+        return (
+            [
                 CompletedJob(job=job, record=record)
                 for job, record in zip(jobs[:done], committed)
             ],
-            deferred=list(jobs[done:]),
+            jobs[done:],
         )
-        if run_stats is not None:
-            outcome.waves = run_stats.waves
-            outcome.batched = run_stats.batched_queries
-            outcome.regenerated = run_stats.regenerated_queries
-            outcome.llm_requests = run_stats.llm_requests
-        return outcome
-
-    def _recover_project_drain(
-        self, project: str, jobs: list[AnnotationJob], records_before: int
-    ) -> _DrainOutcome:
-        """Salvage a project group whose batched run raised mid-drain."""
-        pipeline = self._pipelines[project]
-        done = len(pipeline.annotations) - records_before
-        committed_records = pipeline.annotations[records_before:]
-        outcome = _DrainOutcome(
-            completed=[
-                CompletedJob(job=job, record=record)
-                for job, record in zip(jobs[:done], committed_records)
-            ]
-        )
-        sequential, deferred = self._drain_sequentially(pipeline, jobs[done:])
-        outcome.completed.extend(sequential)
-        outcome.deferred.extend(deferred)
-        return outcome
-
-    def _drain_concurrent(
-        self,
-        by_project: dict[str, list[AnnotationJob]],
-        workers: int,
-        records_before: dict[str, int],
-        deadline: Deadline | None = None,
-    ) -> _DrainOutcome:
-        """Advance every project's waves round-by-round through a worker pool.
-
-        Results are assembled in ``by_project`` order after the scheduler
-        finishes, so the returned list is identical to the sequential drain's
-        regardless of how waves interleaved in time.  Projects whose breaker
-        is open are deferred before scheduling; runs the deadline cut short
-        (and runs stopped by a deferral signal mid-wave) keep their committed
-        prefix and defer the rest; other failures fall back to the same
-        committed-prefix + per-job salvage path as sequential drain.
-        """
-        runs: dict[str, WaveRun] = {}
-        for project, jobs in by_project.items():
-            pipeline = self._pipelines[project]
-            breaker = pipeline.breaker
-            if breaker is not None and not breaker.would_allow():
-                continue  # deferred wholesale during assembly below
-            runs[project] = pipeline.wave_run(
-                [job.sql for job in jobs],
-                query_ids=[job.query_id for job in jobs],
-                commit_tags=[job.job_id for job in jobs],
-                deadline=deadline,
-            )
-        scheduler = WaveScheduler(max_workers=workers, telemetry=self.telemetry)
-        errors = scheduler.run_all(runs, deadline=deadline)
-        outcome = _DrainOutcome()
-        for project, jobs in by_project.items():
-            pipeline = self._pipelines[project]
-            run = runs.get(project)
-            if run is None:
-                outcome.deferred.extend(jobs)
-                continue
-            error = errors.get(project)
-            if error is not None and not isinstance(
-                error, (CircuitOpenError, DeadlineExceededError)
-            ):
-                outcome.absorb(
-                    self._recover_project_drain(
-                        project, jobs, records_before[project]
-                    )
-                )
-                continue
-            run.finish()
-            outcome.absorb(
-                self._settle_partial_run(
-                    pipeline,
-                    jobs,
-                    records_before[project],
-                    run_stats=run.stats if error is None else None,
-                )
-            )
-        return outcome
 
     def _drain_sequentially(
         self, pipeline: AnnotationPipeline, jobs: list[AnnotationJob]
@@ -883,14 +774,11 @@ class AnnotationService:
         completed: list[CompletedJob] = []
         deferred: list[AnnotationJob] = []
         for project, jobs in by_project.items():
-            pipeline = self._pipelines[project]
-            committed = pipeline.annotations[records_before[project]:]
-            done = min(len(committed), len(jobs))
-            completed.extend(
-                CompletedJob(job=job, record=record)
-                for job, record in zip(jobs[:done], committed)
+            settled, rest = self._committed_prefix(
+                project, jobs, records_before[project]
             )
-            deferred.extend(jobs[done:])
+            completed.extend(settled)
+            deferred.extend(rest)
         for item in completed:
             self.stats.note_completed(item.job.project)
         self._requeue_deferred(deferred)

@@ -18,6 +18,7 @@ non-empty results, which matters for execution-accuracy comparisons.
 from __future__ import annotations
 
 import random
+import zlib
 
 from repro.engine.database import Database
 from repro.errors import WorkloadError
@@ -68,7 +69,10 @@ class WorkloadGenerator:
     def __init__(self, spec: WorkloadSpec, seed: int = 0) -> None:
         self.spec = spec
         self._seed = seed
-        self._rng = random.Random((hash(spec.name) & 0xFFFF) * 100003 + seed)
+        # crc32, not hash(): str hashes are salted per process, which would
+        # make the same (spec, seed) generate a different workload each run.
+        name_key = zlib.crc32(spec.name.encode("utf-8"))
+        self._rng = random.Random((name_key & 0xFFFF) * 100003 + seed)
 
     # ------------------------------------------------------------------
     # public API

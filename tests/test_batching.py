@@ -1,5 +1,6 @@
 """Tests for the batched annotation path: LLM batch API, wave scheduler,
-batch/sequential parity, and the AnnotationService facade."""
+batch/sequential parity, single-query candidate generation, and the
+AnnotationService facade."""
 
 import pytest
 
@@ -184,6 +185,45 @@ class TestBatchSequentialParity:
         pipeline = AnnotationPipeline(hr_schema)
         with pytest.raises(PipelineError):
             pipeline.annotate_many(QUERIES[:2], batch_size=0)
+
+
+class TestGenerateCandidates:
+    """``generate_candidates`` is a size-1 wave's phase 1 plus regeneration."""
+
+    def test_flat_query_retrieves_once(self, hr_schema):
+        pipeline = AnnotationPipeline(hr_schema, dataset_name="hr")
+        pipeline.annotate_many(QUERIES[:3])  # a non-empty archive to search
+        retrieve = pipeline.retriever.retrieve
+        calls = []
+
+        def counting_retrieve(*args, **kwargs):
+            calls.append(args)
+            return retrieve(*args, **kwargs)
+
+        pipeline.retriever.retrieve = counting_retrieve
+        pipeline.generate_candidates(QUERIES[0])
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("sql", [QUERIES[0], QUERIES[3]], ids=["flat", "nested"])
+    @pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
+    def test_matches_size_one_wave(self, hr_schema, sql, warm):
+        direct = AnnotationPipeline(hr_schema, dataset_name="hr")
+        waved = AnnotationPipeline(hr_schema, dataset_name="hr")
+        if warm:
+            direct.annotate_many(QUERIES[4:])
+            waved.annotate_many(QUERIES[4:])
+
+        candidate_set = direct.generate_candidates(sql)
+        record = direct.submit_feedback(
+            candidate_set, Feedback(action=FeedbackAction.ACCEPT, selected_index=0)
+        )
+        run = waved.wave_run([sql], batch_size=1)
+        (wave_record,) = run.run_next_wave()
+
+        assert candidate_set.was_decomposed == (sql == QUERIES[3])
+        assert candidate_set.candidates == wave_record.candidates
+        assert vars(record) == vars(wave_record)
+        assert direct.example_count == waved.example_count
 
 
 class TestAnnotationService:

@@ -1,18 +1,23 @@
 """Tests for the concurrent multi-tenant drain: sequential/concurrent parity,
 the round-based wave scheduler, backpressure admission control, per-tenant
-accounting, retry-jitter salting, thread stress under flaky clients, and
-crash recovery mid-concurrent-drain."""
+accounting, retry-jitter salting, thread stress under flaky clients, wave
+accounting under a mid-drain breaker trip, and crash recovery
+mid-concurrent-drain."""
 
 from __future__ import annotations
+
+import threading
 
 import pytest
 
 from repro.core import (
+    AnnotationPipeline,
     AnnotationService,
+    DrainReport,
     TaskConfig,
     WaveScheduler,
 )
-from repro.errors import BackpressureError, PipelineError
+from repro.errors import BackpressureError, CircuitOpenError, PipelineError
 from repro.llm import SimulatedLLM
 from repro.llm.base import RetryPolicy, _join_salt
 from repro.schema import ColumnSchema, DatabaseSchema, ForeignKey, TableSchema
@@ -156,6 +161,30 @@ class TestConcurrentParity:
             assert completed_keys(actual) == completed_keys(expected)
         assert concurrent.pending_count == 0
 
+    @pytest.mark.parametrize(
+        "workers, projects, inline",
+        [(1, PROJECTS, True), (4, PROJECTS[:1], True), (4, PROJECTS, False)],
+    )
+    def test_scheduler_runs_inline_for_one_worker_or_one_run(
+        self, workers, projects, inline
+    ):
+        service = build_service(projects=projects)
+        threads = set()
+        runs = {}
+        for name in projects:
+            run = service.pipeline(name).wave_run(QUERIES)
+            advance = run.run_next_wave
+
+            def traced(advance=advance):
+                threads.add(threading.get_ident())
+                return advance()
+
+            run.run_next_wave = traced
+            runs[name] = run
+        assert WaveScheduler(max_workers=workers).run_all(runs) == {}
+        assert all(run.done for run in runs.values())
+        assert (threads == {threading.get_ident()}) == inline
+
     def test_invalid_concurrency_rejected(self):
         service = build_service()
         with pytest.raises(PipelineError):
@@ -210,6 +239,92 @@ class TestFaultIsolationConcurrent:
             assert completed_keys(actual) == completed_keys(expected)
         assert stressed.stats.failed == 0
         assert stressed.stats.completed == reference.stats.completed
+
+
+class TrippingLLM(SimulatedLLM):
+    """Simulated client whose ``trip_on``-th batched round trip finds its
+    breaker open (0 never trips)."""
+
+    def __init__(self, trip_on: int = 0) -> None:
+        super().__init__("gpt-4o", schema=make_schema())
+        self.trip_on = trip_on
+        self.batches = 0
+
+    def generate_batch(self, prompts):
+        self.batches += 1
+        if self.batches == self.trip_on:
+            raise CircuitOpenError("injected: circuit open")
+        return super().generate_batch(prompts)
+
+
+class TestDrainAccountingParity:
+    """A breaker trip mid-drain is settled and counted the same way at every
+    concurrency: each project's outcome and wave accounting equal what its
+    own run does in isolation."""
+
+    TRIP_ON = {"alpha": 0, "beta": 3}
+
+    def _statements(self):
+        return {name: QUERIES + QUERIES[::-1] for name in self.TRIP_ON}
+
+    def _isolated_run(self, project, statements):
+        pipeline = AnnotationPipeline(
+            make_schema(),
+            config=TaskConfig(batch_size=3),
+            llm=TrippingLLM(self.TRIP_ON[project]),
+            dataset_name=project,
+        )
+        run = pipeline.wave_run(statements)
+        try:
+            while not run.done:
+                run.run_next_wave()
+        except CircuitOpenError:
+            pass
+        run.finish()
+        return [record_key(record) for record in pipeline.annotations], run.stats
+
+    @pytest.mark.parametrize("concurrency", [1, 2])
+    def test_breaker_trip_accounting_is_concurrency_independent(self, concurrency):
+        statements = self._statements()
+        service = build_service(
+            projects=list(self.TRIP_ON),
+            llm_factory=lambda name: TrippingLLM(self.TRIP_ON[name]),
+        )
+        for index in range(len(QUERIES) * 2):
+            for name, sqls in statements.items():
+                service.submit(sqls[index], project=name)
+        jobs = {name: service.pending_jobs(name) for name in statements}
+
+        completed = service.drain(concurrency=concurrency)
+
+        expected_keys = []
+        expected_counters = [0, 0, 0, 0]
+        committed_total = 0
+        for name, sqls in statements.items():
+            records, stats = self._isolated_run(name, sqls)
+            expected_keys += [
+                (name, job.job_id, key, "") for job, key in zip(jobs[name], records)
+            ]
+            committed_total += len(records)
+            expected_counters[0] += stats.waves
+            expected_counters[1] += stats.batched_queries
+            expected_counters[2] += stats.regenerated_queries
+            expected_counters[3] += stats.llm_requests
+        deferred = len(statements) * len(QUERIES) * 2 - committed_total
+        assert 0 < deferred < len(QUERIES) * 2  # beta tripped part-way through
+
+        assert completed_keys(completed) == expected_keys
+        report = service.last_drain_report
+        report.duration_seconds = 0.0
+        assert report == DrainReport(completed=committed_total, deferred=deferred)
+        stats = service.stats
+        assert [
+            stats.waves,
+            stats.batched_queries,
+            stats.regenerated_queries,
+            stats.llm_requests,
+        ] == expected_counters
+        assert stats.deferred == deferred and service.pending_count == deferred
 
 
 class TestBackpressure:

@@ -1,6 +1,14 @@
 """Tests for workload generation, the simulated user study, Figure 1 harness and reporting."""
 
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
+
+import repro
 
 from repro.evaluation import (
     GENERAL_MODELS,
@@ -71,6 +79,44 @@ class TestWorkloadGeneration:
         first = build_benchmark("Spider", seed=5, row_scale=0.002, query_count=5)
         second = build_benchmark("Spider", seed=5, row_scale=0.002, query_count=5)
         assert [q.sql for q in first.queries] == [q.sql for q in second.queries]
+
+    def test_generation_is_independent_of_hash_seed(self):
+        # str hashes are salted per process, so only a fresh interpreter per
+        # PYTHONHASHSEED can show whether generation depends on them.
+        script = (
+            "import hashlib, json\n"
+            "from repro.workloads import build_all_benchmarks\n"
+            "def digest(value):\n"
+            "    return hashlib.sha256(repr(value).encode()).hexdigest()\n"
+            "workloads = build_all_benchmarks(seed=7, row_scale=0.0015, query_count=20)\n"
+            "print(json.dumps({name: {\n"
+            "    'sql': digest([q.sql for q in w.queries]),\n"
+            "    'gold_nl': digest([q.gold_nl for q in w.queries]),\n"
+            "    'rows': digest([(t.name, t.rows) for t in w.database.tables()]),\n"
+            "} for name, w in workloads.items()}))\n"
+        )
+        src = str(Path(repro.__file__).resolve().parents[1])
+        workers = []
+        for hash_seed in ("0", "1"):
+            env = dict(os.environ, PYTHONHASHSEED=hash_seed)
+            env["PYTHONPATH"] = os.pathsep.join(
+                filter(None, [src, env.get("PYTHONPATH", "")])
+            )
+            workers.append(
+                subprocess.Popen(
+                    [sys.executable, "-c", script],
+                    env=env,
+                    stdout=subprocess.PIPE,
+                    text=True,
+                )
+            )
+        digests = []
+        for worker in workers:
+            stdout, _ = worker.communicate(timeout=120)
+            assert worker.returncode == 0
+            digests.append(json.loads(stdout))
+        assert set(digests[0]) == set(BENCHMARK_NAMES)
+        assert digests[0] == digests[1]
 
     def test_different_seeds_differ(self):
         first = build_benchmark("Spider", seed=5, row_scale=0.002, query_count=5)
