@@ -59,6 +59,9 @@ class CandidateSet:
     decomposition: DecompositionResult | None = None
     unit_candidates: dict[str, list[str]] = field(default_factory=dict)
     model_name: str = ""
+    #: Pre-parsed AST of :attr:`sql` (an optimisation hint: the commit links
+    #: the statement from it instead of parsing the text again).
+    ast: object | None = field(default=None, init=False, compare=False, repr=False)
 
     @property
     def was_decomposed(self) -> bool:
@@ -92,6 +95,7 @@ class _WaveItem:
     unit_names: list[str | None]  # None = whole-query (flat) unit
     unit_sqls: list[str]
     commit_tag: object = None  # opaque caller tag journaled with the commit
+    select: object | None = None  # phase-1 parse of ``sql``
     unit_asts: list[object | None] = field(default_factory=list)
     contexts: list[RetrievedContext | None] = field(default_factory=list)
     prompts: list[Prompt] = field(default_factory=list)
@@ -237,7 +241,12 @@ class AnnotationPipeline:
         if decomposition is not None and decomposition.was_nested:
             unit_names: list[str | None] = [unit.name for unit in decomposition.units]
             unit_sqls = [unit.sql for unit in decomposition.units]
-            unit_asts: list[object | None] = [None] * len(unit_sqls)
+            # One parse per unit, shared by linking, the LLM and its
+            # complexity analysis.  Parse the text, not ``unit.query``: the
+            # rewritten tree need not equal the parse its consumers used to do.
+            unit_asts: list[object | None] = [
+                _parse_or_none(unit_sql) for unit_sql in unit_sqls
+            ]
         else:
             decomposition = None
             unit_names = [None]
@@ -250,13 +259,14 @@ class AnnotationPipeline:
             unit_names=unit_names,
             unit_sqls=unit_sqls,
             commit_tag=commit_tag,
+            select=select,
             unit_asts=unit_asts,
         )
 
-    def _retrieve(self, sql: str) -> RetrievedContext | None:
+    def _retrieve(self, sql: str, ast: object | None = None) -> RetrievedContext | None:
         if not self.config.rag_enabled:
             return None
-        return self.retriever.retrieve(sql, dataset=self.dataset_name or None)
+        return self.retriever.retrieve(sql, dataset=self.dataset_name or None, ast=ast)
 
     def _build_prompt(
         self, sql: str, context: RetrievedContext | None, ast: object | None = None
@@ -342,7 +352,7 @@ class AnnotationPipeline:
         example = None
         if outcome.accepted and self.config.auto_accept_into_examples and record.nl:
             example = self.retriever.record_annotation(
-                record.sql, record.nl, dataset=self.dataset_name
+                record.sql, record.nl, dataset=self.dataset_name, ast=candidate_set.ast
             )
         if self._journal is not None:
             # Shallow dicts, not dataclasses.asdict: the payload is consumed
@@ -575,11 +585,7 @@ class AnnotationPipeline:
             and self.retriever.example_store.version != store_version
         ):
             if getattr(self.llm, "example_content_sensitive", True):
-                fresh_contexts = [self._retrieve(unit_sql) for unit_sql in item.unit_sqls]
-                fresh_prompts = [
-                    self._build_prompt(unit_sql, context)
-                    for unit_sql, context in zip(item.unit_sqls, fresh_contexts)
-                ]
+                fresh_contexts, fresh_prompts = self._fresh_prompts(item)
                 stale = fresh_prompts != item.prompts
             else:
                 dataset = self.dataset_name or None
@@ -600,19 +606,45 @@ class AnnotationPipeline:
                 for name, candidates in zip(item.unit_names, item.candidate_lists)
             }
             candidates = self._merge_unit_candidates(item.decomposition, unit_candidates)
-        else:
-            unit_candidates = {}
-            candidates = item.candidate_lists[0]
-        return CandidateSet(
+            return self._candidate_set(item, candidates, unit_candidates, None, None)
+        return self._candidate_set(
+            item, item.candidate_lists[0], {}, item.prompts[0], item.contexts[0]
+        )
+
+    def _fresh_prompts(
+        self, item: _WaveItem
+    ) -> tuple[list[RetrievedContext | None], list[Prompt]]:
+        """Retrieve and build every unit's prompt against the live store."""
+        contexts = [
+            self._retrieve(unit_sql, unit_ast)
+            for unit_sql, unit_ast in zip(item.unit_sqls, item.unit_asts)
+        ]
+        prompts = [
+            self._build_prompt(unit_sql, context, ast=unit_ast)
+            for unit_sql, context, unit_ast in zip(item.unit_sqls, contexts, item.unit_asts)
+        ]
+        return contexts, prompts
+
+    def _candidate_set(
+        self,
+        item: _WaveItem,
+        candidates: list[str],
+        unit_candidates: dict[str, list[str]],
+        prompt: Prompt | None,
+        context: RetrievedContext | None,
+    ) -> CandidateSet:
+        candidate_set = CandidateSet(
             sql=item.sql,
             candidates=candidates,
             dataset=self.dataset_name,
-            prompt=item.prompts[0] if item.decomposition is None else None,
-            context=item.contexts[0] if item.decomposition is None else None,
+            prompt=prompt,
+            context=context,
             decomposition=item.decomposition,
             unit_candidates=unit_candidates,
             model_name=self.llm.name,
         )
+        candidate_set.ast = item.select
+        return candidate_set
 
     def _regenerate(
         self,
@@ -630,11 +662,7 @@ class AnnotationPipeline:
         retrieval is not repeated.
         """
         if fresh_contexts is None or fresh_prompts is None:
-            fresh_contexts = [self._retrieve(unit_sql) for unit_sql in item.unit_sqls]
-            fresh_prompts = [
-                self._build_prompt(unit_sql, context)
-                for unit_sql, context in zip(item.unit_sqls, fresh_contexts)
-            ]
+            fresh_contexts, fresh_prompts = self._fresh_prompts(item)
         if item.decomposition is not None:
             unit_candidates = {
                 name: self.llm.generate_with_retry(
@@ -648,8 +676,8 @@ class AnnotationPipeline:
                 for name, prompt in zip(item.unit_names, fresh_prompts)
             }
             candidates = self._merge_unit_candidates(item.decomposition, unit_candidates)
-            context = self._retrieve(item.sql)
-            prompt = self._build_prompt(item.sql, context)
+            context = self._retrieve(item.sql, item.select)
+            prompt = self._build_prompt(item.sql, context, ast=item.select)
         else:
             unit_candidates = {}
             candidates = self.llm.generate_with_retry(
@@ -662,16 +690,7 @@ class AnnotationPipeline:
             ).candidates
             context = fresh_contexts[0]
             prompt = fresh_prompts[0]
-        return CandidateSet(
-            sql=item.sql,
-            candidates=candidates,
-            dataset=self.dataset_name,
-            prompt=prompt,
-            context=context,
-            decomposition=item.decomposition,
-            unit_candidates=unit_candidates,
-            model_name=self.llm.name,
-        )
+        return self._candidate_set(item, candidates, unit_candidates, prompt, context)
 
     # ------------------------------------------------------------------
     # accessors
@@ -686,6 +705,14 @@ class AnnotationPipeline:
     def example_count(self) -> int:
         """Number of examples currently available for retrieval."""
         return len(self.retriever.example_store)
+
+
+def _parse_or_none(sql: str) -> object | None:
+    """Parse a unit's text, or ``None`` so consumers keep their own fallback."""
+    try:
+        return parse_select(sql)
+    except Exception:
+        return None
 
 
 class WaveRun:

@@ -79,9 +79,15 @@ class ContextRetriever:
         """The schema this retriever serves."""
         return self._schema
 
-    def retrieve(self, sql: str, dataset: str | None = None) -> RetrievedContext:
-        """Build the retrieval context for one SQL query."""
-        tables, unresolved, ambiguous = self._linked(sql)
+    def retrieve(
+        self, sql: str, dataset: str | None = None, ast: object | None = None
+    ) -> RetrievedContext:
+        """Build the retrieval context for one SQL query.
+
+        ``ast`` may supply the already-parsed query so a linking-cache miss
+        skips re-parsing.
+        """
+        tables, unresolved, ambiguous = self._linked(sql, ast=ast)
         examples = self._example_store.retrieve(
             sql, top_k=self.top_k_examples, dataset=dataset
         )
@@ -127,10 +133,18 @@ class ContextRetriever:
         return contexts
 
     def record_annotation(
-        self, sql: str, nl: str, dataset: str = "", quality: float = 1.0
+        self,
+        sql: str,
+        nl: str,
+        dataset: str = "",
+        quality: float = 1.0,
+        ast: object | None = None,
     ) -> AnnotatedExample:
-        """Store an accepted annotation so future retrievals can use it."""
-        tables, _, _ = self._linked(sql)
+        """Store an accepted annotation so future retrievals can use it.
+
+        ``ast`` may supply the already-parsed query, as in :meth:`retrieve`.
+        """
+        tables, _, _ = self._linked(sql, ast=ast)
         return self._example_store.add(
             sql, nl, dataset=dataset, tables=[table.name for table in tables], quality=quality
         )

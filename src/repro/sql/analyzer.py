@@ -311,20 +311,24 @@ def count_tokens(sql: str) -> int:
     return len(tokenize(sql))
 
 
-def analyze_query(sql_or_ast: str | Select) -> QueryProfile:
+def analyze_query(sql: str | Select, select: Select | None = None) -> QueryProfile:
     """Compute the full static profile of a query.
 
-    Accepts either SQL text or an already-parsed :class:`Select`.  When given
-    an AST, token/keyword counts are computed from the printed form.
+    ``sql`` is the query text and ``select`` optionally its already-parsed
+    tree, which saves the parse; the profile is the same either way.  Keyword
+    and token counts always come from lexing ``sql`` itself, so comments,
+    spacing and keyword spelling count exactly as written.  A bare
+    :class:`Select` passed as ``sql`` (no text at hand) is counted from its
+    printed form.
     """
-    if isinstance(sql_or_ast, Select):
+    if isinstance(sql, Select):
         from repro.sql.printer import print_select
 
-        sql = print_select(sql_or_ast)
-        select = sql_or_ast
-    else:
-        sql = sql_or_ast
+        select = sql
+        sql = print_select(select)
+    elif select is None:
         select = parse_select(sql)
+    tokens = tokenize(sql)
 
     tables = extract_tables(select)
     columns = extract_columns(select)
@@ -335,8 +339,8 @@ def analyze_query(sql_or_ast: str | Select) -> QueryProfile:
     )
 
     complexity = QueryComplexity(
-        keywords=count_keywords(sql),
-        tokens=count_tokens(sql),
+        keywords=sum(1 for token in tokens if token.kind is TokenKind.KEYWORD),
+        tokens=len(tokens),
         tables=len(tables),
         columns=len(columns),
         aggregations=len(aggregates),

@@ -98,8 +98,7 @@ class _Decomposer:
         self._rewrite_select(working, new_ctes, rewrite_from=True)
         working.ctes = list(working.ctes) + new_ctes
 
-        outer_role = "outer"
-        outer_unit = self._record_unit("main_query", working, role=outer_role, register=False)
+        outer_unit = self._record_unit("main_query", working, role="outer")
         outer_unit.depends_on = [unit.name for unit in self._units if unit is not outer_unit]
 
         decomposed_sql = print_select(working)
@@ -121,9 +120,7 @@ class _Decomposer:
         self._existing_names.add(candidate.lower())
         return candidate
 
-    def _record_unit(
-        self, name: str, query: Select, role: str, register: bool = True
-    ) -> QueryUnit:
+    def _record_unit(self, name: str, query: Select, role: str) -> QueryUnit:
         unit = QueryUnit(
             name=name,
             sql=print_select(query),
@@ -132,8 +129,7 @@ class _Decomposer:
             tables=extract_tables(query),
             columns=extract_columns(query),
         )
-        if register or True:
-            self._units.append(unit)
+        self._units.append(unit)
         return unit
 
     # ------------------------------------------------------------------

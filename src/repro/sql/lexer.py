@@ -9,19 +9,79 @@ Supports:
 * line comments (``-- ...``) and block comments (``/* ... */``),
 * multi-character comparison operators and string concatenation ``||``,
 * named (``:name``) and positional (``?``) parameters.
+
+One compiled regular expression does the scanning: each match is one token
+(or one lexical error) preceded by any whitespace and comments.  Character
+classes follow ``str`` semantics: ``\\s`` is ``str.isspace``, ``\\d`` is
+``str.isdecimal`` and ``\\w`` is ``str.isalnum`` plus ``_``.  The two gaps
+(digits that are not decimal, such as ``²``, and numeric characters that are
+neither digits nor letters, such as ``½``) are closed by scanning a stand-in
+text in which those characters are mapped to ``0`` and ``½``.  Token values
+are always sliced from the original text.
+
+Lexing is pure and tokens are frozen, so :func:`tokenize` shares one lex per
+distinct text through a small LRU cache.
 """
 
 from __future__ import annotations
 
+import re
+from functools import lru_cache
+
 from repro.errors import LexError
-from repro.sql.tokens import (
-    KEYWORDS,
-    MULTI_CHAR_OPERATORS,
-    PUNCTUATION_CHARS,
-    SINGLE_CHAR_OPERATORS,
-    Token,
-    TokenKind,
+from repro.sql.tokens import KEYWORDS, Token, TokenKind
+
+_TOKEN_RE = re.compile(
+    r"""
+    (?:\s+|--[^\n]*|/\*.*?\*/)*+                    # whitespace and comments
+    (?:
+        (?P<word>[^\W\d\xbd][\w$]*)
+      | (?P<number>(?:\d|\.(?=\d))[\d.]*(?:[eE][+-]?\d+)?)
+      | (?P<string>'(?:[^']|'')*+')                 # possessive: no retry at an inner ''
+      | (?P<quoted>"[^"]*"|`[^`]*`)
+      | (?P<bad_comment>/\*)                        # before the operators' "/"
+      | (?P<operator><>|>=|<=|\|\||[=<>+\-*/%])
+      | (?P<not_equal>!=)
+      | (?P<punctuation>[(),.;])
+      | (?P<parameter>:[^\W\d\xbd]\w*|\?)
+      | (?P<end>\Z)
+      | (?P<bad_string>')
+      | (?P<bad_quoted>["`])
+      | (?P<bad_char>.)
+    )
+    """,
+    re.VERBOSE | re.DOTALL,
 )
+
+_SIMPLE_KINDS = {
+    "operator": TokenKind.OPERATOR,
+    "punctuation": TokenKind.PUNCTUATION,
+    "parameter": TokenKind.PARAMETER,
+}
+
+#: Distinct texts whose token tuples :func:`tokenize` keeps.
+LEX_CACHE_SIZE = 64
+
+
+class _StandIns(dict):
+    """``str.translate`` table mapping each code point to its lexing stand-in.
+
+    Non-decimal digits lex like ``0``; other numeric characters that are not
+    letters lex like ``½`` (which the word and parameter classes exclude);
+    every other character stands for itself.  Only ASCII and the (about a
+    thousand) remapped code points are stored, so the table stays small
+    whatever text it sees.
+    """
+
+    def __missing__(self, code: int) -> int:
+        char = chr(code)
+        if char.isalnum() and not char.isalpha() and not char.isdecimal():
+            self[code] = 0x30 if char.isdigit() else 0xBD
+            return self[code]
+        raise LookupError(code)  # translate keeps the character
+
+
+_STAND_INS = _StandIns((code, code) for code in range(128))
 
 
 class Lexer:
@@ -34,157 +94,60 @@ class Lexer:
 
     def __init__(self, text: str) -> None:
         self._text = text
-        self._length = len(text)
-        self._pos = 0
-        self._line = 1
 
     def tokenize(self) -> list[Token]:
         """Tokenize the entire input and return the token list (without EOF)."""
+        text = self._text
+        scanned = text if text.isascii() else text.translate(_STAND_INS)
         tokens: list[Token] = []
-        while True:
-            self._skip_whitespace_and_comments()
-            if self._pos >= self._length:
+        line = 1
+        counted = 0
+        for match in _TOKEN_RE.finditer(scanned):
+            kind = match.lastgroup
+            start, stop = match.span(kind)
+            line += text.count("\n", counted, start)
+            counted = start
+            value = text[start:stop]
+            if kind == "word":
+                upper = value.upper()
+                if upper in KEYWORDS:
+                    tokens.append(Token(TokenKind.KEYWORD, upper, start, line))
+                else:
+                    tokens.append(Token(TokenKind.IDENTIFIER, value, start, line))
+            elif kind in _SIMPLE_KINDS:
+                tokens.append(Token(_SIMPLE_KINDS[kind], value, start, line))
+            elif kind == "number":
+                if value.count(".") > 1:
+                    raise LexError(f"malformed number {value!r}", start, line)
+                tokens.append(Token(TokenKind.NUMBER, value, start, line))
+            elif kind == "string":
+                tokens.append(
+                    Token(TokenKind.STRING, value[1:-1].replace("''", "'"), start, line)
+                )
+            elif kind == "quoted":
+                tokens.append(Token(TokenKind.QUOTED_IDENTIFIER, value[1:-1], start, line))
+            elif kind == "not_equal":
+                tokens.append(Token(TokenKind.OPERATOR, "<>", start, line))
+            elif kind == "end":
                 break
-            tokens.append(self._next_token())
+            elif kind == "bad_comment":
+                raise LexError(
+                    "unterminated block comment", len(text), text.count("\n") + 1
+                )
+            elif kind == "bad_string":
+                raise LexError("unterminated string literal", start, line)
+            elif kind == "bad_quoted":
+                raise LexError("unterminated quoted identifier", start, line)
+            else:
+                raise LexError(f"unexpected character {value!r}", start, line)
         return tokens
 
-    # ------------------------------------------------------------------
-    # internals
-    # ------------------------------------------------------------------
 
-    def _peek(self, offset: int = 0) -> str:
-        index = self._pos + offset
-        if index >= self._length:
-            return ""
-        return self._text[index]
-
-    def _advance(self, count: int = 1) -> None:
-        for _ in range(count):
-            if self._pos < self._length and self._text[self._pos] == "\n":
-                self._line += 1
-            self._pos += 1
-
-    def _skip_whitespace_and_comments(self) -> None:
-        while self._pos < self._length:
-            char = self._text[self._pos]
-            if char.isspace():
-                self._advance()
-            elif char == "-" and self._peek(1) == "-":
-                while self._pos < self._length and self._text[self._pos] != "\n":
-                    self._advance()
-            elif char == "/" and self._peek(1) == "*":
-                self._advance(2)
-                while self._pos < self._length and not (
-                    self._text[self._pos] == "*" and self._peek(1) == "/"
-                ):
-                    self._advance()
-                if self._pos >= self._length:
-                    raise LexError("unterminated block comment", self._pos, self._line)
-                self._advance(2)
-            else:
-                return
-
-    def _next_token(self) -> Token:
-        char = self._text[self._pos]
-        start = self._pos
-        line = self._line
-
-        if char == "'":
-            return self._lex_string(start, line)
-        if char == '"' or char == "`":
-            return self._lex_quoted_identifier(char, start, line)
-        if char.isdigit() or (char == "." and self._peek(1).isdigit()):
-            return self._lex_number(start, line)
-        if char.isalpha() or char == "_":
-            return self._lex_word(start, line)
-        if char == ":" and (self._peek(1).isalpha() or self._peek(1) == "_"):
-            return self._lex_parameter(start, line)
-        if char == "?":
-            self._advance()
-            return Token(TokenKind.PARAMETER, "?", start, line)
-
-        for op in MULTI_CHAR_OPERATORS:
-            if self._text.startswith(op, self._pos):
-                self._advance(len(op))
-                value = "<>" if op == "!=" else op
-                return Token(TokenKind.OPERATOR, value, start, line)
-        if char in SINGLE_CHAR_OPERATORS:
-            self._advance()
-            return Token(TokenKind.OPERATOR, char, start, line)
-        if char in PUNCTUATION_CHARS:
-            self._advance()
-            return Token(TokenKind.PUNCTUATION, char, start, line)
-
-        raise LexError(f"unexpected character {char!r}", start, line)
-
-    def _lex_string(self, start: int, line: int) -> Token:
-        self._advance()  # opening quote
-        chunks: list[str] = []
-        while True:
-            if self._pos >= self._length:
-                raise LexError("unterminated string literal", start, line)
-            char = self._text[self._pos]
-            if char == "'":
-                if self._peek(1) == "'":
-                    chunks.append("'")
-                    self._advance(2)
-                    continue
-                self._advance()
-                break
-            chunks.append(char)
-            self._advance()
-        return Token(TokenKind.STRING, "".join(chunks), start, line)
-
-    def _lex_quoted_identifier(self, quote: str, start: int, line: int) -> Token:
-        self._advance()
-        chunks: list[str] = []
-        while True:
-            if self._pos >= self._length:
-                raise LexError("unterminated quoted identifier", start, line)
-            char = self._text[self._pos]
-            if char == quote:
-                self._advance()
-                break
-            chunks.append(char)
-            self._advance()
-        return Token(TokenKind.QUOTED_IDENTIFIER, "".join(chunks), start, line)
-
-    def _lex_number(self, start: int, line: int) -> Token:
-        while self._pos < self._length and (self._text[self._pos].isdigit() or self._text[self._pos] == "."):
-            self._advance()
-        if self._pos < self._length and self._text[self._pos] in ("e", "E"):
-            lookahead = 1
-            if self._peek(1) in ("+", "-"):
-                lookahead = 2
-            if self._peek(lookahead).isdigit():
-                self._advance(lookahead)
-                while self._pos < self._length and self._text[self._pos].isdigit():
-                    self._advance()
-        value = self._text[start : self._pos]
-        if value.count(".") > 1:
-            raise LexError(f"malformed number {value!r}", start, line)
-        return Token(TokenKind.NUMBER, value, start, line)
-
-    def _lex_word(self, start: int, line: int) -> Token:
-        while self._pos < self._length and (
-            self._text[self._pos].isalnum() or self._text[self._pos] in ("_", "$")
-        ):
-            self._advance()
-        raw = self._text[start : self._pos]
-        upper = raw.upper()
-        if upper in KEYWORDS:
-            return Token(TokenKind.KEYWORD, upper, start, line)
-        return Token(TokenKind.IDENTIFIER, raw, start, line)
-
-    def _lex_parameter(self, start: int, line: int) -> Token:
-        self._advance()  # ':'
-        while self._pos < self._length and (
-            self._text[self._pos].isalnum() or self._text[self._pos] == "_"
-        ):
-            self._advance()
-        return Token(TokenKind.PARAMETER, self._text[start : self._pos], start, line)
+@lru_cache(maxsize=LEX_CACHE_SIZE)
+def _lex(sql: str) -> tuple[Token, ...]:
+    return tuple(Lexer(sql).tokenize())
 
 
 def tokenize(sql: str) -> list[Token]:
-    """Tokenize SQL text.  Convenience wrapper around :class:`Lexer`."""
-    return Lexer(sql).tokenize()
+    """Tokenize SQL text.  Repeated texts share one cached lex."""
+    return list(_lex(sql))

@@ -110,7 +110,7 @@ SINGLE_CHAR_OPERATORS: frozenset[str] = frozenset({"=", "<", ">", "+", "-", "*",
 PUNCTUATION_CHARS: frozenset[str] = frozenset({"(", ")", ",", ".", ";"})
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Token:
     """A single lexical token.
 

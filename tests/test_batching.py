@@ -2,6 +2,8 @@
 batch/sequential parity, single-query candidate generation, and the
 AnnotationService facade."""
 
+from collections import Counter
+
 import pytest
 
 from repro.core import (
@@ -13,6 +15,8 @@ from repro.core import (
 )
 from repro.errors import PipelineError
 from repro.llm import GenerationResult, LLMClient, Prompt, PromptBuilder, SimulatedLLM
+from repro.sql import Lexer, Parser, is_nested, lexer, parse_select
+from repro.sql.decompose import decompose
 from repro.workloads import build_benchmark
 
 QUERIES = [
@@ -337,3 +341,44 @@ class TestServiceUsageAccounting:
         assert pipeline.last_run_stats.waves > 1
         pipeline.annotate_many(QUERIES)  # archive warm: one full-size wave
         assert pipeline.last_run_stats.waves == 1
+
+
+class TestFrontEndWork:
+    """A drain lexes each distinct text once and parses each generation unit once."""
+
+    @staticmethod
+    def count_calls(monkeypatch, cls, attr, calls):
+        original = getattr(cls, attr)
+
+        def counting(self):
+            calls[attr] += 1
+            return original(self)
+
+        monkeypatch.setattr(cls, attr, counting)
+
+    def test_beaver_drain_parses_each_unit_once(self, monkeypatch):
+        workload = build_benchmark("Beaver", seed=8, row_scale=0.0015, query_count=12)
+        sqls = workload.query_sql
+        units = [
+            len(decompose(sql).units) if is_nested(parse_select(sql)) else 0 for sql in sqls
+        ]
+        assert len(sqls) == 12 and sum(1 for count in units if count) >= 8
+        sequential = AnnotationPipeline(workload.schema, dataset_name="beaver")
+        expected = [sequential.annotate(sql) for sql in sqls]  # size-1 candidate path
+
+        lexer._lex.cache_clear()
+        calls = Counter()
+        self.count_calls(monkeypatch, Lexer, "tokenize", calls)
+        self.count_calls(monkeypatch, Parser, "parse_statement", calls)
+        service = AnnotationService()
+        service.register_project("beaver", workload.schema, config=TaskConfig(batch_size=6))
+        service.submit_many(sqls, project="beaver")
+        completed = service.drain()
+
+        # The statement, then each decomposition unit's text: nothing else
+        # parses, and every lex is of a text not lexed before.
+        assert calls["parse_statement"] == len(sqls) + sum(units)
+        assert calls["tokenize"] <= calls["parse_statement"]
+        assert [record_key(job.record) for job in completed] == [
+            record_key(record) for record in expected
+        ]

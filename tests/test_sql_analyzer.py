@@ -16,6 +16,7 @@ from repro.sql import (
     nesting_depth,
     parse_select,
 )
+from repro.workloads import BENCHMARK_NAMES, build_benchmark
 
 NESTED_QUERY = """
 WITH DistinctLists AS (
@@ -110,6 +111,20 @@ class TestAnalyzeQuery:
     def test_profile_from_ast(self):
         profile = analyze_query(parse_select("SELECT a FROM t ORDER BY a"))
         assert profile.complexity.has_order_by is True
+
+    def test_counts_come_from_the_text_not_the_tree(self):
+        sql = "select a -- why\nFROM t WHERE a != 1 AND (b = 2)"
+        profile = analyze_query(sql, parse_select(sql))
+        assert profile == analyze_query(sql)
+        assert profile.complexity.tokens == count_tokens(sql) == 14
+        assert profile.complexity.keywords == count_keywords(sql) == 4
+
+    @pytest.mark.parametrize("name", BENCHMARK_NAMES)
+    def test_pre_parsed_tree_gives_the_same_profile(self, name):
+        workload = build_benchmark(name, seed=0, row_scale=0.0008)
+        assert workload.query_sql
+        for sql in workload.query_sql:
+            assert analyze_query(sql, parse_select(sql)) == analyze_query(sql), sql
 
     def test_complexity_as_dict_keys(self):
         metrics = analyze_query("SELECT a FROM t").complexity.as_dict()

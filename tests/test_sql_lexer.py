@@ -1,10 +1,26 @@
 """Unit tests for the SQL lexer."""
 
+import json
+import sys
+import threading
+from pathlib import Path
+
 import pytest
 
 from repro.errors import LexError
+from repro.sql import lexer
 from repro.sql.lexer import tokenize
 from repro.sql.tokens import Token, TokenKind
+
+CORPUS_PATH = Path(__file__).parent / "data" / "lexer_corpus.json"
+
+
+def lex_outcome(text):
+    """Tokens as plain tuples, or the LexError as (message, position, line)."""
+    try:
+        return [(t.kind.name, t.value, t.position, t.line) for t in tokenize(text)]
+    except LexError as error:
+        return ("error", str(error), error.position, error.line)
 
 
 class TestBasicTokens:
@@ -134,3 +150,106 @@ class TestTokenHelpers:
         token = Token(TokenKind.OPERATOR, "=")
         assert token.is_operator("=", "<>")
         assert not token.is_operator("<")
+
+
+class TestGoldenCorpus:
+    """Replays strings lexed by the character-at-a-time lexer this one replaced."""
+
+    def test_corpus_replays_exactly(self):
+        corpus = json.loads(CORPUS_PATH.read_text(encoding="utf-8"))
+        assert len(corpus["cases"]) == corpus["count"] == 2000
+        mismatches = []
+        for case in corpus["cases"]:
+            if "error" in case:
+                expected = ("error", *case["error"])
+            else:
+                expected = [tuple(token) for token in case["tokens"]]
+            if lex_outcome(case["text"]) != expected:
+                mismatches.append(case["text"])
+        assert mismatches == []
+
+
+class TestPitfalls:
+    def test_unterminated_block_comment_reports_end_of_text(self):
+        text = "SELECT 1\n/* never\nclosed"
+        with pytest.raises(LexError) as info:
+            tokenize(text)
+        assert str(info.value) == "unterminated block comment"
+        assert (info.value.position, info.value.line) == (len(text), 3)
+
+    def test_unterminated_comment_is_not_divide_times(self):
+        assert lex_outcome("a /*/") == ("error", "unterminated block comment", 5, 1)
+        assert lex_outcome("a /**/ b") == [
+            ("IDENTIFIER", "a", 0, 1), ("IDENTIFIER", "b", 7, 1)
+        ]
+
+    def test_unterminated_string_after_escape_reports_opening_quote(self):
+        assert lex_outcome("x = 'a'' ") == ("error", "unterminated string literal", 4, 1)
+        assert lex_outcome("'" * 3) == ("error", "unterminated string literal", 0, 1)
+        assert lex_outcome("'" * 4) == [("STRING", "'", 0, 1)]
+
+    def test_line_separator_is_whitespace_without_a_new_line(self):
+        assert lex_outcome("SELECT\u20281\n2") == [
+            ("KEYWORD", "SELECT", 0, 1), ("NUMBER", "1", 7, 1), ("NUMBER", "2", 9, 2)
+        ]
+        assert lex_outcome("a\u00a0b") == [("IDENTIFIER", "a", 0, 1), ("IDENTIFIER", "b", 2, 1)]
+
+    def test_non_decimal_digits_lex_as_numbers(self):
+        assert lex_outcome("²0") == [("NUMBER", "²0", 0, 1)]
+        assert lex_outcome("1² 1e¹") == [
+            ("NUMBER", "1²", 0, 1), ("NUMBER", "1e¹", 3, 1)
+        ]
+        assert lex_outcome(".²") == [("NUMBER", ".²", 0, 1)]
+        assert lex_outcome("٣.٣") == [("NUMBER", "٣.٣", 0, 1)]
+
+    def test_numeric_non_letters_cannot_start_words(self):
+        assert lex_outcome("½") == ("error", "unexpected character '½'", 0, 1)
+        assert lex_outcome("Ⅳx") == ("error", "unexpected character 'Ⅳ'", 0, 1)
+        assert lex_outcome("a½²") == [("IDENTIFIER", "a½²", 0, 1)]
+
+    def test_parameters_need_a_letter_after_the_colon(self):
+        assert lex_outcome(":été") == [("PARAMETER", ":été", 0, 1)]
+        assert lex_outcome(":²") == ("error", "unexpected character ':'", 0, 1)
+        assert lex_outcome(":½") == ("error", "unexpected character ':'", 0, 1)
+
+    def test_unicode_words_and_keyword_folding(self):
+        assert lex_outcome("straße ſelect") == [
+            ("IDENTIFIER", "straße", 0, 1), ("KEYWORD", "SELECT", 7, 1)
+        ]
+
+
+class TestSharedLex:
+    def test_mutating_the_returned_list_does_not_leak(self):
+        first = tokenize("SELECT a FROM t")
+        first.append(Token(TokenKind.IDENTIFIER, "junk"))
+        first[0] = Token(TokenKind.IDENTIFIER, "other")
+        assert [t.value for t in tokenize("SELECT a FROM t")] == ["SELECT", "a", "FROM", "t"]
+
+    def test_threads_see_the_sequential_result(self):
+        texts = [
+            f"SELECT c{index % 37}, '{index}é' FROM t{index % 11} WHERE x > {index}.5"
+            + (" AND y = ²" if index % 3 == 0 else "")
+            for index in range(200)
+        ]
+        expected = [lex_outcome(text) for text in texts]
+        lexer._lex.cache_clear()
+        results = {}
+
+        def worker(offset):
+            results[offset] = [lex_outcome(text) for text in texts[offset:] + texts[:offset]]
+
+        offsets = (0, 50, 100, 150)
+        threads = [threading.Thread(target=worker, args=(offset,)) for offset in offsets]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert sorted(results) == list(offsets)
+        for offset, outcome in results.items():
+            assert outcome == expected[offset:] + expected[:offset]
