@@ -8,7 +8,7 @@ into a plain Python closure ``row -> value``:
 * column references are resolved to tuple indices at compile time,
 * operator dispatch happens at compile time (each node becomes one closure),
 * LIKE patterns with literal patterns become precompiled regexes,
-* IN-lists of literals are materialised once.
+* IN-lists of literals become one hashed :class:`MemberSet`.
 
 Compilation is best-effort: :func:`compile_row_expression` returns ``None``
 for anything it cannot handle — outer column references, aggregates in row
@@ -36,6 +36,7 @@ from typing import Callable
 
 from repro.engine.functions import SCALAR_FUNCTIONS, call_aggregate
 from repro.engine.runtime import (
+    MemberSet,
     apply_binary,
     apply_unary,
     is_true,
@@ -71,9 +72,10 @@ RowFn = Callable[[tuple], SQLValue]
 #: Group-mode compiled expression: maps (group rows, representative row) to a value.
 GroupFn = Callable[[list, tuple], SQLValue]
 #: Subquery handler: maps a subquery Select node to a ``row -> QueryResult``
-#: runner.  Supplied by the executor, which binds its own row context and
-#: cached-subquery machinery into the runner.
-SubqueryHandler = Callable[[object], Callable[[tuple], object]]
+#: runner, or — called with ``members=True`` — to a ``row -> MemberSet``
+#: runner over the subquery's first column.  Supplied by the executor, which
+#: binds its own row context and cached-subquery machinery into the runner.
+SubqueryHandler = Callable[..., Callable[[tuple], object]]
 
 #: Aggregate function names (kept in sync with the executor's dispatch set).
 AGGREGATE_NAMES = frozenset(
@@ -234,19 +236,14 @@ def _row(
 
     if isinstance(expression, InSubquery) and subqueries is not None:
         operand = _row(expression.operand, relation, subqueries)
-        run = subqueries(expression.subquery)
+        members = subqueries(expression.subquery, members=True)
         negated = expression.negated
 
         def in_subquery_fn(row: tuple) -> SQLValue:
             value = operand(row)
             if value is None:
                 return None
-            result = run(row)
-            contained = any(
-                inner_row and inner_row[0] is not None
-                and compare_values(value, inner_row[0]) == 0
-                for inner_row in result.rows
-            )
+            contained = members(row).contains(value)
             return not contained if negated else contained
 
         return in_subquery_fn
@@ -423,16 +420,13 @@ def _row_in_list(
     operand = _row(expression.operand, relation, subqueries)
     negated = expression.negated
     if all(isinstance(member, Literal) for member in expression.values):
-        members = tuple(member.value for member in expression.values)
+        contains = MemberSet(member.value for member in expression.values).contains
 
         def static_in_fn(row: tuple) -> SQLValue:
             value = operand(row)
             if value is None:
                 return None
-            contained = any(
-                member is not None and compare_values(value, member) == 0
-                for member in members
-            )
+            contained = contains(value)
             return not contained if negated else contained
 
         return static_in_fn

@@ -37,6 +37,7 @@ for that expression only, so compiled mode never changes semantics.
 from __future__ import annotations
 
 import functools
+import operator
 import time
 from dataclasses import dataclass, field
 
@@ -50,6 +51,7 @@ from repro.engine.compiler import (
 )
 from repro.engine.functions import call_aggregate, call_scalar, is_scalar_function
 from repro.engine.runtime import (
+    MemberSet,
     apply_binary as _apply_binary,
     apply_cast as _apply_cast,
     apply_unary as _apply_unary,
@@ -107,6 +109,23 @@ _SUBQUERY_CACHE_LIMIT = 1024
 #: Operator-entry bound for one EXPLAIN ANALYZE run (correlated subqueries
 #: re-execute per outer row and would otherwise grow the list without bound).
 _ANALYZE_OPERATOR_LIMIT = 256
+
+
+class _CachedSubquery:
+    """One uncorrelated subquery result, tagged with the data version it read.
+
+    ``members`` is the hashed first-column :class:`MemberSet` for ``IN``,
+    built on first use and dropped with the entry, so DML invalidates the
+    result and its member set together.
+    """
+
+    __slots__ = ("subquery", "version", "result", "members")
+
+    def __init__(self, subquery: Select, version: int, result: "QueryResult") -> None:
+        self.subquery = subquery
+        self.version = version
+        self.result = result
+        self.members: MemberSet | None = None
 
 
 class _AnalyzeCollector:
@@ -208,7 +227,7 @@ class Executor:
         # node itself is kept in the value so its id cannot be reused while the
         # cache entry is alive; each entry is tagged with the database's data
         # version so DML invalidates it lazily without a full clear.
-        self._subquery_cache: dict[int, tuple[Select, int, QueryResult]] = {}
+        self._subquery_cache: dict[int, _CachedSubquery] = {}
         # Subqueries known to be correlated (their context-free execution
         # failed once); they skip the doomed context-free attempt afterwards.
         self._subquery_kind: dict[int, tuple[Select, bool]] = {}
@@ -250,37 +269,58 @@ class Executor:
         if self._planner is not None:
             self._planner.clear()
 
-    def _execute_subquery_cached(self, subquery: Select, context: RowContext) -> QueryResult:
-        """Execute a subquery, caching the result when it is uncorrelated.
+    def _uncorrelated_subquery(self, subquery: Select) -> _CachedSubquery | None:
+        """The cached result of an uncorrelated subquery, or ``None``.
 
         The first execution is attempted without the outer row context; if that
         succeeds the subquery cannot reference outer columns and its result is
         reused for every outer row — and, because entries are tagged with the
         database's data version, across repeated executions of the same cached
-        statement until the next DML.  Correlated subqueries fall back to
-        per-row execution, and are remembered as correlated so later rows skip
-        the doomed context-free attempt.
+        statement until the next DML.  A subquery whose context-free attempt
+        fails is remembered as correlated (``None`` from then on), so later
+        rows skip the doomed attempt.
         """
         version = self._database.data_version
         key = id(subquery)
         cached = self._subquery_cache.get(key)
-        if cached is not None and cached[0] is subquery and cached[1] == version:
-            return cached[2]
+        if cached is not None and cached.subquery is subquery and cached.version == version:
+            return cached
         kind = self._subquery_kind.get(key)
-        known_correlated = kind is not None and kind[0] is subquery and kind[1]
-        if not known_correlated:
-            try:
-                result = self.execute_select(subquery, None)
-            except ExecutionError:
-                if len(self._subquery_kind) >= _SUBQUERY_CACHE_LIMIT:
-                    self._subquery_kind.clear()
-                self._subquery_kind[key] = (subquery, True)
-            else:
-                if len(self._subquery_cache) >= _SUBQUERY_CACHE_LIMIT:
-                    self._subquery_cache.clear()
-                self._subquery_cache[key] = (subquery, version, result)
-                return result
+        if kind is not None and kind[0] is subquery and kind[1]:
+            return None
+        try:
+            result = self.execute_select(subquery, None)
+        except ExecutionError:
+            if len(self._subquery_kind) >= _SUBQUERY_CACHE_LIMIT:
+                self._subquery_kind.clear()
+            self._subquery_kind[key] = (subquery, True)
+            return None
+        if len(self._subquery_cache) >= _SUBQUERY_CACHE_LIMIT:
+            self._subquery_cache.clear()
+        cached = self._subquery_cache[key] = _CachedSubquery(subquery, version, result)
+        return cached
+
+    def _execute_subquery_cached(self, subquery: Select, context: RowContext) -> QueryResult:
+        """Execute a subquery: the cached result when uncorrelated, else per row."""
+        cached = self._uncorrelated_subquery(subquery)
+        if cached is not None:
+            return cached.result
         return self.execute_select(subquery, context)
+
+    def _subquery_members(self, subquery: Select, context: RowContext) -> MemberSet:
+        """The first-column members of an ``IN`` subquery.
+
+        An uncorrelated subquery hashes its cached result once and keeps the
+        set on the cache entry.  A correlated one runs per row and is scanned
+        linearly, as the interpreter does.
+        """
+        cached = self._uncorrelated_subquery(subquery)
+        if cached is None:
+            rows = self.execute_select(subquery, context).rows
+            return MemberSet((row[0] for row in rows if row), hashed=False)
+        if cached.members is None:
+            cached.members = MemberSet(row[0] for row in cached.result.rows if row)
+        return cached.members
 
     # ------------------------------------------------------------------
     # compiled-plan helpers
@@ -319,11 +359,11 @@ class Executor:
         the interpreter's parent links.
         """
 
-        def handler(subquery: Select):
-            def run(row: tuple) -> QueryResult:
-                return self._execute_subquery_cached(
-                    subquery, RowContext(relation=relation, row=row)
-                )
+        def handler(subquery: Select, members: bool = False):
+            execute = self._subquery_members if members else self._execute_subquery_cached
+
+            def run(row: tuple):
+                return execute(subquery, RowContext(relation=relation, row=row))
 
             return run
 
@@ -892,12 +932,12 @@ class Executor:
 
         # No usable equality keys: nested loop with a compiled condition.
         if condition is None:
-            for left_row in left.rows:
-                for right_position, right_row in enumerate(right.rows):
-                    rows.append(left_row + right_row)
-                    matched_right.add(right_position)
-                if not right.rows and pad_left:
-                    rows.append(left_row + right_pad)
+            if not right.rows:
+                rows = [left_row + right_pad for left_row in left.rows] if pad_left else []
+                return rows, matched_right
+            rows = [left_row + right_row for left_row in left.rows for right_row in right.rows]
+            if left.rows:
+                matched_right = set(range(len(right.rows)))
             return rows, matched_right
 
         condition_fn = self._row_evaluator(condition, combined, outer)
@@ -1127,6 +1167,13 @@ class Executor:
         items = self._expand_select_items(select, source)
         columns = [_output_name(item, index) for index, item in enumerate(items)]
         if self.mode != "interpreted":
+            indices = _column_indices(items, source)
+            if indices:
+                if len(indices) == 1:
+                    index = indices[0]
+                    return QueryResult(columns=columns, rows=[(row[index],) for row in rows])
+                getter = operator.itemgetter(*indices)
+                return QueryResult(columns=columns, rows=[getter(row) for row in rows])
             evaluators = [self._row_evaluator(item.expression, source, outer) for item in items]
             output_rows = [tuple(evaluator(row) for evaluator in evaluators) for row in rows]
             return QueryResult(columns=columns, rows=output_rows)
@@ -1651,6 +1698,25 @@ class Executor:
 # ---------------------------------------------------------------------------
 # helpers
 # ---------------------------------------------------------------------------
+
+
+def _column_indices(items: list[SelectItem], source: Relation) -> list[int] | None:
+    """Source positions of select items that are all plain column references.
+
+    ``None`` when any item is another expression or does not resolve in
+    ``source`` (an outer reference, an unknown name): such projections take
+    the evaluator path, which resolves or raises exactly as before.
+    """
+    indices = []
+    for item in items:
+        expression = item.expression
+        if not isinstance(expression, ColumnRef):
+            return None
+        try:
+            indices.append(source.column_index(expression.name, expression.table))
+        except ExecutionError:
+            return None
+    return indices
 
 
 def _output_name(item: SelectItem, index: int) -> str:

@@ -11,6 +11,7 @@ their results stay bit-identical by construction.
 from __future__ import annotations
 
 import re
+from typing import Iterable
 
 from repro.errors import ExecutionError
 from repro.engine.types import SQLValue, compare_values, is_numeric
@@ -132,6 +133,45 @@ def hashable_key(value: SQLValue) -> object:
     if isinstance(value, float) and value.is_integer():
         return int(value)
     return value
+
+
+class MemberSet:
+    """Hashed ``IN`` membership that agrees exactly with ``compare_values``.
+
+    ``contains(v)`` equals ``any(m is not None and compare_values(v, m) == 0
+    for m in members)`` for every non-NULL ``v``.  ``compare_values`` compares
+    two numbers numerically and everything else by ``str()``, so a numeric
+    probe looks up the numeric members by value and the non-numeric members
+    by ``str()`` (``1`` matches ``1.0`` and ``'1'``), while any other probe
+    looks up the ``str()`` of every member (``'1'`` matches ``1`` but not
+    ``1.0``; ``True`` matches ``True`` and ``'True'``).  A NaN member compares
+    equal to every number, so a member list holding one is scanned linearly;
+    ``hashed=False`` asks for that scan outright (a correlated subquery's
+    per-row result, probed once, is not worth hashing).
+    """
+
+    __slots__ = ("_scan", "_numbers", "_other_strings", "_all_strings")
+
+    def __init__(self, members: Iterable[SQLValue], hashed: bool = True) -> None:
+        values = [member for member in members if member is not None]
+        numbers = [value for value in values if is_numeric(value)]
+        if not hashed or any(number != number for number in numbers):
+            self._scan: tuple[SQLValue, ...] | None = tuple(values)
+            return
+        self._scan = None
+        self._numbers = frozenset(numbers)
+        self._other_strings = frozenset(str(value) for value in values if not is_numeric(value))
+        self._all_strings = self._other_strings.union(str(number) for number in numbers)
+
+    def contains(self, value: SQLValue) -> bool:
+        """Whether a non-NULL ``value`` compares equal to some member."""
+        if self._scan is not None:
+            return any(compare_values(value, member) == 0 for member in self._scan)
+        if is_numeric(value):
+            if value != value:  # NaN compares equal to every number
+                return bool(self._numbers) or str(value) in self._other_strings
+            return value in self._numbers or str(value) in self._other_strings
+        return str(value) in self._all_strings
 
 
 def row_key(row: tuple[SQLValue, ...]) -> tuple:

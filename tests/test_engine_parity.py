@@ -273,6 +273,10 @@ def test_error_parity_for_bad_queries(hr_database):
         "SELECT UNKNOWN_FN(salary) FROM employees",
         "SELECT * FROM missing_table",
         "SELECT SUM(salary) FROM employees WHERE SUM(salary) > 1",
+        # column-only projections that do not resolve take the evaluator path
+        "SELECT e.nope, e.name FROM employees e",
+        "SELECT d.dept_name FROM employees e",
+        "SELECT emp_id, missing FROM employees CROSS JOIN departments",
     ):
         outcomes = run_all_modes(hr_database, sql)
         reference = outcomes["interpreted"]
@@ -308,3 +312,148 @@ def test_using_join_missing_column_raises_execution_error(hr_database):
         hr_database.execute(
             "SELECT * FROM employees JOIN departments USING (budget)"
         )
+
+
+# ---------------------------------------------------------------------------
+# hashed IN membership, condition-free joins and column-only projections
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture()
+def mixed_database() -> Database:
+    """Same-looking keys stored as INT, REAL, TEXT and BOOLEAN, plus NULLs and NaN."""
+    database = Database("mixed")
+    database.create_table("ints", [("id", "INT"), ("k", "INT"), ("label", "TEXT")])
+    database.create_table("reals", [("id", "INT"), ("k", "REAL")])
+    database.create_table("texts", [("id", "INT"), ("k", "TEXT"), ("note", "TEXT")])
+    database.create_table("flags", [("id", "INT"), ("k", "BOOLEAN")])
+    database.create_table("nans", [("k", "REAL")])
+    database.create_table("empty", [("id", "INT"), ("k", "INT")])
+    database.table("ints").insert_rows(
+        [(1, 1, "one"), (2, 2, "two"), (3, 0, "zero"), (4, None, "null"), (5, -7, "neg")]
+    )
+    database.table("reals").insert_rows(
+        [(1, 1.0), (2, 2.5), (3, -0.0), (4, None), (5, float("inf"))]
+    )
+    database.table("texts").insert_rows(
+        [(1, "1", "a"), (2, "2.5", "b"), (3, "True", "c"), (4, "x", "d"), (5, None, "e"), (6, "0", "f")]
+    )
+    database.table("flags").insert_rows([(1, True), (2, False), (3, None)])
+    database.table("nans").insert_rows([(float("nan"),), (3.0,)])
+    return database
+
+
+_PROBES = ("ints", "reals", "texts", "flags")
+
+MEMBERSHIP_QUERIES = [
+    f"SELECT p.id FROM {probe} p WHERE p.k {negation}IN (SELECT m.k FROM {member} m)"
+    for probe in _PROBES
+    for member in _PROBES + ("nans", "empty")
+    for negation in ("", "NOT ")
+] + [
+    # one subquery column holding every type at once
+    "SELECT id, k FROM texts WHERE k IN "
+    "(SELECT k FROM ints UNION ALL SELECT k FROM reals UNION ALL SELECT k FROM flags)",
+    "SELECT id, k FROM reals WHERE k NOT IN "
+    "(SELECT k FROM texts UNION ALL SELECT k FROM flags)",
+    # the multi-column shape seen in generated predictions: column 0 is compared
+    "SELECT id FROM ints WHERE k IN (SELECT * FROM reals WHERE k IS NOT NULL)",
+    "SELECT id FROM texts WHERE id IN (SELECT * FROM texts WHERE note > 'b')",
+    "SELECT label FROM ints WHERE id NOT IN (SELECT * FROM texts WHERE k LIKE '%.%')",
+    # correlated subquery keeps the per-row scan
+    "SELECT p.id FROM ints p WHERE p.k IN (SELECT m.k FROM reals m WHERE m.id <= p.id)",
+    # IN inside a projection and under OR
+    "SELECT id, k IN (SELECT k FROM texts) FROM reals",
+    "SELECT id FROM ints WHERE k IN (SELECT k FROM flags) OR id IN (SELECT k FROM texts)",
+    # literal lists: mixed types, NULL members, and a long list
+    "SELECT id FROM ints WHERE k IN (1.0, '2', TRUE, NULL)",
+    "SELECT id FROM texts WHERE k IN (1, 2.5, 'x', FALSE)",
+    "SELECT id FROM reals WHERE k NOT IN (1, '2.5', -0.0)",
+    "SELECT id FROM flags WHERE k IN ('True', 1, 0)",
+    "SELECT id, label FROM ints WHERE k IN ("
+    + ", ".join(
+        f"'{n}'" if n % 3 == 0 else (f"{n}.0" if n % 3 == 1 else f"{n}.5")
+        for n in range(-40, 41)
+    )
+    + ", NULL)",
+    "SELECT id FROM texts WHERE k NOT IN ("
+    + ", ".join(str(n) if n % 2 else f"'{n}'" for n in range(60))
+    + ")",
+]
+
+
+@pytest.mark.parametrize("sql", MEMBERSHIP_QUERIES)
+def test_in_membership_parity(mixed_database, sql):
+    assert_parity(mixed_database, sql)
+
+
+def test_in_subquery_member_set_invalidates_after_insert():
+    """A cached statement re-run after DML sees the subquery's new result."""
+    sql = "SELECT id FROM ints WHERE k IN (SELECT k FROM texts) ORDER BY id"
+    after = {}
+    for mode in PARITY_MODES:
+        database = Database("dml", executor_mode=mode)
+        database.execute("CREATE TABLE ints (id INT, k INT)")
+        database.execute("CREATE TABLE texts (k TEXT)")
+        database.execute("INSERT INTO ints (id, k) VALUES (1, 1), (2, 2), (3, 3)")
+        database.execute("INSERT INTO texts (k) VALUES ('1'), ('x')")
+        assert database.execute(sql).rows == [(1,)], mode
+        database.execute("INSERT INTO texts (k) VALUES ('3')")
+        after[mode] = database.execute(sql).rows
+        assert after[mode] == [(1,), (3,)], mode
+        database.execute("DELETE FROM texts WHERE k = '1'")
+        assert database.execute(sql).rows == [(3,)], mode
+    assert after["compiled"] == after["interpreted"] == after["planned"]
+
+
+CONDITION_FREE_JOINS = [
+    "SELECT * FROM ints CROSS JOIN flags",
+    "SELECT * FROM empty CROSS JOIN flags",
+    "SELECT * FROM ints CROSS JOIN empty",
+    "SELECT * FROM empty CROSS JOIN empty",
+    "SELECT ints.id, reals.k FROM ints, reals",
+] + [
+    f"SELECT * FROM {left} {join} JOIN {right}"
+    for join in ("LEFT", "RIGHT", "FULL")
+    for left, right in (("ints", "flags"), ("empty", "flags"), ("ints", "empty"), ("empty", "empty"))
+]
+
+
+@pytest.mark.parametrize("sql", CONDITION_FREE_JOINS)
+def test_condition_free_join_parity(mixed_database, sql):
+    assert_parity(mixed_database, sql)
+
+
+def test_condition_free_outer_joins_pad_the_empty_side(mixed_database):
+    for mode in PARITY_MODES:
+        mixed_database.executor_mode = mode
+        left = mixed_database.execute("SELECT * FROM flags LEFT JOIN empty").rows
+        assert left == [(1, True, None, None), (2, False, None, None), (3, None, None, None)]
+        right = mixed_database.execute("SELECT * FROM empty RIGHT JOIN flags").rows
+        assert right == [(None, None, 1, True), (None, None, 2, False), (None, None, 3, None)]
+        assert mixed_database.execute("SELECT * FROM empty FULL JOIN empty").rows == []
+        assert len(mixed_database.execute("SELECT * FROM ints FULL JOIN flags").rows) == 15
+
+
+PROJECTION_QUERIES = [
+    "SELECT * FROM texts",
+    "SELECT note FROM texts",
+    "SELECT k, k, id FROM texts",
+    "SELECT t.note, t.id FROM texts t",
+    "SELECT texts.k FROM texts",
+    "SELECT t.*, i.label FROM texts t JOIN ints i ON t.id = i.id",
+    "SELECT * FROM texts t JOIN ints i ON t.id = i.id",
+    # ambiguous bare columns bind to the first match in every mode
+    "SELECT id, k FROM texts t JOIN ints i ON t.id = i.id",
+    "SELECT id FROM texts CROSS JOIN flags",
+    "SELECT * FROM (SELECT id, k FROM texts) sub",
+    "SELECT sub.k FROM (SELECT k FROM texts WHERE id > 2) sub",
+    # outer references inside a projection take the evaluator path
+    "SELECT id, (SELECT i.label FROM ints i WHERE i.id = t.id) FROM texts t",
+    "SELECT id, note || k FROM texts",
+]
+
+
+@pytest.mark.parametrize("sql", PROJECTION_QUERIES)
+def test_projection_parity(mixed_database, sql):
+    assert_parity(mixed_database, sql)

@@ -3,6 +3,8 @@
 from hypothesis import given, settings, strategies as st
 
 from repro.engine import Database
+from repro.engine.runtime import MemberSet
+from repro.engine.types import compare_values
 
 
 def _make_db(values):
@@ -95,3 +97,52 @@ class TestOrderingAndLimitProperties:
         database = _make_db(values)
         total = database.query("SELECT val FROM t UNION ALL SELECT val FROM t")
         assert len(total) == 2 * len(values)
+
+
+#: Values whose compare_values equality crosses types: ints, integral and
+#: non-integral floats, signed zeros, infinities, NaN, bools and strings that
+#: print like numbers or bools.
+member_values = st.one_of(
+    st.integers(min_value=-3, max_value=3),
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.0, 0.5, 2.5, float("inf"), float("-inf"), float("nan")]),
+    st.floats(min_value=-3, max_value=3),
+    st.booleans(),
+    st.sampled_from(["1", "1.0", "0", "-0.0", "2.5", "True", "False", "nan", "inf", "", "a"]),
+)
+
+
+def _scan_contains(value, members) -> bool:
+    return any(member is not None and compare_values(value, member) == 0 for member in members)
+
+
+class TestMemberSetProperties:
+    @given(
+        members=st.lists(st.one_of(st.none(), member_values), max_size=12),
+        probes=st.lists(member_values, min_size=1, max_size=12),
+    )
+    @settings(max_examples=400, deadline=None)
+    def test_contains_equals_linear_compare_values_scan(self, members, probes):
+        hashed = MemberSet(members)
+        scanned = MemberSet(members, hashed=False)
+        for probe in probes:
+            expected = _scan_contains(probe, members)
+            assert hashed.contains(probe) is expected, (probe, members)
+            assert scanned.contains(probe) is expected, (probe, members)
+
+    def test_cross_type_equality_rules(self):
+        members = MemberSet([1, "2", True, None, 3.5])
+        assert members.contains(1.0) and members.contains(1)
+        assert members.contains(2) and members.contains("2")
+        assert not members.contains(2.0)  # str(2.0) is '2.0', not '2'
+        assert members.contains("1") and not members.contains("1.0")
+        assert members.contains(True) and members.contains("True") and not members.contains(1.5)
+        assert members.contains(3.5) and members.contains("3.5")
+        assert not MemberSet([1.0]).contains("1")
+        assert not MemberSet([None]).contains(0)
+
+    def test_nan_member_compares_equal_to_every_number(self):
+        members = MemberSet(["x", float("nan")])
+        assert members.contains(7) and members.contains(-0.5) and members.contains("x")
+        assert not members.contains("7")
+        assert MemberSet([4]).contains(float("nan"))
+        assert not MemberSet(["4"]).contains(float("nan"))
