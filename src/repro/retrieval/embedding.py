@@ -19,25 +19,73 @@ is cached as an IDF-independent *feature profile* (it survives vocabulary
 growth), document frequencies live in a numpy array indexed by interned
 feature id (so IDF weighting is vectorized), and finished vectors sit in an
 LRU cache that is invalidated whenever :meth:`EmbeddingModel.observe` shifts
-the IDF table.
+the IDF table.  A profile is built in one pass per text: trigrams are counted
+as packed integer codes, only distinct features are looked up in the one
+feature table, and each feature's hashed index and sign are gathered from
+id-indexed arrays.
 """
 
 from __future__ import annotations
 
 import hashlib
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from repro.retrieval.cache import LruDict
-from repro.retrieval.text import character_ngrams, tokenize_text
+from repro.retrieval.text import normalize_whitespace, tokenize_text
+
+#: ``1 + log(count)`` for counts below the table's size.  The weights come
+#: from ``math.log``, as do those of larger counts; ``np.log`` may differ
+#: from it in the last place.
+_COUNT_WEIGHTS = np.array([0.0] + [1.0 + math.log(count) for count in range(1, 64)])
 
 
 def _stable_hash(feature: str) -> int:
     """Stable (process-independent) hash of a feature string."""
     digest = hashlib.blake2b(feature.encode("utf-8"), digest_size=8).digest()
     return int.from_bytes(digest, "little")
+
+
+def _count_weights(counts: np.ndarray) -> np.ndarray:
+    """``1 + log(count)`` per count, exactly as ``math.log`` computes it."""
+    if counts.size == 0 or counts.max() < _COUNT_WEIGHTS.size:
+        return _COUNT_WEIGHTS[counts]
+    return np.array([1.0 + math.log(count) for count in counts.tolist()])
+
+
+def _trigram_features(text: str) -> tuple[list[str], np.ndarray]:
+    """Distinct ``"g:"`` trigram features of ``text`` in first-seen order, with counts.
+
+    The grams are those of :func:`~repro.retrieval.text.character_ngrams`
+    (``n=3``).  Each trigram's three code points (at most 21 bits each) are
+    packed into one integer key, so counting runs in numpy and only the
+    distinct grams become strings.
+    """
+    compact = normalize_whitespace(text.lower())
+    if len(compact) < 3:
+        features = ["g:" + compact] if compact else []
+        return features, np.ones(len(features), dtype=np.int64)
+    # surrogatepass keeps a lone surrogate countable; hashing its feature
+    # string then raises the UnicodeEncodeError the per-feature loop raised.
+    codes = np.frombuffer(
+        compact.encode("utf-32-le", "surrogatepass"), dtype=np.uint32
+    ).astype(np.int64)
+    keys = (codes[:-2] << 42) | (codes[1:-1] << 21) | codes[2:]
+    # np.unique(keys, return_index=True, return_counts=True) without its
+    # stable sort: a key's first position is the minimum over its group.
+    order = keys.argsort()
+    sorted_keys = keys[order]
+    bounds = np.empty(keys.size + 1, dtype=np.int64)
+    bounds[0] = bounds[-1] = 1
+    np.subtract(sorted_keys[1:], sorted_keys[:-1], out=bounds[1:-1])
+    bounds = np.flatnonzero(bounds)  # each group's start, then keys.size
+    first = np.minimum.reduceat(order, bounds[:-1])
+    counts = bounds[1:] - bounds[:-1]
+    seen = first.argsort()  # first positions are distinct, so no ties
+    return ["g:" + compact[start : start + 3] for start in first[seen].tolist()], counts[seen]
 
 
 @dataclass
@@ -69,10 +117,17 @@ class EmbeddingModel:
     use_ngrams: bool = True
     cache_size: int = 2048
     _document_count: int = 0
-    # feature string -> (id, hashed vector index, sign); hashing runs once
-    # per unique feature for the lifetime of the model.
-    _feature_meta: dict[str, tuple[int, int, float]] = field(default_factory=dict, repr=False)
+    # feature string -> id; hashing runs once per unique feature for the
+    # lifetime of the model.  Ids index the three arrays below, which grow
+    # together: document frequency, hashed vector index and sign.
+    _feature_ids: dict[str, int] = field(default_factory=dict, repr=False)
     _frequencies: np.ndarray = field(
+        default_factory=lambda: np.zeros(1024, dtype=np.float64), repr=False
+    )
+    _indices: np.ndarray = field(
+        default_factory=lambda: np.zeros(1024, dtype=np.intp), repr=False
+    )
+    _signs: np.ndarray = field(
         default_factory=lambda: np.zeros(1024, dtype=np.float64), repr=False
     )
     _cache: LruDict[str, np.ndarray] = field(default=None, repr=False)  # type: ignore[assignment]
@@ -84,23 +139,19 @@ class EmbeddingModel:
         self._cache = LruDict(self.cache_size)
         self._profiles = LruDict(self.cache_size)
 
-    def features(self, text: str) -> list[str]:
-        """Extract the feature strings for a text."""
-        features = [f"w:{token}" for token in tokenize_text(text)]
-        if self.use_ngrams:
-            features.extend(f"g:{gram}" for gram in character_ngrams(text, 3))
-        return features
-
     def observe(self, text: str) -> None:
         """Update document-frequency statistics with one document.
 
         IDF weights shift with every observation, so any cached embedding
         *vectors* are invalidated here; cached feature profiles stay valid
-        (they are IDF-independent).
+        (they are IDF-independent).  Building the profile is the only step
+        that can raise (a lone surrogate cannot be hashed), and it runs
+        before any statistic changes.
         """
-        self._document_count += 1
         profile = self._profile(text)
-        np.add.at(self._frequencies, profile.feature_ids, 1.0)
+        self._document_count += 1
+        # Ids are unique within a profile, so a fancy-indexed add is exact.
+        self._frequencies[profile.feature_ids] += 1.0
         self._cache.clear()
 
     def embed(self, text: str) -> np.ndarray:
@@ -152,10 +203,11 @@ class EmbeddingModel:
         sorted order — two models that saw different query traffic but the
         same documents serialise identically.
         """
+        frequencies = self._frequencies
         entries = sorted(
-            (feature, float(self._frequencies[meta[0]]))
-            for feature, meta in self._feature_meta.items()
-            if self._frequencies[meta[0]] > 0
+            (feature, float(frequencies[feature_id]))
+            for feature, feature_id in self._feature_ids.items()
+            if frequencies[feature_id] > 0
         )
         return {
             "dimensions": self.dimensions,
@@ -172,8 +224,7 @@ class EmbeddingModel:
             dimensions=int(state["dimensions"]), use_ngrams=bool(state["use_ngrams"])
         )
         model._document_count = int(state["document_count"])
-        for feature in state["features"]:
-            model._intern(feature)  # re-derives (id, index, sign); grows the DF table
+        model._intern(state["features"])  # re-derives index and sign per feature
         frequencies = state["frequencies"]
         model._frequencies[: len(frequencies)] = frequencies
         return model
@@ -183,44 +234,57 @@ class EmbeddingModel:
     # ------------------------------------------------------------------
 
     def _profile(self, text: str) -> _FeatureProfile:
-        """Cached tokenisation + hashing for one text (IDF-independent)."""
+        """Cached tokenisation + hashing for one text (IDF-independent).
+
+        Features are the distinct word tokens, then the distinct trigrams,
+        each in first-seen order.  Nothing is interned unless every new
+        feature hashes, so a raising text leaves the model unchanged.
+        """
         profile = self._profiles.get(text)
         if profile is not None:
             return profile
-        counts: dict[str, int] = {}
-        for feature in self.features(text):
-            counts[feature] = counts.get(feature, 0) + 1
-        feature_ids = np.empty(len(counts), dtype=np.intp)
-        indices = np.empty(len(counts), dtype=np.intp)
-        signed_counts = np.empty(len(counts), dtype=np.float64)
-        for position, (feature, count) in enumerate(counts.items()):
-            feature_id, index, sign = self._intern(feature)
-            feature_ids[position] = feature_id
-            indices[position] = index
-            signed_counts[position] = sign * (1.0 + math.log(count))
+        word_counts = Counter(tokenize_text(text))
+        features = ["w:" + token for token in word_counts]
+        counts = np.fromiter(word_counts.values(), dtype=np.int64, count=len(word_counts))
+        if self.use_ngrams:
+            grams, gram_counts = _trigram_features(text)
+            features += grams
+            counts = np.concatenate((counts, gram_counts))
+        ids = list(map(self._feature_ids.get, features))
+        if None in ids:
+            new = [position for position, feature_id in enumerate(ids) if feature_id is None]
+            start = self._intern([features[position] for position in new])
+            for offset, position in enumerate(new):
+                ids[position] = start + offset
+        feature_ids = np.array(ids, dtype=np.intp)
         profile = _FeatureProfile(
-            feature_ids=feature_ids, indices=indices, signed_counts=signed_counts
+            feature_ids=feature_ids,
+            indices=self._indices[feature_ids],
+            signed_counts=self._signs[feature_ids] * _count_weights(counts),
         )
         self._profiles.put(text, profile)
         return profile
 
-    def _intern(self, feature: str) -> tuple[int, int, float]:
-        """(id, vector index, sign) for a feature; grows the DF table as needed."""
-        meta = self._feature_meta.get(feature)
-        if meta is None:
-            feature_id = len(self._feature_meta)
-            hashed = _stable_hash(feature)
-            meta = (
-                feature_id,
-                hashed % self.dimensions,
-                1.0 if (hashed >> 32) % 2 == 0 else -1.0,
-            )
-            self._feature_meta[feature] = meta
-            if feature_id >= self._frequencies.shape[0]:
-                grown = np.zeros(self._frequencies.shape[0] * 2, dtype=np.float64)
-                grown[: self._frequencies.shape[0]] = self._frequencies
-                self._frequencies = grown
-        return meta
+    def _intern(self, features: list[str]) -> int:
+        """Give distinct, not yet interned features the next ids; returns the first.
+
+        Every feature is hashed before the table or arrays change, so a
+        feature that cannot be hashed raises with the model untouched.
+        """
+        hashes = [_stable_hash(feature) for feature in features]
+        start = len(self._feature_ids)
+        end = start + len(features)
+        capacity = self._frequencies.shape[0]
+        if end > capacity:
+            while capacity < end:
+                capacity *= 2
+            self._frequencies = _grown(self._frequencies, capacity)
+            self._indices = _grown(self._indices, capacity)
+            self._signs = _grown(self._signs, capacity)
+        self._feature_ids.update(zip(features, range(start, end)))
+        self._indices[start:end] = [hashed % self.dimensions for hashed in hashes]
+        self._signs[start:end] = [1.0 if (hashed >> 32) % 2 == 0 else -1.0 for hashed in hashes]
+        return start
 
     def _embed_uncached(self, text: str) -> np.ndarray:
         vector = np.zeros(self.dimensions, dtype=np.float64)
@@ -244,6 +308,13 @@ class EmbeddingModel:
         if norm > 0:
             vector /= norm
         return vector
+
+
+def _grown(array: np.ndarray, capacity: int) -> np.ndarray:
+    """A zero-padded copy of ``array`` with ``capacity`` entries."""
+    grown = np.zeros(capacity, dtype=array.dtype)
+    grown[: array.shape[0]] = array
+    return grown
 
 
 def cosine_similarity(left: np.ndarray, right: np.ndarray) -> float:

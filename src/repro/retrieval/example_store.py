@@ -67,11 +67,14 @@ class ExampleStore:
 
     def add(self, sql: str, nl: str, dataset: str = "", tables: list[str] | None = None,
             quality: float = 1.0) -> AnnotatedExample:
-        """Add an accepted annotation and return the stored example."""
+        """Add an accepted annotation and return the stored example.
+
+        Failure-atomic: the vector store either indexes the example or
+        raises unchanged, and the store registers the example only after.
+        """
         if not sql.strip() or not nl.strip():
             raise RetrievalError("both SQL and NL must be non-empty to store an example")
-        self._counter += 1
-        example_id = f"ex-{self._counter:05d}"
+        example_id = f"ex-{self._counter + 1:05d}"
         example = AnnotatedExample(
             example_id=example_id,
             sql=sql.strip(),
@@ -80,15 +83,17 @@ class ExampleStore:
             tables=list(tables or []),
             quality=quality,
         )
-        self._examples[example_id] = example
-        self._skeletons[example_id] = self._query_skeleton(example.sql)
-        self.version += 1
+        skeleton = self._query_skeleton(example.sql)
         # Index on the SQL text plus the NL so either side retrieves the pair.
         self._store.add(
             example_id,
             f"{example.sql}\n{example.nl}",
             metadata={"dataset": dataset, "quality": quality},
         )
+        self._counter += 1
+        self._examples[example_id] = example
+        self._skeletons[example_id] = skeleton
+        self.version += 1
         return example
 
     def get(self, example_id: str) -> AnnotatedExample:

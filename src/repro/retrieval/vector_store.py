@@ -472,9 +472,14 @@ class ShardedVectorStore:
     # ------------------------------------------------------------------
 
     def add(self, doc_id: str, text: str, metadata: dict[str, object] | None = None) -> None:
-        """Add (or replace) a document, routing it to its metadata's shard."""
+        """Add (or replace) a document, routing it to its metadata's shard.
+
+        The shard key is validated before the model observes the text, so a
+        raising add leaves the store and its model unchanged.
+        """
         if not doc_id:
             raise RetrievalError("document id must be non-empty")
+        self._shard_value(metadata)
         self._model.observe(text)
         self._route_entry(doc_id, text, self._model.embed(text), metadata)
 

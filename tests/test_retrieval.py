@@ -1,11 +1,18 @@
 """Tests for embeddings, the vector store, example store and context retriever."""
 
+import hashlib
+import json
+import math
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.errors import RetrievalError
 from repro.retrieval import (
+    STOPWORDS,
     ContextRetriever,
     EmbeddingModel,
     ExampleStore,
@@ -16,6 +23,86 @@ from repro.retrieval import (
     normalize_whitespace,
     sentence_case,
     tokenize_text,
+)
+
+EMBEDDING_CORPUS_PATH = Path(__file__).parent / "data" / "embedding_corpus.json"
+
+
+def sha256(payload):
+    return hashlib.sha256(payload).hexdigest()
+
+
+def reference_tokenize(text, remove_stopwords=False):
+    """The word-then-split tokenizer the single-regex one replaced, kept as an oracle."""
+    tokens = []
+    for match in re.finditer(r"[A-Za-z_][A-Za-z_0-9]*|\d+(?:\.\d+)?", text):
+        decamel = re.sub(r"(?<=[a-z0-9])(?=[A-Z])", " ", match.group(0))
+        for part in re.split(r"[_\s]+", decamel):
+            part = part.lower()
+            if part and not (remove_stopwords and part in STOPWORDS):
+                tokens.append(part)
+    return tokens
+
+
+class PerFeatureProfiles:
+    """The per-feature profile loop the vectorized EmbeddingModel replaced.
+
+    Kept as the oracle: every feature string is built and counted one by
+    one, interned in first-seen order, hashed with blake2b, and weighted with
+    ``math.log``.  ``frequencies`` mirrors what ``observe`` accumulates.
+    """
+
+    def __init__(self, dimensions=256, use_ngrams=True):
+        self.dimensions = dimensions
+        self.use_ngrams = use_ngrams
+        self.meta = {}
+        self.frequencies = {}
+
+    def profile(self, text):
+        features = [f"w:{token}" for token in tokenize_text(text)]
+        if self.use_ngrams:
+            features.extend(f"g:{gram}" for gram in character_ngrams(text, 3))
+        counts = {}
+        for feature in features:
+            counts[feature] = counts.get(feature, 0) + 1
+        ids, indices, signed_counts = [], [], []
+        for feature, count in counts.items():
+            meta = self.meta.get(feature)
+            if meta is None:
+                digest = hashlib.blake2b(feature.encode("utf-8"), digest_size=8).digest()
+                hashed = int.from_bytes(digest, "little")
+                sign = 1.0 if (hashed >> 32) % 2 == 0 else -1.0
+                meta = self.meta[feature] = (len(self.meta), hashed % self.dimensions, sign)
+            ids.append(meta[0])
+            indices.append(meta[1])
+            signed_counts.append(meta[2] * (1.0 + math.log(count)))
+        return ids, indices, signed_counts, list(counts)
+
+    def observe(self, text):
+        for feature in self.profile(text)[3]:
+            self.frequencies[feature] = self.frequencies.get(feature, 0.0) + 1.0
+
+
+def assert_same_profile(model, oracle, text):
+    profile = model._profile(text)
+    ids, indices, signed_counts, _ = oracle.profile(text)
+    assert profile.feature_ids.dtype == np.intp and profile.feature_ids.tolist() == ids
+    assert profile.indices.dtype == np.intp and profile.indices.tolist() == indices
+    assert profile.signed_counts.dtype == np.float64
+    assert profile.signed_counts.tolist() == signed_counts
+
+
+#: Mixed ASCII/Unicode text: case mappings that change length, non-ASCII
+#: digits and numerals, astral code points, and assorted whitespace.
+EMBEDDING_TEXT = st.one_of(
+    st.text(
+        alphabet=st.sampled_from(
+            list("abcxyzABCXYZ019_. \n\t'(),=*")
+            + ["İ", "ß", "²", "½", "٣", "é", "Σ", "ﬁ", "日", "😀", "\u00a0", "\u2028", "\U0010ffff"]
+        ),
+        max_size=60,
+    ),
+    st.text(max_size=25),
 )
 
 
@@ -561,3 +648,134 @@ class TestRetrievalCaches:
         for padding in range(20):
             retriever.retrieve(base + " " * (padding + 1))
         assert retriever.linking_cache_info()["size"] <= 4
+
+
+class TestTokenizerEquivalence:
+    @pytest.mark.parametrize("text", [
+        "abc", "x1y", "x1Y", "HTTPServer", "1.5abc", "MOIRA_LIST_NAME", "a__b _", "٣.٣ ٣٣",
+        "the select of it", "İstanbul ß ² ½", "getHTTPResponseCode 42 3.14",
+    ])
+    def test_matches_the_word_split_oracle(self, text):
+        for remove_stopwords in (False, True):
+            assert tokenize_text(text, remove_stopwords) == reference_tokenize(text, remove_stopwords)
+
+    @given(EMBEDDING_TEXT, st.booleans())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_the_word_split_oracle_on_any_text(self, text, remove_stopwords):
+        assert tokenize_text(text, remove_stopwords) == reference_tokenize(text, remove_stopwords)
+
+
+class TestEmbeddingEquivalence:
+    """The vectorized profile pass against its per-feature predecessor."""
+
+    def test_corpus_replays_exactly(self):
+        corpus = json.loads(EMBEDDING_CORPUS_PATH.read_text(encoding="ascii"))
+        texts = corpus["texts"]
+        assert [tokenize_text(text) for text in texts] == corpus["tokens"]
+        assert [
+            tokenize_text(text, remove_stopwords=True) for text in texts
+        ] == corpus["tokens_without_stopwords"]
+        for config in corpus["configs"]:
+            model = EmbeddingModel(dimensions=config["dimensions"], use_ngrams=config["use_ngrams"])
+            step_vectors = []
+            for index, (text, expected) in enumerate(zip(texts, config["profiles"])):
+                profile = model._profile(text)
+                assert [
+                    profile.feature_ids.tolist(),
+                    profile.indices.tolist(),
+                    profile.signed_counts.tolist(),
+                ] == expected, text
+                if index % 3 != 2:
+                    model.observe(text)
+                step_vectors.append(model.embed(text).tobytes())
+            assert sha256(b"".join(step_vectors)) == config["step_vectors_sha256"]
+            final = b"".join(model.embed(text).tobytes() for text in texts)
+            assert sha256(final) == config["final_vectors_sha256"]
+            state = json.dumps(model.state_dict(), sort_keys=True, separators=(",", ":"))
+            assert sha256(state.encode("utf-8")) == config["state_sha256"]
+            restored = EmbeddingModel.from_state(model.state_dict())
+            vectors = b"".join(restored.embed(text).tobytes() for text in texts)
+            assert sha256(vectors) == config["restored_vectors_sha256"]
+        for case in corpus["errors"]:
+            model = EmbeddingModel()
+            with pytest.raises(UnicodeEncodeError) as info:
+                model.observe(case["text"])
+            assert [type(info.value).__name__, str(info.value)] == case["error"]
+
+    @pytest.mark.parametrize("text", [
+        "", " ", "a", "ab", "İ", "İİ", "x²", "ab" * 400, "select " * 300, "zzzz " * 70,
+    ])
+    def test_short_and_repetitive_texts_match_the_oracle(self, text):
+        assert_same_profile(EmbeddingModel(), PerFeatureProfiles(), text)
+
+    @given(st.lists(st.tuples(EMBEDDING_TEXT, st.booleans()), max_size=12))
+    @settings(max_examples=150, deadline=None)
+    def test_profiles_match_the_per_feature_oracle(self, steps):
+        model, oracle = EmbeddingModel(dimensions=97), PerFeatureProfiles(dimensions=97)
+        for text, observe in steps:
+            assert_same_profile(model, oracle, text)
+            if observe:
+                model.observe(text)
+                oracle.observe(text)
+        state = model.state_dict()
+        assert list(zip(state["features"], state["frequencies"])) == sorted(
+            oracle.frequencies.items()
+        )
+        assert state["document_count"] == sum(observe for _, observe in steps)
+
+    @given(
+        st.lists(EMBEDDING_TEXT, max_size=8),
+        st.lists(EMBEDDING_TEXT, max_size=6),
+        st.lists(EMBEDDING_TEXT, min_size=1, max_size=6),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_from_state_gives_identical_future_embeddings(self, seen, later, probes):
+        model = EmbeddingModel(dimensions=64)
+        for text in seen:
+            model.observe(text)
+        for text in probes:
+            model.embed(text)  # interns features no document carries
+        restored = EmbeddingModel.from_state(model.state_dict())
+        for text in later:
+            model.observe(text)
+            restored.observe(text)
+        for text in probes + later:
+            assert model.embed(text).tobytes() == restored.embed(text).tobytes()
+        assert restored.state_dict() == model.state_dict()
+
+
+class TestFailureAtomicAdd:
+    """A raising add must leave every serialised state exactly as it was."""
+
+    def test_observe_of_a_lone_surrogate_changes_nothing(self):
+        model = EmbeddingModel()
+        model.observe("SELECT name FROM singer")
+        before = model.state_dict()
+        with pytest.raises(UnicodeEncodeError):
+            model.observe("SELECT a\ud800bc FROM t")
+        with pytest.raises(UnicodeEncodeError):
+            model.embed("x\ud800")
+        assert model.state_dict() == before
+        clean = EmbeddingModel()
+        clean.observe("SELECT name FROM singer")
+        for text in ("SELECT name FROM t", "SELECT a bc FROM t"):
+            model.observe(text)
+            clean.observe(text)
+            assert model.embed(text).tobytes() == clean.embed(text).tobytes()
+        assert model.state_dict() == clean.state_dict()
+
+    @pytest.mark.parametrize("sql, nl, dataset, error", [
+        ("SELECT a\ud800 FROM t", "names", "spider", UnicodeEncodeError),
+        ("SELECT a FROM t", "lone \udfff surrogate", "spider", UnicodeEncodeError),
+        ("SELECT a FROM t", "names", ["not", "hashable"], RetrievalError),
+    ])
+    def test_example_store_add_changes_nothing(self, sql, nl, dataset, error):
+        model = EmbeddingModel()
+        store = ExampleStore(model)
+        store.add("SELECT name FROM singer", "Singer names.", dataset="spider")
+        before_store, before_model = store.state_dict(), model.state_dict()
+        with pytest.raises(error):
+            store.add(sql, nl, dataset=dataset)
+        assert store.state_dict() == before_store
+        assert model.state_dict() == before_model
+        assert store.add("SELECT a FROM t", "names", dataset="spider").example_id == "ex-00002"
