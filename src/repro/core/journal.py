@@ -154,7 +154,12 @@ class EventJournal:
         self.fsync_policy = fsync
         self.path.parent.mkdir(parents=True, exist_ok=True)
         #: Recovery report from opening (empty for a fresh journal).
-        self.recovery = self.scan(self.path, with_events=False)
+        self.recovery = self.scan(self.path, with_events=True)
+        # The records the open scan decoded, kept only until the first
+        # events() call (recovery's replay) or append, so replay after a
+        # restart decodes each record once.
+        self._opened_events: list[JournalEvent] | None = self.recovery.events
+        self.recovery.events = []
         if self.recovery.torn:
             self._truncate_to(self.recovery.valid_bytes)
         self._record_count = self.recovery.record_count
@@ -213,6 +218,7 @@ class EventJournal:
                 ) from exc
             offset = self._record_count
             self._record_count += 1
+            self._opened_events = None
             if tel.enabled:
                 tel.count("journal_appends_total", type=event_type)
                 tel.count("journal_bytes_total", len(record))
@@ -246,6 +252,7 @@ class EventJournal:
     def close(self) -> None:
         """Commit and release the file handle (idempotent)."""
         with self._lock:
+            self._opened_events = None
             if self._handle is None:
                 return
             self.commit()
@@ -263,8 +270,15 @@ class EventJournal:
     # ------------------------------------------------------------------
 
     def events(self, start: int = 0) -> list[JournalEvent]:
-        """Decode records ``start..`` from disk (flushes pending writes first)."""
+        """Decode records ``start..`` from disk (flushes pending writes first).
+
+        The first call after opening, before any append, returns the records
+        the open scan already decoded instead of reading the file again.
+        """
         with self._lock:
+            opened, self._opened_events = self._opened_events, None
+            if opened is not None:
+                return opened[start:]
             if self._handle is not None:
                 self._handle.flush()
         recovery = self.scan(self.path, with_events=True)

@@ -44,8 +44,40 @@ _SNAPSHOT_SUFFIX = ".json"
 # ----------------------------------------------------------------------
 
 def schema_to_state(schema: DatabaseSchema) -> dict:
-    """JSON-safe representation of a database schema."""
-    return asdict(schema)
+    """JSON-safe representation of a database schema.
+
+    Equal to ``dataclasses.asdict(schema)``, key order included, with fresh
+    lists and dicts, but built field by field.
+    """
+    return {
+        "name": schema.name,
+        "tables": [
+            {
+                "name": table.name,
+                "columns": [
+                    {
+                        "name": column.name,
+                        "type_name": column.type_name,
+                        "nullable": column.nullable,
+                        "primary_key": column.primary_key,
+                        "description": column.description,
+                    }
+                    for column in table.columns
+                ],
+                "foreign_keys": [
+                    {
+                        "column": foreign_key.column,
+                        "referenced_table": foreign_key.referenced_table,
+                        "referenced_column": foreign_key.referenced_column,
+                    }
+                    for foreign_key in table.foreign_keys
+                ],
+                "description": table.description,
+            }
+            for table in schema.tables
+        ],
+        "description": schema.description,
+    }
 
 
 def schema_from_state(state: dict) -> DatabaseSchema:

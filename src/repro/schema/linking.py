@@ -15,7 +15,7 @@ import re
 from dataclasses import dataclass, field
 
 from repro.schema.model import DatabaseSchema, TableSchema
-from repro.sql.analyzer import extract_columns, extract_tables
+from repro.sql.analyzer import extract_references
 from repro.sql.ast_nodes import Select
 from repro.sql.parser import parse_select
 
@@ -64,8 +64,7 @@ def link_sql_to_schema(sql: str | Select, schema: DatabaseSchema) -> LinkingResu
     up in ``unresolved_tables`` (a signal of schema drift in real logs).
     """
     select = parse_select(sql) if isinstance(sql, str) else sql
-    referenced_tables = extract_tables(select)
-    referenced_columns = extract_columns(select)
+    referenced_tables, referenced_columns = extract_references(select)
 
     result = LinkingResult()
     matched_tables: list[TableSchema] = []
@@ -79,11 +78,10 @@ def link_sql_to_schema(sql: str | Select, schema: DatabaseSchema) -> LinkingResu
             result.unresolved_tables.append(table_name)
 
     for column_name in referenced_columns:
-        owners = [table for table in matched_tables if table.has_column(column_name)]
-        if not owners:
-            owners = [table for table in schema.tables if table.has_column(column_name)]
-        if owners:
-            owner = owners[0]
+        owner = next((table for table in matched_tables if table.has_column(column_name)), None)
+        if owner is None:
+            owner = next((table for table in schema.tables if table.has_column(column_name)), None)
+        if owner is not None:
             result.columns.append((owner.name, owner.column(column_name).name))
             result.links.append(
                 SchemaLink(table=owner.name, column=column_name, source="sql")

@@ -13,6 +13,23 @@ from dataclasses import dataclass, field
 from repro.errors import SchemaError
 
 
+def _find(owner: object, items: list, name: str):
+    """First entry of ``items`` whose name equals ``name`` case-insensitively.
+
+    Answers from a dict kept on ``owner`` (outside its dataclass fields, so
+    it never shows in ``asdict``, ``==`` or ``repr``) and rebuilt whenever
+    ``items`` is another list object or has another length; appends and
+    replacing the list are seen, renaming an entry in place is not.
+    """
+    index = owner.__dict__.get("_name_index")
+    if index is None or index[0] is not items or index[1] != len(items):
+        by_name: dict = {}
+        for item in items:
+            by_name.setdefault(item.name.lower(), item)
+        index = owner._name_index = (items, len(items), by_name)
+    return index[2].get(name.lower()) if items else None
+
+
 @dataclass
 class ColumnSchema:
     """One column of a table."""
@@ -53,15 +70,15 @@ class TableSchema:
         return [column.name for column in self.columns]
 
     def column(self, name: str) -> ColumnSchema:
-        """Look up a column by case-insensitive name."""
-        for column in self.columns:
-            if column.name.lower() == name.lower():
-                return column
-        raise SchemaError(f"table {self.name!r} has no column {name!r}")
+        """Look up a column by case-insensitive name (the first declared wins)."""
+        column = _find(self, self.columns, name)
+        if column is None:
+            raise SchemaError(f"table {self.name!r} has no column {name!r}")
+        return column
 
     def has_column(self, name: str) -> bool:
         """Whether the table declares a column with the given name."""
-        return any(column.name.lower() == name.lower() for column in self.columns)
+        return _find(self, self.columns, name) is not None
 
     def to_ddl(self) -> str:
         """Render a CREATE TABLE statement for this table."""
@@ -88,15 +105,15 @@ class DatabaseSchema:
         return [table.name for table in self.tables]
 
     def table(self, name: str) -> TableSchema:
-        """Look up a table by case-insensitive name."""
-        for table in self.tables:
-            if table.name.lower() == name.lower():
-                return table
-        raise SchemaError(f"schema {self.name!r} has no table {name!r}")
+        """Look up a table by case-insensitive name (the first declared wins)."""
+        table = _find(self, self.tables, name)
+        if table is None:
+            raise SchemaError(f"schema {self.name!r} has no table {name!r}")
+        return table
 
     def has_table(self, name: str) -> bool:
         """Whether the schema declares a table with this name."""
-        return any(table.name.lower() == name.lower() for table in self.tables)
+        return _find(self, self.tables, name) is not None
 
     def add_table(self, table: TableSchema) -> None:
         """Add a table, rejecting duplicates."""

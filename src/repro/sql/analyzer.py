@@ -19,6 +19,7 @@ from typing import Iterator
 from repro.sql.ast_nodes import (
     Between,
     BinaryOp,
+    BinaryOperator,
     Cast,
     CaseWhen,
     ColumnRef,
@@ -31,11 +32,9 @@ from repro.sql.ast_nodes import (
     Join,
     Like,
     Literal,
-    Parameter,
     Relation,
     ScalarSubquery,
     Select,
-    Star,
     SubqueryRef,
     TableRef,
     UnaryOp,
@@ -48,6 +47,10 @@ from repro.sql.tokens import TokenKind
 AGGREGATE_FUNCTIONS: frozenset[str] = frozenset(
     {"COUNT", "SUM", "AVG", "MIN", "MAX", "GROUP_CONCAT", "STDDEV", "VARIANCE", "MEDIAN"}
 )
+
+#: Comparisons and predicate nodes, each counted as one atomic predicate.
+_COMPARISONS = frozenset(BinaryOperator(op) for op in ("=", "<>", "<", "<=", ">", ">="))
+_PREDICATE_NODES = (InList, InSubquery, Like, Between, IsNull, Exists)
 
 
 @dataclass
@@ -98,109 +101,157 @@ class QueryProfile:
 # ---------------------------------------------------------------------------
 
 
-def iter_expressions(expression: Expression | None) -> Iterator[Expression]:
-    """Yield ``expression`` and every nested expression (not descending into subqueries)."""
-    if expression is None:
-        return
-    yield expression
-    if isinstance(expression, BinaryOp):
-        yield from iter_expressions(expression.left)
-        yield from iter_expressions(expression.right)
-    elif isinstance(expression, UnaryOp):
-        yield from iter_expressions(expression.operand)
-    elif isinstance(expression, FunctionCall):
-        for arg in expression.args:
-            yield from iter_expressions(arg)
-    elif isinstance(expression, Cast):
-        yield from iter_expressions(expression.operand)
-    elif isinstance(expression, CaseWhen):
-        for condition, result in expression.conditions:
-            yield from iter_expressions(condition)
-            yield from iter_expressions(result)
-        yield from iter_expressions(expression.else_result)
-    elif isinstance(expression, IsNull):
-        yield from iter_expressions(expression.operand)
-    elif isinstance(expression, InList):
-        yield from iter_expressions(expression.operand)
-        for value in expression.values:
-            yield from iter_expressions(value)
-    elif isinstance(expression, InSubquery):
-        yield from iter_expressions(expression.operand)
-    elif isinstance(expression, Between):
-        yield from iter_expressions(expression.operand)
-        yield from iter_expressions(expression.low)
-        yield from iter_expressions(expression.high)
-    elif isinstance(expression, Like):
-        yield from iter_expressions(expression.operand)
-        yield from iter_expressions(expression.pattern)
+def _collect_expressions(
+    roots: list[Expression | None], out: list[Expression], subqueries: list[Select]
+) -> None:
+    """Append each root and its nested expressions to ``out``, in preorder.
 
-
-def iter_expression_subqueries(expression: Expression | None) -> Iterator[Select]:
-    """Yield SELECTs embedded in an expression (IN/EXISTS/scalar subqueries)."""
-    for node in iter_expressions(expression):
-        if isinstance(node, InSubquery):
-            yield node.subquery
+    Subqueries are not descended into: the SELECT of every IN/EXISTS/scalar
+    subquery met goes to ``subqueries`` instead, also in preorder.
+    """
+    stack = roots[::-1]
+    push = stack.append
+    while stack:
+        node = stack.pop()
+        if node is None:
+            continue
+        out.append(node)
+        if isinstance(node, (ColumnRef, Literal)):
+            continue
+        if isinstance(node, BinaryOp):
+            stack.extend((node.right, node.left))
+        elif isinstance(node, (UnaryOp, Cast, IsNull)):
+            push(node.operand)
+        elif isinstance(node, FunctionCall):
+            stack.extend(reversed(node.args))
+        elif isinstance(node, CaseWhen):
+            push(node.else_result)
+            for condition, result in reversed(node.conditions):
+                push(result)
+                push(condition)
+        elif isinstance(node, InList):
+            stack.extend(reversed(node.values))
+            push(node.operand)
+        elif isinstance(node, Between):
+            stack.extend((node.high, node.low, node.operand))
+        elif isinstance(node, Like):
+            stack.extend((node.pattern, node.operand))
+        elif isinstance(node, InSubquery):
+            push(node.operand)
+            subqueries.append(node.subquery)
         elif isinstance(node, Exists):
-            yield node.subquery
+            subqueries.append(node.subquery)
         elif isinstance(node, ScalarSubquery):
-            yield node.query
+            subqueries.append(node.query)
 
 
-def iter_relations(relation: Relation | None) -> Iterator[Relation]:
-    """Yield every relation node in a FROM tree (joins, tables, derived tables)."""
+def _collect_relations(relation: Relation | None, out: list[Relation]) -> None:
+    """Append every node of a FROM tree to ``out`` in preorder."""
     if relation is None:
         return
-    yield relation
+    out.append(relation)
     if isinstance(relation, Join):
-        yield from iter_relations(relation.left)
-        yield from iter_relations(relation.right)
+        _collect_relations(relation.left, out)
+        _collect_relations(relation.right, out)
+
+
+def iter_expressions(expression: Expression | None) -> Iterator[Expression]:
+    """Yield ``expression`` and every nested expression (not descending into subqueries)."""
+    nodes: list[Expression] = []
+    _collect_expressions([expression], nodes, [])
+    return iter(nodes)
+
+
+class _QueryWalk:
+    """One pass over a query tree, collecting everything the metrics read.
+
+    ``blocks`` holds ``select`` followed by every nested SELECT depth-first:
+    per block its CTEs, then derived tables, then the subqueries of WHERE,
+    HAVING, the select list, GROUP BY and ORDER BY, then the set-operation
+    branch.  ``relations`` and ``expressions`` hold every FROM node and every
+    expression of those blocks, block by block; a block's expressions are its
+    WHERE, HAVING, select list, GROUP BY and ORDER BY, then its join
+    conditions.  Subqueries inside join conditions are not blocks.
+    """
+
+    __slots__ = ("blocks", "relations", "expressions")
+
+    def __init__(self, select: Select, include_ctes: bool = True) -> None:
+        self.blocks: list[Select] = []
+        self.relations: list[Relation] = []
+        self.expressions: list[Expression] = []
+        self._visit(select, include_ctes)
+
+    def _visit(self, select: Select, include_ctes: bool) -> None:
+        self.blocks.append(select)
+        first_relation = len(self.relations)
+        _collect_relations(select.from_relation, self.relations)
+        relations = self.relations[first_relation:]
+
+        subqueries: list[Select] = []
+        sources = [select.where, select.having]
+        sources += [item.expression for item in select.select_items]
+        sources += select.group_by
+        sources += [item.expression for item in select.order_by]
+        _collect_expressions(sources, self.expressions, subqueries)
+        conditions = [relation.condition for relation in relations if isinstance(relation, Join)]
+        _collect_expressions(conditions, self.expressions, [])
+
+        children = [cte.query for cte in select.ctes] if include_ctes else []
+        children += [relation.query for relation in relations if isinstance(relation, SubqueryRef)]
+        children += subqueries
+        if select.set_right is not None:
+            children.append(select.set_right)
+        for child in children:
+            self._visit(child, include_ctes)
 
 
 def iter_subqueries(select: Select, include_ctes: bool = True) -> Iterator[Select]:
     """Yield every SELECT nested inside ``select`` (depth-first, excluding itself)."""
-    if include_ctes:
-        for cte in select.ctes:
-            yield cte.query
-            yield from iter_subqueries(cte.query, include_ctes)
-
-    for relation in iter_relations(select.from_relation):
-        if isinstance(relation, SubqueryRef):
-            yield relation.query
-            yield from iter_subqueries(relation.query, include_ctes)
-
-    expression_sources: list[Expression | None] = [select.where, select.having]
-    expression_sources.extend(item.expression for item in select.select_items)
-    expression_sources.extend(select.group_by)
-    expression_sources.extend(item.expression for item in select.order_by)
-    for source in expression_sources:
-        for subquery in iter_expression_subqueries(source):
-            yield subquery
-            yield from iter_subqueries(subquery, include_ctes)
-
-    if select.set_right is not None:
-        yield select.set_right
-        yield from iter_subqueries(select.set_right, include_ctes)
-
-
-def _all_expressions(select: Select) -> Iterator[Expression]:
-    """Yield every expression reachable from ``select`` including nested subqueries."""
-    queries = [select]
-    queries.extend(iter_subqueries(select))
-    for query in queries:
-        sources: list[Expression | None] = [query.where, query.having]
-        sources.extend(item.expression for item in query.select_items)
-        sources.extend(query.group_by)
-        sources.extend(item.expression for item in query.order_by)
-        for relation in iter_relations(query.from_relation):
-            if isinstance(relation, Join) and relation.condition is not None:
-                sources.append(relation.condition)
-        for source in sources:
-            yield from iter_expressions(source)
+    return iter(_QueryWalk(select, include_ctes).blocks[1:])
 
 
 # ---------------------------------------------------------------------------
 # extraction
 # ---------------------------------------------------------------------------
+
+
+def _distinct(names: Iterator[str]) -> list[str]:
+    """First spelling of every case-insensitively distinct name, in order."""
+    first: dict[str, str] = {}
+    for name in names:
+        first.setdefault(name.lower(), name)
+    return list(first.values())
+
+
+def _tables(walk: _QueryWalk) -> list[str]:
+    cte_names = {cte.name.lower() for block in walk.blocks for cte in block.ctes}
+    return _distinct(
+        relation.name
+        for relation in walk.relations
+        if isinstance(relation, TableRef) and relation.name.lower() not in cte_names
+    )
+
+
+def _columns(nodes: list[Expression]) -> list[str]:
+    return _distinct(node.name for node in nodes if isinstance(node, ColumnRef))
+
+
+def _aggregates(nodes: list[Expression]) -> list[str]:
+    names = (node.upper_name for node in nodes if isinstance(node, FunctionCall))
+    return [name for name in names if name in AGGREGATE_FUNCTIONS]
+
+
+def _literals(nodes: list[Expression]) -> list[object]:
+    return [node.value for node in nodes if isinstance(node, Literal) and node.value is not None]
+
+
+def _predicates(nodes: list[Expression]) -> int:
+    return sum(
+        isinstance(node, _PREDICATE_NODES)
+        or (isinstance(node, BinaryOp) and node.op in _COMPARISONS)
+        for node in nodes
+    )
 
 
 def extract_tables(select: Select) -> list[str]:
@@ -209,91 +260,43 @@ def extract_tables(select: Select) -> list[str]:
     CTE names are excluded since they are query-local definitions rather than
     database tables.
     """
-    cte_names = {cte.name.lower() for cte in select.ctes}
-    for subquery in iter_subqueries(select):
-        cte_names.update(cte.name.lower() for cte in subquery.ctes)
-
-    tables: list[str] = []
-    seen: set[str] = set()
-    queries = [select]
-    queries.extend(iter_subqueries(select))
-    for query in queries:
-        for relation in iter_relations(query.from_relation):
-            if isinstance(relation, TableRef):
-                key = relation.name.lower()
-                if key not in seen and key not in cte_names:
-                    seen.add(key)
-                    tables.append(relation.name)
-    return tables
+    return _tables(_QueryWalk(select))
 
 
 def extract_columns(select: Select) -> list[str]:
     """Return distinct column names referenced anywhere in the query (unqualified)."""
-    columns: list[str] = []
-    seen: set[str] = set()
-    for expression in _all_expressions(select):
-        if isinstance(expression, ColumnRef):
-            key = expression.name.lower()
-            if key not in seen:
-                seen.add(key)
-                columns.append(expression.name)
-    return columns
+    return _columns(_QueryWalk(select).expressions)
+
+
+def extract_references(select: Select) -> tuple[list[str], list[str]]:
+    """``(extract_tables(select), extract_columns(select))`` from one walk."""
+    walk = _QueryWalk(select)
+    return _tables(walk), _columns(walk.expressions)
 
 
 def extract_aggregates(select: Select) -> list[str]:
     """Return every aggregate function call (as printed name) in the query."""
-    calls: list[str] = []
-    for expression in _all_expressions(select):
-        if isinstance(expression, FunctionCall) and expression.upper_name in AGGREGATE_FUNCTIONS:
-            calls.append(expression.upper_name)
-    return calls
+    return _aggregates(_QueryWalk(select).expressions)
 
 
 def extract_literals(select: Select) -> list[object]:
     """Return literal values used in the query (filters, limits, etc.)."""
-    return [
-        expression.value
-        for expression in _all_expressions(select)
-        if isinstance(expression, Literal) and expression.value is not None
-    ]
+    return _literals(_QueryWalk(select).expressions)
 
 
 def nesting_depth(select: Select) -> int:
     """Return the number of nested query blocks (subqueries + CTEs + set branches)."""
-    return sum(1 for _ in iter_subqueries(select))
+    return len(_QueryWalk(select).blocks) - 1
 
 
 def count_joins(select: Select) -> int:
     """Return the total number of join operators across all query blocks."""
-    total = 0
-    queries = [select]
-    queries.extend(iter_subqueries(select))
-    for query in queries:
-        for relation in iter_relations(query.from_relation):
-            if isinstance(relation, Join):
-                total += 1
-    return total
+    return sum(isinstance(relation, Join) for relation in _QueryWalk(select).relations)
 
 
 def count_predicates(select: Select) -> int:
     """Return the number of atomic predicates (comparisons, IN, LIKE, BETWEEN...)."""
-    from repro.sql.ast_nodes import BinaryOperator
-
-    comparison_ops = {
-        BinaryOperator.EQ,
-        BinaryOperator.NEQ,
-        BinaryOperator.LT,
-        BinaryOperator.LTE,
-        BinaryOperator.GT,
-        BinaryOperator.GTE,
-    }
-    total = 0
-    for expression in _all_expressions(select):
-        if isinstance(expression, BinaryOp) and expression.op in comparison_ops:
-            total += 1
-        elif isinstance(expression, (InList, InSubquery, Like, Between, IsNull, Exists)):
-            total += 1
-    return total
+    return _predicates(_QueryWalk(select).expressions)
 
 
 # ---------------------------------------------------------------------------
@@ -330,13 +333,10 @@ def analyze_query(sql: str | Select, select: Select | None = None) -> QueryProfi
         select = parse_select(sql)
     tokens = tokenize(sql)
 
-    tables = extract_tables(select)
-    columns = extract_columns(select)
-    aggregates = extract_aggregates(select)
-
-    has_set_operation = select.set_operator is not None or any(
-        subquery.set_operator is not None for subquery in iter_subqueries(select)
-    )
+    walk = _QueryWalk(select)
+    tables = _tables(walk)
+    columns = _columns(walk.expressions)
+    aggregates = _aggregates(walk.expressions)
 
     complexity = QueryComplexity(
         keywords=sum(1 for token in tokens if token.kind is TokenKind.KEYWORD),
@@ -344,20 +344,20 @@ def analyze_query(sql: str | Select, select: Select | None = None) -> QueryProfi
         tables=len(tables),
         columns=len(columns),
         aggregations=len(aggregates),
-        nestings=nesting_depth(select),
-        joins=count_joins(select),
-        predicates=count_predicates(select),
+        nestings=len(walk.blocks) - 1,
+        joins=sum(isinstance(relation, Join) for relation in walk.relations),
+        predicates=_predicates(walk.expressions),
         ctes=len(select.ctes),
         has_group_by=bool(select.group_by),
         has_order_by=bool(select.order_by),
-        has_set_operation=has_set_operation,
+        has_set_operation=any(block.set_operator is not None for block in walk.blocks),
     )
     return QueryProfile(
         complexity=complexity,
         tables=tables,
         columns=columns,
         aggregate_calls=aggregates,
-        literals=extract_literals(select),
+        literals=_literals(walk.expressions),
     )
 
 

@@ -18,13 +18,14 @@ from __future__ import annotations
 import copy
 from dataclasses import dataclass, field
 
-from repro.sql.analyzer import extract_columns, extract_tables, is_nested
+from repro.sql.analyzer import extract_references, is_nested
 from repro.sql.ast_nodes import (
     Between,
     BinaryOp,
     Cast,
     CaseWhen,
     CTE,
+    ColumnRef,
     Exists,
     Expression,
     FunctionCall,
@@ -33,9 +34,12 @@ from repro.sql.ast_nodes import (
     IsNull,
     Join,
     Like,
+    Literal,
+    OrderItem,
     Relation,
     ScalarSubquery,
     Select,
+    SelectItem,
     SubqueryRef,
     TableRef,
     UnaryOp,
@@ -87,7 +91,7 @@ class _Decomposer:
     def decompose(self, select: Select) -> DecompositionResult:
         original_sql = print_select(select)
         nested = is_nested(select)
-        working = copy.deepcopy(select)
+        working = _copy_select(select)
         self._existing_names = {cte.name.lower() for cte in working.ctes}
 
         # Existing CTEs already are logical units: record them first.
@@ -121,13 +125,14 @@ class _Decomposer:
         return candidate
 
     def _record_unit(self, name: str, query: Select, role: str) -> QueryUnit:
+        tables, columns = extract_references(query)
         unit = QueryUnit(
             name=name,
             sql=print_select(query),
             query=query,
             role=role,
-            tables=extract_tables(query),
-            columns=extract_columns(query),
+            tables=tables,
+            columns=columns,
         )
         self._units.append(unit)
         return unit
@@ -230,6 +235,102 @@ class _Decomposer:
             self._record_unit(self._fresh_name("scalar_value"), inner, role="scalar_subquery")
             return expression
         return expression
+
+
+def _copy_select(select: Select) -> Select:
+    """Copy a SELECT tree node by node; the decomposer rewrites the copy in place.
+
+    Parsed trees share no nodes, so unlike ``copy.deepcopy`` this keeps no
+    memo.  Leaves other than columns and literals (``*``, parameters) and
+    node types not listed below go through ``copy.deepcopy``.
+    """
+    return Select(
+        select_items=[
+            SelectItem(_copy_expression(item.expression), item.alias)
+            for item in select.select_items
+        ],
+        distinct=select.distinct,
+        from_relation=_copy_relation(select.from_relation),
+        where=_copy_expression(select.where),
+        group_by=[_copy_expression(expression) for expression in select.group_by],
+        having=_copy_expression(select.having),
+        order_by=[
+            OrderItem(_copy_expression(item.expression), item.ascending, item.nulls_first)
+            for item in select.order_by
+        ],
+        limit=select.limit,
+        offset=select.offset,
+        ctes=[
+            CTE(cte.name, _copy_select(cte.query), list(cte.column_names))
+            for cte in select.ctes
+        ],
+        set_operator=select.set_operator,
+        set_right=None if select.set_right is None else _copy_select(select.set_right),
+    )
+
+
+def _copy_relation(relation: Relation | None) -> Relation | None:
+    kind = type(relation)
+    if kind is TableRef:
+        return TableRef(relation.name, relation.alias)
+    if kind is Join:
+        return Join(
+            relation.join_type,
+            _copy_relation(relation.left),
+            _copy_relation(relation.right),
+            _copy_expression(relation.condition),
+            list(relation.using_columns),
+        )
+    if kind is SubqueryRef:
+        return SubqueryRef(_copy_select(relation.query), relation.alias)
+    return copy.deepcopy(relation)
+
+
+def _copy_expression(node: Expression | None) -> Expression | None:
+    kind = type(node)
+    if kind is ColumnRef:
+        return ColumnRef(node.name, node.table)
+    if kind is Literal:
+        return Literal(node.value)
+    if kind is BinaryOp:
+        return BinaryOp(node.op, _copy_expression(node.left), _copy_expression(node.right))
+    if kind is FunctionCall:
+        return FunctionCall(node.name, [_copy_expression(arg) for arg in node.args], node.distinct)
+    if kind is UnaryOp:
+        return UnaryOp(node.op, _copy_expression(node.operand))
+    if kind is Cast:
+        return Cast(_copy_expression(node.operand), node.target_type)
+    if kind is CaseWhen:
+        return CaseWhen(
+            [
+                (_copy_expression(condition), _copy_expression(result))
+                for condition, result in node.conditions
+            ],
+            _copy_expression(node.else_result),
+        )
+    if kind is IsNull:
+        return IsNull(_copy_expression(node.operand), node.negated)
+    if kind is InList:
+        values = [_copy_expression(value) for value in node.values]
+        return InList(_copy_expression(node.operand), values, node.negated)
+    if kind is InSubquery:
+        subquery = _copy_select(node.subquery)
+        return InSubquery(_copy_expression(node.operand), subquery, node.negated)
+    if kind is Exists:
+        return Exists(_copy_select(node.subquery), node.negated)
+    if kind is ScalarSubquery:
+        return ScalarSubquery(_copy_select(node.query))
+    if kind is Between:
+        return Between(
+            _copy_expression(node.operand),
+            _copy_expression(node.low),
+            _copy_expression(node.high),
+            node.negated,
+        )
+    if kind is Like:
+        pattern = _copy_expression(node.pattern)
+        return Like(_copy_expression(node.operand), pattern, node.negated)
+    return copy.deepcopy(node)
 
 
 def decompose(select_or_sql: Select | str) -> DecompositionResult:

@@ -10,7 +10,7 @@ import pytest
 
 from repro.engine import Database
 from repro.schema import ColumnSchema, DatabaseSchema, ForeignKey, TableSchema
-from repro.workloads import build_benchmark
+from repro.workloads import BENCHMARK_NAMES, build_benchmark
 
 
 @pytest.fixture()
@@ -85,3 +85,13 @@ def tiny_beaver():
 def tiny_bird():
     """A tiny Bird-like workload (session-scoped for speed)."""
     return build_benchmark("Bird", seed=11, row_scale=0.0008, query_count=10)
+
+
+@pytest.fixture(scope="session")
+def generated_sql() -> dict[tuple[str, int], list[str]]:
+    """Query texts of every benchmark family at seeds 0-2, by ``(family, seed)``."""
+    return {
+        (name, seed): build_benchmark(name, seed=seed, row_scale=0.0001).query_sql
+        for name in BENCHMARK_NAMES
+        for seed in range(3)
+    }

@@ -8,6 +8,7 @@ import json
 import struct
 import zlib
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
@@ -250,6 +251,71 @@ class TestTornTail:
         events = EventJournal.read_events(path)
         assert events[-1].type == "epilogue"
         assert len(events) == len(boundaries)
+
+
+class TestSingleScanReplay:
+    """Recovery hands replay the records its open scan decoded."""
+
+    def count_scans(self):
+        original = EventJournal.scan
+        calls = []
+
+        def counting(path, with_events=True):
+            calls.append(path)
+            return original(path, with_events)
+
+        return calls, mock.patch.object(EventJournal, "scan", staticmethod(counting))
+
+    def test_recover_reads_the_journal_once(self, tmp_path):
+        service = AnnotationService.open_durable(tmp_path / "svc", snapshot_every=4)
+        service.register_project("hr", make_schema())
+        for sql in QUERIES:
+            service.submit(sql, project="hr")
+            service.drain()
+        live = semantic_state(service)
+        service.close()
+        assert SnapshotManager(tmp_path / "svc" / "snapshots").latest()[0] > 0
+        for open_service in (
+            lambda: AnnotationService.open_durable(tmp_path / "svc"),
+            lambda: AnnotationService.recover(tmp_path / "svc" / "journal.bin"),
+        ):
+            calls, patch = self.count_scans()
+            with patch:
+                recovered = open_service()
+            assert len(calls) == 1
+            assert semantic_state(recovered) == live
+            assert recovered.journal._opened_events is None  # not kept after replay
+            recovered.close()
+
+    def test_first_events_call_matches_a_fresh_read(self, torn_image, tmp_path):
+        path = tmp_path / "journal.bin"
+        path.write_bytes(torn_image)
+        expected = EventJournal.read_events(path)
+        for start in (0, 2, len(expected), len(expected) + 3):
+            with EventJournal(path) as journal:
+                assert journal.events(start) == expected[start:]
+                assert journal.events(start) == expected[start:]  # read from disk
+
+    def test_events_after_an_append_come_from_disk(self, torn_image, tmp_path):
+        path = tmp_path / "journal.bin"
+        path.write_bytes(torn_image)
+        with EventJournal(path) as journal:
+            journal.append("epilogue", {"n": 1})
+            events = journal.events(0)
+        assert [event.type for event in events][-1] == "epilogue"
+        assert events == EventJournal.read_events(path)
+
+    def test_open_reports_are_unchanged(self, torn_image, tmp_path):
+        path = tmp_path / "journal.bin"
+        boundaries = record_boundaries(torn_image)
+        start_last, _ = boundaries[-1]
+        for image in (torn_image, torn_image[:-3], torn_image[: start_last + 9]):
+            path.write_bytes(image)
+            expected = EventJournal.scan(path, with_events=False)
+            with EventJournal(path) as journal:
+                assert journal.recovery == expected
+                assert journal.record_count == expected.record_count
+            assert path.read_bytes() == image[: expected.valid_bytes]
 
 
 class TestInteriorCorruption:

@@ -1,7 +1,12 @@
 """Tests for the schema model, DDL parsing, profiler and linking."""
 
-import pytest
+import dataclasses
+import json
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from repro.core.snapshot import schema_from_state, schema_to_state
 from repro.engine import Database
 from repro.errors import IngestionError, SchemaError
 from repro.schema import (
@@ -60,6 +65,117 @@ class TestSchemaModel:
         schema = schema_from_database(hr_database)
         assert set(schema.table_names) == {"departments", "employees"}
         assert schema.table("employees").column("emp_id").primary_key is True
+
+
+def scan_column(table, name):
+    """The linear scan the name index replaced."""
+    return next((c for c in table.columns if c.name.lower() == name.lower()), None)
+
+
+def scan_table(schema, name):
+    return next((t for t in schema.tables if t.name.lower() == name.lower()), None)
+
+
+def assert_lookups_match_scan(schema, names):
+    for name in names:
+        expected = scan_table(schema, name)
+        assert schema.has_table(name) is (expected is not None)
+        if expected is None:
+            with pytest.raises(SchemaError):
+                schema.table(name)
+        else:
+            assert schema.table(name) is expected
+        for table in schema.tables:
+            expected = scan_column(table, name)
+            assert table.has_column(name) is (expected is not None)
+            if expected is None:
+                with pytest.raises(SchemaError):
+                    table.column(name)
+            else:
+                assert table.column(name) is expected
+
+
+LOOKUP_NAMES = st.sampled_from(["id", "ID", "Id", "name", "NAME", "x", "t", "T", "Straße", "İd"])
+
+
+class TestNameIndex:
+    """Dict lookups behind table()/column() against the linear scans."""
+
+    def test_first_declaration_wins_on_case_variants(self):
+        columns = [ColumnSchema("Id"), ColumnSchema("ID"), ColumnSchema("id")]
+        table = TableSchema("t", columns=columns)
+        assert table.column("id") is table.columns[0]
+        assert table.column("iD") is table.columns[0]
+        schema = DatabaseSchema("s", tables=[TableSchema("T"), TableSchema("t")])
+        assert schema.table("t") is schema.tables[0]
+
+    def test_sees_add_table_and_column_appends_after_a_lookup(self, hr_schema):
+        assert not hr_schema.has_table("projects")
+        hr_schema.add_table(TableSchema("Projects"))
+        assert hr_schema.table("PROJECTS").name == "Projects"
+        with pytest.raises(SchemaError):
+            hr_schema.add_table(TableSchema("projects"))
+        table = hr_schema.table("projects")
+        assert not table.has_column("budget")
+        table.columns.append(ColumnSchema("Budget", "REAL"))
+        assert table.column("budget").name == "Budget"
+        hr_schema.tables = [hr_schema.tables[-1]]
+        assert hr_schema.table_names == ["Projects"] and not hr_schema.has_table("employees")
+
+    def test_ddl_built_schema(self):
+        schema = parse_ddl_script(
+            "CREATE TABLE a (ID INT, id TEXT, Name TEXT); CREATE TABLE B (x INT)", "ddl"
+        )
+        assert_lookups_match_scan(schema, ["id", "ID", "name", "a", "b", "B", "x", "missing"])
+
+    @given(
+        steps=st.lists(
+            st.tuples(st.sampled_from(["table", "column", "lookup"]), LOOKUP_NAMES),
+            max_size=40,
+        )
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_random_appends_and_lookups_match_the_scan(self, steps):
+        schema = DatabaseSchema("s")
+        for action, name in steps:
+            if action == "table":
+                schema.tables.append(TableSchema(name))
+            elif action == "column" and schema.tables:
+                schema.tables[len(name) % len(schema.tables)].columns.append(ColumnSchema(name))
+            assert_lookups_match_scan(schema, [name, name.upper(), name.lower()])
+
+    def test_index_is_invisible(self, hr_schema):
+        fresh = dataclasses.replace(hr_schema)
+
+        def views():
+            return dataclasses.asdict(hr_schema), schema_to_state(hr_schema), repr(hr_schema)
+
+        before = views()
+        hr_schema.table("employees").column("salary")
+        assert hr_schema.has_table("departments")
+        assert views() == before
+        assert hr_schema == fresh
+        assert "_name_index" not in repr(hr_schema) + json.dumps(schema_to_state(hr_schema))
+
+
+class TestSchemaState:
+    def test_equals_asdict_byte_for_byte(self, hr_schema):
+        hr_schema.tables[0].description = "people"
+        hr_schema.tables[0].columns[1].description = "full name"
+        hr_schema.description = "HR"
+        state = schema_to_state(hr_schema)
+        assert state == dataclasses.asdict(hr_schema)
+        assert json.dumps(state) == json.dumps(dataclasses.asdict(hr_schema))
+        assert schema_from_state(state) == hr_schema
+
+    def test_returns_fresh_containers(self, hr_schema):
+        first, second = schema_to_state(hr_schema), schema_to_state(hr_schema)
+        first["tables"][0]["columns"].append({"name": "extra"})
+        first["tables"][0]["columns"][0]["name"] = "renamed"
+        first["tables"].clear()
+        assert second == dataclasses.asdict(hr_schema)
+        assert hr_schema.tables[0].columns[0].name == "emp_id"
+        assert len(hr_schema.tables[0].columns) == 5
 
 
 class TestDDLParser:
