@@ -39,7 +39,9 @@ from __future__ import annotations
 import functools
 import operator
 import time
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from repro.errors import EngineError, ExecutionError
 from repro.engine.compiler import (
@@ -64,6 +66,7 @@ from repro.engine.runtime import (
 )
 from repro.engine.storage import ColumnLabel, Relation
 from repro.engine.types import SQLValue, compare_values
+from repro.sql.analyzer import iter_expressions
 from repro.sql.ast_nodes import (
     Between,
     BinaryOp,
@@ -584,39 +587,57 @@ class Executor:
                         "plan_fallback", time.perf_counter() - stage_start, 0, 0
                     )
                 stage_start = time.perf_counter()
-            source = self._execute_relation(select.from_relation, cte_scope, outer)
-            if collector is not None:
-                collector.record(
-                    "scan",
-                    time.perf_counter() - stage_start,
-                    len(source.rows),
-                    len(source.rows),
-                    source=type(select.from_relation).__name__
-                    if select.from_relation is not None
-                    else "dual",
-                )
-                stage_start = time.perf_counter()
+            streamed = (
+                self._stream_source(select, cte_scope)
+                if outer is None and self.mode != "interpreted"
+                else None
+            )
+            if streamed is None:
+                source = self._execute_relation(select.from_relation, cte_scope, outer)
+                rows = source.rows
+                if collector is not None:
+                    collector.record(
+                        "scan",
+                        time.perf_counter() - stage_start,
+                        len(source.rows),
+                        len(source.rows),
+                        source=type(select.from_relation).__name__
+                        if select.from_relation is not None
+                        else "dual",
+                    )
+                    stage_start = time.perf_counter()
+            else:
+                source, rows, stream_detail = streamed
 
             # WHERE
             filtered_rows = []
             if select.where is not None:
                 if self.mode != "interpreted":
                     predicate = self._row_evaluator(select.where, source, outer)
-                    filtered_rows = [row for row in source.rows if _is_true(predicate(row))]
+                    filtered_rows = [row for row in rows if _is_true(predicate(row))]
                 else:
-                    for row in source.rows:
+                    for row in rows:
                         context = RowContext(relation=source, row=row, parent=outer)
                         if _is_true(self._evaluate(select.where, context)):
                             filtered_rows.append(row)
-                if collector is not None:
+            else:
+                filtered_rows = list(rows)
+            if collector is not None:
+                if streamed is not None:
+                    collector.record(
+                        "stream",
+                        time.perf_counter() - stage_start,
+                        sum(stream_detail["inputs"]),
+                        len(filtered_rows),
+                        **stream_detail,
+                    )
+                elif select.where is not None:
                     collector.record(
                         "filter",
                         time.perf_counter() - stage_start,
                         len(source.rows),
                         len(filtered_rows),
                     )
-            else:
-                filtered_rows = list(source.rows)
 
         needs_aggregation = bool(select.group_by) or self._has_aggregate_items(select)
 
@@ -817,31 +838,21 @@ class Executor:
     ) -> Relation:
         left = self._execute_relation(join.left, cte_scope, outer)
         right = self._execute_relation(join.right, cte_scope, outer)
-        labels = left.labels + right.labels
-        combined = Relation(labels=labels)
 
-        condition = join.condition
-        if join.using_columns and condition is None:
-            if self.mode != "interpreted":
-                condition = self._cached_plan(
-                    join,
-                    "using",
-                    (tuple(left.labels), tuple(right.labels)),
-                    lambda: self._build_using_condition(join.using_columns, left, right),
-                )
-            else:
-                condition = self._build_using_condition(join.using_columns, left, right)
-
+        pads_right = join.join_type in (JoinType.RIGHT, JoinType.FULL)
         if self.mode != "interpreted":
-            rows, matched_right = self._join_rows_compiled(
-                join, left, right, combined, condition, outer
-            )
+            matched_right: set[int] | None = set() if pads_right else None
+            plan = self._join_plan(join, left, right, outer)
+            combined = plan.combined
+            rows = list(self._join_rows(plan, left.rows, right.rows, matched_right))
         else:
+            combined = Relation(labels=left.labels + right.labels)
+            condition = self._join_condition(join, left, right)
             rows, matched_right = self._join_rows_interpreted(
                 join, left, right, combined, condition, outer
             )
 
-        if join.join_type in (JoinType.RIGHT, JoinType.FULL):
+        if pads_right:
             left_pad = tuple([None] * len(left.labels))
             for right_position, right_row in enumerate(right.rows):
                 if right_position not in matched_right:
@@ -850,108 +861,272 @@ class Executor:
         combined.rows = rows
         return combined
 
+    def _join_condition(self, join: Join, left: Relation, right: Relation) -> Expression | None:
+        """The join's ON condition, or the equality chain its USING list implies."""
+        if not join.using_columns or join.condition is not None:
+            return join.condition
+        if self.mode == "interpreted":
+            return self._build_using_condition(join.using_columns, left, right)
+        return self._cached_plan(
+            join,
+            "using",
+            (tuple(left.labels), tuple(right.labels)),
+            lambda: self._build_using_condition(join.using_columns, left, right),
+        )
+
     # -- compiled join path --------------------------------------------
 
-    def _join_rows_compiled(
-        self,
-        join: Join,
-        left: Relation,
-        right: Relation,
-        combined: Relation,
-        condition: Expression | None,
-        outer: RowContext | None,
-    ) -> tuple[list[tuple[SQLValue, ...]], set[int]]:
-        rows: list[tuple[SQLValue, ...]] = []
-        matched_right: set[int] = set()
+    def _join_plan(
+        self, join: Join, left: Relation, right: Relation, outer: RowContext | None
+    ) -> "_JoinPlan":
+        """Plan one compiled join from its inputs' labels (rows are not read).
+
+        Raises what the join raises before its first row (a USING column
+        missing from one side); everything a join can raise afterwards comes
+        from its residual or nested-loop condition, which ``pure`` reports.
+        """
+        combined = Relation(labels=left.labels + right.labels)
+        condition = self._join_condition(join, left, right)
+        pad = tuple([None] * len(right.labels))
         pad_left = join.join_type in (JoinType.LEFT, JoinType.FULL)
-        right_pad = tuple([None] * len(right.labels))
-
-        key_pairs: list[tuple[int, int]] = []
-        residual: Expression | None = None
-        if condition is not None:
-            key_pairs, residual = self._cached_plan(
-                condition,
-                "join",
-                tuple(combined.labels),
-                lambda: self._hash_join_plan(condition, left, combined),
-            )
-
+        if condition is None:
+            return _JoinPlan(combined, pad, pad_left, [], None, None)
+        key_pairs, residual = self._cached_plan(
+            condition,
+            "join",
+            tuple(combined.labels),
+            lambda: self._hash_join_plan(condition, left, combined),
+        )
         if key_pairs:
             residual_fn = (
                 self._row_evaluator(residual, combined, outer) if residual is not None else None
             )
-            left_indices = [pair[0] for pair in key_pairs]
-            right_indices = [pair[1] for pair in key_pairs]
+            return _JoinPlan(combined, pad, pad_left, key_pairs, residual_fn, None)
+        condition_fn = self._row_evaluator(condition, combined, outer)
+        return _JoinPlan(combined, pad, pad_left, [], None, condition_fn)
+
+    def _join_rows(
+        self,
+        plan: "_JoinPlan",
+        left_rows: Iterable[tuple[SQLValue, ...]],
+        right_rows: list[tuple[SQLValue, ...]],
+        matched_right: set[int] | None,
+    ) -> Iterator[tuple[SQLValue, ...]]:
+        """Yield one compiled join's rows, left-major, as the join defines them.
+
+        The single row routine of the compiled path: a materialized join
+        lists it, a streamed FROM chain feeds it the previous join's rows.
+        Rows come out left row by left row; a hash join emits a left row's
+        matches in right-position order and a LEFT join pads an unmatched
+        left row right after it.  ``matched_right`` (RIGHT/FULL joins only)
+        collects the right positions that matched.
+        """
+        pad = plan.right_pad
+        pad_left = plan.pad_left
+        key_pairs = plan.key_pairs
+        if key_pairs:
+            residual_fn = plan.residual_fn
             buckets: dict[object, list[int]] = {}
+            empty: list[int] = []
             if len(key_pairs) == 1:
-                left_index = left_indices[0]
-                right_index = right_indices[0]
-                for position, right_row in enumerate(right.rows):
+                left_index, right_index = key_pairs[0]
+                for position, right_row in enumerate(right_rows):
                     key = _hashable(right_row[right_index])
-                    if key is None:
-                        continue
-                    buckets.setdefault(key, []).append(position)
-                empty: list[int] = []
-                for left_row in left.rows:
+                    if key is not None:
+                        buckets.setdefault(key, []).append(position)
+                for left_row in left_rows:
                     key = _hashable(left_row[left_index])
                     positions = buckets.get(key, empty) if key is not None else empty
                     matched = False
                     for position in positions:
-                        combined_row = left_row + right.rows[position]
+                        combined_row = left_row + right_rows[position]
                         if residual_fn is not None and not _is_true(residual_fn(combined_row)):
                             continue
-                        rows.append(combined_row)
+                        yield combined_row
                         matched = True
-                        matched_right.add(position)
+                        if matched_right is not None:
+                            matched_right.add(position)
                     if not matched and pad_left:
-                        rows.append(left_row + right_pad)
-            else:
-                for position, right_row in enumerate(right.rows):
-                    key_values = tuple(_hashable(right_row[index]) for index in right_indices)
-                    if any(value is None for value in key_values):
-                        continue
+                        yield left_row + pad
+                return
+            left_indices = [pair[0] for pair in key_pairs]
+            right_indices = [pair[1] for pair in key_pairs]
+            for position, right_row in enumerate(right_rows):
+                key_values = tuple(_hashable(right_row[index]) for index in right_indices)
+                if not any(value is None for value in key_values):
                     buckets.setdefault(key_values, []).append(position)
-                empty = []
-                for left_row in left.rows:
-                    key_values = tuple(_hashable(left_row[index]) for index in left_indices)
-                    if any(value is None for value in key_values):
-                        positions = empty
-                    else:
-                        positions = buckets.get(key_values, empty)
-                    matched = False
-                    for position in positions:
-                        combined_row = left_row + right.rows[position]
-                        if residual_fn is not None and not _is_true(residual_fn(combined_row)):
-                            continue
-                        rows.append(combined_row)
-                        matched = True
+            for left_row in left_rows:
+                key_values = tuple(_hashable(left_row[index]) for index in left_indices)
+                if any(value is None for value in key_values):
+                    positions = empty
+                else:
+                    positions = buckets.get(key_values, empty)
+                matched = False
+                for position in positions:
+                    combined_row = left_row + right_rows[position]
+                    if residual_fn is not None and not _is_true(residual_fn(combined_row)):
+                        continue
+                    yield combined_row
+                    matched = True
+                    if matched_right is not None:
                         matched_right.add(position)
-                    if not matched and pad_left:
-                        rows.append(left_row + right_pad)
-            return rows, matched_right
+                if not matched and pad_left:
+                    yield left_row + pad
+            return
+
+        condition_fn = plan.condition_fn
+        if condition_fn is None:
+            # No condition: the product (a LEFT join pads when the right is empty).
+            if not right_rows:
+                if pad_left:
+                    for left_row in left_rows:
+                        yield left_row + pad
+                return
+            for left_row in left_rows:
+                if matched_right is not None and not matched_right:
+                    matched_right.update(range(len(right_rows)))
+                for right_row in right_rows:
+                    yield left_row + right_row
+            return
 
         # No usable equality keys: nested loop with a compiled condition.
-        if condition is None:
-            if not right.rows:
-                rows = [left_row + right_pad for left_row in left.rows] if pad_left else []
-                return rows, matched_right
-            rows = [left_row + right_row for left_row in left.rows for right_row in right.rows]
-            if left.rows:
-                matched_right = set(range(len(right.rows)))
-            return rows, matched_right
-
-        condition_fn = self._row_evaluator(condition, combined, outer)
-        for left_row in left.rows:
+        for left_row in left_rows:
             matched = False
-            for right_position, right_row in enumerate(right.rows):
+            for right_position, right_row in enumerate(right_rows):
                 combined_row = left_row + right_row
                 if _is_true(condition_fn(combined_row)):
-                    rows.append(combined_row)
+                    yield combined_row
                     matched = True
-                    matched_right.add(right_position)
+                    if matched_right is not None:
+                        matched_right.add(right_position)
             if not matched and pad_left:
-                rows.append(left_row + right_pad)
-        return rows, matched_right
+                yield left_row + pad
+
+    # -- streamed FROM chains (compiled path, top level) ----------------
+
+    def _stream_source(
+        self, select: Select, cte_scope: dict[str, Relation]
+    ) -> tuple[Relation, Iterator[tuple[SQLValue, ...]], dict] | None:
+        """Stream a top-level FROM chain that has a cross product into WHERE.
+
+        Returns ``(source, rows, detail)`` — the joined labels (no rows), an
+        iterator over the joined rows in exactly the order the materialized
+        joins would produce them, and the per-input row counts EXPLAIN
+        ANALYZE reports — or ``None`` when the FROM tree has no such chain.
+
+        The chain's inputs (the lowest cross product's left operand and
+        every right operand above it) are resolved, and its joins
+        planned, in the order the materialized path would; a join that can
+        raise once rows flow (a residual or nested-loop condition) is listed
+        on the spot, as before.  When no such join exists, a leading run of
+        WHERE conjuncts is pushed onto the operands of the cross products
+        (:func:`_push_plan`); the full WHERE still judges every surviving
+        row.  Why that is exact: a pushed conjunct binds to the same column
+        in its input as in the joined row, its subqueries are uncorrelated,
+        and a row is dropped only when a pushed conjunct is ``False`` by
+        identity — after every earlier conjunct evaluated without raising
+        and without being ``False`` — which makes the full AND-tree
+        ``False`` without evaluating anything later.  A pushed filter that
+        raises abandons the pushdown: the statement streams unfiltered, and
+        the WHERE raises (or not) where it always did.
+        """
+        chain = _cross_chain(select.from_relation)
+        if chain is None:
+            return None
+        first = self._execute_relation(chain[0].left, cte_scope, None)
+        inputs = [first]
+        targets = [True]  # the lowest cross product's left operand
+        # Rows of the chain up to the last join that had to be listed; None
+        # while there is none (the chain then starts at inputs[0]).
+        start: list[tuple[SQLValue, ...]] | None = None
+        steps: list[_JoinPlan] = []
+        source = first
+        pushable = True
+        for join in chain:
+            right = self._execute_relation(join.right, cte_scope, None)
+            plan = self._join_plan(join, source, right, None)
+            inputs.append(right)
+            targets.append(_is_cross(join))
+            steps.append(plan)
+            source = plan.combined
+            if not plan.pure:
+                pushable = False
+                unfiltered = [relation.rows for relation in inputs]
+                start = list(self._chain_rows(start, steps, unfiltered))
+                steps = []
+
+        input_rows = [relation.rows for relation in inputs]
+        pushed = 0
+        if pushable and select.where is not None:
+            filtered = self._push_filters(select.where, inputs, targets)
+            if filtered is not None:
+                input_rows, pushed = filtered
+        detail = {
+            "inputs": [len(relation.rows) for relation in inputs],
+            "kept": [len(rows) for rows in input_rows],
+            "pushed": pushed,
+        }
+        return source, iter(self._chain_rows(start, steps, input_rows)), detail
+
+    def _chain_rows(
+        self,
+        start: list[tuple[SQLValue, ...]] | None,
+        steps: list["_JoinPlan"],
+        input_rows: list[list[tuple[SQLValue, ...]]],
+    ) -> Iterable[tuple[SQLValue, ...]]:
+        """The rows of a chain's last ``len(steps)`` joins, lazily.
+
+        ``start`` holds the rows below those joins, or ``None`` when they
+        start at the chain's first input; the right operand of each join is
+        the matching trailing entry of ``input_rows``.
+        """
+        offset = len(input_rows) - len(steps)
+        rows: Iterable[tuple[SQLValue, ...]] = input_rows[0] if start is None else start
+        for position, plan in enumerate(steps):
+            rows = self._join_rows(plan, rows, input_rows[offset + position], None)
+        return rows
+
+    def _push_filters(
+        self, where: Expression, inputs: list[Relation], targets: list[bool]
+    ) -> tuple[list[list[tuple[SQLValue, ...]]], int] | None:
+        """Apply the pushed WHERE prefix to the cross products' operands.
+
+        Returns each input's surviving rows and the number of conjuncts
+        pushed; ``None`` when nothing is pushed, or when a pushed filter (or
+        the correlation probe of one of its subqueries) raised.
+        """
+        plan = self._cached_plan(
+            where,
+            "push",
+            tuple(
+                (tuple(relation.labels), target) for relation, target in zip(inputs, targets)
+            ),
+            lambda: _push_plan(where, inputs, targets),
+        )
+        if not plan:
+            return None
+        try:
+            filters: dict[int, list] = {}
+            pushed = 0
+            for conjunct, index, subqueries in plan:
+                if any(self._uncorrelated_subquery(query) is None for query in subqueries):
+                    break  # correlated: its value depends on the joined row
+                filters.setdefault(index, []).append(
+                    self._row_evaluator(conjunct, inputs[index], None)
+                )
+                pushed += 1
+            rows = [relation.rows for relation in inputs]
+            for index, predicates in filters.items():
+                rows[index] = [
+                    row
+                    for row in rows[index]
+                    if all(predicate(row) is not False for predicate in predicates)
+                ]
+        except Exception:  # noqa: BLE001 - any error: the unfiltered stream decides
+            return None
+        if not pushed:
+            return None
+        return rows, pushed
 
     def _hash_join_plan(
         self, condition: Expression, left: Relation, combined: Relation
@@ -1169,6 +1344,9 @@ class Executor:
         if self.mode != "interpreted":
             indices = _column_indices(items, source)
             if indices:
+                if indices == list(range(len(source.labels))):
+                    # ``SELECT *`` over its source: every row already is its output.
+                    return QueryResult(columns=columns, rows=rows)
                 if len(indices) == 1:
                     index = indices[0]
                     return QueryResult(columns=columns, rows=[(row[index],) for row in rows])
@@ -1728,6 +1906,100 @@ def _output_name(item: SelectItem, index: int) -> str:
     if isinstance(expression, FunctionCall):
         return expression.upper_name.lower()
     return f"col_{index}"
+
+
+class _JoinPlan(NamedTuple):
+    """One compiled join, planned from its inputs' labels."""
+
+    combined: Relation
+    right_pad: tuple
+    pad_left: bool
+    key_pairs: list[tuple[int, int]]
+    residual_fn: object
+    condition_fn: object
+
+    @property
+    def pure(self) -> bool:
+        """Whether the join cannot raise once its rows start flowing."""
+        return self.residual_fn is None and self.condition_fn is None
+
+
+def _is_cross(join: Join) -> bool:
+    """A cross product: an INNER or CROSS join without ON or USING."""
+    return (
+        join.condition is None
+        and not join.using_columns
+        and join.join_type in (JoinType.INNER, JoinType.CROSS)
+    )
+
+
+def _cross_chain(relation: ASTRelation | None) -> list[Join] | None:
+    """The left-spine joins of a FROM tree, from its lowest cross product up.
+
+    ``None`` when the spine has no cross product, or a RIGHT/FULL join above
+    it (whose padding needs the finished left side).
+    """
+    spine: list[Join] = []
+    while isinstance(relation, Join):
+        spine.append(relation)
+        relation = relation.left
+    for position in range(len(spine) - 1, -1, -1):
+        if _is_cross(spine[position]):
+            chain = spine[position::-1]
+            if any(join.join_type in (JoinType.RIGHT, JoinType.FULL) for join in chain):
+                return None
+            return chain
+    return None
+
+
+def _push_plan(
+    where: Expression, inputs: list[Relation], targets: list[bool]
+) -> list[tuple[Expression, int, list[Select]]]:
+    """The leading WHERE conjuncts that bind inside one cross-product operand.
+
+    Each entry is ``(conjunct, input index, subqueries)``.  A conjunct binds
+    inside input *i* when every column it names (outside its subqueries)
+    resolves — against the joined labels, first match included — to a
+    column of input *i*, and to the same column there.  The run stops at the
+    first conjunct that does not; the caller further stops it at the first
+    conjunct with a correlated subquery.
+    """
+    labels = [label for relation in inputs for label in relation.labels]
+    joined = Relation(labels=labels)
+    bounds = []
+    offset = 0
+    for relation in inputs:
+        bounds.append(offset)
+        offset += len(relation.labels)
+    plan: list[tuple[Expression, int, list[Select]]] = []
+    for conjunct in _split_conjuncts(where):
+        references: list[ColumnRef] = []
+        subqueries: list[Select] = []
+        for node in iter_expressions(conjunct):
+            if isinstance(node, ColumnRef):
+                references.append(node)
+            elif isinstance(node, (InSubquery, Exists)):
+                subqueries.append(node.subquery)
+            elif isinstance(node, ScalarSubquery):
+                subqueries.append(node.query)
+        try:
+            positions = [joined.column_index(ref.name, ref.table) for ref in references]
+        except ExecutionError:
+            break
+        target = None
+        for index, relation in enumerate(inputs):
+            low = bounds[index]
+            if targets[index] and all(
+                low <= position < low + len(relation.labels)
+                and relation.column_index(ref.name, ref.table) == position - low
+                for ref, position in zip(references, positions)
+            ):
+                target = index
+                break
+        if target is None:
+            break
+        plan.append((conjunct, target, subqueries))
+    return plan
 
 
 def _split_conjuncts(expression: Expression) -> list[Expression]:

@@ -47,24 +47,21 @@ class Relation:
         return [label.name for label in self.labels]
 
     def column_index(self, name: str, relation: str | None = None) -> int:
-        """Resolve a column reference to its position.
+        """Resolve a column reference to the position of its first match.
+
+        An unqualified name that several columns share (a self-join, or two
+        tables with a same-named column) binds to the first of them, as the
+        engine has always done although SQL rejects it; the compiled
+        executor's WHERE pushdown relies on binding exactly this way.
 
         Raises:
-            ExecutionError: when the reference is unknown or ambiguous.
+            ExecutionError: when the reference matches no column.
         """
-        matches = [
-            index for index, label in enumerate(self.labels) if label.matches(name, relation)
-        ]
-        if not matches:
-            qualified = f"{relation}.{name}" if relation else name
-            raise ExecutionError(f"unknown column reference {qualified!r}")
-        if len(matches) > 1 and relation is None:
-            # Ambiguity between same-named columns of different relations: SQL
-            # would reject this; we resolve to the first occurrence, matching
-            # the forgiving behaviour needed for enterprise-style schemas with
-            # duplicated column names, unless the duplicates disagree in origin.
-            return matches[0]
-        return matches[0]
+        for index, label in enumerate(self.labels):
+            if label.matches(name, relation):
+                return index
+        qualified = f"{relation}.{name}" if relation else name
+        raise ExecutionError(f"unknown column reference {qualified!r}")
 
     def renamed(self, alias: str) -> "Relation":
         """Return a copy whose columns are re-labelled under ``alias``."""

@@ -25,6 +25,8 @@ from repro.llm.sql2nl import describe_query
 from repro.schema.model import DatabaseSchema
 from repro.schema.profiler import profile_database
 from repro.sql.analyzer import analyze_query
+from repro.sql.ast_nodes import Select
+from repro.sql.parser import parse_select
 from repro.workloads.base import Workload
 
 
@@ -79,16 +81,17 @@ class SimulatedText2SQLModel:
         ambiguity = 1.0 - data_profile.uniqueness
         return cls(profile, workload.schema, schema_ambiguity=ambiguity)
 
-    def comprehension_for(self, gold_sql: str) -> float:
+    def comprehension_for(self, gold_sql: str, select: Select | None = None) -> float:
         """Effective question-comprehension fidelity for one query.
 
         Simple queries (complexity load at or below the public-benchmark
         baseline) incur no penalty; the penalty grows with the excess load so
         enterprise-scale queries (deep joins, nesting, many aggregations)
         erode comprehension sharply — the mechanism behind the Figure 1 gap.
+        ``select`` is ``gold_sql`` already parsed, which saves the parse.
         """
         try:
-            complexity = analyze_query(gold_sql).complexity
+            complexity = analyze_query(gold_sql, select).complexity
         except Exception:
             return max(0.05, self.profile.comprehension - 0.3)
         load = (
@@ -113,9 +116,17 @@ class SimulatedText2SQLModel:
         fidelity 1.0 the intermediate description equals the complete gold
         description, so a perfect model reconstructs an equivalent query.
         """
-        fidelity = self.comprehension_for(gold_sql)
+        try:
+            select = parse_select(gold_sql)
+        except Exception:
+            # Unparseable gold: comprehension falls back, and describing it
+            # raises the parse error.
+            select = None
+        fidelity = self.comprehension_for(gold_sql, select)
         understood = describe_query(
-            gold_sql, fidelity=fidelity, seed=(self.name, question)
+            gold_sql if select is None else select,
+            fidelity=fidelity,
+            seed=(self.name, question),
         )
         result = self._generator.generate(understood)
         return result.sql

@@ -96,6 +96,9 @@ class NLToSQLGenerator:
         self._schema = schema
         self.skill = max(0.0, min(1.0, skill))
         self._literal_case_map: dict[str, str] = {}
+        # Identifier token sets of the schema's tables and columns; see
+        # _identifier_tokens.
+        self._tokens: tuple | None = None
 
     # ------------------------------------------------------------------
     # public API
@@ -200,12 +203,36 @@ class NLToSQLGenerator:
                     tables.append(self._schema.table(name))
         return tables
 
+    def _identifier_tokens(self) -> tuple[list, dict[int, tuple]]:
+        """Token sets of the schema's table names, and a memo for columns.
+
+        Returns ``(tables, columns)``: ``tables`` pairs each table with its
+        name's tokens in schema order; ``columns`` maps a table's ``id`` to
+        the table and its column tokens, filled by :meth:`_column_tokens`.
+        Both are rebuilt when the schema's table list is another list or has
+        another length, as the schema's own name index is.
+        """
+        tables = self._schema.tables
+        cached = self._tokens
+        if cached is None or cached[0] is not tables or cached[1] != len(tables):
+            table_tokens = [(table, set(split_identifier(table.name))) for table in tables]
+            cached = self._tokens = (tables, len(tables), table_tokens, {})
+        return cached[2], cached[3]
+
+    def _column_tokens(self, table: TableSchema) -> list[tuple[ColumnSchema, set[str]]]:
+        """Each column of ``table`` with its name's identifier tokens."""
+        memo = self._identifier_tokens()[1]
+        entry = memo.get(id(table))
+        if entry is None or entry[0] is not table:
+            tokens = [(column, set(split_identifier(column.name))) for column in table.columns]
+            entry = memo[id(table)] = (table, tokens)
+        return entry[1]
+
     def _match_table(self, phrase: str) -> TableSchema | None:
         phrase_tokens = set(phrase.split())
         best: TableSchema | None = None
         best_score = 0.0
-        for table in self._schema.tables:
-            table_tokens = set(split_identifier(table.name))
+        for table, table_tokens in self._identifier_tokens()[0]:
             if not table_tokens:
                 continue
             overlap = len(phrase_tokens & table_tokens)
@@ -224,30 +251,27 @@ class NLToSQLGenerator:
         if not phrase_tokens:
             return None
 
-        def score_columns(candidates: list[tuple[TableSchema, ColumnSchema]]):
+        def score_columns(candidate_tables) -> tuple[ColumnSchema | None, float]:
             best_local: ColumnSchema | None = None
             best_score = 0.0
-            for _, column in candidates:
-                column_tokens = set(split_identifier(column.name))
-                if not column_tokens:
-                    continue
-                overlap = len(phrase_tokens & column_tokens)
-                if overlap == 0:
-                    continue
-                score = overlap / len(column_tokens | phrase_tokens)
-                if score > best_score:
-                    best_score = score
-                    best_local = column
+            for table in candidate_tables:
+                for column, tokens in self._column_tokens(table):
+                    if not tokens:
+                        continue
+                    overlap = len(phrase_tokens & tokens)
+                    if overlap == 0:
+                        continue
+                    score = overlap / len(tokens | phrase_tokens)
+                    if score > best_score:
+                        best_score = score
+                        best_local = column
             return best_local, best_score
 
         # High skill: prefer columns from the already-identified tables
         # (disambiguates duplicated enterprise column names).
-        in_scope = [(table, column) for table in tables for column in table.columns]
-        everywhere = [
-            (table, column) for table in self._schema.tables for column in table.columns
-        ]
+        everywhere = self._schema.tables
         if self.skill >= 0.5:
-            column, score = score_columns(in_scope)
+            column, score = score_columns(tables)
             if column is not None and score > 0:
                 return column
             column, _ = score_columns(everywhere)
@@ -474,6 +498,7 @@ class NLToSQLGenerator:
         try:
             nested = NLToSQLGenerator(self._schema, skill=self.skill)
             nested._subquery_depth = self._subquery_depth
+            nested._tokens = self._tokens
             result = nested.generate(description)
         finally:
             self._subquery_depth -= 1

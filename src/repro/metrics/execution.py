@@ -163,6 +163,13 @@ class GoldResultCache:
         self._entries[sql] = execution
 
 
+def _unexpected_error(exc: Exception) -> str:
+    """Message for a non-library exception, named even when its text is empty."""
+    text = str(exc)
+    name = type(exc).__name__
+    return f"unexpected error: {name}: {text}" if text else f"unexpected error: {name}"
+
+
 def execute_safely(database: Database, sql: str | None) -> tuple[QueryResult | None, str]:
     """Execute SQL, returning ``(result, error_message)`` instead of raising."""
     if sql is None or not str(sql).strip():
@@ -172,8 +179,8 @@ def execute_safely(database: Database, sql: str | None) -> tuple[QueryResult | N
         return database.execute_statement(statement), ""
     except ReproError as exc:
         return None, str(exc)
-    except Exception as exc:  # pragma: no cover - defensive
-        return None, f"unexpected error: {exc}"
+    except Exception as exc:  # defensive until evaluation has a budget
+        return None, _unexpected_error(exc)
 
 
 def _execute_gold(
@@ -196,8 +203,8 @@ def _execute_gold(
             statement = database.parse_cached(gold_sql)
         except ReproError as exc:
             execution = GoldExecution(result=None, error=str(exc), ordered=False)
-        except Exception as exc:  # pragma: no cover - defensive
-            execution = GoldExecution(result=None, error=f"unexpected error: {exc}", ordered=False)
+        except Exception as exc:  # defensive until evaluation has a budget
+            execution = GoldExecution(result=None, error=_unexpected_error(exc), ordered=False)
         else:
             ordered = isinstance(statement, Select) and bool(statement.order_by)
             try:
@@ -205,9 +212,9 @@ def _execute_gold(
                 execution = GoldExecution(result=result, error="", ordered=ordered)
             except ReproError as exc:
                 execution = GoldExecution(result=None, error=str(exc), ordered=ordered)
-            except Exception as exc:  # pragma: no cover - defensive
+            except Exception as exc:  # defensive until evaluation has a budget
                 execution = GoldExecution(
-                    result=None, error=f"unexpected error: {exc}", ordered=ordered
+                    result=None, error=_unexpected_error(exc), ordered=ordered
                 )
 
     if gold_cache is not None:

@@ -121,6 +121,19 @@ class TestNl2Sql:
         predicted = NLToSQLGenerator(hr_schema).generate(nl).sql
         assert "'Alice'" in predicted
 
+    def test_generator_sees_tables_added_after_its_first_use(self, hr_schema):
+        from repro.schema import ColumnSchema, TableSchema
+
+        generator = NLToSQLGenerator(hr_schema)
+        first = generator.generate("Find the name of the employees table.")
+        assert first.sql == "SELECT name FROM employees"
+        hr_schema.add_table(
+            TableSchema("projects", [ColumnSchema("project_name"), ColumnSchema("budget")])
+        )
+        second = generator.generate("Find the project name of the projects table.")
+        assert second.matched_tables == ["projects"]
+        assert second.sql == "SELECT project_name FROM projects"
+
     def test_no_table_mention_yields_no_sql(self):
         from repro.schema import DatabaseSchema
 

@@ -85,6 +85,34 @@ class TestExecutionMetrics:
         result, error = execute_safely(hr_database, "SELECT * FROM missing_table")
         assert result is None and error
 
+    def test_unexpected_errors_name_their_type(self, hr_database):
+        class RaisingDatabase:
+            """Parses through the real database; every execution, or every
+            parse of ``SELECT 2``, raises a non-library exception."""
+
+            def parse_cached(self, sql):
+                if sql == "SELECT 2":
+                    raise RecursionError("maximum recursion depth exceeded")
+                return hr_database.parse_cached(sql)
+
+            def execute_statement(self, statement):
+                raise MemoryError()
+
+        stub = RaisingDatabase()
+        assert execute_safely(stub, "SELECT 1") == (None, "unexpected error: MemoryError")
+        assert execute_safely(stub, "SELECT 2") == (
+            None,
+            "unexpected error: RecursionError: maximum recursion depth exceeded",
+        )
+        comparison = compare_execution(stub, "SELECT 1", "SELECT 1")
+        assert not comparison.gold_executed
+        assert comparison.error == "gold query failed: unexpected error: MemoryError"
+        comparison = compare_execution(stub, "SELECT 2", "SELECT 1")
+        assert comparison.error == (
+            "gold query failed: unexpected error: RecursionError: "
+            "maximum recursion depth exceeded"
+        )
+
     def test_float_tolerance(self, hr_database):
         gold = "SELECT AVG(salary) FROM employees"
         predicted = "SELECT SUM(salary) / COUNT(salary) FROM employees"

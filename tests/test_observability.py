@@ -640,6 +640,36 @@ class TestExplainAnalyze:
         # Running ANALYZE leaves the database unchanged: same rows afterwards.
         assert shop.execute(GROUPED_SQL).rows == baseline.rows
 
+    @pytest.mark.parametrize("mode", MODES)
+    def test_analyze_reports_what_a_cross_join_runs(self, shop, mode):
+        sql = (
+            "SELECT c.name, o.id FROM customers c CROSS JOIN orders o "
+            "WHERE c.tier = 'gold' AND o.status = 'closed' AND o.customer_id = c.id "
+            "ORDER BY o.id"
+        )
+        shop.executor_mode = mode
+        baseline = shop.execute(sql)
+        analyze = shop.explain(sql, analyze=True)["analyze"]
+        assert analyze["rows_returned"] == len(baseline.rows) == 4
+        operators = {operator["op"]: operator for operator in analyze["operators"]}
+        if mode == "interpreted":
+            # The product is built, then filtered.
+            assert operators["scan"]["rows_out"] == 12 * 40
+            assert operators["filter"]["rows_out"] == 4
+        elif mode == "compiled":
+            # The product streams into WHERE after the two single-table
+            # conjuncts filtered its inputs.
+            assert "scan" not in operators and "filter" not in operators
+            stream = operators["stream"]
+            assert stream["inputs"] == [12, 40]
+            assert stream["kept"] == [3, 14]
+            assert stream["pushed"] == 2
+            assert stream["rows_in"] == 52
+            assert stream["rows_out"] == 4
+        else:
+            assert operators["planned_source"]["rows_out"] == 4
+        assert shop.execute(sql).rows == baseline.rows
+
     def test_analyze_rows_agree_across_modes(self, shop):
         reference = None
         for mode in MODES:
