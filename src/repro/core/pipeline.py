@@ -42,6 +42,7 @@ from repro.obs import NULL_TELEMETRY, Telemetry
 from repro.retrieval.retriever import ContextRetriever, RetrievedContext
 from repro.schema.model import DatabaseSchema
 from repro.sql.analyzer import is_nested
+from repro.sql.ast_nodes import Select
 from repro.sql.decompose import DecompositionResult, decompose
 from repro.sql.parser import parse_select
 from repro.sql.recompose import recompose
@@ -95,8 +96,8 @@ class _WaveItem:
     unit_names: list[str | None]  # None = whole-query (flat) unit
     unit_sqls: list[str]
     commit_tag: object = None  # opaque caller tag journaled with the commit
-    select: object | None = None  # phase-1 parse of ``sql``
-    unit_asts: list[object | None] = field(default_factory=list)
+    select: Select | None = None  # phase-1 parse of ``sql``
+    unit_asts: list[Select] = field(default_factory=list)  # one tree per unit
     contexts: list[RetrievedContext | None] = field(default_factory=list)
     prompts: list[Prompt] = field(default_factory=list)
     candidate_lists: list[list[str]] = field(default_factory=list)
@@ -241,12 +242,11 @@ class AnnotationPipeline:
         if decomposition is not None and decomposition.was_nested:
             unit_names: list[str | None] = [unit.name for unit in decomposition.units]
             unit_sqls = [unit.sql for unit in decomposition.units]
-            # One parse per unit, shared by linking, the LLM and its
-            # complexity analysis.  Parse the text, not ``unit.query``: the
-            # rewritten tree need not equal the parse its consumers used to do.
-            unit_asts: list[object | None] = [
-                _parse_or_none(unit_sql) for unit_sql in unit_sqls
-            ]
+            # The decomposer's trees, shared read-only by linking, retrieval,
+            # prompts and the LLM: each parses back from its unit's text to
+            # an identical tree (tests/test_sql_roundtrip.py), so nothing
+            # parses the unit texts again.
+            unit_asts = [unit.query for unit in decomposition.units]
         else:
             decomposition = None
             unit_names = [None]
@@ -705,14 +705,6 @@ class AnnotationPipeline:
     def example_count(self) -> int:
         """Number of examples currently available for retrieval."""
         return len(self.retriever.example_store)
-
-
-def _parse_or_none(sql: str) -> object | None:
-    """Parse a unit's text, or ``None`` so consumers keep their own fallback."""
-    try:
-        return parse_select(sql)
-    except Exception:
-        return None
 
 
 class WaveRun:

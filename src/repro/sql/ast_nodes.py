@@ -43,13 +43,6 @@ class ColumnRef(Expression):
     name: str
     table: str | None = None
 
-    @property
-    def qualified_name(self) -> str:
-        """Return ``table.name`` when qualified, otherwise just ``name``."""
-        if self.table:
-            return f"{self.table}.{self.name}"
-        return self.name
-
 
 @dataclass
 class Star(Expression):

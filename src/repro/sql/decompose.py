@@ -105,10 +105,9 @@ class _Decomposer:
         outer_unit = self._record_unit("main_query", working, role="outer")
         outer_unit.depends_on = [unit.name for unit in self._units if unit is not outer_unit]
 
-        decomposed_sql = print_select(working)
         return DecompositionResult(
             original_sql=original_sql,
-            decomposed_sql=decomposed_sql,
+            decomposed_sql=outer_unit.sql,
             units=self._units,
             was_nested=nested,
         )

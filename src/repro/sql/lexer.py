@@ -53,6 +53,9 @@ _TOKEN_RE = re.compile(
     re.VERBOSE | re.DOTALL,
 )
 
+#: The master regex's ``word`` class on its own, for :func:`is_bare_identifier`.
+_WORD_RE = re.compile(r"[^\W\d\xbd][\w$]*")
+
 _SIMPLE_KINDS = {
     "operator": TokenKind.OPERATOR,
     "punctuation": TokenKind.PUNCTUATION,
@@ -141,6 +144,16 @@ class Lexer:
             else:
                 raise LexError(f"unexpected character {value!r}", start, line)
         return tokens
+
+
+def is_bare_identifier(name: str) -> bool:
+    """Whether ``name`` lexes back as exactly one IDENTIFIER token equal to it.
+
+    Names for which this is false (keywords, spaces, leading digits, ...)
+    must be quoted to read back as themselves.
+    """
+    scanned = name if name.isascii() else name.translate(_STAND_INS)
+    return _WORD_RE.fullmatch(scanned) is not None and name.upper() not in KEYWORDS
 
 
 @lru_cache(maxsize=LEX_CACHE_SIZE)

@@ -608,16 +608,26 @@ class Parser:
         self._expect_punctuation("(")
         operand = self.parse_expression()
         self._expect_keyword("AS")
+        type_name = self._parse_type_name()
+        self._expect_punctuation(")")
+        return Cast(operand=operand, target_type=type_name)
+
+    def _parse_type_name(self) -> str:
+        """A type name with its optional parameters, e.g. ``DECIMAL(10,2)``.
+
+        Parameters are joined by single commas whatever separated them, so
+        the printed name parses back to itself.
+        """
         type_name = self._expect_identifier()
-        # Optional type parameters like VARCHAR(255) or DECIMAL(10, 2).
         if self._match_punctuation("("):
             parts: list[str] = []
             while not self._peek().is_punctuation(")"):
-                parts.append(self._advance().value)
+                token = self._advance()
+                if not token.is_punctuation(","):
+                    parts.append(token.value)
             self._expect_punctuation(")")
             type_name = f"{type_name}({','.join(parts)})"
-        self._expect_punctuation(")")
-        return Cast(operand=operand, target_type=type_name)
+        return type_name
 
     def _parse_case(self) -> Expression:
         self._expect_keyword("CASE")
@@ -743,14 +753,7 @@ class Parser:
 
     def _parse_column_def(self) -> ColumnDef:
         name = self._expect_identifier()
-        type_name = self._expect_identifier()
-        if self._match_punctuation("("):
-            parts: list[str] = []
-            while not self._peek().is_punctuation(")"):
-                parts.append(self._advance().value)
-            self._expect_punctuation(")")
-            type_name = f"{type_name}({','.join(parts)})"
-        column = ColumnDef(name=name, type_name=type_name)
+        column = ColumnDef(name=name, type_name=self._parse_type_name())
         while True:
             token = self._peek()
             if token.is_keyword("NOT"):

@@ -3,8 +3,10 @@
 The printer produces deterministic, normalised SQL, which the rest of the
 library relies on for:
 
-* round-tripping queries through the parser (property tests assert
-  ``parse(print(parse(q)))`` is a fixed point),
+* round-tripping trees through the parser: the printed text of a SELECT
+  parses back to an identical tree (same ``repr``), which lets the
+  annotation drain hand the decomposer's unit trees downstream instead of
+  parsing their text again,
 * presenting decomposed CTEs to annotators,
 * exact-match comparison of normalised SQL strings.
 """
@@ -44,6 +46,7 @@ from repro.sql.ast_nodes import (
     UnaryOp,
     UnaryOperator,
 )
+from repro.sql.lexer import is_bare_identifier
 
 
 def print_statement(statement: Statement) -> str:
@@ -63,8 +66,8 @@ def print_select(select: Select) -> str:
     if select.ctes:
         cte_parts = []
         for cte in select.ctes:
-            columns = f" ({', '.join(cte.column_names)})" if cte.column_names else ""
-            cte_parts.append(f"{cte.name}{columns} AS ({print_select(cte.query)})")
+            columns = f" ({_names(cte.column_names)})" if cte.column_names else ""
+            cte_parts.append(f"{_name(cte.name)}{columns} AS ({print_select(cte.query)})")
         parts.append("WITH " + ", ".join(cte_parts))
     parts.append(_print_select_body(select))
     return " ".join(parts)
@@ -105,7 +108,7 @@ def _print_select_body(select: Select) -> str:
 def _print_select_item(item: SelectItem) -> str:
     text = print_expression(item.expression)
     if item.alias:
-        return f"{text} AS {item.alias}"
+        return f"{text} AS {_name(item.alias)}"
     return text
 
 
@@ -123,10 +126,10 @@ def print_relation(relation: Relation) -> str:
     """Render a FROM-clause relation."""
     if isinstance(relation, TableRef):
         if relation.alias:
-            return f"{relation.name} AS {relation.alias}"
-        return relation.name
+            return f"{_name(relation.name)} AS {_name(relation.alias)}"
+        return _name(relation.name)
     if isinstance(relation, SubqueryRef):
-        return f"({print_select(relation.query)}) AS {relation.alias}"
+        return f"({print_select(relation.query)}) AS {_name(relation.alias)}"
     if isinstance(relation, Join):
         left = print_relation(relation.left)
         right = print_relation(relation.right)
@@ -143,7 +146,7 @@ def print_relation(relation: Relation) -> str:
         if relation.condition is not None:
             text += f" ON {print_expression(relation.condition)}"
         elif relation.using_columns:
-            text += f" USING ({', '.join(relation.using_columns)})"
+            text += f" USING ({_names(relation.using_columns)})"
         return text
     raise TypeError(f"unsupported relation type: {type(relation).__name__}")
 
@@ -156,9 +159,11 @@ def print_expression(expression: Expression) -> str:
     if isinstance(expression, Literal):
         return _print_literal(expression.value)
     if isinstance(expression, ColumnRef):
-        return expression.qualified_name
+        if expression.table:
+            return f"{_name(expression.table)}.{_name(expression.name)}"
+        return _name(expression.name)
     if isinstance(expression, Star):
-        return f"{expression.table}.*" if expression.table else "*"
+        return f"{_name(expression.table)}.*" if expression.table else "*"
     if isinstance(expression, Parameter):
         return expression.name
     if isinstance(expression, BinaryOp):
@@ -220,6 +225,28 @@ def _print_operand(expression: Expression) -> str:
     if isinstance(expression, _NEEDS_PARENS):
         return f"({text})"
     return text
+
+
+def _name(name: str) -> str:
+    """An identifier as text the lexer reads back as that same name.
+
+    Bare when it already lexes as itself, else double-quoted; a name holding
+    a double quote is backtick-quoted instead, since the lexer has no escape
+    inside quoted identifiers.  Only a name holding both quote characters
+    cannot read back: it is printed double-quoted with the ``"`` doubled, the
+    standard SQL spelling.
+    """
+    if is_bare_identifier(name):
+        return name
+    if '"' not in name:
+        return f'"{name}"'
+    if "`" not in name:
+        return f"`{name}`"
+    return '"' + name.replace('"', '""') + '"'
+
+
+def _names(names: list[str]) -> str:
+    return ", ".join(_name(name) for name in names)
 
 
 def _print_literal(value: object) -> str:
