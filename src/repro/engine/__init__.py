@@ -4,8 +4,6 @@ from repro.engine.compiler import compile_group_expression, compile_row_expressi
 from repro.engine.database import Database
 from repro.engine.executor import EXECUTOR_MODES, Executor, QueryResult, RowContext
 from repro.engine.functions import call_aggregate, call_scalar, is_scalar_function
-from repro.engine.planner import DEFAULT_PLAN_STALENESS, QueryPlanner, SourcePlan
-from repro.engine.stats import ColumnStats, StatsCatalog, TableStats, profile_table
 from repro.engine.storage import ColumnLabel, Relation, StoredColumn, StoredTable
 from repro.engine.types import (
     DataType,
@@ -17,22 +15,16 @@ from repro.engine.types import (
 )
 
 __all__ = [
-    "ColumnStats",
-    "DEFAULT_PLAN_STALENESS",
     "Database",
     "DataType",
     "EXECUTOR_MODES",
     "Executor",
-    "QueryPlanner",
     "QueryResult",
     "Relation",
     "RowContext",
     "SQLValue",
-    "SourcePlan",
-    "StatsCatalog",
     "StoredColumn",
     "StoredTable",
-    "TableStats",
     "ColumnLabel",
     "call_aggregate",
     "call_scalar",
@@ -42,6 +34,5 @@ __all__ = [
     "compile_row_expression",
     "is_numeric",
     "is_scalar_function",
-    "profile_table",
     "values_equal",
 ]

@@ -5,6 +5,11 @@ generators populate databases, the execution-accuracy metric runs gold and
 predicted SQL against them, and the backtranslation rubric re-executes
 regenerated SQL.
 
+SELECTs run in one of two executor modes (:attr:`Database.executor_mode`):
+``"compiled"`` (the default and the one fast path) and ``"interpreted"`` (the
+per-row reference evaluator the parity suites compare against).  Both return
+bit-identical results; see :mod:`repro.engine.executor`.
+
 Hot-path machinery (all transparent to callers):
 
 * an LRU **statement cache** mapping SQL text to its parsed AST — parsing is
@@ -27,9 +32,7 @@ from collections import OrderedDict, deque
 from repro.errors import CatalogError, ExecutionError
 from repro.obs import NULL_TELEMETRY, Telemetry
 from repro.engine.executor import EXECUTOR_MODES, Executor, QueryResult
-from repro.engine.planner import DEFAULT_PLAN_STALENESS
 from repro.engine.runtime import is_true
-from repro.engine.stats import StatsCatalog
 from repro.engine.storage import StoredColumn, StoredTable
 from repro.engine.types import DataType, SQLValue
 from repro.sql.ast_nodes import (
@@ -72,7 +75,6 @@ class Database:
         name: str = "main",
         executor_mode: str = "compiled",
         statement_cache_size: int = DEFAULT_STATEMENT_CACHE_SIZE,
-        plan_staleness_threshold: int = DEFAULT_PLAN_STALENESS,
     ) -> None:
         self.name = name
         self._tables: dict[str, StoredTable] = {}
@@ -84,10 +86,6 @@ class Database:
         self._statement_cache_size = statement_cache_size
         self.statement_cache_hits = 0
         self.statement_cache_misses = 0
-        #: Data-version drift after which cached source plans re-derive costs.
-        self.plan_staleness_threshold = plan_staleness_threshold
-        #: Incrementally-maintained per-table statistics for the planner.
-        self.stats = StatsCatalog(self)
         self._executor = Executor(self, mode=executor_mode)
         #: Slow-query log; disabled (None threshold) keeps execute un-timed.
         self._slow_query_threshold: float | None = None
@@ -99,7 +97,7 @@ class Database:
 
     @property
     def executor_mode(self) -> str:
-        """Evaluation mode: ``"compiled"``, ``"interpreted"`` or ``"planned"``."""
+        """Evaluation mode: ``"compiled"`` (default) or ``"interpreted"``."""
         return self._executor.mode
 
     @executor_mode.setter
@@ -278,25 +276,24 @@ class Database:
         return self.execute(sql).rows
 
     def explain(self, sql: str, analyze: bool = False) -> dict:
-        """Describe how the source planner would execute a statement.
+        """Describe a statement without changing the database.
 
-        For a plannable SELECT the dict carries the chosen join order, the
-        predicates pushed to each scan, and estimated cardinalities; for
-        everything else it carries ``planned: False`` plus the reason.  Works
-        in every executor mode — the plan is only *used* in ``"planned"``.
+        For a SELECT the dict names the statement, the executor mode and (for
+        a set operation) the operator; for anything else it carries the
+        statement type plus the reason it is not described further.  Parsing
+        only: a described INSERT does not run.
 
         With ``analyze=True`` (EXPLAIN ANALYZE) the SELECT is additionally
         *executed* under per-operator instrumentation, and the dict gains an
         ``"analyze"`` key: executed operators with wall time and rows in/out,
         total wall time, and the query's cache-counter deltas.  The analyzed
         execution observes but never perturbs evaluation, so the rows it
-        produces are bit-identical to a plain ``execute`` in every mode.
+        produces are bit-identical to a plain ``execute`` in either mode.
         """
         statement = self.parse_cached(sql)
         if not isinstance(statement, Select):
             return {
                 "statement": type(statement).__name__,
-                "planned": False,
                 "reason": "not a SELECT statement",
             }
         info = self._executor.explain_select(statement)

@@ -12,22 +12,19 @@ by the workload generators and needed by the evaluation harnesses:
 * correlated and uncorrelated subqueries (scalar, IN, EXISTS),
 * common table expressions, set operations, DISTINCT, ORDER BY, LIMIT/OFFSET.
 
-The executor has three expression-evaluation paths, selected by ``mode``:
+The executor has two evaluation paths, selected by ``mode``:
 
-* ``"compiled"`` (default): each WHERE predicate, join condition, projection
-  item, grouping key, ORDER BY key and HAVING clause is compiled once into a
-  Python closure with column indices pre-resolved
+* ``"compiled"`` (default, the fast path): each WHERE predicate, join
+  condition, projection item, grouping key, ORDER BY key and HAVING clause is
+  compiled once into a Python closure with column indices pre-resolved
   (:mod:`repro.engine.compiler`); AND-of-equality join conditions run as
-  multi-key hash joins; compiled plans are cached per AST node and relation
+  multi-key hash joins; a top-level FROM chain with a cross product streams
+  into WHERE, with a leading run of single-input conjuncts pushed onto the
+  product's operands; compiled plans are cached per AST node and relation
   shape, invalidated by the database's catalog version.
-* ``"planned"``: everything ``"compiled"`` does, plus a cost-based source
-  planner (:mod:`repro.engine.planner`) that reorders INNER-join chains and
-  pushes single-table WHERE conjuncts below the joins as scan pre-filters.
-  Queries the planner cannot prove equivalent fall back to the compiled
-  path, so planned results stay bit-identical to the other two modes.
 * ``"interpreted"``: the original per-row tree-walking evaluator, kept
-  verbatim as the semantic reference.  The parity suite runs every query
-  through all modes and asserts bit-identical results.
+  verbatim as the semantic reference.  The parity suites run every query
+  through both modes and assert bit-identical results.
 
 Expressions the compiler cannot handle (correlated subqueries, outer column
 references, unknown functions) transparently fall back to the interpreter
@@ -43,7 +40,7 @@ from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
-from repro.errors import EngineError, ExecutionError
+from repro.errors import ExecutionError
 from repro.engine.compiler import (
     AGGREGATE_NAMES as _AGGREGATE_NAMES,
     CompileCounters,
@@ -101,7 +98,7 @@ from repro.sql.ast_nodes import (
 _ORDER_KEY_MISS = object()
 
 #: Executor modes understood by :class:`Executor` and :class:`Database`.
-EXECUTOR_MODES = ("compiled", "interpreted", "planned")
+EXECUTOR_MODES = ("compiled", "interpreted")
 
 #: Compiled-plan cache bound; the cache is cleared wholesale beyond this.
 _PLAN_CACHE_LIMIT = 4096
@@ -246,31 +243,12 @@ class Executor:
         self.compile_counters = CompileCounters()
         # Active EXPLAIN ANALYZE collector; None outside analyze_select.
         self._analyze: _AnalyzeCollector | None = None
-        # Source planner (join reordering + predicate pushdown); created
-        # lazily so the import stays off the interpreted/compiled hot path.
-        self._planner = None
-
-    @property
-    def planner(self):
-        """The database's :class:`~repro.engine.planner.QueryPlanner`."""
-        if self._planner is None:
-            from repro.engine.planner import QueryPlanner
-
-            self._planner = QueryPlanner(
-                self._database,
-                staleness_threshold=getattr(
-                    self._database, "plan_staleness_threshold", 64
-                ),
-            )
-        return self._planner
 
     def clear_cache(self) -> None:
-        """Drop cached subquery results, compiled plans and source plans."""
+        """Drop cached subquery results and compiled plans."""
         self._subquery_cache.clear()
         self._subquery_kind.clear()
         self._plan_cache.clear()
-        if self._planner is not None:
-            self._planner.clear()
 
     def _uncorrelated_subquery(self, subquery: Select) -> _CachedSubquery | None:
         """The cached result of an uncorrelated subquery, or ``None``.
@@ -474,16 +452,10 @@ class Executor:
         return cte_scope
 
     def explain_select(self, select: Select) -> dict:
-        """Describe how the planner would execute a SELECT's source.
-
-        Works in every executor mode (the plan is only *used* in
-        ``"planned"`` mode); set operations report the left input's plan.
-        """
+        """Describe a SELECT without executing it: statement, mode, set operator."""
         info: dict = {"statement": "Select", "executor_mode": self.mode}
-        target = select
         if select.set_operator is not None and select.set_right is not None:
             info["set_operation"] = select.set_operator.value
-        info.update(self.planner.explain(target, self._cte_scope(select, None)))
         return info
 
     # ------------------------------------------------------------------
@@ -495,10 +467,10 @@ class Executor:
 
         Returns the executed operator list (wall time, rows in/out, nesting
         depth), total wall time, rows/columns returned, and the per-query
-        deltas of the compiled-plan, expression-compile and source-planner
-        counters.  The execution is observed, never perturbed: the collector
-        only reads stage boundaries, so the produced rows are bit-identical
-        to a plain ``execute_select`` in every executor mode.
+        deltas of the compiled-plan and expression-compile counters.  The
+        execution is observed, never perturbed: the collector only reads
+        stage boundaries, so the produced rows are bit-identical to a plain
+        ``execute_select`` in either executor mode.
         """
         if self._analyze is not None:
             raise ExecutionError("EXPLAIN ANALYZE cannot be nested")
@@ -507,9 +479,6 @@ class Executor:
         plan_misses = self.plan_cache_misses
         compiled_before = self.compile_counters.compiled
         fallbacks_before = self.compile_counters.fallbacks
-        planner = self._planner
-        plans_built_before = planner.plans_built if planner is not None else 0
-        planner_hits_before = planner.cache_hits if planner is not None else 0
         self._analyze = collector
         started = time.perf_counter()
         try:
@@ -517,9 +486,6 @@ class Executor:
         finally:
             self._analyze = None
         total = time.perf_counter() - started
-        planner = self._planner
-        plans_built = planner.plans_built if planner is not None else 0
-        planner_hits = planner.cache_hits if planner is not None else 0
         return {
             "executor_mode": self.mode,
             "operators": collector.operators,
@@ -535,10 +501,6 @@ class Executor:
                 "compiled": self.compile_counters.compiled - compiled_before,
                 "interpreter_fallbacks": self.compile_counters.fallbacks
                 - fallbacks_before,
-            },
-            "source_planner": {
-                "plans_built": plans_built - plans_built_before,
-                "cache_hits": planner_hits - planner_hits_before,
             },
         }
 
@@ -568,76 +530,57 @@ class Executor:
         collector: _AnalyzeCollector | None,
     ) -> QueryResult:
         stage_start = time.perf_counter() if collector is not None else 0.0
-        planned = (
-            self._execute_planned(select, cte_scope, outer) if self.mode == "planned" else None
+        streamed = (
+            self._stream_source(select, cte_scope)
+            if outer is None and self.mode != "interpreted"
+            else None
         )
-        if planned is not None:
-            source, filtered_rows = planned
+        if streamed is None:
+            source = self._execute_relation(select.from_relation, cte_scope, outer)
+            rows = source.rows
             if collector is not None:
                 collector.record(
-                    "planned_source",
+                    "scan",
+                    time.perf_counter() - stage_start,
+                    len(source.rows),
+                    len(source.rows),
+                    source=type(select.from_relation).__name__
+                    if select.from_relation is not None
+                    else "dual",
+                )
+                stage_start = time.perf_counter()
+        else:
+            source, rows, stream_detail = streamed
+
+        # WHERE
+        filtered_rows = []
+        if select.where is not None:
+            if self.mode != "interpreted":
+                predicate = self._row_evaluator(select.where, source, outer)
+                filtered_rows = [row for row in rows if _is_true(predicate(row))]
+            else:
+                for row in rows:
+                    context = RowContext(relation=source, row=row, parent=outer)
+                    if _is_true(self._evaluate(select.where, context)):
+                        filtered_rows.append(row)
+        else:
+            filtered_rows = list(rows)
+        if collector is not None:
+            if streamed is not None:
+                collector.record(
+                    "stream",
+                    time.perf_counter() - stage_start,
+                    sum(stream_detail["inputs"]),
+                    len(filtered_rows),
+                    **stream_detail,
+                )
+            elif select.where is not None:
+                collector.record(
+                    "filter",
                     time.perf_counter() - stage_start,
                     len(source.rows),
                     len(filtered_rows),
                 )
-        else:
-            if collector is not None:
-                if self.mode == "planned":
-                    collector.record(
-                        "plan_fallback", time.perf_counter() - stage_start, 0, 0
-                    )
-                stage_start = time.perf_counter()
-            streamed = (
-                self._stream_source(select, cte_scope)
-                if outer is None and self.mode != "interpreted"
-                else None
-            )
-            if streamed is None:
-                source = self._execute_relation(select.from_relation, cte_scope, outer)
-                rows = source.rows
-                if collector is not None:
-                    collector.record(
-                        "scan",
-                        time.perf_counter() - stage_start,
-                        len(source.rows),
-                        len(source.rows),
-                        source=type(select.from_relation).__name__
-                        if select.from_relation is not None
-                        else "dual",
-                    )
-                    stage_start = time.perf_counter()
-            else:
-                source, rows, stream_detail = streamed
-
-            # WHERE
-            filtered_rows = []
-            if select.where is not None:
-                if self.mode != "interpreted":
-                    predicate = self._row_evaluator(select.where, source, outer)
-                    filtered_rows = [row for row in rows if _is_true(predicate(row))]
-                else:
-                    for row in rows:
-                        context = RowContext(relation=source, row=row, parent=outer)
-                        if _is_true(self._evaluate(select.where, context)):
-                            filtered_rows.append(row)
-            else:
-                filtered_rows = list(rows)
-            if collector is not None:
-                if streamed is not None:
-                    collector.record(
-                        "stream",
-                        time.perf_counter() - stage_start,
-                        sum(stream_detail["inputs"]),
-                        len(filtered_rows),
-                        **stream_detail,
-                    )
-                elif select.where is not None:
-                    collector.record(
-                        "filter",
-                        time.perf_counter() - stage_start,
-                        len(source.rows),
-                        len(filtered_rows),
-                    )
 
         needs_aggregation = bool(select.group_by) or self._has_aggregate_items(select)
 
@@ -698,78 +641,43 @@ class Executor:
 
         return result
 
-    def _execute_planned(
-        self, select: Select, cte_scope: dict[str, Relation], outer: RowContext | None
-    ) -> tuple[Relation, list[tuple[SQLValue, ...]]] | None:
-        """Produce (source, filtered rows) through the source planner.
-
-        Returns None when the query is unplannable or the planned execution
-        hits an engine error (e.g. a pushed-down predicate raising on a row
-        the textual evaluation order would never have reached); the caller
-        then runs the standard compiled path, which defines the semantics.
-        """
-        plan = self.planner.plan_for(select, cte_scope)
-        if plan is None:
-            return None
-        try:
-            leaf_rows = []
-            for scan in plan.scans:
-                if scan.kind == "cte":
-                    relation = cte_scope.get(scan.source.lower())
-                    if relation is None or len(relation.labels) != len(scan.labels):
-                        return None
-                    leaf_rows.append(relation.rows)
-                else:
-                    leaf_rows.append(self._database.table(scan.source).rows)
-            rows = plan.execute(leaf_rows)
-        except EngineError:
-            return None
-        source = Relation(labels=list(plan.labels), rows=rows)
-        if plan.post_filter is not None:
-            predicate = self._row_evaluator(plan.post_filter, source, outer)
-            rows = [row for row in rows if _is_true(predicate(row))]
-        return source, rows
-
     def _execute_set_operation(
         self, select: Select, cte_scope: dict[str, Relation], outer: RowContext | None
     ) -> QueryResult:
-        left_core = Select(
-            select_items=select.select_items,
-            distinct=select.distinct,
-            from_relation=select.from_relation,
-            where=select.where,
-            group_by=select.group_by,
-            having=select.having,
-        )
-        left = self._execute_body(left_core, cte_scope, outer)
-        right = self._execute_body(select.set_right, cte_scope, outer)
-        if len(left.columns) != len(right.columns):
-            raise ExecutionError(
-                "set operation requires both sides to produce the same number of columns"
-            )
-
+        # The chain ``A op1 B op2 C`` folds left to right: ``(A op1 B) op2 C``.
+        result = self._execute_body(_set_operand(select), cte_scope, outer)
         collector = self._analyze
-        stage_start = time.perf_counter() if collector is not None else 0.0
-        if select.set_operator is SetOperator.UNION_ALL:
-            rows = left.rows + right.rows
-        elif select.set_operator is SetOperator.UNION:
-            rows = _distinct_rows(left.rows + right.rows)
-        elif select.set_operator is SetOperator.INTERSECT:
-            right_set = {_row_key(row) for row in right.rows}
-            rows = _distinct_rows([row for row in left.rows if _row_key(row) in right_set])
-        else:  # EXCEPT
-            right_set = {_row_key(row) for row in right.rows}
-            rows = _distinct_rows([row for row in left.rows if _row_key(row) not in right_set])
+        node = select
+        while node.set_operator is not None and node.set_right is not None:
+            left = result
+            right = self._execute_body(_set_operand(node.set_right), cte_scope, outer)
+            if len(left.columns) != len(right.columns):
+                raise ExecutionError(
+                    "set operation requires both sides to produce the same number of columns"
+                )
 
-        result = QueryResult(columns=left.columns, rows=rows)
-        if collector is not None:
-            collector.record(
-                "set_op",
-                time.perf_counter() - stage_start,
-                len(left.rows) + len(right.rows),
-                len(rows),
-                operator=select.set_operator.value,
-            )
+            stage_start = time.perf_counter() if collector is not None else 0.0
+            if node.set_operator is SetOperator.UNION_ALL:
+                rows = left.rows + right.rows
+            elif node.set_operator is SetOperator.UNION:
+                rows = _distinct_rows(left.rows + right.rows)
+            elif node.set_operator is SetOperator.INTERSECT:
+                right_set = {_row_key(row) for row in right.rows}
+                rows = _distinct_rows([row for row in left.rows if _row_key(row) in right_set])
+            else:  # EXCEPT
+                right_set = {_row_key(row) for row in right.rows}
+                rows = _distinct_rows([row for row in left.rows if _row_key(row) not in right_set])
+
+            result = QueryResult(columns=left.columns, rows=rows)
+            if collector is not None:
+                collector.record(
+                    "set_op",
+                    time.perf_counter() - stage_start,
+                    len(left.rows) + len(right.rows),
+                    len(rows),
+                    operator=node.set_operator.value,
+                )
+            node = node.set_right
 
         if select.order_by:
             if collector is not None:
@@ -2000,6 +1908,24 @@ def _push_plan(
             break
         plan.append((conjunct, target, subqueries))
     return plan
+
+
+def _set_operand(select: Select) -> Select:
+    """One operand of a set-operation chain: its own clauses, not the chain's.
+
+    The head's ORDER BY / LIMIT and each link's operator belong to the chain,
+    so an operand that carries a link runs as a copy of its core clauses.
+    """
+    if select.set_operator is None:
+        return select
+    return Select(
+        select_items=select.select_items,
+        distinct=select.distinct,
+        from_relation=select.from_relation,
+        where=select.where,
+        group_by=select.group_by,
+        having=select.having,
+    )
 
 
 def _split_conjuncts(expression: Expression) -> list[Expression]:

@@ -97,10 +97,6 @@ class StoredTable:
         #: this to its data-version bump so caches invalidate even when rows
         #: are inserted directly on the table (as the workload generator does).
         self.on_mutation = None
-        #: Bumped on every row mutation of *this* table.  The stats catalog
-        #: compares it against the version its per-table statistics were
-        #: computed at, so only mutated tables are ever re-profiled.
-        self.version = 0
 
     @property
     def column_names(self) -> list[str]:
@@ -175,7 +171,6 @@ class StoredTable:
         return removed
 
     def _mark_mutation(self) -> None:
-        self.version += 1
         if self.on_mutation is not None:
             self.on_mutation()
 

@@ -46,7 +46,10 @@ def lexical_normalize(sql: str) -> str:
             escaped = token.value.replace("'", "''")
             parts.append(f"'{escaped}'")
         elif token.kind is TokenKind.QUOTED_IDENTIFIER:
-            parts.append(token.value.lower())
+            # Kept quoted: ``"a b"`` must not collide with the two bare
+            # identifiers ``a b``.
+            escaped = token.value.lower().replace('"', '""')
+            parts.append(f'"{escaped}"')
         elif token.kind is TokenKind.IDENTIFIER:
             parts.append(token.value.lower())
         else:

@@ -186,7 +186,13 @@ class Parser:
         return CTE(name=name, query=query, column_names=column_names)
 
     def _parse_set_expression(self) -> Select:
-        left = self._parse_select_core()
+        # ``A op1 B op2 C`` is a chain linked through ``set_right``: the head
+        # holds A's clauses and op1, B holds op2, and so on.  The chain folds
+        # left to right, as SQLite does: ``(A op1 B) op2 C``.
+        head = self._parse_select_core()
+        tail = head
+        while tail.set_right is not None:  # a parenthesized compound head
+            tail = tail.set_right
         while self._peek().is_keyword("UNION", "INTERSECT", "EXCEPT"):
             keyword = self._advance().value
             if keyword == "UNION":
@@ -199,33 +205,35 @@ class Parser:
                 operator = SetOperator.INTERSECT
             else:
                 operator = SetOperator.EXCEPT
-            right = self._parse_select_core()
+            branch = self._parse_select_core()
+            if branch.set_operator is not None:
+                # A parenthesized compound operand keeps its grouping as a
+                # derived table; spliced into the chain it would fold left.
+                branch = Select(
+                    select_items=[SelectItem(expression=Star())],
+                    from_relation=SubqueryRef(query=branch, alias="_compound"),
+                )
             # ORDER BY / LIMIT written after a set operation bind to the whole
-            # combined result, but the core parser attaches them to the right
-            # branch; hoist them onto the combined node.
-            wrapper = Select(
-                select_items=left.select_items,
-                distinct=left.distinct,
-                from_relation=left.from_relation,
-                where=left.where,
-                group_by=left.group_by,
-                having=left.having,
-                order_by=left.order_by or right.order_by,
-                limit=left.limit if left.limit is not None else right.limit,
-                offset=left.offset if left.offset is not None else right.offset,
-                set_operator=operator,
-                set_right=right,
-            )
-            right.order_by = []
-            right.limit = None
-            right.offset = None
-            left = wrapper
+            # combined result, but the core parser attaches them to the branch;
+            # hoist them onto the head of the chain.
+            if not head.order_by:
+                head.order_by = branch.order_by
+            if head.limit is None:
+                head.limit = branch.limit
+            if head.offset is None:
+                head.offset = branch.offset
+            branch.order_by = []
+            branch.limit = None
+            branch.offset = None
+            tail.set_operator = operator
+            tail.set_right = branch
+            tail = branch
         # Trailing ORDER BY / LIMIT (possible after set operations).
-        if self._peek().is_keyword("ORDER") and not left.order_by:
-            left.order_by = self._parse_order_by()
-        if self._peek().is_keyword("LIMIT") and left.limit is None:
-            left.limit, left.offset = self._parse_limit()
-        return left
+        if self._peek().is_keyword("ORDER") and not head.order_by:
+            head.order_by = self._parse_order_by()
+        if self._peek().is_keyword("LIMIT") and head.limit is None:
+            head.limit, head.offset = self._parse_limit()
+        return head
 
     def _parse_select_core(self) -> Select:
         if self._match_punctuation("("):

@@ -207,10 +207,11 @@ class TestVersionedInvalidation:
 
     def test_executor_mode_validation(self):
         database = Database("modes")
-        with pytest.raises(ValueError):
-            database.executor_mode = "turbo"
-        with pytest.raises(ValueError):
-            Database("bad", executor_mode="turbo")
+        for mode in ("turbo", "planned"):
+            with pytest.raises(ValueError):
+                database.executor_mode = mode
+            with pytest.raises(ValueError):
+                Database("bad", executor_mode=mode)
         database.executor_mode = "interpreted"
         assert database.executor_mode == "interpreted"
 

@@ -1,21 +1,26 @@
-"""Compiled/interpreted/planned parity suite.
+"""Compiled/interpreted parity suite.
 
 Runs every query the workload generator produces — plus a battery of join
-edge cases — through all three executor modes and asserts *bit-identical*
-results: same columns, same rows in the same order, same Python value types
-cell-for-cell.  This is the contract the compiled and planned hot paths must
-uphold: they may only be faster than the interpreter, never different.
+edge cases and join chains written in their worst textual order — through
+both executor modes and asserts *bit-identical* results: same columns, same
+rows in the same order, same Python value types cell-for-cell.  This is the
+contract the compiled hot path must uphold: it may only be faster than the
+interpreter, never different.  Chained set operations are also checked
+against the stdlib ``sqlite3`` module as an independent oracle.
 """
 
 from __future__ import annotations
+
+import random
+import sqlite3
 
 import pytest
 
 from repro.engine import Database
 from repro.errors import ExecutionError, ReproError
 
-#: The interpreter is the semantic reference; the other two must match it.
-PARITY_MODES = ("interpreted", "compiled", "planned")
+#: The interpreter is the semantic reference; compiled must match it.
+PARITY_MODES = ("interpreted", "compiled")
 
 
 def run_all_modes(database: Database, sql: str) -> dict:
@@ -44,8 +49,11 @@ def run_both_modes(database: Database, sql: str):
     return outcomes["compiled"], outcomes["interpreted"]
 
 
-def assert_parity(database: Database, sql: str) -> None:
-    """Assert every mode produces bit-identical results (or every mode fails)."""
+def assert_parity(database: Database, sql: str):
+    """Assert every mode produces bit-identical results (or every mode fails).
+
+    Returns the interpreted outcome: a QueryResult or the raised error.
+    """
     outcomes = run_all_modes(database, sql)
     reference = outcomes["interpreted"]
     for mode in PARITY_MODES:
@@ -67,6 +75,7 @@ def assert_parity(database: Database, sql: str) -> None:
             assert [type(value) for value in mode_row] == [
                 type(value) for value in reference_row
             ], f"value types diverge in {mode} for: {sql}"
+    return reference
 
 
 # ---------------------------------------------------------------------------
@@ -228,6 +237,206 @@ def test_right_and_full_unmatched_rows(join_database):
 
 
 # ---------------------------------------------------------------------------
+# multi-table join chains written in their worst textual order
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture()
+def shop_database() -> Database:
+    """Three tables with skewed sizes.
+
+    Textual join order in the queries goes biggest-first
+    (line_items > orders > customers).
+    """
+    database = Database("shop")
+    database.execute(
+        "CREATE TABLE customers (id INT PRIMARY KEY, name TEXT, tier TEXT)"
+    )
+    database.execute(
+        "CREATE TABLE orders (id INT PRIMARY KEY, customer_id INT, status TEXT)"
+    )
+    database.execute(
+        "CREATE TABLE line_items (order_id INT, product TEXT, qty INT)"
+    )
+    database.execute(
+        "INSERT INTO customers (id, name, tier) VALUES "
+        + ", ".join(
+            f"({i}, 'cust_{i}', '{'gold' if i == 0 else 'basic'}')" for i in range(5)
+        )
+    )
+    database.execute(
+        "INSERT INTO orders (id, customer_id, status) VALUES "
+        + ", ".join(
+            f"({i}, {i % 5}, '{'open' if i % 3 else 'closed'}')" for i in range(20)
+        )
+    )
+    database.execute(
+        "INSERT INTO line_items (order_id, product, qty) VALUES "
+        + ", ".join(f"({i % 20}, 'prod_{i % 7}', {1 + i % 4})" for i in range(60))
+    )
+    return database
+
+
+SHOP_QUERIES = [
+    "SELECT c.name, o.id, l.product "
+    "FROM line_items l JOIN orders o ON l.order_id = o.id "
+    "JOIN customers c ON o.customer_id = c.id "
+    "WHERE c.tier = 'gold'",
+    # No ORDER BY: row *order* must still match.
+    "SELECT l.product, o.status FROM line_items l "
+    "JOIN orders o ON l.order_id = o.id WHERE o.status = 'closed'",
+    "SELECT c.name, COUNT(*) AS n FROM line_items l "
+    "JOIN orders o ON l.order_id = o.id "
+    "JOIN customers c ON o.customer_id = c.id "
+    "GROUP BY c.name ORDER BY n DESC, c.name",
+    # Cross join plus WHERE equality.
+    "SELECT o.id, c.id FROM orders o, customers c "
+    "WHERE o.customer_id = c.id AND c.tier = 'gold'",
+    "SELECT o.id, c.name FROM orders o "
+    "LEFT JOIN customers c ON o.customer_id = c.id ORDER BY o.id",
+]
+
+
+@pytest.mark.parametrize("sql", SHOP_QUERIES)
+def test_shop_join_parity(shop_database, sql):
+    assert not isinstance(assert_parity(shop_database, sql), Exception), sql
+
+
+_TIERS = ("gold", "silver", "bronze", "basic")
+_COMMON_STATUSES = ("open", "closed", "shipped")
+_RARE_STATUSES = ("returned", "cancelled")
+_ZONES = ("north", "south", "east", "west")
+_REGION_COUNT = 12
+
+
+@pytest.fixture(scope="module")
+def join_order_database() -> Database:
+    """Regions, customers, orders and line items (seed 29), smallest first.
+
+    12 regions, 60 customers, 250 orders and 900 line items; every query in
+    :data:`WORST_ORDER_QUERIES` names the biggest table first and puts its
+    selective predicates on the last-named small tables.
+    """
+    customers, orders, lineitems = 60, 250, 900
+    rng = random.Random(29)
+    database = Database("join-order")
+    database.create_table(
+        "regions", [("id", "INT"), ("name", "TEXT"), ("zone", "TEXT")], primary_key=["id"]
+    )
+    database.create_table(
+        "customers",
+        [("id", "INT"), ("region_id", "INT"), ("name", "TEXT"), ("tier", "TEXT")],
+        primary_key=["id"],
+    )
+    database.create_table(
+        "orders",
+        [("id", "INT"), ("customer_id", "INT"), ("status", "TEXT"), ("total", "REAL")],
+        primary_key=["id"],
+    )
+    database.create_table(
+        "lineitems",
+        [("order_id", "INT"), ("product", "TEXT"), ("qty", "INT"), ("price", "REAL")],
+    )
+    database.table("regions").insert_rows(
+        [(i + 1, f"region_{i + 1}", _ZONES[i % len(_ZONES)]) for i in range(_REGION_COUNT)]
+    )
+    database.table("customers").insert_rows(
+        [
+            (
+                i + 1,
+                rng.randint(1, _REGION_COUNT),
+                f"customer_{i + 1}",
+                "gold" if i % 20 == 0 else rng.choice(_TIERS[1:]),
+            )
+            for i in range(customers)
+        ]
+    )
+    database.table("orders").insert_rows(
+        [
+            (
+                i + 1,
+                rng.randint(1, customers),
+                _RARE_STATUSES[i % 2] if i % 25 == 0 else rng.choice(_COMMON_STATUSES),
+                round(rng.uniform(10, 2000), 2),
+            )
+            for i in range(orders)
+        ]
+    )
+    database.table("lineitems").insert_rows(
+        [
+            (
+                rng.randint(1, orders),
+                f"prod_{rng.randint(1, 40)}",
+                rng.randint(1, 12),
+                round(rng.uniform(1, 250), 2),
+            )
+            for _ in range(lineitems)
+        ]
+    )
+    return database
+
+
+WORST_ORDER_QUERIES = (
+    # Three-table chains: the only selective predicate sits on the smallest,
+    # last-named table.
+    [
+        "SELECT COUNT(*), SUM(l.qty) FROM lineitems l "
+        "JOIN orders o ON l.order_id = o.id "
+        "JOIN customers c ON o.customer_id = c.id "
+        f"WHERE c.tier = 'gold' AND c.region_id = {region}"
+        for region in range(1, 9)
+    ]
+    # Point lookups on the small table.
+    + [
+        "SELECT o.id, l.product, l.qty FROM lineitems l "
+        "JOIN orders o ON l.order_id = o.id "
+        "JOIN customers c ON o.customer_id = c.id "
+        f"WHERE c.name = 'customer_{name_id}' ORDER BY o.id, l.product, l.qty LIMIT 40"
+        for name_id in (5, 50, 95, 140, 185)
+    ]
+    # Selective predicates on two late tables.
+    + [
+        "SELECT c.name, COUNT(*), SUM(l.qty * l.price) FROM lineitems l "
+        "JOIN orders o ON l.order_id = o.id "
+        "JOIN customers c ON o.customer_id = c.id "
+        f"WHERE o.status = '{status}' AND c.tier = '{tier}' "
+        "GROUP BY c.name ORDER BY 2 DESC, c.name LIMIT 10"
+        for status in _RARE_STATUSES
+        for tier in ("gold", "silver")
+    ]
+    # Four-table chains ending at the tiny regions table.
+    + [
+        "SELECT r.name, COUNT(*), AVG(l.price) FROM lineitems l "
+        "JOIN orders o ON l.order_id = o.id "
+        "JOIN customers c ON o.customer_id = c.id "
+        "JOIN regions r ON c.region_id = r.id "
+        f"WHERE r.zone = '{zone}' AND c.tier IN ('gold', 'silver') "
+        "GROUP BY r.name ORDER BY 2 DESC, r.name"
+        for zone in _ZONES
+    ]
+    # Already-optimal textual order, for contrast.
+    + [
+        "SELECT COUNT(*) FROM customers c "
+        "JOIN orders o ON o.customer_id = c.id "
+        "JOIN lineitems l ON l.order_id = o.id "
+        f"WHERE c.tier = '{tier}'"
+        for tier in _TIERS
+    ]
+)
+
+
+def test_worst_order_workload_shape(join_order_database):
+    tables = ("regions", "customers", "orders", "lineitems")
+    assert [len(join_order_database.table(name)) for name in tables] == [12, 60, 250, 900]
+    assert len(WORST_ORDER_QUERIES) == 25
+
+
+@pytest.mark.parametrize("sql", WORST_ORDER_QUERIES)
+def test_worst_order_join_parity(join_order_database, sql):
+    assert not isinstance(assert_parity(join_order_database, sql), Exception), sql
+
+
+# ---------------------------------------------------------------------------
 # expression / clause parity on a hand-built database
 # ---------------------------------------------------------------------------
 
@@ -265,6 +474,57 @@ EXPRESSION_QUERIES = [
 @pytest.mark.parametrize("sql", EXPRESSION_QUERIES)
 def test_expression_parity(hr_database, sql):
     assert_parity(hr_database, sql)
+
+
+# ---------------------------------------------------------------------------
+# chained set operations against sqlite3
+# ---------------------------------------------------------------------------
+
+_SET_TABLE_ROWS = [(1, 1), (2, 3), (2, 3), (3, None), (None, 2), (4, 4)]
+
+#: (engine SQL, sqlite3 SQL); None means the same text.  Every chain folds
+#: left to right and ends in an ORDER BY that fixes the row order.
+SET_CHAIN_QUERIES = [
+    ("SELECT a FROM t UNION SELECT b FROM t UNION ALL SELECT a FROM t WHERE a > 2 "
+     "ORDER BY 1", None),
+    ("SELECT a FROM t EXCEPT SELECT b FROM t UNION SELECT 9 ORDER BY 1", None),
+    ("SELECT a FROM t INTERSECT SELECT b FROM t UNION ALL SELECT b FROM t WHERE b < 3 "
+     "ORDER BY 1", None),
+    ("SELECT a FROM t UNION ALL SELECT a FROM t EXCEPT SELECT b FROM t WHERE b IS NOT NULL "
+     "ORDER BY 1", None),
+    ("SELECT a FROM t UNION ALL SELECT b FROM t INTERSECT SELECT a FROM t WHERE a >= 2 "
+     "UNION ALL SELECT b FROM t ORDER BY 1 LIMIT 5", None),
+    ("SELECT a, b FROM t EXCEPT SELECT b, a FROM t UNION SELECT a, a FROM t "
+     "INTERSECT SELECT a, b FROM t WHERE a < 4 ORDER BY 1, 2", None),
+    ("SELECT 1 UNION SELECT 2 UNION SELECT 3 UNION ALL SELECT 2 ORDER BY 1 LIMIT 2 OFFSET 1",
+     None),
+    # A parenthesized compound operand keeps its own grouping.
+    ("SELECT a FROM t EXCEPT (SELECT b FROM t UNION SELECT 1) ORDER BY 1",
+     "SELECT a FROM t EXCEPT SELECT * FROM (SELECT b FROM t UNION SELECT 1) ORDER BY 1"),
+    ("(SELECT a FROM t UNION ALL SELECT b FROM t) EXCEPT SELECT 2 ORDER BY 1",
+     "SELECT a FROM t UNION ALL SELECT b FROM t EXCEPT SELECT 2 ORDER BY 1"),
+]
+
+
+@pytest.fixture(scope="module")
+def set_databases():
+    database = Database("sets")
+    database.execute("CREATE TABLE t (a INT, b INT)")
+    database.table("t").insert_rows(_SET_TABLE_ROWS)
+    oracle = sqlite3.connect(":memory:")
+    oracle.execute("CREATE TABLE t (a INTEGER, b INTEGER)")
+    oracle.executemany("INSERT INTO t VALUES (?, ?)", _SET_TABLE_ROWS)
+    yield database, oracle
+    oracle.close()
+
+
+@pytest.mark.parametrize("sql, oracle_sql", SET_CHAIN_QUERIES)
+def test_set_operation_chains_match_sqlite(set_databases, sql, oracle_sql):
+    database, oracle = set_databases
+    expected = oracle.execute(oracle_sql or sql).fetchall()
+    reference = assert_parity(database, sql)
+    assert not isinstance(reference, Exception), sql
+    assert reference.rows == expected, sql
 
 
 def test_error_parity_for_bad_queries(hr_database):
@@ -403,7 +663,7 @@ def test_in_subquery_member_set_invalidates_after_insert():
         assert after[mode] == [(1,), (3,)], mode
         database.execute("DELETE FROM texts WHERE k = '1'")
         assert database.execute(sql).rows == [(3,)], mode
-    assert after["compiled"] == after["interpreted"] == after["planned"]
+    assert after["compiled"] == after["interpreted"]
 
 
 CONDITION_FREE_JOINS = [

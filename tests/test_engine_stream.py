@@ -5,9 +5,7 @@ rows into WHERE, and a leading run of WHERE conjuncts that bind inside one
 operand of a cross product filters that operand first.  Both must be
 invisible: every statement here runs compiled and interpreted, and the
 compiled run must give the interpreter's columns, rows, row order and value
-types, or raise the same error type with the same message.  (``planned``
-mode is left out: its own pushdown may skip an error the interpreter
-raises, as :mod:`repro.engine.planner` documents.)
+types, or raise the same error type with the same message.
 """
 
 from __future__ import annotations

@@ -25,7 +25,9 @@ from repro.metrics import (
 )
 from repro.errors import MetricError
 from repro.llm import describe_query
+from repro.metrics.execution import GoldResultCache
 from repro.schema import profile_database
+from repro.workloads import build_benchmark, workload_fingerprint
 
 
 class TestTextMetrics:
@@ -224,3 +226,101 @@ class TestAnnotationMetrics:
         assert annotation_accuracy(pairs) == 0.5
         assert 0.0 < mean_coverage(pairs) < 1.0
         assert annotation_accuracy([]) == 0.0
+
+
+# ---------------------------------------------------------------------------
+# persistent gold-result cache
+# ---------------------------------------------------------------------------
+
+
+GOLD_QUERIES = [
+    "SELECT name FROM employees WHERE salary > 90000 ORDER BY name",
+    "SELECT dept_id, COUNT(*) FROM employees GROUP BY dept_id",
+    "SELECT broken FROM employees",  # errors must round-trip too
+]
+
+
+class TestGoldCachePersistence:
+    def populate(self, database, path, fingerprint):
+        cache = GoldResultCache(database, persist_path=path, fingerprint=fingerprint)
+        for sql in GOLD_QUERIES:
+            compare_execution(database, sql, sql, gold_cache=cache)
+        cache.save()
+        return cache
+
+    def test_save_and_reload_roundtrip(self, hr_database, tmp_path):
+        path = tmp_path / "gold.json"
+        first = self.populate(hr_database, path, "fp-hr")
+        assert path.exists()
+
+        reloaded = GoldResultCache(hr_database, persist_path=path, fingerprint="fp-hr")
+        assert reloaded.loaded == len(first) == len(GOLD_QUERIES)
+        entry = reloaded.get(GOLD_QUERIES[0])
+        assert entry is not None
+        assert entry.ordered is True
+        assert entry.result.rows == [("Alice",), ("Bob",), ("Eve",)]
+        assert all(isinstance(row, tuple) for row in entry.result.rows)
+        failed = reloaded.get(GOLD_QUERIES[2])
+        assert failed.result is None
+        assert failed.error
+
+    def test_reloaded_entries_skip_execution(self, hr_database, tmp_path):
+        path = tmp_path / "gold.json"
+        self.populate(hr_database, path, "fp-hr")
+        reloaded = GoldResultCache(hr_database, persist_path=path, fingerprint="fp-hr")
+        comparison = compare_execution(
+            hr_database, GOLD_QUERIES[0], GOLD_QUERIES[0], gold_cache=reloaded
+        )
+        assert comparison.match
+        assert reloaded.hits == 1
+        assert reloaded.misses == 0
+
+    def test_fingerprint_mismatch_starts_empty(self, hr_database, tmp_path):
+        path = tmp_path / "gold.json"
+        self.populate(hr_database, path, "fp-hr")
+        stale = GoldResultCache(hr_database, persist_path=path, fingerprint="fp-other")
+        assert stale.loaded == 0
+        assert len(stale) == 0
+
+    def test_data_version_mismatch_starts_empty(self, hr_database, tmp_path):
+        path = tmp_path / "gold.json"
+        self.populate(hr_database, path, "fp-hr")
+        hr_database.execute(
+            "INSERT INTO employees (emp_id, name, salary, dept_id, hire_date) "
+            "VALUES (7, 'Grace', 99000, 1, '2023-01-01')"
+        )
+        stale = GoldResultCache(hr_database, persist_path=path, fingerprint="fp-hr")
+        assert stale.loaded == 0
+
+    def test_corrupt_file_is_ignored(self, hr_database, tmp_path):
+        path = tmp_path / "gold.json"
+        path.write_text("{not json", encoding="utf-8")
+        cache = GoldResultCache(hr_database, persist_path=path, fingerprint="fp-hr")
+        assert cache.loaded == 0
+
+    def test_workload_fingerprint_is_deterministic(self, tiny_spider):
+        rebuilt = build_benchmark("Spider", seed=11, row_scale=0.002, query_count=10)
+        assert tiny_spider.fingerprint() == workload_fingerprint(tiny_spider)
+        assert rebuilt.fingerprint() == tiny_spider.fingerprint()
+        assert len(tiny_spider.fingerprint()) == 64
+        # Deterministic builds land on the same data version, which is what
+        # makes cross-process cache reuse possible at all.
+        assert rebuilt.database.data_version == tiny_spider.database.data_version
+
+    def test_cross_build_reuse(self, tiny_spider, tmp_path):
+        path = tmp_path / "workload_gold.json"
+        sqls = tiny_spider.query_sql[:3]
+        cache = GoldResultCache(
+            tiny_spider.database,
+            persist_path=path,
+            fingerprint=tiny_spider.fingerprint(),
+        )
+        for sql in sqls:
+            compare_execution(tiny_spider.database, sql, sql, gold_cache=cache)
+        cache.save()
+
+        rebuilt = build_benchmark("Spider", seed=11, row_scale=0.002, query_count=10)
+        fresh = GoldResultCache(
+            rebuilt.database, persist_path=path, fingerprint=rebuilt.fingerprint()
+        )
+        assert fresh.loaded == len(sqls)

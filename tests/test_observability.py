@@ -4,7 +4,7 @@ JSONL export), structured logging, the Telemetry facade, end-to-end service
 instrumentation (drain parity with and without telemetry, quarantine error
 detail, journal/snapshot round-trips of telemetry counters, thread stress
 under flaky clients), and engine-side EXPLAIN ANALYZE plus the slow-query
-log across all three executor modes."""
+log across both executor modes."""
 
 from __future__ import annotations
 
@@ -41,7 +41,7 @@ from tests.test_concurrency import (
 )
 from tests.faults import FlakyLLM
 
-MODES = ("interpreted", "compiled", "planned")
+MODES = ("interpreted", "compiled")
 
 
 # ----------------------------------------------------------------------
@@ -656,7 +656,7 @@ class TestExplainAnalyze:
             # The product is built, then filtered.
             assert operators["scan"]["rows_out"] == 12 * 40
             assert operators["filter"]["rows_out"] == 4
-        elif mode == "compiled":
+        else:
             # The product streams into WHERE after the two single-table
             # conjuncts filtered its inputs.
             assert "scan" not in operators and "filter" not in operators
@@ -666,8 +666,6 @@ class TestExplainAnalyze:
             assert stream["pushed"] == 2
             assert stream["rows_in"] == 52
             assert stream["rows_out"] == 4
-        else:
-            assert operators["planned_source"]["rows_out"] == 4
         assert shop.execute(sql).rows == baseline.rows
 
     def test_analyze_rows_agree_across_modes(self, shop):
@@ -692,24 +690,6 @@ class TestExplainAnalyze:
         assert second["plan_cache"]["hits"] >= 1
         assert second["plan_cache"]["misses"] == 0
         assert first["expressions"]["compiled"] >= 1
-
-    def test_analyze_planned_mode_reports_source_planner(self, shop):
-        shop.executor_mode = "planned"
-        sql = (
-            "SELECT o.id, c.name FROM orders o JOIN customers c "
-            "ON o.customer_id = c.id WHERE c.tier = 'gold' ORDER BY o.id"
-        )
-        analyze = shop.explain(sql, analyze=True)["analyze"]
-        ops = [operator["op"] for operator in analyze["operators"]]
-        assert "planned_source" in ops
-        planned = next(
-            o for o in analyze["operators"] if o["op"] == "planned_source"
-        )
-        assert planned["rows_out"] == len(shop.execute(sql).rows)
-        # explain() itself already planned the statement, so the analyzed
-        # execution is served from the planner cache.
-        planner_delta = analyze["source_planner"]
-        assert planner_delta["plans_built"] + planner_delta["cache_hits"] >= 1
 
     def test_analyze_set_operation_and_subquery_depth(self, shop):
         shop.executor_mode = "interpreted"
@@ -747,6 +727,23 @@ class TestExplainAnalyze:
                 executor.analyze_select(statement)
         finally:
             executor._analyze = None
+
+    def test_explain_describes_statement_mode_and_set_operation(self, shop):
+        for mode in MODES:
+            shop.executor_mode = mode
+            assert shop.explain(GROUPED_SQL) == {
+                "statement": "Select",
+                "executor_mode": mode,
+            }
+        union = shop.explain(
+            "SELECT id FROM customers EXCEPT SELECT customer_id FROM orders"
+        )
+        assert union["set_operation"] == "EXCEPT"
+        insert = shop.explain("INSERT INTO customers (id) VALUES (99)")
+        assert insert["statement"] == "Insert"
+        assert "reason" in insert
+        # explain only parses: the INSERT did not run.
+        assert len(shop.table("customers")) == 12
 
     def test_explain_without_analyze_is_unchanged(self, shop):
         info = shop.explain(GROUPED_SQL)

@@ -620,6 +620,14 @@ class TestRetrievalCaches:
         assert info["hits"] >= 1
         assert info["misses"] >= 1
 
+    def test_quoted_identifier_does_not_share_a_linking_entry(self, hr_schema):
+        retriever = ContextRetriever(hr_schema)
+        retriever.retrieve('SELECT "name salary" FROM employees')
+        retriever.retrieve("SELECT name salary FROM employees")
+        info = retriever.linking_cache_info()
+        assert info["hits"] == 0
+        assert info["misses"] == 2
+
     def test_example_count_matches_retrieve(self, hr_schema):
         retriever = ContextRetriever(hr_schema, top_k_examples=2)
         sql = "SELECT COUNT(*) FROM employees WHERE dept_id = 3"

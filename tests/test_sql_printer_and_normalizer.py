@@ -76,6 +76,12 @@ class TestNormalizer:
         text = lexical_normalize("SELECT something UPDATE weird")
         assert "SELECT" in text
 
+    def test_lexical_normalize_keeps_identifier_quotes(self):
+        quoted = lexical_normalize('select "A b" FROM t')
+        assert quoted == 'SELECT "a b" FROM t'
+        assert quoted != lexical_normalize("SELECT a b FROM t")
+        assert lexical_normalize("SELECT `a`\n FROM t") == lexical_normalize('SELECT "a" FROM t')
+
     def test_normalize_sql_falls_back_on_parse_failure(self):
         # Not valid in our dialect but should still be normalised lexically.
         result = normalize_sql("SELCT a FROM t")

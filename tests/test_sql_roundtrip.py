@@ -281,13 +281,46 @@ def _selects(draw):
             )
         ),
         set_operator=(operator := draw(st.sampled_from([None, *SetOperator]))),
-        set_right=None if operator is None else draw(_simple_selects(_conditions)),
+        set_right=None if operator is None else draw(_set_chains()),
     )
+
+
+@st.composite
+def _set_chains(draw):
+    """The operands after the head of a set-operation chain, linked in order."""
+    operands = draw(st.lists(_simple_selects(_conditions), min_size=1, max_size=2))
+    for left, right in zip(operands, operands[1:]):
+        left.set_operator = draw(st.sampled_from(list(SetOperator)))
+        left.set_right = right
+    return operands[0]
 
 
 @given(_selects())
 @settings(max_examples=200, deadline=None)
 def test_generated_selects_round_trip(select):
+    assert_round_trips(select)
+
+
+CHAINED_SET_OPERATIONS = [
+    "SELECT 1 UNION SELECT 2 UNION SELECT 3",
+    "SELECT a FROM t EXCEPT SELECT b FROM u UNION ALL SELECT c FROM v ORDER BY 1 ASC",
+    "SELECT a FROM t UNION SELECT b FROM u INTERSECT SELECT c FROM v "
+    "EXCEPT SELECT d FROM w LIMIT 5",
+    "WITH x AS (SELECT a FROM t) SELECT a FROM x UNION ALL SELECT b FROM u "
+    "UNION ALL SELECT c FROM v UNION SELECT d FROM w ORDER BY 1 DESC LIMIT 3 OFFSET 1",
+]
+
+
+@pytest.mark.parametrize("sql", CHAINED_SET_OPERATIONS)
+def test_chained_set_operations_round_trip(sql):
+    select = parse_select(sql)
+    operands = [select]
+    while operands[-1].set_right is not None:
+        operands.append(operands[-1].set_right)
+    assert len(operands) == sql.count("SELECT") - len(select.ctes)
+    # ORDER BY / LIMIT belong to the head; the other operands carry none.
+    assert all(not o.order_by and o.limit is None for o in operands[1:])
+    assert print_select(select) == sql
     assert_round_trips(select)
 
 
