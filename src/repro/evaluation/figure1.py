@@ -68,7 +68,9 @@ def evaluate_model_on_workload(
     """Run one model over one workload and compute execution accuracy.
 
     Pass a shared :class:`GoldResultCache` when scoring several models on the
-    same workload so each gold query executes once instead of once per model.
+    same workload so each gold query executes once instead of once per model,
+    and a prediction another model already made for the same question is not
+    executed and compared again.
     """
     queries = workload.queries
     if max_queries is not None:
@@ -111,7 +113,8 @@ def run_figure1(
             if best not in model_names:
                 model_names.append(best)
         # One gold cache per workload: every model is scored against the same
-        # gold set, so each gold query executes exactly once per benchmark.
+        # gold set, so each gold query executes exactly once per benchmark and
+        # each distinct (gold, predicted) pair is compared once.
         gold_cache = GoldResultCache(workload.database)
         for model_name in model_names:
             model = SimulatedText2SQLModel.for_workload(model_name, workload)

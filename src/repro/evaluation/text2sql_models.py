@@ -26,7 +26,7 @@ from repro.schema.model import DatabaseSchema
 from repro.schema.profiler import profile_database
 from repro.sql.analyzer import analyze_query
 from repro.sql.ast_nodes import Select
-from repro.sql.parser import parse_select
+from repro.sql.parser import parse
 from repro.workloads.base import Workload
 
 
@@ -72,14 +72,23 @@ class SimulatedText2SQLModel:
         self._schema = schema
         self._schema_ambiguity = schema_ambiguity
         self._generator = NLToSQLGenerator(schema, skill=profile.linking_skill)
+        #: Parses gold SQL; the tree it returns is only read, never changed.
+        self._parse_gold = parse
 
     @classmethod
     def for_workload(cls, model_name: str, workload: Workload) -> "SimulatedText2SQLModel":
-        """Build a model instance for one workload, deriving schema ambiguity."""
+        """Build a model instance for one workload, deriving schema ambiguity.
+
+        Gold SQL is parsed through the workload database's statement cache,
+        so every model predicting a question and the gold execution that
+        scores it share one tree.
+        """
         profile = TEXT2SQL_PROFILES.get(model_name, Text2SQLProfile(model_name, 0.9, 0.85, 1.0, 1.0))
         data_profile = profile_database(workload.database)
         ambiguity = 1.0 - data_profile.uniqueness
-        return cls(profile, workload.schema, schema_ambiguity=ambiguity)
+        model = cls(profile, workload.schema, schema_ambiguity=ambiguity)
+        model._parse_gold = workload.database.parse_cached
+        return model
 
     def comprehension_for(self, gold_sql: str, select: Select | None = None) -> float:
         """Effective question-comprehension fidelity for one query.
@@ -117,10 +126,12 @@ class SimulatedText2SQLModel:
         description, so a perfect model reconstructs an equivalent query.
         """
         try:
-            select = parse_select(gold_sql)
+            select = self._parse_gold(gold_sql)
         except Exception:
-            # Unparseable gold: comprehension falls back, and describing it
-            # raises the parse error.
+            select = None
+        if not isinstance(select, Select):
+            # Unparseable or non-SELECT gold: comprehension falls back, and
+            # describing it raises the parse error.
             select = None
         fidelity = self.comprehension_for(gold_sql, select)
         understood = describe_query(

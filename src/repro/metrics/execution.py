@@ -7,11 +7,13 @@ same populated database and their result multisets are compared (order-
 insensitive unless the gold query specifies ORDER BY).
 
 Hot-path structure: gold SQL is parsed once through the database's statement
-cache and its ORDER BY-ness is read off that same AST (no second parse), and
-:class:`GoldResultCache` memoises gold executions so evaluating N models
-against the same gold set executes each gold query exactly once.  The cache
-is tagged with the database's data version, so any DML between comparisons
-invalidates it automatically.
+cache and its ORDER BY-ness is read off that same AST (no second parse).
+:class:`GoldResultCache` memoises two things for one run: gold executions, so
+evaluating N models against the same gold set executes each gold query exactly
+once, and whole comparisons keyed by the (gold SQL, predicted SQL) pair, so
+two models that predict the same SQL for a question are executed and compared
+once.  The cache is tagged with the database's data version, so any DML
+between comparisons invalidates both automatically.
 
 The cache can also *persist* across runs: give it a JSON path plus a workload
 fingerprint (:func:`repro.workloads.workload_fingerprint`) and it reloads
@@ -24,7 +26,7 @@ gold execution.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 from repro.engine.database import Database
@@ -56,19 +58,25 @@ class GoldExecution:
 
 
 class GoldResultCache:
-    """Memoises gold-query executions against one database.
+    """Memoises gold-query executions and comparisons against one database.
 
-    Entries are keyed by SQL text and tagged with the database's data version:
-    any DML (or DDL) between lookups drops the whole cache, so memoised gold
-    results can never go stale.  Share one instance across every model being
-    evaluated on the same workload to execute each gold query once.
+    Gold entries are keyed by SQL text; comparisons are keyed by the (gold
+    SQL, predicted SQL) pair and hold only the :class:`ExecutionComparison`,
+    never the predicted result set.  Both are tagged with the database's data
+    version: any DML (or DDL) between lookups drops the whole cache, so
+    memoised results can never go stale.  Share one instance across every
+    model being evaluated on the same workload to execute each gold query,
+    and each distinct prediction of it, once.  ``hits`` counts comparisons
+    whose gold result came from memory, a memoised comparison included;
+    ``misses`` counts gold executions.
 
     With ``persist_path`` (and a workload ``fingerprint``), entries survive
     process restarts: ``save()`` writes them as JSON, and construction reloads
     them when the stored fingerprint *and* data version both match the live
     database — a mismatch silently starts empty, so a stale or foreign file
     can never leak wrong results.  ``loaded`` reports how many entries the
-    reload accepted.
+    reload accepted.  Only gold entries are persisted; memoised comparisons
+    last for the run.
     """
 
     def __init__(
@@ -80,6 +88,7 @@ class GoldResultCache:
         self._database = database
         self._version = database.data_version
         self._entries: dict[str, GoldExecution] = {}
+        self._comparisons: dict[tuple[str, str | None], ExecutionComparison] = {}
         self._persist_path = Path(persist_path) if persist_path is not None else None
         self._fingerprint = fingerprint
         self.hits = 0
@@ -146,6 +155,7 @@ class GoldResultCache:
     def _validate(self) -> None:
         if self._version != self._database.data_version:
             self._entries.clear()
+            self._comparisons.clear()
             self._version = self._database.data_version
 
     def get(self, sql: str) -> GoldExecution | None:
@@ -161,6 +171,22 @@ class GoldResultCache:
         self._validate()
         self.misses += 1
         self._entries[sql] = execution
+
+    def comparison(self, gold_sql: str, predicted_sql: str | None) -> ExecutionComparison | None:
+        """A copy of the memoised comparison of this pair, if still valid."""
+        self._validate()
+        memo = self._comparisons.get((gold_sql, predicted_sql))
+        if memo is None:
+            return None
+        self.hits += 1
+        return replace(memo)
+
+    def put_comparison(
+        self, gold_sql: str, predicted_sql: str | None, comparison: ExecutionComparison
+    ) -> None:
+        """Memoise a copy of one pair's comparison."""
+        self._validate()
+        self._comparisons[(gold_sql, predicted_sql)] = replace(comparison)
 
 
 def _unexpected_error(exc: Exception) -> str:
@@ -268,9 +294,29 @@ def compare_execution(
 ) -> ExecutionComparison:
     """Execute gold and predicted SQL and compare their results.
 
-    Pass a :class:`GoldResultCache` to memoise gold executions across calls
-    (e.g. when scoring several models against the same gold set).
+    Pass a :class:`GoldResultCache` to memoise gold executions and whole
+    comparisons across calls (e.g. when scoring several models against the
+    same gold set).  A comparison during which the data changed (a DML gold
+    or prediction) is not memoised.
     """
+    if gold_cache is None:
+        return _compare(database, gold_sql, predicted_sql, None)
+    memo = gold_cache.comparison(gold_sql, predicted_sql)
+    if memo is not None:
+        return memo
+    version = database.data_version
+    comparison = _compare(database, gold_sql, predicted_sql, gold_cache)
+    if database.data_version == version:
+        gold_cache.put_comparison(gold_sql, predicted_sql, comparison)
+    return comparison
+
+
+def _compare(
+    database: Database,
+    gold_sql: str,
+    predicted_sql: str | None,
+    gold_cache: GoldResultCache | None,
+) -> ExecutionComparison:
     gold = _execute_gold(database, gold_sql, gold_cache)
     predicted_result, predicted_error = execute_safely(database, predicted_sql)
 
@@ -308,7 +354,8 @@ def compare_execution_many(
     """Compare many (gold, predicted) pairs, executing each gold query once.
 
     A fresh :class:`GoldResultCache` is created when none is passed, so
-    repeated gold queries within ``pairs`` are also deduplicated.
+    repeated gold queries and repeated pairs within ``pairs`` are also
+    deduplicated.
     """
     cache = gold_cache if gold_cache is not None else GoldResultCache(database)
     return [

@@ -132,6 +132,9 @@ def render_figure1(
 ) -> str:
     """Render Figure 1 (execution accuracy per model per benchmark).
 
+    A model not scored on a benchmark (each per-benchmark best model is
+    scored on its own benchmark only) shows ``—`` in that cell.
+
     Args:
         scores: model -> benchmark -> accuracy.
         best_models: benchmark -> name of the per-benchmark best model.
@@ -143,7 +146,10 @@ def render_figure1(
                 benchmarks.append(benchmark)
     headers = ["Model"] + benchmarks
     rows = [
-        [model] + [f"{series.get(benchmark, 0.0) * 100:.1f}%" for benchmark in benchmarks]
+        [model] + [
+            f"{series[benchmark] * 100:.1f}%" if benchmark in series else "—"
+            for benchmark in benchmarks
+        ]
         for model, series in scores.items()
     ]
     title = "Figure 1: Execution accuracy across benchmarks"

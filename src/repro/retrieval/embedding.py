@@ -16,11 +16,11 @@ fully reproducible.
 
 The implementation is layered for throughput: per-text tokenisation/hashing
 is cached as an IDF-independent *feature profile* (it survives vocabulary
-growth), document frequencies live in a numpy array indexed by interned
-feature id (so IDF weighting is vectorized), and finished vectors sit in an
-LRU cache that is invalidated whenever :meth:`EmbeddingModel.observe` shifts
-the IDF table.  A profile is built in one pass per text: trigrams are counted
-as packed integer codes, only distinct features are looked up in the one
+growth), and document frequencies live in a numpy array indexed by interned
+feature id (so IDF weighting is vectorized).  Finished vectors are not
+cached: every :meth:`EmbeddingModel.observe` shifts the IDF table, and
+annotation commits observe continuously.  A profile is built in one pass per
+text: trigrams are counted as packed integer codes, only distinct features are looked up in the one
 feature table, and each feature's hashed index and sign are gathered from
 id-indexed arrays.
 """
@@ -110,7 +110,7 @@ class EmbeddingModel:
         dimensions: Size of the output vectors.
         use_ngrams: Whether to add character trigram features (helps match
             abbreviations such as ``acad_term`` vs "academic term").
-        cache_size: Capacity of the vector and feature-profile LRU caches.
+        cache_size: Capacity of the feature-profile LRU cache.
     """
 
     dimensions: int = 256
@@ -130,47 +130,32 @@ class EmbeddingModel:
     _signs: np.ndarray = field(
         default_factory=lambda: np.zeros(1024, dtype=np.float64), repr=False
     )
-    _cache: LruDict[str, np.ndarray] = field(default=None, repr=False)  # type: ignore[assignment]
-    _cache_hits: int = 0
-    _cache_misses: int = 0
     _profiles: LruDict[str, _FeatureProfile] = field(default=None, repr=False)  # type: ignore[assignment]
 
     def __post_init__(self) -> None:
-        self._cache = LruDict(self.cache_size)
         self._profiles = LruDict(self.cache_size)
 
     def observe(self, text: str) -> None:
         """Update document-frequency statistics with one document.
 
-        IDF weights shift with every observation, so any cached embedding
-        *vectors* are invalidated here; cached feature profiles stay valid
-        (they are IDF-independent).  Building the profile is the only step
-        that can raise (a lone surrogate cannot be hashed), and it runs
-        before any statistic changes.
+        IDF weights shift with every observation; cached feature profiles
+        stay valid (they are IDF-independent).  Building the profile is the
+        only step that can raise (a lone surrogate cannot be hashed), and it
+        runs before any statistic changes.
         """
         profile = self._profile(text)
         self._document_count += 1
         # Ids are unique within a profile, so a fancy-indexed add is exact.
         self._frequencies[profile.feature_ids] += 1.0
-        self._cache.clear()
 
     def embed(self, text: str) -> np.ndarray:
-        """Embed a text into a normalised dense vector.
+        """Embed a text into a normalised dense vector under the current IDF table.
 
-        Results are served from an LRU cache keyed on the raw text; the cache
-        is cleared whenever :meth:`observe` changes the IDF table, so a cached
-        vector is always identical to a freshly computed one.  The returned
-        array is marked read-only — callers needing a private copy should
-        ``.copy()`` it.
+        The returned array is marked read-only — callers needing a private
+        copy should ``.copy()`` it.
         """
-        cached = self._cache.get(text)
-        if cached is not None:
-            self._cache_hits += 1
-            return cached
-        self._cache_misses += 1
-        vector = self._embed_uncached(text)
+        vector = self._vector(text)
         vector.setflags(write=False)
-        self._cache.put(text, vector)
         return vector
 
     def embed_batch(self, texts: list[str]) -> np.ndarray:
@@ -178,15 +163,6 @@ class EmbeddingModel:
         if not texts:
             return np.zeros((0, self.dimensions), dtype=np.float64)
         return np.vstack([self.embed(text) for text in texts])
-
-    def cache_info(self) -> dict[str, int]:
-        """Hit/miss/size counters for the embedding-vector cache."""
-        return {
-            "hits": self._cache_hits,
-            "misses": self._cache_misses,
-            "size": len(self._cache),
-            "max_size": self.cache_size,
-        }
 
     # ------------------------------------------------------------------
     # durability (snapshot) support
@@ -286,7 +262,7 @@ class EmbeddingModel:
         self._signs[start:end] = [1.0 if (hashed >> 32) % 2 == 0 else -1.0 for hashed in hashes]
         return start
 
-    def _embed_uncached(self, text: str) -> np.ndarray:
+    def _vector(self, text: str) -> np.ndarray:
         vector = np.zeros(self.dimensions, dtype=np.float64)
         profile = self._profile(text)
         if profile.feature_ids.size == 0:

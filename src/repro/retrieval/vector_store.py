@@ -205,8 +205,8 @@ class VectorStore:
     ) -> list[list[SearchHit]]:
         """Run :meth:`search` for several queries with one matrix product.
 
-        The queries are embedded together (cache-aware) and scored with the
-        *same* matrix-vector expression as :meth:`search`, so batched scores
+        Each query is embedded and scored with the *same* matrix-vector
+        expression as :meth:`search`, so batched scores
         are bit-identical to scalar ones — batch schedulers rely on that for
         their sequential-parity guarantee.  Results align positionally with
         ``queries``.

@@ -1,5 +1,7 @@
 """Tests for text, execution, rubric, complexity and annotation metrics."""
 
+import json
+
 import pytest
 
 from repro.metrics import (
@@ -324,3 +326,81 @@ class TestGoldCachePersistence:
             rebuilt.database, persist_path=path, fingerprint=rebuilt.fingerprint()
         )
         assert fresh.loaded == len(sqls)
+
+
+# ---------------------------------------------------------------------------
+# per-run comparison memo
+# ---------------------------------------------------------------------------
+
+
+class TestComparisonMemo:
+    GOLD = "SELECT COUNT(*) FROM employees WHERE dept_id = 1"
+
+    @pytest.fixture()
+    def executed(self, hr_database, monkeypatch):
+        """Class names of the statements the database executes."""
+        names: list[str] = []
+        original = type(hr_database).execute_statement
+
+        def counting(self, statement):
+            names.append(statement.__class__.__name__)
+            return original(self, statement)
+
+        monkeypatch.setattr(type(hr_database), "execute_statement", counting)
+        return names
+
+    def test_repeated_pair_is_not_executed_again(self, hr_database, executed):
+        cache = GoldResultCache(hr_database)
+        first = compare_execution(hr_database, self.GOLD, "SELECT 2", gold_cache=cache)
+        second = compare_execution(hr_database, self.GOLD, "SELECT 2", gold_cache=cache)
+        assert first == second and first.match
+        assert executed == ["Select", "Select"]  # one gold, one predicted
+        # The gold counters keep their meaning: the second gold lookup was
+        # served from memory.
+        assert (cache.hits, cache.misses) == (1, 1)
+
+    def test_dml_between_identical_comparisons_re_executes(self, hr_database):
+        cache = GoldResultCache(hr_database)
+        assert compare_execution(hr_database, self.GOLD, "SELECT 2", gold_cache=cache).match
+        hr_database.execute(
+            "INSERT INTO employees (emp_id, name, salary, dept_id, hire_date) "
+            "VALUES (7, 'Grace', 99000, 1, '2023-01-01')"
+        )
+        again = compare_execution(hr_database, self.GOLD, "SELECT 2", gold_cache=cache)
+        assert not again.match  # the gold count is now 3
+        assert again == compare_execution(hr_database, self.GOLD, "SELECT 2")
+
+    def test_comparison_that_changes_data_is_not_memoised(self, hr_database, executed):
+        cache = GoldResultCache(hr_database)
+        delete = "DELETE FROM employees WHERE emp_id = 1"
+        compare_execution(hr_database, self.GOLD, delete, gold_cache=cache)
+        compare_execution(hr_database, self.GOLD, delete, gold_cache=cache)
+        assert executed.count("Delete") == 2
+
+    def test_mutating_a_returned_comparison_leaves_the_memo_intact(self, hr_database):
+        cache = GoldResultCache(hr_database)
+        first = compare_execution(hr_database, self.GOLD, "SELECT 2", gold_cache=cache)
+        first.match = False
+        first.error = "changed by the caller"
+        second = compare_execution(hr_database, self.GOLD, "SELECT 2", gold_cache=cache)
+        second.predicted_rows = 99
+        third = compare_execution(hr_database, self.GOLD, "SELECT 2", gold_cache=cache)
+        assert third == compare_execution(hr_database, self.GOLD, "SELECT 2")
+        assert third.match and third.error == "" and third.predicted_rows == 1
+
+    def test_save_writes_the_same_bytes_after_memo_hits(self, hr_database, tmp_path):
+        path = tmp_path / "gold.json"
+        cache = GoldResultCache(hr_database, persist_path=path, fingerprint="fp-hr")
+        pairs = [(sql, predicted) for predicted in (GOLD_QUERIES[0], "SELECT 1", None)
+                 for sql in GOLD_QUERIES]
+        for sql, predicted in pairs:
+            compare_execution(hr_database, sql, predicted, gold_cache=cache)
+        cache.save()
+        first = path.read_bytes()
+        for sql, predicted in pairs:  # every pair is now served by the memo
+            compare_execution(hr_database, sql, predicted, gold_cache=cache)
+        cache.save()
+        assert path.read_bytes() == first
+        payload = json.loads(first)
+        assert sorted(payload) == ["data_version", "entries", "fingerprint"]
+        assert list(payload["entries"]) == GOLD_QUERIES

@@ -12,12 +12,14 @@ import repro
 
 from repro.evaluation import (
     GENERAL_MODELS,
+    TEXT2SQL_PROFILES,
+    ModelBenchmarkScore,
     SimulatedText2SQLModel,
     best_model_for,
     evaluate_model_on_workload,
     run_figure1,
 )
-from repro.metrics import profile_query_set
+from repro.metrics import GoldResultCache, compare_execution, profile_query_set
 from repro.reporting import (
     format_table,
     render_figure1,
@@ -227,6 +229,90 @@ class TestEvaluationHarness:
         assert "GPT-4o" in GENERAL_MODELS
 
 
+#: The Figure 1 harness scale (``benchmarks/conftest.py``).
+HARNESS_ROW_SCALE = 0.0015
+HARNESS_QUERY_COUNT = 20
+HARNESS_MAX_QUERIES = 12
+
+
+@pytest.fixture(scope="module")
+def harness_workloads():
+    """Every benchmark family at the Figure 1 harness scale, by generator seed 0-2."""
+    return {
+        seed: {
+            name: build_benchmark(
+                name, seed=seed, row_scale=HARNESS_ROW_SCALE, query_count=HARNESS_QUERY_COUNT
+            )
+            for name in BENCHMARK_NAMES
+        }
+        for seed in range(3)
+    }
+
+
+def _figure1_models(benchmark: str) -> tuple[str, ...]:
+    return (*GENERAL_MODELS, best_model_for(benchmark))
+
+
+class TestFigure1SharedWork:
+    """One gold parse per question and one comparison per distinct pair."""
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_predict_shares_the_cached_gold_tree(self, harness_workloads, seed):
+        for name, workload in harness_workloads[seed].items():
+            database = workload.database
+            ambiguity = 1.0 - profile_database(database).uniqueness
+            models = [
+                (
+                    SimulatedText2SQLModel.for_workload(model_name, workload),
+                    # The same model parsing gold into a fresh tree each time.
+                    SimulatedText2SQLModel(
+                        TEXT2SQL_PROFILES[model_name], workload.schema, schema_ambiguity=ambiguity
+                    ),
+                )
+                for model_name in _figure1_models(name)
+            ]
+            for query in workload.queries:
+                tree = database.parse_cached(query.sql)
+                before = repr(tree)
+                hits, misses = database.statement_cache_hits, database.statement_cache_misses
+                for shared, fresh in models:
+                    assert shared.predict(query.gold_nl, query.sql) == fresh.predict(
+                        query.gold_nl, query.sql
+                    ), (name, query.query_id, shared.name)
+                # Each shared model read the gold through the statement cache.
+                assert database.statement_cache_hits == hits + len(models)
+                assert database.statement_cache_misses == misses
+                assert database.parse_cached(query.sql) is tree
+                assert repr(tree) == before, (name, query.query_id)
+
+    def test_memoised_comparisons_equal_uncached_ones(self, harness_workloads):
+        # Seed 0 only: seeds 1 and 2 each hold predicted cross joins that take
+        # 10-105 s to execute, because evaluation is not yet bounded.
+        workloads = harness_workloads[0]
+        expected = []
+        pairs = []
+        for name, workload in workloads.items():
+            database = workload.database
+            cache = GoldResultCache(database)
+            for model_name in _figure1_models(name):
+                model = SimulatedText2SQLModel.for_workload(model_name, workload)
+                evaluated = matches = 0
+                for query in workload.queries[:HARNESS_MAX_QUERIES]:
+                    predicted = model.predict(query.gold_nl, query.sql)
+                    pairs.append((name, query.sql, predicted))
+                    shared = compare_execution(database, query.sql, predicted, gold_cache=cache)
+                    uncached = compare_execution(database, query.sql, predicted)
+                    assert shared == uncached, (name, model_name, query.query_id)
+                    evaluated += uncached.gold_executed
+                    matches += uncached.gold_executed and uncached.match
+                expected.append(ModelBenchmarkScore(
+                    model_name, name, matches / evaluated if evaluated else 0.0, evaluated, matches
+                ))
+        assert len(set(pairs)) < len(pairs)  # some models repeat a prediction
+        result = run_figure1(workloads, max_queries=HARNESS_MAX_QUERIES)
+        assert result.scores == expected
+
+
 class TestReporting:
     def test_format_table_alignment(self):
         text = format_table(["a", "bbb"], [["1", "2"], ["333", "4"]], title="T")
@@ -266,3 +352,11 @@ class TestReporting:
             {"GPT-4o": {"Spider": 0.9, "Beaver": 0.1}}, best_models={"Spider": "miniSeek"}
         )
         assert "Figure 1" in text and "miniSeek" in text
+
+    def test_render_figure1_marks_unscored_cells(self):
+        text = render_figure1(
+            {"GPT-4o": {"Spider": 0.9, "Bird": 0.0}, "miniSeek": {"Spider": 1.0}}
+        )
+        rows = {line.split(" | ")[0].strip(): line.split(" | ") for line in text.splitlines()}
+        assert [cell.strip() for cell in rows["GPT-4o"][1:]] == ["90.0%", "0.0%"]
+        assert [cell.strip() for cell in rows["miniSeek"][1:]] == ["100.0%", "—"]
