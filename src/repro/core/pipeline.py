@@ -357,7 +357,15 @@ class AnnotationPipeline:
         if self._journal is not None:
             # Shallow dicts, not dataclasses.asdict: the payload is consumed
             # by json.dumps before anything can mutate it, and asdict's
-            # recursive deep copy is measurable on this per-commit path.
+            # recursive deep copy is measurable on this per-commit path.  The
+            # example carries the skeleton the archive just computed, so
+            # replay need not lex its SQL again.
+            example_state = None
+            if example is not None:
+                example_state = dict(
+                    vars(example),
+                    skeleton=self.retriever.example_store.skeleton(example.example_id),
+                )
             self._journal.append(
                 ANNOTATION_COMMITTED,
                 {
@@ -365,7 +373,7 @@ class AnnotationPipeline:
                     "job_id": commit_tag,
                     "record": vars(record),
                     "feedback": feedback.to_state(),
-                    "example": vars(example) if example is not None else None,
+                    "example": example_state,
                 },
             )
         return record

@@ -1094,6 +1094,8 @@ class AnnotationService:
         )
         start = 0
         if snapshots is not None:
+            # Attach telemetry first, so snapshots skipped here are counted.
+            snapshots.telemetry = service.telemetry
             loaded = snapshots.latest(max_offset=journal.record_count)
             if loaded is not None:
                 start, snapshot_state = loaded
@@ -1188,6 +1190,9 @@ class AnnotationService:
                     dataset=example["dataset"],
                     tables=list(example["tables"]),
                     quality=example["quality"],
+                    # Journals written before skeletons were journaled lack
+                    # the field; add() then computes it as the live commit did.
+                    skeleton=example.get("skeleton"),
                 )
             if payload["job_id"] is not None:
                 self._settle_job(payload["job_id"])

@@ -3,17 +3,28 @@
 A snapshot is the full semantic state of an :class:`~repro.core.service.
 AnnotationService` at a known journal offset: every project pipeline (its
 schema, config, annotations, feedback session and example archive — embedding
-vectors included, verbatim), the pending queue, quarantined jobs and the
-aggregate stats.  Recovery then loads the newest intact snapshot and replays
-only the journal *suffix*, instead of re-executing the whole history — the
-classic checkpoint + log-suffix scheme, and the reason warm start is a
-multiple faster than cold replay (no re-embedding, no re-application of old
-feedback).
+vectors, feature hashes and query skeletons included, verbatim), the pending
+queue, quarantined jobs and the aggregate stats.  Recovery then loads the
+newest intact snapshot and replays only the journal *suffix*, instead of
+re-executing the whole history — the classic checkpoint + log-suffix scheme,
+and the reason warm start is a multiple faster than cold replay (no
+re-embedding, no re-hashing, no re-application of old feedback).
 
-Snapshot files are JSON, written atomically (tmp file + fsync + rename) and
-checksummed, and :meth:`SnapshotManager.latest` skips unreadable or corrupt
-files — a damaged snapshot degrades recovery to an older snapshot (or a cold
-replay), never to a failure.
+File format (``format`` 2): one JSON header line ending in a newline, then
+the body::
+
+    {"format":2,"offset":<offset>,"length":<body bytes>,"crc32":<crc>}
+    <state JSON, UTF-8>
+
+The CRC32 covers the body bytes exactly as written, so the body is verified
+and then decoded once.  A file is used only when its header parses, names
+format 2 and the offset in its file name, and its body has the stated length
+and checksum; anything else — a flipped or truncated byte, a missing newline,
+a snapshot written in an older format — is skipped like a corrupt file.
+Files are written atomically (tmp file + fsync + rename), and
+:meth:`SnapshotManager.latest` falls back past skipped files: a damaged or
+outdated snapshot degrades recovery to an older snapshot (or a cold replay of
+the complete journal, which is exact), never to a failure.
 """
 
 from __future__ import annotations
@@ -37,6 +48,8 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 
 _SNAPSHOT_PREFIX = "snapshot-"
 _SNAPSHOT_SUFFIX = ".json"
+#: The one snapshot file format this module writes and reads.
+_SNAPSHOT_FORMAT = 2
 
 
 # ----------------------------------------------------------------------
@@ -109,8 +122,11 @@ def capture_pipeline_state(pipeline: AnnotationPipeline) -> dict:
 
     Embedding vectors and IDF statistics are serialised verbatim (they were
     produced under historical document-frequency tables and cannot be
-    recomputed from the text alone); restoring them is what makes a warm
-    start cheap.  Process-local caches (schema linking, skeletons) are
+    recomputed from the text alone).  Each stored example's query skeleton
+    and each vocabulary feature's hashed vector index and sign ride along
+    too, although both are pure functions of their text: restoring instead
+    of re-deriving them is what makes a warm start cheap.  Process-local
+    caches (schema linking, feature profiles, skeletons of queries) are
     rebuilt lazily and deliberately excluded.
     """
     return {
@@ -188,30 +204,33 @@ class SnapshotManager:
     def save(self, offset: int, state: dict) -> Path:
         """Atomically persist ``state`` as the snapshot at journal ``offset``.
 
-        The state JSON is checksummed and written to a temporary file that is
-        fsynced before being renamed into place, so a crash mid-save leaves
-        either the old snapshot set or the new one — never a half file under
-        the final name.
+        The state JSON is checksummed and written, behind its header line,
+        to a temporary file that is fsynced before being renamed into place,
+        so a crash mid-save leaves either the old snapshot set or the new
+        one — never a half file under the final name.
         """
         if offset < 0:
             raise SnapshotError("snapshot offset cannot be negative")
         try:
-            state_json = json.dumps(state, separators=(",", ":"))
+            body = json.dumps(state, separators=(",", ":")).encode("utf-8")
         except (TypeError, ValueError) as exc:
             raise SnapshotError(f"snapshot state is not JSON-serialisable: {exc}") from exc
-        document = json.dumps(
+        header = json.dumps(
             {
+                "format": _SNAPSHOT_FORMAT,
                 "offset": offset,
-                "crc32": zlib.crc32(state_json.encode("utf-8")) & 0xFFFFFFFF,
-                "state_json": state_json,
-            }
-        )
+                "length": len(body),
+                "crc32": zlib.crc32(body) & 0xFFFFFFFF,
+            },
+            separators=(",", ":"),
+        ).encode("utf-8")
+        document = header + b"\n" + body
         path = self.path_for(offset)
         tmp_path = path.with_suffix(".tmp")
         tel = self.telemetry
         started = time.perf_counter() if tel.enabled else 0.0
         try:
-            with open(tmp_path, "w", encoding="utf-8") as handle:
+            with open(tmp_path, "wb") as handle:
                 handle.write(document)
                 handle.flush()
                 os.fsync(handle.fileno())
@@ -227,7 +246,7 @@ class SnapshotManager:
 
     def load(self, offset: int) -> dict:
         """Load and verify the snapshot at ``offset``."""
-        state = self._try_load(self.path_for(offset))
+        state = self._try_load(offset)
         if state is None:
             raise SnapshotError(f"snapshot at offset {offset} is missing or corrupt")
         return state
@@ -235,13 +254,14 @@ class SnapshotManager:
     def latest(self, max_offset: int | None = None) -> tuple[int, dict] | None:
         """The newest intact snapshot (optionally at/below ``max_offset``).
 
-        Corrupt or unreadable snapshot files are skipped, falling back to the
-        next-older one; returns ``None`` when no usable snapshot exists.
+        Corrupt, unreadable or other-format snapshot files are skipped,
+        falling back to the next-older one; returns ``None`` when no usable
+        snapshot exists.
         """
         for offset in reversed(self.offsets()):
             if max_offset is not None and offset > max_offset:
                 continue
-            state = self._try_load(self.path_for(offset))
+            state = self._try_load(offset)
             if state is not None:
                 return offset, state
             if self.telemetry.enabled:
@@ -249,13 +269,23 @@ class SnapshotManager:
                 self.telemetry.event("snapshot_fallback", skipped_offset=offset)
         return None
 
-    def _try_load(self, path: Path) -> dict | None:
+    def _try_load(self, offset: int) -> dict | None:
+        """The verified state of the snapshot at ``offset``, or ``None``."""
         try:
-            document = json.loads(path.read_text(encoding="utf-8"))
-            state_json = document["state_json"]
-            if zlib.crc32(state_json.encode("utf-8")) & 0xFFFFFFFF != document["crc32"]:
+            data = self.path_for(offset).read_bytes()
+            newline = data.find(b"\n")
+            if newline < 0:
                 return None
-            return json.loads(state_json)
+            header = json.loads(data[:newline])
+            body = data[newline + 1 :]
+            if (
+                header["format"] != _SNAPSHOT_FORMAT
+                or header["offset"] != offset
+                or header["length"] != len(body)
+                or header["crc32"] != zlib.crc32(body) & 0xFFFFFFFF
+            ):
+                return None
+            return json.loads(body)
         except (OSError, ValueError, KeyError, TypeError):
             return None
 

@@ -171,36 +171,51 @@ class EmbeddingModel:
     def state_dict(self) -> dict:
         """JSON-safe semantic state: IDF table + vocabulary, no caches.
 
-        Feature hashing (vector index, sign) is deterministic per feature
-        string, and feature *ids* are an internal allocation detail: features
-        get interned lazily whenever a query is merely embedded, yet only
+        Feature *ids* are an internal allocation detail: features get
+        interned lazily whenever a query is merely embedded, yet only
         :meth:`observe` gives them a document frequency.  So the canonical
-        state is the document-bearing features with their frequencies, in
-        sorted order — two models that saw different query traffic but the
-        same documents serialise identically.
+        state is the document-bearing features in sorted order, each with its
+        frequency and its feature hash as one signed int ``(index + 1) *
+        sign`` — two models that saw different query traffic but the same
+        documents serialise identically.  The hashes are a deterministic
+        function of the feature string; storing them spares a restore from
+        re-hashing the whole vocabulary.
         """
         frequencies = self._frequencies
         entries = sorted(
-            (feature, float(frequencies[feature_id]))
+            (feature, feature_id)
             for feature, feature_id in self._feature_ids.items()
             if frequencies[feature_id] > 0
         )
+        ids = np.array([feature_id for _, feature_id in entries], dtype=np.intp)
+        hashes = (self._indices[ids] + 1) * self._signs[ids].astype(np.int64)
         return {
             "dimensions": self.dimensions,
             "use_ngrams": self.use_ngrams,
             "document_count": self._document_count,
             "features": [feature for feature, _ in entries],
-            "frequencies": [frequency for _, frequency in entries],
+            "frequencies": frequencies[ids].tolist(),
+            "hashes": hashes.tolist(),
         }
 
     @classmethod
     def from_state(cls, state: dict) -> "EmbeddingModel":
-        """Rebuild a model whose future embeddings match the snapshotted one."""
+        """Rebuild a model whose future embeddings match the snapshotted one.
+
+        Index and sign come from the stored hashes; nothing is re-hashed.
+        """
         model = cls(
             dimensions=int(state["dimensions"]), use_ngrams=bool(state["use_ngrams"])
         )
         model._document_count = int(state["document_count"])
-        model._intern(state["features"])  # re-derives index and sign per feature
+        features = state["features"]
+        hashes = np.asarray(state["hashes"], dtype=np.int64)
+        magnitudes = np.abs(hashes)
+        if hashes.shape != (len(features),) or not np.all(
+            (magnitudes >= 1) & (magnitudes <= model.dimensions)
+        ):
+            raise ValueError("feature hashes do not match the vocabulary and dimensions")
+        model._append(features, magnitudes - 1, np.sign(hashes))
         frequencies = state["frequencies"]
         model._frequencies[: len(frequencies)] = frequencies
         return model
@@ -248,6 +263,14 @@ class EmbeddingModel:
         feature that cannot be hashed raises with the model untouched.
         """
         hashes = [_stable_hash(feature) for feature in features]
+        return self._append(
+            features,
+            [hashed % self.dimensions for hashed in hashes],
+            [1.0 if (hashed >> 32) % 2 == 0 else -1.0 for hashed in hashes],
+        )
+
+    def _append(self, features: list[str], indices, signs) -> int:
+        """Intern ``features`` with their hashed indices and signs; returns the first id."""
         start = len(self._feature_ids)
         end = start + len(features)
         capacity = self._frequencies.shape[0]
@@ -258,8 +281,8 @@ class EmbeddingModel:
             self._indices = _grown(self._indices, capacity)
             self._signs = _grown(self._signs, capacity)
         self._feature_ids.update(zip(features, range(start, end)))
-        self._indices[start:end] = [hashed % self.dimensions for hashed in hashes]
-        self._signs[start:end] = [1.0 if (hashed >> 32) % 2 == 0 else -1.0 for hashed in hashes]
+        self._indices[start:end] = indices
+        self._signs[start:end] = signs
         return start
 
     def _vector(self, text: str) -> np.ndarray:

@@ -66,8 +66,12 @@ class ExampleStore:
         return not self._examples
 
     def add(self, sql: str, nl: str, dataset: str = "", tables: list[str] | None = None,
-            quality: float = 1.0) -> AnnotatedExample:
+            quality: float = 1.0, skeleton: str | None = None) -> AnnotatedExample:
         """Add an accepted annotation and return the stored example.
+
+        ``skeleton`` may supply the query skeleton of the stripped SQL when
+        it is already known (journal replay passes the one the live commit
+        computed); otherwise it is computed here.
 
         Failure-atomic: the vector store either indexes the example or
         raises unchanged, and the store registers the example only after.
@@ -83,7 +87,8 @@ class ExampleStore:
             tables=list(tables or []),
             quality=quality,
         )
-        skeleton = self._query_skeleton(example.sql)
+        if skeleton is None:
+            skeleton = self._query_skeleton(example.sql)
         # Index on the SQL text plus the NL so either side retrieves the pair.
         self._store.add(
             example_id,
@@ -101,6 +106,12 @@ class ExampleStore:
         if example_id not in self._examples:
             raise RetrievalError(f"unknown example id {example_id!r}")
         return self._examples[example_id]
+
+    def skeleton(self, example_id: str) -> str:
+        """The stored query skeleton of one example."""
+        if example_id not in self._skeletons:
+            raise RetrievalError(f"unknown example id {example_id!r}")
+        return self._skeletons[example_id]
 
     def all_examples(self) -> list[AnnotatedExample]:
         """All stored examples in insertion order."""
@@ -219,7 +230,9 @@ class ExampleStore:
 
         Query skeletons ride along even though they are a pure function of
         the SQL text: re-deriving them means re-tokenising every stored
-        example, which would eat most of the warm-start budget.
+        example, which would eat most of the warm-start budget.  The vector
+        index carries its stored vectors and feature hashes for the same
+        reason (see :meth:`ShardedVectorStore.state_dict`).
         """
         return {
             "counter": self._counter,
@@ -232,17 +245,12 @@ class ExampleStore:
     def load_state(self, state: dict) -> None:
         """Restore a snapshotted store in place.
 
-        Skeletons, embedding vectors and IDF state all come from the
-        snapshot, so neither re-tokenisation nor re-embedding happens —
-        that is what makes warm start fast.  Snapshots from before skeletons
-        were serialised fall back to recomputing them, and snapshots written
-        by the pre-sharding single-matrix store migrate transparently (the
-        entries are re-routed into per-dataset shards on load).
+        Skeletons, embedding vectors, feature hashes and IDF state all come
+        from the snapshot, so neither re-tokenisation, re-hashing nor
+        re-embedding happens — that is what makes warm start fast.
         """
         self._store = ShardedVectorStore.from_state(state["vector_store"])
-        skeletons = state.get("skeletons") or {}
         self._examples = {}
-        self._skeletons = {}
         self._query_skeletons = LruDict(2048)
         for entry in state["examples"]:
             example = AnnotatedExample(
@@ -254,9 +262,6 @@ class ExampleStore:
                 quality=entry.get("quality", 1.0),
             )
             self._examples[example.example_id] = example
-            skeleton = skeletons.get(example.example_id)
-            if skeleton is None:
-                skeleton = self._query_skeleton(example.sql)
-            self._skeletons[example.example_id] = skeleton
+        self._skeletons = dict(state["skeletons"])
         self._counter = int(state["counter"])
         self.version = int(state["version"])

@@ -23,6 +23,7 @@ differently-partitioned matrices may differ in the last ULP).
 
 from __future__ import annotations
 
+import base64
 import time
 from dataclasses import dataclass, field
 
@@ -239,43 +240,6 @@ class VectorStore:
         return list(self._entries.keys())
 
     # ------------------------------------------------------------------
-    # durability (snapshot) support
-    # ------------------------------------------------------------------
-
-    def state_dict(self) -> dict:
-        """JSON-safe semantic state of the store.
-
-        Each entry's *stored* vector is serialised verbatim: vectors are
-        embedded under the IDF table as it stood when the document was added,
-        so they cannot be recomputed from text after later additions.  Row
-        layout (tombstones, capacity) is not semantic and is rebuilt compact.
-        """
-        return {
-            "model": self._model.state_dict(),
-            "entries": [
-                {
-                    "doc_id": entry.doc_id,
-                    "text": entry.text,
-                    "vector": entry.vector.tolist(),
-                    "metadata": dict(entry.metadata),
-                }
-                for entry in self._entries.values()
-            ],
-        }
-
-    @classmethod
-    def from_state(cls, state: dict) -> "VectorStore":
-        """Rebuild a store that searches bit-identically to the snapshotted one."""
-        store = cls(EmbeddingModel.from_state(state["model"]))
-        for entry in state["entries"]:
-            vector = np.asarray(entry["vector"], dtype=np.float64)
-            vector.setflags(write=False)
-            # _store_entry skips observe(): document frequencies were already
-            # restored with the model, and these vectors are historical.
-            store._store_entry(entry["doc_id"], entry["text"], vector, entry["metadata"])
-        return store
-
-    # ------------------------------------------------------------------
     # internals
     # ------------------------------------------------------------------
 
@@ -433,8 +397,7 @@ class ShardedVectorStore:
       (every global winner is necessarily in its own shard's top-k).
 
     The class mirrors the :class:`VectorStore` API so stores can be swapped
-    freely; :meth:`from_state` additionally migrates legacy single-matrix
-    snapshots by routing each serialised entry through its metadata.
+    freely.
     """
 
     #: Observability sink; searches are counted here (per routed call), never
@@ -630,45 +593,39 @@ class ShardedVectorStore:
         """JSON-safe semantic state: shared model + entries in insertion order.
 
         The entry list is flat (not nested per shard): routing is a pure
-        function of each entry's metadata, so serialising the global order
-        keeps the format forward/backward compatible with the unsharded
-        :meth:`VectorStore.state_dict` layout.
+        function of each entry's metadata.  The stored vectors travel as one
+        base64 little-endian float64 matrix, row ``i`` belonging to entry
+        ``i``, instead of one JSON float list per entry.
         """
         entries = []
-        for doc_id, value in self._shard_of.items():
+        vectors = np.empty((len(self._shard_of), self._model.dimensions), dtype="<f8")
+        for row, (doc_id, value) in enumerate(self._shard_of.items()):
             entry = self._shards[value].get(doc_id)
             entries.append(
-                {
-                    "doc_id": entry.doc_id,
-                    "text": entry.text,
-                    "vector": entry.vector.tolist(),
-                    "metadata": dict(entry.metadata),
-                }
+                {"doc_id": entry.doc_id, "text": entry.text, "metadata": dict(entry.metadata)}
             )
+            vectors[row] = entry.vector
         return {
             "model": self._model.state_dict(),
             "shard_key": self.shard_key,
             "entries": entries,
+            "vectors": base64.b64encode(vectors.tobytes()).decode("ascii"),
         }
 
     @classmethod
     def from_state(cls, state: dict) -> "ShardedVectorStore":
         """Rebuild a sharded store from :meth:`state_dict` output.
 
-        Legacy snapshots written by the single-matrix :class:`VectorStore`
-        carry the same ``{"model", "entries"}`` layout without a
-        ``shard_key``; they migrate transparently — each entry is routed by
-        its metadata under the default shard key, and searches afterwards
-        rank exactly as the unsharded store did (the stored vectors are
-        reused verbatim, so only last-ULP score rounding can differ).
+        Each entry is routed by its metadata and gets its stored vector
+        verbatim — a read-only row of the one decoded matrix — so searches
+        afterwards score bit-identically to the snapshotted store.
         """
-        store = cls(
-            EmbeddingModel.from_state(state["model"]),
-            shard_key=state.get("shard_key", "dataset"),
+        store = cls(EmbeddingModel.from_state(state["model"]), shard_key=state["shard_key"])
+        entries = state["entries"]
+        vectors = np.frombuffer(base64.b64decode(state["vectors"]), dtype="<f8").reshape(
+            len(entries), store._model.dimensions
         )
-        for entry in state["entries"]:
-            vector = np.asarray(entry["vector"], dtype=np.float64)
-            vector.setflags(write=False)
+        for entry, vector in zip(entries, vectors):
             # No observe(): document frequencies were restored with the model,
             # and these vectors are historical.
             store._route_entry(entry["doc_id"], entry["text"], vector, entry["metadata"])

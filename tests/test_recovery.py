@@ -4,12 +4,15 @@ mid-write, recover, and check the state is exactly the journaled prefix)."""
 
 from __future__ import annotations
 
+import base64
+import copy
 import json
 import struct
 import zlib
 from pathlib import Path
 from unittest import mock
 
+import numpy as np
 import pytest
 
 from repro.core import (
@@ -30,6 +33,8 @@ from repro.core.journal import (
     JournalRecovery,
 )
 from repro.errors import JournalError, SnapshotError
+from repro.obs import Telemetry
+from repro.retrieval.embedding import _stable_hash
 from repro.schema import ColumnSchema, DatabaseSchema, ForeignKey, TableSchema
 
 from tests.faults import CrashingJournal, InjectedCrash, encode_record
@@ -88,6 +93,95 @@ def record_boundaries(buffer: bytes) -> list[tuple[int, int]]:
         boundaries.append((position, end))
         position = end
     return boundaries
+
+
+#: Ways a format-2 snapshot file can be damaged; each must be skipped.
+SNAPSHOT_CORRUPTIONS = [
+    "header_flip", "body_flip", "truncated_body", "length_mismatch", "missing_newline",
+]
+
+
+def corrupted_snapshots(data: bytes, case: str) -> list[bytes]:
+    """Damaged variants of one snapshot file's bytes, one kind at a time.
+
+    ``header_flip`` flips each header byte in turn; the other kinds damage
+    the body or the line break at a few places.  ``length_mismatch`` keeps
+    the CRC right and only misstates the body length.
+    """
+    newline = data.index(b"\n")
+    header, body = data[:newline], data[newline + 1 :]
+
+    def flipped(position: int) -> bytes:
+        damaged = bytearray(data)
+        damaged[position] ^= 0x01
+        return bytes(damaged)
+
+    if case == "header_flip":
+        return [flipped(position) for position in range(newline)]
+    if case == "body_flip":
+        middle = newline + 1 + len(body) // 2
+        return [flipped(position) for position in (newline + 1, middle, len(data) - 1)]
+    if case == "truncated_body":
+        return [data[: newline + 1], data[: newline + 1 + len(body) // 2], data[:-1]]
+    if case == "length_mismatch":
+        fields = json.loads(header)
+        variants = []
+        for delta in (-1, 1):
+            misstated = dict(fields, length=fields["length"] + delta)
+            variants.append(json.dumps(misstated, separators=(",", ":")).encode() + b"\n" + body)
+        return variants
+    if case == "missing_newline":
+        return [header + b" " + body, header + body]
+    raise AssertionError(f"unknown corruption {case!r}")
+
+
+def previous_format_snapshot(offset: int, state: dict) -> bytes:
+    """The file the previous snapshot format held for ``state``.
+
+    That format escaped the state JSON inside a JSON string, wrote each
+    stored vector as a JSON float list and stored no feature hashes.
+    """
+    legacy = copy.deepcopy(state)
+    for project in legacy["projects"].values():
+        vector_store = project["example_store"]["vector_store"]
+        del vector_store["model"]["hashes"]
+        rows = np.frombuffer(base64.b64decode(vector_store.pop("vectors")), dtype="<f8")
+        rows = rows.reshape(len(vector_store["entries"]), vector_store["model"]["dimensions"])
+        vector_store["entries"] = [
+            {
+                "doc_id": entry["doc_id"],
+                "text": entry["text"],
+                "vector": row.tolist(),
+                "metadata": entry["metadata"],
+            }
+            for entry, row in zip(vector_store["entries"], rows)
+        ]
+    state_json = json.dumps(legacy, separators=(",", ":"))
+    return json.dumps(
+        {
+            "offset": offset,
+            "crc32": zlib.crc32(state_json.encode("utf-8")) & 0xFFFFFFFF,
+            "state_json": state_json,
+        }
+    ).encode("utf-8")
+
+
+def snapshot_fallbacks(telemetry: Telemetry) -> float:
+    """How many snapshot files recovery skipped."""
+    metric = telemetry.metrics_dict().get("snapshot_fallbacks_total")
+    return sum(series["value"] for series in metric["series"]) if metric else 0.0
+
+
+def drain_with_snapshots(directory: Path, snapshot_every: int = 2) -> dict:
+    """Drain :data:`QUERIES` one by one on a durable service; its final state."""
+    service = AnnotationService.open_durable(directory, snapshot_every=snapshot_every)
+    service.register_project("hr", make_schema())
+    for sql in QUERIES:
+        service.submit(sql, project="hr")
+        service.drain()
+    live = semantic_state(service)
+    service.close()
+    return live
 
 
 # ----------------------------------------------------------------------
@@ -524,12 +618,54 @@ class TestReplayParity:
         assert len(json.loads(first.read_text())) == 3
 
 
+    def test_journal_without_skeletons_replays_exactly(self, tmp_path):
+        directory = tmp_path / "svc"
+        service = AnnotationService.open_durable(directory)
+        service.register_project("hr", make_schema())
+        for index, sql in enumerate(QUERIES):
+            if index == 2:
+                service.snapshot()  # the warm start replays the last commits
+            service.submit(sql, project="hr")
+            service.drain()
+        live = semantic_state(service)
+        service.close()
+        journal_path = directory / "journal.bin"
+        original = journal_path.read_bytes()
+        events = EventJournal.read_events(journal_path)
+
+        # Rewrite the journal as a build that journaled no skeletons wrote it.
+        stripped = bytearray()
+        commits_with_examples = []
+        for event in events:
+            payload = event.payload
+            if event.type == ANNOTATION_COMMITTED and payload["example"] is not None:
+                assert payload["example"].pop("skeleton")
+                commits_with_examples.append(event.offset)
+            stripped += encode_record(event.type, payload)
+        assert len(commits_with_examples) == len(QUERIES)
+        assert b'"skeleton"' in original and b'"skeleton"' not in stripped
+
+        latest = SnapshotManager(directory / "snapshots").latest()
+        assert latest is not None
+        assert any(offset >= latest[0] for offset in commits_with_examples)
+
+        for image in (original, bytes(stripped)):
+            journal_path.write_bytes(image)
+            cold = AnnotationService.recover(journal_path)
+            assert semantic_state(cold) == live
+            cold.close()
+            warm = AnnotationService.open_durable(directory)  # snapshot + suffix
+            assert semantic_state(warm) == live
+            warm.close()
+
+
 # ----------------------------------------------------------------------
 # snapshots and warm start
 # ----------------------------------------------------------------------
 
 class TestSnapshots:
-    def test_manager_round_trip_prune_and_corrupt_skip(self, tmp_path):
+    @pytest.mark.parametrize("case", SNAPSHOT_CORRUPTIONS)
+    def test_manager_round_trip_prune_and_corrupt_skip(self, tmp_path, case):
         manager = SnapshotManager(tmp_path / "snaps", keep=2)
         for offset in (5, 9, 12):
             manager.save(offset, {"offset": offset, "data": [offset]})
@@ -537,16 +673,35 @@ class TestSnapshots:
         assert manager.load(12)["data"] == [12]
 
         # Corrupt the newest snapshot: latest() must fall back to the older one.
-        manager.path_for(12).write_text("{corrupt", encoding="utf-8")
-        offset, state = manager.latest()
-        assert offset == 9 and state["data"] == [9]
+        intact = manager.path_for(12).read_bytes()
+        variants = corrupted_snapshots(intact, case) + [b"{corrupt"]
+        for damaged in variants:
+            manager.path_for(12).write_bytes(damaged)
+            offset, state = manager.latest()
+            assert offset == 9 and state["data"] == [9]
+            with pytest.raises(SnapshotError):
+                manager.load(12)
+        manager.path_for(12).write_bytes(intact)
+        assert manager.load(12)["data"] == [12]
 
         # max_offset caps which snapshots qualify.
         assert manager.latest(max_offset=8) is None
         with pytest.raises(SnapshotError):
-            manager.load(12)
-        with pytest.raises(SnapshotError):
             SnapshotManager(tmp_path / "other", keep=0)
+
+    def test_only_format_2_at_its_own_offset_is_read(self, tmp_path):
+        manager = SnapshotManager(tmp_path / "snaps")
+        manager.save(7, {"data": [7]})
+        data = manager.path_for(7).read_bytes()
+        newline = data.index(b"\n")
+        fields = json.loads(data[:newline])
+        for changed in ({"format": 1}, {"format": 3}, {"offset": 8}):
+            header = json.dumps(dict(fields, **changed), separators=(",", ":")).encode()
+            manager.path_for(7).write_bytes(header + data[newline:])
+            assert manager.latest() is None
+        # A copy of a valid file under another offset's name is not used.
+        manager.path_for(3).write_bytes(data)
+        assert manager.latest() is None
 
     def test_warm_start_from_snapshot_matches_cold_replay(self, tmp_path):
         service = AnnotationService.open_durable(tmp_path / "svc", snapshot_every=4)
@@ -571,25 +726,65 @@ class TestSnapshots:
         assert semantic_state(cold) == live
         cold.close()
 
-    def test_corrupt_snapshot_degrades_to_older_or_cold(self, tmp_path):
-        service = AnnotationService.open_durable(tmp_path / "svc", snapshot_every=2)
-        service.register_project("hr", make_schema())
-        for sql in QUERIES:
-            service.submit(sql, project="hr")
-            service.drain()
-        live = semantic_state(service)
-        service.close()
-
-        snapshots = SnapshotManager(tmp_path / "svc" / "snapshots")
+    @pytest.mark.parametrize("case", SNAPSHOT_CORRUPTIONS)
+    def test_corrupt_snapshot_degrades_to_older_or_cold(self, tmp_path, case):
+        directory = tmp_path / "svc"
+        live = drain_with_snapshots(directory)
+        snapshots = SnapshotManager(directory / "snapshots")
         offsets = snapshots.offsets()
         assert len(offsets) >= 2
-        for offset in offsets:  # damage every snapshot
-            path = snapshots.path_for(offset)
-            path.write_bytes(path.read_bytes()[: len(path.read_bytes()) // 2])
+        intact = {offset: snapshots.path_for(offset).read_bytes() for offset in offsets}
 
-        recovered = AnnotationService.open_durable(tmp_path / "svc")
+        def damage(offset: int) -> None:
+            variants = corrupted_snapshots(intact[offset], case)
+            snapshots.path_for(offset).write_bytes(variants[len(variants) // 2])
+
+        # Damage the newest snapshot: warm start from the older one.
+        damage(offsets[-1])
+        telemetry = Telemetry()
+        recovered = AnnotationService.open_durable(directory, telemetry=telemetry)
         assert semantic_state(recovered) == live
+        assert snapshot_fallbacks(telemetry) == 1
         recovered.close()
+
+        # Damage every snapshot: cold replay of the whole journal.
+        for offset in offsets:
+            damage(offset)
+        assert snapshots.latest() is None
+        telemetry = Telemetry()
+        recovered = AnnotationService.open_durable(directory, telemetry=telemetry)
+        assert semantic_state(recovered) == live
+        assert snapshot_fallbacks(telemetry) == len(offsets)
+        recovered.close()
+
+    def test_previous_format_snapshot_is_skipped_for_an_exact_cold_replay(self, tmp_path):
+        directory = tmp_path / "svc"
+        live = drain_with_snapshots(directory)
+        snapshots = SnapshotManager(directory / "snapshots")
+        offsets = snapshots.offsets()
+        assert offsets
+        for offset in offsets:
+            state = snapshots.load(offset)
+            snapshots.path_for(offset).write_bytes(previous_format_snapshot(offset, state))
+        assert snapshots.latest() is None
+
+        telemetry = Telemetry()
+        recovered = AnnotationService.open_durable(directory, telemetry=telemetry)
+        assert semantic_state(recovered) == live
+        assert snapshot_fallbacks(telemetry) == len(offsets)
+        recovered.close()
+
+    def test_restored_feature_hashes_are_the_derived_ones(self, tmp_path):
+        directory = tmp_path / "svc"
+        drain_with_snapshots(directory)
+        warm = AnnotationService.open_durable(directory)
+        model = warm.pipeline("hr").retriever.example_store._store.model
+        assert model._feature_ids
+        for feature, feature_id in model._feature_ids.items():
+            hashed = _stable_hash(feature)
+            assert model._indices[feature_id] == hashed % model.dimensions
+            assert model._signs[feature_id] == (1.0 if (hashed >> 32) % 2 == 0 else -1.0)
+        warm.close()
 
     def test_forced_snapshot_and_cadence(self, tmp_path):
         service = AnnotationService.open_durable(tmp_path / "svc", snapshot_every=0)

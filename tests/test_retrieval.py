@@ -24,6 +24,7 @@ from repro.retrieval import (
     sentence_case,
     tokenize_text,
 )
+from repro.retrieval.embedding import _stable_hash
 
 EMBEDDING_CORPUS_PATH = Path(__file__).parent / "data" / "embedding_corpus.json"
 
@@ -551,18 +552,6 @@ class TestShardedVectorStore:
         assert sharded.shard_count == 3
         assert sharded.shard_sizes() == {"beaver": 3, "hr": 2, "it": 1}
 
-    def test_legacy_snapshot_migrates_into_shards(self):
-        flat, _ = self._both_stores()
-        migrated = ShardedVectorStore.from_state(flat.state_dict())
-        assert migrated.shard_count == 3
-        assert sorted(migrated.all_ids()) == sorted(flat.all_ids())
-        for query in ("count students", "salary department"):
-            expected = flat.search(query, top_k=4)
-            actual = migrated.search(query, top_k=4)
-            assert [(h.doc_id, pytest.approx(h.score)) for h in actual] == [
-                (h.doc_id, pytest.approx(h.score)) for h in expected
-            ]
-
     def test_sharded_state_roundtrip(self):
         _, sharded = self._both_stores()
         clone = ShardedVectorStore.from_state(sharded.state_dict())
@@ -750,6 +739,21 @@ class TestEmbeddingEquivalence:
         for text in probes + later:
             assert model.embed(text).tobytes() == restored.embed(text).tobytes()
         assert restored.state_dict() == model.state_dict()
+        # The stored hashes restore exactly what hashing each feature gives.
+        for feature, feature_id in restored._feature_ids.items():
+            hashed = _stable_hash(feature)
+            assert restored._indices[feature_id] == hashed % 64
+            assert restored._signs[feature_id] == (1.0 if (hashed >> 32) % 2 == 0 else -1.0)
+
+    def test_from_state_rejects_hashes_that_do_not_fit(self):
+        model = EmbeddingModel(dimensions=64)
+        model.observe("SELECT name FROM singer")
+        state = model.state_dict()
+        assert len(state["hashes"]) == len(state["features"])
+        count = len(state["features"])
+        for hashes in (state["hashes"][1:], [0] * count, [65] * count, [-65] * count):
+            with pytest.raises(ValueError):
+                EmbeddingModel.from_state(dict(state, hashes=hashes))
 
 
 class TestFailureAtomicAdd:
