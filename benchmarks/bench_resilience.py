@@ -1,6 +1,6 @@
-"""Resilience benchmark: goodput, hedged tail latency and deadline fidelity.
+"""Resilience benchmark: goodput under failures and deadline fidelity.
 
-Three measurements, one per degradation mechanism this repo ships:
+Two measurements, one per degradation mechanism this repo ships:
 
 * **Goodput under failures** — an LLM backend whose transient failures come
   in seeded Markov bursts (~30% of calls fail overall, matching real outages
@@ -10,9 +10,6 @@ Three measurements, one per degradation mechanism this repo ships:
   batch, probes on a short recovery clock and loses nothing.  Goodput is
   completed annotations per second; the breaker arm must keep ≥
   ``min_goodput_ratio`` times the retry-only arm's.
-* **Hedged tail latency** — a backend with injected heavy-tail stalls.
-  Hedged calls fire a backup after a fixed delay and take the first answer;
-  the p99 call latency must drop by ≥ ``min_p99_cut`` versus unhedged.
 * **Deadline fidelity** — ``drain(deadline=...)`` against a slow backend
   must stop within ``max_overshoot`` of the budget, defer the remainder
   intact, and complete it on the next unconstrained drain.
@@ -35,7 +32,7 @@ import pytest
 
 from repro.core import AnnotationService, TaskConfig
 from repro.errors import TransientLLMError
-from repro.llm import HedgePolicy, RetryPolicy, SimulatedLLM
+from repro.llm import SimulatedLLM
 from repro.llm.base import LLMClient
 from repro.llm.prompts import Prompt
 
@@ -52,10 +49,6 @@ PROFILES = {
         "goodput_jobs": 60,
         "failure_latency_seconds": 0.03,
         "min_goodput_ratio": 2.0,
-        "hedge_calls": 200,
-        "stall_seconds": 0.25,
-        "hedge_delay_seconds": 0.03,
-        "min_p99_cut": 0.30,
         "deadline_jobs": 40,
         "deadline_budget_seconds": 0.5,
         "deadline_llm_delay_seconds": 0.03,
@@ -65,10 +58,6 @@ PROFILES = {
         "goodput_jobs": 24,
         "failure_latency_seconds": 0.01,
         "min_goodput_ratio": 1.5,
-        "hedge_calls": 60,
-        "stall_seconds": 0.08,
-        "hedge_delay_seconds": 0.02,
-        "min_p99_cut": 0.30,
         "deadline_jobs": 24,
         "deadline_budget_seconds": 0.25,
         "deadline_llm_delay_seconds": 0.025,
@@ -150,45 +139,6 @@ class MarkovOutageLLM(LLMClient):
         return self.inner.backtranslate(description, schema_text)
 
 
-class HeavyTailLLM(LLMClient):
-    """Backend where every ``stall_every``-th call stalls — the hedging target.
-
-    The schedule is deterministic (10% of calls with the default) so the
-    benchmark is reproducible; a hedged backup lands on the call index right
-    after its stalled primary and therefore never stalls with it, which is
-    the "independent replica" assumption hedging relies on in production.
-    """
-
-    def __init__(self, inner: LLMClient, stall_every: int, stall_seconds: float) -> None:
-        self.inner = inner
-        self.name = inner.name
-        self.stall_every = stall_every
-        self.stall_seconds = stall_seconds
-        self.calls = 0
-        self.stalls = 0
-
-    @property
-    def example_content_sensitive(self) -> bool:  # type: ignore[override]
-        return self.inner.example_content_sensitive
-
-    def _maybe_stall(self) -> None:
-        self.calls += 1
-        if self.calls % self.stall_every == 0:
-            self.stalls += 1
-            time.sleep(self.stall_seconds)
-
-    def generate(self, prompt: Prompt):
-        self._maybe_stall()
-        return self.inner.generate(prompt)
-
-    def generate_batch(self, prompts: list[Prompt]):
-        self._maybe_stall()
-        return self.inner.generate_batch(prompts)
-
-    def backtranslate(self, description: str, schema_text: str = "") -> str | None:
-        return self.inner.backtranslate(description, schema_text)
-
-
 # ----------------------------------------------------------------------
 # part A: goodput under burst failures
 # ----------------------------------------------------------------------
@@ -257,43 +207,7 @@ def _goodput_arm(workload, profile, *, breaker: bool):
 
 
 # ----------------------------------------------------------------------
-# part B: hedged tail latency
-# ----------------------------------------------------------------------
-
-def _latency_samples(workload, profile, *, hedge: HedgePolicy | None):
-    llm = HeavyTailLLM(
-        SimulatedLLM("gpt-4o", schema=workload.schema),
-        stall_every=10,
-        stall_seconds=profile["stall_seconds"],
-    )
-    from repro.core.pipeline import AnnotationPipeline
-
-    pipeline = AnnotationPipeline(
-        schema=workload.schema, llm=llm, dataset_name="bench"
-    )
-    prompt = pipeline.generate_candidates(workload.query_sql[0]).prompt
-    policy = RetryPolicy(max_attempts=2, base_delay=0.0, jitter=0.0)
-    samples = []
-    for _ in range(profile["hedge_calls"]):
-        started = time.perf_counter()
-        llm.generate_with_retry(prompt, policy, hedge=hedge)
-        sample = time.perf_counter() - started
-        samples.append(sample)
-        if hedge is not None and sample > profile["hedge_delay_seconds"]:
-            # A hedge fired: let the abandoned stalled primary finish so it
-            # does not hold an executor worker into the next measured call
-            # (latency is the metric here, not throughput).
-            time.sleep(profile["stall_seconds"])
-    return samples, llm
-
-
-def _percentile(samples: list[float], q: float) -> float:
-    ordered = sorted(samples)
-    return ordered[min(len(ordered) - 1, int(q * len(ordered)))]
-
-
-# ----------------------------------------------------------------------
-# part C: deadline fidelity
+# part B: deadline fidelity
 # ----------------------------------------------------------------------
 
 def _deadline_run(workload, profile):
@@ -342,16 +256,7 @@ def test_resilience_benchmark(benchmark, workload):
     breaker_goodput = brk_completed / brk_elapsed
     goodput_ratio = breaker_goodput / retry_goodput
 
-    # Part B — hedged tail latency.
-    plain_samples, plain_llm = _latency_samples(workload, profile, hedge=None)
-    hedged_samples, hedged_llm = _latency_samples(
-        workload, profile, hedge=HedgePolicy(delay_s=profile["hedge_delay_seconds"])
-    )
-    plain_p99 = _percentile(plain_samples, 0.99)
-    hedged_p99 = _percentile(hedged_samples, 0.99)
-    p99_cut = 1.0 - hedged_p99 / plain_p99
-
-    # Part C — deadline fidelity.
+    # Part B — deadline fidelity.
     dl_completed, dl_deferred, dl_elapsed, overshoot = _deadline_run(workload, profile)
 
     # One harness round (the cheap deadline run) so the shared benchmark
@@ -369,12 +274,6 @@ def test_resilience_benchmark(benchmark, workload):
         f"breaker+defer {breaker_goodput:6.1f} jobs/s "
         f"({brk_completed} done, {brk_lost} lost)   "
         f"ratio {goodput_ratio:0.2f}x (floor {profile['min_goodput_ratio']}x)"
-    )
-    print(
-        f"hedging:  p99 {plain_p99 * 1000:6.1f}ms -> {hedged_p99 * 1000:6.1f}ms "
-        f"({p99_cut * 100:0.0f}% cut, floor {profile['min_p99_cut'] * 100:0.0f}%; "
-        f"{plain_llm.stalls}/{plain_llm.calls} stalls unhedged, "
-        f"{hedged_llm.stalls}/{hedged_llm.calls} hedged)"
     )
     print(
         f"deadline: budget {profile['deadline_budget_seconds']:0.2f}s  "
@@ -407,14 +306,6 @@ def test_resilience_benchmark(benchmark, workload):
                     "ratio": round(goodput_ratio, 3),
                     "min_ratio": profile["min_goodput_ratio"],
                 },
-                "hedging": {
-                    "calls": profile["hedge_calls"],
-                    "stall_seconds": profile["stall_seconds"],
-                    "p99_unhedged_seconds": round(plain_p99, 4),
-                    "p99_hedged_seconds": round(hedged_p99, 4),
-                    "p99_cut": round(p99_cut, 3),
-                    "min_p99_cut": profile["min_p99_cut"],
-                },
                 "deadline": {
                     "jobs": profile["deadline_jobs"],
                     "budget_seconds": profile["deadline_budget_seconds"],
@@ -434,10 +325,6 @@ def test_resilience_benchmark(benchmark, workload):
     assert goodput_ratio >= profile["min_goodput_ratio"], (
         f"breaker+defer goodput {goodput_ratio:0.2f}x retry-only; "
         f"{PROFILE} profile requires >= {profile['min_goodput_ratio']}x"
-    )
-    assert p99_cut >= profile["min_p99_cut"], (
-        f"hedging cut p99 by {p99_cut * 100:0.0f}%; "
-        f"{PROFILE} profile requires >= {profile['min_p99_cut'] * 100:0.0f}%"
     )
     assert overshoot <= profile["max_overshoot"], (
         f"deadline overshoot {overshoot * 100:0.1f}%; "

@@ -2,12 +2,8 @@
 
 from repro.core.config import AnnotationTask, TaskConfig
 from repro.core.export import (
-    ReviewReport,
-    annotations_at_offset,
-    export_at_offset,
     export_benchmark_json,
     export_jsonl,
-    review_against_gold,
     to_benchmark_records,
 )
 from repro.core.feedback import Feedback, FeedbackAction, FeedbackLoop, FeedbackOutcome
@@ -66,7 +62,6 @@ __all__ = [
     "LogEntry",
     "Project",
     "ProjectStats",
-    "ReviewReport",
     "ServiceStats",
     "SnapshotManager",
     "TaskConfig",
@@ -74,15 +69,12 @@ __all__ = [
     "WaveScheduler",
     "WaveStats",
     "Workspace",
-    "annotations_at_offset",
-    "export_at_offset",
     "export_benchmark_json",
     "export_jsonl",
     "ingest_benchmark",
     "ingest_files",
     "ingest_sql_log",
     "load_benchmark_json",
-    "review_against_gold",
     "split_sql_log",
     "to_benchmark_records",
 ]

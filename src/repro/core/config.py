@@ -18,7 +18,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (llm.base ← config)
     from typing import Callable
 
     from repro.llm.base import RetryPolicy
-    from repro.llm.resilience import CircuitBreaker, HedgePolicy
+    from repro.llm.resilience import CircuitBreaker
 
 
 class AnnotationTask(Enum):
@@ -77,13 +77,6 @@ class TaskConfig:
         breaker_recovery_s: Seconds the breaker stays open before admitting
             half-open probe calls.
         breaker_probes: Consecutive probe successes required to close again.
-        llm_hedge_enabled: Fire a backup LLM call behind a slow primary and
-            take the first answer (tail-latency for duplicate-work trade).
-        llm_hedge_delay_s: Fixed hedge delay; ``None`` derives it from the
-            client's observed latency distribution.
-        llm_hedge_percentile: Latency percentile used for the derived delay.
-        llm_hedge_min_samples: Latency samples required before a derived
-            delay is trusted (until then calls are not hedged).
     """
 
     task: AnnotationTask = AnnotationTask.SQL_TO_NL
@@ -108,10 +101,6 @@ class TaskConfig:
     breaker_min_calls: int = 4
     breaker_recovery_s: float = 1.0
     breaker_probes: int = 1
-    llm_hedge_enabled: bool = False
-    llm_hedge_delay_s: float | None = None
-    llm_hedge_percentile: float = 0.95
-    llm_hedge_min_samples: int = 8
 
     def validate(self) -> None:
         """Raise :class:`PipelineError` on inconsistent settings."""
@@ -143,12 +132,6 @@ class TaskConfig:
             raise PipelineError("breaker_recovery_s cannot be negative")
         if self.breaker_probes < 1:
             raise PipelineError("breaker_probes must be at least 1")
-        if self.llm_hedge_delay_s is not None and self.llm_hedge_delay_s < 0:
-            raise PipelineError("llm_hedge_delay_s cannot be negative")
-        if not 0.0 < self.llm_hedge_percentile < 1.0:
-            raise PipelineError("llm_hedge_percentile must be within (0, 1)")
-        if self.llm_hedge_min_samples < 1:
-            raise PipelineError("llm_hedge_min_samples must be at least 1")
         if self.task is AnnotationTask.NL_TO_SQL:
             raise PipelineError(
                 "NL_TO_SQL annotation is future work in the paper and not supported yet"
@@ -183,19 +166,6 @@ class TaskConfig:
             recovery_timeout=self.breaker_recovery_s,
             probe_budget=self.breaker_probes,
             on_transition=on_transition,
-        )
-
-    def hedge_policy(self) -> "HedgePolicy | None":
-        """A :class:`~repro.llm.resilience.HedgePolicy` per these knobs, or
-        ``None`` when hedging is disabled."""
-        if not self.llm_hedge_enabled:
-            return None
-        from repro.llm.resilience import HedgePolicy
-
-        return HedgePolicy(
-            delay_s=self.llm_hedge_delay_s,
-            percentile=self.llm_hedge_percentile,
-            min_samples=self.llm_hedge_min_samples,
         )
 
     def to_dict(self) -> dict:

@@ -1,75 +1,17 @@
-"""Review and export (paper step 7).
+"""Export (paper step 7).
 
-Accepted annotations are evaluated against ground truth (when available) with
-automatic metrics and exported in the typical benchmark-ready JSON format used
-by Spider/Bird-style datasets: a list of records with the NL question, the
-gold SQL, and the database identifier.
+Accepted annotations are exported in the typical benchmark-ready JSON format
+used by Spider/Bird-style datasets: a list of records with the NL question,
+the gold SQL, and the database identifier.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from pathlib import Path
 
-from repro.core.journal import ANNOTATION_COMMITTED, EventJournal
 from repro.core.pipeline import AnnotationRecord
 from repro.errors import ExportError
-from repro.metrics.textgen import bleu_score, exact_match, rouge_l
-
-
-@dataclass
-class ReviewReport:
-    """Automatic-metric summary of a set of annotations against ground truth."""
-
-    count: int
-    exact_match_rate: float
-    mean_bleu: float
-    mean_rouge_l: float
-    per_query: list[dict[str, object]] = field(default_factory=list)
-
-
-def review_against_gold(
-    annotations: list[AnnotationRecord], gold: dict[str, str]
-) -> ReviewReport:
-    """Score annotations against gold NL descriptions keyed by query id.
-
-    Records without a gold entry are skipped (qualitative-review-only in the
-    paper's terms); an empty intersection raises :class:`ExportError` because
-    that always indicates mismatched ids.
-    """
-    scored: list[dict[str, object]] = []
-    exact = 0
-    bleu_total = 0.0
-    rouge_total = 0.0
-    for record in annotations:
-        if record.query_id not in gold:
-            continue
-        reference = gold[record.query_id]
-        is_exact = exact_match(record.nl, reference)
-        bleu = bleu_score(record.nl, reference)
-        rouge = rouge_l(record.nl, reference).f1
-        exact += int(is_exact)
-        bleu_total += bleu
-        rouge_total += rouge
-        scored.append(
-            {
-                "query_id": record.query_id,
-                "exact_match": is_exact,
-                "bleu": bleu,
-                "rouge_l": rouge,
-            }
-        )
-    if not scored:
-        raise ExportError("no annotation matched a gold entry; check query ids")
-    count = len(scored)
-    return ReviewReport(
-        count=count,
-        exact_match_rate=exact / count,
-        mean_bleu=bleu_total / count,
-        mean_rouge_l=rouge_total / count,
-        per_query=scored,
-    )
 
 
 def to_benchmark_records(annotations: list[AnnotationRecord]) -> list[dict[str, object]]:
@@ -116,45 +58,3 @@ def export_jsonl(annotations: list[AnnotationRecord], path: str | Path) -> Path:
         for record in records:
             handle.write(json.dumps(record) + "\n")
     return path
-
-
-def annotations_at_offset(
-    journal_path: str | Path,
-    offset: int | None = None,
-    project: str | None = None,
-) -> list[AnnotationRecord]:
-    """Annotations as they stood after the first ``offset`` journal records.
-
-    Reads the service's event journal directly — no live service needed — so
-    any historical export can be reproduced exactly from the audit trail.
-    ``offset=None`` means the whole valid journal; ``project`` restricts the
-    result to one project's records.
-    """
-    records: list[AnnotationRecord] = []
-    for event in EventJournal.read_events(journal_path, limit=offset):
-        if event.type != ANNOTATION_COMMITTED:
-            continue
-        if project is not None and event.payload["project"] != project:
-            continue
-        records.append(AnnotationRecord(**event.payload["record"]))
-    return records
-
-
-def export_at_offset(
-    journal_path: str | Path,
-    path: str | Path,
-    offset: int | None = None,
-    project: str | None = None,
-    indent: int = 2,
-) -> Path:
-    """Export the benchmark JSON exactly as it looked at a journal offset.
-
-    Because the journal is append-only and replay is deterministic, the same
-    ``(journal, offset)`` pair always produces byte-identical output — the
-    reproducibility hook for auditing and for diffing dataset versions.
-    """
-    return export_benchmark_json(
-        annotations_at_offset(journal_path, offset=offset, project=project),
-        path,
-        indent=indent,
-    )

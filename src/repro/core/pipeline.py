@@ -158,7 +158,6 @@ class AnnotationPipeline:
         self.breaker = self.config.circuit_breaker(
             on_transition=self._note_breaker_transition
         )
-        self._hedge = self.config.hedge_policy()
         self._journal: EventJournal | None = None
         self._journal_project = dataset_name
         #: Observability sink; no-op unless a service injects a live one.
@@ -518,7 +517,6 @@ class AnnotationPipeline:
             salt=self._retry_salt,
             deadline=deadline,
             breaker=self.breaker,
-            hedge=self._hedge,
         )
         if tel.enabled:
             tel.observe(
@@ -679,7 +677,6 @@ class AnnotationPipeline:
                     salt=self._retry_salt,
                     deadline=deadline,
                     breaker=self.breaker,
-                    hedge=self._hedge,
                 ).candidates
                 for name, prompt in zip(item.unit_names, fresh_prompts)
             }
@@ -694,7 +691,6 @@ class AnnotationPipeline:
                 salt=self._retry_salt,
                 deadline=deadline,
                 breaker=self.breaker,
-                hedge=self._hedge,
             ).candidates
             context = fresh_contexts[0]
             prompt = fresh_prompts[0]

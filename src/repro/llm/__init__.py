@@ -12,7 +12,7 @@ from repro.llm.base import (
 )
 from repro.llm.knowledge import FailurePattern, KnowledgeBase, KnowledgeEntry
 from repro.llm.nl2sql import BacktranslationResult, NLToSQLGenerator
-from repro.llm.resilience import CircuitBreaker, Deadline, HedgePolicy
+from repro.llm.resilience import CircuitBreaker, Deadline
 from repro.llm.prompts import Prompt, PromptBuilder
 from repro.llm.simulated import SimulatedLLM
 from repro.llm.sql2nl import (
@@ -35,7 +35,6 @@ __all__ = [
     "FACT_WEIGHTS",
     "FailurePattern",
     "GenerationResult",
-    "HedgePolicy",
     "KnowledgeBase",
     "KnowledgeEntry",
     "LLMClient",

@@ -13,7 +13,7 @@ import abc
 import hashlib
 import threading
 import time
-from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
+from concurrent.futures import ThreadPoolExecutor
 from concurrent.futures import TimeoutError as _FutureTimeout
 from dataclasses import dataclass, field
 from typing import Callable, TypeVar
@@ -25,7 +25,7 @@ from repro.errors import (
     TransientLLMError,
 )
 from repro.llm.prompts import Prompt
-from repro.llm.resilience import CircuitBreaker, Deadline, HedgePolicy
+from repro.llm.resilience import CircuitBreaker, Deadline
 from repro.obs import NULL_TELEMETRY, Telemetry
 
 _T = TypeVar("_T")
@@ -265,7 +265,6 @@ class LLMClient(abc.ABC):
         salt: str = "",
         deadline: Deadline | None = None,
         breaker: CircuitBreaker | None = None,
-        hedge: HedgePolicy | None = None,
     ) -> GenerationResult:
         """:meth:`generate` hardened with retry/backoff/timeout.
 
@@ -283,8 +282,7 @@ class LLMClient(abc.ABC):
         ``deadline`` shrinks the per-call timeout so the attempt sequence
         cannot outlive the caller's drain budget; ``breaker`` fast-fails with
         :class:`~repro.errors.CircuitOpenError` while its backend is
-        considered down; ``hedge`` fires a backup call behind a slow primary
-        and takes the first answer.
+        considered down.
         """
         result = self._resilient_call(
             lambda: self.generate(prompt),
@@ -292,7 +290,6 @@ class LLMClient(abc.ABC):
             salt=_join_salt(salt, prompt.sql),
             deadline=deadline,
             breaker=breaker,
-            hedge=hedge,
         )
         tel = self.telemetry
         if tel.enabled:
@@ -309,14 +306,12 @@ class LLMClient(abc.ABC):
         salt: str = "",
         deadline: Deadline | None = None,
         breaker: CircuitBreaker | None = None,
-        hedge: HedgePolicy | None = None,
     ) -> list[GenerationResult]:
         """:meth:`generate_batch` hardened with retry/backoff/timeout.
 
         ``salt`` de-synchronises backoff across tenants exactly as in
-        :meth:`generate_with_retry`; ``deadline``/``breaker``/``hedge``
-        behave identically too (a hedged batch duplicates the whole batched
-        call — the usual hedging cost/latency trade).
+        :meth:`generate_with_retry`; ``deadline`` and ``breaker`` behave
+        identically too.
         """
         base = prompts[0].sql if prompts else ""
         results = self._resilient_call(
@@ -325,7 +320,6 @@ class LLMClient(abc.ABC):
             salt=_join_salt(salt, f"batch:{len(prompts)}:{base}"),
             deadline=deadline,
             breaker=breaker,
-            hedge=hedge,
         )
         tel = self.telemetry
         if tel.enabled:
@@ -344,7 +338,6 @@ class LLMClient(abc.ABC):
         salt: str,
         deadline: Deadline | None = None,
         breaker: CircuitBreaker | None = None,
-        hedge: HedgePolicy | None = None,
     ) -> _T:
         tel = self.telemetry
 
@@ -361,7 +354,7 @@ class LLMClient(abc.ABC):
                 )
 
         breaker_gate()
-        if policy is None and deadline is None and breaker is None and hedge is None:
+        if policy is None and deadline is None and breaker is None:
             if not tel.enabled:
                 return call()
             started = time.perf_counter()
@@ -385,9 +378,8 @@ class LLMClient(abc.ABC):
             timeout, clamped = self._effective_timeout(
                 call_timeout, deadline, budget, tel
             )
-            call_started = time.perf_counter()
             try:
-                result = self._execute(call, timeout, hedge, tel)
+                result = self._call_with_timeout(call, timeout)
             except Exception as exc:
                 if isinstance(exc, LLMTimeoutError):
                     if tel.enabled:
@@ -424,7 +416,6 @@ class LLMClient(abc.ABC):
                 if delay > 0:
                     time.sleep(delay)
             else:
-                self._note_latency(time.perf_counter() - call_started)
                 if breaker is not None:
                     breaker.record_success()
                 if tel.enabled:
@@ -477,42 +468,7 @@ class LLMClient(abc.ABC):
                 return False
         return True
 
-    # -- hedged / timed execution --------------------------------------
-
-    #: Bounded reservoir of recent successful call latencies, feeding the
-    #: percentile-derived hedge delay.
-    _LATENCY_RESERVOIR = 256
-
-    def _note_latency(self, seconds: float) -> None:
-        samples = getattr(self, "_latency_samples", None)
-        if samples is None:
-            samples = []
-            self._latency_samples = samples
-        samples.append(seconds)
-        if len(samples) > self._LATENCY_RESERVOIR:
-            del samples[: len(samples) - self._LATENCY_RESERVOIR]
-
-    @property
-    def latency_samples(self) -> list[float]:
-        """Recent successful call latencies (most recent last)."""
-        return list(getattr(self, "_latency_samples", []))
-
-    def _execute(
-        self,
-        call: Callable[[], _T],
-        timeout: float | None,
-        hedge: HedgePolicy | None,
-        tel: Telemetry,
-    ) -> _T:
-        if hedge is not None:
-            hedge_delay = hedge.resolve_delay(
-                getattr(self, "_latency_samples", [])
-            )
-            if hedge_delay is not None and (
-                timeout is None or hedge_delay < timeout
-            ):
-                return self._call_hedged(call, timeout, hedge_delay, tel)
-        return self._call_with_timeout(call, timeout)
+    # -- timed execution ----------------------------------------------
 
     def _call_with_timeout(self, call: Callable[[], _T], timeout: float | None) -> _T:
         if timeout is None:
@@ -527,68 +483,8 @@ class LLMClient(abc.ABC):
                 f"LLM call on {self.name!r} exceeded its {timeout:.3f}s budget"
             ) from None
 
-    def _call_hedged(
-        self,
-        call: Callable[[], _T],
-        timeout: float | None,
-        hedge_delay: float,
-        tel: Telemetry,
-    ) -> _T:
-        """Primary call, then a backup after ``hedge_delay``; first answer wins.
-
-        The loser is cancelled if it never started, and ignored otherwise —
-        deterministically: when both futures complete in the same wait batch
-        the primary wins, so a fast backend never changes the result.
-        """
-        expires_at = None if timeout is None else time.monotonic() + timeout
-        executor = self._executor()
-        primary = executor.submit(call)
-        try:
-            return primary.result(hedge_delay)
-        except _FutureTimeout:
-            pass  # primary is slow: hedge it
-        if tel.enabled:
-            tel.count("llm_hedges_total", model=self.name)
-        backup = executor.submit(call)
-        pending = {primary, backup}
-        last_error: BaseException | None = None
-        while pending:
-            remaining = (
-                None if expires_at is None else expires_at - time.monotonic()
-            )
-            if remaining is not None and remaining <= 0:
-                break
-            done, pending = wait(
-                pending, timeout=remaining, return_when=FIRST_COMPLETED
-            )
-            if not done:
-                break  # overall timeout
-            # Deterministic winner order: primary before backup.
-            for future in sorted(done, key=lambda f: f is backup):
-                error = future.exception()
-                if error is not None:
-                    last_error = error
-                    continue
-                if tel.enabled:
-                    tel.count(
-                        "llm_hedge_wins_total",
-                        model=self.name,
-                        winner="backup" if future is backup else "primary",
-                    )
-                for loser in pending:
-                    loser.cancel()
-                return future.result()
-        if last_error is not None and not pending:
-            raise last_error
-        for future in pending:
-            future.cancel()
-        raise LLMTimeoutError(
-            f"hedged LLM call on {self.name!r} exceeded its "
-            f"{timeout if timeout is not None else float('inf'):.3f}s budget"
-        ) from None
-
     def _executor(self) -> ThreadPoolExecutor:
-        """Lazily-created worker pool for timed and hedged calls."""
+        """Lazily-created worker pool for timed calls."""
         executor = getattr(self, "_timeout_executor", None)
         if executor is None:
             executor = ThreadPoolExecutor(

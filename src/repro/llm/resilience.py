@@ -1,6 +1,6 @@
 """Fault-domain hardening primitives for the LLM tier.
 
-Three cooperating pieces, all deterministic and clock-injectable so the
+Two cooperating pieces, both deterministic and clock-injectable so the
 chaos/resilience suites can drive them without real time passing:
 
 * :class:`Deadline` — a monotonic-clock budget carried from
@@ -13,28 +13,22 @@ chaos/resilience suites can drive them without real time passing:
   budget against a backend that is known to be down; after a recovery
   period a bounded *probe budget* of trial calls decides whether to close
   again.
-* :class:`HedgePolicy` — configuration for hedged requests: once the
-  primary call has been in flight longer than a latency-percentile-derived
-  delay, a backup call is fired and the first answer wins (the loser is
-  cancelled or ignored).  Hedging trades duplicate work for tail latency,
-  so it is opt-in per project.
 
 The degradation ladder the service builds out of these: retry (transient
-error, backoff) → hedge (slow call, duplicate) → breaker-open defer (dead
-backend, re-queue the project's jobs) → journaled-read-only degraded mode
-(dead disk, stop mutating but keep serving reads).
+error, backoff) → breaker-open defer (dead backend, re-queue the project's
+jobs) → journaled-read-only degraded mode (dead disk, stop mutating but
+keep serving reads).
 """
 
 from __future__ import annotations
 
 import threading
 import time
-from dataclasses import dataclass
 from typing import Callable
 
 from repro.errors import PipelineError
 
-__all__ = ["CircuitBreaker", "Deadline", "HedgePolicy"]
+__all__ = ["CircuitBreaker", "Deadline"]
 
 #: Breaker state names (also the label values telemetry exposes).
 CLOSED = "closed"
@@ -235,40 +229,3 @@ class CircuitBreaker:
         if self._on_transition is not None:
             self._on_transition(old_state, new_state)
 
-
-@dataclass(frozen=True)
-class HedgePolicy:
-    """When and how to fire a backup request behind a slow primary call.
-
-    Attributes:
-        delay_s: Fixed hedge delay in seconds.  When ``None`` the delay is
-            derived from the client's observed latency distribution.
-        percentile: Latency percentile used to derive the delay when
-            ``delay_s`` is not fixed — hedge once the primary has been in
-            flight longer than this fraction of historical calls.
-        min_samples: Observed-latency samples required before a derived
-            delay is trusted; until then (and with no fixed delay) calls are
-            not hedged.
-    """
-
-    delay_s: float | None = None
-    percentile: float = 0.95
-    min_samples: int = 8
-
-    def __post_init__(self) -> None:
-        if self.delay_s is not None and self.delay_s < 0:
-            raise PipelineError("hedge delay cannot be negative")
-        if not 0.0 < self.percentile < 1.0:
-            raise PipelineError("hedge percentile must be within (0, 1)")
-        if self.min_samples < 1:
-            raise PipelineError("hedge min_samples must be at least 1")
-
-    def resolve_delay(self, latency_samples: list[float]) -> float | None:
-        """The hedge delay to use right now, or ``None`` to not hedge."""
-        if self.delay_s is not None:
-            return self.delay_s
-        if len(latency_samples) < self.min_samples:
-            return None
-        ordered = sorted(latency_samples)
-        index = min(len(ordered) - 1, int(self.percentile * len(ordered)))
-        return ordered[index]

@@ -1,4 +1,4 @@
-"""Evaluation metrics: text generation, execution, rubric, complexity, annotation."""
+"""Evaluation metrics: execution, rubric, complexity, annotation."""
 
 from repro.metrics.annotation import (
     ACCURACY_THRESHOLD,
@@ -34,14 +34,6 @@ from repro.metrics.rubric import (
     level_distribution,
     mean_level,
 )
-from repro.metrics.textgen import (
-    RougeScore,
-    bleu_score,
-    exact_match,
-    rouge_l,
-    rouge_n,
-    token_f1,
-)
 
 __all__ = [
     "ACCURACY_THRESHOLD",
@@ -51,17 +43,14 @@ __all__ = [
     "GoldResultCache",
     "QuerySetProfile",
     "RelativeRow",
-    "RougeScore",
     "RubricJudgement",
     "TABLE1_METRICS",
     "TABLE2_METRICS",
     "annotation_accuracy",
-    "bleu_score",
     "build_table1",
     "build_table2",
     "compare_execution",
     "compare_execution_many",
-    "exact_match",
     "execute_safely",
     "execution_accuracy",
     "grade_backtranslation",
@@ -73,7 +62,4 @@ __all__ = [
     "profile_query_set",
     "relative_to_baseline",
     "results_match",
-    "rouge_l",
-    "rouge_n",
-    "token_f1",
 ]

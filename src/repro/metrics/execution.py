@@ -14,20 +14,11 @@ once, and whole comparisons keyed by the (gold SQL, predicted SQL) pair, so
 two models that predict the same SQL for a question are executed and compared
 once.  The cache is tagged with the database's data version, so any DML
 between comparisons invalidates both automatically.
-
-The cache can also *persist* across runs: give it a JSON path plus a workload
-fingerprint (:func:`repro.workloads.workload_fingerprint`) and it reloads
-memoised gold results when both the fingerprint and the database's data
-version still match — deterministic workload builds produce identical data
-versions, so re-evaluating the same workload in a fresh process skips every
-gold execution.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, replace
-from pathlib import Path
 
 from repro.engine.database import Database
 from repro.engine.executor import QueryResult
@@ -69,88 +60,18 @@ class GoldResultCache:
     and each distinct prediction of it, once.  ``hits`` counts comparisons
     whose gold result came from memory, a memoised comparison included;
     ``misses`` counts gold executions.
-
-    With ``persist_path`` (and a workload ``fingerprint``), entries survive
-    process restarts: ``save()`` writes them as JSON, and construction reloads
-    them when the stored fingerprint *and* data version both match the live
-    database — a mismatch silently starts empty, so a stale or foreign file
-    can never leak wrong results.  ``loaded`` reports how many entries the
-    reload accepted.  Only gold entries are persisted; memoised comparisons
-    last for the run.
     """
 
-    def __init__(
-        self,
-        database: Database,
-        persist_path: str | Path | None = None,
-        fingerprint: str = "",
-    ) -> None:
+    def __init__(self, database: Database) -> None:
         self._database = database
         self._version = database.data_version
         self._entries: dict[str, GoldExecution] = {}
         self._comparisons: dict[tuple[str, str | None], ExecutionComparison] = {}
-        self._persist_path = Path(persist_path) if persist_path is not None else None
-        self._fingerprint = fingerprint
         self.hits = 0
         self.misses = 0
-        self.loaded = 0
-        if self._persist_path is not None:
-            self._load()
 
     def __len__(self) -> int:
         return len(self._entries)
-
-    def _load(self) -> None:
-        try:
-            payload = json.loads(self._persist_path.read_text(encoding="utf-8"))
-        except (OSError, ValueError):
-            return
-        if not isinstance(payload, dict):
-            return
-        if payload.get("fingerprint") != self._fingerprint:
-            return
-        if payload.get("data_version") != self._database.data_version:
-            return
-        for sql, entry in payload.get("entries", {}).items():
-            if not isinstance(entry, dict):
-                continue
-            columns = entry.get("columns")
-            if columns is None:
-                result = None
-            else:
-                result = QueryResult(
-                    columns=list(columns),
-                    rows=[tuple(row) for row in entry.get("rows", [])],
-                )
-            self._entries[sql] = GoldExecution(
-                result=result,
-                error=str(entry.get("error", "")),
-                ordered=bool(entry.get("ordered", False)),
-            )
-        self.loaded = len(self._entries)
-
-    def save(self) -> None:
-        """Persist the current entries to ``persist_path`` (no-op without one)."""
-        if self._persist_path is None:
-            return
-        self._validate()
-        entries = {}
-        for sql, execution in self._entries.items():
-            entries[sql] = {
-                "columns": None if execution.result is None else execution.result.columns,
-                "rows": None
-                if execution.result is None
-                else [list(row) for row in execution.result.rows],
-                "error": execution.error,
-                "ordered": execution.ordered,
-            }
-        payload = {
-            "fingerprint": self._fingerprint,
-            "data_version": self._version,
-            "entries": entries,
-        }
-        self._persist_path.parent.mkdir(parents=True, exist_ok=True)
-        self._persist_path.write_text(json.dumps(payload), encoding="utf-8")
 
     def _validate(self) -> None:
         if self._version != self._database.data_version:

@@ -8,7 +8,6 @@ from repro.study.analysis import (
     accuracy_table,
     backtranslation_figure,
     latency_table,
-    rouge_by_condition,
 )
 from repro.study.conditions import (
     BenchPressCondition,
@@ -44,5 +43,4 @@ __all__ = [
     "latency_table",
     "make_condition_runner",
     "make_participants",
-    "rouge_by_condition",
 ]

@@ -17,7 +17,6 @@ from statistics import mean
 from repro.llm.simulated import SimulatedLLM
 from repro.metrics.annotation import judge_annotation
 from repro.metrics.rubric import RubricJudgement, grade_backtranslation
-from repro.metrics.textgen import rouge_l
 from repro.study.conditions import Condition
 from repro.study.runner import StudyAnnotation, StudyResult
 from repro.workloads.base import Workload
@@ -81,20 +80,6 @@ def _accuracy(annotations: list[StudyAnnotation]) -> float:
         1 for a in annotations if judge_annotation(a.sql, a.nl).accurate
     )
     return accurate / len(annotations)
-
-
-def rouge_by_condition(result: StudyResult) -> dict[Condition, float]:
-    """Mean ROUGE-L F1 of annotations against the gold NL, per condition."""
-    scores: dict[Condition, float] = {}
-    for condition in CONDITION_ORDER:
-        annotations = result.by_condition(condition)
-        if not annotations:
-            scores[condition] = 0.0
-            continue
-        scores[condition] = mean(
-            rouge_l(a.nl, a.gold_nl).f1 for a in annotations if a.gold_nl
-        )
-    return scores
 
 
 def latency_table(result: StudyResult) -> LatencyTable:

@@ -5,7 +5,6 @@ from repro.workloads.base import (
     Workload,
     WorkloadQuery,
     WorkloadSpec,
-    workload_fingerprint,
 )
 from repro.workloads.benchmarks import (
     BENCHMARK_NAMES,
@@ -34,5 +33,4 @@ __all__ = [
     "build_workload",
     "fiben_spec",
     "spider_spec",
-    "workload_fingerprint",
 ]

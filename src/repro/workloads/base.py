@@ -15,7 +15,6 @@ across workloads so relative differences are preserved.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass, field
 
 from repro.engine.database import Database
@@ -101,28 +100,3 @@ class Workload:
         if count >= len(self.queries):
             return list(self.queries)
         return rng.sample(self.queries, count)
-
-    def fingerprint(self) -> str:
-        """Stable identity of this workload build (see workload_fingerprint)."""
-        return workload_fingerprint(self)
-
-
-def workload_fingerprint(workload: Workload) -> str:
-    """Stable hash identifying a workload build for cross-run gold caching.
-
-    Covers the workload name, every query's SQL text, the table layout and
-    the populated row counts — everything that determines gold results apart
-    from the database's data version, which the persistent
-    :class:`~repro.metrics.execution.GoldResultCache` checks separately.
-    """
-    digest = hashlib.sha256()
-    digest.update(workload.name.encode("utf-8"))
-    for query in workload.queries:
-        digest.update(b"\x00")
-        digest.update(query.sql.encode("utf-8"))
-    for table in workload.database.tables():
-        digest.update(b"\x01")
-        digest.update(table.name.encode("utf-8"))
-        digest.update(",".join(table.column_names).encode("utf-8"))
-        digest.update(str(len(table)).encode("utf-8"))
-    return digest.hexdigest()

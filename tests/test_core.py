@@ -16,7 +16,6 @@ from repro.core import (
     export_jsonl,
     ingest_sql_log,
     load_benchmark_json,
-    review_against_gold,
     split_sql_log,
     to_benchmark_records,
 )
@@ -221,18 +220,6 @@ class TestExportAndReview:
     def test_export_empty_raises(self, tmp_path):
         with pytest.raises(ExportError):
             export_benchmark_json([], tmp_path / "x.json")
-
-    def test_review_against_gold(self, hr_schema):
-        annotations = self._records(hr_schema)
-        gold = {record.query_id: record.nl for record in annotations}
-        report = review_against_gold(annotations, gold)
-        assert report.count == 2
-        assert report.exact_match_rate == 1.0
-        assert report.mean_bleu == pytest.approx(1.0)
-
-    def test_review_with_no_matching_ids_raises(self, hr_schema):
-        with pytest.raises(ExportError):
-            review_against_gold(self._records(hr_schema), {"unknown": "text"})
 
 
 class TestWorkspace:

@@ -1,16 +1,12 @@
-"""Tests for text, execution, rubric, complexity and annotation metrics."""
-
-import json
+"""Tests for execution, rubric, complexity and annotation metrics."""
 
 import pytest
 
 from repro.metrics import (
     annotation_accuracy,
-    bleu_score,
     build_table1,
     build_table2,
     compare_execution,
-    exact_match,
     execute_safely,
     execution_accuracy,
     grade_backtranslation,
@@ -21,45 +17,11 @@ from repro.metrics import (
     profile_query_set,
     relative_to_baseline,
     results_match,
-    rouge_l,
-    rouge_n,
-    token_f1,
 )
 from repro.errors import MetricError
 from repro.llm import describe_query
 from repro.metrics.execution import GoldResultCache
 from repro.schema import profile_database
-from repro.workloads import build_benchmark, workload_fingerprint
-
-
-class TestTextMetrics:
-    def test_exact_match_ignores_case_and_spacing(self):
-        assert exact_match("How many  Students?", "how many students")
-        assert not exact_match("How many students?", "How many teachers?")
-
-    def test_bleu_identical_is_one(self):
-        text = "count the number of students per term"
-        assert bleu_score(text, text) == pytest.approx(1.0)
-
-    def test_bleu_orders_similarity(self):
-        reference = "count the number of students per term in the registry"
-        close = "count the number of students per term"
-        far = "completely different sentence about nothing"
-        assert bleu_score(close, reference) > bleu_score(far, reference)
-
-    def test_bleu_empty_is_zero(self):
-        assert bleu_score("", "reference") == 0.0
-
-    def test_rouge_n_and_l(self):
-        reference = "the average salary per department"
-        assert rouge_n(reference, reference).f1 == pytest.approx(1.0)
-        assert rouge_l(reference, reference).f1 == pytest.approx(1.0)
-        assert rouge_l("salary per department", reference).recall < 1.0
-        assert rouge_n("xyz", reference, order=2).f1 == 0.0
-
-    def test_token_f1(self):
-        assert token_f1("a b c", "a b c") == pytest.approx(1.0)
-        assert token_f1("a b", "c d") == 0.0
 
 
 class TestExecutionMetrics:
@@ -231,106 +193,15 @@ class TestAnnotationMetrics:
 
 
 # ---------------------------------------------------------------------------
-# persistent gold-result cache
+# per-run comparison memo
 # ---------------------------------------------------------------------------
 
 
 GOLD_QUERIES = [
     "SELECT name FROM employees WHERE salary > 90000 ORDER BY name",
     "SELECT dept_id, COUNT(*) FROM employees GROUP BY dept_id",
-    "SELECT broken FROM employees",  # errors must round-trip too
+    "SELECT broken FROM employees",  # an error is a gold entry too
 ]
-
-
-class TestGoldCachePersistence:
-    def populate(self, database, path, fingerprint):
-        cache = GoldResultCache(database, persist_path=path, fingerprint=fingerprint)
-        for sql in GOLD_QUERIES:
-            compare_execution(database, sql, sql, gold_cache=cache)
-        cache.save()
-        return cache
-
-    def test_save_and_reload_roundtrip(self, hr_database, tmp_path):
-        path = tmp_path / "gold.json"
-        first = self.populate(hr_database, path, "fp-hr")
-        assert path.exists()
-
-        reloaded = GoldResultCache(hr_database, persist_path=path, fingerprint="fp-hr")
-        assert reloaded.loaded == len(first) == len(GOLD_QUERIES)
-        entry = reloaded.get(GOLD_QUERIES[0])
-        assert entry is not None
-        assert entry.ordered is True
-        assert entry.result.rows == [("Alice",), ("Bob",), ("Eve",)]
-        assert all(isinstance(row, tuple) for row in entry.result.rows)
-        failed = reloaded.get(GOLD_QUERIES[2])
-        assert failed.result is None
-        assert failed.error
-
-    def test_reloaded_entries_skip_execution(self, hr_database, tmp_path):
-        path = tmp_path / "gold.json"
-        self.populate(hr_database, path, "fp-hr")
-        reloaded = GoldResultCache(hr_database, persist_path=path, fingerprint="fp-hr")
-        comparison = compare_execution(
-            hr_database, GOLD_QUERIES[0], GOLD_QUERIES[0], gold_cache=reloaded
-        )
-        assert comparison.match
-        assert reloaded.hits == 1
-        assert reloaded.misses == 0
-
-    def test_fingerprint_mismatch_starts_empty(self, hr_database, tmp_path):
-        path = tmp_path / "gold.json"
-        self.populate(hr_database, path, "fp-hr")
-        stale = GoldResultCache(hr_database, persist_path=path, fingerprint="fp-other")
-        assert stale.loaded == 0
-        assert len(stale) == 0
-
-    def test_data_version_mismatch_starts_empty(self, hr_database, tmp_path):
-        path = tmp_path / "gold.json"
-        self.populate(hr_database, path, "fp-hr")
-        hr_database.execute(
-            "INSERT INTO employees (emp_id, name, salary, dept_id, hire_date) "
-            "VALUES (7, 'Grace', 99000, 1, '2023-01-01')"
-        )
-        stale = GoldResultCache(hr_database, persist_path=path, fingerprint="fp-hr")
-        assert stale.loaded == 0
-
-    def test_corrupt_file_is_ignored(self, hr_database, tmp_path):
-        path = tmp_path / "gold.json"
-        path.write_text("{not json", encoding="utf-8")
-        cache = GoldResultCache(hr_database, persist_path=path, fingerprint="fp-hr")
-        assert cache.loaded == 0
-
-    def test_workload_fingerprint_is_deterministic(self, tiny_spider):
-        rebuilt = build_benchmark("Spider", seed=11, row_scale=0.002, query_count=10)
-        assert tiny_spider.fingerprint() == workload_fingerprint(tiny_spider)
-        assert rebuilt.fingerprint() == tiny_spider.fingerprint()
-        assert len(tiny_spider.fingerprint()) == 64
-        # Deterministic builds land on the same data version, which is what
-        # makes cross-process cache reuse possible at all.
-        assert rebuilt.database.data_version == tiny_spider.database.data_version
-
-    def test_cross_build_reuse(self, tiny_spider, tmp_path):
-        path = tmp_path / "workload_gold.json"
-        sqls = tiny_spider.query_sql[:3]
-        cache = GoldResultCache(
-            tiny_spider.database,
-            persist_path=path,
-            fingerprint=tiny_spider.fingerprint(),
-        )
-        for sql in sqls:
-            compare_execution(tiny_spider.database, sql, sql, gold_cache=cache)
-        cache.save()
-
-        rebuilt = build_benchmark("Spider", seed=11, row_scale=0.002, query_count=10)
-        fresh = GoldResultCache(
-            rebuilt.database, persist_path=path, fingerprint=rebuilt.fingerprint()
-        )
-        assert fresh.loaded == len(sqls)
-
-
-# ---------------------------------------------------------------------------
-# per-run comparison memo
-# ---------------------------------------------------------------------------
 
 
 class TestComparisonMemo:
@@ -388,19 +259,33 @@ class TestComparisonMemo:
         assert third == compare_execution(hr_database, self.GOLD, "SELECT 2")
         assert third.match and third.error == "" and third.predicted_rows == 1
 
-    def test_save_writes_the_same_bytes_after_memo_hits(self, hr_database, tmp_path):
-        path = tmp_path / "gold.json"
-        cache = GoldResultCache(hr_database, persist_path=path, fingerprint="fp-hr")
+    def test_memo_hits_leave_the_gold_entries_untouched(self, hr_database):
+        cache = GoldResultCache(hr_database)
         pairs = [(sql, predicted) for predicted in (GOLD_QUERIES[0], "SELECT 1", None)
                  for sql in GOLD_QUERIES]
         for sql, predicted in pairs:
             compare_execution(hr_database, sql, predicted, gold_cache=cache)
-        cache.save()
-        first = path.read_bytes()
+
+        def gold_entries():
+            entries = {}
+            for sql in GOLD_QUERIES:
+                entry = cache.get(sql)
+                result = entry.result
+                entries[sql] = (
+                    entry,
+                    None if result is None else (list(result.columns), list(result.rows)),
+                    entry.error,
+                    entry.ordered,
+                )
+            return entries
+
+        assert len(cache) == len(GOLD_QUERIES)
+        first = gold_entries()
+        ordered = first[GOLD_QUERIES[0]]
+        assert ordered[1][1] == [("Alice",), ("Bob",), ("Eve",)] and ordered[3] is True
+        failed = first[GOLD_QUERIES[2]]
+        assert failed[1] is None and failed[2]
         for sql, predicted in pairs:  # every pair is now served by the memo
             compare_execution(hr_database, sql, predicted, gold_cache=cache)
-        cache.save()
-        assert path.read_bytes() == first
-        payload = json.loads(first)
-        assert sorted(payload) == ["data_version", "entries", "fingerprint"]
-        assert list(payload["entries"]) == GOLD_QUERIES
+        assert len(cache) == len(GOLD_QUERIES)
+        assert gold_entries() == first

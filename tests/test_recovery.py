@@ -22,8 +22,6 @@ from repro.core import (
     FeedbackAction,
     SnapshotManager,
     TaskConfig,
-    annotations_at_offset,
-    export_at_offset,
 )
 from repro.core.journal import (
     ANNOTATION_COMMITTED,
@@ -590,33 +588,70 @@ class TestReplayParity:
         assert third.stats.completed == 5  # drain_stats + commits replayed
         third.close()
 
-    def test_export_at_offset_reproduces_history(self, tmp_path):
-        service = AnnotationService.open_durable(tmp_path / "svc")
+    @pytest.mark.parametrize(
+        "hedge_keys",
+        [
+            {
+                "llm_hedge_enabled": False,
+                "llm_hedge_delay_s": None,
+                "llm_hedge_percentile": 0.95,
+                "llm_hedge_min_samples": 8,
+            },
+            {
+                "llm_hedge_enabled": True,
+                "llm_hedge_delay_s": 0.05,
+                "llm_hedge_percentile": 0.9,
+                "llm_hedge_min_samples": 4,
+            },
+        ],
+        ids=["defaults", "enabled"],
+    )
+    def test_configs_with_retired_hedge_keys_replay_exactly(self, tmp_path, hedge_keys):
+        # Journals and snapshots written by builds that still had LLM hedging
+        # carry four ``llm_hedge_*`` config keys; TaskConfig.from_dict must
+        # drop them and restore every other setting.
+        directory = tmp_path / "svc"
+        service = AnnotationService.open_durable(directory)
         service.register_project("hr", make_schema())
-        service.submit_many(QUERIES, project="hr")
-        service.drain()
-        live_records = list(service.pipeline("hr").annotations)
+        service.register_project(
+            "hr-fast",
+            make_schema(),
+            config=TaskConfig(model_name="gpt-3.5-turbo", num_candidates=2),
+        )
+        for index, sql in enumerate(QUERIES):
+            if index == 2:
+                service.snapshot()  # the warm start replays the last commits
+            service.submit(sql, project="hr" if index % 2 else "hr-fast")
+            service.drain()
+        live = semantic_state(service)
         service.close()
 
-        journal_path = tmp_path / "svc" / "journal.bin"
-        events = EventJournal.read_events(journal_path)
-        commit_offsets = [
-            event.offset for event in events if event.type == ANNOTATION_COMMITTED
-        ]
-        assert len(commit_offsets) == len(QUERIES)
+        journal_path = directory / "journal.bin"
+        rewritten = bytearray()
+        registered = 0
+        for event in EventJournal.read_events(journal_path):
+            payload = event.payload
+            if event.type == PROJECT_REGISTERED:
+                payload["config"].update(hedge_keys)
+                registered += 1
+            rewritten += encode_record(event.type, payload)
+        assert registered == 2
+        journal_path.write_bytes(bytes(rewritten))
+        snapshots = SnapshotManager(directory / "snapshots")
+        offset, state = snapshots.latest()
+        for project in state["projects"].values():
+            project["config"].update(hedge_keys)
+        snapshots.save(offset, state)
+        assert b"llm_hedge_min_samples" in snapshots.path_for(offset).read_bytes()
 
-        # Full-journal export equals the live record set.
-        assert annotations_at_offset(journal_path) == live_records
-        # At the offset just after the k-th commit, exactly k records exist.
-        for index, offset in enumerate(commit_offsets, start=1):
-            records = annotations_at_offset(journal_path, offset=offset + 1)
-            assert records == live_records[:index]
-
-        first = export_at_offset(journal_path, tmp_path / "a.json", offset=commit_offsets[2] + 1)
-        second = export_at_offset(journal_path, tmp_path / "b.json", offset=commit_offsets[2] + 1)
-        assert first.read_bytes() == second.read_bytes()
-        assert len(json.loads(first.read_text())) == 3
-
+        cold = AnnotationService.recover(journal_path)
+        assert semantic_state(cold) == live
+        assert cold.pipeline("hr-fast").config.num_candidates == 2
+        cold.close()
+        warm = AnnotationService.open_durable(directory)  # snapshot + suffix
+        assert semantic_state(warm) == live
+        assert warm.pipeline("hr-fast").config.model_name == "gpt-3.5-turbo"
+        warm.close()
 
     def test_journal_without_skeletons_replays_exactly(self, tmp_path):
         directory = tmp_path / "svc"

@@ -20,7 +20,7 @@ from repro.errors import (
 )
 from repro.llm import RetryPolicy, SimulatedLLM, is_transient_error
 from repro.llm.base import LLMClient
-from repro.llm.resilience import CircuitBreaker, Deadline, HedgePolicy
+from repro.llm.resilience import CircuitBreaker, Deadline
 from repro.obs import Telemetry
 
 from tests.faults import DiskFaultJournal, FlakyLLM, SlowLLM
@@ -538,115 +538,6 @@ class TestRetryBudget:
         assert config.retry_policy().retry_budget_s == 1.5
         with pytest.raises(PipelineError):
             TaskConfig(llm_retry_budget_s=0).validate()
-
-
-# ----------------------------------------------------------------------
-# hedged requests
-# ----------------------------------------------------------------------
-
-class StutterLLM(LLMClient):
-    """First ``slow_calls`` calls sleep; later calls return instantly."""
-
-    def __init__(self, inner, slow_calls: int = 1, delay_seconds: float = 0.5):
-        self.inner = inner
-        self.name = inner.name
-        self.slow_calls = slow_calls
-        self.delay_seconds = delay_seconds
-        self.calls = 0
-
-    @property
-    def example_content_sensitive(self) -> bool:  # type: ignore[override]
-        return self.inner.example_content_sensitive
-
-    def _maybe_sleep(self) -> None:
-        self.calls += 1
-        if self.calls <= self.slow_calls:
-            time.sleep(self.delay_seconds)
-
-    def generate(self, prompt):
-        self._maybe_sleep()
-        return self.inner.generate(prompt)
-
-    def generate_batch(self, prompts):
-        self._maybe_sleep()
-        return self.inner.generate_batch(prompts)
-
-    def backtranslate(self, description, schema_text=""):
-        return self.inner.backtranslate(description, schema_text)
-
-
-class TestHedging:
-    def test_resolve_delay_fixed_derived_and_untrusted(self):
-        assert HedgePolicy(delay_s=0.2).resolve_delay([]) == 0.2
-        derived = HedgePolicy(percentile=0.5, min_samples=4)
-        assert derived.resolve_delay([0.1, 0.2]) is None  # too few samples
-        samples = [0.1, 0.2, 0.3, 0.4]
-        assert derived.resolve_delay(samples) == 0.3
-        with pytest.raises(PipelineError):
-            HedgePolicy(delay_s=-1)
-        with pytest.raises(PipelineError):
-            HedgePolicy(percentile=1.0)
-        with pytest.raises(PipelineError):
-            HedgePolicy(min_samples=0)
-
-    def test_backup_call_wins_behind_a_slow_primary(self):
-        llm = StutterLLM(
-            SimulatedLLM("gpt-4o", schema=make_schema()), delay_seconds=0.5
-        )
-        prompt = make_pipeline().generate_candidates(QUERIES[0]).prompt
-        started = time.monotonic()
-        result = llm.generate_with_retry(
-            prompt, None, hedge=HedgePolicy(delay_s=0.05)
-        )
-        elapsed = time.monotonic() - started
-        assert result.candidates
-        assert llm.calls == 2  # primary + hedge
-        assert elapsed < 0.4  # the 0.5s primary never gated the answer
-
-    def test_fast_primary_is_never_hedged(self):
-        llm = StutterLLM(
-            SimulatedLLM("gpt-4o", schema=make_schema()), slow_calls=0
-        )
-        prompt = make_pipeline().generate_candidates(QUERIES[0]).prompt
-        result = llm.generate_with_retry(
-            prompt, None, hedge=HedgePolicy(delay_s=0.2)
-        )
-        assert result.candidates and llm.calls == 1
-
-    def test_derived_delay_waits_for_samples(self):
-        llm = StutterLLM(
-            SimulatedLLM("gpt-4o", schema=make_schema()), slow_calls=0
-        )
-        prompt = make_pipeline().generate_candidates(QUERIES[0]).prompt
-        hedge = HedgePolicy(min_samples=3)
-        for expected_calls in (1, 2, 3):
-            llm.generate_with_retry(prompt, None, hedge=hedge)
-            assert llm.calls == expected_calls  # unhedged: no samples yet...
-        assert len(llm.latency_samples) == 3
-        # ...and with the reservoir primed, a fast primary still wins alone.
-        llm.generate_with_retry(prompt, None, hedge=hedge)
-        assert llm.calls == 4
-
-    def test_hedged_result_matches_unhedged(self):
-        plain = SimulatedLLM("gpt-4o", schema=make_schema())
-        hedged = StutterLLM(
-            SimulatedLLM("gpt-4o", schema=make_schema()), delay_seconds=0.3
-        )
-        prompt = make_pipeline().generate_candidates(QUERIES[0]).prompt
-        expected = plain.generate_with_retry(prompt, None)
-        actual = hedged.generate_with_retry(
-            prompt, None, hedge=HedgePolicy(delay_s=0.02)
-        )
-        assert actual.candidates == expected.candidates
-
-    def test_config_builder(self):
-        config = TaskConfig(llm_hedge_enabled=True, llm_hedge_delay_s=0.1)
-        config.validate()
-        policy = config.hedge_policy()
-        assert policy is not None and policy.delay_s == 0.1
-        assert TaskConfig().hedge_policy() is None
-        with pytest.raises(PipelineError):
-            TaskConfig(llm_hedge_percentile=0.0).validate()
 
 
 # ----------------------------------------------------------------------
