@@ -6,6 +6,7 @@ import pytest
 
 from repro.core import (
     AnnotationPipeline,
+    AnnotationRecord,
     AnnotationTask,
     Feedback,
     FeedbackAction,
@@ -45,6 +46,24 @@ class TestConfig:
                           knowledge_feedback_enabled=False).describe()
         assert "no assistance" in text
         assert "gpt-4o" in text
+
+    def test_from_dict_round_trips_every_field(self):
+        config = TaskConfig(num_candidates=3, rag_enabled=False,
+                            llm_max_attempts=4, llm_call_timeout=2.0)
+        state = config.to_dict()
+        assert TaskConfig.from_dict(state) == config
+        assert isinstance(TaskConfig.from_dict(state).task, AnnotationTask)
+
+    def test_from_dict_drops_unknown_keys(self):
+        # Journals written before the hedging knobs were retired still carry
+        # them; they must rebuild the same configuration, not fail.
+        state = TaskConfig(llm_max_attempts=3).to_dict()
+        retired = dict(state, llm_hedge_enabled=True, llm_hedge_delay_s=0.05,
+                       llm_hedge_percentile=0.95, llm_hedge_min_samples=20)
+        assert TaskConfig.from_dict(retired) == TaskConfig.from_dict(state)
+
+    def test_from_dict_fills_missing_keys_with_defaults(self):
+        assert TaskConfig.from_dict({"num_candidates": 2}) == TaskConfig(num_candidates=2)
 
 
 class TestIngestion:
@@ -220,6 +239,42 @@ class TestExportAndReview:
     def test_export_empty_raises(self, tmp_path):
         with pytest.raises(ExportError):
             export_benchmark_json([], tmp_path / "x.json")
+
+    def test_records_skip_discarded_and_unnamed_annotations(self):
+        annotations = [
+            AnnotationRecord("q1", "SELECT 1", "one", dataset="hr"),
+            AnnotationRecord("q2", "SELECT 2", "two", accepted=False),
+            AnnotationRecord("q3", "SELECT 3", ""),
+        ]
+        assert [r["query_id"] for r in to_benchmark_records(annotations)] == ["q1"]
+
+    def test_record_fields_and_default_db_id(self):
+        record = AnnotationRecord("q7", "SELECT name FROM t", "the names",
+                                  model_name="gpt-4o", was_decomposed=True)
+        assert to_benchmark_records([record]) == [{
+            "question": "the names",
+            "query": "SELECT name FROM t",
+            "db_id": "default",
+            "query_id": "q7",
+            "source": "benchpress",
+            "model": "gpt-4o",
+            "decomposed": True,
+        }]
+
+    def test_exports_create_parent_directories(self, tmp_path, hr_schema):
+        annotations = self._records(hr_schema)
+        expected = to_benchmark_records(annotations)
+        json_path = export_benchmark_json(annotations, tmp_path / "a" / "b.json")
+        jsonl_path = export_jsonl(annotations, tmp_path / "c" / "d.jsonl")
+        assert json.loads(json_path.read_text()) == expected
+        lines = jsonl_path.read_text().splitlines()
+        assert [json.loads(line) for line in lines] == expected
+
+    def test_jsonl_export_of_only_discarded_annotations_raises(self, tmp_path):
+        discarded = [AnnotationRecord("q1", "SELECT 1", "one", accepted=False)]
+        with pytest.raises(ExportError):
+            export_jsonl(discarded, tmp_path / "x.jsonl")
+        assert not (tmp_path / "x.jsonl").exists()
 
 
 class TestWorkspace:

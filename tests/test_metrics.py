@@ -20,7 +20,7 @@ from repro.metrics import (
 )
 from repro.errors import MetricError
 from repro.llm import describe_query
-from repro.metrics.execution import GoldResultCache
+from repro.metrics.execution import GoldExecution, GoldResultCache
 from repro.schema import profile_database
 
 
@@ -258,6 +258,23 @@ class TestComparisonMemo:
         third = compare_execution(hr_database, self.GOLD, "SELECT 2", gold_cache=cache)
         assert third == compare_execution(hr_database, self.GOLD, "SELECT 2")
         assert third.match and third.error == "" and third.predicted_rows == 1
+
+    def test_gold_lookups_count_hits_only_when_found(self, hr_database):
+        cache = GoldResultCache(hr_database)
+        assert cache.get(self.GOLD) is None
+        assert (len(cache), cache.hits, cache.misses) == (0, 0, 0)
+        execution = GoldExecution(result=None, error="no such table", ordered=False)
+        cache.put(self.GOLD, execution)
+        assert cache.get(self.GOLD) is execution
+        assert (len(cache), cache.hits, cache.misses) == (1, 1, 1)
+
+    def test_data_change_drops_gold_entries_and_comparisons(self, hr_database):
+        cache = GoldResultCache(hr_database)
+        compare_execution(hr_database, self.GOLD, "SELECT 2", gold_cache=cache)
+        assert len(cache) == 1 and cache.comparison(self.GOLD, "SELECT 2") is not None
+        hr_database.execute("DELETE FROM employees WHERE emp_id = 1")
+        assert cache.get(self.GOLD) is None and len(cache) == 0
+        assert cache.comparison(self.GOLD, "SELECT 2") is None
 
     def test_memo_hits_leave_the_gold_entries_untouched(self, hr_database):
         cache = GoldResultCache(hr_database)

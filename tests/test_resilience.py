@@ -3,6 +3,8 @@ drain fault isolation (quarantine instead of poisoned waves)."""
 
 from __future__ import annotations
 
+import inspect
+import threading
 import time
 
 import pytest
@@ -139,6 +141,104 @@ class TestClientRetries:
             prompts, RetryPolicy(max_attempts=2, base_delay=0.0)
         )
         assert len(results) == 2 and llm.failures_injected == 1
+
+
+# ----------------------------------------------------------------------
+# timed calls and the retry-budget check
+# ----------------------------------------------------------------------
+
+class TestTimedCalls:
+    def test_untimed_call_runs_on_the_calling_thread(self):
+        llm = SimulatedLLM("gpt-4o", schema=make_schema())
+        caller = threading.current_thread()
+        ran_on = llm._call_with_timeout(threading.current_thread, None)
+        assert ran_on is caller
+        assert getattr(llm, "_timeout_executor", None) is None  # no pool made
+
+    def test_timed_calls_share_one_lazily_made_pool(self):
+        llm = SimulatedLLM("gpt-4o", schema=make_schema())
+        first = llm._call_with_timeout(threading.current_thread, 5.0)
+        pool = llm._timeout_executor
+        second = llm._call_with_timeout(threading.current_thread, 5.0)
+        assert llm._timeout_executor is pool
+        for worker in (first, second):
+            assert worker is not threading.current_thread()
+            assert worker.name.startswith("gpt-4o-llm-timeout")
+
+    def test_timed_call_propagates_the_callee_error_unwrapped(self):
+        llm = SimulatedLLM("gpt-4o", schema=make_schema())
+
+        def broken():
+            raise KeyError("inside the call")
+
+        with pytest.raises(KeyError):
+            llm._call_with_timeout(broken, 5.0)
+
+    def test_timed_result_matches_an_untimed_one(self):
+        prompt = make_pipeline().generate_candidates(QUERIES[0]).prompt
+        plain = SimulatedLLM("gpt-4o", schema=make_schema()).generate_with_retry(prompt)
+        timed = SimulatedLLM("gpt-4o", schema=make_schema()).generate_with_retry(
+            prompt, RetryPolicy(max_attempts=1, call_timeout=5.0)
+        )
+        assert timed == plain
+
+    def test_batch_call_timeout_raises(self):
+        llm = SlowLLM(SimulatedLLM("gpt-4o", schema=make_schema()), delay_seconds=0.3)
+        pipeline = make_pipeline()
+        prompts = [pipeline.generate_candidates(sql).prompt for sql in QUERIES[:2]]
+        with pytest.raises(LLMTimeoutError):
+            llm.generate_batch_with_retry(
+                prompts, RetryPolicy(max_attempts=1, call_timeout=0.05)
+            )
+
+    def test_timed_transient_failures_are_retried_to_success(self):
+        llm = FlakyLLM(SimulatedLLM("gpt-4o", schema=make_schema()), fail_times=1)
+        prompt = make_pipeline().generate_candidates(QUERIES[0]).prompt
+        policy = RetryPolicy(max_attempts=2, base_delay=0.0, call_timeout=5.0)
+        assert llm.generate_with_retry(prompt, policy).candidates
+        assert llm.calls == 2 and llm.failures_injected == 1
+
+    def test_timeouts_are_counted(self):
+        telemetry = Telemetry()
+        llm = SlowLLM(SimulatedLLM("gpt-4o", schema=make_schema()), delay_seconds=0.3)
+        llm.telemetry = telemetry
+        prompt = make_pipeline().generate_candidates(QUERIES[0]).prompt
+        with pytest.raises(LLMTimeoutError):
+            llm.generate_with_retry(prompt, RetryPolicy(max_attempts=1, call_timeout=0.05))
+        assert "llm_timeouts_total" in telemetry.metrics_dict()
+
+    def test_effective_timeout_takes_the_tightest_bound(self):
+        clock = FakeClock()
+        llm = SimulatedLLM("gpt-4o", schema=make_schema())
+        tel = Telemetry()
+        assert llm._effective_timeout(2.0, None, None, tel) == (2.0, False)
+        assert llm._effective_timeout(None, None, None, tel) == (None, False)
+        deadline = Deadline(0.5, clock=clock)
+        assert llm._effective_timeout(2.0, deadline, None, tel) == (0.5, True)
+        assert llm._effective_timeout(0.2, deadline, None, tel) == (0.2, False)
+        budget = Deadline(0.3, clock=clock)
+        assert llm._effective_timeout(None, deadline, budget, tel) == (0.3, True)
+        clock.advance(1.0)
+        with pytest.raises(DeadlineExceededError):
+            llm._effective_timeout(2.0, deadline, None, tel)
+
+    def test_delay_fits_checks_every_active_bound(self):
+        clock = FakeClock()
+        fits = LLMClient._delay_fits
+        assert fits(10.0, None, None)
+        roomy, tight = Deadline(1.0, clock=clock), Deadline(0.1, clock=clock)
+        assert fits(0.05, roomy, tight)
+        assert not fits(0.5, roomy, tight)  # the budget binds
+        assert not fits(0.5, tight, roomy)  # the deadline binds
+        assert not fits(0.1, tight, None)  # a sleep to the edge does not fit
+
+    def test_entry_points_take_no_hedge_option(self):
+        for method in (
+            LLMClient.generate_with_retry,
+            LLMClient.generate_batch_with_retry,
+            LLMClient._resilient_call,
+        ):
+            assert "hedge" not in inspect.signature(method).parameters
 
 
 # ----------------------------------------------------------------------
