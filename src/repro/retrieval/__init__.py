@@ -12,8 +12,6 @@ from repro.retrieval.text import (
 )
 from repro.retrieval.vector_store import (
     SearchHit,
-    ShardedVectorStore,
-    VectorEntry,
     VectorStore,
 )
 
@@ -25,8 +23,6 @@ __all__ = [
     "RetrievedContext",
     "STOPWORDS",
     "SearchHit",
-    "ShardedVectorStore",
-    "VectorEntry",
     "VectorStore",
     "character_ngrams",
     "cosine_similarity",

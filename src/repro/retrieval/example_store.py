@@ -3,8 +3,8 @@
 The paper's retrieval step uses "prior annotated queries (which naturally grow
 over time)" as few-shot examples.  The example store starts empty (the
 cold-start condition described in §5.1) and accumulates accepted annotations
-as the annotation loop progresses; it can also be seeded from a public
-benchmark when warm-starting.
+as the annotation loop progresses.  Each project's store indexes its
+examples in one :class:`~repro.retrieval.vector_store.VectorStore`.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from dataclasses import asdict, dataclass, field
 from repro.errors import RetrievalError
 from repro.retrieval.cache import LruDict
 from repro.retrieval.embedding import EmbeddingModel
-from repro.retrieval.vector_store import SearchHit, ShardedVectorStore
+from repro.retrieval.vector_store import VectorStore
 from repro.sql.normalizer import query_skeleton
 
 
@@ -33,15 +33,13 @@ class AnnotatedExample:
 class ExampleStore:
     """Vector-indexed store of accepted annotations.
 
-    The index is sharded by dataset (see :class:`ShardedVectorStore`), so in
-    a multi-tenant service each project's retrieval — which always filters on
-    its own dataset — scores only that tenant's shard rather than the global
-    archive.  Rankings are identical to an unsharded index (all shards share
-    one embedding model, so the vectors are the same).
+    Every example is indexed with its dataset as metadata, so a retrieval
+    that names a dataset scores the whole index and keeps that dataset's
+    rows.  A service project files all its examples under its own dataset.
     """
 
     def __init__(self, model: EmbeddingModel | None = None) -> None:
-        self._store = ShardedVectorStore(model, shard_key="dataset")
+        self._store = VectorStore(model)
         self._examples: dict[str, AnnotatedExample] = {}
         self._skeletons: dict[str, str] = {}
         self._query_skeletons: LruDict[str, str] = LruDict(2048)
@@ -78,6 +76,12 @@ class ExampleStore:
         """
         if not sql.strip() or not nl.strip():
             raise RetrievalError("both SQL and NL must be non-empty to store an example")
+        # Retrievals filter on the dataset through a row mask keyed by it,
+        # so it must be hashable; checked before the model observes anything.
+        try:
+            hash(dataset)
+        except TypeError:
+            raise RetrievalError(f"dataset {dataset!r} is not hashable") from None
         example_id = f"ex-{self._counter + 1:05d}"
         example = AnnotatedExample(
             example_id=example_id,
@@ -117,10 +121,6 @@ class ExampleStore:
         """All stored examples in insertion order."""
         return list(self._examples.values())
 
-    def shard_sizes(self) -> dict[object, int]:
-        """Example count per dataset shard (multi-tenant introspection)."""
-        return self._store.shard_sizes()
-
     def retrieve(
         self,
         sql: str,
@@ -134,13 +134,7 @@ class ExampleStore:
         the query's skeleton, so the store never leaks the gold answer for the
         exact query being annotated.
         """
-        if self.is_empty:
-            return []
-        metadata_filter = {"dataset": dataset} if dataset else None
-        hits: list[SearchHit] = self._store.search(
-            sql, top_k=top_k + 5, metadata_filter=metadata_filter
-        )
-        return self._hits_to_examples(sql, hits, top_k, exclude_identical)
+        return self.retrieve_many([sql], top_k, dataset, exclude_identical)[0]
 
     def retrieve_many(
         self,
@@ -149,11 +143,7 @@ class ExampleStore:
         dataset: str | None = None,
         exclude_identical: bool = True,
     ) -> list[list[AnnotatedExample]]:
-        """Batched :meth:`retrieve` for a wave of queries.
-
-        All queries are scored against the store in one matrix product; the
-        per-query post-processing matches the scalar path exactly.
-        """
+        """:meth:`retrieve` for each of a wave of queries, in order."""
         if not sqls:
             return []
         if self.is_empty:
@@ -162,10 +152,11 @@ class ExampleStore:
         hit_lists = self._store.search_batch(
             sqls, top_k=top_k + 5, metadata_filter=metadata_filter
         )
-        return [
-            self._hits_to_examples(sql, hits, top_k, exclude_identical)
+        kept = [
+            self._kept([hit.doc_id for hit in hits], sql, top_k, exclude_identical)
             for sql, hits in zip(sqls, hit_lists)
         ]
+        return [[self._examples[doc_id] for doc_id in doc_ids] for doc_ids in kept]
 
     def retrieve_count(
         self,
@@ -183,15 +174,7 @@ class ExampleStore:
             return 0
         metadata_filter = {"dataset": dataset} if dataset else None
         doc_ids = self._store.search_ids(sql, top_k=top_k + 5, metadata_filter=metadata_filter)
-        skeleton = self._query_skeleton(sql) if exclude_identical else ""
-        count = 0
-        for doc_id in doc_ids:
-            if exclude_identical and self._skeletons[doc_id] == skeleton:
-                continue
-            count += 1
-            if count >= top_k:
-                break
-        return count
+        return len(self._kept(doc_ids, sql, top_k, exclude_identical))
 
     def _query_skeleton(self, sql: str) -> str:
         """LRU-cached :func:`query_skeleton` (tokenisation is the hot cost)."""
@@ -201,25 +184,19 @@ class ExampleStore:
             self._query_skeletons.put(sql, skeleton)
         return skeleton
 
-    def _hits_to_examples(
-        self, sql: str, hits: list[SearchHit], top_k: int, exclude_identical: bool
-    ) -> list[AnnotatedExample]:
+    def _kept(
+        self, doc_ids: list[str], sql: str, top_k: int, exclude_identical: bool
+    ) -> list[str]:
+        """The leading ranked ids a retrieval for ``sql`` returns."""
         skeleton = self._query_skeleton(sql) if exclude_identical else ""
-        results: list[AnnotatedExample] = []
-        for hit in hits:
-            example = self._examples[hit.doc_id]
-            if exclude_identical and self._skeletons[hit.doc_id] == skeleton:
+        kept: list[str] = []
+        for doc_id in doc_ids:
+            if exclude_identical and self._skeletons[doc_id] == skeleton:
                 continue
-            results.append(example)
-            if len(results) >= top_k:
+            kept.append(doc_id)
+            if len(kept) >= top_k:
                 break
-        return results
-
-    def seed_from_pairs(self, pairs: list[tuple[str, str]], dataset: str = "seed") -> int:
-        """Warm-start the store from existing (SQL, NL) pairs; returns the count."""
-        for sql, nl in pairs:
-            self.add(sql, nl, dataset=dataset)
-        return len(pairs)
+        return kept
 
     # ------------------------------------------------------------------
     # durability (snapshot) support
@@ -232,7 +209,7 @@ class ExampleStore:
         the SQL text: re-deriving them means re-tokenising every stored
         example, which would eat most of the warm-start budget.  The vector
         index carries its stored vectors and feature hashes for the same
-        reason (see :meth:`ShardedVectorStore.state_dict`).
+        reason (see :meth:`VectorStore.state_dict`).
         """
         return {
             "counter": self._counter,
@@ -249,7 +226,7 @@ class ExampleStore:
         from the snapshot, so neither re-tokenisation, re-hashing nor
         re-embedding happens — that is what makes warm start fast.
         """
-        self._store = ShardedVectorStore.from_state(state["vector_store"])
+        self._store = VectorStore.from_state(state["vector_store"])
         self._examples = {}
         self._query_skeletons = LruDict(2048)
         for entry in state["examples"]:

@@ -11,8 +11,9 @@ Regenerating it with the current code only re-records today's behaviour.
 Each store replays one fixed add sequence.  After every ``CHECK_EVERY``-th
 add (and after the last) it runs a fixed query set and records, per query
 (named by its position) and per dataset filter: the ranked
-``(doc_id, float.hex(score))`` hits of the index search behind ``retrieve``
-and of the batched search behind ``retrieve_many``, the example ids of
+``(doc_id, float.hex(score))`` hits of a one-query index search (what
+``retrieve`` runs) and of the batched search behind ``retrieve_many``, the
+example ids of
 ``retrieve``, of ``retrieve_many`` and of ``retrieve`` with
 ``exclude_identical=False``, and ``retrieve_count``.
 
@@ -169,7 +170,9 @@ def checkpoint(store: ExampleStore, queries: list[str], filters: list) -> list[d
                     "dataset": dataset,
                     "top_k": top_k,
                     "hits": hit_pairs(
-                        index.search(query, top_k=top_k + 5, metadata_filter=metadata_filter)
+                        index.search_batch(
+                            [query], top_k=top_k + 5, metadata_filter=metadata_filter
+                        )[0]
                     ),
                     "batch_hits": hit_pairs(batch_hits),
                     "retrieve": [

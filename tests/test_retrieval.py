@@ -1,5 +1,6 @@
 """Tests for embeddings, the vector store, example store and context retriever."""
 
+import base64
 import hashlib
 import json
 import math
@@ -16,7 +17,6 @@ from repro.retrieval import (
     ContextRetriever,
     EmbeddingModel,
     ExampleStore,
-    ShardedVectorStore,
     VectorStore,
     character_ngrams,
     cosine_similarity,
@@ -25,8 +25,15 @@ from repro.retrieval import (
     tokenize_text,
 )
 from repro.retrieval.embedding import _stable_hash
+from tests.data.make_retrieval_corpus import (
+    checkpoint,
+    make_small_state,
+    make_stores,
+    replay,
+)
 
 EMBEDDING_CORPUS_PATH = Path(__file__).parent / "data" / "embedding_corpus.json"
+RETRIEVAL_CORPUS_PATH = Path(__file__).parent / "data" / "retrieval_corpus.json"
 
 
 def sha256(payload):
@@ -173,33 +180,15 @@ class TestVectorStore:
         store = VectorStore()
         store.add("1", "count students per term", {"dataset": "beaver"})
         store.add("2", "average salary per department", {"dataset": "hr"})
-        hits = store.search("how many students in each term", top_k=1)
+        hits = search(store, "how many students in each term", top_k=1)
         assert hits[0].doc_id == "1"
 
     def test_metadata_filter(self):
         store = VectorStore()
         store.add("1", "count students", {"dataset": "a"})
         store.add("2", "count students", {"dataset": "b"})
-        hits = store.search("count students", metadata_filter={"dataset": "b"})
+        hits = search(store, "count students", metadata_filter={"dataset": "b"})
         assert [hit.doc_id for hit in hits] == ["2"]
-
-    def test_exclude_ids(self):
-        store = VectorStore()
-        store.add("1", "alpha beta")
-        store.add("2", "alpha beta")
-        hits = store.search("alpha beta", exclude_ids={"1"})
-        assert [hit.doc_id for hit in hits] == ["2"]
-
-    def test_remove_and_get(self):
-        store = VectorStore()
-        store.add("1", "text")
-        assert store.get("1").text == "text"
-        store.remove("1")
-        assert "1" not in store
-        with pytest.raises(RetrievalError):
-            store.get("1")
-        with pytest.raises(RetrievalError):
-            store.remove("1")
 
     def test_empty_doc_id_rejected(self):
         with pytest.raises(RetrievalError):
@@ -208,7 +197,7 @@ class TestVectorStore:
     def test_top_k_zero_returns_empty(self):
         store = VectorStore()
         store.add("1", "text")
-        assert store.search("text", top_k=0) == []
+        assert search(store, "text", top_k=0) == []
 
 
 class TestExampleStore:
@@ -235,11 +224,6 @@ class TestExampleStore:
             ExampleStore().add("", "text")
         with pytest.raises(RetrievalError):
             ExampleStore().add("SELECT 1", "   ")
-
-    def test_seed_from_pairs(self):
-        store = ExampleStore()
-        assert store.seed_from_pairs([("SELECT 1", "one"), ("SELECT 2", "two")]) == 2
-        assert len(store) == 2
 
     def test_dataset_filter(self):
         store = ExampleStore()
@@ -286,25 +270,40 @@ class TestContextRetriever:
         assert "employees" in context.table_names
 
 
-def _reference_search(store, query, top_k=5, metadata_filter=None, exclude_ids=None,
-                      min_score=0.0):
-    """The pre-vectorisation O(n) reference loop, for ranking-parity checks."""
-    query_vector = store.model.embed(query)
-    hits = []
-    for doc_id in store.all_ids():
-        entry = store.get(doc_id)
-        if exclude_ids and entry.doc_id in exclude_ids:
-            continue
-        if metadata_filter and any(
-            entry.metadata.get(key) != value for key, value in metadata_filter.items()
-        ):
-            continue
-        score = float(np.dot(query_vector, entry.vector))
-        if score < min_score:
-            continue
-        hits.append((entry.doc_id, score))
-    hits.sort(key=lambda hit: (-hit[1], hit[0]))
-    return hits[:top_k]
+def search(store, query, top_k=5, metadata_filter=None):
+    """One query's hits from a store's batched search."""
+    return store.search_batch([query], top_k, metadata_filter)[0]
+
+
+class LoopStore:
+    """The pre-vectorisation O(n) search loop, kept as the ranking oracle.
+
+    It embeds each added text with its own model fed the same add sequence,
+    so its vectors are the ones the store under test holds.
+    """
+
+    def __init__(self, dimensions=256):
+        self.model = EmbeddingModel(dimensions=dimensions)
+        self.entries = {}
+
+    def add(self, doc_id, text, metadata=None):
+        self.model.observe(text)
+        self.entries[doc_id] = (self.model.embed(text), dict(metadata or {}))
+
+    def search(self, query, top_k=5, metadata_filter=None):
+        query_vector = self.model.embed(query)
+        hits = []
+        for doc_id, (vector, metadata) in self.entries.items():
+            if metadata_filter and any(
+                metadata.get(key) != value for key, value in metadata_filter.items()
+            ):
+                continue
+            score = float(np.dot(query_vector, vector))
+            if score < 0.0:
+                continue
+            hits.append((doc_id, score))
+        hits.sort(key=lambda hit: (-hit[1], hit[0]))
+        return hits[:top_k]
 
 
 class TestVectorizedStore:
@@ -321,259 +320,118 @@ class TestVectorizedStore:
         ("d08", "terms with highest enrollment", {"dataset": "beaver"}),
     ]
 
-    def _store(self):
-        store = VectorStore()
-        for doc_id, text, metadata in self.TEXTS:
+    def _stores(self, documents=None):
+        store, oracle = VectorStore(), LoopStore()
+        for doc_id, text, metadata in documents or self.TEXTS:
             store.add(doc_id, text, metadata)
-        return store
+            oracle.add(doc_id, text, metadata)
+        return store, oracle
 
-    def _assert_matches_reference(self, store, query, **kwargs):
-        hits = store.search(query, **kwargs)
-        expected = _reference_search(store, query, **kwargs)
+    @staticmethod
+    def _assert_matches_reference(stores, query, **kwargs):
+        store, oracle = stores
+        hits = search(store, query, **kwargs)
         assert [(hit.doc_id, pytest.approx(hit.score)) for hit in hits] == [
-            (doc_id, pytest.approx(score)) for doc_id, score in expected
+            (doc_id, pytest.approx(score)) for doc_id, score in oracle.search(query, **kwargs)
         ]
 
     def test_ranking_matches_reference(self):
-        store = self._store()
-        self._assert_matches_reference(store, "students enrolled per term", top_k=4)
+        self._assert_matches_reference(self._stores(), "students enrolled per term", top_k=4)
 
     def test_ranking_with_metadata_filter(self):
-        store = self._store()
         self._assert_matches_reference(
-            store, "count students", top_k=3, metadata_filter={"dataset": "beaver"}
+            self._stores(), "count students", top_k=3, metadata_filter={"dataset": "beaver"}
         )
 
-    def test_ranking_with_exclude_ids(self):
-        store = self._store()
-        self._assert_matches_reference(
-            store, "count students per term", top_k=4, exclude_ids={"d01", "d03"}
-        )
-
-    def test_ranking_with_min_score(self):
-        store = self._store()
-        self._assert_matches_reference(
-            store, "count students per term", top_k=8, min_score=0.2
-        )
+    def test_negative_scores_are_never_returned(self):
+        store, oracle = self._stores()
+        for query in ("count students per term", "zzz qqq", "salary"):
+            hits = search(store, query, top_k=len(self.TEXTS))
+            assert all(hit.score >= 0.0 for hit in hits)
+            self._assert_matches_reference((store, oracle), query, top_k=len(self.TEXTS))
 
     def test_tie_break_by_doc_id(self):
-        # add_many embeds under one shared vocabulary, so identical texts get
-        # bit-identical vectors — a true score tie.
+        # Two rows restored from one stored vector are a true score tie.
         store = VectorStore()
-        store.add_many(
-            [
-                ("z-dup", "count students per term", {}),
-                ("a-dup", "count students per term", {}),
-                ("other", "average salary per department", {}),
-            ]
-        )
-        hits = store.search("count students per term", top_k=2)
+        store.add("z-dup", "count students per term")
+        store.add("other", "average salary per department")
+        state = store.state_dict()
+        rows = np.frombuffer(base64.b64decode(state["vectors"]), dtype="<f8").reshape(2, -1)
+        state["entries"].append({"doc_id": "a-dup", "text": "copy", "metadata": {}})
+        state["vectors"] = base64.b64encode(np.vstack([rows, rows[:1]]).tobytes()).decode()
+        restored = VectorStore.from_state(state)
+        hits = search(restored, "count students per term", top_k=2)
         assert [hit.doc_id for hit in hits] == ["a-dup", "z-dup"]
+        assert hits[0].score == hits[1].score
 
     def test_search_batch_matches_scalar_search(self):
-        store = self._store()
+        store, _ = self._stores()
         queries = ["count students", "salary by department", "purchase orders"]
         batched = store.search_batch(queries, top_k=3)
         for query, hits in zip(queries, batched):
-            scalar = store.search(query, top_k=3)
-            assert [hit.doc_id for hit in hits] == [hit.doc_id for hit in scalar]
-            assert [hit.score for hit in hits] == [
-                pytest.approx(hit.score) for hit in scalar
-            ]
+            assert hits == search(store, query, top_k=3)
 
     def test_search_ids_matches_search(self):
-        store = self._store()
-        hits = store.search("count students", top_k=4)
-        assert store.search_ids("count students", top_k=4) == [hit.doc_id for hit in hits]
-
-    def test_search_after_remove_and_compaction(self):
-        store = self._store()
-        # Remove enough rows to trigger lazy compaction (threshold is 50%).
-        for doc_id in ("d01", "d03", "d05", "d07", "d08"):
-            store.remove(doc_id)
-        assert len(store) == 3
-        self._assert_matches_reference(store, "salary by department", top_k=3)
-        # The store keeps working after compaction: add again and search.
-        store.add("d09", "salary bands per department", {"dataset": "hr"})
-        self._assert_matches_reference(store, "salary bands", top_k=4)
+        store, _ = self._stores()
+        for metadata_filter in (None, {"dataset": "hr"}):
+            hits = search(store, "count students", top_k=4, metadata_filter=metadata_filter)
+            assert store.search_ids(
+                "count students", top_k=4, metadata_filter=metadata_filter
+            ) == [hit.doc_id for hit in hits]
 
     def test_add_replaces_existing_doc(self):
-        store = self._store()
-        store.add("d04", "totally different text about invoices", {"dataset": "fin"})
+        store, oracle = self._stores()
+        search(store, "invoices", metadata_filter={"dataset": "it"})  # builds the mask
+        for target in (store, oracle):
+            target.add("d04", "totally different text about invoices", {"dataset": "fin"})
         assert len(store) == len(self.TEXTS)
-        hits = store.search("invoices", top_k=1, metadata_filter={"dataset": "fin"})
+        hits = search(store, "invoices", top_k=1, metadata_filter={"dataset": "fin"})
         assert [hit.doc_id for hit in hits] == ["d04"]
+        assert search(store, "invoices", metadata_filter={"dataset": "it"}) == []
+        # The replacement keeps its row, so snapshots keep insertion order.
+        assert [entry["doc_id"] for entry in store.state_dict()["entries"]] == [
+            doc_id for doc_id, _, _ in self.TEXTS
+        ]
+        self._assert_matches_reference((store, oracle), "invoices", top_k=8)
 
     def test_growth_beyond_initial_capacity(self):
         store = VectorStore()
         for index in range(150):  # > the 64-row initial matrix
             store.add(f"doc-{index:03d}", f"record number {index} of the stress corpus")
         assert len(store) == 150
-        hits = store.search("record number 42", top_k=5)
+        hits = search(store, "record number 42", top_k=5)
         assert "doc-042" in [hit.doc_id for hit in hits]
 
-    def test_add_many_uses_consistent_vocabulary(self):
+    def test_filter_masks_track_adds_and_growth(self):
+        # Masks built early must follow later adds, including the ones that
+        # grow the matrix past its initial 64 rows.
+        datasets = ["beaver", "hr", "it"]
         documents = [
-            ("a", "count students per term", {}),
-            ("b", "average salary per department", {}),
-            ("c", "count open tickets per queue", {}),
+            (f"doc-{index:03d}", f"{datasets[index % 3]} corpus record number {index}",
+             {"dataset": datasets[index % 3]})
+            for index in range(100)
         ]
-        batch_store = VectorStore(EmbeddingModel(dimensions=64))
-        batch_store.add_many(documents)
-
-        # Reference: observe every text first, then embed under the final
-        # vocabulary — every vector in the batch must match this.
-        reference_model = EmbeddingModel(dimensions=64)
-        for _, text, _ in documents:
-            reference_model.observe(text)
-        for doc_id, text, _ in documents:
-            np.testing.assert_allclose(
-                batch_store.get(doc_id).vector, reference_model.embed(text)
-            )
-
-    def test_sequential_add_differs_from_batch_for_early_docs(self):
-        # Guards the vocabulary-drift fix: sequential adds embed early docs
-        # under a smaller IDF table than add_many does.
-        documents = [
-            ("a", "count students per term", {}),
-            ("b", "average salary per department", {}),
-        ]
-        sequential = VectorStore(EmbeddingModel(dimensions=64))
-        for doc_id, text, metadata in documents:
-            sequential.add(doc_id, text, metadata)
-        batch = VectorStore(EmbeddingModel(dimensions=64))
-        batch.add_many(documents)
-        assert not np.allclose(sequential.get("a").vector, batch.get("a").vector)
-
-
-class TestCompactionFilteredSearch:
-    """Filtered search_batch/search_ids right after remove-triggered
-    compaction — the meta-mask remap is exactly what these exercise."""
-
-    DATASETS = ["beaver", "hr", "it"]
-
-    def _store(self):
-        store = VectorStore()
-        for index in range(15):
-            dataset = self.DATASETS[index % len(self.DATASETS)]
-            store.add(
-                f"doc-{index:02d}",
-                f"{dataset} corpus record number {index}",
-                {"dataset": dataset},
-            )
-        # Warm every filter's lazy mask *before* compaction so the test
-        # covers the mask-remap path rather than a fresh rebuild.
-        for dataset in self.DATASETS:
-            store.search("record", top_k=2, metadata_filter={"dataset": dataset})
-        return store
-
-    def _force_compaction(self, store):
-        # 8 removals out of 15 rows: >= 8 dead and > 50% dead, so the last
-        # remove triggers lazy compaction.
-        for index in range(8):
-            store.remove(f"doc-{index:02d}")
-        assert store._dead_rows == 0  # compaction actually ran
-        assert len(store) == 7
-
-    def test_search_ids_with_filter_after_compaction(self):
-        store = self._store()
-        self._force_compaction(store)
-        for dataset in self.DATASETS:
-            expected = _reference_search(
-                store, "corpus record", top_k=5, metadata_filter={"dataset": dataset}
-            )
-            assert store.search_ids(
-                "corpus record", top_k=5, metadata_filter={"dataset": dataset}
-            ) == [doc_id for doc_id, _ in expected]
-
-    def test_search_batch_with_filter_after_compaction(self):
-        store = self._store()
-        self._force_compaction(store)
-        queries = ["corpus record", "record number 10", "record number 14"]
-        for dataset in self.DATASETS:
-            batched = store.search_batch(
-                queries, top_k=4, metadata_filter={"dataset": dataset}
-            )
-            for query, hits in zip(queries, batched):
-                expected = _reference_search(
-                    store, query, top_k=4, metadata_filter={"dataset": dataset}
+        store, oracle = self._stores(documents[:10])
+        for dataset in datasets:
+            search(store, "record", top_k=2, metadata_filter={"dataset": dataset})
+        for doc_id, text, metadata in documents[10:]:
+            store.add(doc_id, text, metadata)
+            oracle.add(doc_id, text, metadata)
+        for dataset in datasets:
+            for query in ("corpus record", "record number 10", "record number 99"):
+                self._assert_matches_reference(
+                    (store, oracle), query, top_k=5, metadata_filter={"dataset": dataset}
                 )
-                assert [(hit.doc_id, pytest.approx(hit.score)) for hit in hits] == [
-                    (doc_id, pytest.approx(score)) for doc_id, score in expected
-                ]
 
-    def test_filter_masks_track_post_compaction_adds(self):
-        store = self._store()
-        self._force_compaction(store)
-        store.add("doc-99", "hr corpus record number 99", {"dataset": "hr"})
-        ids = store.search_ids(
-            "record number 99", top_k=3, metadata_filter={"dataset": "hr"}
-        )
-        assert ids[0] == "doc-99"
-        # A removed document never reappears through a stale mask.
-        assert "doc-00" not in store.search_ids(
-            "corpus record", top_k=15, metadata_filter={"dataset": "beaver"}
-        )
-
-
-class TestShardedVectorStore:
-    DOCS = [
-        ("d01", "count students per term", {"dataset": "beaver"}),
-        ("d02", "average salary per department", {"dataset": "hr"}),
-        ("d03", "count students per campus", {"dataset": "beaver"}),
-        ("d04", "network device inventory report", {"dataset": "it"}),
-        ("d05", "salary of employees by department", {"dataset": "hr"}),
-        ("d06", "terms with highest enrollment", {"dataset": "beaver"}),
-    ]
-
-    def _both_stores(self):
-        flat = VectorStore(EmbeddingModel(dimensions=64))
-        sharded = ShardedVectorStore(EmbeddingModel(dimensions=64))
-        for doc_id, text, metadata in self.DOCS:
-            flat.add(doc_id, text, dict(metadata))
-            sharded.add(doc_id, text, dict(metadata))
-        return flat, sharded
-
-    def test_sharding_is_score_transparent(self):
-        # Rankings match the flat store exactly; scores match to floating-
-        # point rounding (BLAS products over differently-partitioned
-        # matrices can differ in the last ULP).
-        flat, sharded = self._both_stores()
-        for query in ("count students", "salary department", "device inventory"):
-            for metadata_filter in (None, {"dataset": "beaver"}, {"dataset": "hr"}):
-                expected = flat.search(query, top_k=4, metadata_filter=metadata_filter)
-                actual = sharded.search(query, top_k=4, metadata_filter=metadata_filter)
-                assert [(h.doc_id, pytest.approx(h.score)) for h in actual] == [
-                    (h.doc_id, pytest.approx(h.score)) for h in expected
-                ]
-
-    def test_filtered_search_touches_one_shard(self):
-        _, sharded = self._both_stores()
-        assert sharded.shard_count == 3
-        assert sharded.shard_sizes() == {"beaver": 3, "hr": 2, "it": 1}
-
-    def test_sharded_state_roundtrip(self):
-        _, sharded = self._both_stores()
-        clone = ShardedVectorStore.from_state(sharded.state_dict())
-        assert clone.shard_sizes() == sharded.shard_sizes()
-        query = "count students per term"
-        assert [(h.doc_id, h.score) for h in clone.search(query, top_k=4)] == [
-            (h.doc_id, h.score) for h in sharded.search(query, top_k=4)
-        ]
-
-    def test_cross_shard_replacement_moves_document(self):
-        _, sharded = self._both_stores()
-        sharded.add("d04", "invoices awaiting approval", {"dataset": "fin"})
-        assert len(sharded) == len(self.DOCS)
-        assert sharded.shard_sizes() == {"beaver": 3, "hr": 2, "fin": 1}
-        hits = sharded.search("invoices", top_k=1, metadata_filter={"dataset": "fin"})
-        assert [hit.doc_id for hit in hits] == ["d04"]
-
-    def test_remove_drops_empty_shard(self):
-        _, sharded = self._both_stores()
-        sharded.remove("d04")
-        assert "it" not in sharded.shard_sizes()
-        assert "d04" not in sharded
+    def test_state_roundtrip_scores_bit_identically(self):
+        store, _ = self._stores()
+        clone = VectorStore.from_state(store.state_dict())
+        assert clone.state_dict() == store.state_dict()
+        for metadata_filter in (None, {"dataset": "beaver"}):
+            query = "count students per term"
+            assert search(clone, query, top_k=4, metadata_filter=metadata_filter) == search(store, 
+                query, top_k=4, metadata_filter=metadata_filter
+            )
 
 
 class TestRetrievalCaches:
@@ -754,6 +612,74 @@ class TestEmbeddingEquivalence:
         for hashes in (state["hashes"][1:], [0] * count, [65] * count, [-65] * count):
             with pytest.raises(ValueError):
                 EmbeddingModel.from_state(dict(state, hashes=hashes))
+
+
+class TestRetrievalCorpus:
+    """Replays ``retrieval_corpus.json``, written by the dataset-sharded archive.
+
+    A store holding one dataset scored against one shard matrix, so the
+    single index must reproduce it bit for bit.  The mixed store scored
+    each dataset against its own matrix; one matrix over every row keeps
+    ids and order but may differ from it in a score's last ULP.
+    """
+
+    @pytest.fixture(scope="class")
+    def corpus(self):
+        return json.loads(RETRIEVAL_CORPUS_PATH.read_text(encoding="ascii"))
+
+    @staticmethod
+    def assert_scores_close(replayed, recorded):
+        for point, expected in zip(replayed, recorded, strict=True):
+            assert point["after"] == expected["after"]
+            for call, want in zip(point["calls"], expected["calls"], strict=True):
+                for key in ("hits", "batch_hits"):
+                    assert [doc for doc, _ in call[key]] == [doc for doc, _ in want[key]]
+                    assert [float.fromhex(score) for _, score in call[key]] == pytest.approx(
+                        [float.fromhex(score) for _, score in want[key]]
+                    )
+                rest = {key for key in want if key not in ("hits", "batch_hits")}
+                assert {key: call[key] for key in rest} == {key: want[key] for key in rest}
+
+    def test_recorded_configurations_are_the_generated_ones(self, corpus):
+        fields = ("name", "mixed", "sequence", "queries", "filters")
+        assert [
+            {field: config[field] for field in fields} for config in corpus["stores"]
+        ] == make_stores(corpus["seed"])
+        assert {
+            field: corpus["small"][field] for field in (*fields, "dimensions")
+        } == make_small_state(corpus["seed"])
+
+    def test_one_dataset_stores_replay_bit_for_bit(self, corpus):
+        single = [config for config in corpus["stores"] if not config["mixed"]]
+        assert len(single) == 3
+        for config in single:
+            _, checkpoints = replay(config)
+            assert checkpoints == config["checkpoints"], config["name"]
+
+    def test_mixed_store_keeps_ids_and_order(self, corpus):
+        (config,) = [config for config in corpus["stores"] if config["mixed"]]
+        _, checkpoints = replay(config)
+        self.assert_scores_close(checkpoints, config["checkpoints"])
+
+    def test_recorded_state_loads_and_retrieves_identically(self, corpus):
+        small = corpus["small"]
+        loaded = ExampleStore()
+        loaded.load_state(small["state"])
+        calls = checkpoint(loaded, small["queries"], small["filters"])
+        last = small["checkpoints"][-1]
+        self.assert_scores_close([{"after": last["after"], "calls": calls}], [last])
+        rebuilt, _ = replay(small, EmbeddingModel(dimensions=small["dimensions"]))
+        assert calls == checkpoint(rebuilt, small["queries"], small["filters"])
+
+    def test_state_dict_is_the_recorded_one_without_shard_key(self, corpus):
+        small = corpus["small"]
+        expected = json.loads(json.dumps(small["state"]))
+        del expected["vector_store"]["shard_key"]
+        rebuilt, _ = replay(small, EmbeddingModel(dimensions=small["dimensions"]))
+        assert rebuilt.state_dict() == expected
+        loaded = ExampleStore()
+        loaded.load_state(small["state"])
+        assert loaded.state_dict() == expected
 
 
 class TestFailureAtomicAdd:
