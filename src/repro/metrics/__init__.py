@@ -23,9 +23,7 @@ from repro.metrics.execution import (
     GoldExecution,
     GoldResultCache,
     compare_execution,
-    compare_execution_many,
     execute_safely,
-    execution_accuracy,
     results_match,
 )
 from repro.metrics.rubric import (
@@ -50,9 +48,7 @@ __all__ = [
     "build_table1",
     "build_table2",
     "compare_execution",
-    "compare_execution_many",
     "execute_safely",
-    "execution_accuracy",
     "grade_backtranslation",
     "judge_annotation",
     "level_distribution",

@@ -266,31 +266,3 @@ def _compare(
         predicted_rows=len(predicted_result.rows),
     )
 
-
-def compare_execution_many(
-    database: Database,
-    pairs: list[tuple[str, str | None]],
-    gold_cache: GoldResultCache | None = None,
-) -> list[ExecutionComparison]:
-    """Compare many (gold, predicted) pairs, executing each gold query once.
-
-    A fresh :class:`GoldResultCache` is created when none is passed, so
-    repeated gold queries and repeated pairs within ``pairs`` are also
-    deduplicated.
-    """
-    cache = gold_cache if gold_cache is not None else GoldResultCache(database)
-    return [
-        compare_execution(database, gold_sql, predicted_sql, gold_cache=cache)
-        for gold_sql, predicted_sql in pairs
-    ]
-
-
-def execution_accuracy(
-    database: Database, pairs: list[tuple[str, str | None]]
-) -> float:
-    """Fraction of (gold, predicted) pairs whose execution results match."""
-    if not pairs:
-        return 0.0
-    comparisons = compare_execution_many(database, pairs)
-    matches = sum(1 for comparison in comparisons if comparison.match)
-    return matches / len(pairs)

@@ -11,7 +11,6 @@ from repro.errors import ExecutionError
 from repro.metrics.execution import (
     GoldResultCache,
     compare_execution,
-    compare_execution_many,
 )
 from repro.sql.parser import parse_expression
 
@@ -255,7 +254,7 @@ class TestGoldResultCache:
         second = compare_execution(database, gold, "SELECT 4", gold_cache=cache)
         assert second.match  # stale gold (3) would not match the new count
 
-    def test_compare_execution_many_matches_singles(self, database):
+    def test_shared_cache_comparisons_match_uncached(self, database):
         pairs = [
             ("SELECT v FROM t ORDER BY v DESC", "SELECT v FROM t ORDER BY v DESC"),
             ("SELECT v FROM t ORDER BY v DESC", "SELECT v FROM t ORDER BY v ASC"),
@@ -263,9 +262,10 @@ class TestGoldResultCache:
             ("SELECT bad FROM t", "SELECT 1"),
             ("SELECT 1", None),
         ]
-        many = compare_execution_many(database, pairs)
+        cache = GoldResultCache(database)
+        shared = [compare_execution(database, g, p, gold_cache=cache) for g, p in pairs]
         singles = [compare_execution(database, g, p) for g, p in pairs]
-        assert [m.__dict__ for m in many] == [s.__dict__ for s in singles]
+        assert [m.__dict__ for m in shared] == [s.__dict__ for s in singles]
 
     def test_ordered_gold_detected_without_reparse(self, database):
         # ORDER BY gold: order-sensitive comparison must reject reversed rows.

@@ -8,7 +8,6 @@ from repro.metrics import (
     build_table2,
     compare_execution,
     execute_safely,
-    execution_accuracy,
     grade_backtranslation,
     judge_annotation,
     level_distribution,
@@ -84,13 +83,16 @@ class TestExecutionMetrics:
         predicted = "SELECT SUM(salary) / COUNT(salary) FROM employees"
         assert compare_execution(hr_database, gold, predicted).match
 
-    def test_execution_accuracy_fraction(self, hr_database):
+    def test_pairs_sharing_a_gold_cache_score_independently(self, hr_database):
         pairs = [
             ("SELECT COUNT(*) FROM employees", "SELECT COUNT(*) FROM employees"),
             ("SELECT COUNT(*) FROM employees", "SELECT COUNT(*) FROM departments"),
         ]
-        assert execution_accuracy(hr_database, pairs) == 0.5
-        assert execution_accuracy(hr_database, []) == 0.0
+        cache = GoldResultCache(hr_database)
+        assert [
+            compare_execution(hr_database, gold, predicted, gold_cache=cache).match
+            for gold, predicted in pairs
+        ] == [True, False]
 
     def test_results_match_column_count(self, hr_database):
         gold = hr_database.execute("SELECT name, salary FROM employees")
