@@ -4,7 +4,8 @@ Turns SQL source text into a list of :class:`~repro.sql.tokens.Token` objects.
 Supports:
 
 * single-quoted string literals with ``''`` escaping,
-* double-quoted and backtick-quoted identifiers,
+* double-quoted and backtick-quoted identifiers, where a doubled quote
+  character inside (``""``, or two backticks) stands for one,
 * integer and decimal numeric literals (including scientific notation),
 * line comments (``-- ...``) and block comments (``/* ... */``),
 * multi-character comparison operators and string concatenation ``||``,
@@ -38,7 +39,7 @@ _TOKEN_RE = re.compile(
         (?P<word>[^\W\d\xbd][\w$]*)
       | (?P<number>(?:\d|\.(?=\d))[\d.]*(?:[eE][+-]?\d+)?)
       | (?P<string>'(?:[^']|'')*+')                 # possessive: no retry at an inner ''
-      | (?P<quoted>"[^"]*"|`[^`]*`)
+      | (?P<quoted>"[^"]*+(?:""[^"]*+)*+"|`[^`]*+(?:``[^`]*+)*+`)  # unrolled ([^"]|"")*
       | (?P<bad_comment>/\*)                        # before the operators' "/"
       | (?P<operator><>|>=|<=|\|\||[=<>+\-*/%])
       | (?P<not_equal>!=)
@@ -128,7 +129,8 @@ class Lexer:
                     Token(TokenKind.STRING, value[1:-1].replace("''", "'"), start, line)
                 )
             elif kind == "quoted":
-                tokens.append(Token(TokenKind.QUOTED_IDENTIFIER, value[1:-1], start, line))
+                name = value[1:-1].replace(value[0] * 2, value[0])
+                tokens.append(Token(TokenKind.QUOTED_IDENTIFIER, name, start, line))
             elif kind == "not_equal":
                 tokens.append(Token(TokenKind.OPERATOR, "<>", start, line))
             elif kind == "end":

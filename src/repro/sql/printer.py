@@ -231,10 +231,9 @@ def _name(name: str) -> str:
     """An identifier as text the lexer reads back as that same name.
 
     Bare when it already lexes as itself, else double-quoted; a name holding
-    a double quote is backtick-quoted instead, since the lexer has no escape
-    inside quoted identifiers.  Only a name holding both quote characters
-    cannot read back: it is printed double-quoted with the ``"`` doubled, the
-    standard SQL spelling.
+    a double quote is backtick-quoted instead, and a name holding both quote
+    characters is double-quoted with each ``"`` doubled, the standard SQL
+    spelling, which the lexer reads back as one ``"``.
     """
     if is_bare_identifier(name):
         return name

@@ -64,6 +64,15 @@ class TestBasicTokens:
         assert token.kind is TokenKind.QUOTED_IDENTIFIER
         assert token.value == "Weird Name"
 
+    @pytest.mark.parametrize("text, name", [
+        ('"a""b"', 'a"b'), ('""""', '"'), ('"a``b"', "a``b"),
+        ("`a``b`", "a`b"), ("````", "`"), ('`a""b`', 'a""b'),
+    ])
+    def test_doubled_quote_inside_quoted_identifier_is_one_quote(self, text, name):
+        (token,) = tokenize(text)
+        assert token.kind is TokenKind.QUOTED_IDENTIFIER
+        assert token.value == name
+
     def test_backtick_identifier(self):
         token = tokenize("`order`")[0]
         assert token.kind is TokenKind.QUOTED_IDENTIFIER
@@ -124,6 +133,13 @@ class TestLexErrors:
     def test_unterminated_quoted_identifier_raises(self):
         with pytest.raises(LexError):
             tokenize('SELECT "oops')
+
+    def test_doubled_quote_does_not_close_an_identifier(self):
+        # '"a""' is an unterminated identifier starting at 7, not "a"
+        # followed by a stray quote.
+        with pytest.raises(LexError) as info:
+            tokenize('SELECT "a"" FROM t')
+        assert (str(info.value), info.value.position) == ("unterminated quoted identifier", 7)
 
     def test_unexpected_character_raises(self):
         with pytest.raises(LexError):

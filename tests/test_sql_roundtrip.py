@@ -122,6 +122,15 @@ class TestQuotedIdentifiers:
         assert print_select(select) == 'SELECT `a"b`'
         assert_round_trips(select)
 
+    @pytest.mark.parametrize("name", ['a"b`c', '`"', '"`"', 'x""y``z', '" `', '"""``'])
+    def test_name_with_both_quote_characters_reads_back(self, name):
+        select = Select(
+            select_items=[SelectItem(ColumnRef(name, table=name), alias=name)],
+            from_relation=TableRef(name, alias=name),
+        )
+        assert print_select(select).startswith('SELECT "')
+        assert_round_trips(select)
+
     @pytest.mark.parametrize("name", ["a", "_x", "x$y", "MyCol", "é", "x²", "ﬁ"])
     def test_bare_identifier_matches_the_lexer(self, name):
         tokens = tokenize(name)
