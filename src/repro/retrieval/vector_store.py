@@ -166,9 +166,9 @@ class VectorStore:
         """Rebuild a store from :meth:`state_dict` output.
 
         Each entry gets its stored vector verbatim, so searches afterwards
-        score bit-identically to the snapshotted store.  The ``shard_key``
-        that snapshots of the earlier dataset-sharded index carry is ignored:
-        their entries and vectors are already in insertion order.
+        score bit-identically to the snapshotted store.  Snapshots of the
+        earlier dataset-sharded index also name their shard key, which is
+        ignored: their entries and vectors are already in insertion order.
         """
         store = cls(EmbeddingModel.from_state(state["model"]))
         entries = state["entries"]
