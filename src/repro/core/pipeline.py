@@ -33,7 +33,12 @@ from dataclasses import dataclass, field
 from repro.core.config import TaskConfig
 from repro.core.feedback import Feedback, FeedbackAction, FeedbackLoop
 from repro.core.journal import ANNOTATION_COMMITTED, FEEDBACK_APPLIED, EventJournal
-from repro.errors import PipelineError
+from repro.errors import (
+    CircuitOpenError,
+    DeadlineExceededError,
+    JournalError,
+    PipelineError,
+)
 from repro.llm.base import LLMClient
 from repro.llm.prompts import Prompt, PromptBuilder
 from repro.llm.resilience import Deadline
@@ -46,6 +51,10 @@ from repro.sql.ast_nodes import Select
 from repro.sql.decompose import DecompositionResult, decompose
 from repro.sql.parser import parse_select
 from repro.sql.recompose import recompose
+
+#: Errors that stop a run without settling the statements left: the work is
+#: still valid, so the service defers it instead of quarantining it.
+DEFERRAL_ERRORS = (CircuitOpenError, DeadlineExceededError)
 
 
 @dataclass
@@ -377,32 +386,9 @@ class AnnotationPipeline:
             )
         return record
 
-    def annotate(
-        self,
-        sql: str,
-        feedback: Feedback | None = None,
-        query_id: str | None = None,
-        commit_tag: object = None,
-    ) -> AnnotationRecord:
-        """Convenience: generate candidates and apply feedback in one call.
-
-        Without explicit feedback the top-ranked candidate is accepted, which
-        is the "annotator agrees with the first suggestion" fast path.
-        """
-        candidate_set = self.generate_candidates(sql, query_id=query_id)
-        feedback = feedback or Feedback(action=FeedbackAction.ACCEPT, selected_index=0)
-        record = self.submit_feedback(
-            candidate_set, feedback, query_id=query_id, commit_tag=commit_tag
-        )
-        if record is None:
-            # A regeneration request with no follow-up: accept the refreshed top candidate.
-            candidate_set = self.generate_candidates(sql, query_id=query_id)
-            record = self.submit_feedback(
-                candidate_set, Feedback(action=FeedbackAction.ACCEPT, selected_index=0),
-                query_id=query_id, commit_tag=commit_tag,
-            )
-        assert record is not None
-        return record
+    def annotate(self, sql: str, query_id: str | None = None) -> AnnotationRecord:
+        """Annotate one statement, accepting the top candidate: a size-1 wave."""
+        return self.annotate_many([sql], [query_id])[0]
 
     def annotate_many(
         self,
@@ -419,19 +405,25 @@ class AnnotationPipeline:
         generation is one batched LLM call, then feedback and example-store
         commits run per query in submission order.  Prompts invalidated by an
         intra-wave commit are regenerated individually, so the records are
-        identical to a sequential loop of :meth:`annotate` calls.
+        identical to a sequential loop of size-1 waves (:meth:`annotate`).
 
         While the example archive is cold, nearly every commit changes what
         the next query retrieves, so large speculative waves would be wasted:
         wave sizes ramp geometrically from 1 until the archive holds at least
         a full retrieval window, after which waves start at full size (so
         repeated incremental drains on a warm pipeline stay fully batched).
+
+        A statement that fails stops the run: the statements before it are
+        committed, and its exception is raised as soon as the run parks it
+        (see :meth:`WaveRun.run_next_wave`).
         """
         run = self.wave_run(
             statements, query_ids=query_ids, batch_size=batch_size, commit_tags=commit_tags
         )
         while not run.done:
-            run.run_next_wave()
+            for outcome in run.run_next_wave():
+                if isinstance(outcome, Exception):
+                    raise outcome
         run.finish()
         return run.records
 
@@ -465,93 +457,80 @@ class AnnotationPipeline:
         self,
         statements: list[str],
         query_ids: list[str | None],
-        stats: WaveStats,
-        commit_tags: list | None = None,
-        deadline: Deadline | None = None,
-    ) -> list[AnnotationRecord]:
-        if commit_tags is None:
-            commit_tags = [None] * len(statements)
-        tel = self.telemetry
-        with tel.span(
-            "pipeline.wave", project=self.dataset_name, size=len(statements)
-        ):
-            return self._run_wave_body(
-                statements, query_ids, stats, commit_tags, tel, deadline
-            )
-
-    def _run_wave_body(
-        self,
-        statements: list[str],
-        query_ids: list[str | None],
-        stats: WaveStats,
         commit_tags: list,
-        tel: Telemetry,
+        stats: WaveStats,
+        records: list,
         deadline: Deadline | None = None,
-    ) -> list[AnnotationRecord]:
-        # Phase 1 — parse and decompose every statement in the wave.
-        items = [
-            self._prepare_item(sql, query_id, commit_tag)
-            for sql, query_id, commit_tag in zip(statements, query_ids, commit_tags)
-        ]
+    ) -> None:
+        """Run one wave, appending each record to ``records`` once committed.
 
-        # Phase 2 — one vectorized retrieval pass over every generation unit.
-        all_unit_sqls = [unit_sql for item in items for unit_sql in item.unit_sqls]
-        all_unit_asts = [unit_ast for item in items for unit_ast in item.unit_asts]
-        store_version = self.retriever.example_store.version
-        if self.config.rag_enabled:
-            contexts = self.retriever.retrieve_batch(
-                all_unit_sqls, dataset=self.dataset_name or None, asts=all_unit_asts
-            )
-        else:
-            contexts = [None] * len(all_unit_sqls)
-        prompts = [
-            self._build_prompt(unit_sql, context, ast=unit_ast)
-            for unit_sql, context, unit_ast in zip(all_unit_sqls, contexts, all_unit_asts)
-        ]
-
-        # Phase 3 — one batched generation call for the whole wave.
-        llm_started = time.perf_counter() if tel.enabled else 0.0
-        results = self.llm.generate_batch_with_retry(
-            prompts,
-            self._retry_policy,
-            salt=self._retry_salt,
-            deadline=deadline,
-            breaker=self.breaker,
-        )
-        if tel.enabled:
-            tel.observe(
-                "pipeline_wave_llm_seconds",
-                time.perf_counter() - llm_started,
-                project=self.dataset_name,
-                model=self.llm.name,
-            )
-        cursor = 0
-        for item in items:
-            item.contexts = contexts[cursor : cursor + len(item.unit_sqls)]
-            item.prompts = prompts[cursor : cursor + len(item.unit_sqls)]
-            item.candidate_lists = [
-                result.candidates for result in results[cursor : cursor + len(item.unit_sqls)]
+        A record is appended only after :meth:`submit_feedback` returned, so
+        when the wave raises, ``records`` holds exactly its durable commits.
+        """
+        tel = self.telemetry
+        with tel.span("pipeline.wave", project=self.dataset_name, size=len(statements)):
+            # Phase 1 — parse and decompose every statement in the wave.
+            items = [
+                self._prepare_item(sql, query_id, commit_tag)
+                for sql, query_id, commit_tag in zip(statements, query_ids, commit_tags)
             ]
-            cursor += len(item.unit_sqls)
 
-        # Phase 4 — feedback and commit, per query in submission order.  The
-        # example store grows as annotations are accepted, so each query's
-        # prompts are validated against the live store first.
-        feedback_revision = self.feedback_loop.revision
-        records: list[AnnotationRecord] = []
-        for item in items:
-            candidate_set = self._commit_candidate_set(
-                item, stats, feedback_revision, store_version, deadline
+            # Phase 2 — one vectorized retrieval pass over every generation unit.
+            all_unit_sqls = [unit_sql for item in items for unit_sql in item.unit_sqls]
+            all_unit_asts = [unit_ast for item in items for unit_ast in item.unit_asts]
+            store_version = self.retriever.example_store.version
+            if self.config.rag_enabled:
+                contexts = self.retriever.retrieve_batch(
+                    all_unit_sqls, dataset=self.dataset_name or None, asts=all_unit_asts
+                )
+            else:
+                contexts = [None] * len(all_unit_sqls)
+            prompts = [
+                self._build_prompt(unit_sql, context, ast=unit_ast)
+                for unit_sql, context, unit_ast in zip(all_unit_sqls, contexts, all_unit_asts)
+            ]
+
+            # Phase 3 — one batched generation call for the whole wave.
+            llm_started = time.perf_counter() if tel.enabled else 0.0
+            results = self.llm.generate_batch_with_retry(
+                prompts,
+                self._retry_policy,
+                salt=self._retry_salt,
+                deadline=deadline,
+                breaker=self.breaker,
             )
-            record = self.submit_feedback(
-                candidate_set,
-                Feedback(action=FeedbackAction.ACCEPT, selected_index=0),
-                query_id=item.query_id,
-                commit_tag=item.commit_tag,
-            )
-            assert record is not None  # ACCEPT feedback never asks to regenerate
-            records.append(record)
-        return records
+            if tel.enabled:
+                tel.observe(
+                    "pipeline_wave_llm_seconds",
+                    time.perf_counter() - llm_started,
+                    project=self.dataset_name,
+                    model=self.llm.name,
+                )
+            cursor = 0
+            for item in items:
+                item.contexts = contexts[cursor : cursor + len(item.unit_sqls)]
+                item.prompts = prompts[cursor : cursor + len(item.unit_sqls)]
+                item.candidate_lists = [
+                    result.candidates for result in results[cursor : cursor + len(item.unit_sqls)]
+                ]
+                cursor += len(item.unit_sqls)
+
+            # Phase 4 — feedback and commit, per query in submission order.  The
+            # example store grows as annotations are accepted, so each query's
+            # prompts are validated against the live store first.
+            feedback_revision = self.feedback_loop.revision
+            for item in items:
+                candidate_set = self._commit_candidate_set(
+                    item, stats, feedback_revision, store_version, deadline
+                )
+                record = self.submit_feedback(
+                    candidate_set,
+                    Feedback(action=FeedbackAction.ACCEPT, selected_index=0),
+                    query_id=item.query_id,
+                    commit_tag=item.commit_tag,
+                )
+                assert record is not None  # ACCEPT feedback never asks to regenerate
+                records.append(record)
 
     def _commit_candidate_set(
         self,
@@ -602,8 +581,9 @@ class AnnotationPipeline:
                 )
 
         if stale:
+            candidate_set = self._regenerate(item, fresh_contexts, fresh_prompts, deadline)
             stats.regenerated_queries += 1
-            return self._regenerate(item, fresh_contexts, fresh_prompts, deadline)
+            return candidate_set
 
         stats.batched_queries += 1
         if item.decomposition is not None:
@@ -659,7 +639,7 @@ class AnnotationPipeline:
         fresh_prompts: list[Prompt] | None,
         deadline: Deadline | None = None,
     ) -> CandidateSet:
-        """Generate one wave item's candidates with per-unit LLM calls.
+        """Generate one wave item's candidates in one LLM call over its units.
 
         This is the sequential path: :meth:`generate_candidates` is exactly
         this step on a freshly prepared item, and a wave falls back to it for
@@ -669,29 +649,23 @@ class AnnotationPipeline:
         """
         if fresh_contexts is None or fresh_prompts is None:
             fresh_contexts, fresh_prompts = self._fresh_prompts(item)
+        results = self.llm.generate_batch_with_retry(
+            fresh_prompts,
+            self._retry_policy,
+            salt=self._retry_salt,
+            deadline=deadline,
+            breaker=self.breaker,
+        )
         if item.decomposition is not None:
             unit_candidates = {
-                name: self.llm.generate_with_retry(
-                    prompt,
-                    self._retry_policy,
-                    salt=self._retry_salt,
-                    deadline=deadline,
-                    breaker=self.breaker,
-                ).candidates
-                for name, prompt in zip(item.unit_names, fresh_prompts)
+                name: result.candidates for name, result in zip(item.unit_names, results)
             }
             candidates = self._merge_unit_candidates(item.decomposition, unit_candidates)
             context = self._retrieve(item.sql, item.select)
             prompt = self._build_prompt(item.sql, context, ast=item.select)
         else:
             unit_candidates = {}
-            candidates = self.llm.generate_with_retry(
-                fresh_prompts[0],
-                self._retry_policy,
-                salt=self._retry_salt,
-                deadline=deadline,
-                breaker=self.breaker,
-            ).candidates
+            candidates = results[0].candidates
             context = fresh_contexts[0]
             prompt = fresh_prompts[0]
         return self._candidate_set(item, candidates, unit_candidates, prompt, context)
@@ -715,13 +689,17 @@ class WaveRun:
     """Resumable wave-at-a-time driver for one pipeline's batched annotation.
 
     Holds the cursor, the geometric wave-size ramp and the accumulated
-    records/stats of an :meth:`AnnotationPipeline.annotate_many` run, but
+    outcomes/stats of an :meth:`AnnotationPipeline.annotate_many` run, but
     advances only when :meth:`run_next_wave` is called.  Driving a run to
     completion in a tight loop reproduces ``annotate_many`` exactly; the
     multi-project scheduler instead calls ``run_next_wave`` once per round on
     every tenant's run, so independent projects' waves overlap on the LLM
     boundary while each project still sees its own waves strictly in order —
     the per-project record stream is bit-identical either way.
+
+    The run isolates its own failures: :attr:`outcomes` holds one entry per
+    settled statement, in order — its record, or the exception it was parked
+    with.
 
     A ``WaveRun`` must only ever be advanced by one thread at a time (the
     scheduler guarantees this by never submitting a project's next wave until
@@ -748,12 +726,17 @@ class WaveRun:
         #: Drain budget carried into every wave's LLM calls (``None`` = none).
         self.deadline = deadline
         self._statements = list(statements)
-        self._query_ids = list(query_ids) if query_ids is not None else None
-        self._commit_tags = list(commit_tags) if commit_tags is not None else None
+        self._query_ids = (
+            list(query_ids) if query_ids is not None else [None] * len(self._statements)
+        )
+        self._commit_tags = (
+            list(commit_tags) if commit_tags is not None else [None] * len(self._statements)
+        )
         self._wave_size = wave_size
         self.stats = WaveStats(queries=len(self._statements))
-        self.records: list[AnnotationRecord] = []
-        self._start = 0
+        #: One entry per settled statement, in order: its committed record,
+        #: or the ``Exception`` it was parked with.
+        self.outcomes: list[AnnotationRecord | Exception] = []
         self._requests_before = pipeline.llm.usage.requests
         archive_warm = (
             len(pipeline.retriever.example_store) >= pipeline.config.top_k_examples + 5
@@ -766,35 +749,33 @@ class WaveRun:
 
     @property
     def done(self) -> bool:
-        """Whether every statement has been committed."""
-        return self._start >= len(self._statements)
+        """Whether every statement has been settled."""
+        return len(self.outcomes) >= len(self._statements)
 
     @property
-    def pending(self) -> int:
-        """Statements not yet committed."""
-        return len(self._statements) - self._start
+    def records(self) -> list[AnnotationRecord]:
+        """The records committed so far, in order."""
+        return [outcome for outcome in self.outcomes if isinstance(outcome, AnnotationRecord)]
 
-    def run_next_wave(self) -> list[AnnotationRecord]:
+    def run_next_wave(self) -> list[AnnotationRecord | Exception]:
         """Advance one wave (parse → retrieve → generate → commit).
 
-        Returns the records the wave committed (empty when already done).
+        Returns the outcomes the wave settled (empty when already done).
+        When a wave raises an ordinary ``Exception``, the commits it made
+        stand and the rest of the run goes one statement per wave; a
+        statement that raises in a wave of its own is parked as its outcome.
+        A failure that leaves the pipeline's circuit breaker open is raised
+        as :class:`~repro.errors.CircuitOpenError` instead.  Deferral signals
+        (:data:`DEFERRAL_ERRORS`), journal errors and ``BaseException``
+        propagate, leaving the outcomes settled so far.
         Finishing the last wave finalises the run's stats automatically.
         """
         if self.done:
             self.finish()
             return []
-        start, size = self._start, self._size
-        wave_statements = self._statements[start : start + size]
-        wave_ids = (
-            self._query_ids[start : start + size]
-            if self._query_ids is not None
-            else [None] * len(wave_statements)
-        )
-        wave_tags = (
-            self._commit_tags[start : start + size]
-            if self._commit_tags is not None
-            else [None] * len(wave_statements)
-        )
+        start, size = len(self.outcomes), self._size
+        end = start + size
+        wave_statements = self._statements[start:end]
         tel = self.pipeline.telemetry
         if tel.enabled:
             now = time.perf_counter()
@@ -809,18 +790,36 @@ class WaveRun:
                 len(wave_statements),
                 project=self.pipeline.dataset_name,
             )
-        wave_records = self.pipeline._run_wave(
-            wave_statements, wave_ids, self.stats, wave_tags, deadline=self.deadline
-        )
+        try:
+            self.pipeline._run_wave(
+                wave_statements,
+                self._query_ids[start:end],
+                self._commit_tags[start:end],
+                self.stats,
+                self.outcomes,
+                deadline=self.deadline,
+            )
+        except (*DEFERRAL_ERRORS, JournalError):
+            raise
+        except Exception as exc:
+            breaker = self.pipeline.breaker
+            if breaker is not None and not breaker.would_allow():
+                # The failure left the backend's breaker open: an outage, not
+                # this statement's fault, so the run stops to be deferred.
+                raise CircuitOpenError(
+                    f"circuit breaker for {self.pipeline.llm.name!r} opened: {exc}"
+                ) from exc
+            if len(wave_statements) == 1:
+                self.outcomes.append(exc)
+            else:
+                self._wave_size = 1
         if tel.enabled:
             self._last_advance = time.perf_counter()
         self.stats.waves += 1
-        self._start += len(wave_statements)
         self._size = min(self._wave_size, size * 2)
-        self.records.extend(wave_records)
         if self.done:
             self.finish()
-        return wave_records
+        return self.outcomes[start:]
 
     def finish(self) -> None:
         """Finalise run accounting and publish it as the pipeline's last run.

@@ -30,14 +30,16 @@ Correctness argument, in brief:
 * The round barrier is also the one place scheduling decisions are made:
   no round starts after the drain deadline expired, and a project whose
   circuit breaker refuses calls is retired before its next wave.  Retired
-  and unfinished runs keep their committed prefix for the caller to settle.
+  and unfinished runs keep their settled outcomes for the caller to settle.
 
-Failure semantics: an ``Exception`` from one project's wave stops only that
-project (the error is reported per project so the service can fall back to
-its per-job quarantine path), while :class:`~repro.errors.JournalError` and
-``BaseException`` (e.g. injected crashes) are fatal and re-raised — in the
-pool only after every wave of the current round has settled, so no worker
-thread is left running against a half-torn-down service.
+Failure semantics: a run isolates its own failing statements (see
+:meth:`~repro.core.pipeline.WaveRun.run_next_wave`), so a wave raises only a
+deferral signal or a fatal error.  A deferral signal
+(:data:`~repro.core.pipeline.DEFERRAL_ERRORS`) retires only that project;
+anything else — :class:`~repro.errors.JournalError`, ``BaseException`` such
+as injected crashes — is fatal and re-raised, in the pool only after every
+wave of the current round has settled, so no worker thread is left running
+against a half-torn-down service.
 """
 
 from __future__ import annotations
@@ -46,8 +48,8 @@ from concurrent.futures import Future, ThreadPoolExecutor
 from contextlib import nullcontext
 from typing import Callable
 
-from repro.core.pipeline import WaveRun
-from repro.errors import JournalError, PipelineError
+from repro.core.pipeline import DEFERRAL_ERRORS, WaveRun
+from repro.errors import PipelineError
 from repro.llm.resilience import Deadline
 from repro.obs import NULL_TELEMETRY, Telemetry
 
@@ -73,19 +75,16 @@ class WaveScheduler:
         #: Rounds executed by the most recent :meth:`run_all` call.
         self.rounds = 0
 
-    def run_all(
-        self, runs: dict[str, WaveRun], deadline: Deadline | None = None
-    ) -> dict[str, Exception]:
-        """Advance every run to completion; returns per-project errors.
+    def run_all(self, runs: dict[str, WaveRun], deadline: Deadline | None = None) -> None:
+        """Advance every run to completion, or until it has to be deferred.
 
         Each round advances every still-active project by one
         ``run_next_wave`` and waits for all of them before starting the next
         round.  The rounds run inline on the calling thread when there is
         one worker or only one active run, and through a thread pool
-        otherwise.  A project whose wave raises an ``Exception`` is retired
-        with that exception recorded under its name (its committed prefix is
-        untouched); fatal conditions — :class:`JournalError` or any
-        non-``Exception`` ``BaseException`` — are re-raised.
+        otherwise.  A project whose wave raises a deferral signal is retired
+        (its settled outcomes are untouched); any other error is fatal and
+        re-raised.
 
         At every round barrier, before the first wave and between waves, a
         run whose pipeline's circuit breaker refuses calls is retired without
@@ -97,7 +96,6 @@ class WaveScheduler:
         by more than the budget's remaining slice.
         """
         self.rounds = 0
-        errors: dict[str, Exception] = {}
         active = {project: run for project, run in runs.items() if not run.done}
         if self.max_workers == 1 or len(active) <= 1:
             executor = nullcontext(_InlineExecutor())
@@ -134,13 +132,9 @@ class WaveScheduler:
                 for project, future in futures:
                     try:
                         future.result()
-                    except JournalError as exc:
-                        fatal = fatal if fatal is not None else exc
+                    except DEFERRAL_ERRORS:
                         del active[project]
-                    except Exception as exc:
-                        errors[project] = exc
-                        del active[project]
-                    except BaseException as exc:  # e.g. injected crash faults
+                    except BaseException as exc:  # journal errors, injected crashes
                         fatal = fatal if fatal is not None else exc
                         del active[project]
                     else:
@@ -148,14 +142,13 @@ class WaveScheduler:
                             del active[project]
                 if fatal is not None:
                     raise fatal
-        return errors
 
 
 class _InlineExecutor:
     """Runs each submitted wave at once on the calling thread.
 
-    Non-fatal errors are parked in the returned future, as a pool would;
-    fatal ones propagate immediately, since on one thread no other wave is
+    Deferral signals are parked in the returned future, as a pool would;
+    fatal errors propagate immediately, since on one thread no other wave is
     in flight that would have to settle first.
     """
 
@@ -163,8 +156,6 @@ class _InlineExecutor:
         future: Future = Future()
         try:
             future.set_result(fn())
-        except JournalError:
-            raise
-        except Exception as exc:
+        except DEFERRAL_ERRORS as exc:
             future.set_exception(exc)
         return future

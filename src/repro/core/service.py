@@ -35,12 +35,14 @@ pending until its ``annotation_committed`` (or ``job_failed``) event is on
 disk, so a crash mid-drain re-queues exactly the jobs whose commits were
 lost.
 
-Fault isolation.  One failing job does not poison a drain: when a batched
-wave raises, the already-committed prefix is kept, the remaining jobs are
-retried individually (the sequential path is bit-identical to the wave path),
-and a job that still fails is quarantined as a failed
-:class:`CompletedJob` with its error message — counted in
-:attr:`ServiceStats.failed`, never silently dropped.
+Fault isolation.  One failing job does not poison a drain.  Each
+project's :class:`~repro.core.pipeline.WaveRun` isolates its own failures:
+when a batched wave raises, the commits it made stand, the rest of the run
+goes one statement per wave (a size-1 wave commits exactly what the batched
+wave would have), and a statement that fails in a wave of its own is parked.
+The drain settles each job from its run's outcome: a parked failure is
+quarantined as a failed :class:`CompletedJob` with its error — journaled,
+counted in :attr:`ServiceStats.failed`, never silently dropped.
 """
 
 from __future__ import annotations
@@ -50,7 +52,7 @@ import time
 import traceback as traceback_module
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import Callable
+from typing import Callable, Iterator
 
 from repro.core.config import TaskConfig
 from repro.core.journal import (
@@ -80,8 +82,6 @@ from repro.core.feedback import Feedback
 from repro.core.scheduler import WaveScheduler
 from repro.errors import (
     BackpressureError,
-    CircuitOpenError,
-    DeadlineExceededError,
     DegradedModeError,
     DiskFaultError,
     JournalError,
@@ -150,6 +150,45 @@ class CompletedJob:
     def failed(self) -> bool:
         """Whether this job ended in quarantine rather than an annotation."""
         return self.record is None
+
+
+def _failed_job(job: AnnotationJob, exc: Exception) -> CompletedJob:
+    """The quarantine entry for a job whose statement raised ``exc``."""
+    return CompletedJob(
+        job=job,
+        record=None,
+        error=f"{type(exc).__name__}: {exc}",
+        error_type=type(exc).__name__,
+        traceback=format_quarantine_traceback(exc),
+    )
+
+
+def _job_outcomes(
+    by_project: dict[str, list[AnnotationJob]], runs: dict[str, WaveRun]
+) -> Iterator[tuple[AnnotationJob, AnnotationRecord | Exception | None]]:
+    """Each drained job with its run's outcome (``None`` while unsettled).
+
+    Projects come in first-submission order, jobs in submission order within
+    each, so job and outcome pair by position.
+    """
+    for project, jobs in by_project.items():
+        outcomes = runs[project].outcomes
+        for index, job in enumerate(jobs):
+            yield job, outcomes[index] if index < len(outcomes) else None
+
+
+def _failure_payload(failed: CompletedJob) -> dict:
+    """The journaled ``job_failed`` event of one quarantined job."""
+    job = failed.job
+    return {
+        "job_id": job.job_id,
+        "project": job.project,
+        "sql": job.sql,
+        "query_id": job.query_id,
+        "error": failed.error,
+        "error_type": failed.error_type,
+        "traceback": failed.traceback,
+    }
 
 
 @dataclass
@@ -539,14 +578,17 @@ class AnnotationService:
         quarantined.  Projects whose circuit breaker refuses calls at a round
         barrier are deferred the same way.
 
-        Failure isolation: when a batched group raises, the jobs already
-        committed keep their records, and the remainder re-runs one job at a
-        time (bit-identical to the wave path) so a single poisoned statement
-        is quarantined instead of sinking its whole wave.  Journal errors are
-        never swallowed — losing durability is fatal, not isolable — with one
-        exception: an OS-level disk fault (:class:`DiskFaultError`) flips the
-        service into journaled-read-only degraded mode, salvages the
-        committed prefix and returns it instead of crashing mid-drain.
+        Failure isolation happens inside each project's run, within the
+        scheduler's rounds (so under the same deadline, breaker checks and
+        wave accounting): when a wave raises, its commits stand and the rest
+        of the run goes one statement per wave, so a single poisoned
+        statement is quarantined instead of sinking its whole wave.  Its
+        ``job_failed`` event is journaled here, when the drain settles.
+        Journal errors are never swallowed — losing durability is fatal, not
+        isolable — with one exception: an OS-level disk fault
+        (:class:`DiskFaultError`) flips the service into journaled-read-only
+        degraded mode, salvages the journaled commits and returns them
+        instead of crashing mid-drain.
         """
         if self._degraded:
             raise DegradedModeError(
@@ -575,9 +617,14 @@ class AnnotationService:
         by_project: dict[str, list[AnnotationJob]] = {}
         for job in taken:
             by_project.setdefault(job.project, []).append(job)
-        records_before = {
-            project: len(self._pipelines[project].annotations)
-            for project in by_project
+        runs = {
+            project: self._pipelines[project].wave_run(
+                [job.sql for job in jobs],
+                query_ids=[job.query_id for job in jobs],
+                commit_tags=[job.job_id for job in jobs],
+                deadline=deadline,
+            )
+            for project, jobs in by_project.items()
         }
 
         tel = self.telemetry
@@ -588,43 +635,32 @@ class AnnotationService:
                 projects=len(by_project),
                 concurrency=workers,
             ):
-                runs = {
-                    project: self._pipelines[project].wave_run(
-                        [job.sql for job in jobs],
-                        query_ids=[job.query_id for job in jobs],
-                        commit_tags=[job.job_id for job in jobs],
-                        deadline=deadline,
-                    )
-                    for project, jobs in by_project.items()
-                }
-                scheduler = WaveScheduler(max_workers=workers, telemetry=tel)
-                errors = scheduler.run_all(runs, deadline=deadline)
+                WaveScheduler(max_workers=workers, telemetry=tel).run_all(
+                    runs, deadline=deadline
+                )
                 wave_stats = WaveStats()
-                completed: list[CompletedJob] = []
-                deferred: list[AnnotationJob] = []
-                for project, jobs in by_project.items():
-                    run = runs[project]
-                    settled, rest = self._settle_project(
-                        project, jobs, run, errors.get(project), records_before[project]
-                    )
-                    completed.extend(settled)
-                    deferred.extend(rest)
+                for run in runs.values():
+                    # Retired runs too: their waves and LLM calls really happened.
+                    run.finish()
                     wave_stats.waves += run.stats.waves
                     wave_stats.batched_queries += run.stats.batched_queries
                     wave_stats.regenerated_queries += run.stats.regenerated_queries
                     wave_stats.llm_requests += run.stats.llm_requests
-                for item in completed:
-                    if not item.failed:
-                        self.stats.note_completed(item.job.project)
-                self._requeue_deferred(deferred)
-                self.stats.note_drain(
-                    wave_stats.waves,
-                    wave_stats.batched_queries,
-                    wave_stats.regenerated_queries,
-                    wave_stats.llm_requests,
-                )
-                self._refresh_usage()
+                completed: list[CompletedJob] = []
+                deferred: list[AnnotationJob] = []
+                for job, outcome in _job_outcomes(by_project, runs):
+                    if outcome is None:
+                        deferred.append(job)
+                    elif isinstance(outcome, AnnotationRecord):
+                        completed.append(CompletedJob(job=job, record=outcome))
+                    else:
+                        completed.append(_failed_job(job, outcome))
+                # Journal first, then change memory: a disk fault on the way
+                # leaves nothing half-settled for the salvage path.
                 if self._journal is not None:
+                    for item in completed:
+                        if item.failed:
+                            self._journal.append(JOB_FAILED, _failure_payload(item))
                     self._journal.append(
                         DRAIN_STATS,
                         {
@@ -635,11 +671,22 @@ class AnnotationService:
                         },
                     )
                     self._journal.commit()  # group-commit point for "batch" fsync
-                    self.maybe_snapshot()
+                for item in completed:
+                    if item.failed:
+                        self._quarantine(item)
+                    else:
+                        self.stats.note_completed(item.job.project)
+                self._requeue_deferred(deferred)
+                self.stats.note_drain(
+                    wave_stats.waves,
+                    wave_stats.batched_queries,
+                    wave_stats.regenerated_queries,
+                    wave_stats.llm_requests,
+                )
+                self._refresh_usage()
+                self.maybe_snapshot()
         except DiskFaultError as exc:
-            return self._salvage_disk_fault(
-                by_project, records_before, exc, drain_started
-            )
+            return self._salvage_disk_fault(by_project, runs, exc, drain_started)
         self.last_drain_report = DrainReport(
             completed=sum(1 for item in completed if not item.failed),
             failed=sum(1 for item in completed if item.failed),
@@ -682,105 +729,34 @@ class AnnotationService:
                 tel.count("service_jobs_deferred_total", count, project=project)
                 tel.event("jobs_deferred", project=project, count=count)
 
-    def _settle_project(
-        self,
-        project: str,
-        jobs: list[AnnotationJob],
-        run: WaveRun,
-        error: Exception | None,
-        records_before: int,
-    ) -> tuple[list[CompletedJob], list[AnnotationJob]]:
-        """Split one project's scheduled run into completed + deferred jobs.
-
-        The committed prefix is completed.  A run the scheduler retired with
-        a non-deferral error retries everything after that prefix —
-        including the job that raised — one job at a time, so one bad
-        statement is quarantined instead of sinking its wave-mates.  The rest
-        of a run stopped by its breaker, the deadline or a deferral signal
-        mid-wave is deferred.  The run is finished first either way, so its
-        wave accounting is always counted: those waves and LLM calls really
-        happened.
-        """
-        run.finish()
-        completed, rest = self._committed_prefix(project, jobs, records_before)
-        if error is None or isinstance(
-            error, (CircuitOpenError, DeadlineExceededError)
-        ):
-            return completed, rest
-        sequential, deferred = self._drain_sequentially(self._pipelines[project], rest)
-        return completed + sequential, deferred
-
-    def _committed_prefix(
-        self, project: str, jobs: list[AnnotationJob], records_before: int
-    ) -> tuple[list[CompletedJob], list[AnnotationJob]]:
-        """Pair the jobs with the records their drain committed, in order.
-
-        The prefix is read off the pipeline's annotation list, not a run's
-        record buffer, so commits that landed mid-wave before a failure or a
-        deferral signal are never re-run.  Returns the completed jobs and the
-        uncommitted remainder.
-        """
-        committed = self._pipelines[project].annotations[records_before:]
-        done = min(len(committed), len(jobs))
-        return (
-            [
-                CompletedJob(job=job, record=record)
-                for job, record in zip(jobs[:done], committed)
-            ],
-            jobs[done:],
-        )
-
-    def _drain_sequentially(
-        self, pipeline: AnnotationPipeline, jobs: list[AnnotationJob]
-    ) -> tuple[list[CompletedJob], list[AnnotationJob]]:
-        """Per-job fallback path with quarantine for jobs that still fail.
-
-        Deferral signals (breaker open, deadline exhausted) stop the loop and
-        hand the remaining jobs back for re-queueing — they are scheduling
-        outcomes, not job failures, so they never reach the quarantine.
-        """
-        results: list[CompletedJob] = []
-        for index, job in enumerate(jobs):
-            try:
-                record = pipeline.annotate(
-                    job.sql, query_id=job.query_id, commit_tag=job.job_id
-                )
-                results.append(CompletedJob(job=job, record=record))
-            except JournalError:
-                raise
-            except (CircuitOpenError, DeadlineExceededError):
-                return results, list(jobs[index:])
-            except Exception as exc:
-                results.append(self._fail_job(job, exc))
-        return results, []
-
     def _salvage_disk_fault(
         self,
         by_project: dict[str, list[AnnotationJob]],
-        records_before: dict[str, int],
+        runs: dict[str, WaveRun],
         exc: DiskFaultError,
         drain_started: float,
     ) -> list[CompletedJob]:
         """Settle a drain interrupted by a disk fault and go degraded.
 
         Every annotation whose journal append succeeded before the fault is
-        returned as completed; everything else is re-queued (deferred).  The
-        service then flips to journaled-read-only degraded mode — the right
-        trade for a full disk: existing work stays readable, new mutations
-        are refused until an operator recovers from the (intact) journal
-        prefix.  Note the in-memory view may lead the journal by the one
-        record whose append failed; recovery replays journal truth.
+        returned as completed; everything else — parked failures included,
+        since their ``job_failed`` events can no longer be journaled — is
+        re-queued (deferred).  The service then flips to
+        journaled-read-only degraded mode — the right trade for a full disk:
+        existing work stays readable, new mutations are refused until an
+        operator recovers from the (intact) journal prefix.  Note the
+        in-memory view and the journal may differ by the appends around the
+        fault (the record whose append failed, ``job_failed`` events written
+        before it); recovery replays journal truth.
         """
         completed: list[CompletedJob] = []
         deferred: list[AnnotationJob] = []
-        for project, jobs in by_project.items():
-            settled, rest = self._committed_prefix(
-                project, jobs, records_before[project]
-            )
-            completed.extend(settled)
-            deferred.extend(rest)
-        for item in completed:
-            self.stats.note_completed(item.job.project)
+        for job, outcome in _job_outcomes(by_project, runs):
+            if isinstance(outcome, AnnotationRecord):
+                completed.append(CompletedJob(job=job, record=outcome))
+                self.stats.note_completed(job.project)
+            else:
+                deferred.append(job)
         self._requeue_deferred(deferred)
         self._refresh_usage()
         self._enter_degraded_mode(exc)
@@ -820,20 +796,16 @@ class AnnotationService:
             except JournalError:
                 pass  # the disk is already known-bad; nothing left to save
 
-    def _fail_job(self, job: AnnotationJob, exc: Exception) -> CompletedJob:
-        """Quarantine one failing job (journaled, counted, returned).
+    def _quarantine(self, failed: CompletedJob) -> None:
+        """Isolate one failed job from the queue (counted, not journaled).
 
-        The full failure detail — exception class and a truncated traceback,
-        not just the message — is kept on the :class:`CompletedJob` and in the
-        journaled ``job_failed`` record, so quarantine counters broken down by
-        ``error_type`` point at an actionable cause.
+        The caller journals the ``job_failed`` event first.  Its failure
+        detail — exception class and a truncated traceback, not just the
+        message — is kept on the :class:`CompletedJob` and in that event, so
+        quarantine counters broken down by ``error_type`` point at an
+        actionable cause.
         """
-        error = f"{type(exc).__name__}: {exc}"
-        error_type = type(exc).__name__
-        trace = format_quarantine_traceback(exc)
-        failed = CompletedJob(
-            job=job, record=None, error=error, error_type=error_type, traceback=trace
-        )
+        job = failed.job
         self.quarantine.append(failed)
         self.stats.note_failed(job.project)
         tel = self.telemetry
@@ -841,28 +813,14 @@ class AnnotationService:
             tel.count(
                 "service_jobs_quarantined_total",
                 project=job.project,
-                error_type=error_type,
+                error_type=failed.error_type,
             )
             tel.event(
                 "job_quarantined",
                 project=job.project,
                 job_id=job.job_id,
-                error_type=error_type,
+                error_type=failed.error_type,
             )
-        if self._journal is not None:
-            self._journal.append(
-                JOB_FAILED,
-                {
-                    "job_id": job.job_id,
-                    "project": job.project,
-                    "sql": job.sql,
-                    "query_id": job.query_id,
-                    "error": error,
-                    "error_type": error_type,
-                    "traceback": trace,
-                },
-            )
-        return failed
 
     def _refresh_usage(self) -> None:
         """Rebuild the per-model usage view from every pipeline's accounting.
@@ -1203,8 +1161,8 @@ class AnnotationService:
                 list(payload["candidates"]), Feedback.from_state(payload["feedback"])
             )
         elif event.type == JOB_FAILED:
-            self._settle_job(payload["job_id"])
-            job = AnnotationJob(
+            # The queued job keeps its priority; the payload does not carry it.
+            job = self._settle_job(payload["job_id"]) or AnnotationJob(
                 job_id=payload["job_id"],
                 project=payload["project"],
                 sql=payload["sql"],
@@ -1242,11 +1200,15 @@ class AnnotationService:
             )
         return self._pipelines[name]
 
-    def _settle_job(self, job_id: int) -> None:
-        """Drop a journal-settled job from the pending queue (idempotent)."""
+    def _settle_job(self, job_id: int) -> AnnotationJob | None:
+        """Drop a journal-settled job from the pending queue (idempotent).
+
+        Returns the dropped job, or ``None`` when it was not queued.
+        """
         for index, job in enumerate(self._queue):
             if job.job_id == job_id:
                 del self._queue[index]
                 remaining = self._pending_by_project.get(job.project, 0) - 1
                 self._pending_by_project[job.project] = max(0, remaining)
-                break
+                return job
+        return None

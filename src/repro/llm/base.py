@@ -202,8 +202,8 @@ class LLMClient(abc.ABC):
 
     name: str = "llm"
 
-    #: Observability sink for the retry/timeout/token accounting on the
-    #: ``*_with_retry`` entry points.  A class-level no-op default means
+    #: Observability sink for the retry/timeout/token accounting on
+    #: :meth:`generate_batch_with_retry`.  A class-level no-op default means
     #: existing subclasses need no ``__init__`` changes; services overwrite
     #: it per instance when telemetry is enabled.
     telemetry: Telemetry = NULL_TELEMETRY
@@ -258,47 +258,6 @@ class LLMClient(abc.ABC):
     # resilience wrappers
     # ------------------------------------------------------------------
 
-    def generate_with_retry(
-        self,
-        prompt: Prompt,
-        policy: RetryPolicy | None = None,
-        salt: str = "",
-        deadline: Deadline | None = None,
-        breaker: CircuitBreaker | None = None,
-    ) -> GenerationResult:
-        """:meth:`generate` hardened with retry/backoff/timeout.
-
-        Transient failures (see :func:`is_transient_error`) are retried up to
-        ``policy.max_attempts`` times with jittered exponential backoff;
-        terminal errors and exhausted retries propagate.  With no policy this
-        is exactly :meth:`generate`.
-
-        ``salt`` namespaces the deterministic backoff jitter (callers pass
-        their tenant/project name): when several tenants hit the same
-        transient backend error on the same SQL at the same moment, distinct
-        salts spread their retries apart instead of letting the whole fleet
-        hammer the backend again in lockstep.
-
-        ``deadline`` shrinks the per-call timeout so the attempt sequence
-        cannot outlive the caller's drain budget; ``breaker`` fast-fails with
-        :class:`~repro.errors.CircuitOpenError` while its backend is
-        considered down.
-        """
-        result = self._resilient_call(
-            lambda: self.generate(prompt),
-            policy,
-            salt=_join_salt(salt, prompt.sql),
-            deadline=deadline,
-            breaker=breaker,
-        )
-        tel = self.telemetry
-        if tel.enabled:
-            tel.count("llm_requests_total", model=self.name)
-            tel.count(
-                "llm_prompt_tokens_total", result.prompt_tokens, model=self.name
-            )
-        return result
-
     def generate_batch_with_retry(
         self,
         prompts: list[Prompt],
@@ -309,9 +268,23 @@ class LLMClient(abc.ABC):
     ) -> list[GenerationResult]:
         """:meth:`generate_batch` hardened with retry/backoff/timeout.
 
-        ``salt`` de-synchronises backoff across tenants exactly as in
-        :meth:`generate_with_retry`; ``deadline`` and ``breaker`` behave
-        identically too.
+        Every LLM call the pipeline makes goes through here; a single prompt
+        is a one-prompt batch.  Transient failures (see
+        :func:`is_transient_error`) are retried up to ``policy.max_attempts``
+        times with jittered exponential backoff; terminal errors and
+        exhausted retries propagate.  With no policy this is exactly
+        :meth:`generate_batch`.
+
+        ``salt`` namespaces the deterministic backoff jitter (callers pass
+        their tenant/project name): when several tenants hit the same
+        transient backend error at the same moment, distinct salts spread
+        their retries apart instead of letting the whole fleet hammer the
+        backend again in lockstep.
+
+        ``deadline`` shrinks the per-call timeout so the attempt sequence
+        cannot outlive the caller's drain budget; ``breaker`` fast-fails with
+        :class:`~repro.errors.CircuitOpenError` while its backend is
+        considered down.
         """
         base = prompts[0].sql if prompts else ""
         results = self._resilient_call(

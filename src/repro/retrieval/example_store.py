@@ -9,9 +9,11 @@ examples in one :class:`~repro.retrieval.vector_store.VectorStore`.
 
 from __future__ import annotations
 
+import time
 from dataclasses import asdict, dataclass, field
 
 from repro.errors import RetrievalError
+from repro.obs import NULL_TELEMETRY, Telemetry
 from repro.retrieval.cache import LruDict
 from repro.retrieval.embedding import EmbeddingModel
 from repro.retrieval.vector_store import VectorStore
@@ -38,6 +40,10 @@ class ExampleStore:
     rows.  A service project files all its examples under its own dataset.
     """
 
+    #: Observability sink for search accounting; a class-level no-op default
+    #: that :meth:`attach_telemetry` overwrites per instance.
+    telemetry: Telemetry = NULL_TELEMETRY
+
     def __init__(self, model: EmbeddingModel | None = None) -> None:
         self._store = VectorStore(model)
         self._examples: dict[str, AnnotatedExample] = {}
@@ -51,12 +57,9 @@ class ExampleStore:
     def __len__(self) -> int:
         return len(self._examples)
 
-    def attach_telemetry(self, telemetry) -> None:
-        """Point the underlying vector store's search accounting at a sink.
-
-        Call again after :meth:`load_state`, which replaces the store.
-        """
-        self._store.telemetry = telemetry
+    def attach_telemetry(self, telemetry: Telemetry) -> None:
+        """Point this archive's search accounting at a sink."""
+        self.telemetry = telemetry
 
     @property
     def is_empty(self) -> bool:
@@ -149,12 +152,17 @@ class ExampleStore:
         if self.is_empty:
             return [[] for _ in sqls]
         metadata_filter = {"dataset": dataset} if dataset else None
-        hit_lists = self._store.search_batch(
+        tel = self.telemetry
+        started = time.perf_counter() if tel.enabled else 0.0
+        id_lists = self._store.search_ids(
             sqls, top_k=top_k + 5, metadata_filter=metadata_filter
         )
+        if tel.enabled:
+            tel.count("retrieval_searches_total", len(sqls))
+            tel.observe("retrieval_search_seconds", time.perf_counter() - started)
         kept = [
-            self._kept([hit.doc_id for hit in hits], sql, top_k, exclude_identical)
-            for sql, hits in zip(sqls, hit_lists)
+            self._kept(doc_ids, sql, top_k, exclude_identical)
+            for sql, doc_ids in zip(sqls, id_lists)
         ]
         return [[self._examples[doc_id] for doc_id in doc_ids] for doc_ids in kept]
 
@@ -173,7 +181,9 @@ class ExampleStore:
         if self.is_empty:
             return 0
         metadata_filter = {"dataset": dataset} if dataset else None
-        doc_ids = self._store.search_ids(sql, top_k=top_k + 5, metadata_filter=metadata_filter)
+        (doc_ids,) = self._store.search_ids(
+            [sql], top_k=top_k + 5, metadata_filter=metadata_filter
+        )
         return len(self._kept(doc_ids, sql, top_k, exclude_identical))
 
     def _query_skeleton(self, sql: str) -> str:

@@ -15,13 +15,11 @@ filtered ``(key, value)`` pair.
 from __future__ import annotations
 
 import base64
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from repro.errors import RetrievalError
-from repro.obs import NULL_TELEMETRY, Telemetry
 from repro.retrieval.embedding import EmbeddingModel
 
 #: Initial number of matrix rows; doubled whenever the store outgrows it.
@@ -49,11 +47,6 @@ class SearchHit:
 
 class VectorStore:
     """Embeds and indexes documents, supports filtered top-k cosine search."""
-
-    #: Observability sink for search accounting.  Class-level no-op default;
-    #: owners (e.g. :class:`~repro.retrieval.example_store.ExampleStore`)
-    #: overwrite it per instance.
-    telemetry: Telemetry = NULL_TELEMETRY
 
     def __init__(self, model: EmbeddingModel | None = None) -> None:
         self._model = model or EmbeddingModel()
@@ -90,19 +83,23 @@ class VectorStore:
 
     def search_ids(
         self,
-        query: str,
+        queries: list[str],
         top_k: int = 5,
         metadata_filter: dict[str, object] | None = None,
-    ) -> list[str]:
-        """Like :meth:`search_batch` for one query, but only the ranked ids.
+    ) -> list[list[str]]:
+        """Like :meth:`search_batch`, but only each query's ranked ids.
 
-        Used on hot paths (e.g. batch-commit validation) that need the result
-        ranking but not hit objects with copied metadata.
+        Used on the hot paths (wave retrieval, batch-commit validation) that
+        need the result ranking but not hit objects with copied text and
+        metadata.
         """
         if top_k <= 0 or not self._rows:
-            return []
-        rows, _ = self._top_rows(query, top_k, metadata_filter)
-        return [self._rows[row].doc_id for row in rows]
+            return [[] for _ in queries]
+        ranked = []
+        for query in queries:
+            rows, _ = self._top_rows(query, top_k, metadata_filter)
+            ranked.append([self._rows[row].doc_id for row in rows])
+        return ranked
 
     def search_batch(
         self,
@@ -119,12 +116,8 @@ class VectorStore:
         ``queries``; a one-query batch is the single-query search, so wave
         and sequential retrieval score alike by construction.
         """
-        if not queries:
-            return []
         if top_k <= 0 or not self._rows:
             return [[] for _ in queries]
-        tel = self.telemetry
-        started = time.perf_counter() if tel.enabled else 0.0
         results = []
         for query in queries:
             rows, scores = self._top_rows(query, top_k, metadata_filter)
@@ -135,9 +128,6 @@ class VectorStore:
                     SearchHit(entry.doc_id, entry.text, float(scores[row]), dict(entry.metadata))
                 )
             results.append(hits)
-        if tel.enabled:
-            tel.count("retrieval_searches_total", len(queries))
-            tel.observe("retrieval_search_seconds", time.perf_counter() - started)
         return results
 
     # ------------------------------------------------------------------

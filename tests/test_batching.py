@@ -183,6 +183,15 @@ class TestBatchSequentialParity:
         with pytest.raises(PipelineError):
             pipeline.annotate_many(["   "])
 
+    def test_bad_statement_stops_the_run_after_the_ones_before_it(self, hr_schema):
+        # Waves ramp 1, 2, ...: the second wave holds QUERIES[1] and the bad
+        # statement, so QUERIES[1] commits in a wave of its own before the
+        # bad statement raises in its own.
+        pipeline = AnnotationPipeline(hr_schema)
+        with pytest.raises(PipelineError):
+            pipeline.annotate_many([QUERIES[0], QUERIES[1], "   ", QUERIES[2]])
+        assert [record.sql for record in pipeline.annotations] == QUERIES[:2]
+
     def test_invalid_batch_size_rejected(self, hr_schema):
         with pytest.raises(PipelineError):
             TaskConfig(batch_size=0).validate()

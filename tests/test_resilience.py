@@ -94,7 +94,7 @@ class TestClientRetries:
         policy = RetryPolicy(max_attempts=3, base_delay=0.0)
         pipeline = make_pipeline()  # only for a realistic prompt
         prompt = pipeline.generate_candidates(QUERIES[0]).prompt
-        result = llm.generate_with_retry(prompt, policy)
+        (result,) = llm.generate_batch_with_retry([prompt], policy)
         assert result.candidates
         assert llm.calls == 3 and llm.failures_injected == 2
 
@@ -102,7 +102,7 @@ class TestClientRetries:
         llm = FlakyLLM(SimulatedLLM("gpt-4o", schema=make_schema()), fail_times=5)
         prompt = make_pipeline().generate_candidates(QUERIES[0]).prompt
         with pytest.raises(TransientLLMError):
-            llm.generate_with_retry(prompt, RetryPolicy(max_attempts=3, base_delay=0.0))
+            llm.generate_batch_with_retry([prompt], RetryPolicy(max_attempts=3, base_delay=0.0))
         assert llm.calls == 3  # stopped at the attempt budget
 
     def test_terminal_errors_fail_fast(self):
@@ -113,14 +113,14 @@ class TestClientRetries:
         )
         prompt = make_pipeline().generate_candidates(QUERIES[0]).prompt
         with pytest.raises(ValueError):
-            llm.generate_with_retry(prompt, RetryPolicy(max_attempts=3, base_delay=0.0))
+            llm.generate_batch_with_retry([prompt], RetryPolicy(max_attempts=3, base_delay=0.0))
         assert llm.calls == 1  # no retry on terminal errors
 
     def test_no_policy_means_plain_call(self):
         llm = FlakyLLM(SimulatedLLM("gpt-4o", schema=make_schema()), fail_times=1)
         prompt = make_pipeline().generate_candidates(QUERIES[0]).prompt
         with pytest.raises(TransientLLMError):
-            llm.generate_with_retry(prompt, None)
+            llm.generate_batch_with_retry([prompt], None)
         assert llm.calls == 1
 
     def test_call_timeout_raises_and_is_transient(self):
@@ -129,7 +129,7 @@ class TestClientRetries:
         policy = RetryPolicy(max_attempts=2, base_delay=0.0, call_timeout=0.05)
         started = time.monotonic()
         with pytest.raises(LLMTimeoutError):
-            llm.generate_with_retry(prompt, policy)
+            llm.generate_batch_with_retry([prompt], policy)
         # Two attempts, each cut at ~0.05s — nowhere near 2 × 0.4s of sleeping.
         assert time.monotonic() - started < 0.6
 
@@ -176,9 +176,11 @@ class TestTimedCalls:
 
     def test_timed_result_matches_an_untimed_one(self):
         prompt = make_pipeline().generate_candidates(QUERIES[0]).prompt
-        plain = SimulatedLLM("gpt-4o", schema=make_schema()).generate_with_retry(prompt)
-        timed = SimulatedLLM("gpt-4o", schema=make_schema()).generate_with_retry(
-            prompt, RetryPolicy(max_attempts=1, call_timeout=5.0)
+        plain = SimulatedLLM("gpt-4o", schema=make_schema()).generate_batch_with_retry(
+            [prompt]
+        )
+        timed = SimulatedLLM("gpt-4o", schema=make_schema()).generate_batch_with_retry(
+            [prompt], RetryPolicy(max_attempts=1, call_timeout=5.0)
         )
         assert timed == plain
 
@@ -195,7 +197,7 @@ class TestTimedCalls:
         llm = FlakyLLM(SimulatedLLM("gpt-4o", schema=make_schema()), fail_times=1)
         prompt = make_pipeline().generate_candidates(QUERIES[0]).prompt
         policy = RetryPolicy(max_attempts=2, base_delay=0.0, call_timeout=5.0)
-        assert llm.generate_with_retry(prompt, policy).candidates
+        assert llm.generate_batch_with_retry([prompt], policy)[0].candidates
         assert llm.calls == 2 and llm.failures_injected == 1
 
     def test_timeouts_are_counted(self):
@@ -204,7 +206,7 @@ class TestTimedCalls:
         llm.telemetry = telemetry
         prompt = make_pipeline().generate_candidates(QUERIES[0]).prompt
         with pytest.raises(LLMTimeoutError):
-            llm.generate_with_retry(prompt, RetryPolicy(max_attempts=1, call_timeout=0.05))
+            llm.generate_batch_with_retry([prompt], RetryPolicy(max_attempts=1, call_timeout=0.05))
         assert "llm_timeouts_total" in telemetry.metrics_dict()
 
     def test_effective_timeout_takes_the_tightest_bound(self):
@@ -234,7 +236,6 @@ class TestTimedCalls:
 
     def test_entry_points_take_no_hedge_option(self):
         for method in (
-            LLMClient.generate_with_retry,
             LLMClient.generate_batch_with_retry,
             LLMClient._resilient_call,
         ):
@@ -337,6 +338,76 @@ class TestDrainIsolation:
         assert semantic_state(recovered) == live
         assert recovered.stats.failed == 1
         assert recovered.stats.pending == 0
+        recovered.close()
+
+    def _poisoned(self, llm=None) -> AnnotationService:
+        """One project holding the poison first, then all five healthy jobs."""
+        service = AnnotationService()
+        service.register_project("hr", make_schema(), llm=llm)
+        service.submit(self.POISON, project="hr")
+        service.submit_many(QUERIES, project="hr")
+        return service
+
+    def test_isolation_waves_run_under_the_drain_deadline(self):
+        llm = SlowLLM(SimulatedLLM("gpt-4o", schema=make_schema()), delay_seconds=0.05)
+        service = self._poisoned(llm=llm)
+        service.drain(deadline=0.1)
+        report = service.last_drain_report
+        assert report.failed == 1
+        assert report.deferred > 0
+        assert report.completed + report.deferred == len(QUERIES)
+        assert service.pending_count == report.deferred
+
+    def test_isolation_waves_count_their_llm_requests(self):
+        service = self._poisoned()
+        usage = service.pipeline("hr").llm.usage
+        before = usage.requests
+        service.drain()
+        assert service.stats.completed == len(QUERIES)
+        assert service.stats.llm_requests == usage.requests - before > 0
+
+    def test_isolation_waves_count_every_completed_job_once(self):
+        service = self._poisoned()
+        service.drain()
+        stats = service.stats
+        assert stats.completed == len(QUERIES)
+        assert stats.batched_queries + stats.regenerated_queries == stats.completed
+        assert stats.waves > 0
+
+    def test_disk_fault_after_a_parked_failure_defers_it(self, tmp_path):
+        # Appends: register=1, submits=2..6; the first two healthy commits
+        # land (7, 8) and the third one's append faults.
+        journal = DiskFaultJournal(tmp_path / "journal.bin", fail_at=9)
+        service = AnnotationService()
+        service.attach_journal(journal)
+        service.register_project("hr", make_schema())
+        statements = [QUERIES[0], self.POISON, *QUERIES[1:4]]
+        for sql in statements:
+            service.submit(sql, project="hr")
+
+        completed = service.drain()
+        assert service.degraded
+        assert [item.job.sql for item in completed] == QUERIES[:2]
+        assert all(item.record.sql == item.job.sql for item in completed)
+        assert not service.quarantine and service.stats.failed == 0
+        assert [job.sql for job in service.pending_jobs()] == [
+            self.POISON, *QUERIES[2:4]
+        ]
+        assert service.last_drain_report.deferred == 3
+
+    def test_quarantined_priority_survives_recovery(self, tmp_path):
+        service = AnnotationService.open_durable(tmp_path / "svc")
+        service.register_project("hr", make_schema())
+        service.submit(self.POISON, project="hr", priority=3)
+        service.submit(QUERIES[0], project="hr")
+        service.drain()
+        assert service.quarantine[0].job.priority == 3
+        live = semantic_state(service)
+        service.close()
+
+        recovered = AnnotationService.open_durable(tmp_path / "svc")
+        assert recovered.quarantine[0].job.priority == 3
+        assert semantic_state(recovered) == live
         recovered.close()
 
     def test_flaky_batch_call_heals_within_the_drain(self):
@@ -553,7 +624,7 @@ class TestDeadline:
         deadline = Deadline(0.5, clock=clock)
         clock.advance(1.0)
         with pytest.raises(DeadlineExceededError):
-            llm.generate_with_retry(prompt, None, deadline=deadline)
+            llm.generate_batch_with_retry([prompt], None, deadline=deadline)
         assert llm.calls == 0
 
     def test_deadline_cut_call_is_not_blamed_on_the_breaker(self):
@@ -561,8 +632,8 @@ class TestDeadline:
         prompt = make_pipeline().generate_candidates(QUERIES[0]).prompt
         breaker = CircuitBreaker(window=2, min_calls=1, failure_rate=0.5)
         with pytest.raises(DeadlineExceededError):
-            llm.generate_with_retry(
-                prompt,
+            llm.generate_batch_with_retry(
+                [prompt],
                 RetryPolicy(max_attempts=2, base_delay=0.0),
                 deadline=Deadline(0.05),
                 breaker=breaker,
@@ -616,7 +687,7 @@ class TestRetryBudget:
         )
         started = time.monotonic()
         with pytest.raises(TransientLLMError):
-            llm.generate_with_retry(prompt, policy)
+            llm.generate_batch_with_retry([prompt], policy)
         elapsed = time.monotonic() - started
         # Without the budget this would sleep ~0.5s after the first failure
         # alone; the budget refuses the first backoff that does not fit.
@@ -629,7 +700,7 @@ class TestRetryBudget:
         policy = RetryPolicy(
             max_attempts=5, base_delay=0.001, jitter=0.0, retry_budget_s=5.0
         )
-        result = llm.generate_with_retry(prompt, policy)
+        (result,) = llm.generate_batch_with_retry([prompt], policy)
         assert result.candidates and llm.calls == 3
 
     def test_config_knob_validates(self):

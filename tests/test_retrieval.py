@@ -373,11 +373,15 @@ class TestVectorizedStore:
 
     def test_search_ids_matches_search(self):
         store, _ = self._stores()
+        queries = ["count students", "salary by department"]
         for metadata_filter in (None, {"dataset": "hr"}):
-            hits = search(store, "count students", top_k=4, metadata_filter=metadata_filter)
+            hit_lists = [
+                search(store, query, top_k=4, metadata_filter=metadata_filter)
+                for query in queries
+            ]
             assert store.search_ids(
-                "count students", top_k=4, metadata_filter=metadata_filter
-            ) == [hit.doc_id for hit in hits]
+                queries, top_k=4, metadata_filter=metadata_filter
+            ) == [[hit.doc_id for hit in hits] for hits in hit_lists]
 
     def test_add_replaces_existing_doc(self):
         store, oracle = self._stores()
