@@ -198,12 +198,11 @@ class AnnotationPipeline:
         """Propagate one telemetry sink through this pipeline's components.
 
         Covers the LLM client (call/retry/backoff accounting) and the example
-        archive's vector store (search accounting) in addition to the
-        pipeline itself; passing :data:`~repro.obs.NULL_TELEMETRY` detaches.
+        archive (search accounting) in addition to the pipeline itself; passing :data:`~repro.obs.NULL_TELEMETRY` detaches.
         """
         self.telemetry = telemetry
         self.llm.telemetry = telemetry
-        self.retriever.example_store.attach_telemetry(telemetry)
+        self.retriever.example_store.telemetry = telemetry
 
     def _note_breaker_transition(self, old_state: str, new_state: str) -> None:
         """Telemetry callback for circuit-breaker state changes."""
@@ -742,6 +741,10 @@ class WaveRun:
             len(pipeline.retriever.example_store) >= pipeline.config.top_k_examples + 5
         )
         self._size = wave_size if archive_warm else 1
+        # Set once a wave has raised: from then on every wave holds one
+        # statement, and a statement that raises in one is parked.  A run of
+        # one statement has nothing to isolate and starts out isolating.
+        self._isolating = len(self._statements) == 1
         self._finished = False
         # Monotonic end time of the previous wave; the gap to the next
         # wave's start is the run's scheduler queue wait.
@@ -763,7 +766,10 @@ class WaveRun:
         Returns the outcomes the wave settled (empty when already done).
         When a wave raises an ordinary ``Exception``, the commits it made
         stand and the rest of the run goes one statement per wave; a
-        statement that raises in a wave of its own is parked as its outcome.
+        statement that raises in one of those isolation waves is parked as
+        its outcome.  So in a run of several statements a failing statement
+        is tried twice, whatever the size of the wave it first failed in; a
+        run of one statement parks its failure at once.
         A failure that leaves the pipeline's circuit breaker open is raised
         as :class:`~repro.errors.CircuitOpenError` instead.  Deferral signals
         (:data:`DEFERRAL_ERRORS`), journal errors and ``BaseException``
@@ -809,9 +815,10 @@ class WaveRun:
                 raise CircuitOpenError(
                     f"circuit breaker for {self.pipeline.llm.name!r} opened: {exc}"
                 ) from exc
-            if len(wave_statements) == 1:
+            if self._isolating:
                 self.outcomes.append(exc)
             else:
+                self._isolating = True
                 self._wave_size = 1
         if tel.enabled:
             self._last_advance = time.perf_counter()

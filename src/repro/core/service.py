@@ -37,9 +37,10 @@ lost.
 
 Fault isolation.  One failing job does not poison a drain.  Each
 project's :class:`~repro.core.pipeline.WaveRun` isolates its own failures:
-when a batched wave raises, the commits it made stand, the rest of the run
-goes one statement per wave (a size-1 wave commits exactly what the batched
-wave would have), and a statement that fails in a wave of its own is parked.
+when a wave raises, the commits it made stand, the rest of the run goes one
+statement per wave (a size-1 wave commits exactly what the batched wave
+would have), and a statement that fails in one of those isolation waves is
+parked.
 The drain settles each job from its run's outcome: a parked failure is
 quarantined as a failed :class:`CompletedJob` with its error — journaled,
 counted in :attr:`ServiceStats.failed`, never silently dropped.

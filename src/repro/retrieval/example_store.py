@@ -41,7 +41,7 @@ class ExampleStore:
     """
 
     #: Observability sink for search accounting; a class-level no-op default
-    #: that :meth:`attach_telemetry` overwrites per instance.
+    #: that ``AnnotationPipeline.attach_telemetry`` overwrites per instance.
     telemetry: Telemetry = NULL_TELEMETRY
 
     def __init__(self, model: EmbeddingModel | None = None) -> None:
@@ -56,10 +56,6 @@ class ExampleStore:
 
     def __len__(self) -> int:
         return len(self._examples)
-
-    def attach_telemetry(self, telemetry: Telemetry) -> None:
-        """Point this archive's search accounting at a sink."""
-        self.telemetry = telemetry
 
     @property
     def is_empty(self) -> bool:

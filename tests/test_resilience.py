@@ -374,6 +374,29 @@ class TestDrainIsolation:
         assert stats.batched_queries + stats.regenerated_queries == stats.completed
         assert stats.waves > 0
 
+    def test_a_failed_size_one_wave_retries_its_statement_in_isolation(self):
+        # The cold archive makes the first wave hold one statement; its one
+        # LLM attempt fails, and the isolation wave after it succeeds.
+        llm = FlakyLLM(SimulatedLLM("gpt-4o", schema=make_schema()), fail_times=1)
+        service = AnnotationService()
+        service.register_project("hr", make_schema(), llm=llm,
+                                 config=TaskConfig(llm_max_attempts=1))
+        service.submit_many(QUERIES[:2], project="hr")
+        completed = service.drain()
+        assert [item.job.sql for item in completed] == QUERIES[:2]
+        assert not service.quarantine
+        assert llm.calls == 3
+
+    def test_a_one_job_run_parks_its_failure_at_once(self):
+        llm = FlakyLLM(SimulatedLLM("gpt-4o", schema=make_schema()), fail_times=1)
+        service = AnnotationService()
+        service.register_project("hr", make_schema(), llm=llm,
+                                 config=TaskConfig(llm_max_attempts=1))
+        service.submit(QUERIES[0], project="hr")
+        service.drain()
+        assert [item.job.sql for item in service.quarantine] == [QUERIES[0]]
+        assert llm.calls == 1
+
     def test_disk_fault_after_a_parked_failure_defers_it(self, tmp_path):
         # Appends: register=1, submits=2..6; the first two healthy commits
         # land (7, 8) and the third one's append faults.
