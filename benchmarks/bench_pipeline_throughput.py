@@ -13,6 +13,12 @@ Both paths produce bit-identical annotation records (enforced here and in
 use under a quarter of the baseline's LLM round trips, one per query (the
 report records the measured count).  Timings take the best of ``ROUNDS``
 interleaved runs to shrug off machine noise.
+
+The simulated LLM answers after a fixed ``LLM_DELAY_S`` per round trip, as a
+remote API would (``bench_concurrency.py`` injects its latency the same
+way).  With a zero-latency model both paths cost about the same CPU and the
+wall-clock comparison is noise; with the delay it measures the round trips
+that batching saves.
 """
 
 from __future__ import annotations
@@ -24,6 +30,7 @@ from pathlib import Path
 import pytest
 
 from repro.core import AnnotationPipeline, TaskConfig
+from repro.llm import SimulatedLLM
 from repro.workloads import build_benchmark
 
 #: Queries in the throughput workload (the ISSUE's 200-query target).
@@ -35,6 +42,25 @@ ROW_SCALE = 0.0015
 SEED = 7
 #: Timed repetitions per condition; best-of is reported.
 ROUNDS = 2
+#: Simulated remote-API latency of one LLM round trip.
+LLM_DELAY_S = 0.01
+
+
+class RemoteLLM(SimulatedLLM):
+    """The pipeline's simulated model behind a fixed round-trip latency."""
+
+    def generate_batch(self, prompts):
+        time.sleep(LLM_DELAY_S)
+        return super().generate_batch(prompts)
+
+
+def _pipeline(workload, config: TaskConfig) -> AnnotationPipeline:
+    pipeline = AnnotationPipeline(workload.schema, config=config, dataset_name="Spider")
+    # The model the pipeline builds by default, behind the latency.
+    pipeline.llm = RemoteLLM(
+        config.model_name, schema=workload.schema, knowledge=pipeline.feedback_loop.knowledge
+    )
+    return pipeline
 
 
 @pytest.fixture(scope="module")
@@ -45,17 +71,13 @@ def throughput_workload():
 
 
 def _sequential_run(workload):
-    pipeline = AnnotationPipeline(
-        workload.schema, config=TaskConfig(), dataset_name="Spider"
-    )
+    pipeline = _pipeline(workload, TaskConfig())
     records = [pipeline.annotate(sql) for sql in workload.query_sql]
     return pipeline, records
 
 
 def _batched_run(workload):
-    pipeline = AnnotationPipeline(
-        workload.schema, config=TaskConfig(batch_size=BATCH_SIZE), dataset_name="Spider"
-    )
+    pipeline = _pipeline(workload, TaskConfig(batch_size=BATCH_SIZE))
     records = pipeline.annotate_many(workload.query_sql)
     return pipeline, records
 
@@ -108,6 +130,7 @@ def test_pipeline_throughput_batched_beats_sequential(benchmark, throughput_work
                 "benchmark": "pipeline_throughput",
                 "queries": queries,
                 "batch_size": BATCH_SIZE,
+                "llm_delay_seconds": LLM_DELAY_S,
                 "sequential": {
                     "seconds": round(sequential_elapsed, 4),
                     "ops_per_sec": round(queries / sequential_elapsed, 2),

@@ -44,12 +44,15 @@ from repro.llm.prompts import Prompt, PromptBuilder
 from repro.llm.resilience import Deadline
 from repro.llm.simulated import SimulatedLLM
 from repro.obs import NULL_TELEMETRY, Telemetry
-from repro.retrieval.retriever import ContextRetriever, RetrievedContext
+from repro.retrieval.retriever import ContextRetriever, References, RetrievedContext
 from repro.schema.model import DatabaseSchema
 from repro.sql.analyzer import is_nested
 from repro.sql.ast_nodes import Select
 from repro.sql.decompose import DecompositionResult, decompose
+from repro.sql.lexer import tokenize
+from repro.sql.normalizer import QueryKeys, token_keys
 from repro.sql.parser import parse_select
+from repro.sql.printer import PrintedToken
 from repro.sql.recompose import recompose
 
 #: Errors that stop a run without settling the statements left: the work is
@@ -69,9 +72,11 @@ class CandidateSet:
     decomposition: DecompositionResult | None = None
     unit_candidates: dict[str, list[str]] = field(default_factory=dict)
     model_name: str = ""
-    #: Pre-parsed AST of :attr:`sql` (an optimisation hint: the commit links
-    #: the statement from it instead of parsing the text again).
+    #: Pre-parsed AST and retrieval keys of :attr:`sql` (optimisation hints:
+    #: the commit links and archives the statement from them instead of
+    #: parsing or lexing the text again).
     ast: object | None = field(default=None, init=False, compare=False, repr=False)
+    keys: QueryKeys | None = field(default=None, init=False, compare=False, repr=False)
 
     @property
     def was_decomposed(self) -> bool:
@@ -106,7 +111,13 @@ class _WaveItem:
     unit_sqls: list[str]
     commit_tag: object = None  # opaque caller tag journaled with the commit
     select: Select | None = None  # phase-1 parse of ``sql``
+    keys: QueryKeys | None = None  # retrieval keys of ``sql``
     unit_asts: list[Select] = field(default_factory=list)  # one tree per unit
+    # Per unit: its lex as (kind, value) pairs, and the keys derived from it.
+    unit_tokens: list[list[PrintedToken] | None] = field(default_factory=list)
+    unit_keys: list[QueryKeys] = field(default_factory=list)
+    # The decomposer's (tables, columns) per unit; None = walk the tree.
+    unit_references: list[References | None] = field(default_factory=list)
     contexts: list[RetrievedContext | None] = field(default_factory=list)
     prompts: list[Prompt] = field(default_factory=list)
     candidate_lists: list[list[str]] = field(default_factory=list)
@@ -241,6 +252,9 @@ class AnnotationPipeline:
         if not sql:
             raise PipelineError("cannot annotate an empty SQL string")
         select = parse_select(sql)
+        # The parse's lex, answered by the lexer's cache.
+        tokens = [(token.kind, token.value) for token in tokenize(sql)]
+        keys = token_keys(tokens)
         decomposition = (
             decompose(select)
             if self.config.decomposition_enabled and is_nested(select)
@@ -252,13 +266,21 @@ class AnnotationPipeline:
             # The decomposer's trees, shared read-only by linking, retrieval,
             # prompts and the LLM: each parses back from its unit's text to
             # an identical tree (tests/test_sql_roundtrip.py), so nothing
-            # parses the unit texts again.
+            # parses the unit texts again.  Their keys come from the tokens
+            # the decomposer printed them with and their references from its
+            # walk, so nothing lexes or walks them again either.
             unit_asts = [unit.query for unit in decomposition.units]
+            unit_tokens = [unit.tokens for unit in decomposition.units]
+            unit_keys = [unit.keys for unit in decomposition.units]
+            unit_references = [(unit.tables, unit.columns) for unit in decomposition.units]
         else:
             decomposition = None
             unit_names = [None]
             unit_sqls = [sql]
             unit_asts = [select]  # phase-1 parse reused downstream
+            unit_tokens = [tokens]
+            unit_keys = [keys]
+            unit_references = [None]
         return _WaveItem(
             sql=sql,
             query_id=query_id,
@@ -267,16 +289,36 @@ class AnnotationPipeline:
             unit_sqls=unit_sqls,
             commit_tag=commit_tag,
             select=select,
+            keys=keys,
             unit_asts=unit_asts,
+            unit_tokens=unit_tokens,
+            unit_keys=unit_keys,
+            unit_references=unit_references,
         )
 
-    def _retrieve(self, sql: str, ast: object | None = None) -> RetrievedContext | None:
+    def _retrieve(
+        self,
+        sql: str,
+        ast: object | None,
+        keys: QueryKeys,
+        references: References | None = None,
+    ) -> RetrievedContext | None:
         if not self.config.rag_enabled:
             return None
-        return self.retriever.retrieve(sql, dataset=self.dataset_name or None, ast=ast)
+        return self.retriever.retrieve(
+            sql,
+            dataset=self.dataset_name or None,
+            ast=ast,
+            keys=keys,
+            references=references,
+        )
 
     def _build_prompt(
-        self, sql: str, context: RetrievedContext | None, ast: object | None = None
+        self,
+        sql: str,
+        context: RetrievedContext | None,
+        ast: object | None = None,
+        tokens: list[PrintedToken] | None = None,
     ) -> Prompt:
         knowledge = (
             self.feedback_loop.knowledge if self.config.knowledge_feedback_enabled else None
@@ -287,6 +329,7 @@ class AnnotationPipeline:
             knowledge=knowledge,
             priorities=self.feedback_loop.priorities,
             ast=ast,
+            tokens=tokens,
         )
 
     def _merge_unit_candidates(
@@ -359,7 +402,11 @@ class AnnotationPipeline:
         example = None
         if outcome.accepted and self.config.auto_accept_into_examples and record.nl:
             example = self.retriever.record_annotation(
-                record.sql, record.nl, dataset=self.dataset_name, ast=candidate_set.ast
+                record.sql,
+                record.nl,
+                dataset=self.dataset_name,
+                ast=candidate_set.ast,
+                keys=candidate_set.keys,
             )
         if self._journal is not None:
             # Shallow dicts, not dataclasses.asdict: the payload is consumed
@@ -480,13 +527,20 @@ class AnnotationPipeline:
             store_version = self.retriever.example_store.version
             if self.config.rag_enabled:
                 contexts = self.retriever.retrieve_batch(
-                    all_unit_sqls, dataset=self.dataset_name or None, asts=all_unit_asts
+                    all_unit_sqls,
+                    dataset=self.dataset_name or None,
+                    asts=all_unit_asts,
+                    keys=[keys for item in items for keys in item.unit_keys],
+                    references=[refs for item in items for refs in item.unit_references],
                 )
             else:
                 contexts = [None] * len(all_unit_sqls)
+            all_unit_tokens = [tokens for item in items for tokens in item.unit_tokens]
             prompts = [
-                self._build_prompt(unit_sql, context, ast=unit_ast)
-                for unit_sql, context, unit_ast in zip(all_unit_sqls, contexts, all_unit_asts)
+                self._build_prompt(unit_sql, context, ast=unit_ast, tokens=tokens)
+                for unit_sql, context, unit_ast, tokens in zip(
+                    all_unit_sqls, contexts, all_unit_asts, all_unit_tokens
+                )
             ]
 
             # Phase 3 — one batched generation call for the whole wave.
@@ -574,9 +628,9 @@ class AnnotationPipeline:
             else:
                 dataset = self.dataset_name or None
                 stale = any(
-                    self.retriever.example_count(unit_sql, dataset=dataset)
+                    self.retriever.example_count(unit_sql, dataset=dataset, keys=keys)
                     != len(prompt.examples)
-                    for unit_sql, prompt in zip(item.unit_sqls, item.prompts)
+                    for unit_sql, keys, prompt in zip(item.unit_sqls, item.unit_keys, item.prompts)
                 )
 
         if stale:
@@ -601,12 +655,16 @@ class AnnotationPipeline:
     ) -> tuple[list[RetrievedContext | None], list[Prompt]]:
         """Retrieve and build every unit's prompt against the live store."""
         contexts = [
-            self._retrieve(unit_sql, unit_ast)
-            for unit_sql, unit_ast in zip(item.unit_sqls, item.unit_asts)
+            self._retrieve(unit_sql, unit_ast, keys, references)
+            for unit_sql, unit_ast, keys, references in zip(
+                item.unit_sqls, item.unit_asts, item.unit_keys, item.unit_references
+            )
         ]
         prompts = [
-            self._build_prompt(unit_sql, context, ast=unit_ast)
-            for unit_sql, context, unit_ast in zip(item.unit_sqls, contexts, item.unit_asts)
+            self._build_prompt(unit_sql, context, ast=unit_ast, tokens=tokens)
+            for unit_sql, context, unit_ast, tokens in zip(
+                item.unit_sqls, contexts, item.unit_asts, item.unit_tokens
+            )
         ]
         return contexts, prompts
 
@@ -629,6 +687,7 @@ class AnnotationPipeline:
             model_name=self.llm.name,
         )
         candidate_set.ast = item.select
+        candidate_set.keys = item.keys
         return candidate_set
 
     def _regenerate(
@@ -660,7 +719,7 @@ class AnnotationPipeline:
                 name: result.candidates for name, result in zip(item.unit_names, results)
             }
             candidates = self._merge_unit_candidates(item.decomposition, unit_candidates)
-            context = self._retrieve(item.sql, item.select)
+            context = self._retrieve(item.sql, item.select, item.keys)
             prompt = self._build_prompt(item.sql, context, ast=item.select)
         else:
             unit_candidates = {}

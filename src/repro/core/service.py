@@ -92,6 +92,7 @@ from repro.errors import (
 from repro.llm.base import LLMClient, UsageStats
 from repro.llm.resilience import Deadline
 from repro.obs import NULL_TELEMETRY, Telemetry
+from repro.retrieval.example_store import has_quoted_identifier
 from repro.schema.model import DatabaseSchema
 
 #: Optional factory recreating custom LLM clients during recovery, keyed by
@@ -1143,15 +1144,20 @@ class AnnotationService:
             pipeline.annotations.append(AnnotationRecord(**record_state))
             example = payload["example"]
             if example is not None:
+                # Journals written before skeletons were journaled lack the
+                # field, and ones written before skeletons kept identifier
+                # quotes hold a stale one for SQL with a quoted identifier;
+                # add() computes the skeleton in both cases.
+                skeleton = example.get("skeleton")
+                if has_quoted_identifier(example["sql"]):
+                    skeleton = None
                 pipeline.retriever.example_store.add(
                     example["sql"],
                     example["nl"],
                     dataset=example["dataset"],
                     tables=list(example["tables"]),
                     quality=example["quality"],
-                    # Journals written before skeletons were journaled lack
-                    # the field; add() then computes it as the live commit did.
-                    skeleton=example.get("skeleton"),
+                    skeleton=skeleton,
                 )
             if payload["job_id"] is not None:
                 self._settle_job(payload["job_id"])

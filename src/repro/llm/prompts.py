@@ -29,10 +29,12 @@ class Prompt:
     priorities: list[str] = field(default_factory=list)
     num_candidates: int = 4
     ambiguous_columns: dict[str, list[str]] = field(default_factory=dict)
-    #: Optional pre-parsed AST of :attr:`sql`.  Purely an optimisation hint
-    #: (backends may use it to skip re-parsing); excluded from equality so
-    #: prompts compare on content alone.
+    #: Optional pre-parsed AST of :attr:`sql` and its lex as ``(kind,
+    #: value)`` pairs.  Purely optimisation hints (backends may use them to
+    #: skip re-parsing and re-lexing); excluded from equality so prompts
+    #: compare on content alone.
     ast: object | None = field(default=None, compare=False, repr=False)
+    tokens: list | None = field(default=None, compare=False, repr=False)
 
     def render(self) -> str:
         """Render the prompt as text (few-shot, instruction-first)."""
@@ -95,6 +97,7 @@ class PromptBuilder:
         knowledge: KnowledgeBase | None = None,
         priorities: list[str] | None = None,
         ast: object | None = None,
+        tokens: list | None = None,
     ) -> Prompt:
         """Build a SQL-to-NL prompt.
 
@@ -125,6 +128,7 @@ class PromptBuilder:
             num_candidates=self.num_candidates,
             ambiguous_columns=ambiguous,
             ast=ast,
+            tokens=tokens,
         )
 
     def build_backtranslation(self, nl: str, schema_text: str = "") -> Prompt:

@@ -200,7 +200,7 @@ class SimulatedLLM(LLMClient):
             coverage = self._knowledge.coverage(prompt.sql)
             fidelity += profile.knowledge_boost * min(1.0, coverage * 4.0)
 
-        fidelity -= self._complexity_penalty(prompt.sql, prompt.ast)
+        fidelity -= self._complexity_penalty(prompt.sql, prompt.ast, prompt.tokens)
 
         # Ambiguous column names confuse the model unless schema context is
         # present to disambiguate them.
@@ -209,9 +209,11 @@ class SimulatedLLM(LLMClient):
 
         return min(1.0, max(0.05, fidelity))
 
-    def _complexity_penalty(self, sql: str, ast: object | None = None) -> float:
+    def _complexity_penalty(
+        self, sql: str, ast: object | None = None, tokens: list | None = None
+    ) -> float:
         try:
-            profile = analyze_query(sql, ast if isinstance(ast, Select) else None)
+            profile = analyze_query(sql, ast if isinstance(ast, Select) else None, tokens)
         except Exception:
             return 0.25 * self.profile.complexity_sensitivity
         complexity = profile.complexity

@@ -1,7 +1,7 @@
 """A minimal bounded LRU mapping shared by the retrieval-layer caches.
 
-One implementation for the feature-profile, schema-linking and query-skeleton
-caches, so the capacity bound is enforced in exactly one place.
+One implementation for the feature-profile, schema-linking and
+ambiguous-column caches, so the capacity bound is enforced in exactly one place.
 """
 
 from __future__ import annotations

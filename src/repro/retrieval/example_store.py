@@ -14,10 +14,15 @@ from dataclasses import asdict, dataclass, field
 
 from repro.errors import RetrievalError
 from repro.obs import NULL_TELEMETRY, Telemetry
-from repro.retrieval.cache import LruDict
 from repro.retrieval.embedding import EmbeddingModel
 from repro.retrieval.vector_store import VectorStore
 from repro.sql.normalizer import query_skeleton
+
+
+def has_quoted_identifier(sql: str) -> bool:
+    """Whether ``sql`` may quote an identifier: the only SQL whose stored
+    skeleton can predate skeletons keeping identifier quotes."""
+    return '"' in sql or "`" in sql
 
 
 @dataclass
@@ -48,7 +53,6 @@ class ExampleStore:
         self._store = VectorStore(model)
         self._examples: dict[str, AnnotatedExample] = {}
         self._skeletons: dict[str, str] = {}
-        self._query_skeletons: LruDict[str, str] = LruDict(2048)
         self._counter = 0
         #: Monotonic mutation counter; batch schedulers compare versions to
         #: prove that retrieval results taken earlier are still current.
@@ -66,9 +70,9 @@ class ExampleStore:
             quality: float = 1.0, skeleton: str | None = None) -> AnnotatedExample:
         """Add an accepted annotation and return the stored example.
 
-        ``skeleton`` may supply the query skeleton of the stripped SQL when
-        it is already known (journal replay passes the one the live commit
-        computed); otherwise it is computed here.
+        ``skeleton`` may supply the query skeleton of the SQL when it is
+        already known (the drain's or the journal's); otherwise it is
+        computed here.
 
         Failure-atomic: the vector store either indexes the example or
         raises unchanged, and the store registers the example only after.
@@ -91,7 +95,7 @@ class ExampleStore:
             quality=quality,
         )
         if skeleton is None:
-            skeleton = self._query_skeleton(example.sql)
+            skeleton = query_skeleton(example.sql)
         # Index on the SQL text plus the NL so either side retrieves the pair.
         self._store.add(
             example_id,
@@ -141,8 +145,10 @@ class ExampleStore:
         top_k: int = 3,
         dataset: str | None = None,
         exclude_identical: bool = True,
+        skeletons: list[str] | None = None,
     ) -> list[list[AnnotatedExample]]:
-        """:meth:`retrieve` for each of a wave of queries, in order."""
+        """:meth:`retrieve` for each of a wave of queries, in order;
+        ``skeletons`` (aligned with ``sqls``) saves lexing them."""
         if not sqls:
             return []
         if self.is_empty:
@@ -157,8 +163,8 @@ class ExampleStore:
             tel.count("retrieval_searches_total", len(sqls))
             tel.observe("retrieval_search_seconds", time.perf_counter() - started)
         kept = [
-            self._kept(doc_ids, sql, top_k, exclude_identical)
-            for sql, doc_ids in zip(sqls, id_lists)
+            self._kept(doc_ids, top_k, sql, skeleton, exclude_identical)
+            for sql, skeleton, doc_ids in zip(sqls, skeletons or [None] * len(sqls), id_lists)
         ]
         return [[self._examples[doc_id] for doc_id in doc_ids] for doc_ids in kept]
 
@@ -168,11 +174,13 @@ class ExampleStore:
         top_k: int = 3,
         dataset: str | None = None,
         exclude_identical: bool = True,
+        skeleton: str | None = None,
     ) -> int:
         """How many examples :meth:`retrieve` would return right now.
 
         A light-weight variant used by batch-commit validation: it runs the
-        same ranked search but materialises no hit objects.
+        same ranked search but materialises no hit objects.  ``skeleton`` is
+        as in :meth:`retrieve_many`.
         """
         if self.is_empty:
             return 0
@@ -180,21 +188,20 @@ class ExampleStore:
         (doc_ids,) = self._store.search_ids(
             [sql], top_k=top_k + 5, metadata_filter=metadata_filter
         )
-        return len(self._kept(doc_ids, sql, top_k, exclude_identical))
-
-    def _query_skeleton(self, sql: str) -> str:
-        """LRU-cached :func:`query_skeleton` (tokenisation is the hot cost)."""
-        skeleton = self._query_skeletons.get(sql)
-        if skeleton is None:
-            skeleton = query_skeleton(sql)
-            self._query_skeletons.put(sql, skeleton)
-        return skeleton
+        return len(self._kept(doc_ids, top_k, sql, skeleton, exclude_identical))
 
     def _kept(
-        self, doc_ids: list[str], sql: str, top_k: int, exclude_identical: bool
+        self,
+        doc_ids: list[str],
+        top_k: int,
+        sql: str,
+        skeleton: str | None,
+        exclude_identical: bool,
     ) -> list[str]:
-        """The leading ranked ids a retrieval for ``sql`` returns."""
-        skeleton = self._query_skeleton(sql) if exclude_identical else ""
+        """The leading ranked ids a retrieval for ``sql`` (whose skeleton may
+        be supplied) returns."""
+        if exclude_identical and skeleton is None:
+            skeleton = query_skeleton(sql)
         kept: list[str] = []
         for doc_id in doc_ids:
             if exclude_identical and self._skeletons[doc_id] == skeleton:
@@ -230,11 +237,12 @@ class ExampleStore:
 
         Skeletons, embedding vectors, feature hashes and IDF state all come
         from the snapshot, so neither re-tokenisation, re-hashing nor
-        re-embedding happens — that is what makes warm start fast.
+        re-embedding happens — that is what makes warm start fast.  Only
+        the skeletons of SQL that may quote an identifier are recomputed, as
+        older snapshots stored them without the quotes.
         """
         self._store = VectorStore.from_state(state["vector_store"])
         self._examples = {}
-        self._query_skeletons = LruDict(2048)
         for entry in state["examples"]:
             example = AnnotatedExample(
                 example_id=entry["example_id"],
@@ -246,5 +254,8 @@ class ExampleStore:
             )
             self._examples[example.example_id] = example
         self._skeletons = dict(state["skeletons"])
+        for example_id, example in self._examples.items():
+            if has_quoted_identifier(example.sql):
+                self._skeletons[example_id] = query_skeleton(example.sql)
         self._counter = int(state["counter"])
         self.version = int(state["version"])

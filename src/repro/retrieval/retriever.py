@@ -17,7 +17,7 @@ from repro.retrieval.cache import LruDict
 from repro.retrieval.example_store import AnnotatedExample, ExampleStore
 from repro.schema.linking import link_sql_to_schema, link_text_to_schema
 from repro.schema.model import DatabaseSchema, TableSchema
-from repro.sql.normalizer import lexical_normalize
+from repro.sql.normalizer import QueryKeys, sql_keys
 
 
 @dataclass
@@ -44,8 +44,18 @@ class RetrievedContext:
         return "\n".join(lines)
 
 
+#: A query's ``(tables, columns)`` references, as
+#: :func:`~repro.sql.analyzer.extract_references` returns them.
+References = tuple[list[str], list[str]]
+
+
 class ContextRetriever:
-    """Combines schema linking and example retrieval into one context object."""
+    """Combines schema linking and example retrieval into one context object.
+
+    Callers may pass what they already derived from a query's text: its tree
+    (``ast``), :class:`~repro.sql.normalizer.QueryKeys` (``keys``) and
+    ``references``; each saves a parse, a lex or a walk, with equal results.
+    """
 
     def __init__(
         self,
@@ -60,12 +70,14 @@ class ContextRetriever:
         self.top_k_examples = top_k_examples
         self.max_tables = max_tables
         # Schema linking depends only on the (static) schema and the query
-        # text, so results are cached keyed on lexically-normalised SQL —
+        # text, so results are cached under the query's lexical key:
         # repeated retrieval of the same or trivially-reformatted query skips
         # parsing and linking entirely.
         self._linking_cache: LruDict[
             str, tuple[list[TableSchema], list[str], dict[str, list[str]]]
         ] = LruDict(linking_cache_size)
+        # Ambiguous columns per linked table tuple (many queries share one).
+        self._ambiguous: LruDict[tuple, dict[str, list[str]]] = LruDict(linking_cache_size)
         self._linking_hits = 0
         self._linking_misses = 0
 
@@ -80,47 +92,57 @@ class ContextRetriever:
         return self._schema
 
     def retrieve(
-        self, sql: str, dataset: str | None = None, ast: object | None = None
+        self,
+        sql: str,
+        dataset: str | None = None,
+        ast: object | None = None,
+        keys: QueryKeys | None = None,
+        references: References | None = None,
     ) -> RetrievedContext:
-        """Build the retrieval context for one SQL query.
-
-        ``ast`` may supply the already-parsed query so a linking-cache miss
-        skips re-parsing.
-        """
-        tables, unresolved, ambiguous = self._linked(sql, ast=ast)
-        examples = self._example_store.retrieve(
-            sql, top_k=self.top_k_examples, dataset=dataset
-        )
-        return RetrievedContext(
-            sql=sql,
-            tables=tables,
-            examples=examples,
-            ambiguous_columns=ambiguous,
-            unresolved_tables=unresolved,
-        )
+        """Build the retrieval context for one SQL query."""
+        return self._contexts(
+            [sql], dataset, [ast], None if keys is None else [keys], [references]
+        )[0]
 
     def retrieve_batch(
         self,
         sqls: list[str],
         dataset: str | None = None,
         asts: list[object] | None = None,
+        keys: list[QueryKeys] | None = None,
+        references: list[References | None] | None = None,
     ) -> list[RetrievedContext]:
         """Build retrieval contexts for a wave of queries.
 
-        Example retrieval for the whole wave is one matrix product against
-        the store; schema linking hits the per-query cache.  ``asts`` may
-        supply already-parsed :class:`~repro.sql.ast_nodes.Select` nodes
-        (positionally aligned, ``None`` entries allowed) so cache misses skip
-        re-parsing.  Equivalent to calling :meth:`retrieve` per query against
-        the same store state.
+        Example retrieval ranks the whole wave in one call to the store's
+        index, which scores each query with its own matrix-vector product
+        (one matrix product for the wave could change the last bits of the
+        scores and so the order of ties); schema linking hits the per-query
+        cache.  ``asts``, ``keys`` and ``references`` are positionally
+        aligned with ``sqls`` (``None`` entries allowed in ``asts`` and
+        ``references``).  Equivalent to calling :meth:`retrieve` per query
+        against the same store state.
         """
+        return self._contexts(sqls, dataset, asts, keys, references)
+
+    def _contexts(
+        self,
+        sqls: list[str],
+        dataset: str | None,
+        asts: list[object] | None,
+        keys: list[QueryKeys] | None,
+        references: list[References | None] | None,
+    ) -> list[RetrievedContext]:
+        keys = keys or [sql_keys(sql) for sql in sqls]
         example_lists = self._example_store.retrieve_many(
-            sqls, top_k=self.top_k_examples, dataset=dataset
+            sqls, self.top_k_examples, dataset, skeletons=[key.skeleton for key in keys]
         )
+        nothing = [None] * len(sqls)
         contexts: list[RetrievedContext] = []
-        for index, (sql, examples) in enumerate(zip(sqls, example_lists)):
-            ast = asts[index] if asts is not None else None
-            tables, unresolved, ambiguous = self._linked(sql, ast=ast)
+        for sql, examples, query_keys, ast, refs in zip(
+            sqls, example_lists, keys, asts or nothing, references or nothing
+        ):
+            tables, unresolved, ambiguous = self._linked(sql, query_keys, ast, refs)
             contexts.append(
                 RetrievedContext(
                     sql=sql,
@@ -139,14 +161,17 @@ class ContextRetriever:
         dataset: str = "",
         quality: float = 1.0,
         ast: object | None = None,
+        keys: QueryKeys | None = None,
     ) -> AnnotatedExample:
         """Store an accepted annotation so future retrievals can use it.
 
-        ``ast`` may supply the already-parsed query, as in :meth:`retrieve`.
+        ``ast`` and ``keys`` are as in :meth:`retrieve`.
         """
-        tables, _, _ = self._linked(sql, ast=ast)
+        keys = keys if keys is not None else sql_keys(sql)
+        tables, _, _ = self._linked(sql, keys, ast)
+        tables = [table.name for table in tables]
         return self._example_store.add(
-            sql, nl, dataset=dataset, tables=[table.name for table in tables], quality=quality
+            sql, nl, dataset, tables, quality=quality, skeleton=keys.skeleton
         )
 
     def linking_cache_info(self) -> dict[str, int]:
@@ -160,45 +185,42 @@ class ContextRetriever:
 
     # ------------------------------------------------------------------
 
-    def example_count(self, sql: str, dataset: str | None = None) -> int:
+    def example_count(
+        self, sql: str, dataset: str | None = None, keys: QueryKeys | None = None
+    ) -> int:
         """How many few-shot examples :meth:`retrieve` would return right now."""
+        skeleton = None if keys is None else keys.skeleton
         return self._example_store.retrieve_count(
-            sql, top_k=self.top_k_examples, dataset=dataset
+            sql, self.top_k_examples, dataset, skeleton=skeleton
         )
 
     def _linked(
-        self, sql: str, ast: object | None = None
+        self,
+        sql: str,
+        keys: QueryKeys,
+        ast: object | None = None,
+        references: References | None = None,
     ) -> tuple[list[TableSchema], list[str], dict[str, list[str]]]:
-        """Cached (tables, unresolved, ambiguous-columns) for one query.
-
-        Entries are stored under the lexically-normalised SQL (so reformatted
-        duplicates share one entry) and aliased under the exact text, which
-        keeps repeat lookups free of tokenisation.
-        """
-        cached = self._linking_cache.get(sql)
+        """Cached (tables, unresolved, ambiguous-columns) for one query, under
+        its lexical key, so reformatted duplicates share one entry."""
+        cached = self._linking_cache.get(keys.lexical)
         if cached is None:
-            normalized = lexical_normalize(sql)
-            cached = self._linking_cache.get(normalized)
-            if cached is not None:
-                self._linking_cache.put(sql, cached)  # exact-text alias
-        if cached is not None:
+            self._linking_misses += 1
+            tables, unresolved = self._relevant_tables(sql, ast, references)
+            cached = (tables, unresolved, self._ambiguous_among(tables))
+            self._linking_cache.put(keys.lexical, cached)
+        else:
             self._linking_hits += 1
-            tables, unresolved, ambiguous = cached
-            return list(tables), list(unresolved), dict(ambiguous)
-        self._linking_misses += 1
-        tables, unresolved = self._relevant_tables(sql, ast=ast)
-        ambiguous = self._ambiguous_among(tables)
-        entry = (tables, unresolved, ambiguous)
-        self._linking_cache.put(normalized, entry)
-        if sql != normalized:
-            self._linking_cache.put(sql, entry)
+        tables, unresolved, ambiguous = cached
         return list(tables), list(unresolved), dict(ambiguous)
 
     def _relevant_tables(
-        self, sql: str, ast: object | None = None
+        self, sql: str, ast: object | None = None, references: References | None = None
     ) -> tuple[list[TableSchema], list[str]]:
         try:
-            linking = link_sql_to_schema(ast if ast is not None else sql, self._schema)
+            linking = link_sql_to_schema(
+                ast if ast is not None else sql, self._schema, references=references
+            )
         except Exception:
             linking = link_text_to_schema(sql, self._schema, max_tables=self.max_tables)
         tables: list[TableSchema] = []
@@ -222,8 +244,13 @@ class ContextRetriever:
         return tables, linking.unresolved_tables
 
     def _ambiguous_among(self, tables: list[TableSchema]) -> dict[str, list[str]]:
-        owners: dict[str, list[str]] = {}
-        for table in tables:
-            for column in table.columns:
-                owners.setdefault(column.name.lower(), []).append(table.name)
-        return {name: tabs for name, tabs in owners.items() if len(tabs) > 1}
+        names = tuple(table.name for table in tables)
+        ambiguous = self._ambiguous.get(names)
+        if ambiguous is None:
+            owners: dict[str, list[str]] = {}
+            for table in tables:
+                for column in table.columns:
+                    owners.setdefault(column.name.lower(), []).append(table.name)
+            ambiguous = {name: tabs for name, tabs in owners.items() if len(tabs) > 1}
+            self._ambiguous.put(names, ambiguous)
+        return ambiguous

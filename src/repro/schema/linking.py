@@ -55,16 +55,25 @@ class LinkingResult:
     unresolved_columns: list[str] = field(default_factory=list)
 
 
-def link_sql_to_schema(sql: str | Select, schema: DatabaseSchema) -> LinkingResult:
+def link_sql_to_schema(
+    sql: str | Select,
+    schema: DatabaseSchema,
+    references: tuple[list[str], list[str]] | None = None,
+) -> LinkingResult:
     """Resolve the tables/columns a SQL query references against a schema.
 
     Accepts either SQL text or an already-parsed :class:`Select` (linking
     depends only on the AST, so callers that have parsed already can skip
-    the re-parse).  Tables that are referenced but absent from the schema end
-    up in ``unresolved_tables`` (a signal of schema drift in real logs).
+    the re-parse).  ``references`` may supply the query's
+    :func:`~repro.sql.analyzer.extract_references` result (the decomposer
+    keeps it on each unit), which skips the tree walk; ``sql`` is then not
+    read.  Tables that are referenced but absent from the schema end up in
+    ``unresolved_tables`` (a signal of schema drift in real logs).
     """
-    select = parse_select(sql) if isinstance(sql, str) else sql
-    referenced_tables, referenced_columns = extract_references(select)
+    if references is None:
+        select = parse_select(sql) if isinstance(sql, str) else sql
+        references = extract_references(select)
+    referenced_tables, referenced_columns = references
 
     result = LinkingResult()
     matched_tables: list[TableSchema] = []

@@ -314,24 +314,32 @@ def count_tokens(sql: str) -> int:
     return len(tokenize(sql))
 
 
-def analyze_query(sql: str | Select, select: Select | None = None) -> QueryProfile:
+def analyze_query(
+    sql: str | Select,
+    select: Select | None = None,
+    tokens: list[tuple[TokenKind, str]] | None = None,
+) -> QueryProfile:
     """Compute the full static profile of a query.
 
     ``sql`` is the query text and ``select`` optionally its already-parsed
     tree, which saves the parse; the profile is the same either way.  Keyword
-    and token counts always come from lexing ``sql`` itself, so comments,
-    spacing and keyword spelling count exactly as written.  A bare
-    :class:`Select` passed as ``sql`` (no text at hand) is counted from its
-    printed form.
+    and token counts always come from the lex of ``sql`` itself, so
+    comments, spacing and keyword spelling count exactly as written;
+    ``tokens`` may supply that lex as ``(kind, value)`` pairs.  A bare
+    :class:`Select` passed as ``sql`` (no text at hand) is counted from the
+    tokens of its printed form.
     """
     if isinstance(sql, Select):
-        from repro.sql.printer import print_select
+        from repro.sql.printer import print_select_tokens
 
         select = sql
-        sql = print_select(select)
+        sql, tokens = print_select_tokens(select)
     elif select is None:
         select = parse_select(sql)
-    tokens = tokenize(sql)
+    if tokens is None:
+        kinds = [token.kind for token in tokenize(sql)]
+    else:
+        kinds = [kind for kind, _ in tokens]
 
     walk = _QueryWalk(select)
     tables = _tables(walk)
@@ -339,8 +347,8 @@ def analyze_query(sql: str | Select, select: Select | None = None) -> QueryProfi
     aggregates = _aggregates(walk.expressions)
 
     complexity = QueryComplexity(
-        keywords=sum(1 for token in tokens if token.kind is TokenKind.KEYWORD),
-        tokens=len(tokens),
+        keywords=kinds.count(TokenKind.KEYWORD),
+        tokens=len(kinds),
         tables=len(tables),
         columns=len(columns),
         aggregations=len(aggregates),

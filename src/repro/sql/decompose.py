@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import copy
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from repro.sql.analyzer import extract_references, is_nested
 from repro.sql.ast_nodes import (
@@ -44,12 +45,19 @@ from repro.sql.ast_nodes import (
     TableRef,
     UnaryOp,
 )
-from repro.sql.printer import print_select
+from repro.sql.normalizer import QueryKeys, sql_keys, token_keys
+from repro.sql.printer import PrintedToken, print_select, print_select_tokens
 
 
 @dataclass
 class QueryUnit:
-    """A semantically self-contained block of the decomposed query."""
+    """A semantically self-contained block of the decomposed query.
+
+    ``tables`` and ``columns`` are :func:`extract_references` of ``query``;
+    ``tokens`` are the ``(kind, value)`` pairs the printer wrote ``sql``
+    with (its lex, ``None`` if it does not lex) and ``keys`` its retrieval
+    keys.
+    """
 
     name: str
     sql: str
@@ -58,16 +66,27 @@ class QueryUnit:
     tables: list[str] = field(default_factory=list)
     columns: list[str] = field(default_factory=list)
     depends_on: list[str] = field(default_factory=list)
+    tokens: list[PrintedToken] | None = None
+    keys: QueryKeys | None = None
 
 
 @dataclass
 class DecompositionResult:
-    """Result of decomposing one query."""
+    """Result of decomposing one query.
 
-    original_sql: str
+    ``original_query`` is the tree that was decomposed, left unchanged;
+    :attr:`original_sql` prints it on first access.
+    """
+
+    original_query: Select
     decomposed_sql: str
     units: list[QueryUnit] = field(default_factory=list)
     was_nested: bool = False
+
+    @cached_property
+    def original_sql(self) -> str:
+        """The decomposed query as printed before the rewrite."""
+        return print_select(self.original_query)
 
     @property
     def outer_unit(self) -> QueryUnit:
@@ -89,7 +108,6 @@ class _Decomposer:
         self._existing_names: set[str] = set()
 
     def decompose(self, select: Select) -> DecompositionResult:
-        original_sql = print_select(select)
         nested = is_nested(select)
         working = _copy_select(select)
         self._existing_names = {cte.name.lower() for cte in working.ctes}
@@ -106,7 +124,7 @@ class _Decomposer:
         outer_unit.depends_on = [unit.name for unit in self._units if unit is not outer_unit]
 
         return DecompositionResult(
-            original_sql=original_sql,
+            original_query=select,
             decomposed_sql=outer_unit.sql,
             units=self._units,
             was_nested=nested,
@@ -125,13 +143,16 @@ class _Decomposer:
 
     def _record_unit(self, name: str, query: Select, role: str) -> QueryUnit:
         tables, columns = extract_references(query)
+        sql, tokens = print_select_tokens(query)
         unit = QueryUnit(
             name=name,
-            sql=print_select(query),
+            sql=sql,
             query=query,
             role=role,
             tables=tables,
             columns=columns,
+            tokens=tokens,
+            keys=token_keys(tokens) if tokens is not None else sql_keys(sql),
         )
         self._units.append(unit)
         return unit

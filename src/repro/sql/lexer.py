@@ -148,14 +148,25 @@ class Lexer:
         return tokens
 
 
+def word_kind(text: str) -> TokenKind | None:
+    """The kind of the one word token ``text`` lexes to, or ``None``.
+
+    ``KEYWORD`` (whose value is ``text.upper()``) or ``IDENTIFIER`` (whose
+    value is ``text``) when the whole text is one word; ``None`` otherwise.
+    """
+    scanned = text if text.isascii() else text.translate(_STAND_INS)
+    if _WORD_RE.fullmatch(scanned) is None:
+        return None
+    return TokenKind.KEYWORD if text.upper() in KEYWORDS else TokenKind.IDENTIFIER
+
+
 def is_bare_identifier(name: str) -> bool:
     """Whether ``name`` lexes back as exactly one IDENTIFIER token equal to it.
 
     Names for which this is false (keywords, spaces, leading digits, ...)
     must be quoted to read back as themselves.
     """
-    scanned = name if name.isascii() else name.translate(_STAND_INS)
-    return _WORD_RE.fullmatch(scanned) is not None and name.upper() not in KEYWORDS
+    return word_kind(name) is TokenKind.IDENTIFIER
 
 
 @lru_cache(maxsize=LEX_CACHE_SIZE)

@@ -11,6 +11,7 @@ Normalisation serves two purposes in the reproduction:
 from __future__ import annotations
 
 import re
+from typing import Iterable, NamedTuple
 
 from repro.sql.lexer import tokenize
 from repro.sql.parser import parse_select
@@ -32,55 +33,73 @@ def normalize_sql(sql: str) -> str:
         return lexical_normalize(sql)
 
 
-def lexical_normalize(sql: str) -> str:
-    """Whitespace/case normalisation that does not require parsing."""
-    try:
-        tokens = tokenize(sql)
-    except Exception:
-        return re.sub(r"\s+", " ", sql).strip()
-    parts: list[str] = []
-    for token in tokens:
-        if token.kind is TokenKind.KEYWORD:
-            parts.append(token.value.upper())
-        elif token.kind is TokenKind.STRING:
-            escaped = token.value.replace("'", "''")
-            parts.append(f"'{escaped}'")
-        elif token.kind is TokenKind.QUOTED_IDENTIFIER:
-            # Kept quoted: ``"a b"`` must not collide with the two bare
-            # identifiers ``a b``.
-            escaped = token.value.lower().replace('"', '""')
-            parts.append(f'"{escaped}"')
-        elif token.kind is TokenKind.IDENTIFIER:
-            parts.append(token.value.lower())
-        else:
-            parts.append(token.value)
-    return " ".join(parts)
+# Enum members read once: attribute lookups on the class cost more than the
+# comparisons in the per-token loop below.
+_IDENTIFIER = TokenKind.IDENTIFIER
+_QUOTED_IDENTIFIER = TokenKind.QUOTED_IDENTIFIER
+_STRING = TokenKind.STRING
+_NUMBER = TokenKind.NUMBER
 
 
-def query_skeleton(sql: str) -> str:
-    """Return a literal-free skeleton of the query.
+class QueryKeys(NamedTuple):
+    """The two lexical keys of one query text."""
 
-    All string/number literals are replaced by placeholders so that queries
-    differing only in constants map to the same skeleton.  Used by the example
-    store to deduplicate retrieved context.
+    #: Literal-free form: queries differing only in constants share it.
+    skeleton: str
+    #: Whitespace/case normal form, literals kept.
+    lexical: str
+
+
+def token_keys(tokens: Iterable[tuple[TokenKind, str]]) -> QueryKeys:
+    """Both keys of a query from its lex, as ``(kind, value)`` pairs.
+
+    Keywords (already upper case) stay, identifiers are lower-cased, and a
+    quoted identifier stays quoted, so ``"a b"`` never collides with the two
+    identifiers ``a b``.  The skeleton masks strings as ``'?'`` and numbers
+    as ``?``; the lexical key keeps them, strings quoted again.
+    """
+    lexical: list[str] = []
+    masks: list[tuple[int, str]] = []  # (position, placeholder) of each literal
+    for kind, value in tokens:
+        if kind is _IDENTIFIER:
+            value = value.lower()
+        elif kind is _STRING:
+            masks.append((len(lexical), "'?'"))
+            value = "'" + value.replace("'", "''") + "'"
+        elif kind is _NUMBER:
+            masks.append((len(lexical), "?"))
+        elif kind is _QUOTED_IDENTIFIER:
+            value = '"' + value.lower().replace('"', '""') + '"'
+        lexical.append(value)
+    skeleton = lexical.copy()
+    for position, placeholder in masks:
+        skeleton[position] = placeholder
+    return QueryKeys(" ".join(skeleton), " ".join(lexical))
+
+
+def sql_keys(sql: str) -> QueryKeys:
+    """:func:`token_keys` of the text's (cached) lex; never raises.
+
+    Text that does not lex keys by its whitespace-collapsed form, lower-cased
+    in the skeleton.
     """
     try:
         tokens = tokenize(sql)
     except Exception:
-        return re.sub(r"\s+", " ", sql).strip().lower()
-    parts: list[str] = []
-    for token in tokens:
-        if token.kind is TokenKind.STRING:
-            parts.append("'?'")
-        elif token.kind is TokenKind.NUMBER:
-            parts.append("?")
-        elif token.kind is TokenKind.KEYWORD:
-            parts.append(token.value.upper())
-        elif token.kind in (TokenKind.IDENTIFIER, TokenKind.QUOTED_IDENTIFIER):
-            parts.append(token.value.lower())
-        else:
-            parts.append(token.value)
-    return " ".join(parts)
+        collapsed = re.sub(r"\s+", " ", sql).strip()
+        return QueryKeys(collapsed.lower(), collapsed)
+    return token_keys((token.kind, token.value) for token in tokens)
+
+
+def lexical_normalize(sql: str) -> str:
+    """Whitespace/case normalisation that does not require parsing."""
+    return sql_keys(sql).lexical
+
+
+def query_skeleton(sql: str) -> str:
+    """A literal-free skeleton of the query, which the example store uses to
+    keep the annotated query itself out of its retrieved context."""
+    return sql_keys(sql).skeleton
 
 
 def queries_equal(left: str, right: str) -> bool:

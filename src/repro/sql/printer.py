@@ -9,10 +9,22 @@ library relies on for:
   parsing their text again,
 * presenting decomposed CTEs to annotators,
 * exact-match comparison of normalised SQL strings.
+
+A SELECT or expression is printed as a stream of tokens: each token's
+``(kind, value)`` pair, as :func:`~repro.sql.lexer.tokenize` reads it back
+from the text, together with its spelling.  The text is the spellings joined
+with single spaces, except after an opening parenthesis, a dot or a prefix
+sign and before a closing parenthesis, a comma, a dot or a call's opening
+parenthesis.  :func:`print_select_tokens` hands out both, so a caller that
+needs the tokens of a printed query (its retrieval keys) does not lex the
+text again.
 """
 
 from __future__ import annotations
 
+import re
+
+from repro.errors import LexError
 from repro.sql.ast_nodes import (
     Between,
     BinaryOp,
@@ -46,7 +58,35 @@ from repro.sql.ast_nodes import (
     UnaryOp,
     UnaryOperator,
 )
-from repro.sql.lexer import is_bare_identifier
+from repro.sql.lexer import tokenize, word_kind
+from repro.sql.tokens import TokenKind
+
+#: One printed token: its lexical kind and value.
+PrintedToken = tuple[TokenKind, str]
+
+_KEYWORD = TokenKind.KEYWORD
+_IDENTIFIER = TokenKind.IDENTIFIER
+_QUOTED_IDENTIFIER = TokenKind.QUOTED_IDENTIFIER
+_NUMBER = TokenKind.NUMBER
+_STRING = TokenKind.STRING
+_OPERATOR = TokenKind.OPERATOR
+_PUNCTUATION = TokenKind.PUNCTUATION
+
+#: ``str`` of an ``int`` or a finite ``float``: one NUMBER token.
+_NUMBER_RE = re.compile(r"[0-9]+(?:\.[0-9]+)?(?:e[+-][0-9]+)?")
+
+_BINARY_KINDS = {
+    op: _KEYWORD if op in (BinaryOperator.AND, BinaryOperator.OR) else _OPERATOR
+    for op in BinaryOperator
+}
+
+_JOIN_KEYWORDS = {
+    JoinType.INNER: ("JOIN",),
+    JoinType.LEFT: ("LEFT", "JOIN"),
+    JoinType.RIGHT: ("RIGHT", "JOIN"),
+    JoinType.FULL: ("FULL", "JOIN"),
+    JoinType.CROSS: ("CROSS", "JOIN"),
+}
 
 
 def print_statement(statement: Statement) -> str:
@@ -62,205 +102,338 @@ def print_statement(statement: Statement) -> str:
 
 def print_select(select: Select) -> str:
     """Render a SELECT statement (including WITH clause and set operations)."""
-    parts: list[str] = []
-    if select.ctes:
-        cte_parts = []
-        for cte in select.ctes:
-            columns = f" ({_names(cte.column_names)})" if cte.column_names else ""
-            cte_parts.append(f"{_name(cte.name)}{columns} AS ({print_select(cte.query)})")
-        parts.append("WITH " + ", ".join(cte_parts))
-    parts.append(_print_select_body(select))
-    return " ".join(parts)
+    printer = _Printer()
+    printer.select(select)
+    return "".join(printer.parts)
 
 
-def _print_select_body(select: Select) -> str:
-    clauses: list[str] = []
-    distinct = "DISTINCT " if select.distinct else ""
-    items = ", ".join(_print_select_item(item) for item in select.select_items)
-    clauses.append(f"SELECT {distinct}{items}")
-    if select.from_relation is not None:
-        clauses.append(f"FROM {print_relation(select.from_relation)}")
-    if select.where is not None:
-        clauses.append(f"WHERE {print_expression(select.where)}")
-    if select.group_by:
-        clauses.append("GROUP BY " + ", ".join(print_expression(e) for e in select.group_by))
-    if select.having is not None:
-        clauses.append(f"HAVING {print_expression(select.having)}")
+def print_select_tokens(select: Select) -> tuple[str, list[PrintedToken] | None]:
+    """The text of :func:`print_select` and the tokens it lexes to.
 
-    body = " ".join(clauses)
-
-    if select.set_operator is not None and select.set_right is not None:
-        body = f"{body} {select.set_operator.value} {_print_select_body(select.set_right)}"
-
-    trailing: list[str] = []
-    if select.order_by:
-        trailing.append("ORDER BY " + ", ".join(_print_order_item(item) for item in select.order_by))
-    if select.limit is not None:
-        limit_clause = f"LIMIT {select.limit}"
-        if select.offset is not None:
-            limit_clause += f" OFFSET {select.offset}"
-        trailing.append(limit_clause)
-    if trailing:
-        body = body + " " + " ".join(trailing)
-    return body
-
-
-def _print_select_item(item: SelectItem) -> str:
-    text = print_expression(item.expression)
-    if item.alias:
-        return f"{text} AS {_name(item.alias)}"
-    return text
-
-
-def _print_order_item(item: OrderItem) -> str:
-    text = print_expression(item.expression)
-    text += " ASC" if item.ascending else " DESC"
-    if item.nulls_first is True:
-        text += " NULLS FIRST"
-    elif item.nulls_first is False:
-        text += " NULLS LAST"
-    return text
+    The tokens equal ``[(t.kind, t.value) for t in tokenize(text)]`` for
+    every tree whose text parses back to it.  They are ``None`` when the
+    text does not lex at all (a function or type name holding characters
+    the lexer rejects).
+    """
+    printer = _Printer()
+    printer.select(select)
+    return "".join(printer.parts), printer.tokens if printer.lexes else None
 
 
 def print_relation(relation: Relation) -> str:
     """Render a FROM-clause relation."""
-    if isinstance(relation, TableRef):
-        if relation.alias:
-            return f"{_name(relation.name)} AS {_name(relation.alias)}"
-        return _name(relation.name)
-    if isinstance(relation, SubqueryRef):
-        return f"({print_select(relation.query)}) AS {_name(relation.alias)}"
-    if isinstance(relation, Join):
-        left = print_relation(relation.left)
-        right = print_relation(relation.right)
-        if relation.join_type is JoinType.CROSS and relation.condition is None and not relation.using_columns:
-            return f"{left} CROSS JOIN {right}"
-        keyword = {
-            JoinType.INNER: "JOIN",
-            JoinType.LEFT: "LEFT JOIN",
-            JoinType.RIGHT: "RIGHT JOIN",
-            JoinType.FULL: "FULL JOIN",
-            JoinType.CROSS: "CROSS JOIN",
-        }[relation.join_type]
-        text = f"{left} {keyword} {right}"
-        if relation.condition is not None:
-            text += f" ON {print_expression(relation.condition)}"
-        elif relation.using_columns:
-            text += f" USING ({_names(relation.using_columns)})"
-        return text
-    raise TypeError(f"unsupported relation type: {type(relation).__name__}")
-
-
-_NEEDS_PARENS = (BinaryOp,)
+    printer = _Printer()
+    printer.relation(relation)
+    return "".join(printer.parts)
 
 
 def print_expression(expression: Expression) -> str:
     """Render an expression to SQL text."""
-    if isinstance(expression, Literal):
-        return _print_literal(expression.value)
-    if isinstance(expression, ColumnRef):
-        if expression.table:
-            return f"{_name(expression.table)}.{_name(expression.name)}"
-        return _name(expression.name)
-    if isinstance(expression, Star):
-        return f"{_name(expression.table)}.*" if expression.table else "*"
-    if isinstance(expression, Parameter):
-        return expression.name
-    if isinstance(expression, BinaryOp):
-        left = _print_operand(expression.left)
-        right = _print_operand(expression.right)
-        return f"{left} {expression.op.value} {right}"
-    if isinstance(expression, UnaryOp):
-        operand = _print_operand(expression.operand)
-        if expression.op is UnaryOperator.NOT:
-            return f"NOT {operand}"
-        return f"{expression.op.value}{operand}"
-    if isinstance(expression, FunctionCall):
-        if len(expression.args) == 1 and isinstance(expression.args[0], Star) and expression.args[0].table is None:
-            inner = "*"
-        else:
-            inner = ", ".join(print_expression(arg) for arg in expression.args)
-        distinct = "DISTINCT " if expression.distinct else ""
-        return f"{expression.upper_name}({distinct}{inner})"
-    if isinstance(expression, Cast):
-        return f"CAST({print_expression(expression.operand)} AS {expression.target_type})"
-    if isinstance(expression, CaseWhen):
-        parts = ["CASE"]
-        for condition, result in expression.conditions:
-            parts.append(f"WHEN {print_expression(condition)} THEN {print_expression(result)}")
-        if expression.else_result is not None:
-            parts.append(f"ELSE {print_expression(expression.else_result)}")
-        parts.append("END")
-        return " ".join(parts)
-    if isinstance(expression, IsNull):
-        negation = " NOT" if expression.negated else ""
-        return f"{_print_operand(expression.operand)} IS{negation} NULL"
-    if isinstance(expression, InList):
-        negation = "NOT " if expression.negated else ""
-        values = ", ".join(print_expression(v) for v in expression.values)
-        return f"{_print_operand(expression.operand)} {negation}IN ({values})"
-    if isinstance(expression, InSubquery):
-        negation = "NOT " if expression.negated else ""
-        return f"{_print_operand(expression.operand)} {negation}IN ({print_select(expression.subquery)})"
-    if isinstance(expression, Exists):
-        negation = "NOT " if expression.negated else ""
-        return f"{negation}EXISTS ({print_select(expression.subquery)})"
-    if isinstance(expression, Between):
-        negation = "NOT " if expression.negated else ""
-        return (
-            f"{_print_operand(expression.operand)} {negation}BETWEEN "
-            f"{_print_operand(expression.low)} AND {_print_operand(expression.high)}"
-        )
-    if isinstance(expression, Like):
-        negation = "NOT " if expression.negated else ""
-        return f"{_print_operand(expression.operand)} {negation}LIKE {print_expression(expression.pattern)}"
-    if isinstance(expression, ScalarSubquery):
-        return f"({print_select(expression.query)})"
-    raise TypeError(f"unsupported expression type: {type(expression).__name__}")
+    printer = _Printer()
+    printer.expression(expression)
+    return "".join(printer.parts)
 
 
-def _print_operand(expression: Expression) -> str:
-    """Print an operand, parenthesising compound operands to preserve grouping."""
-    text = print_expression(expression)
-    if isinstance(expression, _NEEDS_PARENS):
-        return f"({text})"
-    return text
+class _Printer:
+    """Prints one tree as a token stream and the text that spells it.
 
-
-def _name(name: str) -> str:
-    """An identifier as text the lexer reads back as that same name.
-
-    Bare when it already lexes as itself, else double-quoted; a name holding
-    a double quote is backtick-quoted instead, and a name holding both quote
-    characters is double-quoted with each ``"`` doubled, the standard SQL
-    spelling, which the lexer reads back as one ``"``.
+    ``glued`` drops the space before the next token; it is set at the start
+    and after an opening parenthesis, a dot and a prefix sign.
     """
-    if is_bare_identifier(name):
-        return name
-    if '"' not in name:
-        return f'"{name}"'
-    if "`" not in name:
-        return f"`{name}`"
-    return '"' + name.replace('"', '""') + '"'
 
+    __slots__ = ("tokens", "parts", "glued", "lexes")
 
-def _names(names: list[str]) -> str:
-    return ", ".join(_name(name) for name in names)
+    def __init__(self) -> None:
+        self.tokens: list[PrintedToken] = []
+        self.parts: list[str] = []
+        self.glued = True
+        self.lexes = True
 
+    # -- tokens ---------------------------------------------------------
 
-def _print_literal(value: object) -> str:
-    if value is None:
-        return "NULL"
-    if value is True:
-        return "TRUE"
-    if value is False:
-        return "FALSE"
-    if isinstance(value, str):
-        escaped = value.replace("'", "''")
-        return f"'{escaped}'"
-    if isinstance(value, float) and value.is_integer():
-        return str(value)
-    return str(value)
+    def add(self, kind: TokenKind, value: str, text: str | None = None) -> None:
+        """One token, spelt ``text`` (default: its value)."""
+        self.tokens.append((kind, value))
+        if text is None:
+            text = value
+        self.parts.append(text if self.glued else " " + text)
+        self.glued = False
+
+    def keywords(self, *words: str) -> None:
+        for word in words:
+            self.add(_KEYWORD, word)
+
+    def attach(self, char: str) -> None:
+        """Punctuation written directly after the previous token."""
+        self.tokens.append((_PUNCTUATION, char))
+        self.parts.append(char)
+        self.glued = False
+
+    def open(self) -> None:
+        self.add(_PUNCTUATION, "(")
+        self.glued = True
+
+    def open_call(self) -> None:
+        self.attach("(")
+        self.glued = True
+
+    def name(self, name: str) -> None:
+        """An identifier as text the lexer reads back as that same name.
+
+        Bare when it already lexes as itself, else double-quoted; a name
+        holding a double quote is backtick-quoted instead, and a name holding
+        both quote characters is double-quoted with each ``"`` doubled, the
+        standard SQL spelling, which the lexer reads back as one ``"``.
+        """
+        if word_kind(name) is _IDENTIFIER:
+            self.add(_IDENTIFIER, name)
+        elif '"' not in name:
+            self.add(_QUOTED_IDENTIFIER, name, f'"{name}"')
+        elif "`" not in name:
+            self.add(_QUOTED_IDENTIFIER, name, f"`{name}`")
+        else:
+            self.add(_QUOTED_IDENTIFIER, name, '"' + name.replace('"', '""') + '"')
+
+    def names(self, names: list[str]) -> None:
+        """A parenthesised name list."""
+        self.open()
+        for index, name in enumerate(names):
+            if index:
+                self.attach(",")
+            self.name(name)
+        self.attach(")")
+
+    def verbatim(self, text: str) -> None:
+        """Text printed as it is: a number, a function or type name, a parameter."""
+        if _NUMBER_RE.fullmatch(text):
+            self.add(_NUMBER, text)
+            return
+        kind = word_kind(text)
+        if kind is not None:
+            self.add(kind, text.upper() if kind is _KEYWORD else text)
+            return
+        # Anything else (``DECIMAL(10,2)``, ``-5``, ``inf``, ``:name``) is
+        # rare enough to lex on its own; it always sits between separators.
+        try:
+            self.tokens.extend((token.kind, token.value) for token in tokenize(text))
+        except LexError:
+            self.lexes = False
+        self.parts.append(text if self.glued else " " + text)
+        self.glued = False
+
+    # -- statements -----------------------------------------------------
+
+    def select(self, select: Select) -> None:
+        if select.ctes:
+            self.keywords("WITH")
+            for index, cte in enumerate(select.ctes):
+                if index:
+                    self.attach(",")
+                self.name(cte.name)
+                if cte.column_names:
+                    self.names(cte.column_names)
+                self.keywords("AS")
+                self.subquery(cte.query)
+        self.select_body(select)
+
+    def select_body(self, select: Select) -> None:
+        self.keywords("SELECT")
+        if select.distinct:
+            self.keywords("DISTINCT")
+        for index, item in enumerate(select.select_items):
+            if index:
+                self.attach(",")
+            self.expression(item.expression)
+            if item.alias:
+                self.keywords("AS")
+                self.name(item.alias)
+        if select.from_relation is not None:
+            self.keywords("FROM")
+            self.relation(select.from_relation)
+        if select.where is not None:
+            self.keywords("WHERE")
+            self.expression(select.where)
+        if select.group_by:
+            self.keywords("GROUP", "BY")
+            self.expressions(select.group_by)
+        if select.having is not None:
+            self.keywords("HAVING")
+            self.expression(select.having)
+        if select.set_operator is not None and select.set_right is not None:
+            self.keywords(*select.set_operator.value.split())
+            self.select_body(select.set_right)
+        if select.order_by:
+            self.keywords("ORDER", "BY")
+            for index, item in enumerate(select.order_by):
+                if index:
+                    self.attach(",")
+                self.order_item(item)
+        if select.limit is not None:
+            self.keywords("LIMIT")
+            self.verbatim(str(select.limit))
+            if select.offset is not None:
+                self.keywords("OFFSET")
+                self.verbatim(str(select.offset))
+
+    def order_item(self, item: OrderItem) -> None:
+        self.expression(item.expression)
+        self.keywords("ASC" if item.ascending else "DESC")
+        if item.nulls_first is True:
+            self.keywords("NULLS", "FIRST")
+        elif item.nulls_first is False:
+            self.keywords("NULLS", "LAST")
+
+    def relation(self, relation: Relation) -> None:
+        if isinstance(relation, TableRef):
+            self.name(relation.name)
+            if relation.alias:
+                self.keywords("AS")
+                self.name(relation.alias)
+        elif isinstance(relation, SubqueryRef):
+            self.subquery(relation.query)
+            self.keywords("AS")
+            self.name(relation.alias)
+        elif isinstance(relation, Join):
+            self.relation(relation.left)
+            self.keywords(*_JOIN_KEYWORDS[relation.join_type])
+            self.relation(relation.right)
+            if relation.condition is not None:
+                self.keywords("ON")
+                self.expression(relation.condition)
+            elif relation.using_columns:
+                self.keywords("USING")
+                self.names(relation.using_columns)
+        else:
+            raise TypeError(f"unsupported relation type: {type(relation).__name__}")
+
+    # -- expressions ----------------------------------------------------
+
+    def expressions(self, expressions: list[Expression]) -> None:
+        for index, expression in enumerate(expressions):
+            if index:
+                self.attach(",")
+            self.expression(expression)
+
+    def operand(self, expression: Expression) -> None:
+        """An operand, parenthesised when compound to preserve grouping."""
+        if isinstance(expression, BinaryOp):
+            self.open()
+            self.expression(expression)
+            self.attach(")")
+        else:
+            self.expression(expression)
+
+    def subquery(self, select: Select) -> None:
+        self.open()
+        self.select(select)
+        self.attach(")")
+
+    def expression(self, expression: Expression) -> None:
+        if isinstance(expression, Literal):
+            self.literal(expression.value)
+        elif isinstance(expression, ColumnRef):
+            if expression.table:
+                self.name(expression.table)
+                self.attach(".")
+                self.glued = True
+            self.name(expression.name)
+        elif isinstance(expression, Star):
+            if expression.table:
+                self.name(expression.table)
+                self.attach(".")
+                self.glued = True
+            self.add(_OPERATOR, "*")
+        elif isinstance(expression, Parameter):
+            self.verbatim(expression.name)
+        elif isinstance(expression, BinaryOp):
+            self.operand(expression.left)
+            self.add(_BINARY_KINDS[expression.op], expression.op.value)
+            self.operand(expression.right)
+        elif isinstance(expression, UnaryOp):
+            if expression.op is UnaryOperator.NOT:
+                self.keywords("NOT")
+            else:
+                self.add(_OPERATOR, expression.op.value)
+                self.glued = True
+            self.operand(expression.operand)
+        elif isinstance(expression, FunctionCall):
+            self.verbatim(expression.upper_name)
+            self.open_call()
+            if expression.distinct:
+                self.keywords("DISTINCT")
+            self.expressions(expression.args)
+            self.attach(")")
+        elif isinstance(expression, Cast):
+            self.keywords("CAST")
+            self.open_call()
+            self.expression(expression.operand)
+            self.keywords("AS")
+            self.verbatim(expression.target_type)
+            self.attach(")")
+        elif isinstance(expression, CaseWhen):
+            self.keywords("CASE")
+            for condition, result in expression.conditions:
+                self.keywords("WHEN")
+                self.expression(condition)
+                self.keywords("THEN")
+                self.expression(result)
+            if expression.else_result is not None:
+                self.keywords("ELSE")
+                self.expression(expression.else_result)
+            self.keywords("END")
+        elif isinstance(expression, IsNull):
+            self.operand(expression.operand)
+            self.keywords("IS")
+            self.negation(expression.negated)
+            self.keywords("NULL")
+        elif isinstance(expression, InList):
+            self.operand(expression.operand)
+            self.negation(expression.negated)
+            self.keywords("IN")
+            self.open()
+            self.expressions(expression.values)
+            self.attach(")")
+        elif isinstance(expression, InSubquery):
+            self.operand(expression.operand)
+            self.negation(expression.negated)
+            self.keywords("IN")
+            self.subquery(expression.subquery)
+        elif isinstance(expression, Exists):
+            self.negation(expression.negated)
+            self.keywords("EXISTS")
+            self.subquery(expression.subquery)
+        elif isinstance(expression, Between):
+            self.operand(expression.operand)
+            self.negation(expression.negated)
+            self.keywords("BETWEEN")
+            self.operand(expression.low)
+            self.keywords("AND")
+            self.operand(expression.high)
+        elif isinstance(expression, Like):
+            self.operand(expression.operand)
+            self.negation(expression.negated)
+            self.keywords("LIKE")
+            self.expression(expression.pattern)
+        elif isinstance(expression, ScalarSubquery):
+            self.subquery(expression.query)
+        else:
+            raise TypeError(f"unsupported expression type: {type(expression).__name__}")
+
+    def negation(self, negated: bool) -> None:
+        if negated:
+            self.keywords("NOT")
+
+    def literal(self, value: object) -> None:
+        if value is None:
+            self.keywords("NULL")
+        elif value is True:
+            self.keywords("TRUE")
+        elif value is False:
+            self.keywords("FALSE")
+        elif isinstance(value, str):
+            self.add(_STRING, value, "'" + value.replace("'", "''") + "'")
+        else:
+            self.verbatim(str(value))
 
 
 def _print_create_table(statement: CreateTable) -> str:

@@ -34,6 +34,8 @@ from repro.errors import JournalError, SnapshotError
 from repro.obs import Telemetry
 from repro.retrieval.embedding import _stable_hash
 from repro.schema import ColumnSchema, DatabaseSchema, ForeignKey, TableSchema
+from repro.sql.lexer import tokenize
+from repro.sql.tokens import TokenKind
 
 from tests.faults import CrashingJournal, InjectedCrash, encode_record
 
@@ -76,6 +78,45 @@ def make_schema() -> DatabaseSchema:
 def semantic_state(service: AnnotationService) -> dict:
     """The state that must survive any crash/recover cycle bit-for-bit."""
     return service.capture_state(include_accounting=False)
+
+
+#: Statements with quoted identifiers, whose stored skeletons changed when
+#: skeletons started to keep identifier quotes.
+QUOTED_QUERIES = [
+    'SELECT "name" FROM employees',
+    "SELECT name FROM employees",
+    'SELECT e."name", d.dept_name FROM employees e JOIN departments d ON e.dept_id = d.dept_id',
+    "SELECT `salary` FROM employees WHERE salary > 100000",
+]
+
+
+def unquoted_skeleton(sql: str) -> str:
+    """The skeleton earlier builds stored: quoted identifiers lost their quotes."""
+    parts = []
+    for token in tokenize(sql):
+        if token.kind is TokenKind.STRING:
+            parts.append("'?'")
+        elif token.kind is TokenKind.NUMBER:
+            parts.append("?")
+        elif token.kind in (TokenKind.IDENTIFIER, TokenKind.QUOTED_IDENTIFIER):
+            parts.append(token.value.lower())
+        else:
+            parts.append(token.value)
+    return " ".join(parts)
+
+
+def drain_quoted_queries(directory: Path) -> dict:
+    """Drain :data:`QUOTED_QUERIES` one by one, snapshotting half-way."""
+    service = AnnotationService.open_durable(directory)
+    service.register_project("hr", make_schema())
+    for index, sql in enumerate(QUOTED_QUERIES):
+        if index == 2:
+            service.snapshot()
+        service.submit(sql, project="hr")
+        service.drain()
+    live = semantic_state(service)
+    service.close()
+    return live
 
 
 def record_boundaries(buffer: bytes) -> list[tuple[int, int]]:
@@ -694,6 +735,35 @@ class TestReplayParity:
             warm.close()
 
 
+    def test_journal_with_unquoted_skeletons_replays_to_quoted_ones(self, tmp_path):
+        directory = tmp_path / "svc"
+        live = drain_quoted_queries(directory)
+        skeletons = live["projects"]["hr"]["example_store"]["skeletons"]
+        assert skeletons["ex-00001"] == 'SELECT "name" FROM employees'
+        assert skeletons["ex-00001"] != skeletons["ex-00002"]
+        journal_path = directory / "journal.bin"
+
+        # Rewrite the journal as a build whose skeletons dropped the quotes.
+        rewritten = bytearray()
+        changed = 0
+        for event in EventJournal.read_events(journal_path):
+            example = event.payload.get("example") if event.type == ANNOTATION_COMMITTED else None
+            if example is not None:
+                old = unquoted_skeleton(example["sql"])
+                changed += old != example["skeleton"]
+                example["skeleton"] = old
+            rewritten += encode_record(event.type, event.payload)
+        assert changed == 3
+        journal_path.write_bytes(bytes(rewritten))
+
+        cold = AnnotationService.recover(journal_path)
+        assert semantic_state(cold) == live
+        cold.close()
+        warm = AnnotationService.open_durable(directory)  # snapshot + suffix
+        assert semantic_state(warm) == live
+        warm.close()
+
+
 # ----------------------------------------------------------------------
 # snapshots and warm start
 # ----------------------------------------------------------------------
@@ -808,6 +878,22 @@ class TestSnapshots:
         assert semantic_state(recovered) == live
         assert snapshot_fallbacks(telemetry) == len(offsets)
         recovered.close()
+
+    def test_snapshot_with_unquoted_skeletons_loads_quoted_ones(self, tmp_path):
+        directory = tmp_path / "svc"
+        live = drain_quoted_queries(directory)
+        snapshots = SnapshotManager(directory / "snapshots")
+        offset, state = snapshots.latest()
+        store_state = state["projects"]["hr"]["example_store"]
+        sqls = {example["example_id"]: example["sql"] for example in store_state["examples"]}
+        old = {example_id: unquoted_skeleton(sqls[example_id]) for example_id in sqls}
+        assert old != store_state["skeletons"]  # the snapshot holds a quoted one
+        store_state["skeletons"] = old
+        snapshots.save(offset, state)  # a current-format file holding old skeletons
+
+        warm = AnnotationService.open_durable(directory)
+        assert semantic_state(warm) == live
+        warm.close()
 
     def test_restored_feature_hashes_are_the_derived_ones(self, tmp_path):
         directory = tmp_path / "svc"

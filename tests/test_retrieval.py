@@ -25,6 +25,8 @@ from repro.retrieval import (
     tokenize_text,
 )
 from repro.retrieval.embedding import _stable_hash
+from repro.sql import decompose, query_skeleton
+from repro.sql.normalizer import sql_keys
 from tests.data.make_retrieval_corpus import (
     checkpoint,
     make_small_state,
@@ -218,6 +220,29 @@ class TestExampleStore:
         store.add("SELECT a FROM t WHERE b = 'x'", "description one")
         assert store.retrieve("SELECT a FROM t WHERE b = 'y'") == []
         assert len(store.retrieve("SELECT a FROM t WHERE b = 'y'", exclude_identical=False)) == 1
+
+    def test_quoted_identifier_is_not_identical_to_bare_words(self):
+        # "a b" is one quoted column; a b is column a under the alias b.
+        store = ExampleStore()
+        store.add('SELECT "a b" FROM t', "The a b column of t.")
+        assert query_skeleton('SELECT "a b" FROM t') == 'SELECT "a b" FROM t'
+        assert query_skeleton("SELECT a b FROM t") == "SELECT a b FROM t"
+        assert [example.sql for example in store.retrieve("SELECT a b FROM t")] == [
+            'SELECT "a b" FROM t'
+        ]
+        assert store.retrieve_count("SELECT a b FROM t") == 1
+        # Quoting style and case do not matter, as in the lexical key.
+        assert store.retrieve("SELECT `A B` FROM T") == []
+
+    def test_supplied_skeletons_match_computed_ones(self):
+        store = ExampleStore()
+        store.add("SELECT a FROM t WHERE b = 'x'", "description one")
+        store.add("SELECT c FROM u", "description two")
+        queries = ["SELECT a FROM t WHERE b = 'y'", "SELECT c FROM u WHERE d = 1"]
+        skeletons = [query_skeleton(sql) for sql in queries]
+        assert store.retrieve_many(queries, skeletons=skeletons) == store.retrieve_many(queries)
+        for sql, skeleton in zip(queries, skeletons):
+            assert store.retrieve_count(sql, skeleton=skeleton) == store.retrieve_count(sql)
 
     def test_rejects_empty_fields(self):
         with pytest.raises(RetrievalError):
@@ -497,6 +522,34 @@ class TestRetrievalCaches:
         assert store.version == 0
         retriever.record_annotation("SELECT name FROM employees", "Names.")
         assert store.version == 1
+
+    def test_supplied_keys_and_references_give_the_same_contexts(self, hr_schema):
+        sql = (
+            "SELECT name FROM employees WHERE dept_id IN "
+            "(SELECT dept_id FROM departments WHERE budget > 5)"
+        )
+        units = decompose(sql).units
+        sqls = [unit.sql for unit in units]
+        plain = ContextRetriever(hr_schema)
+        plain.record_annotation("SELECT name FROM employees", "Employee names.")
+        hinted = ContextRetriever(hr_schema)
+        hinted.record_annotation(
+            "SELECT name FROM employees",
+            "Employee names.",
+            keys=sql_keys("SELECT name FROM employees"),
+        )
+        expected = plain.retrieve_batch(sqls)
+        contexts = hinted.retrieve_batch(
+            sqls,
+            asts=[unit.query for unit in units],
+            keys=[unit.keys for unit in units],
+            references=[(unit.tables, unit.columns) for unit in units],
+        )
+        assert contexts == expected
+        unit = units[-1]
+        assert hinted.retrieve(unit.sql, keys=unit.keys) == plain.retrieve(unit.sql)
+        assert hinted.example_count(unit.sql, keys=unit.keys) == plain.example_count(unit.sql)
+        assert expected[-1].ambiguous_columns == {"dept_id": ["employees", "departments"]}
 
     def test_linking_cache_respects_capacity(self, hr_schema):
         retriever = ContextRetriever(hr_schema, linking_cache_size=4)

@@ -23,6 +23,8 @@ from repro.schema import (
     schema_from_database,
     split_identifier,
 )
+from repro.sql import parse_select
+from repro.sql.analyzer import extract_references
 
 
 class TestSchemaModel:
@@ -252,6 +254,14 @@ class TestLinking:
         )
         assert set(result.tables) == {"employees", "departments"}
         assert ("employees", "name") in result.columns
+
+    def test_link_sql_takes_supplied_references(self, hr_schema):
+        sql = "SELECT e.name FROM employees e JOIN departments d ON e.dept_id = d.dept_id"
+        select = parse_select(sql)
+        references = extract_references(select)
+        assert link_sql_to_schema(select, hr_schema, references=references) == (
+            link_sql_to_schema(sql, hr_schema)
+        )
 
     def test_link_sql_reports_unresolved(self, hr_schema):
         result = link_sql_to_schema("SELECT x FROM unknown_table", hr_schema)

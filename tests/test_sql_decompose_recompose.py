@@ -73,6 +73,12 @@ class TestDecompose:
         result = decompose(NESTED)
         assert result.original_sql == print_select(parse_select(NESTED))
 
+    def test_original_sql_is_printed_on_first_access(self):
+        result = decompose(NESTED)
+        assert "original_sql" not in vars(result)
+        assert result.original_sql == print_select(parse_select(NESTED))
+        assert "original_sql" in vars(result)
+
 
 def tree_nodes(node, found=None):
     """Every AST node (dataclass instance) reachable from ``node``, repeats included."""

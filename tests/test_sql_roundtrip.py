@@ -11,21 +11,24 @@ instead of parsing every unit's printed text again.  That is only sound if
   unit's CTEs are the other units' trees.
 
 Both halves are checked here, together with the parse count and the records
-of sequential, batched and concurrent drains.
+of sequential, batched and concurrent drains.  The drain also lexes each
+statement once: a unit's retrieval keys come from the tokens the printer
+wrote it with, which must be the tokens its text lexes to.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import repro.core.pipeline as pipeline_module
-from repro.core import AnnotationPipeline, AnnotationService
+from repro.core import AnnotationPipeline, AnnotationService, TaskConfig
 from repro.engine.types import DataType
-from repro.sql import decompose, parse, parse_select, print_select
+from repro.sql import decompose, lexer, parse, parse_select, print_select
 from repro.sql.analyzer import is_nested
 from repro.sql.ast_nodes import (
     CTE,
@@ -52,8 +55,10 @@ from repro.sql.ast_nodes import (
     Star,
     TableRef,
 )
-from repro.sql.lexer import is_bare_identifier, tokenize
+from repro.sql.lexer import Lexer, is_bare_identifier, tokenize
+from repro.sql.normalizer import lexical_normalize, query_skeleton, sql_keys, token_keys
 from repro.sql.parser import Parser
+from repro.sql.printer import print_select_tokens
 from repro.sql.tokens import TokenKind
 from repro.workloads import BENCHMARK_NAMES, build_benchmark
 
@@ -61,6 +66,14 @@ from repro.workloads import BENCHMARK_NAMES, build_benchmark
 def assert_round_trips(select: Select) -> None:
     """The printed text parses back to a type-strictly identical tree."""
     assert repr(parse_select(print_select(select))) == repr(select)
+
+
+def assert_tokens_lex_back(select: Select) -> None:
+    """The printer's tokens are the lex of its text, and give the same keys."""
+    text, tokens = print_select_tokens(select)
+    assert text == print_select(select)
+    assert tokens == [(token.kind, token.value) for token in tokenize(text)]
+    assert token_keys(tokens) == (query_skeleton(text), lexical_normalize(text))
 
 
 # ----------------------------------------------------------------------
@@ -75,12 +88,15 @@ def test_gold_statements_and_units_round_trip(generated_sql, name):
         for sql in generated_sql[(name, seed)]:
             select = parse_select(sql)
             assert_round_trips(select)
+            assert_tokens_lex_back(select)
             if not is_nested(select):
                 continue
             decomposition = decompose(select)
             assert decomposition.decomposed_sql == print_select(decomposition.outer_unit.query)
             for unit in decomposition.units:
                 assert repr(parse_select(unit.sql)) == repr(unit.query), unit.sql
+                assert_tokens_lex_back(unit.query)
+                assert unit.keys == sql_keys(unit.sql)
                 units += 1
     assert units > 0
 
@@ -310,6 +326,12 @@ def test_generated_selects_round_trip(select):
     assert_round_trips(select)
 
 
+@given(_selects())
+@settings(max_examples=200, deadline=None)
+def test_generated_selects_print_the_tokens_they_lex_to(select):
+    assert_tokens_lex_back(select)
+
+
 CHAINED_SET_OPERATIONS = [
     "SELECT 1 UNION SELECT 2 UNION SELECT 3",
     "SELECT a FROM t EXCEPT SELECT b FROM u UNION ALL SELECT c FROM v ORDER BY 1 ASC",
@@ -400,6 +422,44 @@ def test_service_drain_parses_each_statement_once(drain_workloads, parse_calls, 
     parse_calls.clear()
     service.drain(concurrency=concurrency)
     assert len(parse_calls) == sum(len(w.query_sql) for w in drain_workloads.values())
+    assert {
+        name: records_digest(service.pipeline(name).annotations) for name in drain_workloads
+    } == RECORD_DIGESTS
+
+
+@pytest.fixture()
+def lexed_texts(monkeypatch):
+    """The texts ``Lexer.tokenize`` lexes from here on (lexer cache emptied)."""
+    texts = []
+    original = Lexer.tokenize
+
+    def counting(self):
+        texts.append(self._text)
+        return original(self)
+
+    lexer._lex.cache_clear()
+    monkeypatch.setattr(Lexer, "tokenize", counting)
+    return texts
+
+
+@pytest.mark.parametrize(
+    "mode, batch_size, concurrency",
+    [("sequential", 1, 1), ("batched", 4, 1), ("concurrent", 4, 2)],
+)
+def test_service_drain_lexes_each_statement_once(
+    drain_workloads, lexed_texts, mode, batch_size, concurrency
+):
+    service = AnnotationService()
+    statements = []
+    for name, workload in drain_workloads.items():
+        service.register_project(name, workload.schema, config=TaskConfig(batch_size=batch_size))
+        service.submit_many(workload.query_sql, project=name)
+        statements += [sql.strip().rstrip(";") for sql in workload.query_sql]
+    lexed_texts.clear()
+    service.drain(concurrency=concurrency)
+    # Each statement is lexed by its parse and by nothing else: the units'
+    # keys come from the decomposer's print, the statement's from that lex.
+    assert Counter(lexed_texts) == Counter(set(statements))
     assert {
         name: records_digest(service.pipeline(name).annotations) for name in drain_workloads
     } == RECORD_DIGESTS
