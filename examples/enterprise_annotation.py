@@ -1,17 +1,18 @@
 """Enterprise scenario: annotate your own SQL logs against your own schema.
 
 Mirrors the paper's motivating workflow: an organisation has abundant SQL logs
-but no natural-language annotations.  This example uploads a small warehouse
-schema and a raw query log, runs the human-in-the-loop annotation pipeline
-(including nested-query decomposition), and verifies round-trip fidelity with
-the backtranslation rubric.
+but no natural-language annotations.  This example registers a small
+warehouse schema as a project of the annotation service, submits a raw query
+log and drains it through the annotation pipeline (including nested-query
+decomposition), and verifies round-trip fidelity with the backtranslation
+rubric.
 
 Run with:  python examples/enterprise_annotation.py
 """
 
 from __future__ import annotations
 
-from repro.core import Workspace
+from repro.core import AnnotationService, split_sql_log
 from repro.engine import Database
 from repro.llm import SimulatedLLM
 from repro.metrics import grade_backtranslation
@@ -48,9 +49,8 @@ INSERT INTO MOIRA_LIST VALUES (1, 'BENCHPRESS-DEV', 'EECS', 64), (2, 'BIO-SEMINA
 def main() -> None:
     schema = parse_ddl_script(SCHEMA_DDL, schema_name="mit_dw_sample")
 
-    workspace = Workspace("dba")
-    project = workspace.create_project_from_log("warehouse-logs", schema, SQL_LOG)
-    pipeline = project.pipeline
+    service = AnnotationService()
+    pipeline = service.register_project("warehouse-logs", schema)
 
     # Inject institutional knowledge up front (the feedback loop reuses it for
     # every later query).
@@ -59,14 +59,22 @@ def main() -> None:
     )
     pipeline.feedback_loop.knowledge.add("Moira", "the mailing-list management system")
 
-    print(f"Ingested {len(project.dataset.valid_entries)} log statements\n")
+    # Upload the log: each statement becomes one queued annotation job, and
+    # a drain annotates them all.  A statement that does not parse would come
+    # back as a failed job, quarantined, without stopping the others.
+    statements = split_sql_log(SQL_LOG)
+    service.submit_many(statements, project="warehouse-logs")
+    print(f"Ingested {len(statements)} log statements\n")
 
     records = []
-    for sql in list(project.pending_queries):
-        record = pipeline.annotate(sql)
+    for completed in service.drain():
+        if completed.failed:
+            print(f"Quarantined: {completed.job.sql}\n  -> {completed.error}\n")
+            continue
+        record = completed.record
         records.append(record)
         decomposed = " (decomposed)" if record.was_decomposed else ""
-        print(f"SQL{decomposed}: {sql}")
+        print(f"SQL{decomposed}: {record.sql}")
         print(f"  -> {record.nl}\n")
 
     # Verify annotation fidelity by round-tripping through a vanilla LLM and

@@ -1,8 +1,9 @@
 """Quickstart: annotate a handful of enterprise SQL log queries with BenchPress.
 
-Creates a workspace, loads the built-in Beaver-like enterprise benchmark,
-runs the annotation loop (decomposition -> retrieval -> candidate generation ->
-feedback), and exports the accepted annotations as a benchmark-ready JSON file.
+Registers a project with the annotation service, loads the built-in
+Beaver-like enterprise benchmark, runs the annotation loop (decomposition ->
+retrieval -> candidate generation -> feedback), and exports the accepted
+annotations as a benchmark-ready JSON file.
 
 Run with:  python examples/quickstart.py
 """
@@ -11,31 +12,34 @@ from __future__ import annotations
 
 from pathlib import Path
 
-from repro.core import Feedback, FeedbackAction, Workspace, export_benchmark_json
+from repro.core import AnnotationService, Feedback, FeedbackAction, export_benchmark_json
+from repro.workloads import build_benchmark
 
 
 def main() -> None:
-    # 1. Project setup: the API key never leaves the client in the real system;
-    #    here it is simply held in memory.
-    workspace = Workspace("analyst", api_key="local-only-key")
+    # 1. Dataset ingestion: pick one of the supported benchmarks
+    #    (Spider, Bird, Fiben, Beaver) or upload your own schema + SQL log
+    #    (see enterprise_annotation.py).
+    workload = build_benchmark("Beaver", seed=1, query_count=8, row_scale=0.002)
 
-    # 2. Dataset ingestion: pick one of the supported benchmarks
-    #    (Spider, Bird, Fiben, Beaver) or upload your own schema + SQL log.
-    project = workspace.create_project_from_benchmark(
-        "enterprise-demo", "Beaver", query_count=8, seed=1
-    )
-    pipeline = project.pipeline
-    print(f"Project ready: {len(project.pending_queries)} queries to annotate")
-    print(f"Task configuration: {project.config.describe()}\n")
+    # 2. Project setup: the service keeps one annotation pipeline per project;
+    #    query ids are numbered after the project name (beaver-00001, ...).
+    service = AnnotationService()
+    service.register_project(workload.name, workload.schema)
+    pipeline = service.pipeline(workload.name)
+    queries = workload.query_sql
+    print(f"Project ready: {len(queries)} queries to annotate")
+    print(f"Task configuration: {pipeline.config.describe()}\n")
 
-    # 3. Annotation loop: accept the model's top suggestion for the first
-    #    queries, then demonstrate editing and knowledge injection.
-    for sql in list(project.pending_queries)[:3]:
-        record = pipeline.annotate(sql)
+    # 3. Annotation loop: the service accepts the model's top suggestion for
+    #    the first queries; the project's pipeline then shows editing and
+    #    knowledge injection on the next one.
+    service.submit_many(queries[:3], project=workload.name)
+    for completed in service.drain():
+        record = completed.record
         print(f"[{record.query_id}] {record.nl}\n")
 
-    sql = project.pending_queries[0]
-    candidate_set = pipeline.generate_candidates(sql)
+    candidate_set = pipeline.generate_candidates(queries[3])
     print("Candidates for the next query:")
     for index, candidate in enumerate(candidate_set.candidates):
         print(f"  ({index}) {candidate}")

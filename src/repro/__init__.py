@@ -3,8 +3,8 @@
 The package mirrors the system described in *BenchPress: A Human-in-the-Loop
 Annotation System for Rapid Text-to-SQL Benchmark Curation* (CIDR 2026):
 
-* :mod:`repro.core` — the annotation system itself (workspaces, ingestion,
-  the annotation loop, feedback, export),
+* :mod:`repro.core` — the annotation system itself (the annotation service
+  and its projects, ingestion, the annotation loop, feedback, export),
 * :mod:`repro.sql` / :mod:`repro.engine` / :mod:`repro.schema` — the SQL
   front-end, in-memory execution engine, and schema substrate,
 * :mod:`repro.retrieval` / :mod:`repro.llm` — the RAG component and the
@@ -16,31 +16,34 @@ Annotation System for Rapid Text-to-SQL Benchmark Curation* (CIDR 2026):
 
 Quickstart::
 
-    from repro.core import Workspace
-    workspace = Workspace("analyst")
-    project = workspace.create_project_from_benchmark("demo", "Beaver", query_count=10)
-    record = project.pipeline.annotate(project.pending_queries[0])
-    print(record.nl)
+    from repro import AnnotationService, build_benchmark
+    workload = build_benchmark("Beaver", query_count=10)
+    service = AnnotationService()
+    service.register_project("Beaver", workload.schema)
+    service.submit_many(workload.query_sql, project="Beaver")
+    for completed in service.drain():
+        print(completed.record.query_id, completed.record.nl)
 """
 
 from repro.core import (
     AnnotationPipeline,
+    AnnotationService,
     Feedback,
     FeedbackAction,
     TaskConfig,
-    Workspace,
     export_benchmark_json,
 )
 from repro.engine import Database
 from repro.llm import KnowledgeBase, SimulatedLLM
 from repro.retrieval import ContextRetriever, ExampleStore
 from repro.schema import DatabaseSchema
-from repro.workloads import build_all_benchmarks, build_benchmark
+from repro.workloads import build_benchmark
 
 __version__ = "1.0.0"
 
 __all__ = [
     "AnnotationPipeline",
+    "AnnotationService",
     "ContextRetriever",
     "Database",
     "DatabaseSchema",
@@ -50,9 +53,7 @@ __all__ = [
     "KnowledgeBase",
     "SimulatedLLM",
     "TaskConfig",
-    "Workspace",
     "__version__",
-    "build_all_benchmarks",
     "build_benchmark",
     "export_benchmark_json",
 ]

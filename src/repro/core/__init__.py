@@ -1,21 +1,9 @@
-"""The BenchPress system: projects, ingestion, annotation loop, export."""
+"""The BenchPress system: the annotation service, its pipelines, ingestion and export."""
 
 from repro.core.config import AnnotationTask, TaskConfig
-from repro.core.export import (
-    export_benchmark_json,
-    export_jsonl,
-    to_benchmark_records,
-)
+from repro.core.export import export_benchmark_json, to_benchmark_records
 from repro.core.feedback import Feedback, FeedbackAction, FeedbackLoop, FeedbackOutcome
-from repro.core.ingestion import (
-    IngestedDataset,
-    LogEntry,
-    ingest_benchmark,
-    ingest_files,
-    ingest_sql_log,
-    load_benchmark_json,
-    split_sql_log,
-)
+from repro.core.ingestion import split_sql_log
 from repro.core.journal import (
     EventJournal,
     JournalEvent,
@@ -29,7 +17,6 @@ from repro.core.pipeline import (
     WaveRun,
     WaveStats,
 )
-from repro.core.project import Project, Workspace
 from repro.core.scheduler import WaveScheduler
 from repro.core.service import (
     AnnotationJob,
@@ -55,12 +42,9 @@ __all__ = [
     "FeedbackAction",
     "FeedbackLoop",
     "FeedbackOutcome",
-    "IngestedDataset",
     "JournalEvent",
     "JournalRecovery",
     "JournalSalvageReport",
-    "LogEntry",
-    "Project",
     "ProjectStats",
     "ServiceStats",
     "SnapshotManager",
@@ -68,13 +52,7 @@ __all__ = [
     "WaveRun",
     "WaveScheduler",
     "WaveStats",
-    "Workspace",
     "export_benchmark_json",
-    "export_jsonl",
-    "ingest_benchmark",
-    "ingest_files",
-    "ingest_sql_log",
-    "load_benchmark_json",
     "split_sql_log",
     "to_benchmark_records",
 ]

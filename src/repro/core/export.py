@@ -45,16 +45,3 @@ def export_benchmark_json(
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(json.dumps(records, indent=indent), encoding="utf-8")
     return path
-
-
-def export_jsonl(annotations: list[AnnotationRecord], path: str | Path) -> Path:
-    """Write accepted annotations as JSON Lines (one record per line)."""
-    records = to_benchmark_records(annotations)
-    if not records:
-        raise ExportError("there are no accepted annotations to export")
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w", encoding="utf-8") as handle:
-        for record in records:
-            handle.write(json.dumps(record) + "\n")
-    return path

@@ -1,7 +1,7 @@
 """Human feedback handling (paper step 6).
 
-Annotators can rank, refine, discard or add priorities to the LLM's output,
-inject external domain knowledge, and highlight failure patterns.  Feedback is
+Annotators can select, edit, discard or regenerate the LLM's candidates, add
+priorities, inject external domain knowledge, and highlight failure patterns.  Feedback is
 applied to the in-flight annotation *and* folded back into the session state
 (priorities + knowledge base) so later queries benefit from it.
 """
@@ -139,12 +139,6 @@ class FeedbackLoop:
         return FeedbackOutcome(
             final_text=candidates[index], accepted=True, action=feedback.action
         )
-
-    def rank(self, candidates: list[str], ranking: list[int]) -> list[str]:
-        """Reorder candidates according to an annotator-provided ranking."""
-        if sorted(ranking) != list(range(len(candidates))):
-            raise PipelineError("ranking must be a permutation of the candidate indices")
-        return [candidates[index] for index in ranking]
 
     # ------------------------------------------------------------------
     # durability (snapshot) support

@@ -1,136 +1,40 @@
 """Dataset ingestion (paper step 2).
 
-Users upload SQL logs and schema files, or select one of the four supported
-benchmarks.  Logs and schemas are stored server-side (here: inside the
-project) because RAG needs global access to every uploaded document; this
-module parses the uploads into the structures the annotation loop consumes.
+Users upload SQL logs for a project's schema; this module splits an uploaded
+log into the statements that are submitted for annotation.
 """
 
 from __future__ import annotations
 
-import json
-import re
-from dataclasses import dataclass, field
-from pathlib import Path
-
-from repro.errors import IngestionError
-from repro.schema.ddl_parser import parse_ddl_script
-from repro.schema.model import DatabaseSchema
-from repro.sql.parser import parse_select
-
-
-@dataclass
-class LogEntry:
-    """One SQL log statement queued for annotation."""
-
-    entry_id: str
-    sql: str
-    source: str = "upload"
-    valid: bool = True
-    parse_error: str = ""
-    metadata: dict[str, object] = field(default_factory=dict)
-
-
-@dataclass
-class IngestedDataset:
-    """The outcome of one ingestion: a schema plus the parsed SQL log."""
-
-    name: str
-    schema: DatabaseSchema
-    entries: list[LogEntry] = field(default_factory=list)
-
-    @property
-    def valid_entries(self) -> list[LogEntry]:
-        """Entries whose SQL parsed successfully."""
-        return [entry for entry in self.entries if entry.valid]
-
-    @property
-    def invalid_entries(self) -> list[LogEntry]:
-        """Entries that failed to parse (kept for reporting, not annotated)."""
-        return [entry for entry in self.entries if not entry.valid]
+from repro.sql.lexer import scan
 
 
 def split_sql_log(log_text: str) -> list[str]:
     """Split raw log text into individual SQL statements.
 
-    Supports ``;``-separated scripts and line-oriented logs where each
-    non-empty, non-comment line holds one statement.
+    A log holding a ``;`` outside quoted text and comments is a script that
+    splits at each such ``;``; any other log holds one statement per line.
+    Comments are dropped and each run of whitespace between two tokens
+    becomes one space; quoted literals and identifiers are kept as written.
+    A statement that does not lex is split and kept the same way, so it
+    fails on its own when it is annotated.
     """
-    text = log_text.strip()
-    if not text:
-        return []
-    if ";" in text:
-        statements = [statement.strip() for statement in text.split(";")]
-    else:
-        statements = [line.strip() for line in text.splitlines()]
-    cleaned: list[str] = []
-    for statement in statements:
-        if not statement or statement.startswith("--"):
-            continue
-        cleaned.append(re.sub(r"\s+", " ", statement))
-    return cleaned
-
-
-def ingest_sql_log(
-    log_text: str, schema: DatabaseSchema, dataset_name: str = "uploaded"
-) -> IngestedDataset:
-    """Parse an uploaded SQL log against an already-parsed schema."""
-    entries: list[LogEntry] = []
-    for index, sql in enumerate(split_sql_log(log_text), start=1):
-        entry = LogEntry(entry_id=f"{dataset_name.lower()}-{index:05d}", sql=sql)
-        try:
-            parse_select(sql)
-        except Exception as exc:
-            entry.valid = False
-            entry.parse_error = str(exc)
-        entries.append(entry)
-    if not entries:
-        raise IngestionError("the uploaded SQL log contained no statements")
-    return IngestedDataset(name=dataset_name, schema=schema, entries=entries)
-
-
-def ingest_files(
-    schema_path: str | Path, log_path: str | Path, dataset_name: str | None = None
-) -> IngestedDataset:
-    """Ingest a schema DDL file and a SQL log file from disk."""
-    schema_path = Path(schema_path)
-    log_path = Path(log_path)
-    if not schema_path.exists():
-        raise IngestionError(f"schema file not found: {schema_path}")
-    if not log_path.exists():
-        raise IngestionError(f"log file not found: {log_path}")
-    name = dataset_name or schema_path.stem
-    schema = parse_ddl_script(schema_path.read_text(encoding="utf-8"), schema_name=name)
-    return ingest_sql_log(log_path.read_text(encoding="utf-8"), schema, dataset_name=name)
-
-
-def ingest_benchmark(name: str, seed: int = 0, query_count: int = 30,
-                     row_scale: float = 0.002) -> IngestedDataset:
-    """Ingest one of the four built-in benchmarks (Spider/Bird/Fiben/Beaver)."""
-    from repro.workloads.benchmarks import build_benchmark
-
-    workload = build_benchmark(name, seed=seed, query_count=query_count, row_scale=row_scale)
-    entries = [
-        LogEntry(
-            entry_id=query.query_id,
-            sql=query.sql,
-            source=f"benchmark:{workload.name}",
-            metadata={"gold_nl": query.gold_nl, "tables": query.tables},
-        )
-        for query in workload.queries
-    ]
-    return IngestedDataset(name=workload.name, schema=workload.schema, entries=entries)
-
-
-def load_benchmark_json(path: str | Path) -> list[dict[str, object]]:
-    """Load a previously exported benchmark JSON file."""
-    path = Path(path)
-    if not path.exists():
-        raise IngestionError(f"benchmark file not found: {path}")
-    try:
-        payload = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise IngestionError(f"invalid benchmark JSON: {exc}") from exc
-    if not isinstance(payload, list):
-        raise IngestionError("benchmark JSON must be a list of annotation records")
-    return payload
+    spans = list(scan(log_text))
+    scripted = any(
+        kind == "punctuation" and log_text[start] == ";" for kind, start, _ in spans
+    )
+    statements: list[str] = []
+    parts: list[str] = []
+    stop = 0
+    for kind, start, end in spans:
+        semicolon = kind == "punctuation" and log_text[start] == ";"
+        if parts and (semicolon if scripted else "\n" in log_text[stop:start]):
+            statements.append("".join(parts))
+            parts = []
+        if not semicolon:
+            token = log_text[start:end]
+            parts.append(" " + token if parts and stop < start else token)
+        stop = end
+    if parts:
+        statements.append("".join(parts))
+    return statements

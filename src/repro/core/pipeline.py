@@ -94,11 +94,6 @@ class WaveStats:
     regenerated_queries: int = 0
     llm_requests: int = 0
 
-    @property
-    def fixup_rate(self) -> float:
-        """Fraction of queries whose batched prompts went stale mid-wave."""
-        return self.regenerated_queries / self.queries if self.queries else 0.0
-
 
 @dataclass
 class _WaveItem:

@@ -113,10 +113,6 @@ class BackpressureError(PipelineError):
     """
 
 
-class ProjectError(ReproError):
-    """Raised for workspace/project management problems."""
-
-
 class IngestionError(ReproError):
     """Raised when SQL logs or schema files cannot be ingested."""
 

@@ -130,16 +130,3 @@ class PromptBuilder:
             ast=ast,
             tokens=tokens,
         )
-
-    def build_backtranslation(self, nl: str, schema_text: str = "") -> Prompt:
-        """Build an NL-to-SQL prompt for the backtranslation evaluation.
-
-        The paper uses a *vanilla* LLM here (no examples, no chain-of-thought)
-        so the result reflects the information content of the NL alone.
-        """
-        return Prompt(
-            sql=nl,
-            task="nl_to_sql",
-            schema_text=schema_text,
-            num_candidates=1,
-        )

@@ -5,7 +5,6 @@ from repro.metrics.annotation import (
     AnnotationJudgement,
     annotation_accuracy,
     judge_annotation,
-    mean_coverage,
 )
 from repro.metrics.complexity import (
     QuerySetProfile,
@@ -29,7 +28,6 @@ from repro.metrics.execution import (
 from repro.metrics.rubric import (
     RubricJudgement,
     grade_backtranslation,
-    level_distribution,
     mean_level,
 )
 
@@ -51,8 +49,6 @@ __all__ = [
     "execute_safely",
     "grade_backtranslation",
     "judge_annotation",
-    "level_distribution",
-    "mean_coverage",
     "mean_level",
     "profile_databases",
     "profile_query_set",

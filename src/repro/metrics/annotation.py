@@ -83,10 +83,3 @@ def annotation_accuracy(
         1 for sql, description in pairs if judge_annotation(sql, description, threshold).accurate
     )
     return accurate / len(pairs)
-
-
-def mean_coverage(pairs: list[tuple[str, str]]) -> float:
-    """Average fact coverage over (sql, description) pairs."""
-    if not pairs:
-        return 0.0
-    return sum(judge_annotation(sql, description).coverage for sql, description in pairs) / len(pairs)

@@ -147,14 +147,6 @@ def grade_backtranslation(
     return RubricJudgement(level=4, reasons=minor_issues or ["small semantic deviation"])
 
 
-def level_distribution(judgements: list[RubricJudgement]) -> dict[int, int]:
-    """Histogram of rubric levels (keys 1..5 always present)."""
-    distribution = {level: 0 for level in range(1, 6)}
-    for judgement in judgements:
-        distribution[judgement.level] += 1
-    return distribution
-
-
 def mean_level(judgements: list[RubricJudgement]) -> float:
     """Average rubric level (0.0 for an empty list)."""
     if not judgements:

@@ -7,11 +7,7 @@ See ``README.md`` ("Observability") for the metric catalogue and span
 taxonomy.
 """
 
-from repro.obs.logging import (
-    SpanContextFilter,
-    StructuredLogger,
-    get_structured_logger,
-)
+from repro.obs.logging import SpanContextFilter, StructuredLogger
 from repro.obs.metrics import (
     DEFAULT_LATENCY_BUCKETS,
     DEFAULT_SIZE_BUCKETS,
@@ -36,7 +32,6 @@ __all__ = [
     "DEFAULT_RING_CAPACITY",
     "SpanContextFilter",
     "StructuredLogger",
-    "get_structured_logger",
     "Telemetry",
     "NullTelemetry",
     "NULL_TELEMETRY",

@@ -18,7 +18,7 @@ import logging
 
 from repro.obs.trace import current_span
 
-__all__ = ["SpanContextFilter", "StructuredLogger", "get_structured_logger"]
+__all__ = ["SpanContextFilter", "StructuredLogger"]
 
 #: Record attributes stamped by :class:`SpanContextFilter`.
 _SPAN_FIELDS = ("trace_id", "span_id", "project", "job_id")
@@ -77,8 +77,3 @@ class StructuredLogger:
             if context[field] != "" and field not in fields
         )
         self._logger.log(level, " ".join(parts), extra=context)
-
-
-def get_structured_logger(name: str = "repro", level: int = logging.INFO) -> StructuredLogger:
-    """Create (or re-wrap) the structured logger for ``name``."""
-    return StructuredLogger(name, level=level)

@@ -3,25 +3,23 @@
 A :class:`Span` measures one named stretch of work (a drain, a scheduler
 round, a wave, an LLM call) on the monotonic :func:`time.perf_counter` clock,
 so durations are immune to wall-clock adjustments; each span also carries a
-derived unix timestamp (tracer anchor + monotonic offset) so exported traces
+derived unix timestamp (tracer anchor + monotonic offset) so recorded traces
 line up with external logs.
 
 Spans nest: :meth:`Tracer.span` is a context manager that makes the new span
 the *context-local* current span (``contextvars``, so worker threads and
 nested scopes each see their own lineage) and records its parent's id.
 Finished spans land in a bounded in-memory ring buffer — old spans fall off
-the back instead of growing without bound — and can be dumped with
-:meth:`Tracer.export_jsonl` for offline analysis.
+the back instead of growing without bound — and
+:meth:`Tracer.finished_spans` hands them out for analysis.
 """
 
 from __future__ import annotations
 
-import json
 import threading
 import time
 from collections import deque
 from contextvars import ContextVar
-from pathlib import Path
 
 __all__ = ["Span", "Tracer", "current_span", "DEFAULT_RING_CAPACITY"]
 
@@ -85,19 +83,6 @@ class Span:
 
     def set_attribute(self, key: str, value: object) -> None:
         self.attributes[key] = value
-
-    def as_dict(self) -> dict:
-        """JSON-safe form used by the JSONL exporter."""
-        return {
-            "name": self.name,
-            "trace_id": self.trace_id,
-            "span_id": self.span_id,
-            "parent_id": self.parent_id,
-            "start_unix": round(self.start_unix, 6),
-            "duration_seconds": round(self.duration_seconds, 9),
-            "status": self.status,
-            "attributes": self.attributes,
-        }
 
 
 class _SpanScope:
@@ -178,7 +163,7 @@ class Tracer:
             self._ring.append(span)
 
     # ------------------------------------------------------------------
-    # inspection / export
+    # inspection
     # ------------------------------------------------------------------
 
     def finished_spans(self) -> list[Span]:
@@ -189,14 +174,3 @@ class Tracer:
     def clear(self) -> None:
         with self._lock:
             self._ring.clear()
-
-    def export_jsonl(self, path: str | Path) -> int:
-        """Write every buffered span as one JSON object per line.
-
-        Returns the number of spans written.
-        """
-        spans = self.finished_spans()
-        with open(path, "w", encoding="utf-8") as handle:
-            for span in spans:
-                handle.write(json.dumps(span.as_dict(), sort_keys=True) + "\n")
-        return len(spans)

@@ -1,13 +1,12 @@
 """Retrieval-augmented generation substrate: embeddings, vector store, examples."""
 
-from repro.retrieval.embedding import EmbeddingModel, cosine_similarity
+from repro.retrieval.embedding import EmbeddingModel
 from repro.retrieval.example_store import AnnotatedExample, ExampleStore
 from repro.retrieval.retriever import ContextRetriever, RetrievedContext
 from repro.retrieval.text import (
     STOPWORDS,
     character_ngrams,
     normalize_whitespace,
-    sentence_case,
     tokenize_text,
 )
 from repro.retrieval.vector_store import (
@@ -25,8 +24,6 @@ __all__ = [
     "SearchHit",
     "VectorStore",
     "character_ngrams",
-    "cosine_similarity",
     "normalize_whitespace",
-    "sentence_case",
     "tokenize_text",
 ]

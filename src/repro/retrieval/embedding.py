@@ -158,12 +158,6 @@ class EmbeddingModel:
         vector.setflags(write=False)
         return vector
 
-    def embed_batch(self, texts: list[str]) -> np.ndarray:
-        """Embed several texts; returns an array of shape (len(texts), dimensions)."""
-        if not texts:
-            return np.zeros((0, self.dimensions), dtype=np.float64)
-        return np.vstack([self.embed(text) for text in texts])
-
     # ------------------------------------------------------------------
     # durability (snapshot) support
     # ------------------------------------------------------------------
@@ -314,12 +308,3 @@ def _grown(array: np.ndarray, capacity: int) -> np.ndarray:
     grown = np.zeros(capacity, dtype=array.dtype)
     grown[: array.shape[0]] = array
     return grown
-
-
-def cosine_similarity(left: np.ndarray, right: np.ndarray) -> float:
-    """Cosine similarity between two vectors (0.0 when either is zero)."""
-    left_norm = float(np.linalg.norm(left))
-    right_norm = float(np.linalg.norm(right))
-    if left_norm == 0.0 or right_norm == 0.0:
-        return 0.0
-    return float(np.dot(left, right) / (left_norm * right_norm))

@@ -16,7 +16,7 @@ from repro.errors import RetrievalError
 from repro.obs import NULL_TELEMETRY, Telemetry
 from repro.retrieval.embedding import EmbeddingModel
 from repro.retrieval.vector_store import VectorStore
-from repro.sql.normalizer import query_skeleton
+from repro.sql.normalizer import sql_keys
 
 
 def has_quoted_identifier(sql: str) -> bool:
@@ -95,7 +95,7 @@ class ExampleStore:
             quality=quality,
         )
         if skeleton is None:
-            skeleton = query_skeleton(example.sql)
+            skeleton = sql_keys(example.sql).skeleton
         # Index on the SQL text plus the NL so either side retrieves the pair.
         self._store.add(
             example_id,
@@ -108,36 +108,11 @@ class ExampleStore:
         self.version += 1
         return example
 
-    def get(self, example_id: str) -> AnnotatedExample:
-        """Fetch a stored example by id."""
-        if example_id not in self._examples:
-            raise RetrievalError(f"unknown example id {example_id!r}")
-        return self._examples[example_id]
-
     def skeleton(self, example_id: str) -> str:
         """The stored query skeleton of one example."""
         if example_id not in self._skeletons:
             raise RetrievalError(f"unknown example id {example_id!r}")
         return self._skeletons[example_id]
-
-    def all_examples(self) -> list[AnnotatedExample]:
-        """All stored examples in insertion order."""
-        return list(self._examples.values())
-
-    def retrieve(
-        self,
-        sql: str,
-        top_k: int = 3,
-        dataset: str | None = None,
-        exclude_identical: bool = True,
-    ) -> list[AnnotatedExample]:
-        """Return the ``top_k`` most similar prior annotations for a query.
-
-        ``exclude_identical`` drops examples whose literal-free skeleton equals
-        the query's skeleton, so the store never leaks the gold answer for the
-        exact query being annotated.
-        """
-        return self.retrieve_many([sql], top_k, dataset, exclude_identical)[0]
 
     def retrieve_many(
         self,
@@ -147,8 +122,14 @@ class ExampleStore:
         exclude_identical: bool = True,
         skeletons: list[str] | None = None,
     ) -> list[list[AnnotatedExample]]:
-        """:meth:`retrieve` for each of a wave of queries, in order;
-        ``skeletons`` (aligned with ``sqls``) saves lexing them."""
+        """The ``top_k`` most similar prior annotations for each of a wave of
+        queries, in order.
+
+        ``exclude_identical`` drops examples whose literal-free skeleton
+        equals the query's skeleton, so the store never leaks the gold answer
+        for the exact query being annotated.  ``skeletons`` (aligned with
+        ``sqls``) saves lexing the queries.
+        """
         if not sqls:
             return []
         if self.is_empty:
@@ -176,7 +157,8 @@ class ExampleStore:
         exclude_identical: bool = True,
         skeleton: str | None = None,
     ) -> int:
-        """How many examples :meth:`retrieve` would return right now.
+        """How many examples :meth:`retrieve_many` would return for ``sql``
+        right now.
 
         A light-weight variant used by batch-commit validation: it runs the
         same ranked search but materialises no hit objects.  ``skeleton`` is
@@ -201,7 +183,7 @@ class ExampleStore:
         """The leading ranked ids a retrieval for ``sql`` (whose skeleton may
         be supplied) returns."""
         if exclude_identical and skeleton is None:
-            skeleton = query_skeleton(sql)
+            skeleton = sql_keys(sql).skeleton
         kept: list[str] = []
         for doc_id in doc_ids:
             if exclude_identical and self._skeletons[doc_id] == skeleton:
@@ -256,6 +238,6 @@ class ExampleStore:
         self._skeletons = dict(state["skeletons"])
         for example_id, example in self._examples.items():
             if has_quoted_identifier(example.sql):
-                self._skeletons[example_id] = query_skeleton(example.sql)
+                self._skeletons[example_id] = sql_keys(example.sql).skeleton
         self._counter = int(state["counter"])
         self.version = int(state["version"])

@@ -74,14 +74,3 @@ def character_ngrams(text: str, n: int = 3) -> list[str]:
 def normalize_whitespace(text: str) -> str:
     """Collapse runs of whitespace into single spaces and strip the ends."""
     return " ".join(text.split())  # str.split() splits where regex \s+ matches
-
-
-def sentence_case(text: str) -> str:
-    """Capitalise the first letter and ensure terminal punctuation."""
-    cleaned = normalize_whitespace(text)
-    if not cleaned:
-        return cleaned
-    cleaned = cleaned[0].upper() + cleaned[1:]
-    if cleaned[-1] not in ".?!":
-        cleaned += "."
-    return cleaned

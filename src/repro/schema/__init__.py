@@ -4,24 +4,12 @@ from repro.schema.ddl_parser import parse_ddl_script
 from repro.schema.linking import (
     LinkingResult,
     SchemaLink,
-    ambiguous_column_names,
     link_sql_to_schema,
     link_text_to_schema,
     split_identifier,
 )
-from repro.schema.model import (
-    ColumnSchema,
-    DatabaseSchema,
-    ForeignKey,
-    TableSchema,
-    schema_from_database,
-)
-from repro.schema.profiler import (
-    DataProfile,
-    profile_database,
-    profile_schema,
-    relative_difference,
-)
+from repro.schema.model import ColumnSchema, DatabaseSchema, ForeignKey, TableSchema
+from repro.schema.profiler import DataProfile, profile_database
 
 __all__ = [
     "ColumnSchema",
@@ -31,13 +19,9 @@ __all__ = [
     "LinkingResult",
     "SchemaLink",
     "TableSchema",
-    "ambiguous_column_names",
     "link_sql_to_schema",
     "link_text_to_schema",
     "parse_ddl_script",
     "profile_database",
-    "profile_schema",
-    "relative_difference",
-    "schema_from_database",
     "split_identifier",
 ]

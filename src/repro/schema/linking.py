@@ -137,17 +137,3 @@ def link_text_to_schema(
                     SchemaLink(table=table.name, column=column.name, score=score, source="text")
                 )
     return result
-
-
-def ambiguous_column_names(schema: DatabaseSchema) -> dict[str, list[str]]:
-    """Column names that appear in more than one table, with their owners.
-
-    This is the paper's schema-ambiguity signal ("multiple tables with
-    identically named columns such as ``user_id``"); BenchPress surfaces prior
-    query usage for these columns in the annotation context.
-    """
-    owners: dict[str, list[str]] = {}
-    for table in schema.tables:
-        for column in table.columns:
-            owners.setdefault(column.name.lower(), []).append(table.name)
-    return {name: tables for name, tables in owners.items() if len(tables) > 1}

@@ -64,11 +64,6 @@ class TableSchema:
     foreign_keys: list[ForeignKey] = field(default_factory=list)
     description: str = ""
 
-    @property
-    def column_names(self) -> list[str]:
-        """Column names in declaration order."""
-        return [column.name for column in self.columns]
-
     def column(self, name: str) -> ColumnSchema:
         """Look up a column by case-insensitive name (the first declared wins)."""
         column = _find(self, self.columns, name)
@@ -80,16 +75,6 @@ class TableSchema:
         """Whether the table declares a column with the given name."""
         return _find(self, self.columns, name) is not None
 
-    def to_ddl(self) -> str:
-        """Render a CREATE TABLE statement for this table."""
-        elements = [column.render() for column in self.columns]
-        for foreign_key in self.foreign_keys:
-            elements.append(
-                f"FOREIGN KEY ({foreign_key.column}) REFERENCES "
-                f"{foreign_key.referenced_table} ({foreign_key.referenced_column})"
-            )
-        return f"CREATE TABLE {self.name} ({', '.join(elements)})"
-
 
 @dataclass
 class DatabaseSchema:
@@ -98,11 +83,6 @@ class DatabaseSchema:
     name: str
     tables: list[TableSchema] = field(default_factory=list)
     description: str = ""
-
-    @property
-    def table_names(self) -> list[str]:
-        """Table names in declaration order."""
-        return [table.name for table in self.tables]
 
     def table(self, name: str) -> TableSchema:
         """Look up a table by case-insensitive name (the first declared wins)."""
@@ -120,57 +100,3 @@ class DatabaseSchema:
         if self.has_table(table.name):
             raise SchemaError(f"schema {self.name!r} already has a table {table.name!r}")
         self.tables.append(table)
-
-    def all_columns(self) -> list[tuple[str, ColumnSchema]]:
-        """Every (table name, column) pair in the schema."""
-        return [(table.name, column) for table in self.tables for column in table.columns]
-
-    def to_ddl(self) -> str:
-        """Render the whole schema as a DDL script."""
-        return ";\n".join(table.to_ddl() for table in self.tables) + (";" if self.tables else "")
-
-    def column_count(self) -> int:
-        """Total number of columns across all tables."""
-        return sum(len(table.columns) for table in self.tables)
-
-    def serialize_for_prompt(self, table_names: list[str] | None = None) -> str:
-        """Render schema context for LLM prompts.
-
-        When ``table_names`` is given only those tables are rendered; this is
-        how BenchPress keeps prompts focused on the retrieved relevant tables.
-        """
-        selected = self.tables
-        if table_names is not None:
-            wanted = {name.lower() for name in table_names}
-            selected = [table for table in self.tables if table.name.lower() in wanted]
-        lines: list[str] = []
-        for table in selected:
-            columns = ", ".join(column.render() for column in table.columns)
-            lines.append(f"TABLE {table.name} ({columns})")
-            for foreign_key in table.foreign_keys:
-                lines.append(
-                    f"  -- {table.name}.{foreign_key.column} references "
-                    f"{foreign_key.referenced_table}.{foreign_key.referenced_column}"
-                )
-        return "\n".join(lines)
-
-
-def schema_from_database(database: "Database", name: str | None = None) -> DatabaseSchema:  # noqa: F821
-    """Derive a :class:`DatabaseSchema` from an engine :class:`Database` catalog."""
-    from repro.engine.database import Database as EngineDatabase
-
-    if not isinstance(database, EngineDatabase):
-        raise SchemaError("schema_from_database expects a repro.engine.Database")
-    schema = DatabaseSchema(name=name or database.name)
-    for table in database.tables():
-        columns = [
-            ColumnSchema(
-                name=column.name,
-                type_name=column.data_type.value,
-                nullable=not column.not_null,
-                primary_key=column.primary_key,
-            )
-            for column in table.columns
-        ]
-        schema.add_table(TableSchema(name=table.name, columns=columns))
-    return schema

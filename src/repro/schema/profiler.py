@@ -21,7 +21,6 @@ from dataclasses import dataclass
 
 from repro.engine.database import Database
 from repro.errors import SchemaError
-from repro.schema.model import DatabaseSchema
 
 
 @dataclass
@@ -81,42 +80,3 @@ def profile_database(database: Database) -> DataProfile:
         sparsity=sparsity,
         data_type_diversity=len(data_types),
     )
-
-
-def profile_schema(schema: DatabaseSchema) -> DataProfile:
-    """Compute schema-only metrics (row counts and sparsity are zero).
-
-    Useful when only DDL was ingested (no data upload); the annotation
-    pipeline does not need data, but the Table 2 experiment does, so that
-    experiment always profiles populated engine databases instead.
-    """
-    if not schema.tables:
-        raise SchemaError(f"schema {schema.name!r} has no tables")
-    total_columns = schema.column_count()
-    column_name_counts = Counter(
-        column.name.lower() for _, column in schema.all_columns()
-    )
-    unique_names = sum(1 for count in column_name_counts.values() if count == 1)
-    uniqueness = unique_names / len(column_name_counts) if column_name_counts else 1.0
-    data_types = {
-        column.type_name.upper().split("(")[0] for _, column in schema.all_columns()
-    }
-    return DataProfile(
-        columns_per_table=total_columns / len(schema.tables),
-        rows_per_table=0.0,
-        tables_per_db=len(schema.tables),
-        uniqueness=uniqueness,
-        sparsity=0.0,
-        data_type_diversity=len(data_types),
-    )
-
-
-def relative_difference(value: float, baseline: float) -> float:
-    """Relative difference of ``value`` w.r.t. ``baseline`` as used in Tables 1–2.
-
-    Returns a signed fraction: ``(value - baseline) / baseline``.  The paper
-    reports these as percentages with ↑/↓ arrows.
-    """
-    if baseline == 0:
-        return 0.0 if value == 0 else float("inf")
-    return (value - baseline) / baseline

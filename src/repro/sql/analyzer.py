@@ -7,8 +7,8 @@ Provides the building blocks used throughout BenchPress:
 * :func:`analyze_query` — the query-level complexity metrics reported in
   Table 1 of the paper (#keywords, #tokens, #tables, #columns, #aggregations,
   #nestings),
-* :func:`iter_subqueries` — enumeration of nested subqueries, used by the
-  decomposition step and by the complexity metrics.
+* :func:`is_nested` / :func:`nesting_depth` — the nested query blocks that
+  trigger the decomposition step and count toward the complexity metrics.
 """
 
 from __future__ import annotations
@@ -176,13 +176,13 @@ class _QueryWalk:
 
     __slots__ = ("blocks", "relations", "expressions")
 
-    def __init__(self, select: Select, include_ctes: bool = True) -> None:
+    def __init__(self, select: Select) -> None:
         self.blocks: list[Select] = []
         self.relations: list[Relation] = []
         self.expressions: list[Expression] = []
-        self._visit(select, include_ctes)
+        self._visit(select)
 
-    def _visit(self, select: Select, include_ctes: bool) -> None:
+    def _visit(self, select: Select) -> None:
         self.blocks.append(select)
         first_relation = len(self.relations)
         _collect_relations(select.from_relation, self.relations)
@@ -197,18 +197,13 @@ class _QueryWalk:
         conditions = [relation.condition for relation in relations if isinstance(relation, Join)]
         _collect_expressions(conditions, self.expressions, [])
 
-        children = [cte.query for cte in select.ctes] if include_ctes else []
+        children = [cte.query for cte in select.ctes]
         children += [relation.query for relation in relations if isinstance(relation, SubqueryRef)]
         children += subqueries
         if select.set_right is not None:
             children.append(select.set_right)
         for child in children:
-            self._visit(child, include_ctes)
-
-
-def iter_subqueries(select: Select, include_ctes: bool = True) -> Iterator[Select]:
-    """Yield every SELECT nested inside ``select`` (depth-first, excluding itself)."""
-    return iter(_QueryWalk(select, include_ctes).blocks[1:])
+            self._visit(child)
 
 
 # ---------------------------------------------------------------------------
@@ -279,39 +274,14 @@ def extract_aggregates(select: Select) -> list[str]:
     return _aggregates(_QueryWalk(select).expressions)
 
 
-def extract_literals(select: Select) -> list[object]:
-    """Return literal values used in the query (filters, limits, etc.)."""
-    return _literals(_QueryWalk(select).expressions)
-
-
 def nesting_depth(select: Select) -> int:
     """Return the number of nested query blocks (subqueries + CTEs + set branches)."""
     return len(_QueryWalk(select).blocks) - 1
 
 
-def count_joins(select: Select) -> int:
-    """Return the total number of join operators across all query blocks."""
-    return sum(isinstance(relation, Join) for relation in _QueryWalk(select).relations)
-
-
-def count_predicates(select: Select) -> int:
-    """Return the number of atomic predicates (comparisons, IN, LIKE, BETWEEN...)."""
-    return _predicates(_QueryWalk(select).expressions)
-
-
 # ---------------------------------------------------------------------------
 # complexity metrics (Table 1)
 # ---------------------------------------------------------------------------
-
-
-def count_keywords(sql: str) -> int:
-    """Count SQL keyword tokens in the raw query text."""
-    return sum(1 for token in tokenize(sql) if token.kind is TokenKind.KEYWORD)
-
-
-def count_tokens(sql: str) -> int:
-    """Count all lexical tokens in the raw query text."""
-    return len(tokenize(sql))
 
 
 def analyze_query(

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import re
 from functools import lru_cache
+from typing import Iterator
 
 from repro.errors import LexError
 from repro.sql.tokens import KEYWORDS, Token, TokenKind
@@ -146,6 +147,21 @@ class Lexer:
             else:
                 raise LexError(f"unexpected character {value!r}", start, line)
         return tokens
+
+
+def scan(text: str) -> Iterator[tuple[str, int, int]]:
+    """Each token of ``text`` as ``(kind, start, stop)``, in order; never raises.
+
+    ``kind`` names the master regex's group, so a span :func:`tokenize` would
+    reject comes as a ``bad_*`` kind and scanning goes on after it.  Only
+    whitespace and comments lie between the spans.
+    """
+    scanned = text if text.isascii() else text.translate(_STAND_INS)
+    for match in _TOKEN_RE.finditer(scanned):
+        kind = match.lastgroup
+        if kind == "end":
+            return
+        yield kind, *match.span(kind)
 
 
 def word_kind(text: str) -> TokenKind | None:

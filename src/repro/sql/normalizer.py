@@ -1,11 +1,9 @@
-"""SQL normalisation utilities.
+"""Lexical query keys.
 
-Normalisation serves two purposes in the reproduction:
-
-* *exact-match* evaluation of SQL strings (paper step 7 mentions exact match
-  as an automatic metric) needs whitespace/case/alias-insensitive comparison,
-* the example store keys retrieved annotations by a normalised query skeleton
-  so trivially different queries still retrieve each other.
+The example store keys annotated queries by a literal-free skeleton, so that
+a query differing only in its constants never retrieves its own annotation,
+and schema linking caches its results under a whitespace/case normal form.
+Both keys come from one lex of the query text.
 """
 
 from __future__ import annotations
@@ -14,23 +12,7 @@ import re
 from typing import Iterable, NamedTuple
 
 from repro.sql.lexer import tokenize
-from repro.sql.parser import parse_select
-from repro.sql.printer import print_select
 from repro.sql.tokens import TokenKind
-
-
-def normalize_sql(sql: str) -> str:
-    """Return a canonical form of the SQL text.
-
-    The query is parsed and re-printed, which removes comment/whitespace
-    differences and normalises keyword case.  If parsing fails the text is
-    normalised lexically instead (tokens joined by single spaces, keywords
-    upper-cased) so the function never raises on slightly out-of-dialect SQL.
-    """
-    try:
-        return print_select(parse_select(sql))
-    except Exception:
-        return lexical_normalize(sql)
 
 
 # Enum members read once: attribute lookups on the class cost more than the
@@ -89,19 +71,3 @@ def sql_keys(sql: str) -> QueryKeys:
         collapsed = re.sub(r"\s+", " ", sql).strip()
         return QueryKeys(collapsed.lower(), collapsed)
     return token_keys((token.kind, token.value) for token in tokens)
-
-
-def lexical_normalize(sql: str) -> str:
-    """Whitespace/case normalisation that does not require parsing."""
-    return sql_keys(sql).lexical
-
-
-def query_skeleton(sql: str) -> str:
-    """A literal-free skeleton of the query, which the example store uses to
-    keep the annotated query itself out of its retrieved context."""
-    return sql_keys(sql).skeleton
-
-
-def queries_equal(left: str, right: str) -> bool:
-    """Structural equality of two SQL strings after normalisation."""
-    return normalize_sql(left) == normalize_sql(right)

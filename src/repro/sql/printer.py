@@ -7,15 +7,15 @@ library relies on for:
   parses back to an identical tree (same ``repr``), which lets the
   annotation drain hand the decomposer's unit trees downstream instead of
   parsing their text again,
-* presenting decomposed CTEs to annotators,
-* exact-match comparison of normalised SQL strings.
+* presenting decomposed CTEs to annotators.
 
 A SELECT or expression is printed as a stream of tokens: each token's
 ``(kind, value)`` pair, as :func:`~repro.sql.lexer.tokenize` reads it back
 from the text, together with its spelling.  The text is the spellings joined
 with single spaces, except after an opening parenthesis, a dot or a prefix
 sign and before a closing parenthesis, a comma, a dot or a call's opening
-parenthesis.  :func:`print_select_tokens` hands out both, so a caller that
+parenthesis.  A minus sign before text that starts with one keeps its space,
+as ``--`` would start a comment.  :func:`print_select_tokens` hands out both, so a caller that
 needs the tokens of a printed query (its retrieval keys) does not lex the
 text again.
 """
@@ -31,13 +31,10 @@ from repro.sql.ast_nodes import (
     BinaryOperator,
     Cast,
     CaseWhen,
-    ColumnDef,
     ColumnRef,
-    CreateTable,
     Exists,
     Expression,
     FunctionCall,
-    Insert,
     InList,
     InSubquery,
     IsNull,
@@ -50,9 +47,7 @@ from repro.sql.ast_nodes import (
     Relation,
     ScalarSubquery,
     Select,
-    SelectItem,
     Star,
-    Statement,
     SubqueryRef,
     TableRef,
     UnaryOp,
@@ -89,17 +84,6 @@ _JOIN_KEYWORDS = {
 }
 
 
-def print_statement(statement: Statement) -> str:
-    """Render any supported statement to SQL text."""
-    if isinstance(statement, Select):
-        return print_select(statement)
-    if isinstance(statement, CreateTable):
-        return _print_create_table(statement)
-    if isinstance(statement, Insert):
-        return _print_insert(statement)
-    raise TypeError(f"unsupported statement type: {type(statement).__name__}")
-
-
 def print_select(select: Select) -> str:
     """Render a SELECT statement (including WITH clause and set operations)."""
     printer = _Printer()
@@ -118,13 +102,6 @@ def print_select_tokens(select: Select) -> tuple[str, list[PrintedToken] | None]
     printer = _Printer()
     printer.select(select)
     return "".join(printer.parts), printer.tokens if printer.lexes else None
-
-
-def print_relation(relation: Relation) -> str:
-    """Render a FROM-clause relation."""
-    printer = _Printer()
-    printer.relation(relation)
-    return "".join(printer.parts)
 
 
 def print_expression(expression: Expression) -> str:
@@ -352,10 +329,14 @@ class _Printer:
         elif isinstance(expression, UnaryOp):
             if expression.op is UnaryOperator.NOT:
                 self.keywords("NOT")
+                self.operand(expression.operand)
             else:
                 self.add(_OPERATOR, expression.op.value)
                 self.glued = True
-            self.operand(expression.operand)
+                start = len(self.parts)
+                self.operand(expression.operand)
+                if expression.op is UnaryOperator.NEG and self.parts[start][0] == "-":
+                    self.parts[start] = " " + self.parts[start]
         elif isinstance(expression, FunctionCall):
             self.verbatim(expression.upper_name)
             self.open_call()
@@ -434,43 +415,3 @@ class _Printer:
             self.add(_STRING, value, "'" + value.replace("'", "''") + "'")
         else:
             self.verbatim(str(value))
-
-
-def _print_create_table(statement: CreateTable) -> str:
-    elements = [_print_column_def(column) for column in statement.columns]
-    if statement.primary_key:
-        elements.append(f"PRIMARY KEY ({', '.join(statement.primary_key)})")
-    for local_columns, ref_table, ref_columns in statement.foreign_keys:
-        clause = f"FOREIGN KEY ({', '.join(local_columns)}) REFERENCES {ref_table}"
-        if ref_columns:
-            clause += f" ({', '.join(ref_columns)})"
-        elements.append(clause)
-    if_not_exists = "IF NOT EXISTS " if statement.if_not_exists else ""
-    return f"CREATE TABLE {if_not_exists}{statement.name} ({', '.join(elements)})"
-
-
-def _print_column_def(column: ColumnDef) -> str:
-    parts = [column.name, column.type_name]
-    if column.primary_key:
-        parts.append("PRIMARY KEY")
-    elif column.not_null:
-        parts.append("NOT NULL")
-    if column.unique:
-        parts.append("UNIQUE")
-    if column.default is not None:
-        parts.append(f"DEFAULT {print_expression(column.default)}")
-    if column.references is not None:
-        ref_table, ref_column = column.references
-        clause = f"REFERENCES {ref_table}"
-        if ref_column:
-            clause += f" ({ref_column})"
-        parts.append(clause)
-    return " ".join(parts)
-
-
-def _print_insert(statement: Insert) -> str:
-    columns = f" ({', '.join(statement.columns)})" if statement.columns else ""
-    rows = ", ".join(
-        "(" + ", ".join(print_expression(value) for value in row) + ")" for row in statement.rows
-    )
-    return f"INSERT INTO {statement.table}{columns} VALUES {rows}"

@@ -45,10 +45,6 @@ class StudyResult:
         """Annotations of one condition."""
         return [a for a in self.annotations if a.condition is condition]
 
-    def by_dataset(self, dataset: str) -> list[StudyAnnotation]:
-        """Annotations over one dataset."""
-        return [a for a in self.annotations if a.dataset.lower() == dataset.lower()]
-
 
 def assign_conditions(participants: list[Participant]) -> dict[str, Condition]:
     """Balanced Latin-square assignment of participants to conditions.

@@ -11,7 +11,6 @@ from repro.workloads.benchmarks import (
     DEFAULT_ROW_SCALE,
     beaver_spec,
     bird_spec,
-    build_all_benchmarks,
     build_benchmark,
     fiben_spec,
     spider_spec,
@@ -28,7 +27,6 @@ __all__ = [
     "WorkloadSpec",
     "beaver_spec",
     "bird_spec",
-    "build_all_benchmarks",
     "build_benchmark",
     "build_workload",
     "fiben_spec",

@@ -223,15 +223,3 @@ def build_benchmark(
         raise ValueError(f"unknown benchmark {name!r}; expected one of {BENCHMARK_NAMES}")
     spec = _SPEC_BUILDERS[key](row_scale=row_scale, query_count=query_count)
     return build_workload(spec, seed=seed)
-
-
-def build_all_benchmarks(
-    seed: int = 0,
-    row_scale: float = DEFAULT_ROW_SCALE,
-    query_count: int = 60,
-) -> dict[str, Workload]:
-    """Build all four benchmarks keyed by canonical name."""
-    return {
-        name: build_benchmark(name, seed=seed, row_scale=row_scale, query_count=query_count)
-        for name in BENCHMARK_NAMES
-    }

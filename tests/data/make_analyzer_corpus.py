@@ -12,10 +12,12 @@ Regenerating it with the current code only re-records today's behaviour.
 Statements are every distinct SQL text of the perfbench fixtures (annotation
 logs, tenant pools and the Figure 1 gold questions), each with the schema it
 was generated for.  For every statement and every decomposition unit the
-corpus holds the ``analyze_query`` profile, the ``extract_*`` / ``count_*`` /
-``nesting_depth`` / ``is_nested`` results, the printed ``iter_subqueries``
-order (with and without CTEs) and the ``link_sql_to_schema`` result; for every
-statement also the full ``decompose`` output.  Printed SQL and linking results
+corpus holds the ``analyze_query`` profile, the ``extract_*`` /
+``nesting_depth`` / ``is_nested`` results and the ``link_sql_to_schema``
+result; for every statement also the full ``decompose`` output.  (The corpus
+was written with two more keys per block, the printed order of the since
+removed ``iter_subqueries`` with and without CTEs; they were dropped from the
+file, every other recorded value is as written.)  Printed SQL and linking results
 are stored as (64-bit) sha256 digests of their canonical JSON to keep the
 file small.
 The file is byte-identical under any ``PYTHONHASHSEED``.
@@ -33,19 +35,14 @@ from repro.core.snapshot import schema_from_state
 from repro.schema.linking import link_sql_to_schema
 from repro.sql.analyzer import (
     analyze_query,
-    count_joins,
-    count_predicates,
     extract_aggregates,
     extract_columns,
-    extract_literals,
     extract_tables,
     is_nested,
-    iter_subqueries,
     nesting_depth,
 )
 from repro.sql.decompose import decompose
 from repro.sql.parser import parse_select
-from repro.sql.printer import print_select
 
 FIXTURE_DIR = Path(__file__).resolve().parents[2] / "perfbench" / "fixtures"
 
@@ -110,10 +107,7 @@ def profile_block(sql: str, select, schema) -> dict:
         "tables": extract_tables(select),
         "columns": extract_columns(select),
         "aggregate_calls": extract_aggregates(select),
-        "literals": extract_literals(select),
         "nestings": nesting_depth(select),
-        "joins": count_joins(select),
-        "predicates": count_predicates(select),
         "is_nested": is_nested(select),
     }
     complexity = profile.complexity
@@ -131,17 +125,10 @@ def profile_block(sql: str, select, schema) -> dict:
     }
     # The standalone functions agree with the profile; the corpus records
     # one copy and the replay checks both against it.
-    for key in ("tables", "columns", "aggregate_calls", "literals"):
+    for key in ("tables", "columns", "aggregate_calls"):
         assert extracted[key] == block[key], key
-    for key in ("nestings", "joins", "predicates"):
-        assert extracted[key] == complexity.as_dict()[key], key
+    assert extracted["nestings"] == complexity.nestings
     assert extracted["is_nested"] == (complexity.nestings > 0)
-    block["subqueries_digest"] = digest(
-        [print_select(query) for query in iter_subqueries(select)]
-    )
-    block["subqueries_without_ctes_digest"] = digest(
-        [print_select(query) for query in iter_subqueries(select, include_ctes=False)]
-    )
     linking = linking_state(link_sql_to_schema(select, schema))
     block["unresolved_tables"] = linking["unresolved_tables"]
     block["unresolved_columns"] = linking["unresolved_columns"]

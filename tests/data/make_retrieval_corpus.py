@@ -11,11 +11,12 @@ Regenerating it with the current code only re-records today's behaviour.
 Each store replays one fixed add sequence.  After every ``CHECK_EVERY``-th
 add (and after the last) it runs a fixed query set and records, per query
 (named by its position) and per dataset filter: the ranked
-``(doc_id, float.hex(score))`` hits of a one-query index search (what
-``retrieve`` runs) and of the batched search behind ``retrieve_many``, the
-example ids of
-``retrieve``, of ``retrieve_many`` and of ``retrieve`` with
-``exclude_identical=False``, and ``retrieve_count``.
+``(doc_id, float.hex(score))`` hits of a one-query index search and of the
+batched search behind ``retrieve_many``, the example ids of a one-query
+``retrieve_many`` (recorded as ``retrieve``, after the single-query method
+the corpus was written with), of the whole query set's ``retrieve_many`` and
+of a one-query ``retrieve_many`` with ``exclude_identical=False``, and
+``retrieve_count``.
 
 * Three stores each hold one dataset, the only shape a project's archive
   takes in served traffic; one of them outgrows the 64-row initial matrix.
@@ -177,14 +178,14 @@ def checkpoint(store: ExampleStore, queries: list[str], filters: list) -> list[d
                     "batch_hits": hit_pairs(batch_hits),
                     "retrieve": [
                         example.example_id
-                        for example in store.retrieve(query, top_k=top_k, dataset=dataset)
+                        for example in store.retrieve_many([query], top_k=top_k, dataset=dataset)[0]
                     ],
                     "retrieve_many": [example.example_id for example in many_examples],
                     "retrieve_all": [
                         example.example_id
-                        for example in store.retrieve(
-                            query, top_k=top_k, dataset=dataset, exclude_identical=False
-                        )
+                        for example in store.retrieve_many(
+                            [query], top_k=top_k, dataset=dataset, exclude_identical=False
+                        )[0]
                     ],
                     "retrieve_count": store.retrieve_count(query, top_k=top_k, dataset=dataset),
                 })

@@ -7,25 +7,17 @@ import pytest
 from repro.core import (
     AnnotationPipeline,
     AnnotationRecord,
+    AnnotationService,
     AnnotationTask,
     Feedback,
     FeedbackAction,
     FeedbackLoop,
     TaskConfig,
-    Workspace,
     export_benchmark_json,
-    export_jsonl,
-    ingest_sql_log,
-    load_benchmark_json,
     split_sql_log,
     to_benchmark_records,
 )
-from repro.errors import (
-    ExportError,
-    IngestionError,
-    PipelineError,
-    ProjectError,
-)
+from repro.errors import ExportError, PipelineError
 from repro.llm import describe_query
 
 
@@ -72,43 +64,51 @@ class TestIngestion:
         assert len(split_sql_log("SELECT 1\nSELECT 2\n-- comment\n")) == 2
         assert split_sql_log("") == []
 
-    def test_ingest_sql_log_marks_invalid_entries(self, hr_schema):
-        dataset = ingest_sql_log(
-            "SELECT name FROM employees; THIS IS NOT SQL;", hr_schema, dataset_name="demo"
+    def test_commented_statement_is_kept(self):
+        log = "-- daily report\nSELECT a FROM t;\nSELECT b FROM u;"
+        assert split_sql_log(log) == ["SELECT a FROM t", "SELECT b FROM u"]
+
+    def test_semicolon_inside_a_literal_does_not_split(self):
+        log = "SELECT a FROM t WHERE b = 'x;y';\nSELECT c FROM u;"
+        assert split_sql_log(log) == ["SELECT a FROM t WHERE b = 'x;y'", "SELECT c FROM u"]
+
+    def test_whitespace_inside_a_literal_is_kept(self):
+        log = "SELECT  a\tFROM t WHERE b = 'x  y' AND \"c  d\" = 1"
+        assert split_sql_log(log) == ["SELECT a FROM t WHERE b = 'x  y' AND \"c  d\" = 1"]
+
+    def test_statement_that_does_not_lex_keeps_the_others(self):
+        log = "SELECT 'open FROM t;\nSELECT # FROM u; SELECT COUNT(*) FROM v /* ; */;"
+        assert split_sql_log(log) == [
+            "SELECT 'open FROM t",
+            "SELECT # FROM u",
+            "SELECT COUNT(*) FROM v",
+        ]
+
+    def test_line_log_splits_only_outside_literals(self):
+        log = "SELECT a FROM t WHERE b = 'two\nlines'\nSELECT c FROM u\n"
+        assert split_sql_log(log) == ["SELECT a FROM t WHERE b = 'two\nlines'", "SELECT c FROM u"]
+
+    def test_comment_inside_a_statement_is_dropped(self):
+        log = "SELECT a -- the key\nFROM t /* ; */ WHERE b = 1;"
+        assert split_sql_log(log) == ["SELECT a FROM t WHERE b = 1"]
+
+    def test_tokens_keep_their_spelling(self):
+        log = 'select "x  y", COUNT(*) FROM é² WHERE a<>1;'
+        assert split_sql_log(log) == ['select "x  y", COUNT(*) FROM é² WHERE a<>1']
+
+    def test_drain_quarantines_an_unparseable_log_statement(self, hr_schema):
+        service = AnnotationService()
+        service.register_project("demo", hr_schema)
+        service.submit_many(
+            split_sql_log("SELECT name FROM employees; THIS IS NOT SQL;"), project="demo"
         )
-        assert len(dataset.valid_entries) == 1
-        assert len(dataset.invalid_entries) == 1
-        assert dataset.invalid_entries[0].parse_error
-
-    def test_empty_log_raises(self, hr_schema):
-        with pytest.raises(IngestionError):
-            ingest_sql_log("   ", hr_schema)
-
-    def test_ingest_files(self, tmp_path, hr_schema):
-        schema_path = tmp_path / "schema.sql"
-        log_path = tmp_path / "log.sql"
-        schema_path.write_text(hr_schema.to_ddl())
-        log_path.write_text("SELECT name FROM employees;")
-        from repro.core import ingest_files
-
-        dataset = ingest_files(schema_path, log_path)
-        assert dataset.schema.has_table("employees")
-        assert len(dataset.valid_entries) == 1
-
-    def test_ingest_files_missing_raises(self, tmp_path):
-        from repro.core import ingest_files
-
-        with pytest.raises(IngestionError):
-            ingest_files(tmp_path / "nope.sql", tmp_path / "nope2.sql")
-
-    def test_load_benchmark_json(self, tmp_path):
-        path = tmp_path / "bench.json"
-        path.write_text(json.dumps([{"question": "q", "query": "SELECT 1", "db_id": "x"}]))
-        assert load_benchmark_json(path)[0]["db_id"] == "x"
-        bad = tmp_path / "bad.json"
-        bad.write_text("{}")
-        with pytest.raises(IngestionError):
-            load_benchmark_json(bad)
+        committed, failed = service.drain()
+        assert committed.record is not None and committed.record.sql == "SELECT name FROM employees"
+        assert failed.failed and failed.job.sql == "THIS IS NOT SQL"
+        assert failed.error_type == "ParseError"
+        assert service.quarantine == [failed]
+        assert service.stats.completed == 1 and service.stats.failed == 1
+        assert service.pipeline("demo").annotations == [committed.record]
 
 
 class TestFeedbackLoop:
@@ -148,12 +148,6 @@ class TestFeedbackLoop:
         assert len(loop.knowledge) == 1
         assert loop.priorities == ["describe filters explicitly"]
         assert loop.knowledge.failure_patterns
-
-    def test_rank_validates_permutation(self):
-        loop = FeedbackLoop()
-        assert loop.rank(["a", "b"], [1, 0]) == ["b", "a"]
-        with pytest.raises(PipelineError):
-            loop.rank(["a", "b"], [0, 0])
 
 
 class TestPipeline:
@@ -229,12 +223,10 @@ class TestExportAndReview:
         assert len(records) == 2
         assert {"question", "query", "db_id", "query_id"} <= set(records[0])
 
-    def test_export_json_and_jsonl(self, tmp_path, hr_schema):
+    def test_export_json(self, tmp_path, hr_schema):
         annotations = self._records(hr_schema)
         json_path = export_benchmark_json(annotations, tmp_path / "bench.json")
         assert len(json.loads(json_path.read_text())) == 2
-        jsonl_path = export_jsonl(annotations, tmp_path / "bench.jsonl")
-        assert len(jsonl_path.read_text().strip().splitlines()) == 2
 
     def test_export_empty_raises(self, tmp_path):
         with pytest.raises(ExportError):
@@ -265,49 +257,33 @@ class TestExportAndReview:
         annotations = self._records(hr_schema)
         expected = to_benchmark_records(annotations)
         json_path = export_benchmark_json(annotations, tmp_path / "a" / "b.json")
-        jsonl_path = export_jsonl(annotations, tmp_path / "c" / "d.jsonl")
         assert json.loads(json_path.read_text()) == expected
-        lines = jsonl_path.read_text().splitlines()
-        assert [json.loads(line) for line in lines] == expected
 
-    def test_jsonl_export_of_only_discarded_annotations_raises(self, tmp_path):
+    def test_export_of_only_discarded_annotations_raises(self, tmp_path):
         discarded = [AnnotationRecord("q1", "SELECT 1", "one", accepted=False)]
         with pytest.raises(ExportError):
-            export_jsonl(discarded, tmp_path / "x.jsonl")
-        assert not (tmp_path / "x.jsonl").exists()
+            export_benchmark_json(discarded, tmp_path / "x.json")
+        assert not (tmp_path / "x.json").exists()
 
 
-class TestWorkspace:
-    def test_workspace_requires_username(self):
-        with pytest.raises(ProjectError):
-            Workspace("  ")
+class TestServiceProjects:
+    def test_project_name_required(self, hr_schema):
+        with pytest.raises(PipelineError):
+            AnnotationService().register_project("  ", hr_schema)
 
-    def test_api_key_never_exposed(self):
-        workspace = Workspace("alice", api_key="secret")
-        assert workspace.has_api_key
-        assert "secret" not in repr(vars(workspace).keys())
-
-    def test_create_project_from_log_and_progress(self, hr_schema):
-        workspace = Workspace("alice")
-        project = workspace.create_project_from_log(
-            "proj", hr_schema, "SELECT name FROM employees; SELECT dept_name FROM departments;"
-        )
-        assert workspace.project_names == ["proj"]
-        assert len(project.pending_queries) == 2
-        assert project.progress == 0.0
-        project.pipeline.annotate(project.pending_queries[0])
-        assert project.progress == 0.5
-
-    def test_duplicate_project_raises(self, hr_schema):
-        workspace = Workspace("alice")
-        workspace.create_project_from_log("proj", hr_schema, "SELECT 1 FROM employees")
-        with pytest.raises(ProjectError):
-            workspace.create_project_from_log("proj", hr_schema, "SELECT 1 FROM employees")
-
-    def test_delete_project(self, hr_schema):
-        workspace = Workspace("alice")
-        workspace.create_project_from_log("proj", hr_schema, "SELECT name FROM employees")
-        workspace.delete_project("proj")
-        assert workspace.project_names == []
-        with pytest.raises(ProjectError):
-            workspace.project("proj")
+    def test_log_upload_queues_each_statement(self, hr_schema):
+        service = AnnotationService()
+        service.register_project("proj", hr_schema)
+        log = "SELECT name FROM employees; SELECT dept_name FROM departments;"
+        service.submit_many(split_sql_log(log), project="proj")
+        assert service.project_names == ["proj"]
+        assert service.pending_count_for("proj") == 2
+        completed = service.drain(max_jobs=1)
+        assert [job.record.query_id for job in completed] == ["proj-00001"]
+        assert service.pending_count_for("proj") == 1
+        service.drain()
+        assert service.pending_count_for("proj") == 0
+        assert [r.query_id for r in service.pipeline("proj").annotations] == [
+            "proj-00001",
+            "proj-00002",
+        ]

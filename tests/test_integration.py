@@ -1,8 +1,17 @@
 """End-to-end integration tests spanning the full BenchPress pipeline."""
 
+import importlib
 import json
 
-from repro.core import Feedback, FeedbackAction, TaskConfig, Workspace, export_benchmark_json
+import pytest
+
+from repro.core import (
+    AnnotationService,
+    Feedback,
+    FeedbackAction,
+    TaskConfig,
+    export_benchmark_json,
+)
 from repro.llm import SimulatedLLM
 from repro.metrics import grade_backtranslation, judge_annotation
 from repro.study import Condition, StudyRunner, accuracy_table, latency_table
@@ -10,29 +19,36 @@ from repro.study import Condition, StudyRunner, accuracy_table, latency_table
 
 class TestAnnotationEndToEnd:
     def test_benchmark_project_full_loop(self, tmp_path, tiny_beaver):
-        """Ingest a benchmark, annotate with feedback, export, and validate quality."""
-        workspace = Workspace("analyst", api_key="local-key")
-        project = workspace.create_project_from_benchmark(
-            "beaver-curation", "Beaver", query_count=6, seed=11
+        """Register a benchmark project, annotate with feedback, export, and validate quality."""
+        service = AnnotationService()
+        service.register_project(tiny_beaver.name, tiny_beaver.schema)
+        pipeline = service.pipeline(tiny_beaver.name)
+        queries = tiny_beaver.query_sql[:4]
+
+        # Edit step: review the candidates for the first query, accept the top
+        # suggestion and inject domain knowledge along the way.
+        candidate_set = pipeline.generate_candidates(queries[0])
+        feedback = Feedback(
+            action=FeedbackAction.ACCEPT,
+            selected_index=0,
+            knowledge=[("Moira", "the mailing list system")],
         )
-        pipeline = project.pipeline
+        record = pipeline.submit_feedback(candidate_set, feedback)
+        assert record is not None and record.nl
 
-        # Annotate the first queries accepting the top suggestion, inject
-        # domain knowledge along the way.
-        queries = list(project.pending_queries)[:4]
-        for index, sql in enumerate(queries):
-            feedback = Feedback(
-                action=FeedbackAction.ACCEPT,
-                selected_index=0,
-                knowledge=[("Moira", "the mailing list system")] if index == 0 else [],
-            )
-            candidate_set = pipeline.generate_candidates(sql)
-            record = pipeline.submit_feedback(candidate_set, feedback)
-            assert record is not None and record.nl
+        # Bulk step: the service accepts the top suggestion for the rest.
+        service.submit_many(queries[1:], project=tiny_beaver.name)
+        completed = service.drain()
+        assert [job.record.sql for job in completed] == queries[1:]
+        assert all(job.record.nl for job in completed)
 
-        # The example store grows as annotations are accepted (warm retrieval).
+        # The example store grows as annotations are accepted (warm retrieval),
+        # and query ids are numbered after the project name.
         assert pipeline.example_count == 4
         assert len(pipeline.feedback_loop.knowledge) == 1
+        assert [r.query_id for r in pipeline.annotations] == [
+            f"beaver-{n:05d}" for n in range(1, 5)
+        ]
 
         # Export in benchmark-ready JSON.
         path = export_benchmark_json(pipeline.annotations, tmp_path / "bench.json")
@@ -107,3 +123,28 @@ class TestAblations:
         full_fidelity = full.llm.effective_fidelity(full_candidates.prompt)
         bare_fidelity = bare.llm.effective_fidelity(bare_candidates.prompt)
         assert full_fidelity >= bare_fidelity
+
+
+PACKAGES = [
+    "repro",
+    "repro.core",
+    "repro.engine",
+    "repro.evaluation",
+    "repro.llm",
+    "repro.metrics",
+    "repro.obs",
+    "repro.reporting",
+    "repro.retrieval",
+    "repro.schema",
+    "repro.sql",
+    "repro.study",
+    "repro.workloads",
+]
+
+
+class TestPublicSurface:
+    @pytest.mark.parametrize("package", PACKAGES)
+    def test_every_export_resolves_once(self, package):
+        module = importlib.import_module(package)
+        assert [name for name in module.__all__ if not hasattr(module, name)] == []
+        assert len(set(module.__all__)) == len(module.__all__)

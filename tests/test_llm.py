@@ -160,12 +160,13 @@ class TestNl2Sql:
 
     def test_boolean_filter_round_trip(self):
         from repro.engine import Database
-        from repro.schema import schema_from_database
+        from repro.schema import parse_ddl_script
 
+        ddl = "CREATE TABLE flags (id INT, active BOOLEAN)"
         database = Database()
-        database.execute("CREATE TABLE flags (id INT, active BOOLEAN)")
+        database.execute(ddl)
         database.execute("INSERT INTO flags VALUES (1, TRUE), (2, FALSE), (3, TRUE)")
-        schema = schema_from_database(database)
+        schema = parse_ddl_script(ddl)
         sql = "SELECT id FROM flags WHERE active = TRUE"
         predicted = NLToSQLGenerator(schema).generate(describe_query(sql, fidelity=1.0)).sql
         assert compare_execution(database, sql, predicted).match
@@ -193,11 +194,6 @@ class TestPromptsAndKnowledge:
         prompt = PromptBuilder().build("SELECT a FROM t", context=None)
         assert not prompt.has_schema_context
         assert not prompt.has_examples
-
-    def test_backtranslation_prompt(self):
-        prompt = PromptBuilder().build_backtranslation("Find everything.", schema_text="TABLE t (a INT)")
-        assert prompt.task == "nl_to_sql"
-        assert prompt.num_candidates == 1
 
     def test_knowledge_base_dedupes_terms(self):
         knowledge = KnowledgeBase()

@@ -10,8 +10,6 @@ from repro.metrics import (
     execute_safely,
     grade_backtranslation,
     judge_annotation,
-    level_distribution,
-    mean_coverage,
     mean_level,
     profile_query_set,
     relative_to_baseline,
@@ -127,13 +125,12 @@ class TestRubric:
         assert judgement.level in (3, 4)
         assert judgement.level == 4 or judgement.reasons
 
-    def test_distribution_and_mean(self, hr_database):
+    def test_mean_level(self, hr_database):
         judgements = [
             grade_backtranslation(hr_database, "SELECT name FROM employees", "SELECT name FROM employees"),
             grade_backtranslation(hr_database, "SELECT name FROM employees", None),
         ]
-        distribution = level_distribution(judgements)
-        assert distribution[5] == 1 and distribution[1] == 1
+        assert [judgement.level for judgement in judgements] == [5, 1]
         assert mean_level(judgements) == 3.0
         assert mean_level([]) == 0.0
 
@@ -185,12 +182,11 @@ class TestAnnotationMetrics:
         assert judgement.coverage < 0.5
         assert judgement.missing_kinds
 
-    def test_accuracy_and_coverage_aggregates(self):
+    def test_accuracy_aggregate(self):
         sql = "SELECT name FROM employees WHERE salary > 10"
         good = describe_query(sql, fidelity=1.0)
         pairs = [(sql, good), (sql, "unrelated words entirely")]
         assert annotation_accuracy(pairs) == 0.5
-        assert 0.0 < mean_coverage(pairs) < 1.0
         assert annotation_accuracy([]) == 0.0
 
 

@@ -1,6 +1,6 @@
 """Observability-stack tests: the metrics registry (behaviour, exposition
 stability, thread safety), tracer (nesting, context isolation, ring bound,
-JSONL export), structured logging, the Telemetry facade, end-to-end service
+span attributes and timestamps), structured logging, the Telemetry facade, end-to-end service
 instrumentation (drain parity with and without telemetry, quarantine error
 detail, journal/snapshot round-trips of telemetry counters, thread stress
 under flaky clients), and engine-side EXPLAIN ANALYZE plus the slow-query
@@ -12,6 +12,7 @@ import json
 import logging
 import re
 import threading
+import time
 from pathlib import Path
 
 import pytest
@@ -228,25 +229,20 @@ class TestTracer:
         # Worker threads start fresh contexts: no parent leaks across threads.
         assert all(parent is None for parent in seen.values())
 
-    def test_export_jsonl_round_trip(self, tmp_path):
+    def test_spans_keep_their_own_attributes_and_unix_start(self):
         tracer = Tracer()
+        before = time.time()
         with tracer.span("outer", project="alpha"):
             with tracer.span("inner", job_id=7):
                 pass
-        path = tmp_path / "trace.jsonl"
-        assert tracer.export_jsonl(path) == 2
-        lines = path.read_text(encoding="utf-8").splitlines()
-        rows = [json.loads(line) for line in lines]
-        assert [row["name"] for row in rows] == ["inner", "outer"]
-        inner, outer = rows
-        assert inner["parent_id"] == outer["span_id"]
-        assert inner["attributes"] == {"job_id": 7}
-        assert {"trace_id", "start_unix", "duration_seconds", "status"} <= set(inner)
+        after = time.time()
+        inner, outer = tracer.finished_spans()
+        assert inner.parent_id == outer.span_id
+        assert (inner.attributes, outer.attributes) == ({"job_id": 7}, {"project": "alpha"})
+        assert inner.status == outer.status == "ok"
+        # Unix starts derive from the tracer's anchor plus monotonic offsets.
+        assert before - 1.0 <= outer.start_unix <= inner.start_unix <= after + 1.0
 
-
-# ----------------------------------------------------------------------
-# structured logging
-# ----------------------------------------------------------------------
 
 class TestStructuredLogging:
     def test_event_lines_carry_sorted_fields_and_span_ids(self, caplog):

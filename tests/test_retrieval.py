@@ -19,13 +19,11 @@ from repro.retrieval import (
     ExampleStore,
     VectorStore,
     character_ngrams,
-    cosine_similarity,
     normalize_whitespace,
-    sentence_case,
     tokenize_text,
 )
 from repro.retrieval.embedding import _stable_hash
-from repro.sql import decompose, query_skeleton
+from repro.sql import decompose
 from repro.sql.normalizer import sql_keys
 from tests.data.make_retrieval_corpus import (
     checkpoint,
@@ -134,11 +132,6 @@ class TestText:
     def test_normalize_whitespace(self):
         assert normalize_whitespace("  a\n b\t c ") == "a b c"
 
-    def test_sentence_case(self):
-        assert sentence_case("hello world") == "Hello world."
-        assert sentence_case("Already done.") == "Already done."
-        assert sentence_case("") == ""
-
 
 class TestEmbeddingModel:
     def test_embeddings_are_normalised(self):
@@ -157,18 +150,13 @@ class TestEmbeddingModel:
         query = model.embed("student enrollment for the fall term")
         similar = model.embed("student enrollment per term")
         dissimilar = model.embed("network device inventory")
-        assert cosine_similarity(query, similar) > cosine_similarity(query, dissimilar)
+        # Vectors are normalised, so the dot product is the cosine similarity.
+        assert float(query @ similar) > float(query @ dissimilar)
 
     def test_deterministic(self):
         left = EmbeddingModel().embed("SELECT a FROM t")
         right = EmbeddingModel().embed("SELECT a FROM t")
         assert np.allclose(left, right)
-
-    def test_embed_batch_shape(self):
-        model = EmbeddingModel(dimensions=32)
-        batch = model.embed_batch(["a", "b", "c"])
-        assert batch.shape == (3, 32)
-        assert model.embed_batch([]).shape == (0, 32)
 
     @given(st.text(alphabet="abcdef ", min_size=1, max_size=30))
     @settings(max_examples=40, deadline=None)
@@ -206,40 +194,40 @@ class TestExampleStore:
     def test_cold_start_is_empty(self):
         store = ExampleStore()
         assert store.is_empty
-        assert store.retrieve("SELECT a FROM t") == []
+        assert retrieve(store, "SELECT a FROM t") == []
 
     def test_add_and_retrieve(self):
         store = ExampleStore()
         store.add("SELECT COUNT(*) FROM students", "How many students are there?", dataset="beaver")
         store.add("SELECT AVG(salary) FROM employees", "What is the average salary?", dataset="hr")
-        results = store.retrieve("SELECT COUNT(*) FROM students WHERE term = 'fall'", top_k=1)
+        results = retrieve(store, "SELECT COUNT(*) FROM students WHERE term = 'fall'", top_k=1)
         assert results[0].nl == "How many students are there?"
 
     def test_identical_skeleton_excluded(self):
         store = ExampleStore()
         store.add("SELECT a FROM t WHERE b = 'x'", "description one")
-        assert store.retrieve("SELECT a FROM t WHERE b = 'y'") == []
-        assert len(store.retrieve("SELECT a FROM t WHERE b = 'y'", exclude_identical=False)) == 1
+        assert retrieve(store, "SELECT a FROM t WHERE b = 'y'") == []
+        assert len(retrieve(store, "SELECT a FROM t WHERE b = 'y'", exclude_identical=False)) == 1
 
     def test_quoted_identifier_is_not_identical_to_bare_words(self):
         # "a b" is one quoted column; a b is column a under the alias b.
         store = ExampleStore()
         store.add('SELECT "a b" FROM t', "The a b column of t.")
-        assert query_skeleton('SELECT "a b" FROM t') == 'SELECT "a b" FROM t'
-        assert query_skeleton("SELECT a b FROM t") == "SELECT a b FROM t"
-        assert [example.sql for example in store.retrieve("SELECT a b FROM t")] == [
+        assert skeleton_of('SELECT "a b" FROM t') == 'SELECT "a b" FROM t'
+        assert skeleton_of("SELECT a b FROM t") == "SELECT a b FROM t"
+        assert [example.sql for example in retrieve(store, "SELECT a b FROM t")] == [
             'SELECT "a b" FROM t'
         ]
         assert store.retrieve_count("SELECT a b FROM t") == 1
         # Quoting style and case do not matter, as in the lexical key.
-        assert store.retrieve("SELECT `A B` FROM T") == []
+        assert retrieve(store, "SELECT `A B` FROM T") == []
 
     def test_supplied_skeletons_match_computed_ones(self):
         store = ExampleStore()
         store.add("SELECT a FROM t WHERE b = 'x'", "description one")
         store.add("SELECT c FROM u", "description two")
         queries = ["SELECT a FROM t WHERE b = 'y'", "SELECT c FROM u WHERE d = 1"]
-        skeletons = [query_skeleton(sql) for sql in queries]
+        skeletons = [skeleton_of(sql) for sql in queries]
         assert store.retrieve_many(queries, skeletons=skeletons) == store.retrieve_many(queries)
         for sql, skeleton in zip(queries, skeletons):
             assert store.retrieve_count(sql, skeleton=skeleton) == store.retrieve_count(sql)
@@ -254,12 +242,12 @@ class TestExampleStore:
         store = ExampleStore()
         store.add("SELECT a FROM students", "students a", dataset="beaver")
         store.add("SELECT a FROM singers", "singers a", dataset="spider")
-        results = store.retrieve("SELECT b FROM students", dataset="beaver")
+        results = retrieve(store, "SELECT b FROM students", dataset="beaver")
         assert all(example.dataset == "beaver" for example in results)
 
-    def test_get_unknown_raises(self):
+    def test_unknown_example_id_raises(self):
         with pytest.raises(RetrievalError):
-            ExampleStore().get("missing")
+            ExampleStore().skeleton("missing")
 
 
 class TestContextRetriever:
@@ -298,6 +286,15 @@ class TestContextRetriever:
 def search(store, query, top_k=5, metadata_filter=None):
     """One query's hits from a store's batched search."""
     return store.search_batch([query], top_k, metadata_filter)[0]
+
+
+def retrieve(store, sql, **options):
+    """One query's examples from an example store's wave retrieval."""
+    return store.retrieve_many([sql], **options)[0]
+
+
+def skeleton_of(sql):
+    return sql_keys(sql).skeleton
 
 
 class LoopStore:

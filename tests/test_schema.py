@@ -13,14 +13,10 @@ from repro.schema import (
     ColumnSchema,
     DatabaseSchema,
     TableSchema,
-    ambiguous_column_names,
     link_sql_to_schema,
     link_text_to_schema,
     parse_ddl_script,
     profile_database,
-    profile_schema,
-    relative_difference,
-    schema_from_database,
     split_identifier,
 )
 from repro.sql import parse_select
@@ -47,26 +43,6 @@ class TestSchemaModel:
         with pytest.raises(SchemaError):
             hr_schema.add_table(TableSchema(name="employees"))
 
-    def test_to_ddl_round_trips_through_parser(self, hr_schema):
-        ddl = hr_schema.to_ddl()
-        parsed = parse_ddl_script(ddl, schema_name="roundtrip")
-        assert sorted(parsed.table_names) == sorted(hr_schema.table_names)
-        assert parsed.table("employees").foreign_keys[0].referenced_table == "departments"
-
-    def test_serialize_for_prompt_filters_tables(self, hr_schema):
-        text = hr_schema.serialize_for_prompt(["employees"])
-        assert "TABLE employees" in text
-        assert "departments" in text  # via the FK comment
-        assert "TABLE departments" not in text
-
-    def test_column_count_and_all_columns(self, hr_schema):
-        assert hr_schema.column_count() == 8
-        assert len(hr_schema.all_columns()) == 8
-
-    def test_schema_from_database(self, hr_database):
-        schema = schema_from_database(hr_database)
-        assert set(schema.table_names) == {"departments", "employees"}
-        assert schema.table("employees").column("emp_id").primary_key is True
 
 
 def scan_column(table, name):
@@ -122,7 +98,7 @@ class TestNameIndex:
         table.columns.append(ColumnSchema("Budget", "REAL"))
         assert table.column("budget").name == "Budget"
         hr_schema.tables = [hr_schema.tables[-1]]
-        assert hr_schema.table_names == ["Projects"] and not hr_schema.has_table("employees")
+        assert hr_schema.tables[0].name == "Projects" and not hr_schema.has_table("employees")
 
     def test_ddl_built_schema(self):
         schema = parse_ddl_script(
@@ -185,7 +161,7 @@ class TestDDLParser:
         schema = parse_ddl_script(
             "CREATE TABLE a (id INT PRIMARY KEY); CREATE TABLE b (id INT, a_id INT REFERENCES a (id));"
         )
-        assert schema.table_names == ["a", "b"]
+        assert [table.name for table in schema.tables] == ["a", "b"]
         assert schema.table("b").foreign_keys[0].referenced_table == "a"
 
     def test_table_level_constraints(self):
@@ -219,24 +195,8 @@ class TestProfiler:
         with pytest.raises(SchemaError):
             profile_database(Database())
 
-    def test_profile_schema_only(self, hr_schema):
-        profile = profile_schema(hr_schema)
-        assert profile.rows_per_table == 0.0
-        assert profile.tables_per_db == 2
-
-    def test_profile_empty_schema_raises(self):
-        with pytest.raises(SchemaError):
-            profile_schema(DatabaseSchema(name="empty"))
-
-    def test_relative_difference(self):
-        assert relative_difference(50, 100) == -0.5
-        assert relative_difference(150, 100) == 0.5
-        assert relative_difference(0, 0) == 0.0
-
-    def test_as_dict_keys_match_table2(self):
-        keys = profile_schema(
-            DatabaseSchema(name="x", tables=[TableSchema(name="t", columns=[ColumnSchema("a")])])
-        ).as_dict()
+    def test_as_dict_keys_match_table2(self, hr_database):
+        keys = profile_database(hr_database).as_dict()
         for key in ("columns_per_table", "rows_per_table", "tables_per_db", "uniqueness",
                     "sparsity", "data_types"):
             assert key in keys
@@ -278,8 +238,3 @@ class TestLinking:
 
     def test_link_text_no_match(self, hr_schema):
         assert link_text_to_schema("totally unrelated words", hr_schema).tables == []
-
-    def test_ambiguous_column_names(self, hr_schema):
-        ambiguous = ambiguous_column_names(hr_schema)
-        assert "dept_id" in ambiguous
-        assert sorted(ambiguous["dept_id"]) == ["departments", "employees"]

@@ -9,16 +9,10 @@ from hypothesis import given, settings, strategies as st
 from repro.core.snapshot import schema_from_state
 from repro.sql import (
     analyze_query,
-    count_joins,
-    count_keywords,
-    count_predicates,
-    count_tokens,
     extract_aggregates,
     extract_columns,
-    extract_literals,
     extract_tables,
     is_nested,
-    iter_subqueries,
     nesting_depth,
     parse_select,
 )
@@ -102,27 +96,28 @@ class TestExtraction:
         assert aggregates.count("COUNT") == 1
         assert "SUM" in aggregates and "AVG" in aggregates
 
-    def test_extract_literals(self):
-        literals = extract_literals(parse_select("SELECT a FROM t WHERE b = 'x' AND c > 10"))
+    def test_profile_literals(self):
+        literals = analyze_query("SELECT a FROM t WHERE b = 'x' AND c > 10").literals
         assert "x" in literals and 10 in literals
 
-    def test_extract_literals_skips_null(self):
-        assert extract_literals(parse_select("SELECT a FROM t WHERE b IS NULL")) == []
+    def test_profile_literals_skip_null(self):
+        assert analyze_query("SELECT a FROM t WHERE b IS NULL").literals == []
 
 
 class TestCounts:
-    def test_count_keywords(self):
-        assert count_keywords("SELECT a FROM t WHERE b = 1") == 3
+    def test_keyword_count(self):
+        assert analyze_query("SELECT a FROM t WHERE b = 1").complexity.keywords == 3
 
-    def test_count_tokens(self):
-        assert count_tokens("SELECT a FROM t") == 4
+    def test_token_count(self):
+        assert analyze_query("SELECT a FROM t").complexity.tokens == 4
 
-    def test_count_joins(self):
-        assert count_joins(parse_select("SELECT * FROM a JOIN b ON a.x = b.x JOIN c ON b.y = c.y")) == 2
+    def test_join_count(self):
+        sql = "SELECT * FROM a JOIN b ON a.x = b.x JOIN c ON b.y = c.y"
+        assert analyze_query(sql).complexity.joins == 2
 
-    def test_count_predicates(self):
+    def test_predicate_count(self):
         sql = "SELECT a FROM t WHERE a > 1 AND b LIKE 'x%' AND c IN (1, 2) AND d IS NULL"
-        assert count_predicates(parse_select(sql)) == 4
+        assert analyze_query(sql).complexity.predicates == 4
 
     def test_nesting_depth_flat_query(self):
         assert nesting_depth(parse_select("SELECT a FROM t")) == 0
@@ -155,8 +150,8 @@ class TestAnalyzeQuery:
         sql = "select a -- why\nFROM t WHERE a != 1 AND (b = 2)"
         profile = analyze_query(sql, parse_select(sql))
         assert profile == analyze_query(sql)
-        assert profile.complexity.tokens == count_tokens(sql) == 14
-        assert profile.complexity.keywords == count_keywords(sql) == 4
+        assert profile.complexity.tokens == 14
+        assert profile.complexity.keywords == 4
 
     @pytest.mark.parametrize("name", BENCHMARK_NAMES)
     def test_pre_parsed_tree_gives_the_same_profile(self, name):
@@ -256,22 +251,21 @@ def expression_sources(select):
     return sources
 
 
-def oracle_iter_subqueries(select, include_ctes=True):
-    if include_ctes:
-        for cte in select.ctes:
-            yield cte.query
-            yield from oracle_iter_subqueries(cte.query, include_ctes)
+def oracle_iter_subqueries(select):
+    for cte in select.ctes:
+        yield cte.query
+        yield from oracle_iter_subqueries(cte.query)
     for relation in oracle_iter_relations(select.from_relation):
         if isinstance(relation, SubqueryRef):
             yield relation.query
-            yield from oracle_iter_subqueries(relation.query, include_ctes)
+            yield from oracle_iter_subqueries(relation.query)
     for source in expression_sources(select):
         for subquery in oracle_iter_expression_subqueries(source):
             yield subquery
-            yield from oracle_iter_subqueries(subquery, include_ctes)
+            yield from oracle_iter_subqueries(subquery)
     if select.set_right is not None:
         yield select.set_right
-        yield from oracle_iter_subqueries(select.set_right, include_ctes)
+        yield from oracle_iter_subqueries(select.set_right)
 
 
 def oracle_blocks(select):
@@ -400,15 +394,8 @@ def assert_matches_oracle(sql, select):
     assert extract_columns(select) == expected.columns
     assert extract_references(select) == (expected.tables, expected.columns)
     assert extract_aggregates(select) == expected.aggregate_calls
-    assert typed(extract_literals(select)) == typed(expected.literals)
     assert nesting_depth(select) == expected.complexity.nestings
-    assert count_joins(select) == expected.complexity.joins
-    assert count_predicates(select) == expected.complexity.predicates
     assert is_nested(select) is (oracle_nesting_depth(select) > 0)
-    for include_ctes in (True, False):
-        assert [id(query) for query in iter_subqueries(select, include_ctes)] == [
-            id(query) for query in oracle_iter_subqueries(select, include_ctes)
-        ]
     for query in oracle_blocks(select):
         sources = expression_sources(query)
         sources.extend(

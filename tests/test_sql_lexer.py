@@ -185,6 +185,38 @@ class TestGoldenCorpus:
         assert mismatches == []
 
 
+class TestScan:
+    """``scan`` walks the master regex without raising, for the log splitter."""
+
+    @staticmethod
+    def corpus_cases():
+        return json.loads(CORPUS_PATH.read_text(encoding="utf-8"))["cases"]
+
+    def test_spans_start_where_tokens_start(self):
+        for case in self.corpus_cases():
+            if "error" not in case:
+                spans = list(lexer.scan(case["text"]))
+                assert [start for _, start, _ in spans] == [token[2] for token in case["tokens"]]
+                assert not any(kind.startswith("bad_") for kind, _, _ in spans)
+
+    def test_text_that_does_not_lex_is_scanned_to_the_end(self):
+        marked = ("unexpected character", "unterminated string", "unterminated quoted")
+        checked = 0
+        for case in self.corpus_cases():
+            if "error" in case and case["error"][0].startswith(marked):
+                spans = list(lexer.scan(case["text"]))
+                bad = {start for kind, start, _ in spans if kind.startswith("bad_")}
+                assert case["error"][1] in bad, case["text"]
+                checked += 1
+        assert checked > 100
+
+    def test_scanning_goes_on_after_a_bad_span(self):
+        text = "SELECT 'open; SELECT #; SELECT 1"
+        kinds = [(kind, text[start:stop]) for kind, start, stop in lexer.scan(text)]
+        assert ("bad_string", "'") in kinds and ("bad_char", "#") in kinds
+        assert kinds[-1] == ("number", "1")
+
+
 class TestPitfalls:
     def test_unterminated_block_comment_reports_end_of_text(self):
         text = "SELECT 1\n/* never\nclosed"

@@ -1,60 +1,15 @@
-"""Printer round-trip and normaliser tests, including property-based checks."""
+"""Printer and query-key tests, including property-based checks.
 
-import pytest
+The parametrized print/parse round trips live in ``test_sql_roundtrip.py``.
+"""
+
 from hypothesis import given, settings, strategies as st
 
-from repro.sql import (
-    normalize_sql,
-    parse,
-    parse_select,
-    print_select,
-    print_statement,
-    queries_equal,
-    query_skeleton,
-    lexical_normalize,
-)
-
-ROUND_TRIP_QUERIES = [
-    "SELECT a FROM t",
-    "SELECT DISTINCT a, b AS alias FROM t WHERE a > 5 AND b = 'x'",
-    "SELECT COUNT(*), MAX(a) FROM t GROUP BY b HAVING COUNT(*) > 1",
-    "SELECT a FROM t ORDER BY a DESC LIMIT 10 OFFSET 2",
-    "SELECT * FROM a JOIN b ON a.id = b.id LEFT JOIN c ON b.id = c.id",
-    "SELECT a FROM t WHERE a IN (SELECT b FROM u WHERE c = 1)",
-    "SELECT a FROM t WHERE EXISTS (SELECT 1 FROM u WHERE u.id = t.id)",
-    "SELECT a FROM t WHERE a BETWEEN 1 AND 10 OR b LIKE 'x%'",
-    "WITH x AS (SELECT a FROM t) SELECT * FROM x",
-    "SELECT a FROM t UNION ALL SELECT b FROM u",
-    "SELECT CASE WHEN a > 1 THEN 'big' ELSE 'small' END FROM t",
-    "SELECT CAST(a AS INT) FROM t",
-    "SELECT (SELECT MAX(b) FROM u) AS top, a FROM t",
-    "SELECT a FROM t WHERE a IS NOT NULL AND b NOT IN (1, 2)",
-    "SELECT t.* FROM t CROSS JOIN u",
-]
+from repro.sql import parse_select, print_select
+from repro.sql.normalizer import sql_keys
 
 
 class TestRoundTrip:
-    @pytest.mark.parametrize("sql", ROUND_TRIP_QUERIES)
-    def test_print_parse_is_fixed_point(self, sql):
-        first = print_select(parse_select(sql))
-        second = print_select(parse_select(first))
-        assert first == second
-
-    @pytest.mark.parametrize("sql", ROUND_TRIP_QUERIES)
-    def test_round_trip_preserves_equality(self, sql):
-        assert queries_equal(sql, print_select(parse_select(sql)))
-
-    def test_print_create_table_round_trip(self):
-        sql = "CREATE TABLE t (id INT PRIMARY KEY, name VARCHAR(50) NOT NULL)"
-        printed = print_statement(parse(sql))
-        reprinted = print_statement(parse(printed))
-        assert printed == reprinted
-
-    def test_print_insert_round_trip(self):
-        sql = "INSERT INTO t (a, b) VALUES (1, 'x'), (2, NULL)"
-        printed = print_statement(parse(sql))
-        assert print_statement(parse(printed)) == printed
-
     def test_string_escaping_survives(self):
         sql = "SELECT a FROM t WHERE name = 'O''Brien'"
         printed = print_select(parse_select(sql))
@@ -62,38 +17,47 @@ class TestRoundTrip:
         assert print_select(parse_select(printed)) == printed
 
 
-class TestNormalizer:
+def lexical(sql):
+    return sql_keys(sql).lexical
+
+
+def skeleton(sql):
+    return sql_keys(sql).skeleton
+
+
+class TestQueryKeys:
     def test_whitespace_and_case_insensitive(self):
-        assert queries_equal("select  a from T", "SELECT a FROM T")
+        assert lexical("select  a from T") == lexical("SELECT a FROM T")
 
     def test_different_queries_not_equal(self):
-        assert not queries_equal("SELECT a FROM t", "SELECT b FROM t")
+        assert lexical("SELECT a FROM t") != lexical("SELECT b FROM t")
 
     def test_comments_removed(self):
-        assert queries_equal("SELECT a FROM t -- comment", "SELECT a FROM t")
+        assert lexical("SELECT a FROM t -- comment") == lexical("SELECT a FROM t")
 
-    def test_lexical_normalize_handles_unparseable(self):
-        text = lexical_normalize("SELECT something UPDATE weird")
-        assert "SELECT" in text
+    def test_lexical_key_handles_unparseable(self):
+        assert lexical("SELECT something UPDATE weird") == "SELECT something UPDATE weird"
 
-    def test_lexical_normalize_keeps_identifier_quotes(self):
-        quoted = lexical_normalize('select "A b" FROM t')
+    def test_lexical_key_keeps_identifier_quotes(self):
+        quoted = lexical('select "A b" FROM t')
         assert quoted == 'SELECT "a b" FROM t'
-        assert quoted != lexical_normalize("SELECT a b FROM t")
-        assert lexical_normalize("SELECT `a`\n FROM t") == lexical_normalize('SELECT "a" FROM t')
+        assert quoted != lexical("SELECT a b FROM t")
+        assert lexical("SELECT `a`\n FROM t") == lexical('SELECT "a" FROM t')
 
-    def test_normalize_sql_falls_back_on_parse_failure(self):
-        # Not valid in our dialect but should still be normalised lexically.
-        result = normalize_sql("SELCT a FROM t")
-        assert isinstance(result, str) and result
+    def test_keys_fall_back_on_text_that_does_not_lex(self):
+        # An unterminated literal does not lex: the keys collapse whitespace.
+        assert sql_keys("SELECT  A FROM t WHERE b = 'open") == (
+            "select a from t where b = 'open",
+            "SELECT A FROM t WHERE b = 'open",
+        )
 
-    def test_query_skeleton_masks_literals(self):
-        left = query_skeleton("SELECT a FROM t WHERE b = 'x' AND c > 5")
-        right = query_skeleton("SELECT a FROM t WHERE b = 'y' AND c > 99")
+    def test_skeleton_masks_literals(self):
+        left = skeleton("SELECT a FROM t WHERE b = 'x' AND c > 5")
+        right = skeleton("SELECT a FROM t WHERE b = 'y' AND c > 99")
         assert left == right
 
-    def test_query_skeleton_differs_for_structure(self):
-        assert query_skeleton("SELECT a FROM t") != query_skeleton("SELECT a, b FROM t")
+    def test_skeleton_differs_for_structure(self):
+        assert skeleton("SELECT a FROM t") != skeleton("SELECT a, b FROM t")
 
 
 _identifier = st.text(alphabet="abcdefgh", min_size=1, max_size=6)

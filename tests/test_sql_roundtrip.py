@@ -56,7 +56,7 @@ from repro.sql.ast_nodes import (
     TableRef,
 )
 from repro.sql.lexer import Lexer, is_bare_identifier, tokenize
-from repro.sql.normalizer import lexical_normalize, query_skeleton, sql_keys, token_keys
+from repro.sql.normalizer import sql_keys, token_keys
 from repro.sql.parser import Parser
 from repro.sql.printer import print_select_tokens
 from repro.sql.tokens import TokenKind
@@ -73,7 +73,7 @@ def assert_tokens_lex_back(select: Select) -> None:
     text, tokens = print_select_tokens(select)
     assert text == print_select(select)
     assert tokens == [(token.kind, token.value) for token in tokenize(text)]
-    assert token_keys(tokens) == (query_skeleton(text), lexical_normalize(text))
+    assert token_keys(tokens) == sql_keys(text)
 
 
 # ----------------------------------------------------------------------
@@ -329,6 +329,42 @@ def test_generated_selects_round_trip(select):
 @given(_selects())
 @settings(max_examples=200, deadline=None)
 def test_generated_selects_print_the_tokens_they_lex_to(select):
+    assert_tokens_lex_back(select)
+
+
+ROUND_TRIP_QUERIES = [
+    "SELECT a FROM t",
+    "SELECT DISTINCT a, b AS alias FROM t WHERE a > 5 AND b = 'x'",
+    "SELECT COUNT(*), MAX(a) FROM t GROUP BY b HAVING COUNT(*) > 1",
+    "SELECT a FROM t ORDER BY a DESC LIMIT 10 OFFSET 2",
+    "SELECT * FROM a JOIN b ON a.id = b.id LEFT JOIN c ON b.id = c.id",
+    "SELECT a FROM t WHERE a IN (SELECT b FROM u WHERE c = 1)",
+    "SELECT a FROM t WHERE EXISTS (SELECT 1 FROM u WHERE u.id = t.id)",
+    "SELECT a FROM t WHERE a BETWEEN 1 AND 10 OR b LIKE 'x%'",
+    "WITH x AS (SELECT a FROM t) SELECT * FROM x",
+    "SELECT a FROM t UNION ALL SELECT b FROM u",
+    "SELECT CASE WHEN a > 1 THEN 'big' ELSE 'small' END FROM t",
+    "SELECT CAST(a AS INT) FROM t",
+    "SELECT (SELECT MAX(b) FROM u) AS top, a FROM t",
+    "SELECT a FROM t WHERE a IS NOT NULL AND b NOT IN (1, 2)",
+    "SELECT t.* FROM t CROSS JOIN u",
+    # A double negation must not print as "--", which starts a comment.
+    "SELECT - -a, b FROM t WHERE c = 1",
+    "SELECT -(-b), - -1, -(-(-c)) FROM t WHERE c = 1",
+]
+
+
+@pytest.mark.parametrize("sql", ROUND_TRIP_QUERIES)
+def test_print_parse_is_fixed_point(sql):
+    first = print_select(parse_select(sql))
+    second = print_select(parse_select(first))
+    assert first == second
+
+
+@pytest.mark.parametrize("sql", ROUND_TRIP_QUERIES)
+def test_hand_written_statements_round_trip(sql):
+    select = parse_select(sql)
+    assert_round_trips(select)
     assert_tokens_lex_back(select)
 
 

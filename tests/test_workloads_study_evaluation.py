@@ -87,10 +87,11 @@ class TestWorkloadGeneration:
         # PYTHONHASHSEED can show whether generation depends on them.
         script = (
             "import hashlib, json\n"
-            "from repro.workloads import build_all_benchmarks\n"
+            "from repro.workloads import BENCHMARK_NAMES, build_benchmark\n"
             "def digest(value):\n"
             "    return hashlib.sha256(repr(value).encode()).hexdigest()\n"
-            "workloads = build_all_benchmarks(seed=7, row_scale=0.0015, query_count=20)\n"
+            "workloads = {name: build_benchmark(name, seed=7, row_scale=0.0015, query_count=20)\n"
+            "             for name in BENCHMARK_NAMES}\n"
             "print(json.dumps({name: {\n"
             "    'sql': digest([q.sql for q in w.queries]),\n"
             "    'gold_nl': digest([q.gold_nl for q in w.queries]),\n"
