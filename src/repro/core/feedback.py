@@ -32,7 +32,6 @@ class Feedback:
     action: FeedbackAction
     selected_index: int | None = None
     edited_text: str = ""
-    ranking: list[int] = field(default_factory=list)
     new_priorities: list[str] = field(default_factory=list)
     knowledge: list[tuple[str, str]] = field(default_factory=list)  # (term, explanation)
     failure_patterns: list[tuple[str, str]] = field(default_factory=list)
@@ -44,7 +43,6 @@ class Feedback:
             "action": self.action.value,
             "selected_index": self.selected_index,
             "edited_text": self.edited_text,
-            "ranking": list(self.ranking),
             "new_priorities": list(self.new_priorities),
             "knowledge": [list(pair) for pair in self.knowledge],
             "failure_patterns": [list(pair) for pair in self.failure_patterns],
@@ -53,12 +51,15 @@ class Feedback:
 
     @classmethod
     def from_state(cls, state: dict) -> "Feedback":
-        """Rebuild a feedback event from :meth:`to_state` output."""
+        """Rebuild a feedback event from :meth:`to_state` output.
+
+        States written before the unused ``ranking`` field was dropped still
+        carry it; it is ignored.
+        """
         return cls(
             action=FeedbackAction(state["action"]),
             selected_index=state.get("selected_index"),
             edited_text=state.get("edited_text", ""),
-            ranking=list(state.get("ranking", [])),
             new_priorities=list(state.get("new_priorities", [])),
             knowledge=[tuple(pair) for pair in state.get("knowledge", [])],
             failure_patterns=[tuple(pair) for pair in state.get("failure_patterns", [])],

@@ -19,9 +19,11 @@ Hot-path machinery (all transparent to callers):
   uncorrelated-subquery results across ``execute`` calls;
 * a **catalog version** (bumped by CREATE/DROP) that invalidates compiled
   plans whose column indices may have moved, and a **data version** (bumped
-  by every row mutation, including direct ``StoredTable`` inserts) that
-  invalidates cached subquery results — so DML never requires a full cache
-  clear and read-only workloads never re-execute a cached subquery.
+  once per change to a table's rows: each row of a SQL INSERT, each DELETE
+  that removes rows, each bulk :meth:`Database.insert` or direct
+  ``StoredTable.insert_rows`` call) that invalidates cached subquery
+  results — so DML never requires a full cache clear and read-only
+  workloads never re-execute a cached subquery.
 """
 
 from __future__ import annotations
@@ -80,7 +82,7 @@ class Database:
         self._tables: dict[str, StoredTable] = {}
         #: Bumped by CREATE/DROP: compiled plans must re-resolve column indices.
         self.catalog_version = 0
-        #: Bumped by any row mutation: cached subquery/gold results are stale.
+        #: Bumped by any change to rows: cached subquery/gold results are stale.
         self.data_version = 0
         self._statement_cache: OrderedDict[str, Statement] = OrderedDict()
         self._statement_cache_size = statement_cache_size
@@ -174,7 +176,11 @@ class Database:
         self._mark_catalog_change()
 
     def insert(self, table_name: str, rows: list[dict[str, SQLValue]] | list[tuple]) -> int:
-        """Insert rows programmatically; returns the number of rows inserted."""
+        """Insert rows programmatically; returns the number of rows inserted.
+
+        The rows go in as one batch (:meth:`StoredTable.insert_rows`): all of
+        them or, when one is bad, none, with one data-version bump.
+        """
         table = self.table(table_name)
         table.insert_rows(rows)
         return len(rows)

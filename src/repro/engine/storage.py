@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.errors import CatalogError, ExecutionError
-from repro.engine.types import DataType, SQLValue, coerce_value
+from repro.engine.types import STORED_TYPES, DataType, SQLValue, coerce_value
 
 
 @dataclass(frozen=True)
@@ -93,9 +93,11 @@ class StoredTable:
         self.columns = columns
         self.rows: list[tuple[SQLValue, ...]] = []
         self._index_by_name = {column.name.lower(): i for i, column in enumerate(columns)}
-        #: Invoked after every successful row mutation; the owning Database sets
-        #: this to its data-version bump so caches invalidate even when rows
-        #: are inserted directly on the table (as the workload generator does).
+        #: Invoked once per call that changes rows (an ``insert_rows`` batch,
+        #: an ``insert_row``, a ``delete_rows`` that removes any); the owning
+        #: Database sets this to its data-version bump so caches invalidate
+        #: even when rows are inserted directly on the table (as the workload
+        #: generator does).
         self.on_mutation = None
 
     @property
@@ -115,40 +117,70 @@ class StoredTable:
         return name.lower() in self._index_by_name
 
     def insert_row(self, values: dict[str, SQLValue] | list[SQLValue] | tuple[SQLValue, ...]) -> None:
-        """Insert a row, coercing each value to the declared column type.
+        """Insert one row; see :meth:`insert_rows`."""
+        self.insert_rows([values])
 
-        ``values`` may be a mapping from column name to value (missing columns
-        become NULL) or a positional sequence covering every column.
+    def insert_rows(
+        self, rows: list[dict[str, SQLValue]] | list[tuple[SQLValue, ...]]
+    ) -> None:
+        """Insert a batch of rows: all of them, or none.
+
+        Each row is a mapping from column name to value (missing columns
+        become NULL, an unknown name raises :class:`CatalogError`) or a
+        positional sequence covering every column.  The batch is checked
+        column by column: NOT NULL is enforced and each value is coerced to
+        its column's declared type by :func:`coerce_value`, except that a
+        value which already has that type is stored as it is.  A bad row or
+        cell appends nothing and raises what inserting the rows one at a
+        time would have raised first (row-major order).  A call that appends
+        rows fires :attr:`on_mutation` once.
         """
-        if isinstance(values, dict):
-            lowered = {key.lower(): value for key, value in values.items()}
-            unknown = set(lowered) - set(self._index_by_name)
-            if unknown:
-                raise CatalogError(
-                    f"table {self.name!r} has no column(s) {sorted(unknown)!r}"
-                )
-            row = [lowered.get(column.name.lower()) for column in self.columns]
+        positional, shape_error = self._positional_rows(rows)
+        columns = list(zip(*positional))
+        limit = len(positional)
+        loaded: list[tuple | list] = []
+        cell_error: BaseException | None = None
+        for column, values in zip(self.columns, columns):
+            coerced, bad = _load_column(self.name, column, values[:limit])
+            if bad is not None:
+                # Later columns can only fail first in an earlier row.
+                limit, cell_error = bad
+            loaded.append(coerced)
+        if cell_error is not None:
+            raise cell_error
+        if shape_error is not None:
+            raise shape_error
+        if not positional:
+            return
+        if all(coerced is values for coerced, values in zip(loaded, columns)):
+            # Nothing was coerced: keep the caller's rows (tuple() returns a
+            # tuple unchanged) rather than allocate a second tuple per row,
+            # which on a large load mostly costs garbage collections.
+            self.rows.extend(map(tuple, positional))
         else:
-            if len(values) != len(self.columns):
-                raise ExecutionError(
-                    f"expected {len(self.columns)} values for table {self.name!r}, got {len(values)}"
-                )
-            row = list(values)
-
-        coerced: list[SQLValue] = []
-        for column, value in zip(self.columns, row):
-            if value is None and column.not_null:
-                raise ExecutionError(
-                    f"NULL value for NOT NULL column {self.name}.{column.name}"
-                )
-            coerced.append(coerce_value(value, column.data_type))
-        self.rows.append(tuple(coerced))
+            self.rows.extend(zip(*loaded))
         self._mark_mutation()
 
-    def insert_rows(self, rows: list[dict[str, SQLValue]] | list[tuple[SQLValue, ...]]) -> None:
-        """Insert many rows."""
+    def _positional_rows(self, rows) -> tuple[list, BaseException | None]:
+        """``rows`` as positional rows up to the first one of the wrong shape,
+        with that row's error (``None`` when every row has the right shape)."""
+        width = len(self.columns)
+        positional = []
         for row in rows:
-            self.insert_row(row)
+            if isinstance(row, dict):
+                lowered = {key.lower(): value for key, value in row.items()}
+                unknown = lowered.keys() - self._index_by_name.keys()
+                if unknown:
+                    return positional, CatalogError(
+                        f"table {self.name!r} has no column(s) {sorted(unknown)!r}"
+                    )
+                row = tuple(lowered.get(name) for name in self._index_by_name)
+            elif len(row) != width:
+                return positional, ExecutionError(
+                    f"expected {width} values for table {self.name!r}, got {len(row)}"
+                )
+            positional.append(row)
+        return positional, None
 
     def delete_rows(self, predicate=None) -> int:
         """Delete rows matching ``predicate`` (all rows when ``None``).
@@ -190,3 +222,36 @@ class StoredTable:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging convenience
         return f"StoredTable({self.name!r}, columns={self.column_names}, rows={len(self.rows)})"
+
+
+def _load_column(
+    table_name: str, column: StoredColumn, values: tuple[SQLValue, ...]
+) -> tuple[tuple | list | None, tuple[int, BaseException] | None]:
+    """Check and coerce one column of a batch.
+
+    Returns ``(values, None)`` when every value already has the column's
+    stored type (NULLs allowed unless NOT NULL), the coerced values as a new
+    list otherwise, or ``(None, (row index, error))`` for the first bad cell.
+    """
+    stored_type = STORED_TYPES[column.data_type]
+    kinds = set(map(type, values))
+    kinds.discard(stored_type)
+    if not kinds or (kinds == {type(None)} and not column.not_null):
+        return values, None
+    data_type = column.data_type
+    coerced = list(values)
+    for index, value in enumerate(values):
+        if type(value) is stored_type:
+            continue
+        if value is None:
+            if column.not_null:
+                return None, (
+                    index,
+                    ExecutionError(f"NULL value for NOT NULL column {table_name}.{column.name}"),
+                )
+            continue
+        try:
+            coerced[index] = coerce_value(value, data_type)
+        except Exception as exc:  # raised once the whole batch is checked
+            return None, (index, exc)
+    return coerced, None

@@ -63,6 +63,16 @@ _SQL_TYPE_ALIASES: dict[str, DataType] = {
 #: Runtime Python value type. ``None`` represents SQL NULL.
 SQLValue = object
 
+#: The Python type :func:`coerce_value` gives a non-NULL value of each
+#: declared type; a value that already has it is stored unchanged.
+STORED_TYPES: dict[DataType, type] = {
+    DataType.INTEGER: int,
+    DataType.REAL: float,
+    DataType.TEXT: str,
+    DataType.BOOLEAN: bool,
+    DataType.DATE: str,
+}
+
 
 def coerce_value(value: SQLValue, data_type: DataType) -> SQLValue:
     """Coerce a Python value to the declared column type.

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from repro.llm.nl2sql import NLToSQLGenerator
 from repro.llm.sql2nl import describe_query
 from repro.schema.model import DatabaseSchema
-from repro.schema.profiler import profile_database
+from repro.schema.profiler import column_name_uniqueness
 from repro.sql.analyzer import analyze_query
 from repro.sql.ast_nodes import Select
 from repro.sql.parser import parse
@@ -79,13 +79,16 @@ class SimulatedText2SQLModel:
     def for_workload(cls, model_name: str, workload: Workload) -> "SimulatedText2SQLModel":
         """Build a model instance for one workload, deriving schema ambiguity.
 
+        Schema ambiguity is one minus the database's column-name uniqueness
+        (Table 2), which depends on the catalog alone, so building a model
+        reads no rows.
+
         Gold SQL is parsed through the workload database's statement cache,
         so every model predicting a question and the gold execution that
         scores it share one tree.
         """
         profile = TEXT2SQL_PROFILES.get(model_name, Text2SQLProfile(model_name, 0.9, 0.85, 1.0, 1.0))
-        data_profile = profile_database(workload.database)
-        ambiguity = 1.0 - data_profile.uniqueness
+        ambiguity = 1.0 - column_name_uniqueness(workload.database)
         model = cls(profile, workload.schema, schema_ambiguity=ambiguity)
         model._parse_gold = workload.database.parse_cached
         return model

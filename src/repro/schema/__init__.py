@@ -9,7 +9,7 @@ from repro.schema.linking import (
     split_identifier,
 )
 from repro.schema.model import ColumnSchema, DatabaseSchema, ForeignKey, TableSchema
-from repro.schema.profiler import DataProfile, profile_database
+from repro.schema.profiler import DataProfile, column_name_uniqueness, profile_database
 
 __all__ = [
     "ColumnSchema",
@@ -19,6 +19,7 @@ __all__ = [
     "LinkingResult",
     "SchemaLink",
     "TableSchema",
+    "column_name_uniqueness",
     "link_sql_to_schema",
     "link_text_to_schema",
     "parse_ddl_script",

@@ -46,28 +46,35 @@ class DataProfile:
         }
 
 
-def profile_database(database: Database) -> DataProfile:
-    """Compute the Table 2 metrics over a populated engine database."""
+def column_name_uniqueness(database: Database) -> float:
+    """Fraction of the database's column names (case-insensitive) that only
+    one column carries: Table 2's ``uniqueness``.  It reads the catalog only.
+
+    Raises:
+        SchemaError: if the database has no tables.
+    """
     tables = database.tables()
     if not tables:
         raise SchemaError("cannot profile an empty database")
-
-    total_columns = sum(len(table.columns) for table in tables)
-    total_rows = sum(len(table) for table in tables)
-
     column_name_counts = Counter(
         column.name.lower() for table in tables for column in table.columns
     )
     unique_names = sum(1 for count in column_name_counts.values() if count == 1)
-    uniqueness = unique_names / len(column_name_counts) if column_name_counts else 1.0
+    return unique_names / len(column_name_counts)
+
+
+def profile_database(database: Database) -> DataProfile:
+    """Compute the Table 2 metrics over a populated engine database."""
+    uniqueness = column_name_uniqueness(database)
+    tables = database.tables()
+    total_columns = sum(len(table.columns) for table in tables)
+    total_rows = sum(len(table) for table in tables)
 
     null_cells = 0
     total_cells = 0
     for table in tables:
-        width = len(table.columns)
-        total_cells += width * len(table)
-        for row in table.rows:
-            null_cells += sum(1 for value in row if value is None)
+        total_cells += len(table.columns) * len(table)
+        null_cells += sum(row.count(None) for row in table.rows)
     sparsity = null_cells / total_cells if total_cells else 0.0
 
     data_types = {column.data_type for table in tables for column in table.columns}

@@ -19,6 +19,8 @@ from __future__ import annotations
 
 import random
 import zlib
+from collections.abc import Callable
+from functools import partial
 
 from repro.engine.database import Database
 from repro.errors import WorkloadError
@@ -201,7 +203,13 @@ class WorkloadGenerator:
     # ------------------------------------------------------------------
 
     def populate_database(self, schema: DatabaseSchema) -> Database:
-        """Create and populate an engine database matching the schema."""
+        """Create and populate an engine database matching the schema.
+
+        Rows are tuples in column order.  Values are drawn row by row, column
+        by column: a primary key is the row number, any other cell is NULL
+        with probability ``null_rate`` and otherwise drawn by its column's
+        source (see :meth:`_value_source`).
+        """
         database = Database(name=self.spec.name)
         rows_per_table = self.spec.scaled_rows()
 
@@ -212,52 +220,54 @@ class WorkloadGenerator:
                 primary_key=[column.name for column in table.columns if column.primary_key],
             )
 
+        unit_draw = self._rng.random
+        null_rate = self.spec.null_rate
         for table in schema.tables:
-            stored = database.table(table.name)
             fk_targets = {
                 fk.column.lower(): fk.referenced_table for fk in table.foreign_keys
             }
             row_count = max(2, int(rows_per_table * self._rng.uniform(0.6, 1.4)))
-            rows = []
-            for row_index in range(row_count):
-                row: dict[str, object] = {}
-                for column in table.columns:
-                    row[column.name] = self._column_value(
-                        column, row_index, row_count, fk_targets, database
-                    )
-                rows.append(row)
-            stored.insert_rows(rows)
+            sources = [
+                None if column.primary_key else self._value_source(column, fk_targets, database)
+                for column in table.columns
+            ]
+            rows = [
+                tuple(
+                    row_number if draw is None
+                    else None if unit_draw() < null_rate
+                    else draw()
+                    for draw in sources
+                )
+                for row_number in range(1, row_count + 1)
+            ]
+            database.table(table.name).insert_rows(rows)
         return database
 
-    def _column_value(
-        self,
-        column: ColumnSchema,
-        row_index: int,
-        row_count: int,
-        fk_targets: dict[str, str],
-        database: Database,
-    ) -> object:
-        if column.primary_key:
-            return row_index + 1
-        if not column.primary_key and self._rng.random() < self.spec.null_rate:
-            return None
+    def _value_source(
+        self, column: ColumnSchema, fk_targets: dict[str, str], database: Database
+    ) -> Callable[[], object]:
+        """A callable drawing one non-NULL value of a non-key column.
+
+        A foreign key draws a row number of its (already populated) target
+        table; any other column draws from its declared type's distribution.
+        """
+        rng = self._rng
         if column.name.lower() in fk_targets:
-            target = database.table(fk_targets[column.name.lower()])
-            target_rows = len(target)
+            target_rows = len(database.table(fk_targets[column.name.lower()]))
             if target_rows == 0:
-                return None
-            return self._rng.randint(1, target_rows)
+                return lambda: None
+            return partial(rng.randint, 1, target_rows)
 
         base_type = column.type_name.upper().split("(")[0]
         if base_type in ("INT", "INTEGER", "BIGINT", "SMALLINT"):
-            return self._rng.randint(0, 500)
+            return partial(rng.randint, 0, 500)
         if base_type in ("NUMBER", "REAL", "FLOAT", "DECIMAL", "NUMERIC", "DOUBLE"):
-            return round(self._rng.uniform(0, 10000), 2)
+            return lambda: round(rng.uniform(0, 10000), 2)
         if base_type in ("BOOLEAN", "BOOL"):
-            return self._rng.random() < 0.5
+            return lambda: rng.random() < 0.5
         if base_type in ("DATE", "DATETIME", "TIMESTAMP"):
-            return self._rng.choice(_DATE_POOL)
-        return self._rng.choice(TEXT_VALUE_POOL)
+            return partial(rng.choice, _DATE_POOL)
+        return partial(rng.choice, TEXT_VALUE_POOL)
 
     # ------------------------------------------------------------------
     # query generation

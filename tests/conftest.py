@@ -95,3 +95,18 @@ def generated_sql() -> dict[tuple[str, int], list[str]]:
         for name in BENCHMARK_NAMES
         for seed in range(3)
     }
+
+
+@pytest.fixture(scope="session")
+def harness_workloads():
+    """Every benchmark family at the paper harnesses' scale
+    (``benchmarks/conftest.py``: row scale 0.0015, 20 queries), by generator
+    seed 0-2.  Session-scoped: several suites read them and none changes
+    their rows."""
+    return {
+        seed: {
+            name: build_benchmark(name, seed=seed, row_scale=0.0015, query_count=20)
+            for name in BENCHMARK_NAMES
+        }
+        for seed in range(3)
+    }

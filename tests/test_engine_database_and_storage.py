@@ -121,6 +121,11 @@ class TestStoredTable:
         table.insert_rows([(1,), (2,), (None,)])
         assert table.column_values("a") == [1, 2, None]
 
+    def test_list_rows_are_stored_as_tuples(self):
+        table = StoredTable("t", [StoredColumn("a", DataType.INTEGER)])
+        table.insert_rows([[1], [2]])
+        assert table.rows == [(1,), (2,)]
+
     def test_to_relation_uses_alias(self):
         table = StoredTable("t", [StoredColumn("a", DataType.INTEGER)])
         relation = table.to_relation(alias="x")
@@ -209,3 +214,121 @@ class TestFunctions:
     def test_unknown_aggregate_raises(self):
         with pytest.raises(ExecutionError):
             call_aggregate("WEIRD", [1], distinct=False)
+
+
+def _bulk_table() -> StoredTable:
+    return StoredTable(
+        "t",
+        [
+            StoredColumn("a", DataType.INTEGER, not_null=True),
+            StoredColumn("b", DataType.INTEGER),
+            StoredColumn("c", DataType.TEXT),
+        ],
+    )
+
+
+def _first_error_row_by_row(rows) -> BaseException | None:
+    """The error inserting ``rows`` one at a time raises first, if any."""
+    table = _bulk_table()
+    try:
+        for row in rows:
+            table.insert_row(row)
+    except Exception as exc:
+        return exc
+    return None
+
+
+class TestBulkInsert:
+    """``StoredTable.insert_rows`` loads a batch column by column: all or nothing."""
+
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            # A later column fails in an earlier row than an earlier column.
+            [(1, 2, "x"), (2, "bad", "y"), (None, 3, "z")],
+            # An earlier column fails in an earlier row than a later column.
+            [(1, 2, "x"), (None, 3, "y"), (3, "bad", "z")],
+            # Two bad cells in one row: the earlier column's error wins.
+            [(1, 2, "x"), (None, "bad", "y")],
+            # A bad cell before a row of the wrong shape, and the reverse.
+            [(1, "bad", "x"), (1, 2)],
+            [(1, 2, "x"), (1, 2), (None, "bad", "y")],
+            [(1, 2, "x"), {"a": 2, "nope": 1}, (None, 2, "y")],
+            [{"a": 1, "b": "bad"}, {"a": None}],
+            [(1, 2, "x"), (float("inf"), 2, "y")],
+        ],
+    )
+    def test_bad_batch_appends_nothing_and_raises_first_row_major_error(self, rows):
+        expected = _first_error_row_by_row(rows)
+        assert expected is not None
+        database = Database()
+        table = _bulk_table()
+        database._register_table(table)
+        table.insert_rows([(0, 0, "seed")])
+        version = database.data_version
+        with pytest.raises(type(expected)) as raised:
+            table.insert_rows(rows)
+        assert type(raised.value) is type(expected)
+        assert str(raised.value) == str(expected)
+        assert table.rows == [(0, 0, "seed")]
+        assert database.data_version == version
+
+    def test_values_are_coerced_per_declared_type(self):
+        columns = [
+            StoredColumn("i", DataType.INTEGER),
+            StoredColumn("r", DataType.REAL),
+            StoredColumn("t", DataType.TEXT),
+            StoredColumn("b", DataType.BOOLEAN),
+            StoredColumn("d", DataType.DATE),
+        ]
+        rows = [
+            (1, 2.5, "x", True, "2020-01-01"),
+            ("3", 4, 5, "yes", 20200101),
+            (True, "6.5", False, 0, None),
+            (None, None, None, None, None),
+        ]
+        table = StoredTable("t", columns)
+        table.insert_rows(rows)
+        expected = [
+            tuple(coerce_value(value, column.data_type) for value, column in zip(row, columns))
+            for row in rows
+        ]
+        assert table.rows == expected
+        assert [[type(value) for value in row] for row in table.rows] == [
+            [type(value) for value in row] for row in expected
+        ]
+        # A value that already has its column's type is stored as it is.
+        assert all(stored is given for stored, given in zip(table.rows[0], rows[0]))
+        assert table.rows[1][0] == 3 and type(table.rows[2][0]) is int
+
+    def test_mapping_rows_fill_missing_columns_with_null(self):
+        table = _bulk_table()
+        table.insert_rows([{"A": 1, "c": "x"}, {"a": 2, "B": "7"}])
+        assert table.rows == [(1, None, "x"), (2, 7, None)]
+
+    def test_mapping_row_with_unknown_column_raises_catalog_error(self):
+        table = _bulk_table()
+        with pytest.raises(CatalogError, match=r"has no column\(s\) \['nope'\]"):
+            table.insert_rows([{"a": 1}, {"a": 2, "Nope": 3}])
+        assert table.rows == []
+
+    def test_positional_rows_must_cover_every_column(self):
+        table = _bulk_table()
+        with pytest.raises(ExecutionError, match="expected 3 values for table 't', got 2"):
+            table.insert_rows([(1, 2, "x"), (1, 2)])
+        assert table.rows == []
+
+    def test_each_call_bumps_the_data_version_once(self):
+        database = Database()
+        database.create_table("t", [("a", "INT"), ("b", "TEXT")])
+        version = database.data_version
+        assert database.insert("t", [(1, "x"), (2, "y"), (3, "z")]) == 3
+        assert database.data_version == version + 1
+        database.table("t").insert_rows([{"a": 4}, {"a": 5}])
+        assert database.data_version == version + 2
+        database.table("t").insert_rows([])
+        assert database.data_version == version + 2
+        # A SQL INSERT still inserts, and bumps, one row at a time.
+        database.execute("INSERT INTO t VALUES (6, 'u'), (7, 'v')")
+        assert database.data_version == version + 4
+        assert database.row_count("t") == 7

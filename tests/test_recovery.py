@@ -26,6 +26,7 @@ from repro.core import (
 from repro.core.journal import (
     ANNOTATION_COMMITTED,
     DRAIN_STATS,
+    FEEDBACK_APPLIED,
     JOB_SUBMITTED,
     PROJECT_REGISTERED,
     JournalRecovery,
@@ -734,6 +735,50 @@ class TestReplayParity:
             assert semantic_state(warm) == live
             warm.close()
 
+    def test_feedback_with_a_ranking_replays_exactly(self, tmp_path):
+        # Builds that still had ``Feedback.ranking`` journaled and snapshotted
+        # it with every feedback event (always empty); replay ignores it.
+        directory = tmp_path / "svc"
+        service = AnnotationService.open_durable(directory)
+        service.register_project("hr", make_schema())
+        for index, sql in enumerate(QUERIES):
+            if index == 2:
+                service.snapshot()  # the warm start replays the last commits
+            service.submit(sql, project="hr")
+            service.drain()
+        pipeline = service.pipeline("hr")
+        pipeline.submit_feedback(
+            pipeline.generate_candidates(QUERIES[3]),
+            Feedback(action=FeedbackAction.REGENERATE, new_priorities=["name the threshold"]),
+        )
+        live = semantic_state(service)
+        service.close()
+        journal_path = directory / "journal.bin"
+        assert b'"ranking"' not in journal_path.read_bytes()
+
+        rewritten = bytearray()
+        with_ranking = 0
+        for event in EventJournal.read_events(journal_path):
+            if event.type in (ANNOTATION_COMMITTED, FEEDBACK_APPLIED):
+                event.payload["feedback"]["ranking"] = []
+                with_ranking += 1
+            rewritten += encode_record(event.type, event.payload)
+        assert with_ranking == len(QUERIES) + 1
+        journal_path.write_bytes(bytes(rewritten))
+        snapshots = SnapshotManager(directory / "snapshots")
+        offset, state = snapshots.latest()
+        history = state["projects"]["hr"]["feedback_loop"]["history"]
+        assert history
+        for entry in history:
+            entry["ranking"] = []
+        snapshots.save(offset, state)
+
+        cold = AnnotationService.recover(journal_path)
+        assert semantic_state(cold) == live
+        cold.close()
+        warm = AnnotationService.open_durable(directory)  # snapshot + suffix
+        assert semantic_state(warm) == live
+        warm.close()
 
     def test_journal_with_unquoted_skeletons_replays_to_quoted_ones(self, tmp_path):
         directory = tmp_path / "svc"

@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 
 from repro.schema import profile_database
-from tests.data.make_workload_digests import build, record_workload
+from tests.data.make_workload_digests import record_workload
 
 GOLDEN = json.loads(
     (Path(__file__).parent / "data" / "workload_digests.json").read_text(encoding="ascii")
@@ -22,10 +22,13 @@ GOLDEN = json.loads(
 CASES = {(entry["benchmark"], entry["seed"]): entry for entry in GOLDEN["workloads"]}
 
 
-@pytest.fixture(scope="module", params=sorted(CASES), ids=lambda case: f"{case[0]}-{case[1]}")
-def case(request):
+@pytest.fixture(params=sorted(CASES), ids=lambda case: f"{case[0]}-{case[1]}")
+def case(request, harness_workloads):
     name, seed = request.param
-    return CASES[request.param], build(name, seed)
+    workload = harness_workloads[seed][name]
+    assert workload.spec.row_scale == GOLDEN["row_scale"]
+    assert workload.spec.query_count == GOLDEN["query_count"]
+    return CASES[request.param], workload
 
 
 def test_golden_covers_four_benchmarks_at_three_seeds():

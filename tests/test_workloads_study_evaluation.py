@@ -10,6 +10,8 @@ import pytest
 
 import repro
 
+from repro.engine import Database
+from repro.errors import SchemaError
 from repro.evaluation import (
     GENERAL_MODELS,
     TEXT2SQL_PROFILES,
@@ -29,7 +31,7 @@ from repro.reporting import (
     render_table3,
     render_table4,
 )
-from repro.schema import profile_database
+from repro.schema import column_name_uniqueness, profile_database
 from repro.sql import parse_select
 from repro.study import (
     CONDITION_ORDER,
@@ -43,6 +45,7 @@ from repro.study import (
 )
 from repro.workloads import (
     BENCHMARK_NAMES,
+    Workload,
     beaver_spec,
     build_benchmark,
     spider_spec,
@@ -203,6 +206,24 @@ class TestEvaluationHarness:
         assert 0.0 <= score.accuracy <= 1.0
         assert score.evaluated_queries > 0
 
+    def test_for_workload_ambiguity_is_one_minus_table2_uniqueness(self, harness_workloads):
+        for workloads in harness_workloads.values():
+            for workload in workloads.values():
+                profile = profile_database(workload.database)
+                assert column_name_uniqueness(workload.database) == profile.uniqueness
+                model = SimulatedText2SQLModel.for_workload("GPT-4o", workload)
+                assert model._schema_ambiguity == 1.0 - profile.uniqueness
+
+    def test_for_workload_on_empty_database_raises_the_profiler_error(self, tiny_spider):
+        empty = Workload(
+            name="empty", spec=spider_spec(), database=Database(), schema=tiny_spider.schema
+        )
+        with pytest.raises(SchemaError) as profiled:
+            profile_database(empty.database)
+        with pytest.raises(SchemaError) as built:
+            SimulatedText2SQLModel.for_workload("GPT-4o", empty)
+        assert str(built.value) == str(profiled.value)
+
     def test_comprehension_decreases_with_complexity(self, tiny_spider, tiny_beaver):
         model_public = SimulatedText2SQLModel.for_workload("GPT-4o", tiny_spider)
         model_enterprise = SimulatedText2SQLModel.for_workload("GPT-4o", tiny_beaver)
@@ -230,24 +251,8 @@ class TestEvaluationHarness:
         assert "GPT-4o" in GENERAL_MODELS
 
 
-#: The Figure 1 harness scale (``benchmarks/conftest.py``).
-HARNESS_ROW_SCALE = 0.0015
-HARNESS_QUERY_COUNT = 20
+#: Questions per family the Figure 1 harness scores.
 HARNESS_MAX_QUERIES = 12
-
-
-@pytest.fixture(scope="module")
-def harness_workloads():
-    """Every benchmark family at the Figure 1 harness scale, by generator seed 0-2."""
-    return {
-        seed: {
-            name: build_benchmark(
-                name, seed=seed, row_scale=HARNESS_ROW_SCALE, query_count=HARNESS_QUERY_COUNT
-            )
-            for name in BENCHMARK_NAMES
-        }
-        for seed in range(3)
-    }
 
 
 def _figure1_models(benchmark: str) -> tuple[str, ...]:
