@@ -38,16 +38,26 @@ class Feedback:
     comment: str = ""
 
     def to_state(self) -> dict:
-        """JSON-safe representation for the event journal / snapshots."""
-        return {
-            "action": self.action.value,
-            "selected_index": self.selected_index,
-            "edited_text": self.edited_text,
-            "new_priorities": list(self.new_priorities),
-            "knowledge": [list(pair) for pair in self.knowledge],
-            "failure_patterns": [list(pair) for pair in self.failure_patterns],
-            "comment": self.comment,
-        }
+        """JSON-safe representation for the event journal / snapshots.
+
+        Fields at the default :meth:`from_state` fills in (no selected
+        index, empty texts and lists) are left out; a plain accept is
+        ``{"action": "accept", "selected_index": 0}``.
+        """
+        state: dict = {"action": self.action.value}
+        if self.selected_index is not None:
+            state["selected_index"] = self.selected_index
+        if self.edited_text:
+            state["edited_text"] = self.edited_text
+        if self.new_priorities:
+            state["new_priorities"] = list(self.new_priorities)
+        if self.knowledge:
+            state["knowledge"] = [list(pair) for pair in self.knowledge]
+        if self.failure_patterns:
+            state["failure_patterns"] = [list(pair) for pair in self.failure_patterns]
+        if self.comment:
+            state["comment"] = self.comment
+        return state
 
     @classmethod
     def from_state(cls, state: dict) -> "Feedback":

@@ -9,6 +9,15 @@ reconstructs the full service state bit-for-bit (see
 as the audit trail the paper's non-functional requirements call for: every
 annotation decision is an inspectable, ordered, checksummed record.
 
+Each fact is written once.  An ``annotation_committed`` event carries the
+annotation record (statement SQL, NL, candidates, action), the feedback
+that shaped it, and — when the record entered the retrieval archive — the
+archived example's id, dataset, tables, quality and query skeleton; the
+example's SQL and NL are the record's, so they are not repeated (journals
+from builds that did repeat them still replay, the copies unread).
+Schemas (in ``project_registered``) and feedback leave out every field at
+the default their readers fill in.
+
 On-disk format (little-endian, one record after another)::
 
     +----------------+----------------+------------------------+

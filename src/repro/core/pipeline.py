@@ -407,14 +407,18 @@ class AnnotationPipeline:
             # Shallow dicts, not dataclasses.asdict: the payload is consumed
             # by json.dumps before anything can mutate it, and asdict's
             # recursive deep copy is measurable on this per-commit path.  The
-            # example carries the skeleton the archive just computed, so
-            # replay need not lex its SQL again.
+            # example leaves out its SQL and NL, which are the record's
+            # (stripped), and carries the skeleton the archive just computed,
+            # so replay need not lex its SQL again.
             example_state = None
             if example is not None:
-                example_state = dict(
-                    vars(example),
-                    skeleton=self.retriever.example_store.skeleton(example.example_id),
-                )
+                example_state = {
+                    "example_id": example.example_id,
+                    "dataset": example.dataset,
+                    "tables": example.tables,
+                    "quality": example.quality,
+                    "skeleton": self.retriever.example_store.skeleton(example.example_id),
+                }
             self._journal.append(
                 ANNOTATION_COMMITTED,
                 {

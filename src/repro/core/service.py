@@ -1099,10 +1099,13 @@ class AnnotationService:
     ) -> None:
         """Re-apply one journaled event to the in-memory state.
 
-        Replay never calls the LLM: committed annotations carry their record,
-        feedback and archived example verbatim, and re-applying them in
-        journal order reproduces the live state bit-for-bit (same example
-        ids, same embedding statistics, same feedback history/revision).
+        Replay never calls the LLM.  An ``annotation_committed`` event
+        carries the record, the feedback and, when the record entered the
+        archive, the archived example's id, dataset, tables, quality and
+        skeleton; the example's SQL and NL are the record's, so they are
+        written once, in the record.  Re-applying the events in journal
+        order reproduces the live state bit-for-bit (same example ids, same
+        embedding statistics, same feedback history/revision).
         """
         payload = event.payload
         if event.type == PROJECT_REGISTERED:
@@ -1149,11 +1152,13 @@ class AnnotationService:
                 # quotes hold a stale one for SQL with a quoted identifier;
                 # add() computes the skeleton in both cases.
                 skeleton = example.get("skeleton")
-                if has_quoted_identifier(example["sql"]):
+                if has_quoted_identifier(record_state["sql"]):
                     skeleton = None
+                # The live commit archived the record's SQL and NL, and add()
+                # strips both; the copies older journals keep are ignored.
                 pipeline.retriever.example_store.add(
-                    example["sql"],
-                    example["nl"],
+                    record_state["sql"],
+                    record_state["nl"],
                     dataset=example["dataset"],
                     tables=list(example["tables"]),
                     quality=example["quality"],

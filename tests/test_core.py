@@ -1,5 +1,6 @@
 """Tests for the BenchPress core: config, ingestion, feedback, pipeline, export, projects."""
 
+import dataclasses
 import json
 
 import pytest
@@ -148,6 +149,44 @@ class TestFeedbackLoop:
         assert len(loop.knowledge) == 1
         assert loop.priorities == ["describe filters explicitly"]
         assert loop.knowledge.failure_patterns
+
+
+class TestFeedbackState:
+    FEEDBACK = [
+        Feedback(action=FeedbackAction.ACCEPT, selected_index=0),
+        Feedback(action=FeedbackAction.DISCARD),
+        Feedback(action=FeedbackAction.EDIT, selected_index=1, edited_text="Fixed.", comment="typo"),
+        Feedback(
+            action=FeedbackAction.REGENERATE,
+            new_priorities=["name the filter"],
+            knowledge=[("J-term", "January term")],
+            failure_patterns=[("misses ordering", "mention ORDER BY")],
+        ),
+    ]
+
+    @pytest.mark.parametrize("feedback", FEEDBACK, ids=lambda feedback: feedback.action.value)
+    def test_state_round_trips_to_an_equal_object(self, feedback):
+        state = json.loads(json.dumps(feedback.to_state()))
+        assert Feedback.from_state(state) == feedback
+
+    @pytest.mark.parametrize("feedback", FEEDBACK, ids=lambda feedback: feedback.action.value)
+    def test_state_omits_exactly_the_defaults(self, feedback):
+        defaults = Feedback.from_state({"action": feedback.action.value})
+        kept = {
+            field.name
+            for field in dataclasses.fields(Feedback)
+            if getattr(feedback, field.name) != getattr(defaults, field.name)
+        }
+        assert set(feedback.to_state()) == {"action"} | kept
+
+    def test_plain_accept_state(self):
+        assert self.FEEDBACK[0].to_state() == {"action": "accept", "selected_index": 0}
+
+    @pytest.mark.parametrize("feedback", FEEDBACK, ids=lambda feedback: feedback.action.value)
+    def test_full_form_state_loads_equal(self, feedback):
+        # Earlier builds wrote every field, defaults included.
+        full = json.loads(json.dumps(dict(dataclasses.asdict(feedback), action=feedback.action.value)))
+        assert Feedback.from_state(full) == feedback
 
 
 class TestPipeline:

@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import base64
 import copy
+import dataclasses
 import json
 import struct
 import zlib
@@ -31,6 +32,7 @@ from repro.core.journal import (
     PROJECT_REGISTERED,
     JournalRecovery,
 )
+from repro.core.snapshot import schema_from_state
 from repro.errors import JournalError, SnapshotError
 from repro.obs import Telemetry
 from repro.retrieval.embedding import _stable_hash
@@ -780,6 +782,65 @@ class TestReplayParity:
         assert semantic_state(warm) == live
         warm.close()
 
+    def test_journal_and_snapshot_in_the_full_form_replay_exactly(self, tmp_path):
+        # Earlier builds repeated each archived example's SQL and NL inside
+        # its commit event and wrote schemas and feedback with every field,
+        # defaults included.  Both forms still load to the same state.
+        directory = tmp_path / "svc"
+        service = AnnotationService.open_durable(directory)
+        service.register_project("hr", make_schema())
+        for index, sql in enumerate(QUERIES):
+            if index == 2:
+                service.snapshot()  # the warm start replays the last commits
+            service.submit(sql, project="hr")
+            service.drain()
+        pipeline = service.pipeline("hr")
+        pipeline.submit_feedback(
+            pipeline.generate_candidates(QUERIES[3]),
+            Feedback(action=FeedbackAction.REGENERATE, new_priorities=["name the threshold"]),
+        )
+        live = semantic_state(service)
+        service.close()
+        journal_path = directory / "journal.bin"
+
+        def full_feedback(state: dict) -> dict:
+            feedback = Feedback.from_state(state)
+            return dict(dataclasses.asdict(feedback), action=feedback.action.value)
+
+        rewritten = bytearray()
+        copies = 0
+        for event in EventJournal.read_events(journal_path):
+            payload = event.payload
+            if event.type == PROJECT_REGISTERED:
+                payload["schema"] = dataclasses.asdict(schema_from_state(payload["schema"]))
+            if event.type in (ANNOTATION_COMMITTED, FEEDBACK_APPLIED):
+                payload["feedback"] = full_feedback(payload["feedback"])
+            example = payload.get("example") if event.type == ANNOTATION_COMMITTED else None
+            if example is not None:
+                assert "sql" not in example and "nl" not in example
+                record = payload["record"]
+                payload["example"] = dict(
+                    example, sql=record["sql"].strip(), nl=record["nl"].strip()
+                )
+                copies += 1
+            rewritten += encode_record(event.type, payload)
+        assert copies == len(QUERIES)
+        journal_path.write_bytes(bytes(rewritten))
+        snapshots = SnapshotManager(directory / "snapshots")
+        offset, state = snapshots.latest()
+        project = state["projects"]["hr"]
+        project["schema"] = dataclasses.asdict(schema_from_state(project["schema"]))
+        history = project["feedback_loop"]["history"]
+        project["feedback_loop"]["history"] = [full_feedback(entry) for entry in history]
+        snapshots.save(offset, state)
+
+        cold = AnnotationService.recover(journal_path)
+        assert semantic_state(cold) == live
+        cold.close()
+        warm = AnnotationService.open_durable(directory)  # snapshot + suffix
+        assert semantic_state(warm) == live
+        warm.close()
+
     def test_journal_with_unquoted_skeletons_replays_to_quoted_ones(self, tmp_path):
         directory = tmp_path / "svc"
         live = drain_quoted_queries(directory)
@@ -794,7 +855,7 @@ class TestReplayParity:
         for event in EventJournal.read_events(journal_path):
             example = event.payload.get("example") if event.type == ANNOTATION_COMMITTED else None
             if example is not None:
-                old = unquoted_skeleton(example["sql"])
+                old = unquoted_skeleton(event.payload["record"]["sql"])
                 changed += old != example["skeleton"]
                 example["skeleton"] = old
             rewritten += encode_record(event.type, event.payload)

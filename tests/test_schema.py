@@ -136,24 +136,71 @@ class TestNameIndex:
         assert "_name_index" not in repr(hr_schema) + json.dumps(schema_to_state(hr_schema))
 
 
+def non_default_fields(item) -> set[str]:
+    """Names of the dataclass fields of ``item`` that differ from their defaults."""
+    names = set()
+    for field in dataclasses.fields(item):
+        if field.default is not dataclasses.MISSING:
+            default = field.default
+        elif field.default_factory is not dataclasses.MISSING:
+            default = field.default_factory()
+        else:
+            default = dataclasses.MISSING
+        if getattr(item, field.name) != default:
+            names.add(field.name)
+    return names
+
+
 class TestSchemaState:
-    def test_equals_asdict_byte_for_byte(self, hr_schema):
+    @pytest.fixture()
+    def described(self, hr_schema):
         hr_schema.tables[0].description = "people"
         hr_schema.tables[0].columns[1].description = "full name"
         hr_schema.description = "HR"
-        state = schema_to_state(hr_schema)
-        assert state == dataclasses.asdict(hr_schema)
-        assert json.dumps(state) == json.dumps(dataclasses.asdict(hr_schema))
-        assert schema_from_state(state) == hr_schema
+        return hr_schema
+
+    def test_round_trips_to_an_equal_schema(self, described):
+        state = json.loads(json.dumps(schema_to_state(described)))
+        assert schema_from_state(state) == described
+        empty = DatabaseSchema(name="empty", tables=[TableSchema(name="t")])
+        assert schema_from_state(schema_to_state(empty)) == empty
+
+    def test_omits_exactly_the_defaults(self, described):
+        state = schema_to_state(described)
+        assert set(state) == non_default_fields(described)
+        for table, table_state in zip(described.tables, state["tables"], strict=True):
+            assert set(table_state) == non_default_fields(table)
+            for column, column_state in zip(
+                table.columns, table_state["columns"], strict=True
+            ):
+                assert set(column_state) == non_default_fields(column)
+                for name, value in column_state.items():
+                    assert getattr(column, name) == value
+        assert state["tables"][1] == {
+            "name": "departments",
+            "columns": [
+                {"name": "dept_id", "type_name": "INT", "nullable": False, "primary_key": True},
+                {"name": "dept_name"},
+                {"name": "budget", "type_name": "REAL"},
+            ],
+        }
+
+    def test_asdict_form_still_loads_equal(self, described):
+        # Earlier builds wrote dataclasses.asdict(schema), defaults included.
+        state = json.loads(json.dumps(dataclasses.asdict(described)))
+        assert schema_from_state(state) == described
 
     def test_returns_fresh_containers(self, hr_schema):
         first, second = schema_to_state(hr_schema), schema_to_state(hr_schema)
+        expected = json.loads(json.dumps(second))
         first["tables"][0]["columns"].append({"name": "extra"})
         first["tables"][0]["columns"][0]["name"] = "renamed"
+        first["tables"][0]["foreign_keys"].clear()
         first["tables"].clear()
-        assert second == dataclasses.asdict(hr_schema)
+        assert second == expected
         assert hr_schema.tables[0].columns[0].name == "emp_id"
         assert len(hr_schema.tables[0].columns) == 5
+        assert len(hr_schema.tables[0].foreign_keys) == 1
 
 
 class TestDDLParser:
