@@ -350,21 +350,28 @@ class Database:
         return QueryResult(columns=[], rows=[])
 
     def _execute_insert(self, statement: Insert) -> QueryResult:
+        """Insert every ``VALUES`` row, or none of them.
+
+        All rows are evaluated and, under a column list, arity-checked
+        before one :meth:`StoredTable.insert_rows` call checks and appends
+        them, so a bad row leaves the table as it was (as in SQLite) and the
+        statement bumps the data version once.
+        """
         table = self.table(statement.table)
-        inserted = 0
+        rows = []
         for row in statement.rows:
-            values = [self._literal_value(expression) for expression in row]
+            values = tuple(self._literal_value(expression) for expression in row)
             if statement.columns:
                 if len(values) != len(statement.columns):
                     raise ExecutionError(
                         f"INSERT into {statement.table!r}: {len(statement.columns)} columns "
                         f"but {len(values)} values"
                     )
-                table.insert_row(dict(zip(statement.columns, values)))
+                rows.append(dict(zip(statement.columns, values)))
             else:
-                table.insert_row(values)
-            inserted += 1
-        return QueryResult(columns=["rows_inserted"], rows=[(inserted,)])
+                rows.append(values)
+        table.insert_rows(rows)
+        return QueryResult(columns=["rows_inserted"], rows=[(len(rows),)])
 
     def _execute_delete(self, statement: Delete) -> QueryResult:
         table = self.table(statement.table)

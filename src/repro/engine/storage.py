@@ -94,10 +94,9 @@ class StoredTable:
         self.rows: list[tuple[SQLValue, ...]] = []
         self._index_by_name = {column.name.lower(): i for i, column in enumerate(columns)}
         #: Invoked once per call that changes rows (an ``insert_rows`` batch,
-        #: an ``insert_row``, a ``delete_rows`` that removes any); the owning
-        #: Database sets this to its data-version bump so caches invalidate
-        #: even when rows are inserted directly on the table (as the workload
-        #: generator does).
+        #: a ``delete_rows`` that removes any); the owning Database sets this
+        #: to its data-version bump so caches invalidate even when rows are
+        #: inserted directly on the table (as the workload generator does).
         self.on_mutation = None
 
     @property
@@ -115,10 +114,6 @@ class StoredTable:
     def has_column(self, name: str) -> bool:
         """Whether the table has the given column (case-insensitive)."""
         return name.lower() in self._index_by_name
-
-    def insert_row(self, values: dict[str, SQLValue] | list[SQLValue] | tuple[SQLValue, ...]) -> None:
-        """Insert one row; see :meth:`insert_rows`."""
-        self.insert_rows([values])
 
     def insert_rows(
         self, rows: list[dict[str, SQLValue]] | list[tuple[SQLValue, ...]]

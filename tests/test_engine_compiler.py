@@ -178,7 +178,7 @@ class TestVersionedInvalidation:
         database.execute("CREATE TABLE t (id INT)")
         version = database.data_version
         database.execute("INSERT INTO t (id) VALUES (1), (2)")
-        assert database.data_version == version + 2
+        assert database.data_version == version + 1  # one bump per statement
         read_version = database.data_version
         database.execute("SELECT * FROM t")
         assert database.data_version == read_version  # reads do not invalidate

@@ -114,7 +114,7 @@ class TestStoredTable:
     def test_positional_insert_length_checked(self):
         table = StoredTable("t", [StoredColumn("a", DataType.INTEGER)])
         with pytest.raises(ExecutionError):
-            table.insert_row((1, 2))
+            table.insert_rows([(1, 2)])
 
     def test_column_values(self):
         table = StoredTable("t", [StoredColumn("a", DataType.INTEGER)])
@@ -232,7 +232,7 @@ def _first_error_row_by_row(rows) -> BaseException | None:
     table = _bulk_table()
     try:
         for row in rows:
-            table.insert_row(row)
+            table.insert_rows([row])
     except Exception as exc:
         return exc
     return None
@@ -328,7 +328,7 @@ class TestBulkInsert:
         assert database.data_version == version + 2
         database.table("t").insert_rows([])
         assert database.data_version == version + 2
-        # A SQL INSERT still inserts, and bumps, one row at a time.
+        # A SQL INSERT appends all its rows in one call, so it bumps once.
         database.execute("INSERT INTO t VALUES (6, 'u'), (7, 'v')")
-        assert database.data_version == version + 4
+        assert database.data_version == version + 3
         assert database.row_count("t") == 7

@@ -717,3 +717,49 @@ PROJECTION_QUERIES = [
 @pytest.mark.parametrize("sql", PROJECTION_QUERIES)
 def test_projection_parity(mixed_database, sql):
     assert_parity(mixed_database, sql)
+
+
+# ---------------------------------------------------------------------------
+# multi-row INSERT against sqlite3: all rows or none
+# ---------------------------------------------------------------------------
+
+#: (CREATE TABLE, INSERT); each table starts with the row (0, 0).
+MULTI_ROW_INSERTS = [
+    ("CREATE TABLE t (a INT NOT NULL)", "INSERT INTO t VALUES (1), (NULL)"),
+    ("CREATE TABLE t (a INT NOT NULL)", "INSERT INTO t VALUES (1), (2), (3)"),
+    ("CREATE TABLE t (a INT NOT NULL, b INT)", "INSERT INTO t (a, b) VALUES (1, 2), (NULL, 3)"),
+    ("CREATE TABLE t (a INT NOT NULL, b INT)", "INSERT INTO t (b) VALUES (1), (2)"),
+    ("CREATE TABLE t (a INT NOT NULL, b INT)", "INSERT INTO t (a) VALUES (1), (2, 3)"),
+    ("CREATE TABLE t (a INT, b INT)", "INSERT INTO t VALUES (1, 2), (3)"),
+    ("CREATE TABLE t (a INT, b INT)", "INSERT INTO t (b, a) VALUES (1, 2), (-3, 4)"),
+]
+
+
+@pytest.mark.parametrize("create, insert", MULTI_ROW_INSERTS)
+def test_multi_row_insert_matches_sqlite(create, insert):
+    width = create.count(" INT")
+    seed = "INSERT INTO t VALUES (" + ", ".join(["0"] * width) + ")"
+    oracle = sqlite3.connect(":memory:")
+    try:
+        oracle.execute(create)
+        oracle.execute(seed)
+        try:
+            oracle.execute(insert)
+            oracle_failed = False
+        except sqlite3.Error:
+            oracle_failed = True
+        expected = oracle.execute("SELECT * FROM t").fetchall()
+    finally:
+        oracle.close()
+    database = Database("inserts")
+    database.execute(create)
+    database.execute(seed)
+    version = database.data_version
+    try:
+        database.execute(insert)
+        engine_failed = False
+    except ReproError:
+        engine_failed = True
+    assert engine_failed == oracle_failed, insert
+    assert database.query("SELECT * FROM t") == expected, insert
+    assert database.data_version == version + (0 if engine_failed else 1), insert
