@@ -25,35 +25,40 @@ Quickstart::
         print(completed.record.query_id, completed.record.nl)
 """
 
-from repro.core import (
-    AnnotationPipeline,
-    AnnotationService,
-    Feedback,
-    FeedbackAction,
-    TaskConfig,
-    export_benchmark_json,
-)
-from repro.engine import Database
-from repro.llm import KnowledgeBase, SimulatedLLM
-from repro.retrieval import ContextRetriever, ExampleStore
-from repro.schema import DatabaseSchema
-from repro.workloads import build_benchmark
+import importlib
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "AnnotationPipeline",
-    "AnnotationService",
-    "ContextRetriever",
-    "Database",
-    "DatabaseSchema",
-    "ExampleStore",
-    "Feedback",
-    "FeedbackAction",
-    "KnowledgeBase",
-    "SimulatedLLM",
-    "TaskConfig",
-    "__version__",
-    "build_benchmark",
-    "export_benchmark_json",
-]
+#: Each top-level export and the subpackage it lives in.  They resolve on
+#: first access (PEP 562), so importing one subpackage, say
+#: ``repro.engine``, does not load numpy and the annotation stack.
+_EXPORTS = {
+    "AnnotationPipeline": "repro.core",
+    "AnnotationService": "repro.core",
+    "ContextRetriever": "repro.retrieval",
+    "Database": "repro.engine",
+    "DatabaseSchema": "repro.schema",
+    "ExampleStore": "repro.retrieval",
+    "Feedback": "repro.core",
+    "FeedbackAction": "repro.core",
+    "KnowledgeBase": "repro.llm",
+    "SimulatedLLM": "repro.llm",
+    "TaskConfig": "repro.core",
+    "build_benchmark": "repro.workloads",
+    "export_benchmark_json": "repro.core",
+}
+
+__all__ = sorted([*_EXPORTS, "__version__"])
+
+
+def __getattr__(name: str):
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(module), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_EXPORTS})

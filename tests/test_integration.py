@@ -2,6 +2,10 @@
 
 import importlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -148,3 +152,27 @@ class TestPublicSurface:
         module = importlib.import_module(package)
         assert [name for name in module.__all__ if not hasattr(module, name)] == []
         assert len(set(module.__all__)) == len(module.__all__)
+
+    def test_importing_the_engine_loads_no_annotation_stack(self):
+        # The top-level exports resolve on first access, so a subpackage
+        # import pulls in neither numpy nor repro.core.
+        script = (
+            "import sys\n"
+            "import repro.engine\n"
+            "print('numpy' in sys.modules, 'repro.core' in sys.modules)\n"
+            "import repro\n"
+            "missing = [name for name in repro.__all__ if getattr(repro, name, None) is None]\n"
+            "print(missing, sorted(repro.__all__) == sorted(set(repro.__all__) & set(dir(repro))))\n"
+        )
+        src = str(Path(importlib.import_module("repro").__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH", "")]))
+        result = subprocess.run(
+            [sys.executable, "-c", script],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=120,
+            check=True,
+        )
+        assert result.stdout.splitlines() == ["False False", "[] True"]
