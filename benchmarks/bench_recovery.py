@@ -10,8 +10,11 @@ workload:
   — reaches the same semantic state as the process that wrote it.
 * **Warm start wins.**  Recovering from the latest snapshot plus the journal
   suffix is at least ``min_warm_speedup`` times faster than replaying the
-  whole journal, because snapshot restore skips candidate re-scoring and
-  re-embedding.
+  whole journal, because snapshot restore loads the archive's stored
+  vectors and IDF state instead of re-applying and re-embedding every
+  commit.  Commit events carry each archived example's feature profile, so
+  neither path tokenises archived text; the margin is the replay work the
+  snapshot skips.
 
 Set ``RECOVERY_BENCH_PROFILE=smoke`` for the CI-sized run: a smaller
 workload and a looser overhead ceiling (fixed per-drain costs loom larger

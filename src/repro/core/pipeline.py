@@ -99,7 +99,8 @@ class WaveStats:
 class _WaveItem:
     """One query's in-flight state inside a wave."""
 
-    sql: str
+    statement: str  # as submitted
+    sql: str  # without surrounding blanks and trailing semicolons
     query_id: str | None
     decomposition: DecompositionResult | None
     unit_names: list[str | None]  # None = whole-query (flat) unit
@@ -243,7 +244,7 @@ class AnnotationPipeline:
         self, sql: str, query_id: str | None = None, commit_tag: object = None
     ) -> _WaveItem:
         """Strip, parse and (when nested) decompose one statement."""
-        sql = sql.strip().rstrip(";")
+        statement, sql = sql, sql.strip().rstrip(";")
         if not sql:
             raise PipelineError("cannot annotate an empty SQL string")
         select = parse_select(sql)
@@ -277,6 +278,7 @@ class AnnotationPipeline:
             unit_keys = [keys]
             unit_references = [None]
         return _WaveItem(
+            statement=statement,
             sql=sql,
             query_id=query_id,
             decomposition=decomposition,
@@ -353,6 +355,8 @@ class AnnotationPipeline:
         feedback: Feedback,
         query_id: str | None = None,
         commit_tag: object = None,
+        *,
+        tagged_sql: str | None = None,
     ) -> AnnotationRecord | None:
         """Apply annotator feedback; returns the record when one is produced.
 
@@ -365,7 +369,10 @@ class AnnotationPipeline:
         the feedback that shaped it are appended as *one* atomic event, so a
         crash either persists the whole commit or none of it.  ``commit_tag``
         is an opaque caller token (the service passes job ids) embedded in the
-        event so replay can settle queue bookkeeping.
+        event so replay can settle queue bookkeeping.  ``tagged_sql`` is the
+        statement submitted under that tag (the job's SQL); when the record's
+        SQL equals it, the journaled record leaves its SQL out and replay
+        takes it from the job.
         """
         outcome = self.feedback_loop.apply(candidate_set.candidates, feedback)
         if outcome.needs_regeneration:
@@ -408,23 +415,32 @@ class AnnotationPipeline:
             # by json.dumps before anything can mutate it, and asdict's
             # recursive deep copy is measurable on this per-commit path.  The
             # example leaves out its SQL and NL, which are the record's
-            # (stripped), and carries the skeleton the archive just computed,
-            # so replay need not lex its SQL again.
+            # (stripped), and carries the skeleton and the feature profile
+            # the archive just computed, so replay need not lex, tokenise or
+            # count its text again.
             example_state = None
             if example is not None:
+                store = self.retriever.example_store
                 example_state = {
                     "example_id": example.example_id,
                     "dataset": example.dataset,
                     "tables": example.tables,
                     "quality": example.quality,
-                    "skeleton": self.retriever.example_store.skeleton(example.example_id),
+                    "skeleton": store.skeleton(example.example_id),
                 }
+                profile = store.profile_state(example.example_id)
+                if profile is not None:
+                    example_state["profile"] = profile
+            record_state = vars(record)
+            if commit_tag is not None and record.sql == tagged_sql:
+                record_state = dict(record_state)
+                del record_state["sql"]
             self._journal.append(
                 ANNOTATION_COMMITTED,
                 {
                     "project": self._journal_project,
                     "job_id": commit_tag,
-                    "record": vars(record),
+                    "record": record_state,
                     "feedback": feedback.to_state(),
                     "example": example_state,
                 },
@@ -580,6 +596,7 @@ class AnnotationPipeline:
                     Feedback(action=FeedbackAction.ACCEPT, selected_index=0),
                     query_id=item.query_id,
                     commit_tag=item.commit_tag,
+                    tagged_sql=item.statement,
                 )
                 assert record is not None  # ACCEPT feedback never asks to regenerate
                 records.append(record)

@@ -1101,11 +1101,16 @@ class AnnotationService:
 
         Replay never calls the LLM.  An ``annotation_committed`` event
         carries the record, the feedback and, when the record entered the
-        archive, the archived example's id, dataset, tables, quality and
-        skeleton; the example's SQL and NL are the record's, so they are
-        written once, in the record.  Re-applying the events in journal
-        order reproduces the live state bit-for-bit (same example ids, same
-        embedding statistics, same feedback history/revision).
+        archive, the archived example's id, dataset, tables, quality,
+        skeleton and feature profile; the example's SQL and NL are the
+        record's, so they are written once, in the record.  A record whose
+        SQL is byte-equal to its job's leaves it out, and replay takes it
+        from the job, which it settles first.  The profile spares the
+        embedding model from tokenising and counting the archived text; an
+        event without one (an older journal, or a profile its compact form
+        cannot hold) has the model compute it.  Re-applying the events in
+        journal order reproduces the live state bit-for-bit (same example
+        ids, same embedding statistics, same feedback history/revision).
         """
         payload = event.payload
         if event.type == PROJECT_REGISTERED:
@@ -1138,6 +1143,17 @@ class AnnotationService:
         elif event.type == ANNOTATION_COMMITTED:
             pipeline = self._require_pipeline(payload["project"], event)
             record_state = payload["record"]
+            if payload["job_id"] is not None:
+                job = self._settle_job(payload["job_id"])
+                if "sql" not in record_state:
+                    if job is None:
+                        raise JournalError(
+                            f"journal offset {event.offset} commits job "
+                            f"{payload['job_id']} without its SQL, but the job "
+                            "is not queued; the journal prefix is incomplete"
+                        )
+                    record_state["sql"] = job.sql
+                self.stats.note_completed(payload["project"])
             # Reproduce the session-state mutation exactly as the live
             # commit did: history, knowledge, priorities, revision.
             pipeline.feedback_loop.apply(
@@ -1163,10 +1179,8 @@ class AnnotationService:
                     tables=list(example["tables"]),
                     quality=example["quality"],
                     skeleton=skeleton,
+                    profile=example.get("profile"),
                 )
-            if payload["job_id"] is not None:
-                self._settle_job(payload["job_id"])
-                self.stats.note_completed(payload["project"])
         elif event.type == FEEDBACK_APPLIED:
             pipeline = self._require_pipeline(payload["project"], event)
             pipeline.feedback_loop.apply(

@@ -21,7 +21,6 @@ class KnowledgeEntry:
     term: str
     explanation: str
     source: str = "annotator"  # "annotator" or "seed"
-    uses: int = 0
 
     def matches(self, text: str) -> bool:
         """Whether the knowledge term occurs in (tokenised) text."""
@@ -87,10 +86,7 @@ class KnowledgeBase:
 
     def relevant_entries(self, text: str, limit: int = 5) -> list[KnowledgeEntry]:
         """Knowledge entries whose term appears in ``text`` (SQL or NL)."""
-        matches = [entry for entry in self._entries if entry.matches(text)]
-        for entry in matches:
-            entry.uses += 1
-        return matches[:limit]
+        return [entry for entry in self._entries if entry.matches(text)][:limit]
 
     def render_for_prompt(self, text: str) -> str:
         """Render the relevant knowledge as prompt lines ('' when none apply)."""
@@ -110,7 +106,6 @@ class KnowledgeBase:
                     "term": entry.term,
                     "explanation": entry.explanation,
                     "source": entry.source,
-                    "uses": entry.uses,
                 }
                 for entry in self._entries
             ],
@@ -121,13 +116,16 @@ class KnowledgeBase:
         }
 
     def load_state(self, state: dict) -> None:
-        """Restore a snapshotted knowledge base in place."""
+        """Restore a snapshotted knowledge base in place.
+
+        Snapshots from builds that counted prompt matches per entry carry a
+        ``uses`` field; it is ignored.
+        """
         self._entries = [
             KnowledgeEntry(
                 term=entry["term"],
                 explanation=entry["explanation"],
                 source=entry.get("source", "annotator"),
-                uses=entry.get("uses", 0),
             )
             for entry in state["entries"]
         ]

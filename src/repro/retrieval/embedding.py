@@ -23,10 +23,18 @@ annotation commits observe continuously.  A profile is built in one pass per
 text: trigrams are counted as packed integer codes, only distinct features are looked up in the one
 feature table, and each feature's hashed index and sign are gathered from
 id-indexed arrays.
+
+A profile also has a compact journal form (:meth:`EmbeddingModel.profile_state`):
+an annotation commit journals the profile of the text it archives, and a
+replay hands it back to :meth:`EmbeddingModel.prime`, which interns the
+features and caches the profile without tokenising or counting the text
+again.  Only features new to the model are hashed, as when the profile is
+computed.
 """
 
 from __future__ import annotations
 
+import base64
 import hashlib
 import math
 from collections import Counter
@@ -43,6 +51,12 @@ from repro.retrieval.text import normalize_whitespace, tokenize_text
 _COUNT_WEIGHTS = np.array([0.0] + [1.0 + math.log(count) for count in range(1, 64)])
 
 
+#: The code points of the ``"g:"`` prefix of every trigram feature.
+_GRAM_PREFIX = np.array([ord("g"), ord(":")], dtype="<u4")
+#: A trigram's code-point offsets from its start.
+_GRAM_OFFSETS = np.arange(3)
+
+
 def _stable_hash(feature: str) -> int:
     """Stable (process-independent) hash of a feature string."""
     digest = hashlib.blake2b(feature.encode("utf-8"), digest_size=8).digest()
@@ -56,8 +70,28 @@ def _count_weights(counts: np.ndarray) -> np.ndarray:
     return np.array([1.0 + math.log(count) for count in counts.tolist()])
 
 
-def _trigram_features(text: str) -> tuple[list[str], np.ndarray]:
-    """Distinct ``"g:"`` trigram features of ``text`` in first-seen order, with counts.
+def _word_features(words: str) -> list[str]:
+    """The ``"w:"`` features of space-joined word tokens (tokens hold no spaces)."""
+    return ("w:" + words.replace(" ", " w:")).split(" ") if words else []
+
+
+def _gram_features(grams: np.ndarray) -> list[str]:
+    """The ``"g:"`` features of an ``(n, 3)`` array of trigram code points.
+
+    Each row is framed as ``"g:"``, its code points and a newline, decoded
+    once and split; a trigram holds no whitespace.
+    """
+    framed = np.empty((grams.shape[0], 6), dtype="<u4")
+    framed[:, :2] = _GRAM_PREFIX
+    framed[:, 2:5] = grams
+    framed[:, 5] = ord("\n")
+    return framed.tobytes().decode("utf-32-le", "surrogatepass").split("\n")[:-1]
+
+
+def _trigram_features(text: str) -> tuple[list[str], np.ndarray, str | None]:
+    """Distinct ``"g:"`` trigram features of ``text`` in first-seen order, with
+    counts and the trigrams concatenated (``None`` for a text too short for a
+    trigram, whose one feature is shorter).
 
     The grams are those of :func:`~repro.retrieval.text.character_ngrams`
     (``n=3``).  Each trigram's three code points (at most 21 bits each) are
@@ -67,7 +101,7 @@ def _trigram_features(text: str) -> tuple[list[str], np.ndarray]:
     compact = normalize_whitespace(text.lower())
     if len(compact) < 3:
         features = ["g:" + compact] if compact else []
-        return features, np.ones(len(features), dtype=np.int64)
+        return features, np.ones(len(features), dtype=np.int64), None if compact else ""
     # surrogatepass keeps a lone surrogate countable; hashing its feature
     # string then raises the UnicodeEncodeError the per-feature loop raised.
     codes = np.frombuffer(
@@ -85,7 +119,9 @@ def _trigram_features(text: str) -> tuple[list[str], np.ndarray]:
     first = np.minimum.reduceat(order, bounds[:-1])
     counts = bounds[1:] - bounds[:-1]
     seen = first.argsort()  # first positions are distinct, so no ties
-    return ["g:" + compact[start : start + 3] for start in first[seen].tolist()], counts[seen]
+    grams = codes[first[seen][:, None] + _GRAM_OFFSETS]
+    concatenated = grams.astype("<u4").tobytes().decode("utf-32-le", "surrogatepass")
+    return _gram_features(grams), counts[seen], concatenated
 
 
 @dataclass
@@ -100,6 +136,7 @@ class _FeatureProfile:
     feature_ids: np.ndarray  # interned id per unique feature, first-seen order
     indices: np.ndarray  # hashed vector index per feature
     signed_counts: np.ndarray  # sign * (1 + log(count)) per feature
+    journal_form: list[str] | None  # see EmbeddingModel.profile_state
 
 
 @dataclass
@@ -157,6 +194,36 @@ class EmbeddingModel:
         vector = self._vector(text)
         vector.setflags(write=False)
         return vector
+
+    def profile_state(self, text: str) -> list[str] | None:
+        """The journal form of ``text``'s feature profile, for :meth:`prime`.
+
+        Three strings: the word tokens joined by spaces, the trigrams
+        concatenated (each is three characters), and the per-feature counts
+        as base64 bytes.  ``None`` when the form cannot hold the profile: a
+        text shorter than three characters has one shorter "trigram", and a
+        count may exceed 255.  The form is built with the profile, from the
+        tokens and code points it is counted from.
+        """
+        return self._profile(text).journal_form
+
+    def prime(self, text: str, state: list[str]) -> None:
+        """Cache ``text``'s profile from its :meth:`profile_state` form.
+
+        New features are interned in profile order, as computing the profile
+        would intern them, so a primed model matches one that computed.  The
+        ``observe`` and ``embed`` calls that follow then hit the cache.
+        Raises :class:`ValueError` when the counts do not match the features.
+        """
+        if text in self._profiles:
+            return
+        words, grams, encoded = state
+        codes = np.frombuffer(grams.encode("utf-32-le"), dtype="<u4").reshape(-1, 3)
+        features = _word_features(words) + _gram_features(codes)
+        counts = np.frombuffer(base64.b64decode(encoded), dtype=np.uint8).astype(np.int64)
+        if counts.size != len(features) or not counts.all():
+            raise ValueError("profile counts do not match its features")
+        self._store_profile(text, features, counts, state)
 
     # ------------------------------------------------------------------
     # durability (snapshot) support
@@ -229,12 +296,28 @@ class EmbeddingModel:
         if profile is not None:
             return profile
         word_counts = Counter(tokenize_text(text))
-        features = ["w:" + token for token in word_counts]
+        words = " ".join(word_counts)
+        features = _word_features(words)
         counts = np.fromiter(word_counts.values(), dtype=np.int64, count=len(word_counts))
+        grams: str | None = ""
         if self.use_ngrams:
-            grams, gram_counts = _trigram_features(text)
-            features += grams
+            gram_features, gram_counts, grams = _trigram_features(text)
+            features += gram_features
             counts = np.concatenate((counts, gram_counts))
+        journal_form = None
+        if grams is not None and (counts.size == 0 or counts.max() <= 255):
+            encoded = base64.b64encode(counts.astype(np.uint8).tobytes()).decode("ascii")
+            journal_form = [words, grams, encoded]
+        return self._store_profile(text, features, counts, journal_form)
+
+    def _store_profile(
+        self,
+        text: str,
+        features: list[str],
+        counts: np.ndarray,
+        journal_form: list[str] | None,
+    ) -> _FeatureProfile:
+        """Intern ``features`` (new ones in order) and cache ``text``'s profile."""
         ids = list(map(self._feature_ids.get, features))
         if None in ids:
             new = [position for position, feature_id in enumerate(ids) if feature_id is None]
@@ -246,6 +329,7 @@ class EmbeddingModel:
             feature_ids=feature_ids,
             indices=self._indices[feature_ids],
             signed_counts=self._signs[feature_ids] * _count_weights(counts),
+            journal_form=journal_form,
         )
         self._profiles.put(text, profile)
         return profile

@@ -37,6 +37,12 @@ class AnnotatedExample:
     quality: float = 1.0
 
 
+def _indexed_text(example: AnnotatedExample) -> str:
+    """The text an example is indexed on: its SQL plus its NL, so either
+    side retrieves the pair."""
+    return f"{example.sql}\n{example.nl}"
+
+
 class ExampleStore:
     """Vector-indexed store of accepted annotations.
 
@@ -67,12 +73,16 @@ class ExampleStore:
         return not self._examples
 
     def add(self, sql: str, nl: str, dataset: str = "", tables: list[str] | None = None,
-            quality: float = 1.0, skeleton: str | None = None) -> AnnotatedExample:
+            quality: float = 1.0, skeleton: str | None = None,
+            profile: list[str] | None = None) -> AnnotatedExample:
         """Add an accepted annotation and return the stored example.
 
         ``skeleton`` may supply the query skeleton of the SQL when it is
         already known (the drain's or the journal's); otherwise it is
-        computed here.
+        computed here.  ``profile`` may supply the journaled feature profile
+        of the indexed text (see :meth:`profile_state`), so a replay neither
+        tokenises nor counts the text again; otherwise the embedding model
+        computes it.
 
         Failure-atomic: the vector store either indexes the example or
         raises unchanged, and the store registers the example only after.
@@ -96,17 +106,23 @@ class ExampleStore:
         )
         if skeleton is None:
             skeleton = sql_keys(example.sql).skeleton
-        # Index on the SQL text plus the NL so either side retrieves the pair.
         self._store.add(
             example_id,
-            f"{example.sql}\n{example.nl}",
+            _indexed_text(example),
             metadata={"dataset": dataset, "quality": quality},
+            profile=profile,
         )
         self._counter += 1
         self._examples[example_id] = example
         self._skeletons[example_id] = skeleton
         self.version += 1
         return example
+
+    def profile_state(self, example_id: str) -> list[str] | None:
+        """The journal form of one example's feature profile (``None`` when
+        the form cannot hold it), as :meth:`add` accepts it."""
+        text = _indexed_text(self._examples[example_id])
+        return self._store.model.profile_state(text)
 
     def skeleton(self, example_id: str) -> str:
         """The stored query skeleton of one example."""

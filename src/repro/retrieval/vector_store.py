@@ -70,10 +70,23 @@ class VectorStore:
     # mutation
     # ------------------------------------------------------------------
 
-    def add(self, doc_id: str, text: str, metadata: dict[str, object] | None = None) -> None:
-        """Add (or replace, keeping its row) a document."""
+    def add(
+        self,
+        doc_id: str,
+        text: str,
+        metadata: dict[str, object] | None = None,
+        profile: list[str] | None = None,
+    ) -> None:
+        """Add (or replace, keeping its row) a document.
+
+        ``profile`` may supply the text's feature profile in its journal form
+        (:meth:`EmbeddingModel.profile_state`), so the model need not
+        tokenise the text.
+        """
         if not doc_id:
             raise RetrievalError("document id must be non-empty")
+        if profile is not None:
+            self._model.prime(text, profile)
         self._model.observe(text)
         self._store_entry(VectorEntry(doc_id, text, dict(metadata or {})), self._model.embed(text))
 

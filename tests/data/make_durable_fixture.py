@@ -118,16 +118,12 @@ def durable_view(service: AnnotationService) -> dict:
     journal's own encoders, so the view reads the same whichever encoding
     wrote the state.  The archive's state dict carries the examples, their
     skeletons, the stored vectors (base64 float64) and the IDF state.
-    Knowledge entries leave out their ``uses`` counter: prompts bump it,
-    and replay never prompts, so a restart does not rebuild it.
     """
     projects = {}
     for name in service.project_names:
         pipeline = service.pipeline(name)
         loop = pipeline.feedback_loop
         knowledge = loop.knowledge.state_dict()
-        for entry in knowledge["entries"]:
-            del entry["uses"]
         records = [dataclasses.asdict(record) for record in pipeline.annotations]
         projects[name] = {
             "schema": dataclasses.asdict(pipeline.schema),

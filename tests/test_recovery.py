@@ -784,8 +784,10 @@ class TestReplayParity:
 
     def test_journal_and_snapshot_in_the_full_form_replay_exactly(self, tmp_path):
         # Earlier builds repeated each archived example's SQL and NL inside
-        # its commit event and wrote schemas and feedback with every field,
-        # defaults included.  Both forms still load to the same state.
+        # its commit event, repeated the job's SQL in the committed record,
+        # journaled no feature profiles and wrote schemas and feedback with
+        # every field, defaults included.  Both forms still load to the same
+        # state.
         directory = tmp_path / "svc"
         service = AnnotationService.open_durable(directory)
         service.register_project("hr", make_schema())
@@ -809,15 +811,22 @@ class TestReplayParity:
 
         rewritten = bytearray()
         copies = 0
+        job_sql = {}
         for event in EventJournal.read_events(journal_path):
             payload = event.payload
             if event.type == PROJECT_REGISTERED:
                 payload["schema"] = dataclasses.asdict(schema_from_state(payload["schema"]))
+            if event.type == JOB_SUBMITTED:
+                job_sql[payload["job_id"]] = payload["sql"]
             if event.type in (ANNOTATION_COMMITTED, FEEDBACK_APPLIED):
                 payload["feedback"] = full_feedback(payload["feedback"])
+            if event.type == ANNOTATION_COMMITTED and payload["job_id"] is not None:
+                assert "sql" not in payload["record"]
+                payload["record"]["sql"] = job_sql[payload["job_id"]]
             example = payload.get("example") if event.type == ANNOTATION_COMMITTED else None
             if example is not None:
                 assert "sql" not in example and "nl" not in example
+                assert example.pop("profile")
                 record = payload["record"]
                 payload["example"] = dict(
                     example, sql=record["sql"].strip(), nl=record["nl"].strip()
@@ -852,10 +861,14 @@ class TestReplayParity:
         # Rewrite the journal as a build whose skeletons dropped the quotes.
         rewritten = bytearray()
         changed = 0
+        job_sql = {}
         for event in EventJournal.read_events(journal_path):
+            if event.type == JOB_SUBMITTED:
+                job_sql[event.payload["job_id"]] = event.payload["sql"]
             example = event.payload.get("example") if event.type == ANNOTATION_COMMITTED else None
             if example is not None:
-                old = unquoted_skeleton(event.payload["record"]["sql"])
+                record = event.payload["record"]
+                old = unquoted_skeleton(record.get("sql") or job_sql[event.payload["job_id"]])
                 changed += old != example["skeleton"]
                 example["skeleton"] = old
             rewritten += encode_record(event.type, event.payload)
@@ -868,6 +881,95 @@ class TestReplayParity:
         warm = AnnotationService.open_durable(directory)  # snapshot + suffix
         assert semantic_state(warm) == live
         warm.close()
+
+
+    def test_journaled_profiles_recover_warm_and_cold_and_stripped(self, tmp_path):
+        directory = tmp_path / "svc"
+        service = AnnotationService.open_durable(directory)
+        service.register_project("hr", make_schema())
+        service.register_project(
+            "hr-fast",
+            make_schema(),
+            config=TaskConfig(model_name="gpt-3.5-turbo", num_candidates=2),
+        )
+        service.submit_many(QUERIES[:3], project="hr")
+        service.submit_many(QUERIES[1:3], project="hr-fast")
+        service.drain()
+        service.snapshot()  # the warm start replays the suffix below
+        # A trailing semicolon makes the record's SQL differ from the job's.
+        service.submit_many([QUERIES[3] + ";", QUERIES[4]], project="hr")
+        service.submit_many([QUERIES[0], QUERIES[4]], project="hr-fast")
+        service.drain()
+        live = semantic_state(service)
+        service.close()
+        journal_path = directory / "journal.bin"
+        original = journal_path.read_bytes()
+        latest = SnapshotManager(directory / "snapshots").latest()
+        assert latest is not None
+
+        events = EventJournal.read_events(journal_path)
+        commits = [event for event in events if event.type == ANNOTATION_COMMITTED]
+        assert len(commits) == 9
+        assert sum(event.offset >= latest[0] for event in commits) == 4
+        assert all(event.payload["example"]["profile"] for event in commits)
+        # Only the semicolon job's record keeps its SQL.
+        kept = [event.payload["record"]["sql"] for event in commits if "sql" in event.payload["record"]]
+        assert kept == [QUERIES[3]]
+
+        stripped = bytearray()
+        for event in events:
+            if event.type == ANNOTATION_COMMITTED:
+                event.payload["example"].pop("profile")
+            stripped += encode_record(event.type, event.payload)
+        assert b'"profile"' in original and b'"profile"' not in stripped
+
+        from repro.retrieval import embedding
+
+        counted = embedding._trigram_features
+        for image, profiled in ((original, 0), (bytes(stripped), None)):
+            journal_path.write_bytes(image)
+            for recover in (
+                lambda: AnnotationService.recover(journal_path),
+                lambda: AnnotationService.open_durable(directory),  # snapshot + suffix
+            ):
+                with mock.patch.object(
+                    embedding, "_trigram_features", side_effect=counted
+                ) as trigrams:
+                    recovered = recover()
+                assert semantic_state(recovered) == live
+                recovered.close()
+                # A journaled profile spares replay from counting the text.
+                assert (trigrams.call_count == 0) == (profiled == 0)
+
+    def test_knowledge_matching_later_prompts_recovers_exactly(self, tmp_path):
+        directory = tmp_path / "svc"
+        service = AnnotationService.open_durable(directory)
+        service.register_project("hr", make_schema())
+        pipeline = service.pipeline("hr")
+        pipeline.submit_feedback(
+            pipeline.generate_candidates(QUERIES[0]),
+            Feedback(
+                action=FeedbackAction.REGENERATE,
+                knowledge=[("dept", "short for department")],
+            ),
+        )
+        entry = pipeline.feedback_loop.knowledge.lookup("dept")
+        later = [QUERIES[1], QUERIES[2], QUERIES[4]]
+        assert entry is not None and all(entry.matches(sql) for sql in later)
+        service.submit(later[0], project="hr")
+        service.drain()
+        service.snapshot()  # the warm start replays the prompts after it
+        service.submit_many(later[1:], project="hr")
+        service.drain()
+        live = semantic_state(service)
+        service.close()
+
+        warm = AnnotationService.open_durable(directory)
+        assert semantic_state(warm) == live
+        warm.close()
+        cold = AnnotationService.recover(directory / "journal.bin")
+        assert semantic_state(cold) == live
+        cold.close()
 
 
 # ----------------------------------------------------------------------

@@ -5,6 +5,7 @@ import hashlib
 import json
 import math
 import re
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -666,6 +667,113 @@ class TestEmbeddingEquivalence:
         for hashes in (state["hashes"][1:], [0] * count, [65] * count, [-65] * count):
             with pytest.raises(ValueError):
                 EmbeddingModel.from_state(dict(state, hashes=hashes))
+
+
+#: A lone surrogate, which no feature can hash.
+SURROGATE = re.compile("[\ud800-\udfff]")
+
+
+def corpus_configs():
+    return json.loads(EMBEDDING_CORPUS_PATH.read_text(encoding="ascii"))["configs"]
+
+
+class TestJournaledProfiles:
+    """A model primed from journaled profiles against one that computes them."""
+
+    @staticmethod
+    def assert_same_model(primed, computed, texts):
+        assert list(primed._feature_ids.items()) == list(computed._feature_ids.items())
+        size = len(computed._feature_ids)
+        for name in ("_indices", "_signs", "_frequencies"):
+            assert getattr(primed, name)[:size].tolist() == getattr(computed, name)[:size].tolist()
+        assert primed.state_dict() == computed.state_dict()
+        for text in texts:
+            assert primed.embed(text).tobytes() == computed.embed(text).tobytes()
+
+    @staticmethod
+    def primed_and_computed(texts, dimensions=256, use_ngrams=True):
+        """Observe ``texts`` in a writer, in a model primed from the writer's
+        journal forms and in one that computes; returns the forms too."""
+        writer, primed, computed = (
+            EmbeddingModel(dimensions=dimensions, use_ngrams=use_ngrams) for _ in range(3)
+        )
+        forms = []
+        for text in texts:
+            writer.observe(text)
+            form = writer.profile_state(text)
+            forms.append(form)
+            if form is not None:
+                assert json.loads(json.dumps(form)) == form
+                primed.prime(text, form)
+            primed.observe(text)
+            computed.observe(text)
+            left, right = primed._profile(text), computed._profile(text)
+            assert left.feature_ids.tolist() == right.feature_ids.tolist()
+            assert left.indices.tolist() == right.indices.tolist()
+            assert left.signed_counts.tolist() == right.signed_counts.tolist()
+            assert left.journal_form == right.journal_form == form
+        return primed, computed, forms
+
+    def test_corpus_primes_exactly(self):
+        texts = json.loads(EMBEDDING_CORPUS_PATH.read_text(encoding="ascii"))["texts"]
+        for config in corpus_configs():
+            use_ngrams = config["use_ngrams"]
+            primed, computed, forms = self.primed_and_computed(
+                texts, config["dimensions"], use_ngrams
+            )
+            self.assert_same_model(primed, computed, texts)
+            # The form holds a profile unless a count exceeds a byte or the
+            # text is too short for a trigram.
+            for text, form in zip(texts, forms):
+                grams = character_ngrams(text) if use_ngrams else []
+                counts = [*Counter(tokenize_text(text)).values(), *Counter(grams).values()]
+                fits = max(counts, default=0) <= 255 and all(len(gram) == 3 for gram in grams)
+                assert (form is not None) == fits, text
+            held = sum(form is not None for form in forms)
+            assert len(texts) // 2 < held < len(texts)
+
+    def test_primed_profiles_skip_tokenising(self, monkeypatch):
+        texts = ["SELECT name FROM singer\nSinger names.", "SELECT COUNT(*) FROM t\nHow many?"]
+        writer = EmbeddingModel()
+        forms = [writer.profile_state(text) for text in texts]
+        primed = EmbeddingModel()
+        from repro.retrieval import embedding
+
+        monkeypatch.setattr(embedding, "tokenize_text", None)
+        monkeypatch.setattr(embedding, "_trigram_features", None)
+        for text, form in zip(texts, forms):
+            primed.prime(text, form)
+            primed.observe(text)
+            primed.embed(text)
+        monkeypatch.undo()
+        computed = EmbeddingModel()
+        for text in texts:
+            computed.observe(text)
+        self.assert_same_model(primed, computed, texts)
+
+    @given(st.lists(EMBEDDING_TEXT.filter(lambda text: not SURROGATE.search(text)), max_size=10))
+    @settings(max_examples=100, deadline=None)
+    def test_generated_texts_prime_exactly(self, texts):
+        primed, computed, _ = self.primed_and_computed(texts, dimensions=97)
+        self.assert_same_model(primed, computed, texts)
+
+    def test_what_the_form_cannot_hold_falls_back(self):
+        texts = ["ab", "x", " q ", "ab " * 256, "ab " * 255, "zz" * 300, "SELECT a FROM t"]
+        primed, computed, forms = self.primed_and_computed(texts)
+        # A text shorter than three characters has a shorter "trigram"; a
+        # count above 255 does not fit a byte.
+        assert [form is None for form in forms] == [True, True, True, True, False, True, False]
+        self.assert_same_model(primed, computed, texts)
+
+    def test_prime_rejects_counts_that_do_not_match(self):
+        model = EmbeddingModel()
+        words, grams, counts = EmbeddingModel().profile_state("SELECT a FROM t")
+        short = base64.b64encode(base64.b64decode(counts)[1:]).decode("ascii")
+        zero = base64.b64encode(b"\0" + base64.b64decode(counts)[1:]).decode("ascii")
+        for bad in (short, zero):
+            with pytest.raises(ValueError):
+                model.prime("SELECT a FROM t", [words, grams, bad])
+        assert not model._feature_ids
 
 
 class TestRetrievalCorpus:
