@@ -29,9 +29,17 @@ On-disk format (little-endian, one record after another)::
 where ``payload`` is the UTF-8 JSON encoding of ``{"type": ..., "payload":
 ...}``.  The length prefix and CRC make torn tail writes (a crash mid-append)
 *detectable and recoverable*: :meth:`EventJournal.scan` stops at the first
-record whose header is incomplete, whose length is implausible, or whose
-checksum fails, and opening the journal truncates that torn tail instead of
-failing — losing only the un-synced suffix, never corrupting the prefix.
+record whose header is incomplete, whose length is implausible, whose
+checksum fails or whose payload is not a ``{"type", "payload"}`` JSON
+object, and opening the journal truncates that torn tail instead of failing —
+losing only the un-synced suffix, never corrupting the prefix.
+
+Opening checks each record's length and CRC but decodes none, so until the
+first :meth:`EventJournal.events` call or append decodes them, ``record_count``
+and ``recovery`` count the records that pass those checks.  ``events(start)``
+decodes records ``start..`` once: a warm start never decodes the prefix its
+snapshot covers, so a CRC-valid record there that does not decode goes
+unnoticed, where :meth:`EventJournal.scan` and a cold start end the prefix at it.
 
 Fsync discipline is a policy knob:
 
@@ -53,7 +61,7 @@ import struct
 import threading
 import time
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 from repro.errors import DiskFaultError, JournalError
@@ -66,6 +74,8 @@ _MAX_RECORD_BYTES = 64 * 1024 * 1024
 #: How far past a corruption point the salvage scan probes for a plausible
 #: next record before giving up (diagnostics only — see scan()).
 _RESYNC_WINDOW_BYTES = 16 * 1024 * 1024
+#: Payload ``(begin, end)`` byte offsets of consecutive records in a buffer.
+_Spans = list[tuple[int, int]]
 
 FSYNC_POLICIES = ("always", "batch", "never")
 
@@ -126,7 +136,6 @@ class JournalRecovery:
     record_count: int = 0
     valid_bytes: int = 0
     dropped_bytes: int = 0
-    events: list[JournalEvent] = field(default_factory=list)
     #: Populated when the scan stopped before end-of-file (torn tail or
     #: mid-stream corruption); ``None`` for a clean journal.
     salvage: JournalSalvageReport | None = None
@@ -140,9 +149,10 @@ class JournalRecovery:
 class EventJournal:
     """Append-only, checksummed, crash-recoverable event log.
 
-    Opening a path that already holds a journal scans it, truncates any torn
-    tail, and positions the append cursor after the last valid record — so a
-    process can crash at any byte of a write and the next open heals the file.
+    Opening a path that already holds a journal checks its records, truncates
+    any torn tail, and positions the append cursor after the last valid
+    record — so a process can crash at any byte of a write and the next open
+    heals the file.
 
     Appends are serialised through an internal (re-entrant) lock, so waves
     drained concurrently from several projects interleave as *whole records*
@@ -164,21 +174,21 @@ class EventJournal:
         self.path = Path(path)
         self.fsync_policy = fsync
         self.path.parent.mkdir(parents=True, exist_ok=True)
-        #: Recovery report from opening (empty for a fresh journal).
-        self.recovery = self.scan(self.path, with_events=True)
-        # The records the open scan decoded, kept only until the first
-        # events() call (recovery's replay) or append, so replay after a
-        # restart decodes each record once.
-        self._opened_events: list[JournalEvent] | None = self.recovery.events
-        self.recovery.events = []
-        if self.recovery.torn:
-            self._truncate_to(self.recovery.valid_bytes)
-        self._record_count = self.recovery.record_count
-        self._handle = open(self.path, "ab")
-        self._dirty = False
         # Re-entrant so fault-injection subclasses can hold it around a
         # super().append() call without deadlocking.
         self._lock = threading.RLock()
+        buffer = self._read(self.path)
+        spans, reason = self._frames(buffer)
+        #: Recovery report from opening (empty for a fresh journal).
+        self.recovery = self._report(buffer, spans, len(spans), reason)
+        if self.recovery.torn:
+            self._truncate_to(self.recovery.valid_bytes)
+        self._record_count = len(spans)
+        # The intact records, held undecoded until the first events() call
+        # (recovery's replay) or append decodes them.
+        self._unread: tuple[bytes, _Spans] | None = (buffer, spans)
+        self._handle = open(self.path, "ab")
+        self._dirty = False
 
     # ------------------------------------------------------------------
     # append path
@@ -207,19 +217,11 @@ class EventJournal:
         with self._lock:
             if self._handle is None:
                 raise JournalError(f"journal {self.path} is closed")
+            self._decode_opened()  # an undecodable tail goes before we append
             try:
                 self._handle.write(record)
                 if self.fsync_policy == "always":
-                    started = time.perf_counter() if tel.enabled else 0.0
-                    self._handle.flush()
-                    os.fsync(self._handle.fileno())
-                    if tel.enabled:
-                        tel.count("journal_fsyncs_total", policy="always")
-                        tel.observe(
-                            "journal_fsync_seconds",
-                            time.perf_counter() - started,
-                            policy="always",
-                        )
+                    self._sync()
                 else:
                     self._dirty = True
             except OSError as exc:
@@ -229,7 +231,6 @@ class EventJournal:
                 ) from exc
             offset = self._record_count
             self._record_count += 1
-            self._opened_events = None
             if tel.enabled:
                 tel.count("journal_appends_total", type=event_type)
                 tel.count("journal_bytes_total", len(record))
@@ -237,22 +238,11 @@ class EventJournal:
 
     def commit(self) -> None:
         """Group-commit point: make everything appended so far durable."""
-        tel = self.telemetry
         with self._lock:
             if self._handle is None or not self._dirty:
                 return
             try:
-                started = time.perf_counter() if tel.enabled else 0.0
-                self._handle.flush()
-                if self.fsync_policy != "never":
-                    os.fsync(self._handle.fileno())
-                if tel.enabled:
-                    tel.count("journal_fsyncs_total", policy=self.fsync_policy)
-                    tel.observe(
-                        "journal_fsync_seconds",
-                        time.perf_counter() - started,
-                        policy=self.fsync_policy,
-                    )
+                self._sync()
             except OSError as exc:
                 raise DiskFaultError(
                     f"failed to sync journal {self.path}: {exc}",
@@ -263,7 +253,6 @@ class EventJournal:
     def close(self) -> None:
         """Commit and release the file handle (idempotent)."""
         with self._lock:
-            self._opened_events = None
             if self._handle is None:
                 return
             self.commit()
@@ -281,94 +270,110 @@ class EventJournal:
     # ------------------------------------------------------------------
 
     def events(self, start: int = 0) -> list[JournalEvent]:
-        """Decode records ``start..`` from disk (flushes pending writes first).
-
-        The first call after opening, before any append, returns the records
-        the open scan already decoded instead of reading the file again.
-        """
+        """Decode records ``start..`` and no others (flushes pending writes
+        first); the first call after opening, before any append, reuses the
+        bytes the open read."""
         with self._lock:
-            opened, self._opened_events = self._opened_events, None
+            opened = self._decode_opened(start)
             if opened is not None:
-                return opened[start:]
+                return opened
             if self._handle is not None:
                 self._handle.flush()
-        recovery = self.scan(self.path, with_events=True)
-        return [event for event in recovery.events if event.offset >= start]
+        buffer = self._read(self.path)
+        return self._decode(buffer, self._frames(buffer)[0], start)
 
     @staticmethod
     def read_events(path: str | Path, limit: int | None = None) -> list[JournalEvent]:
         """Decode the valid prefix of a journal file.
 
         ``limit`` keeps only the first ``limit`` records — the hook that makes
-        exports reproducible *at any journal offset*.
+        exports reproducible *at any journal offset*; later records are
+        neither checked nor decoded.
         """
-        recovery = EventJournal.scan(path, with_events=True)
-        events = recovery.events
-        if limit is not None:
-            if limit < 0:
-                raise JournalError("journal offset limit cannot be negative")
-            events = events[:limit]
-        return events
+        if limit is not None and limit < 0:
+            raise JournalError("journal offset limit cannot be negative")
+        buffer = EventJournal._read(Path(path))
+        return EventJournal._decode(buffer, EventJournal._frames(buffer, limit=limit)[0])
 
     @staticmethod
-    def scan(path: str | Path, with_events: bool = True) -> JournalRecovery:
+    def scan(path: str | Path) -> JournalRecovery:
         """Walk a journal file, stopping at the first torn/corrupt record.
 
         Never raises on bad data: whatever valid prefix exists is returned,
         and ``dropped_bytes`` measures the tail that must be truncated.
         """
-        path = Path(path)
-        if not path.exists():
-            return JournalRecovery()
+        buffer = EventJournal._read(Path(path))
+        spans, reason = EventJournal._frames(buffer)
+        events = EventJournal._decode(buffer, spans)
+        if len(events) < len(spans):
+            reason = "undecodable_payload"  # checksum collided with garbage
+        return EventJournal._report(buffer, spans, len(events), reason)
+
+    @staticmethod
+    def _read(path: Path) -> bytes:
+        """The journal file's bytes (none for a missing file)."""
         try:
-            buffer = path.read_bytes()
+            return path.read_bytes()
+        except FileNotFoundError:
+            return b""
         except OSError as exc:
             raise JournalError(f"cannot read journal {path}: {exc}") from exc
-        recovery = JournalRecovery()
-        position = 0
+
+    @staticmethod
+    def _frames(
+        buffer: bytes, position: int = 0, limit: int | None = None
+    ) -> tuple[_Spans, str | None]:
+        """Payload byte spans of the consecutive records from ``position`` that
+        pass the length and CRC checks (at most ``limit``), and why the walk
+        stopped short of the end (``None`` when it did not)."""
+        spans: _Spans = []
         total = len(buffer)
-        break_reason: str | None = None
-        while position + _HEADER.size <= total:
+        view = memoryview(buffer)
+        while position + _HEADER.size <= total and (limit is None or len(spans) < limit):
             length, checksum = _HEADER.unpack_from(buffer, position)
-            end = position + _HEADER.size + length
+            begin = position + _HEADER.size
+            end = begin + length
             if length > _MAX_RECORD_BYTES:
-                break_reason = "implausible_length"
-                break  # garbage length: the tail starts here
+                return spans, "implausible_length"  # garbage length: the tail starts here
             if end > total:
-                break_reason = "torn_record"
-                break  # header fine but the payload never finished writing
-            payload = buffer[position + _HEADER.size : end]
-            if zlib.crc32(payload) & 0xFFFFFFFF != checksum:
-                break_reason = "crc_mismatch"
-                break  # bit rot or torn payload
-            try:
-                decoded = json.loads(payload.decode("utf-8"))
-                event_type = decoded["type"]
-                event_payload = decoded["payload"]
-            except (ValueError, KeyError, TypeError, UnicodeDecodeError):
-                break_reason = "undecodable_payload"
-                break  # checksum collided with garbage; treat as torn
-            if with_events:
-                recovery.events.append(
-                    JournalEvent(
-                        offset=recovery.record_count,
-                        type=event_type,
-                        payload=event_payload,
-                    )
-                )
-            recovery.record_count += 1
+                return spans, "torn_record"  # header fine but the payload never finished
+            if zlib.crc32(view[begin:end]) & 0xFFFFFFFF != checksum:
+                return spans, "crc_mismatch"  # bit rot or torn payload
+            spans.append((begin, end))
             position = end
-        recovery.valid_bytes = position
-        recovery.dropped_bytes = total - position
+        return spans, None
+
+    @staticmethod
+    def _decode(buffer: bytes, spans: _Spans, start: int = 0) -> list[JournalEvent]:
+        """Decode records ``start..`` of ``spans``, stopping before the first
+        that is not a ``{"type", "payload"}`` JSON object."""
+        events = []
+        for index in range(start, len(spans)):
+            begin, end = spans[index]
+            try:
+                decoded = json.loads(buffer[begin:end].decode("utf-8"))
+                events.append(JournalEvent(index, decoded["type"], decoded["payload"]))
+            except (ValueError, KeyError, TypeError, UnicodeDecodeError):
+                break
+        return events
+
+    @staticmethod
+    def _report(buffer: bytes, spans: _Spans, records: int, reason: str | None) -> JournalRecovery:
+        """The recovery report for a valid prefix of ``records`` of ``spans``."""
+        valid_bytes = spans[records - 1][1] if records else 0
+        recovery = JournalRecovery(
+            record_count=records,
+            valid_bytes=valid_bytes,
+            dropped_bytes=len(buffer) - valid_bytes,
+        )
         if recovery.dropped_bytes > 0:
-            if break_reason is None:
-                break_reason = "torn_header"  # fewer trailing bytes than a header
-            resync_offset, resynced = EventJournal._resync_probe(buffer, position)
+            resync_offset, resynced = EventJournal._resync_probe(buffer, valid_bytes)
             recovery.salvage = JournalSalvageReport(
-                reason=break_reason,
-                corrupt_at_byte=position,
-                valid_records=recovery.record_count,
-                valid_bytes=recovery.valid_bytes,
+                # Fewer trailing bytes than a header, when no check failed.
+                reason=reason or "torn_header",
+                corrupt_at_byte=valid_bytes,
+                valid_records=records,
+                valid_bytes=valid_bytes,
                 dropped_bytes=recovery.dropped_bytes,
                 resync_offset=resync_offset,
                 resynced_records=resynced,
@@ -383,10 +388,8 @@ class EventJournal:
         until an offset parses as a full record — plausible header, CRC match,
         decodable ``{"type", "payload"}`` JSON — then counts how many
         consecutive records follow from there.  Returns ``(resync_offset,
-        record_count)``, or ``(None, 0)`` when nothing past the break parses.
-        The salvaged records are never replayed (replay needs an unbroken
-        prefix); they exist so the recovery report can distinguish a torn
-        tail from mid-stream corruption that destroyed committed data.
+        record_count)``, or ``(None, 0)`` when nothing past the break parses;
+        :class:`JournalSalvageReport` says why those records are not replayed.
         """
         total = len(buffer)
         limit = min(total, corrupt_at + _RESYNC_WINDOW_BYTES)
@@ -395,26 +398,11 @@ class EventJournal:
         for candidate in range(corrupt_at + 1, limit):
             if candidate + _HEADER.size > total:
                 break
-            position = candidate
-            resynced = 0
-            while position + _HEADER.size <= total:
-                length, checksum = _HEADER.unpack_from(buffer, position)
-                end = position + _HEADER.size + length
-                if length > _MAX_RECORD_BYTES or end > total:
-                    break
-                payload = buffer[position + _HEADER.size : end]
-                if zlib.crc32(payload) & 0xFFFFFFFF != checksum:
-                    break
-                try:
-                    decoded = json.loads(payload.decode("utf-8"))
-                    if not isinstance(decoded, dict):
-                        break
-                    decoded["type"]
-                    decoded["payload"]
-                except (ValueError, KeyError, TypeError, UnicodeDecodeError):
-                    break
-                resynced += 1
-                position = end
+            length, _ = _HEADER.unpack_from(buffer, candidate)
+            if candidate + _HEADER.size + length > total:
+                continue  # the common miss, skipped before any framing work
+            spans, _ = EventJournal._frames(buffer, candidate)
+            resynced = len(EventJournal._decode(buffer, spans))
             if resynced:
                 return candidate, resynced
         return None, 0
@@ -422,6 +410,34 @@ class EventJournal:
     # ------------------------------------------------------------------
     # internals
     # ------------------------------------------------------------------
+
+    def _decode_opened(self, start: int = 0) -> list[JournalEvent] | None:
+        """Decode the opened records ``start..`` once (lock held), truncating
+        from the first that does not decode; ``None`` once they have been."""
+        if self._unread is None:
+            return None
+        buffer, spans = self._unread
+        self._unread = None
+        events = self._decode(buffer, spans, start)
+        broken = start + len(events)
+        if broken < len(spans):
+            self.recovery = self._report(buffer, spans, broken, "undecodable_payload")
+            self._truncate_to(self.recovery.valid_bytes)
+            self._record_count = broken
+        return events
+
+    def _sync(self) -> None:
+        """Flush the write buffer and fsync unless the policy is ``"never"``."""
+        tel = self.telemetry
+        started = time.perf_counter() if tel.enabled else 0.0
+        self._handle.flush()
+        if self.fsync_policy != "never":
+            os.fsync(self._handle.fileno())
+        if tel.enabled:
+            tel.count("journal_fsyncs_total", policy=self.fsync_policy)
+            tel.observe(
+                "journal_fsync_seconds", time.perf_counter() - started, policy=self.fsync_policy
+            )
 
     def _truncate_to(self, valid_bytes: int) -> None:
         """Drop a torn tail, leaving exactly the valid record prefix."""

@@ -870,19 +870,16 @@ class AnnotationService:
         self._snapshots = snapshots
         self._snapshot_every = snapshot_every
         journal.telemetry = self.telemetry
-        if journal.recovery.torn and self.telemetry.enabled:
-            salvage = journal.recovery.salvage
-            kind = salvage.kind if salvage is not None else "torn_tail"
-            self.telemetry.count("journal_salvage_total", kind=kind)
+        salvage = journal.recovery.salvage  # set exactly when a torn tail was dropped
+        if salvage is not None and self.telemetry.enabled:
+            self.telemetry.count("journal_salvage_total", kind=salvage.kind)
             self.telemetry.event(
                 "journal_salvaged",
-                kind=kind,
-                reason=salvage.reason if salvage is not None else "unknown",
-                valid_records=journal.recovery.record_count,
-                dropped_bytes=journal.recovery.dropped_bytes,
-                resynced_records=(
-                    salvage.resynced_records if salvage is not None else 0
-                ),
+                kind=salvage.kind,
+                reason=salvage.reason,
+                valid_records=salvage.valid_records,
+                dropped_bytes=salvage.dropped_bytes,
+                resynced_records=salvage.resynced_records,
             )
         if snapshots is not None:
             snapshots.telemetry = self.telemetry

@@ -28,10 +28,9 @@ _INITIAL_CAPACITY = 64
 
 @dataclass
 class VectorEntry:
-    """One stored document; its vector is the store's matrix row."""
+    """One stored document (its text is the caller's); its vector is the store's matrix row."""
 
     doc_id: str
-    text: str
     metadata: dict[str, object] = field(default_factory=dict)
 
 
@@ -40,7 +39,6 @@ class SearchHit:
     """One search result."""
 
     doc_id: str
-    text: str
     score: float
     metadata: dict[str, object] = field(default_factory=dict)
 
@@ -88,7 +86,7 @@ class VectorStore:
         if profile is not None:
             self._model.prime(text, profile)
         self._model.observe(text)
-        self._store_entry(VectorEntry(doc_id, text, dict(metadata or {})), self._model.embed(text))
+        self._store_entry(VectorEntry(doc_id, dict(metadata or {})), self._model.embed(text))
 
     # ------------------------------------------------------------------
     # search
@@ -103,7 +101,7 @@ class VectorStore:
         """Like :meth:`search_batch`, but only each query's ranked ids.
 
         Used on the hot paths (wave retrieval, batch-commit validation) that
-        need the result ranking but not hit objects with copied text and
+        need the result ranking but not hit objects with scores and copied
         metadata.
         """
         if top_k <= 0 or not self._rows:
@@ -137,9 +135,7 @@ class VectorStore:
             hits = []
             for row in rows:
                 entry = self._rows[row]
-                hits.append(
-                    SearchHit(entry.doc_id, entry.text, float(scores[row]), dict(entry.metadata))
-                )
+                hits.append(SearchHit(entry.doc_id, float(scores[row]), dict(entry.metadata)))
             results.append(hits)
         return results
 
@@ -152,13 +148,13 @@ class VectorStore:
 
         The stored vectors travel as one base64 little-endian float64 matrix,
         row ``i`` belonging to entry ``i``, instead of one JSON float list per
-        entry.
+        entry.  Entries carry no text: the store keeps none.
         """
         vectors = self._matrix[: len(self._rows)].astype("<f8")
         return {
             "model": self._model.state_dict(),
             "entries": [
-                {"doc_id": entry.doc_id, "text": entry.text, "metadata": dict(entry.metadata)}
+                {"doc_id": entry.doc_id, "metadata": dict(entry.metadata)}
                 for entry in self._rows
             ],
             "vectors": base64.b64encode(vectors.tobytes()).decode("ascii"),
@@ -170,8 +166,8 @@ class VectorStore:
 
         Each entry gets its stored vector verbatim, so searches afterwards
         score bit-identically to the snapshotted store.  Snapshots of the
-        earlier dataset-sharded index also name their shard key, which is
-        ignored: their entries and vectors are already in insertion order.
+        earlier dataset-sharded index also name their shard key, and earlier
+        snapshots give each entry its text; both are ignored.
         """
         store = cls(EmbeddingModel.from_state(state["model"]))
         entries = state["entries"]
@@ -181,9 +177,7 @@ class VectorStore:
         for entry, vector in zip(entries, vectors):
             # No observe(): document frequencies were restored with the model,
             # and these vectors are historical.
-            store._store_entry(
-                VectorEntry(entry["doc_id"], entry["text"], dict(entry["metadata"])), vector
-            )
+            store._store_entry(VectorEntry(entry["doc_id"], dict(entry["metadata"])), vector)
         return store
 
     # ------------------------------------------------------------------

@@ -237,7 +237,7 @@ def _journal_event_keys(path: Path) -> list[tuple[str, str]]:
 
     return [
         (event.type, json.dumps(event.payload, sort_keys=True))
-        for event in EventJournal.scan(path, with_events=True).events
+        for event in EventJournal.read_events(path)
     ]
 
 

@@ -22,6 +22,7 @@ pending.  No job fails, so no traceback lands in the journal.
 from __future__ import annotations
 
 import argparse
+import base64
 import dataclasses
 import hashlib
 import json
@@ -29,6 +30,7 @@ import shutil
 from pathlib import Path
 
 from repro.core import AnnotationService, Feedback, FeedbackAction, TaskConfig
+from repro.retrieval import ExampleStore
 from repro.schema import ColumnSchema, DatabaseSchema, ForeignKey, TableSchema
 
 HERE = Path(__file__).parent
@@ -111,13 +113,64 @@ def digest(value: object) -> str:
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:16]
 
 
+def archive_view(example_store: ExampleStore) -> dict:
+    """One project's retrieval archive, read from its objects.
+
+    The examples and their skeletons; per row of the vector index, its
+    doc id, the text it was embedded from (its example's SQL and NL,
+    newline-joined) and its metadata; the stored vectors as base64
+    little-endian float64 rows; and the embedding model's IDF state: each
+    feature some document bears, sorted, with its document frequency and
+    its signed vector index ``(index + 1) * sign``.
+    """
+    examples = {example.example_id: example for example in example_store._examples.values()}
+    index = example_store._store
+    model = index.model
+    frequencies = model._frequencies
+    features = sorted(
+        (feature, feature_id)
+        for feature, feature_id in model._feature_ids.items()
+        if frequencies[feature_id] > 0
+    )
+    return {
+        "counter": example_store._counter,
+        "version": example_store.version,
+        "examples": [dataclasses.asdict(example) for example in examples.values()],
+        "skeletons": {example_id: example_store.skeleton(example_id) for example_id in examples},
+        "vector_store": {
+            "model": {
+                "dimensions": model.dimensions,
+                "use_ngrams": model.use_ngrams,
+                "document_count": model._document_count,
+                "features": [feature for feature, _ in features],
+                "frequencies": [float(frequencies[feature_id]) for _, feature_id in features],
+                "hashes": [
+                    (int(model._indices[feature_id]) + 1) * int(model._signs[feature_id])
+                    for _, feature_id in features
+                ],
+            },
+            "entries": [
+                {
+                    "doc_id": entry.doc_id,
+                    "text": f"{examples[entry.doc_id].sql}\n{examples[entry.doc_id].nl}",
+                    "metadata": dict(entry.metadata),
+                }
+                for entry in index._rows
+            ],
+            "vectors": base64.b64encode(
+                index._matrix[: len(index)].astype("<f8").tobytes()
+            ).decode("ascii"),
+        },
+    }
+
+
 def durable_view(service: AnnotationService) -> dict:
     """What a restart must restore, spelled independently of the durable format.
 
     Schemas and feedback go through ``dataclasses.asdict`` rather than the
-    journal's own encoders, so the view reads the same whichever encoding
-    wrote the state.  The archive's state dict carries the examples, their
-    skeletons, the stored vectors (base64 float64) and the IDF state.
+    journal's own encoders, and the archive is read from its objects
+    (:func:`archive_view`) rather than its state dict, so the view reads the
+    same whichever encoding wrote the state.
     """
     projects = {}
     for name in service.project_names:
@@ -139,7 +192,7 @@ def durable_view(service: AnnotationService) -> dict:
                 ],
                 "knowledge": knowledge,
             },
-            "example_store": pipeline.retriever.example_store.state_dict(),
+            "example_store": archive_view(pipeline.retriever.example_store),
         }
     view = {
         "next_job_id": service.capture_state()["next_job_id"],

@@ -8,6 +8,7 @@ import base64
 import copy
 import dataclasses
 import json
+import logging
 import struct
 import zlib
 from pathlib import Path
@@ -16,6 +17,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
+from repro.core import journal as journal_module
 from repro.core import (
     AnnotationService,
     EventJournal,
@@ -76,6 +78,23 @@ def make_schema() -> DatabaseSchema:
             ),
         ],
     )
+
+
+def framed(payload: bytes) -> bytes:
+    """A journal record around ``payload`` whose length and CRC check out."""
+    return struct.pack("<II", len(payload), zlib.crc32(payload) & 0xFFFFFFFF) + payload
+
+
+def count_decodes():
+    """Count the JSON decodes the journal module makes."""
+    calls = []
+
+    def loads(data):
+        calls.append(len(data))
+        return json.loads(data)
+
+    namespace = mock.Mock(loads=loads, dumps=json.dumps)
+    return calls, mock.patch.object(journal_module, "json", namespace)
 
 
 def semantic_state(service: AnnotationService) -> dict:
@@ -189,10 +208,13 @@ def previous_format_snapshot(offset: int, state: dict) -> bytes:
         del vector_store["model"]["hashes"]
         rows = np.frombuffer(base64.b64decode(vector_store.pop("vectors")), dtype="<f8")
         rows = rows.reshape(len(vector_store["entries"]), vector_store["model"]["dimensions"])
+        examples = {
+            example["example_id"]: example for example in project["example_store"]["examples"]
+        }
         vector_store["entries"] = [
             {
                 "doc_id": entry["doc_id"],
-                "text": entry["text"],
+                "text": "{sql}\n{nl}".format(**examples[entry["doc_id"]]),
                 "vector": row.tolist(),
                 "metadata": entry["metadata"],
             }
@@ -257,9 +279,14 @@ class TestJournalFormat:
         with EventJournal(path) as journal:
             for index in range(5):
                 journal.append("tick", {"index": index})
-        assert [e.payload["index"] for e in EventJournal.read_events(path, limit=3)] == [0, 1, 2]
-        with pytest.raises(JournalError):
-            EventJournal.read_events(path, limit=-1)
+        calls, patch = count_decodes()
+        with patch:
+            events = EventJournal.read_events(path, limit=3)
+        assert [e.payload["index"] for e in events] == [0, 1, 2]
+        assert len(calls) == 3  # the records past the cut are not decoded
+        unread = mock.patch.object(EventJournal, "_read", side_effect=AssertionError("read"))
+        with unread, pytest.raises(JournalError):
+            EventJournal.read_events(path, limit=-1)  # rejected before any read
 
     def test_scan_missing_file_is_empty(self, tmp_path):
         recovery = EventJournal.scan(tmp_path / "absent.bin")
@@ -389,18 +416,41 @@ class TestTornTail:
         assert len(events) == len(boundaries)
 
 
-class TestSingleScanReplay:
-    """Recovery hands replay the records its open scan decoded."""
+class TestSalvageTelemetry:
+    def test_salvage_is_counted_and_logged(self, torn_image, tmp_path, caplog):
+        path = tmp_path / "journal.bin"
+        path.write_bytes(torn_image + framed(b"garbage"))
+        salvage = EventJournal.scan(path).salvage
+        telemetry = Telemetry()
+        with caplog.at_level(logging.INFO):
+            AnnotationService.recover(path, telemetry=telemetry).close()
+        (series,) = telemetry.metrics_dict()["journal_salvage_total"]["series"]
+        assert series == {"labels": {"kind": "torn_tail"}, "value": 1.0}
+        (message,) = [
+            record.getMessage() for record in caplog.records
+            if record.getMessage().startswith("journal_salvaged ")
+        ]
+        assert message.split()[1:6] == [
+            f"dropped_bytes={salvage.dropped_bytes}",
+            "kind=torn_tail",
+            "reason=undecodable_payload",
+            "resynced_records=0",
+            f"valid_records={salvage.valid_records}",
+        ]
 
-    def count_scans(self):
-        original = EventJournal.scan
+
+class TestSingleScanReplay:
+    """Recovery reads the journal file once and decodes only what it replays."""
+
+    def count_reads(self):
+        original = EventJournal._read
         calls = []
 
-        def counting(path, with_events=True):
+        def counting(path):
             calls.append(path)
-            return original(path, with_events)
+            return original(path)
 
-        return calls, mock.patch.object(EventJournal, "scan", staticmethod(counting))
+        return calls, mock.patch.object(EventJournal, "_read", staticmethod(counting))
 
     def test_recover_reads_the_journal_once(self, tmp_path):
         service = AnnotationService.open_durable(tmp_path / "svc", snapshot_every=4)
@@ -415,13 +465,104 @@ class TestSingleScanReplay:
             lambda: AnnotationService.open_durable(tmp_path / "svc"),
             lambda: AnnotationService.recover(tmp_path / "svc" / "journal.bin"),
         ):
-            calls, patch = self.count_scans()
+            calls, patch = self.count_reads()
             with patch:
                 recovered = open_service()
             assert len(calls) == 1
             assert semantic_state(recovered) == live
-            assert recovered.journal._opened_events is None  # not kept after replay
+            assert recovered.journal._unread is None  # not kept after replay
             recovered.close()
+
+    @staticmethod
+    def snapshot_and_suffix(directory: Path) -> dict:
+        """Drain :data:`QUERIES` with one snapshot after the third; the live state."""
+        service = AnnotationService.open_durable(directory)
+        service.register_project("hr", make_schema())
+        for index, sql in enumerate(QUERIES):
+            if index == 3:
+                service.snapshot()
+            service.submit(sql, project="hr")
+            service.drain()
+        live = semantic_state(service)
+        service.close()
+        return live
+
+    def test_warm_open_decodes_only_the_suffix(self, tmp_path):
+        directory = tmp_path / "svc"
+        live = self.snapshot_and_suffix(directory)
+        offset, _ = SnapshotManager(directory / "snapshots").latest()
+        total = len(EventJournal.read_events(directory / "journal.bin"))
+        assert 0 < offset < total
+        calls, patch = count_decodes()
+        with patch:
+            service = AnnotationService.open_durable(directory)
+            assert service.journal.record_count == total
+            assert not service.journal.recovery.torn
+        assert len(calls) == total - offset
+        assert semantic_state(service) == live
+        service.close()
+
+    def test_cold_recover_decodes_every_record(self, tmp_path):
+        directory = tmp_path / "svc"
+        live = self.snapshot_and_suffix(directory)
+        total = len(EventJournal.read_events(directory / "journal.bin"))
+        calls, patch = count_decodes()
+        with patch:
+            service = AnnotationService.recover(directory / "journal.bin")
+        assert len(calls) == total
+        assert semantic_state(service) == live
+        service.close()
+
+    @pytest.mark.parametrize("payload", [b"\xff not json", b"[1, 2]", b'{"type": "x"}'])
+    def test_undecodable_last_record_is_truncated_on_a_warm_open(self, tmp_path, payload):
+        directory = tmp_path / "svc"
+        live = self.snapshot_and_suffix(directory)
+        path = directory / "journal.bin"
+        valid = path.read_bytes()
+        path.write_bytes(valid + framed(payload))
+        expected = EventJournal.scan(path)
+        assert expected.salvage.reason == "undecodable_payload"
+        assert expected.valid_bytes == len(valid)
+        service = AnnotationService.open_durable(directory)
+        journal = service.journal
+        assert journal.recovery == expected
+        assert journal.record_count == expected.record_count
+        assert path.read_bytes() == valid  # truncated before any append
+        assert semantic_state(service) == live
+        service.submit(QUERIES[0], project="hr")
+        service.close()
+        events = EventJournal.read_events(path)
+        assert len(events) == expected.record_count + 1
+        assert events[-1].type == JOB_SUBMITTED
+
+    def test_undecodable_record_is_truncated_before_an_append(self, torn_image, tmp_path):
+        path = tmp_path / "journal.bin"
+        path.write_bytes(torn_image + framed(b"garbage"))
+        expected = EventJournal.scan(path)
+        with EventJournal(path) as journal:
+            assert journal.record_count == expected.record_count + 1  # not yet decoded
+            assert journal.append("epilogue", {}) == expected.record_count
+            assert journal.recovery == expected
+        assert path.read_bytes()[: len(torn_image)] == torn_image
+        assert [event.type for event in EventJournal.read_events(path)][-1] == "epilogue"
+
+    def test_covered_prefix_is_not_decoded_on_a_warm_open(self, tmp_path):
+        """A record the snapshot covers is never decoded, so a payload there
+        that does not decode goes unnoticed (see the journal docstring)."""
+        directory = tmp_path / "svc"
+        live = self.snapshot_and_suffix(directory)
+        offset, _ = SnapshotManager(directory / "snapshots").latest()
+        path = directory / "journal.bin"
+        image = path.read_bytes()
+        start, end = record_boundaries(image)[1]
+        path.write_bytes(image[:start] + framed(b"{not json") + image[end:])
+        assert 1 < offset
+        assert EventJournal.scan(path).record_count == 1  # a cold read stops there
+        service = AnnotationService.open_durable(directory)
+        assert not service.journal.recovery.torn
+        assert service.journal.record_count == len(record_boundaries(image))
+        assert semantic_state(service) == live
+        service.close()
 
     def test_first_events_call_matches_a_fresh_read(self, torn_image, tmp_path):
         path = tmp_path / "journal.bin"
@@ -447,7 +588,7 @@ class TestSingleScanReplay:
         start_last, _ = boundaries[-1]
         for image in (torn_image, torn_image[:-3], torn_image[: start_last + 9]):
             path.write_bytes(image)
-            expected = EventJournal.scan(path, with_events=False)
+            expected = EventJournal.scan(path)
             with EventJournal(path) as journal:
                 assert journal.recovery == expected
                 assert journal.record_count == expected.record_count

@@ -837,6 +837,10 @@ class TestRetrievalCorpus:
         small = corpus["small"]
         expected = json.loads(json.dumps(small["state"]))
         del expected["vector_store"]["shard_key"]
+        examples = {example["example_id"]: example for example in expected["examples"]}
+        for entry in expected["vector_store"]["entries"]:
+            example = examples[entry["doc_id"]]
+            assert entry.pop("text") == f"{example['sql']}\n{example['nl']}"
         rebuilt, _ = replay(small, EmbeddingModel(dimensions=small["dimensions"]))
         assert rebuilt.state_dict() == expected
         loaded = ExampleStore()
