@@ -11,6 +11,7 @@ import pytest
 from repro.engine import Database
 from repro.schema import ColumnSchema, DatabaseSchema, ForeignKey, TableSchema
 from repro.workloads import BENCHMARK_NAMES, build_benchmark
+from tests.engine_databases import build_hr_database
 
 
 @pytest.fixture()
@@ -45,28 +46,7 @@ def hr_schema() -> DatabaseSchema:
 @pytest.fixture()
 def hr_database() -> Database:
     """A populated HR database matching :func:`hr_schema`."""
-    database = Database("hr")
-    database.execute(
-        "CREATE TABLE departments (dept_id INT PRIMARY KEY, dept_name TEXT, budget REAL)"
-    )
-    database.execute(
-        "CREATE TABLE employees (emp_id INT PRIMARY KEY, name TEXT, salary REAL, "
-        "dept_id INT, hire_date DATE)"
-    )
-    database.execute(
-        "INSERT INTO departments (dept_id, dept_name, budget) VALUES "
-        "(1, 'Engineering', 500000), (2, 'Marketing', 200000), (3, 'Research', 300000)"
-    )
-    database.execute(
-        "INSERT INTO employees (emp_id, name, salary, dept_id, hire_date) VALUES "
-        "(1, 'Alice', 120000, 1, '2019-03-01'), "
-        "(2, 'Bob', 95000, 1, '2020-07-15'), "
-        "(3, 'Carol', 88000, 2, '2018-01-20'), "
-        "(4, 'Dan', 72000, 2, '2021-11-05'), "
-        "(5, 'Eve', 150000, 3, '2017-06-30'), "
-        "(6, 'Frank', 67000, NULL, '2022-02-14')"
-    )
-    return database
+    return build_hr_database()
 
 
 @pytest.fixture(scope="session")

@@ -11,13 +11,23 @@ against the stdlib ``sqlite3`` module as an independent oracle.
 
 from __future__ import annotations
 
-import random
 import sqlite3
 
 import pytest
 
 from repro.engine import Database
 from repro.errors import ExecutionError, ReproError
+from tests.engine_databases import (
+    RARE_STATUSES,
+    SET_TABLE_ROWS,
+    TIERS,
+    ZONES,
+    build_join_database,
+    build_join_order_database,
+    build_mixed_database,
+    build_set_database,
+    build_shop_database,
+)
 
 #: The interpreter is the semantic reference; compiled must match it.
 PARITY_MODES = ("interpreted", "compiled")
@@ -98,26 +108,7 @@ def test_generated_workload_parity(workload_fixture, request):
 
 @pytest.fixture()
 def join_database() -> Database:
-    """Two small tables with duplicated column names and NULL join keys."""
-    database = Database("joins")
-    database.execute(
-        "CREATE TABLE orders (id INT PRIMARY KEY, customer_id INT, region_id INT, amount REAL, status TEXT)"
-    )
-    database.execute(
-        "CREATE TABLE customers (id INT PRIMARY KEY, region_id INT, name TEXT, tier TEXT)"
-    )
-    database.execute(
-        "INSERT INTO customers (id, region_id, name, tier) VALUES "
-        "(1, 10, 'Acme', 'gold'), (2, 20, 'Globex', 'silver'), "
-        "(3, NULL, 'Initech', 'gold'), (4, 10, 'Umbrella', 'bronze')"
-    )
-    database.execute(
-        "INSERT INTO orders (id, customer_id, region_id, amount, status) VALUES "
-        "(100, 1, 10, 250.0, 'open'), (101, 1, 20, 80.0, 'closed'), "
-        "(102, 2, 20, 99.5, 'open'), (103, NULL, 10, 10.0, 'open'), "
-        "(104, 3, NULL, 500.0, 'closed'), (105, 9, 99, 1.0, 'open')"
-    )
-    return database
+    return build_join_database()
 
 
 JOIN_EDGE_QUERIES = [
@@ -243,38 +234,7 @@ def test_right_and_full_unmatched_rows(join_database):
 
 @pytest.fixture()
 def shop_database() -> Database:
-    """Three tables with skewed sizes.
-
-    Textual join order in the queries goes biggest-first
-    (line_items > orders > customers).
-    """
-    database = Database("shop")
-    database.execute(
-        "CREATE TABLE customers (id INT PRIMARY KEY, name TEXT, tier TEXT)"
-    )
-    database.execute(
-        "CREATE TABLE orders (id INT PRIMARY KEY, customer_id INT, status TEXT)"
-    )
-    database.execute(
-        "CREATE TABLE line_items (order_id INT, product TEXT, qty INT)"
-    )
-    database.execute(
-        "INSERT INTO customers (id, name, tier) VALUES "
-        + ", ".join(
-            f"({i}, 'cust_{i}', '{'gold' if i == 0 else 'basic'}')" for i in range(5)
-        )
-    )
-    database.execute(
-        "INSERT INTO orders (id, customer_id, status) VALUES "
-        + ", ".join(
-            f"({i}, {i % 5}, '{'open' if i % 3 else 'closed'}')" for i in range(20)
-        )
-    )
-    database.execute(
-        "INSERT INTO line_items (order_id, product, qty) VALUES "
-        + ", ".join(f"({i % 20}, 'prod_{i % 7}', {1 + i % 4})" for i in range(60))
-    )
-    return database
+    return build_shop_database()
 
 
 SHOP_QUERIES = [
@@ -302,78 +262,9 @@ def test_shop_join_parity(shop_database, sql):
     assert not isinstance(assert_parity(shop_database, sql), Exception), sql
 
 
-_TIERS = ("gold", "silver", "bronze", "basic")
-_COMMON_STATUSES = ("open", "closed", "shipped")
-_RARE_STATUSES = ("returned", "cancelled")
-_ZONES = ("north", "south", "east", "west")
-_REGION_COUNT = 12
-
-
 @pytest.fixture(scope="module")
 def join_order_database() -> Database:
-    """Regions, customers, orders and line items (seed 29), smallest first.
-
-    12 regions, 60 customers, 250 orders and 900 line items; every query in
-    :data:`WORST_ORDER_QUERIES` names the biggest table first and puts its
-    selective predicates on the last-named small tables.
-    """
-    customers, orders, lineitems = 60, 250, 900
-    rng = random.Random(29)
-    database = Database("join-order")
-    database.create_table(
-        "regions", [("id", "INT"), ("name", "TEXT"), ("zone", "TEXT")], primary_key=["id"]
-    )
-    database.create_table(
-        "customers",
-        [("id", "INT"), ("region_id", "INT"), ("name", "TEXT"), ("tier", "TEXT")],
-        primary_key=["id"],
-    )
-    database.create_table(
-        "orders",
-        [("id", "INT"), ("customer_id", "INT"), ("status", "TEXT"), ("total", "REAL")],
-        primary_key=["id"],
-    )
-    database.create_table(
-        "lineitems",
-        [("order_id", "INT"), ("product", "TEXT"), ("qty", "INT"), ("price", "REAL")],
-    )
-    database.table("regions").insert_rows(
-        [(i + 1, f"region_{i + 1}", _ZONES[i % len(_ZONES)]) for i in range(_REGION_COUNT)]
-    )
-    database.table("customers").insert_rows(
-        [
-            (
-                i + 1,
-                rng.randint(1, _REGION_COUNT),
-                f"customer_{i + 1}",
-                "gold" if i % 20 == 0 else rng.choice(_TIERS[1:]),
-            )
-            for i in range(customers)
-        ]
-    )
-    database.table("orders").insert_rows(
-        [
-            (
-                i + 1,
-                rng.randint(1, customers),
-                _RARE_STATUSES[i % 2] if i % 25 == 0 else rng.choice(_COMMON_STATUSES),
-                round(rng.uniform(10, 2000), 2),
-            )
-            for i in range(orders)
-        ]
-    )
-    database.table("lineitems").insert_rows(
-        [
-            (
-                rng.randint(1, orders),
-                f"prod_{rng.randint(1, 40)}",
-                rng.randint(1, 12),
-                round(rng.uniform(1, 250), 2),
-            )
-            for _ in range(lineitems)
-        ]
-    )
-    return database
+    return build_join_order_database()
 
 
 WORST_ORDER_QUERIES = (
@@ -401,7 +292,7 @@ WORST_ORDER_QUERIES = (
         "JOIN customers c ON o.customer_id = c.id "
         f"WHERE o.status = '{status}' AND c.tier = '{tier}' "
         "GROUP BY c.name ORDER BY 2 DESC, c.name LIMIT 10"
-        for status in _RARE_STATUSES
+        for status in RARE_STATUSES
         for tier in ("gold", "silver")
     ]
     # Four-table chains ending at the tiny regions table.
@@ -412,7 +303,7 @@ WORST_ORDER_QUERIES = (
         "JOIN regions r ON c.region_id = r.id "
         f"WHERE r.zone = '{zone}' AND c.tier IN ('gold', 'silver') "
         "GROUP BY r.name ORDER BY 2 DESC, r.name"
-        for zone in _ZONES
+        for zone in ZONES
     ]
     # Already-optimal textual order, for contrast.
     + [
@@ -420,7 +311,7 @@ WORST_ORDER_QUERIES = (
         "JOIN orders o ON o.customer_id = c.id "
         "JOIN lineitems l ON l.order_id = o.id "
         f"WHERE c.tier = '{tier}'"
-        for tier in _TIERS
+        for tier in TIERS
     ]
 )
 
@@ -480,8 +371,6 @@ def test_expression_parity(hr_database, sql):
 # chained set operations against sqlite3
 # ---------------------------------------------------------------------------
 
-_SET_TABLE_ROWS = [(1, 1), (2, 3), (2, 3), (3, None), (None, 2), (4, 4)]
-
 #: (engine SQL, sqlite3 SQL); None means the same text.  Every chain folds
 #: left to right and ends in an ORDER BY that fixes the row order.
 SET_CHAIN_QUERIES = [
@@ -508,12 +397,10 @@ SET_CHAIN_QUERIES = [
 
 @pytest.fixture(scope="module")
 def set_databases():
-    database = Database("sets")
-    database.execute("CREATE TABLE t (a INT, b INT)")
-    database.table("t").insert_rows(_SET_TABLE_ROWS)
+    database = build_set_database()
     oracle = sqlite3.connect(":memory:")
     oracle.execute("CREATE TABLE t (a INTEGER, b INTEGER)")
-    oracle.executemany("INSERT INTO t VALUES (?, ?)", _SET_TABLE_ROWS)
+    oracle.executemany("INSERT INTO t VALUES (?, ?)", SET_TABLE_ROWS)
     yield database, oracle
     oracle.close()
 
@@ -527,17 +414,20 @@ def test_set_operation_chains_match_sqlite(set_databases, sql, oracle_sql):
     assert reference.rows == expected, sql
 
 
+ERROR_QUERIES = [
+    "SELECT nope FROM employees",
+    "SELECT UNKNOWN_FN(salary) FROM employees",
+    "SELECT * FROM missing_table",
+    "SELECT SUM(salary) FROM employees WHERE SUM(salary) > 1",
+    # column-only projections that do not resolve take the evaluator path
+    "SELECT e.nope, e.name FROM employees e",
+    "SELECT d.dept_name FROM employees e",
+    "SELECT emp_id, missing FROM employees CROSS JOIN departments",
+]
+
+
 def test_error_parity_for_bad_queries(hr_database):
-    for sql in (
-        "SELECT nope FROM employees",
-        "SELECT UNKNOWN_FN(salary) FROM employees",
-        "SELECT * FROM missing_table",
-        "SELECT SUM(salary) FROM employees WHERE SUM(salary) > 1",
-        # column-only projections that do not resolve take the evaluator path
-        "SELECT e.nope, e.name FROM employees e",
-        "SELECT d.dept_name FROM employees e",
-        "SELECT emp_id, missing FROM employees CROSS JOIN departments",
-    ):
+    for sql in ERROR_QUERIES:
         outcomes = run_all_modes(hr_database, sql)
         reference = outcomes["interpreted"]
         assert isinstance(reference, ReproError), sql
@@ -581,26 +471,7 @@ def test_using_join_missing_column_raises_execution_error(hr_database):
 
 @pytest.fixture()
 def mixed_database() -> Database:
-    """Same-looking keys stored as INT, REAL, TEXT and BOOLEAN, plus NULLs and NaN."""
-    database = Database("mixed")
-    database.create_table("ints", [("id", "INT"), ("k", "INT"), ("label", "TEXT")])
-    database.create_table("reals", [("id", "INT"), ("k", "REAL")])
-    database.create_table("texts", [("id", "INT"), ("k", "TEXT"), ("note", "TEXT")])
-    database.create_table("flags", [("id", "INT"), ("k", "BOOLEAN")])
-    database.create_table("nans", [("k", "REAL")])
-    database.create_table("empty", [("id", "INT"), ("k", "INT")])
-    database.table("ints").insert_rows(
-        [(1, 1, "one"), (2, 2, "two"), (3, 0, "zero"), (4, None, "null"), (5, -7, "neg")]
-    )
-    database.table("reals").insert_rows(
-        [(1, 1.0), (2, 2.5), (3, -0.0), (4, None), (5, float("inf"))]
-    )
-    database.table("texts").insert_rows(
-        [(1, "1", "a"), (2, "2.5", "b"), (3, "True", "c"), (4, "x", "d"), (5, None, "e"), (6, "0", "f")]
-    )
-    database.table("flags").insert_rows([(1, True), (2, False), (3, None)])
-    database.table("nans").insert_rows([(float("nan"),), (3.0,)])
-    return database
+    return build_mixed_database()
 
 
 _PROBES = ("ints", "reals", "texts", "flags")

@@ -21,6 +21,7 @@ from repro.errors import ReproError
 from repro.evaluation import SimulatedText2SQLModel
 from repro.evaluation.text2sql_models import GENERAL_MODELS, best_model_for
 from repro.workloads import BENCHMARK_NAMES, build_benchmark
+from tests.engine_databases import build_stream_database
 
 
 def outcome(database: Database, sql: str, mode: str) -> tuple:
@@ -50,23 +51,59 @@ def stream_operator(database: Database, sql: str) -> dict:
 
 @pytest.fixture()
 def db() -> Database:
-    database = Database("stream")
-    database.execute("CREATE TABLE a (id INT, v INT, flag INT, s TEXT)")
-    database.execute("CREATE TABLE b (id INT, a_id INT, v INT, w REAL)")
-    database.execute("CREATE TABLE c (k INT, v INT, s TEXT)")
-    database.execute("CREATE TABLE e (k INT, v INT)")
-    database.execute(
-        "INSERT INTO a (id, v, flag, s) VALUES (1, 2, 1, '10'), (2, 3, 0, 'x'), "
-        "(3, 2, NULL, '7'), (4, NULL, 1, NULL), (5, 9, 0, '0')"
-    )
-    database.execute(
-        "INSERT INTO b (id, a_id, v, w) VALUES (1, 1, 2, 0.5), (2, 1, 5, 2.0), "
-        "(3, 3, 2, NULL), (4, 9, 7, 1.0)"
-    )
-    database.execute(
-        "INSERT INTO c (k, v, s) VALUES (1, 2, '3'), (2, 0, 'y'), (3, NULL, '1'), (4, 2, '0')"
-    )
-    return database
+    return build_stream_database()
+
+
+_CORRELATED = "EXISTS (SELECT * FROM b WHERE b.a_id = a.id)"
+
+#: Every hand-written statement the edge-case tests below run on ``db``.
+EDGE_QUERIES = [
+    # WHERE on the padded side of a LEFT JOIN
+    *(
+        f"SELECT * FROM a LEFT JOIN b ON a.id = b.a_id CROSS JOIN c WHERE {where}"
+        for where in (
+            "b.v IS NULL", "b.v = 2", "b.w > 0.6 AND c.v = 2", "c.v = 2 AND b.id IS NULL"
+        )
+    ),
+    "SELECT * FROM c CROSS JOIN a LEFT JOIN b ON a.id = b.a_id WHERE b.v IS NULL",
+    # a cross join on the right side of a LEFT JOIN
+    "SELECT * FROM a LEFT JOIN (b CROSS JOIN c) ON a.id = b.a_id WHERE c.v = 2",
+    "SELECT * FROM a LEFT JOIN (SELECT b.a_id, c.k FROM b CROSS JOIN c "
+    "WHERE c.v = 2) s ON a.id = s.a_id WHERE s.k IS NULL OR a.v = 2",
+    # NULL- and zero-valued conjuncts keep their rows
+    "SELECT a.id, c.k FROM a CROSS JOIN c WHERE a.flag AND c.v = 2",
+    "SELECT * FROM a CROSS JOIN c WHERE a.flag AND CAST(c.s AS INT) > 0",
+    "SELECT * FROM a CROSS JOIN c WHERE a.v AND c.v",
+    "SELECT * FROM a CROSS JOIN c WHERE NOT a.flag AND c.v IS NULL",
+    # conjuncts that raise only on rows an earlier conjunct removes
+    "SELECT * FROM a CROSS JOIN c WHERE a.s <> 'x' AND CAST(a.s AS INT) > 1",
+    "SELECT * FROM a CROSS JOIN c WHERE CAST(a.s AS INT) > 1 AND a.s <> 'x'",
+    "SELECT * FROM a CROSS JOIN c WHERE a.id = 99 AND CAST(c.s AS INT) > 0",
+    "SELECT * FROM a CROSS JOIN c WHERE CAST(c.s AS INT) > 0 AND a.id = 99",
+    "SELECT NO_SUCH FROM e CROSS JOIN a WHERE NO_SUCH = 1",
+    # correlated and uncorrelated subquery conjuncts
+    f"SELECT a.id, c.k FROM a CROSS JOIN c WHERE {_CORRELATED} AND c.v = 2",
+    f"SELECT a.id, c.k FROM a CROSS JOIN c WHERE c.v = 2 AND {_CORRELATED}",
+    "SELECT a.id, c.k FROM a CROSS JOIN c WHERE a.id IN (SELECT a_id FROM b)",
+    # ambiguous bare columns bind to the first match
+    "SELECT * FROM a CROSS JOIN c WHERE v = 2",
+    "SELECT * FROM c CROSS JOIN a WHERE v = 2",
+    "SELECT * FROM a CROSS JOIN a WHERE a.v = 2",
+    "SELECT * FROM b CROSS JOIN a CROSS JOIN c WHERE v = 2 AND id > 1",
+    "SELECT * FROM a CROSS JOIN c WHERE k = v",
+    "SELECT * FROM a CROSS JOIN c WHERE c.k = v AND c.v = 2",
+    "SELECT * FROM a CROSS JOIN c WHERE a.v = 2 AND a.v = c.v AND c.k > 1",
+    # hash joins above the product, residuals that raise, set operations, CTEs
+    "SELECT a.id, b.id, c.k FROM a CROSS JOIN c JOIN b ON b.a_id = a.id "
+    "WHERE c.v = 2 AND b.w > 0.1 ORDER BY c.k",
+    "SELECT a.id, b.id FROM a CROSS JOIN c LEFT JOIN b ON b.a_id = a.id AND b.v = c.v "
+    "WHERE c.k < 3",
+    "SELECT * FROM a CROSS JOIN c JOIN b ON b.a_id = a.id AND CAST(c.s AS INT) > 0 "
+    "WHERE c.k = 1",
+    "SELECT * FROM a CROSS JOIN c RIGHT JOIN b ON b.a_id = a.id WHERE c.v = 2",
+    "SELECT * FROM a, c WHERE a.id = 1 UNION SELECT * FROM a, c WHERE c.k = 2",
+    "WITH x AS (SELECT * FROM a, c WHERE c.v = 2) SELECT COUNT(*) FROM x, e",
+]
 
 
 # ---------------------------------------------------------------------------
