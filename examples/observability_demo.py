@@ -79,10 +79,7 @@ def show_explain_analyze() -> None:
     analyze = info["analyze"]
     print("\n=== EXPLAIN ANALYZE ===")
     print(sql)
-    print(
-        f"mode={analyze['executor_mode']}  rows={analyze['rows_returned']}  "
-        f"total={analyze['total_seconds'] * 1000:0.3f}ms"
-    )
+    print(f"rows={analyze['rows_returned']}  total={analyze['total_seconds'] * 1000:0.3f}ms")
     for operator in analyze["operators"]:
         indent = "  " * operator["depth"]
         detail = {

@@ -2,7 +2,7 @@
 
 from repro.engine.compiler import compile_group_expression, compile_row_expression
 from repro.engine.database import Database
-from repro.engine.executor import EXECUTOR_MODES, Executor, QueryResult, RowContext
+from repro.engine.executor import Executor, QueryResult, RowContext
 from repro.engine.functions import call_aggregate, call_scalar, is_scalar_function
 from repro.engine.storage import ColumnLabel, Relation, StoredColumn, StoredTable
 from repro.engine.types import (
@@ -17,7 +17,6 @@ from repro.engine.types import (
 __all__ = [
     "Database",
     "DataType",
-    "EXECUTOR_MODES",
     "Executor",
     "QueryResult",
     "Relation",

@@ -1,9 +1,9 @@
 """Expression-to-closure compiler for the execution hot path.
 
-The tree-walking interpreter in :mod:`repro.engine.executor` re-dispatches on
-AST node type and resolves every column reference by string for every row.
-This module compiles an expression tree *once* per (expression, relation)
-into a plain Python closure ``row -> value``:
+The executor's tree-walking evaluator (``Executor._evaluate``) re-dispatches
+on AST node type and resolves every column reference by string for every
+row.  This module compiles an expression tree *once* per (expression,
+relation) into a plain Python closure ``row -> value``:
 
 * column references are resolved to tuple indices at compile time,
 * operator dispatch happens at compile time (each node becomes one closure),
@@ -12,15 +12,16 @@ into a plain Python closure ``row -> value``:
 
 Compilation is best-effort: :func:`compile_row_expression` returns ``None``
 for anything it cannot handle — outer column references, aggregates in row
-position, bind parameters — and the executor falls back to the interpreter
+position, bind parameters — and the executor falls back to the evaluator
 *for that expression only*.  Subqueries (IN/EXISTS/scalar) compile when the
 caller supplies a ``subqueries`` handler: the handler maps a subquery node to
 a ``row -> QueryResult`` runner (the executor binds its cached-subquery
 machinery there, so correlated subqueries execute through the compiled path
-too).  Without a handler they fall back to the interpreter as before.  Every
-compiled closure mirrors the corresponding interpreter branch exactly
-(including NULL propagation quirks), so the two paths produce bit-identical
-results; ``tests/test_engine_parity.py`` enforces this.
+too).  Without a handler they fall back to the evaluator.  Every compiled
+closure mirrors the corresponding evaluator branch exactly (including NULL
+propagation quirks), so a fallback never changes a result;
+``tests/test_engine_golden.py`` replays results recorded when a second,
+fully tree-walking executor checked every statement.
 
 :func:`compile_group_expression` is the aggregation-mode analogue: it
 compiles an expression evaluated once per group (HAVING, aggregated select

@@ -5,10 +5,8 @@ generators populate databases, the execution-accuracy metric runs gold and
 predicted SQL against them, and the backtranslation rubric re-executes
 regenerated SQL.
 
-SELECTs run in one of two executor modes (:attr:`Database.executor_mode`):
-``"compiled"`` (the default and the one fast path) and ``"interpreted"`` (the
-per-row reference evaluator the parity suites compare against).  Both return
-bit-identical results; see :mod:`repro.engine.executor`.
+SELECTs run on one executor, which compiles expressions to closures; see
+:mod:`repro.engine.executor`.
 
 Hot-path machinery (all transparent to callers):
 
@@ -33,7 +31,7 @@ from collections import OrderedDict, deque
 
 from repro.errors import CatalogError, ExecutionError
 from repro.obs import NULL_TELEMETRY, Telemetry
-from repro.engine.executor import EXECUTOR_MODES, Executor, QueryResult
+from repro.engine.executor import Executor, QueryResult
 from repro.engine.runtime import is_true
 from repro.engine.storage import StoredColumn, StoredTable
 from repro.engine.types import DataType, SQLValue
@@ -75,7 +73,6 @@ class Database:
     def __init__(
         self,
         name: str = "main",
-        executor_mode: str = "compiled",
         statement_cache_size: int = DEFAULT_STATEMENT_CACHE_SIZE,
     ) -> None:
         self.name = name
@@ -88,25 +85,10 @@ class Database:
         self._statement_cache_size = statement_cache_size
         self.statement_cache_hits = 0
         self.statement_cache_misses = 0
-        self._executor = Executor(self, mode=executor_mode)
+        self._executor = Executor(self)
         #: Slow-query log; disabled (None threshold) keeps execute un-timed.
         self._slow_query_threshold: float | None = None
         self.slow_queries: deque[dict] = deque(maxlen=DEFAULT_SLOW_QUERY_CAPACITY)
-
-    # ------------------------------------------------------------------
-    # execution mode
-    # ------------------------------------------------------------------
-
-    @property
-    def executor_mode(self) -> str:
-        """Evaluation mode: ``"compiled"`` (default) or ``"interpreted"``."""
-        return self._executor.mode
-
-    @executor_mode.setter
-    def executor_mode(self, mode: str) -> None:
-        if mode not in EXECUTOR_MODES:
-            raise ValueError(f"unknown executor mode {mode!r}; expected one of {EXECUTOR_MODES}")
-        self._executor.mode = mode
 
     # ------------------------------------------------------------------
     # catalog
@@ -284,8 +266,8 @@ class Database:
     def explain(self, sql: str, analyze: bool = False) -> dict:
         """Describe a statement without changing the database.
 
-        For a SELECT the dict names the statement, the executor mode and (for
-        a set operation) the operator; for anything else it carries the
+        For a SELECT the dict names the statement and (for a set operation)
+        the operator; for anything else it carries the
         statement type plus the reason it is not described further.  Parsing
         only: a described INSERT does not run.
 
@@ -294,7 +276,7 @@ class Database:
         ``"analyze"`` key: executed operators with wall time and rows in/out,
         total wall time, and the query's cache-counter deltas.  The analyzed
         execution observes but never perturbs evaluation, so the rows it
-        produces are bit-identical to a plain ``execute`` in either mode.
+        produces are bit-identical to a plain ``execute``.
         """
         statement = self.parse_cached(sql)
         if not isinstance(statement, Select):

@@ -12,23 +12,19 @@ by the workload generators and needed by the evaluation harnesses:
 * correlated and uncorrelated subqueries (scalar, IN, EXISTS),
 * common table expressions, set operations, DISTINCT, ORDER BY, LIMIT/OFFSET.
 
-The executor has two evaluation paths, selected by ``mode``:
+Each WHERE predicate, join condition, projection item, grouping key, ORDER
+BY key and HAVING clause is compiled once into a Python closure with column
+indices pre-resolved (:mod:`repro.engine.compiler`); AND-of-equality join
+conditions run as multi-key hash joins; a top-level FROM chain with a cross
+product streams into WHERE, with a leading run of single-input conjuncts
+pushed onto the product's operands; compiled plans are cached per AST node
+and relation shape, invalidated by the database's catalog version.
 
-* ``"compiled"`` (default, the fast path): each WHERE predicate, join
-  condition, projection item, grouping key, ORDER BY key and HAVING clause is
-  compiled once into a Python closure with column indices pre-resolved
-  (:mod:`repro.engine.compiler`); AND-of-equality join conditions run as
-  multi-key hash joins; a top-level FROM chain with a cross product streams
-  into WHERE, with a leading run of single-input conjuncts pushed onto the
-  product's operands; compiled plans are cached per AST node and relation
-  shape, invalidated by the database's catalog version.
-* ``"interpreted"``: the original per-row tree-walking evaluator, kept
-  verbatim as the semantic reference.  The parity suites run every query
-  through both modes and assert bit-identical results.
-
-Expressions the compiler cannot handle (correlated subqueries, outer column
-references, unknown functions) transparently fall back to the interpreter
-for that expression only, so compiled mode never changes semantics.
+Expressions the compiler cannot handle (outer column references below the
+top level, unknown functions) fall back to the tree-walking evaluator
+(:meth:`Executor._evaluate`) for that expression only.  Results are checked
+against a recorded golden (``tests/data/engine_golden.json``) and against
+``sqlite3`` (``tests/test_engine_oracle.py``).
 """
 
 from __future__ import annotations
@@ -93,12 +89,6 @@ from repro.sql.ast_nodes import (
     TableRef,
     UnaryOp,
 )
-
-#: Sentinel returned by _order_key in non-strict mode when no key was found.
-_ORDER_KEY_MISS = object()
-
-#: Executor modes understood by :class:`Executor` and :class:`Database`.
-EXECUTOR_MODES = ("compiled", "interpreted")
 
 #: Compiled-plan cache bound; the cache is cleared wholesale beyond this.
 _PLAN_CACHE_LIMIT = 4096
@@ -218,11 +208,8 @@ class QueryResult:
 class Executor:
     """Executes SELECT statements against a database's table catalog."""
 
-    def __init__(self, database: "Database", mode: str = "compiled") -> None:  # noqa: F821
-        if mode not in EXECUTOR_MODES:
-            raise ValueError(f"unknown executor mode {mode!r}; expected one of {EXECUTOR_MODES}")
+    def __init__(self, database: "Database") -> None:  # noqa: F821
         self._database = database
-        self.mode = mode
         # Cache of uncorrelated subquery results, keyed by AST node id.  The
         # node itself is kept in the value so its id cannot be reused while the
         # cache entry is alive; each entry is tagged with the database's data
@@ -359,30 +346,27 @@ class Executor:
         compiled runners bind the evaluating row as the sole outer context,
         which a nested evaluation cannot represent.
         """
-        if self.mode != "interpreted":
-            if outer is None:
-                compiled = self._cached_plan(
+        if outer is None:
+            compiled = self._cached_plan(
+                expression,
+                "row",
+                tuple(relation.labels),
+                lambda: compile_row_expression(
                     expression,
-                    "row",
-                    tuple(relation.labels),
-                    lambda: compile_row_expression(
-                        expression,
-                        relation,
-                        self._subquery_handler(relation),
-                        self.compile_counters,
-                    ),
-                )
-            else:
-                compiled = self._cached_plan(
-                    expression,
-                    "row-nested",
-                    tuple(relation.labels),
-                    lambda: compile_row_expression(
-                        expression, relation, None, self.compile_counters
-                    ),
-                )
-            if compiled is not None:
-                return compiled
+                    relation,
+                    self._subquery_handler(relation),
+                    self.compile_counters,
+                ),
+            )
+        else:
+            compiled = self._cached_plan(
+                expression,
+                "row-nested",
+                tuple(relation.labels),
+                lambda: compile_row_expression(expression, relation, None, self.compile_counters),
+            )
+        if compiled is not None:
+            return compiled
 
         def fallback(row: tuple) -> SQLValue:
             return self._evaluate(expression, RowContext(relation=relation, row=row, parent=outer))
@@ -391,30 +375,27 @@ class Executor:
 
     def _group_evaluator(self, expression: Expression, source: Relation, outer: RowContext | None):
         """Best closure for evaluating an aggregation-mode expression per group."""
-        if self.mode != "interpreted":
-            if outer is None:
-                compiled = self._cached_plan(
+        if outer is None:
+            compiled = self._cached_plan(
+                expression,
+                "group",
+                tuple(source.labels),
+                lambda: compile_group_expression(
                     expression,
-                    "group",
-                    tuple(source.labels),
-                    lambda: compile_group_expression(
-                        expression,
-                        source,
-                        self._subquery_handler(source),
-                        self.compile_counters,
-                    ),
-                )
-            else:
-                compiled = self._cached_plan(
-                    expression,
-                    "group-nested",
-                    tuple(source.labels),
-                    lambda: compile_group_expression(
-                        expression, source, None, self.compile_counters
-                    ),
-                )
-            if compiled is not None:
-                return compiled
+                    source,
+                    self._subquery_handler(source),
+                    self.compile_counters,
+                ),
+            )
+        else:
+            compiled = self._cached_plan(
+                expression,
+                "group-nested",
+                tuple(source.labels),
+                lambda: compile_group_expression(expression, source, None, self.compile_counters),
+            )
+        if compiled is not None:
+            return compiled
 
         def fallback(group_rows: list, representative: tuple) -> SQLValue:
             context = RowContext(
@@ -452,8 +433,8 @@ class Executor:
         return cte_scope
 
     def explain_select(self, select: Select) -> dict:
-        """Describe a SELECT without executing it: statement, mode, set operator."""
-        info: dict = {"statement": "Select", "executor_mode": self.mode}
+        """Describe a SELECT without executing it: statement and set operator."""
+        info: dict = {"statement": "Select"}
         if select.set_operator is not None and select.set_right is not None:
             info["set_operation"] = select.set_operator.value
         return info
@@ -470,7 +451,7 @@ class Executor:
         deltas of the compiled-plan and expression-compile counters.  The
         execution is observed, never perturbed: the collector only reads
         stage boundaries, so the produced rows are bit-identical to a plain
-        ``execute_select`` in either executor mode.
+        ``execute_select``.
         """
         if self._analyze is not None:
             raise ExecutionError("EXPLAIN ANALYZE cannot be nested")
@@ -487,7 +468,6 @@ class Executor:
             self._analyze = None
         total = time.perf_counter() - started
         return {
-            "executor_mode": self.mode,
             "operators": collector.operators,
             "truncated": collector.truncated,
             "total_seconds": round(total, 9),
@@ -530,11 +510,7 @@ class Executor:
         collector: _AnalyzeCollector | None,
     ) -> QueryResult:
         stage_start = time.perf_counter() if collector is not None else 0.0
-        streamed = (
-            self._stream_source(select, cte_scope)
-            if outer is None and self.mode != "interpreted"
-            else None
-        )
+        streamed = self._stream_source(select, cte_scope) if outer is None else None
         if streamed is None:
             source = self._execute_relation(select.from_relation, cte_scope, outer)
             rows = source.rows
@@ -553,16 +529,9 @@ class Executor:
             source, rows, stream_detail = streamed
 
         # WHERE
-        filtered_rows = []
         if select.where is not None:
-            if self.mode != "interpreted":
-                predicate = self._row_evaluator(select.where, source, outer)
-                filtered_rows = [row for row in rows if _is_true(predicate(row))]
-            else:
-                for row in rows:
-                    context = RowContext(relation=source, row=row, parent=outer)
-                    if _is_true(self._evaluate(select.where, context)):
-                        filtered_rows.append(row)
+            predicate = self._row_evaluator(select.where, source, outer)
+            filtered_rows = [row for row in rows if _is_true(predicate(row))]
         else:
             filtered_rows = list(rows)
         if collector is not None:
@@ -685,7 +654,9 @@ class Executor:
             relation = result.as_relation()
             result = QueryResult(
                 columns=result.columns,
-                rows=self._sort_output_rows(select.order_by, relation, result.rows, outer),
+                rows=self._sort_rows(
+                    select.order_by, relation, {}, result.rows, relation, result.rows, outer
+                ),
             )
             if collector is not None:
                 collector.record(
@@ -748,17 +719,10 @@ class Executor:
         right = self._execute_relation(join.right, cte_scope, outer)
 
         pads_right = join.join_type in (JoinType.RIGHT, JoinType.FULL)
-        if self.mode != "interpreted":
-            matched_right: set[int] | None = set() if pads_right else None
-            plan = self._join_plan(join, left, right, outer)
-            combined = plan.combined
-            rows = list(self._join_rows(plan, left.rows, right.rows, matched_right))
-        else:
-            combined = Relation(labels=left.labels + right.labels)
-            condition = self._join_condition(join, left, right)
-            rows, matched_right = self._join_rows_interpreted(
-                join, left, right, combined, condition, outer
-            )
+        matched_right: set[int] | None = set() if pads_right else None
+        plan = self._join_plan(join, left, right, outer)
+        combined = plan.combined
+        rows = list(self._join_rows(plan, left.rows, right.rows, matched_right))
 
         if pads_right:
             left_pad = tuple([None] * len(left.labels))
@@ -773,8 +737,6 @@ class Executor:
         """The join's ON condition, or the equality chain its USING list implies."""
         if not join.using_columns or join.condition is not None:
             return join.condition
-        if self.mode == "interpreted":
-            return self._build_using_condition(join.using_columns, left, right)
         return self._cached_plan(
             join,
             "using",
@@ -782,12 +744,10 @@ class Executor:
             lambda: self._build_using_condition(join.using_columns, left, right),
         )
 
-    # -- compiled join path --------------------------------------------
-
     def _join_plan(
         self, join: Join, left: Relation, right: Relation, outer: RowContext | None
     ) -> "_JoinPlan":
-        """Plan one compiled join from its inputs' labels (rows are not read).
+        """Plan one join from its inputs' labels (rows are not read).
 
         Raises what the join raises before its first row (a USING column
         missing from one side); everything a join can raise afterwards comes
@@ -820,10 +780,10 @@ class Executor:
         right_rows: list[tuple[SQLValue, ...]],
         matched_right: set[int] | None,
     ) -> Iterator[tuple[SQLValue, ...]]:
-        """Yield one compiled join's rows, left-major, as the join defines them.
+        """Yield one join's rows, left-major, as the join defines them.
 
-        The single row routine of the compiled path: a materialized join
-        lists it, a streamed FROM chain feeds it the previous join's rows.
+        The single join row routine: a materialized join lists it, a
+        streamed FROM chain feeds it the previous join's rows.
         Rows come out left row by left row; a hash join emits a left row's
         matches in right-position order and a LEFT join pads an unmatched
         left row right after it.  ``matched_right`` (RIGHT/FULL joins only)
@@ -910,7 +870,7 @@ class Executor:
             if not matched and pad_left:
                 yield left_row + pad
 
-    # -- streamed FROM chains (compiled path, top level) ----------------
+    # -- streamed FROM chains (top level) ------------------------------
 
     def _stream_source(
         self, select: Select, cte_scope: dict[str, Relation]
@@ -1051,17 +1011,16 @@ class Executor:
         Join-key equality is *bucket* equality everywhere: values are
         normalised through :func:`repro.engine.runtime.hashable_key` and then
         compared with Python ``==`` (``1`` joins ``1.0`` but not ``'1'``;
-        NULL never joins).  Both executor modes and both join strategies
-        share this one definition, so multi-key hash joins never need to fall
-        back to a compare_values nested loop.
+        NULL never joins).  Single- and multi-key hash joins share this one
+        definition, so they never need to fall back to a compare_values
+        nested loop.
         """
         conjuncts = _split_conjuncts(condition)
         left_width = len(left.labels)
         if len(conjuncts) == 1:
-            # A single plain equality is what the interpreter's hash path
-            # handles; reuse its left/right-preferring resolution so an
-            # ambiguous unqualified column (present on both sides) binds the
-            # same way in both modes.
+            # A single plain equality resolves left/right-preferring: an
+            # ambiguous unqualified column (present on both sides) binds to
+            # the side that makes it a join key.
             right = Relation(labels=combined.labels[left_width:])
             single = self._equi_join_columns(condition, left, right)
             if single is not None:
@@ -1090,90 +1049,6 @@ class Executor:
                     continue
             residual.append(conjunct)
         return pairs, _conjoin(residual)
-
-    # -- interpreted join path (the original engine, kept verbatim) ----
-
-    def _join_rows_interpreted(
-        self,
-        join: Join,
-        left: Relation,
-        right: Relation,
-        combined: Relation,
-        condition: Expression | None,
-        outer: RowContext | None,
-    ) -> tuple[list[tuple[SQLValue, ...]], set[int]]:
-        rows: list[tuple[SQLValue, ...]] = []
-        matched_right: set[int] = set()
-
-        equi_columns = self._equi_join_columns(condition, left, right)
-        multi_key: tuple[list[tuple[int, int]], Expression | None] | None = None
-        if equi_columns is None and condition is not None:
-            # Multi-key equality conditions share the hash plan's key
-            # extraction (and its bucket-equality semantics) but stay on a
-            # nested loop: the interpreter is the slow semantic reference.
-            pairs, residual = self._hash_join_plan(condition, left, combined)
-            if pairs:
-                multi_key = (pairs, residual)
-        if equi_columns is not None:
-            left_index, right_index_position = equi_columns
-            buckets: dict[object, list[int]] = {}
-            for position, right_row in enumerate(right.rows):
-                key = _hashable(right_row[right_index_position])
-                if key is None:
-                    continue
-                buckets.setdefault(key, []).append(position)
-            for left_row in left.rows:
-                key = _hashable(left_row[left_index])
-                positions = buckets.get(key, []) if key is not None else []
-                if positions:
-                    for position in positions:
-                        rows.append(left_row + right.rows[position])
-                        matched_right.add(position)
-                elif join.join_type in (JoinType.LEFT, JoinType.FULL):
-                    rows.append(left_row + tuple([None] * len(right.labels)))
-        elif multi_key is not None:
-            pairs, residual = multi_key
-            left_indices = [pair[0] for pair in pairs]
-            right_indices = [pair[1] for pair in pairs]
-            right_pad = tuple([None] * len(right.labels))
-            for left_row in left.rows:
-                left_key = tuple(_hashable(left_row[index]) for index in left_indices)
-                matched = False
-                if not any(value is None for value in left_key):
-                    for right_position, right_row in enumerate(right.rows):
-                        right_key = tuple(
-                            _hashable(right_row[index]) for index in right_indices
-                        )
-                        if right_key != left_key:
-                            continue
-                        if residual is not None:
-                            context = RowContext(
-                                relation=combined, row=left_row + right_row, parent=outer
-                            )
-                            if not _is_true(self._evaluate(residual, context)):
-                                continue
-                        rows.append(left_row + right_row)
-                        matched = True
-                        matched_right.add(right_position)
-                if not matched and join.join_type in (JoinType.LEFT, JoinType.FULL):
-                    rows.append(left_row + right_pad)
-        else:
-            def matches(left_row: tuple, right_row: tuple) -> bool:
-                if condition is None:
-                    return True
-                context = RowContext(relation=combined, row=left_row + right_row, parent=outer)
-                return _is_true(self._evaluate(condition, context))
-
-            for left_row in left.rows:
-                matched = False
-                for right_position, right_row in enumerate(right.rows):
-                    if matches(left_row, right_row):
-                        rows.append(left_row + right_row)
-                        matched = True
-                        matched_right.add(right_position)
-                if not matched and join.join_type in (JoinType.LEFT, JoinType.FULL):
-                    rows.append(left_row + tuple([None] * len(right.labels)))
-        return rows, matched_right
 
     def _equi_join_columns(
         self, condition: Expression | None, left: Relation, right: Relation
@@ -1249,24 +1124,18 @@ class Executor:
     ) -> QueryResult:
         items = self._expand_select_items(select, source)
         columns = [_output_name(item, index) for index, item in enumerate(items)]
-        if self.mode != "interpreted":
-            indices = _column_indices(items, source)
-            if indices:
-                if indices == list(range(len(source.labels))):
-                    # ``SELECT *`` over its source: every row already is its output.
-                    return QueryResult(columns=columns, rows=rows)
-                if len(indices) == 1:
-                    index = indices[0]
-                    return QueryResult(columns=columns, rows=[(row[index],) for row in rows])
-                getter = operator.itemgetter(*indices)
-                return QueryResult(columns=columns, rows=[getter(row) for row in rows])
-            evaluators = [self._row_evaluator(item.expression, source, outer) for item in items]
-            output_rows = [tuple(evaluator(row) for evaluator in evaluators) for row in rows]
-            return QueryResult(columns=columns, rows=output_rows)
-        output_rows = []
-        for row in rows:
-            context = RowContext(relation=source, row=row, parent=outer)
-            output_rows.append(tuple(self._evaluate(item.expression, context) for item in items))
+        indices = _column_indices(items, source)
+        if indices:
+            if indices == list(range(len(source.labels))):
+                # ``SELECT *`` over its source: every row already is its output.
+                return QueryResult(columns=columns, rows=rows)
+            if len(indices) == 1:
+                index = indices[0]
+                return QueryResult(columns=columns, rows=[(row[index],) for row in rows])
+            getter = operator.itemgetter(*indices)
+            return QueryResult(columns=columns, rows=[getter(row) for row in rows])
+        evaluators = [self._row_evaluator(item.expression, source, outer) for item in items]
+        output_rows = [tuple(evaluator(row) for evaluator in evaluators) for row in rows]
         return QueryResult(columns=columns, rows=output_rows)
 
     def _group_by_expressions(self, select: Select, source: Relation) -> list[Expression]:
@@ -1276,7 +1145,7 @@ class Executor:
         matches a select-item alias groups by that item's expression — source
         columns win over aliases, and aggregate-valued aliases are never
         substituted (grouping by an aggregate is malformed and must keep
-        raising).  Identical in every executor mode.
+        raising).
         """
         resolved: list[Expression] = []
         for expression in select.group_by:
@@ -1317,61 +1186,30 @@ class Executor:
 
         groups: dict[tuple, list[tuple[SQLValue, ...]]] = {}
         if select.group_by:
-            group_expressions = self._group_by_expressions(select, source)
-            if self.mode != "interpreted":
-                key_evaluators = [
-                    self._row_evaluator(expression, source, outer)
-                    for expression in group_expressions
-                ]
-                for row in rows:
-                    key = tuple(_hashable(evaluator(row)) for evaluator in key_evaluators)
-                    groups.setdefault(key, []).append(row)
-            else:
-                for row in rows:
-                    context = RowContext(relation=source, row=row, parent=outer)
-                    key = tuple(
-                        _hashable(self._evaluate(expression, context))
-                        for expression in group_expressions
-                    )
-                    groups.setdefault(key, []).append(row)
+            key_evaluators = [
+                self._row_evaluator(expression, source, outer)
+                for expression in self._group_by_expressions(select, source)
+            ]
+            for row in rows:
+                key = tuple(_hashable(evaluator(row)) for evaluator in key_evaluators)
+                groups.setdefault(key, []).append(row)
         else:
             groups[()] = rows
 
+        having_evaluator = (
+            self._group_evaluator(select.having, source, outer)
+            if select.having is not None
+            else None
+        )
+        item_evaluators = [self._group_evaluator(item.expression, source, outer) for item in items]
         output_rows: list[tuple[SQLValue, ...]] = []
-        if self.mode != "interpreted":
-            having_evaluator = (
-                self._group_evaluator(select.having, source, outer)
-                if select.having is not None
-                else None
-            )
-            item_evaluators = [
-                self._group_evaluator(item.expression, source, outer) for item in items
-            ]
-            for _, group_rows in groups.items():
-                representative = (
-                    group_rows[0] if group_rows else tuple([None] * len(source.labels))
-                )
-                if having_evaluator is not None:
-                    if not _is_true(having_evaluator(group_rows, representative)):
-                        continue
-                output_rows.append(
-                    tuple(evaluator(group_rows, representative) for evaluator in item_evaluators)
-                )
-            return QueryResult(columns=columns, rows=output_rows)
-
-        for _, group_rows in groups.items():
+        for group_rows in groups.values():
             representative = group_rows[0] if group_rows else tuple([None] * len(source.labels))
-            context = RowContext(
-                relation=source, row=representative, parent=outer, group_rows=group_rows
-            )
-            if select.having is not None:
-                if not _is_true(self._evaluate_aggregate_aware(select.having, context, source, outer)):
+            if having_evaluator is not None:
+                if not _is_true(having_evaluator(group_rows, representative)):
                     continue
             output_rows.append(
-                tuple(
-                    self._evaluate_aggregate_aware(item.expression, context, source, outer)
-                    for item in items
-                )
+                tuple(evaluator(group_rows, representative) for evaluator in item_evaluators)
             )
         return QueryResult(columns=columns, rows=output_rows)
 
@@ -1394,17 +1232,14 @@ class Executor:
         if not aggregated and not select.distinct and len(source_rows) == len(result.rows):
             # Sort keys may reference columns that were not projected; evaluate
             # them against the source rows, which stay aligned with the output.
-            return QueryResult(
-                columns=result.columns,
-                rows=self._sort_with_source(
-                    select.order_by, output_relation, result.rows, source, source_rows,
-                    outer, expression_positions,
-                ),
-            )
+            eval_relation, eval_rows = source, source_rows
+        else:
+            eval_relation, eval_rows = output_relation, result.rows
         return QueryResult(
             columns=result.columns,
-            rows=self._sort_output_rows(
-                select.order_by, output_relation, result.rows, outer, expression_positions
+            rows=self._sort_rows(
+                select.order_by, output_relation, expression_positions, result.rows,
+                eval_relation, eval_rows, outer,
             ),
         )
 
@@ -1431,8 +1266,9 @@ class Executor:
     ) -> int | None:
         """Resolve an ORDER BY key to an output-column index when possible.
 
-        Mirrors the first three resolution steps of ``_order_key``; returns
-        ``None`` when the key needs expression evaluation instead.
+        A key resolves by output position, by output column or alias name, or
+        by printing the same as a projected expression; ``None`` when it
+        needs expression evaluation instead.
         """
         expression = item.expression
         if isinstance(expression, Literal) and isinstance(expression.value, int):
@@ -1470,7 +1306,7 @@ class Executor:
 
         return sorted(range(count), key=functools.cmp_to_key(compare))
 
-    def _compiled_sort(
+    def _sort_rows(
         self,
         order_by: list[OrderItem],
         output_relation: Relation,
@@ -1480,12 +1316,12 @@ class Executor:
         eval_rows: list[tuple[SQLValue, ...]],
         outer: RowContext | None,
     ) -> list[tuple[SQLValue, ...]]:
-        """Compiled ORDER BY: precompute one key column per item, then sort.
+        """ORDER BY: precompute one key column per item, then sort.
 
         Keys resolving to an output column read it directly; every other key
         is evaluated once per row against ``(eval_relation, eval_rows)`` —
         the source rows when they stay aligned with the output, the output
-        rows otherwise — with the interpreter's ExecutionError->NULL fallback.
+        rows otherwise — and reads as NULL where it raises ExecutionError.
         """
         if len(rows) < 2:
             return list(rows)
@@ -1506,115 +1342,8 @@ class Executor:
         order = self._sorted_positions(order_by, key_columns, len(rows))
         return [rows[position] for position in order]
 
-    def _sort_with_source(
-        self,
-        order_by: list[OrderItem],
-        output_relation: Relation,
-        rows: list[tuple[SQLValue, ...]],
-        source: Relation,
-        source_rows: list[tuple[SQLValue, ...]],
-        outer: RowContext | None,
-        expression_positions: dict[str, int],
-    ) -> list[tuple[SQLValue, ...]]:
-        if self.mode != "interpreted":
-            return self._compiled_sort(
-                order_by, output_relation, expression_positions, rows, source, source_rows, outer
-            )
-
-        paired = list(zip(rows, source_rows))
-
-        def key_for(item: OrderItem, output_row: tuple, source_row: tuple) -> SQLValue:
-            value = self._order_key(
-                item, output_relation, output_row, outer, expression_positions, strict=False
-            )
-            if value is not _ORDER_KEY_MISS:
-                return value
-            context = RowContext(relation=source, row=source_row, parent=outer)
-            try:
-                return self._evaluate(item.expression, context)
-            except ExecutionError:
-                return None
-
-        def compare(left: tuple, right: tuple) -> int:
-            for item in order_by:
-                value_a = key_for(item, left[0], left[1])
-                value_b = key_for(item, right[0], right[1])
-                comparison = _null_aware_compare(value_a, value_b, item)
-                if comparison != 0:
-                    return comparison if item.ascending else -comparison
-            return 0
-
-        return [pair[0] for pair in sorted(paired, key=functools.cmp_to_key(compare))]
-
-    def _sort_output_rows(
-        self,
-        order_by: list[OrderItem],
-        output_relation: Relation,
-        rows: list[tuple[SQLValue, ...]],
-        outer: RowContext | None,
-        expression_positions: dict[str, int] | None = None,
-    ) -> list[tuple[SQLValue, ...]]:
-        positions = expression_positions or {}
-
-        if self.mode != "interpreted":
-            return self._compiled_sort(
-                order_by, output_relation, positions, rows, output_relation, rows, outer
-            )
-
-        def compare(row_a: tuple, row_b: tuple) -> int:
-            for item in order_by:
-                value_a = self._order_key(item, output_relation, row_a, outer, positions)
-                value_b = self._order_key(item, output_relation, row_b, outer, positions)
-                comparison = _null_aware_compare(value_a, value_b, item)
-                if comparison != 0:
-                    return comparison if item.ascending else -comparison
-            return 0
-
-        return sorted(rows, key=functools.cmp_to_key(compare))
-
-    def _order_key(
-        self,
-        item: OrderItem,
-        output_relation: Relation,
-        row: tuple[SQLValue, ...],
-        outer: RowContext | None,
-        expression_positions: dict[str, int] | None = None,
-        strict: bool = True,
-    ) -> SQLValue:
-        expression = item.expression
-        # ORDER BY <position>
-        if isinstance(expression, Literal) and isinstance(expression.value, int):
-            index = expression.value - 1
-            if 0 <= index < len(row):
-                return row[index]
-            raise ExecutionError(f"ORDER BY position {expression.value} is out of range")
-        # ORDER BY <output column or alias>
-        if isinstance(expression, ColumnRef):
-            try:
-                index = output_relation.column_index(expression.name, expression.table)
-                return row[index]
-            except ExecutionError:
-                pass
-        # ORDER BY <expression identical to a projected expression> (e.g. COUNT(*)).
-        if expression_positions:
-            from repro.sql.printer import print_expression
-
-            try:
-                printed = print_expression(expression)
-            except Exception:
-                printed = None
-            if printed is not None and printed in expression_positions:
-                return row[expression_positions[printed]]
-        if not strict:
-            return _ORDER_KEY_MISS
-        context = RowContext(relation=output_relation, row=row, parent=outer)
-        try:
-            return self._evaluate(expression, context)
-        except ExecutionError:
-            return None
-
     # ------------------------------------------------------------------
-    # expression evaluation (the interpreter)
+    # expression evaluation (the compiler's per-expression fallback)
     # ------------------------------------------------------------------
 
     def _evaluate_aggregate_aware(

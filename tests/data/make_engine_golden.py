@@ -1,11 +1,12 @@
 """Record the engine results golden replayed by ``tests/test_engine_golden.py``.
 
 The committed ``engine_golden.json`` was recorded while the engine still had
-two executors, the compiled one and the tree-walking ``interpreted`` one,
-and the recorder asserted that both gave the same outcome for every
-statement.  Replaying it checks that the one executor left still returns
-what both returned.  Regenerating it with later code only re-records that
-code's behaviour.
+two executors, the compiled one and a tree-walking ``interpreted`` one, and
+the recorder asserted that both gave the same outcome for every statement.
+Replaying it checks that the one executor left still returns what both
+returned.  Regenerating it with later code only re-records that code's
+behaviour; compare the new file with ``sqlite3`` (``tests/test_engine_oracle.py``)
+before committing it.
 
     PYTHONPATH=src python tests/data/make_engine_golden.py
 
@@ -19,7 +20,8 @@ engine suites run on it, in order:
 * the hand-written cross-product statements of ``tests/test_engine_stream.py``;
 * the gold and predicted SQL the Figure 1 models produce for 8 questions of
   each benchmark at seeds 0-2 (row scale 0.0004);
-* the 53 join/aggregate queries of the engine throughput workload.
+* the 53 join/aggregate queries the engine throughput harness timed
+  (``tests/engine_databases.py``).
 
 Each entry holds the statement and either the number of rows with a digest
 of the columns and of every cell's Python type name and value, row by row,
@@ -152,24 +154,14 @@ SECTIONS = {
 }
 
 
-def record_section(database: Database, statements: list[str]) -> list[dict]:
-    """Record every statement, asserting both executors agree on each."""
-    entries = []
-    for sql in statements:
-        database.executor_mode = "interpreted"
-        reference = record(database, sql)
-        database.executor_mode = "compiled"
-        entry = record(database, sql)
-        assert entry == reference, f"executors disagree on: {sql}"
-        entries.append(entry)
-    return entries
-
-
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--out", type=Path, default=GOLDEN_PATH)
     args = parser.parse_args()
-    golden = {name: record_section(*build()) for name, build in SECTIONS.items()}
+    golden = {}
+    for name, build in SECTIONS.items():
+        database, statements = build()
+        golden[name] = [record(database, sql) for sql in statements]
     args.out.write_text(json.dumps(golden, indent=1, sort_keys=True) + "\n", encoding="ascii")
     count = sum(len(entries) for entries in golden.values())
     print(f"wrote {count} statements in {len(golden)} sections to {args.out}")

@@ -192,15 +192,11 @@ def build_mixed_database() -> Database:
     return database
 
 
-#: Rows of the set-operation table ``t (a INT, b INT)``.
-SET_TABLE_ROWS = [(1, 1), (2, 3), (2, 3), (3, None), (None, 2), (4, 4)]
-
-
 def build_set_database() -> Database:
     """The one-table database the set-operation chains run on."""
     database = Database("sets")
     database.execute("CREATE TABLE t (a INT, b INT)")
-    database.table("t").insert_rows(SET_TABLE_ROWS)
+    database.table("t").insert_rows([(1, 1), (2, 3), (2, 3), (3, None), (None, 2), (4, 4)])
     return database
 
 
@@ -225,19 +221,19 @@ def build_stream_database() -> Database:
     return database
 
 
-# The join/aggregate workload of the retired engine throughput harness.
+# The join/aggregate workload the engine throughput harness timed.
 
 STATUSES = ("open", "closed", "pending", "shipped")
 SEGMENTS = ("enterprise", "smb", "consumer", "public")
 
 
 def build_bench_database() -> Database:
-    """The join/aggregate database of the retired engine throughput harness.
+    """The throughput harness's database at its smoke profile.
 
-    Its smoke profile: 40 regions, 150 customers, 300 orders, 24 rates (seed 13).
+    40 regions, 150 customers, 300 orders and 24 rates (seed 13).
     """
+    customers, orders, rates = 150, 300, 24
     rng = random.Random(13)
-    profile = {"customers": 150, "orders": 300, "rates": 24}
     database = Database("engine-bench")
     database.create_table(
         "regions", [("id", "INT"), ("name", "TEXT"), ("zone", "TEXT")], primary_key=["id"]
@@ -273,26 +269,26 @@ def build_bench_database() -> Database:
                 rng.random() < 0.8,
                 f"customer_{i + 1}",
             )
-            for i in range(profile["customers"])
+            for i in range(customers)
         ]
     )
     database.table("orders").insert_rows(
         [
             (
                 i + 1,
-                rng.randint(1, profile["customers"]),
+                rng.randint(1, customers),
                 rng.randint(1, region_count) if rng.random() > 0.05 else None,
                 rng.choice(STATUSES),
                 round(rng.uniform(1, 5000), 2),
                 rng.randint(1, 20),
             )
-            for i in range(profile["orders"])
+            for i in range(orders)
         ]
     )
     database.table("rates").insert_rows(
         [
             (rng.randint(1, region_count), rng.choice(STATUSES), round(rng.uniform(0.5, 9.5), 2))
-            for _ in range(profile["rates"])
+            for _ in range(rates)
         ]
     )
     return database

@@ -204,16 +204,6 @@ class TestVersionedInvalidation:
         database.execute("INSERT INTO t (b, a) VALUES (20, 1)")
         assert database.execute(sql).rows == [(20,)]
 
-    def test_executor_mode_validation(self):
-        database = Database("modes")
-        for mode in ("turbo", "planned"):
-            with pytest.raises(ValueError):
-                database.executor_mode = mode
-            with pytest.raises(ValueError):
-                Database("bad", executor_mode=mode)
-        database.executor_mode = "interpreted"
-        assert database.executor_mode == "interpreted"
-
 
 class TestGoldResultCache:
     @pytest.fixture()
@@ -293,10 +283,3 @@ class TestCompiledPlanReuse:
         database.execute(sql)
         # Re-execution of the cached statement compiles nothing new.
         assert len(executor._plan_cache) == plan_entries
-
-    def test_interpreted_mode_compiles_nothing(self):
-        database = Database("interp", executor_mode="interpreted")
-        database.execute("CREATE TABLE t (a INT)")
-        database.execute("INSERT INTO t (a) VALUES (1)")
-        database.execute("SELECT a FROM t WHERE a = 1")
-        assert len(database._executor._plan_cache) == 0

@@ -1,12 +1,14 @@
-"""Compiled/interpreted parity suite.
+"""Engine parity statements and the behaviours they pin.
 
-Runs every query the workload generator produces — plus a battery of join
-edge cases and join chains written in their worst textual order — through
-both executor modes and asserts *bit-identical* results: same columns, same
-rows in the same order, same Python value types cell-for-cell.  This is the
-contract the compiled hot path must uphold: it may only be faster than the
-interpreter, never different.  Chained set operations are also checked
-against the stdlib ``sqlite3`` module as an independent oracle.
+The statement lists here — join edge cases, join chains written in their
+worst textual order, expressions, error statements, set-operation chains,
+``IN`` membership, condition-free joins and column-only projections — are
+replayed against results recorded when a second, tree-walking executor
+checked every one (``tests/test_engine_golden.py``): same columns, same rows
+in the same order, same Python value types cell-for-cell, or the same error.
+The tests below pin what a statement list cannot: results after DML,
+exact join rows, and set-operation chains and multi-row INSERTs against the
+stdlib ``sqlite3`` module as an independent oracle.
 """
 
 from __future__ import annotations
@@ -19,87 +21,14 @@ from repro.engine import Database
 from repro.errors import ExecutionError, ReproError
 from tests.engine_databases import (
     RARE_STATUSES,
-    SET_TABLE_ROWS,
     TIERS,
     ZONES,
     build_join_database,
     build_join_order_database,
     build_mixed_database,
     build_set_database,
-    build_shop_database,
 )
-
-#: The interpreter is the semantic reference; compiled must match it.
-PARITY_MODES = ("interpreted", "compiled")
-
-
-def run_all_modes(database: Database, sql: str) -> dict:
-    """Execute ``sql`` in every executor mode on one database.
-
-    Returns a mode -> outcome dict where each outcome is either a
-    QueryResult or the raised engine error.
-    """
-    outcomes = {}
-    original_mode = database.executor_mode
-    try:
-        for mode in PARITY_MODES:
-            database.executor_mode = mode
-            try:
-                outcomes[mode] = database.execute(sql)
-            except ReproError as exc:
-                outcomes[mode] = exc
-    finally:
-        database.executor_mode = original_mode
-    return outcomes
-
-
-def run_both_modes(database: Database, sql: str):
-    """Back-compat helper: ``(compiled, interpreted)`` outcomes."""
-    outcomes = run_all_modes(database, sql)
-    return outcomes["compiled"], outcomes["interpreted"]
-
-
-def assert_parity(database: Database, sql: str):
-    """Assert every mode produces bit-identical results (or every mode fails).
-
-    Returns the interpreted outcome: a QueryResult or the raised error.
-    """
-    outcomes = run_all_modes(database, sql)
-    reference = outcomes["interpreted"]
-    for mode in PARITY_MODES:
-        if mode == "interpreted":
-            continue
-        outcome = outcomes[mode]
-        if isinstance(reference, Exception):
-            assert isinstance(outcome, Exception), (
-                f"interpreted raised {reference!r} but {mode} succeeded for: {sql}"
-            )
-            continue
-        assert not isinstance(outcome, Exception), (
-            f"{mode} raised {outcome!r} but interpreted succeeded for: {sql}"
-        )
-        assert outcome.columns == reference.columns, f"[{mode}] {sql}"
-        assert len(outcome.rows) == len(reference.rows), f"[{mode}] {sql}"
-        for mode_row, reference_row in zip(outcome.rows, reference.rows):
-            assert mode_row == reference_row, f"[{mode}] {sql}"
-            assert [type(value) for value in mode_row] == [
-                type(value) for value in reference_row
-            ], f"value types diverge in {mode} for: {sql}"
-    return reference
-
-
-# ---------------------------------------------------------------------------
-# generated workloads: every query through both paths
-# ---------------------------------------------------------------------------
-
-
-@pytest.mark.parametrize("workload_fixture", ["tiny_spider", "tiny_beaver", "tiny_bird"])
-def test_generated_workload_parity(workload_fixture, request):
-    workload = request.getfixturevalue(workload_fixture)
-    assert workload.queries, "workload generated no queries"
-    for query in workload.queries:
-        assert_parity(workload.database, query.sql)
-
+from tests.sqlite_oracle import load
 
 # ---------------------------------------------------------------------------
 # join edge cases
@@ -149,14 +78,8 @@ JOIN_EDGE_QUERIES = [
 ]
 
 
-@pytest.mark.parametrize("sql", JOIN_EDGE_QUERIES)
-def test_join_edge_case_parity(join_database, sql):
-    assert_parity(join_database, sql)
-
-
 def test_multi_key_join_uses_hash_path(join_database):
     """The AND-of-equalities condition must produce correct multi-key matches."""
-    join_database.executor_mode = "compiled"
     result = join_database.execute(
         "SELECT o.id, c.name FROM orders o JOIN customers c "
         "ON o.customer_id = c.id AND o.region_id = c.region_id ORDER BY o.id"
@@ -166,11 +89,11 @@ def test_multi_key_join_uses_hash_path(join_database):
     assert result.rows == [(100, "Acme"), (102, "Globex")]
 
 
-def test_cross_type_multi_key_join_parity():
-    """Join-key equality is bucket equality in every mode and join strategy:
-    values are normalised via hashable_key and compared with Python ``==``,
-    so ``1`` never joins ``'1'`` — exactly like the single-key hash path —
-    and multi-key conditions stay on the hash plan regardless of types."""
+def test_cross_type_multi_key_join():
+    """Join-key equality is bucket equality in every join strategy: values
+    are normalised via hashable_key and compared with Python ``==``, so
+    ``1`` never joins ``'1'`` — exactly like the single-key hash path — and
+    multi-key conditions stay on the hash plan regardless of types."""
     database = Database("cross-type")
     database.create_table("t1", [("a", "INT"), ("b", "TEXT")])
     database.create_table("t2", [("c", "TEXT"), ("d", "TEXT")])
@@ -178,13 +101,9 @@ def test_cross_type_multi_key_join_parity():
     database.table("t2").insert_rows([("1", "x"), ("2", "z")])
     multi = "SELECT * FROM t1 JOIN t2 ON t1.a = t2.c AND t1.b = t2.d"
     single = "SELECT * FROM t1 JOIN t2 ON t1.a = t2.c"
-    assert_parity(database, multi)
-    assert_parity(database, single)
-    for mode in PARITY_MODES:
-        database.executor_mode = mode
-        # INT 1 and TEXT '1' hash apart, in multi-key and single-key joins alike.
-        assert database.execute(multi).rows == []
-        assert database.execute(single).rows == []
+    # INT 1 and TEXT '1' hash apart, in multi-key and single-key joins alike.
+    assert database.execute(multi).rows == []
+    assert database.execute(single).rows == []
 
 
 def test_integral_float_keys_join_across_types():
@@ -195,22 +114,10 @@ def test_integral_float_keys_join_across_types():
     database.table("t1").insert_rows([(1, 5), (2, 6)])
     database.table("t2").insert_rows([(1.0, 5), (2.0, 7)])
     sql = "SELECT t1.a, t2.d FROM t1 JOIN t2 ON t1.a = t2.c AND t1.b = t2.d"
-    assert_parity(database, sql)
-    database.executor_mode = "compiled"
     assert database.execute(sql).rows == [(1, 5)]
 
 
-def test_homogeneous_multi_key_join_still_hashes(join_database):
-    """Type-safe key columns keep the fast path; results stay identical."""
-    sql = (
-        "SELECT o.id, c.name FROM orders o JOIN customers c "
-        "ON o.customer_id = c.id AND o.region_id = c.region_id"
-    )
-    assert_parity(join_database, sql)
-
-
 def test_right_and_full_unmatched_rows(join_database):
-    join_database.executor_mode = "compiled"
     full = join_database.execute(
         "SELECT o.id, c.id FROM orders o FULL JOIN customers c "
         "ON o.customer_id = c.id AND o.region_id = c.region_id"
@@ -232,11 +139,6 @@ def test_right_and_full_unmatched_rows(join_database):
 # ---------------------------------------------------------------------------
 
 
-@pytest.fixture()
-def shop_database() -> Database:
-    return build_shop_database()
-
-
 SHOP_QUERIES = [
     "SELECT c.name, o.id, l.product "
     "FROM line_items l JOIN orders o ON l.order_id = o.id "
@@ -255,11 +157,6 @@ SHOP_QUERIES = [
     "SELECT o.id, c.name FROM orders o "
     "LEFT JOIN customers c ON o.customer_id = c.id ORDER BY o.id",
 ]
-
-
-@pytest.mark.parametrize("sql", SHOP_QUERIES)
-def test_shop_join_parity(shop_database, sql):
-    assert not isinstance(assert_parity(shop_database, sql), Exception), sql
 
 
 @pytest.fixture(scope="module")
@@ -322,13 +219,8 @@ def test_worst_order_workload_shape(join_order_database):
     assert len(WORST_ORDER_QUERIES) == 25
 
 
-@pytest.mark.parametrize("sql", WORST_ORDER_QUERIES)
-def test_worst_order_join_parity(join_order_database, sql):
-    assert not isinstance(assert_parity(join_order_database, sql), Exception), sql
-
-
 # ---------------------------------------------------------------------------
-# expression / clause parity on a hand-built database
+# expressions and clauses on the HR database
 # ---------------------------------------------------------------------------
 
 
@@ -362,11 +254,6 @@ EXPRESSION_QUERIES = [
 ]
 
 
-@pytest.mark.parametrize("sql", EXPRESSION_QUERIES)
-def test_expression_parity(hr_database, sql):
-    assert_parity(hr_database, sql)
-
-
 # ---------------------------------------------------------------------------
 # chained set operations against sqlite3
 # ---------------------------------------------------------------------------
@@ -398,9 +285,7 @@ SET_CHAIN_QUERIES = [
 @pytest.fixture(scope="module")
 def set_databases():
     database = build_set_database()
-    oracle = sqlite3.connect(":memory:")
-    oracle.execute("CREATE TABLE t (a INTEGER, b INTEGER)")
-    oracle.executemany("INSERT INTO t VALUES (?, ?)", SET_TABLE_ROWS)
+    oracle = load(database)
     yield database, oracle
     oracle.close()
 
@@ -409,9 +294,7 @@ def set_databases():
 def test_set_operation_chains_match_sqlite(set_databases, sql, oracle_sql):
     database, oracle = set_databases
     expected = oracle.execute(oracle_sql or sql).fetchall()
-    reference = assert_parity(database, sql)
-    assert not isinstance(reference, Exception), sql
-    assert reference.rows == expected, sql
+    assert database.execute(sql).rows == expected, sql
 
 
 ERROR_QUERIES = [
@@ -426,39 +309,22 @@ ERROR_QUERIES = [
 ]
 
 
-def test_error_parity_for_bad_queries(hr_database):
-    for sql in ERROR_QUERIES:
-        outcomes = run_all_modes(hr_database, sql)
-        reference = outcomes["interpreted"]
-        assert isinstance(reference, ReproError), sql
-        for mode in PARITY_MODES:
-            assert isinstance(outcomes[mode], ReproError), f"[{mode}] {sql}"
-            assert type(outcomes[mode]) is type(reference), f"[{mode}] {sql}"
-            assert str(outcomes[mode]) == str(reference), f"[{mode}] {sql}"
-
-
-def test_parity_after_dml(hr_database):
-    """Caches must not leak stale results into either mode after inserts."""
+def test_results_after_dml(hr_database):
+    """Caches must not leak stale results after inserts."""
     sql = "SELECT dept_id, COUNT(*) FROM employees GROUP BY dept_id"
-    assert_parity(hr_database, sql)
+    assert hr_database.execute(sql).rows == [(1, 2), (2, 2), (3, 1), (None, 1)]
     hr_database.execute(
         "INSERT INTO employees (emp_id, name, salary, dept_id, hire_date) VALUES "
         "(7, 'Grace', 101000, 3, '2023-01-01')"
     )
-    assert_parity(hr_database, sql)
-    compiled, _ = run_both_modes(hr_database, "SELECT COUNT(*) FROM employees")
-    assert compiled.rows == [(7,)]
+    assert hr_database.execute(sql).rows == [(1, 2), (2, 2), (3, 2), (None, 1)]
+    assert hr_database.execute("SELECT COUNT(*) FROM employees").rows == [(7,)]
 
 
 def test_using_join_missing_column_raises_execution_error(hr_database):
     """Regression: a USING column absent from one side must raise a proper
     ExecutionError naming the column, not a bare StopIteration."""
     with pytest.raises(ExecutionError, match="USING column 'budget'.*left side"):
-        hr_database.execute(
-            "SELECT * FROM employees JOIN departments USING (budget)"
-        )
-    hr_database.executor_mode = "interpreted"
-    with pytest.raises(ExecutionError, match="USING column 'budget'"):
         hr_database.execute(
             "SELECT * FROM employees JOIN departments USING (budget)"
         )
@@ -513,28 +379,19 @@ MEMBERSHIP_QUERIES = [
 ]
 
 
-@pytest.mark.parametrize("sql", MEMBERSHIP_QUERIES)
-def test_in_membership_parity(mixed_database, sql):
-    assert_parity(mixed_database, sql)
-
-
 def test_in_subquery_member_set_invalidates_after_insert():
     """A cached statement re-run after DML sees the subquery's new result."""
     sql = "SELECT id FROM ints WHERE k IN (SELECT k FROM texts) ORDER BY id"
-    after = {}
-    for mode in PARITY_MODES:
-        database = Database("dml", executor_mode=mode)
-        database.execute("CREATE TABLE ints (id INT, k INT)")
-        database.execute("CREATE TABLE texts (k TEXT)")
-        database.execute("INSERT INTO ints (id, k) VALUES (1, 1), (2, 2), (3, 3)")
-        database.execute("INSERT INTO texts (k) VALUES ('1'), ('x')")
-        assert database.execute(sql).rows == [(1,)], mode
-        database.execute("INSERT INTO texts (k) VALUES ('3')")
-        after[mode] = database.execute(sql).rows
-        assert after[mode] == [(1,), (3,)], mode
-        database.execute("DELETE FROM texts WHERE k = '1'")
-        assert database.execute(sql).rows == [(3,)], mode
-    assert after["compiled"] == after["interpreted"]
+    database = Database("dml")
+    database.execute("CREATE TABLE ints (id INT, k INT)")
+    database.execute("CREATE TABLE texts (k TEXT)")
+    database.execute("INSERT INTO ints (id, k) VALUES (1, 1), (2, 2), (3, 3)")
+    database.execute("INSERT INTO texts (k) VALUES ('1'), ('x')")
+    assert database.execute(sql).rows == [(1,)]
+    database.execute("INSERT INTO texts (k) VALUES ('3')")
+    assert database.execute(sql).rows == [(1,), (3,)]
+    database.execute("DELETE FROM texts WHERE k = '1'")
+    assert database.execute(sql).rows == [(3,)]
 
 
 CONDITION_FREE_JOINS = [
@@ -550,20 +407,13 @@ CONDITION_FREE_JOINS = [
 ]
 
 
-@pytest.mark.parametrize("sql", CONDITION_FREE_JOINS)
-def test_condition_free_join_parity(mixed_database, sql):
-    assert_parity(mixed_database, sql)
-
-
 def test_condition_free_outer_joins_pad_the_empty_side(mixed_database):
-    for mode in PARITY_MODES:
-        mixed_database.executor_mode = mode
-        left = mixed_database.execute("SELECT * FROM flags LEFT JOIN empty").rows
-        assert left == [(1, True, None, None), (2, False, None, None), (3, None, None, None)]
-        right = mixed_database.execute("SELECT * FROM empty RIGHT JOIN flags").rows
-        assert right == [(None, None, 1, True), (None, None, 2, False), (None, None, 3, None)]
-        assert mixed_database.execute("SELECT * FROM empty FULL JOIN empty").rows == []
-        assert len(mixed_database.execute("SELECT * FROM ints FULL JOIN flags").rows) == 15
+    left = mixed_database.execute("SELECT * FROM flags LEFT JOIN empty").rows
+    assert left == [(1, True, None, None), (2, False, None, None), (3, None, None, None)]
+    right = mixed_database.execute("SELECT * FROM empty RIGHT JOIN flags").rows
+    assert right == [(None, None, 1, True), (None, None, 2, False), (None, None, 3, None)]
+    assert mixed_database.execute("SELECT * FROM empty FULL JOIN empty").rows == []
+    assert len(mixed_database.execute("SELECT * FROM ints FULL JOIN flags").rows) == 15
 
 
 PROJECTION_QUERIES = [
@@ -583,11 +433,6 @@ PROJECTION_QUERIES = [
     "SELECT id, (SELECT i.label FROM ints i WHERE i.id = t.id) FROM texts t",
     "SELECT id, note || k FROM texts",
 ]
-
-
-@pytest.mark.parametrize("sql", PROJECTION_QUERIES)
-def test_projection_parity(mixed_database, sql):
-    assert_parity(mixed_database, sql)
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,7 @@ span attributes and timestamps), structured logging, the Telemetry facade, end-t
 instrumentation (drain parity with and without telemetry, quarantine error
 detail, journal/snapshot round-trips of telemetry counters, thread stress
 under flaky clients), and engine-side EXPLAIN ANALYZE plus the slow-query
-log across both executor modes."""
+log."""
 
 from __future__ import annotations
 
@@ -41,9 +41,6 @@ from tests.test_concurrency import (
     submit_mix,
 )
 from tests.faults import FlakyLLM
-
-MODES = ("interpreted", "compiled")
-
 
 # ----------------------------------------------------------------------
 # metrics registry
@@ -609,13 +606,10 @@ GROUPED_SQL = (
 
 
 class TestExplainAnalyze:
-    @pytest.mark.parametrize("mode", MODES)
-    def test_analyze_reports_operators_without_perturbing_results(self, shop, mode):
-        shop.executor_mode = mode
+    def test_analyze_reports_operators_without_perturbing_results(self, shop):
         baseline = shop.execute(GROUPED_SQL)
         info = shop.explain(GROUPED_SQL, analyze=True)
         analyze = info["analyze"]
-        assert analyze["executor_mode"] == mode
         assert analyze["rows_returned"] == len(baseline.rows)
         assert analyze["columns"] == baseline.columns
         assert analyze["total_seconds"] >= 0
@@ -636,48 +630,28 @@ class TestExplainAnalyze:
         # Running ANALYZE leaves the database unchanged: same rows afterwards.
         assert shop.execute(GROUPED_SQL).rows == baseline.rows
 
-    @pytest.mark.parametrize("mode", MODES)
-    def test_analyze_reports_what_a_cross_join_runs(self, shop, mode):
+    def test_analyze_reports_what_a_cross_join_runs(self, shop):
         sql = (
             "SELECT c.name, o.id FROM customers c CROSS JOIN orders o "
             "WHERE c.tier = 'gold' AND o.status = 'closed' AND o.customer_id = c.id "
             "ORDER BY o.id"
         )
-        shop.executor_mode = mode
         baseline = shop.execute(sql)
         analyze = shop.explain(sql, analyze=True)["analyze"]
         assert analyze["rows_returned"] == len(baseline.rows) == 4
         operators = {operator["op"]: operator for operator in analyze["operators"]}
-        if mode == "interpreted":
-            # The product is built, then filtered.
-            assert operators["scan"]["rows_out"] == 12 * 40
-            assert operators["filter"]["rows_out"] == 4
-        else:
-            # The product streams into WHERE after the two single-table
-            # conjuncts filtered its inputs.
-            assert "scan" not in operators and "filter" not in operators
-            stream = operators["stream"]
-            assert stream["inputs"] == [12, 40]
-            assert stream["kept"] == [3, 14]
-            assert stream["pushed"] == 2
-            assert stream["rows_in"] == 52
-            assert stream["rows_out"] == 4
+        # The product streams into WHERE after the two single-table
+        # conjuncts filtered its inputs.
+        assert "scan" not in operators and "filter" not in operators
+        stream = operators["stream"]
+        assert stream["inputs"] == [12, 40]
+        assert stream["kept"] == [3, 14]
+        assert stream["pushed"] == 2
+        assert stream["rows_in"] == 52
+        assert stream["rows_out"] == 4
         assert shop.execute(sql).rows == baseline.rows
 
-    def test_analyze_rows_agree_across_modes(self, shop):
-        reference = None
-        for mode in MODES:
-            shop.executor_mode = mode
-            rows = shop.execute(GROUPED_SQL).rows
-            shop.explain(GROUPED_SQL, analyze=True)
-            again = shop.execute(GROUPED_SQL).rows
-            assert again == rows
-            if reference is None:
-                reference = rows
-            assert rows == reference
-
     def test_analyze_counts_plan_cache_and_compiled_expressions(self, shop):
-        shop.executor_mode = "compiled"
         sql = "SELECT name FROM customers WHERE tier = 'gold' ORDER BY name"
         first = shop.explain(sql, analyze=True)["analyze"]
         second = shop.explain(sql, analyze=True)["analyze"]
@@ -688,7 +662,6 @@ class TestExplainAnalyze:
         assert first["expressions"]["compiled"] >= 1
 
     def test_analyze_set_operation_and_subquery_depth(self, shop):
-        shop.executor_mode = "interpreted"
         union = shop.explain(
             "SELECT name FROM customers WHERE tier = 'gold' "
             "UNION SELECT name FROM customers WHERE id < 2 ORDER BY name",
@@ -724,13 +697,8 @@ class TestExplainAnalyze:
         finally:
             executor._analyze = None
 
-    def test_explain_describes_statement_mode_and_set_operation(self, shop):
-        for mode in MODES:
-            shop.executor_mode = mode
-            assert shop.explain(GROUPED_SQL) == {
-                "statement": "Select",
-                "executor_mode": mode,
-            }
+    def test_explain_describes_statement_and_set_operation(self, shop):
+        assert shop.explain(GROUPED_SQL) == {"statement": "Select"}
         union = shop.explain(
             "SELECT id FROM customers EXCEPT SELECT customer_id FROM orders"
         )
