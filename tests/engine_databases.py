@@ -329,7 +329,7 @@ def build_bench_queries() -> list[str]:
             "JOIN regions r ON c.region_id = r.id "
             f"WHERE c.segment = '{segment}' GROUP BY r.zone ORDER BY 3 DESC"
         )
-    # multi-key hash joins (AND-of-equalities; interpreted mode nested-loops)
+    # multi-key hash joins (AND-of-equalities)
     for threshold in (100, 1000, 2500):
         queries.append(
             "SELECT o.id, t.fee, o.amount * t.fee / 100 "

@@ -41,10 +41,10 @@ def join_database() -> Database:
 
 
 JOIN_EDGE_QUERIES = [
-    # single-key equi joins (compiled and interpreted both hash)
+    # single-key equi joins
     "SELECT o.id, c.name FROM orders o JOIN customers c ON o.customer_id = c.id",
     "SELECT o.id, c.name FROM orders o LEFT JOIN customers c ON o.customer_id = c.id",
-    # multi-key AND-of-equalities: compiled hash join vs interpreted nested loop
+    # multi-key AND-of-equalities
     "SELECT o.id, c.name FROM orders o JOIN customers c "
     "ON o.customer_id = c.id AND o.region_id = c.region_id",
     "SELECT o.id, c.name FROM orders o LEFT JOIN customers c "
@@ -69,7 +69,7 @@ JOIN_EDGE_QUERIES = [
     "SELECT o.id, c.name FROM orders o JOIN customers c USING (region_id)",
     # cross join via condition-free nested loop
     "SELECT COUNT(*) FROM orders CROSS JOIN customers",
-    # non-equality-only condition: nested loop in both modes
+    # non-equality-only condition: nested loop
     "SELECT o.id, c.id FROM orders o JOIN customers c ON o.amount > c.id * 50",
     # join feeding aggregation / ordering
     "SELECT c.tier, COUNT(*), SUM(o.amount) FROM orders o "
@@ -424,7 +424,7 @@ PROJECTION_QUERIES = [
     "SELECT texts.k FROM texts",
     "SELECT t.*, i.label FROM texts t JOIN ints i ON t.id = i.id",
     "SELECT * FROM texts t JOIN ints i ON t.id = i.id",
-    # ambiguous bare columns bind to the first match in every mode
+    # ambiguous bare columns bind to the first match
     "SELECT id, k FROM texts t JOIN ints i ON t.id = i.id",
     "SELECT id FROM texts CROSS JOIN flags",
     "SELECT * FROM (SELECT id, k FROM texts) sub",
