@@ -94,7 +94,6 @@ def show_explain_analyze() -> None:
             f"{operator['seconds'] * 1000:0.3f}ms{extra}"
         )
     print(f"plan cache:   {analyze['plan_cache']}")
-    print(f"expressions:  {analyze['expressions']}")
 
     # Regular executes are timed once a threshold is set (0.0 = log all).
     database.execute(sql)

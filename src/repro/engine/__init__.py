@@ -1,9 +1,9 @@
 """In-memory relational execution engine."""
 
-from repro.engine.compiler import compile_group_expression, compile_row_expression
+from repro.engine.compiler import RowContext, compile_group_expression, compile_row_expression
 from repro.engine.database import Database
-from repro.engine.executor import Executor, QueryResult, RowContext
-from repro.engine.functions import call_aggregate, call_scalar, is_scalar_function
+from repro.engine.executor import Executor, QueryResult
+from repro.engine.functions import call_aggregate
 from repro.engine.storage import ColumnLabel, Relation, StoredColumn, StoredTable
 from repro.engine.types import (
     DataType,
@@ -26,12 +26,10 @@ __all__ = [
     "StoredTable",
     "ColumnLabel",
     "call_aggregate",
-    "call_scalar",
     "coerce_value",
     "compare_values",
     "compile_group_expression",
     "compile_row_expression",
     "is_numeric",
-    "is_scalar_function",
     "values_equal",
 ]

@@ -14,17 +14,15 @@ by the workload generators and needed by the evaluation harnesses:
 
 Each WHERE predicate, join condition, projection item, grouping key, ORDER
 BY key and HAVING clause is compiled once into a Python closure with column
-indices pre-resolved (:mod:`repro.engine.compiler`); AND-of-equality join
-conditions run as multi-key hash joins; a top-level FROM chain with a cross
-product streams into WHERE, with a leading run of single-input conjuncts
-pushed onto the product's operands; compiled plans are cached per AST node
-and relation shape, invalidated by the database's catalog version.
-
-Expressions the compiler cannot handle (outer column references below the
-top level, unknown functions) fall back to the tree-walking evaluator
-(:meth:`Executor._evaluate`) for that expression only.  Results are checked
-against a recorded golden (``tests/data/engine_golden.json``) and against
-``sqlite3`` (``tests/test_engine_oracle.py``).
+indices pre-resolved (:mod:`repro.engine.compiler`, the one expression
+evaluator); AND-of-equality join conditions run as multi-key hash joins; a
+top-level FROM chain with a cross product streams into WHERE, with a leading
+run of single-input conjuncts pushed onto the product's operands.  Compiled
+plans are cached per AST node and relation shape, invalidated by the
+database's catalog version; a plan inside a correlated subquery reads the
+outer row it runs for, so it is compiled per execution instead.  Results
+are checked against a recorded golden (``tests/data/engine_golden.json``)
+and against ``sqlite3`` (``tests/test_engine_oracle.py``).
 """
 
 from __future__ import annotations
@@ -38,47 +36,34 @@ from typing import NamedTuple
 
 from repro.errors import ExecutionError
 from repro.engine.compiler import (
-    AGGREGATE_NAMES as _AGGREGATE_NAMES,
-    CompileCounters,
+    RowContext,
     compile_group_expression,
     compile_row_expression,
     contains_aggregate as _contains_aggregate,
 )
-from repro.engine.functions import call_aggregate, call_scalar, is_scalar_function
 from repro.engine.runtime import (
     MemberSet,
-    apply_binary as _apply_binary,
-    apply_cast as _apply_cast,
-    apply_unary as _apply_unary,
     distinct_rows as _distinct_rows,
     hashable_key as _hashable,
     is_true as _is_true,
-    like_match as _like_match,
     null_aware_compare as _null_aware_compare,
     row_key as _row_key,
 )
 from repro.engine.storage import ColumnLabel, Relation
-from repro.engine.types import SQLValue, compare_values
+from repro.engine.types import SQLValue
 from repro.sql.analyzer import iter_expressions
 from repro.sql.ast_nodes import (
-    Between,
     BinaryOp,
     BinaryOperator,
-    Cast,
-    CaseWhen,
     ColumnRef,
     Exists,
     Expression,
     FunctionCall,
-    InList,
     InSubquery,
-    IsNull,
     Join,
     JoinType,
-    Like,
     Literal,
     OrderItem,
-    Parameter,
     Relation as ASTRelation,
     ScalarSubquery,
     Select,
@@ -87,7 +72,6 @@ from repro.sql.ast_nodes import (
     Star,
     SubqueryRef,
     TableRef,
-    UnaryOp,
 )
 
 #: Compiled-plan cache bound; the cache is cleared wholesale beyond this.
@@ -160,36 +144,6 @@ class _AnalyzeCollector:
 
 
 @dataclass
-class RowContext:
-    """Binds one row of a relation for expression evaluation.
-
-    ``parent`` links to the enclosing query's context, enabling correlated
-    subqueries.  ``group_rows`` is set while evaluating aggregated output: it
-    holds every (relation, row) pair of the current group so aggregate calls
-    can collect their inputs.
-    """
-
-    relation: Relation | None = None
-    row: tuple[SQLValue, ...] | None = None
-    parent: "RowContext | None" = None
-    group_rows: list[tuple[SQLValue, ...]] | None = None
-
-    def lookup(self, name: str, table: str | None) -> SQLValue:
-        """Resolve a column reference, walking up to outer query contexts."""
-        context: RowContext | None = self
-        while context is not None:
-            if context.relation is not None and context.row is not None:
-                try:
-                    index = context.relation.column_index(name, table)
-                    return context.row[index]
-                except ExecutionError:
-                    pass
-            context = context.parent
-        qualified = f"{table}.{name}" if table else name
-        raise ExecutionError(f"unknown column reference {qualified!r}")
-
-
-@dataclass
 class QueryResult:
     """Materialised result of executing a query."""
 
@@ -219,15 +173,13 @@ class Executor:
         # failed once); they skip the doomed context-free attempt afterwards.
         self._subquery_kind: dict[int, tuple[Select, bool]] = {}
         # Compiled-plan cache: (node id, kind, relation signature) -> closure
-        # (or None for known-uncompilable expressions).  Tagged with the
-        # catalog version: schema changes can move column indices.
+        # or join plan.  Tagged with the catalog version: schema changes can
+        # move column indices.
         self._plan_cache: dict[tuple, tuple[object, object]] = {}
         self._plan_version: int = -1
         #: Compiled-plan cache accounting (EXPLAIN ANALYZE reports deltas).
         self.plan_cache_hits = 0
         self.plan_cache_misses = 0
-        #: Expression-compile outcome tallies (compiled vs interpreter fallback).
-        self.compile_counters = CompileCounters()
         # Active EXPLAIN ANALYZE collector; None outside analyze_select.
         self._analyze: _AnalyzeCollector | None = None
 
@@ -280,7 +232,7 @@ class Executor:
 
         An uncorrelated subquery hashes its cached result once and keeps the
         set on the cache entry.  A correlated one runs per row and is scanned
-        linearly, as the interpreter does.
+        linearly.
         """
         cached = self._uncorrelated_subquery(subquery)
         if cached is None:
@@ -317,93 +269,56 @@ class Executor:
         self._plan_cache[key] = (anchor, value)
         return value
 
-    def _subquery_handler(self, relation: Relation):
+    def _subquery_handler(self, relation: Relation, outer: RowContext | None):
         """Compiler hook: maps a subquery node to a ``row -> QueryResult`` runner.
 
-        The runner binds the evaluating row as the subquery's outer context, so
-        correlated subqueries execute through compiled closures too (sharing
-        the uncorrelated-result cache with the interpreter).  Only used for
-        top-level expressions (``outer is None``): a deeper context chain needs
-        the interpreter's parent links.
+        The runner binds the evaluating row as the subquery's outer context,
+        above the evaluation's own ``outer`` chain, so a subquery nested
+        inside a correlated one reads every enclosing row.
         """
 
         def handler(subquery: Select, members: bool = False):
             execute = self._subquery_members if members else self._execute_subquery_cached
 
             def run(row: tuple):
-                return execute(subquery, RowContext(relation=relation, row=row))
+                return execute(subquery, RowContext(relation, row, outer))
 
             return run
 
         return handler
 
     def _row_evaluator(self, expression: Expression, relation: Relation, outer: RowContext | None):
-        """Best closure for evaluating ``expression`` once per row.
-
-        Compiled when possible (and cached per relation shape); otherwise an
-        interpreter fallback that builds a :class:`RowContext` per row.
-        Subqueries compile only at the top level (no enclosing context): the
-        compiled runners bind the evaluating row as the sole outer context,
-        which a nested evaluation cannot represent.
-        """
-        if outer is None:
-            compiled = self._cached_plan(
-                expression,
-                "row",
-                tuple(relation.labels),
-                lambda: compile_row_expression(
-                    expression,
-                    relation,
-                    self._subquery_handler(relation),
-                    self.compile_counters,
-                ),
-            )
-        else:
-            compiled = self._cached_plan(
-                expression,
-                "row-nested",
-                tuple(relation.labels),
-                lambda: compile_row_expression(expression, relation, None, self.compile_counters),
-            )
-        if compiled is not None:
-            return compiled
-
-        def fallback(row: tuple) -> SQLValue:
-            return self._evaluate(expression, RowContext(relation=relation, row=row, parent=outer))
-
-        return fallback
+        """The compiled closure that evaluates ``expression`` once per row."""
+        return self._evaluator(compile_row_expression, "row", expression, relation, outer)
 
     def _group_evaluator(self, expression: Expression, source: Relation, outer: RowContext | None):
-        """Best closure for evaluating an aggregation-mode expression per group."""
-        if outer is None:
-            compiled = self._cached_plan(
-                expression,
-                "group",
-                tuple(source.labels),
-                lambda: compile_group_expression(
-                    expression,
-                    source,
-                    self._subquery_handler(source),
-                    self.compile_counters,
-                ),
-            )
-        else:
-            compiled = self._cached_plan(
-                expression,
-                "group-nested",
-                tuple(source.labels),
-                lambda: compile_group_expression(expression, source, None, self.compile_counters),
-            )
-        if compiled is not None:
-            return compiled
+        """The compiled closure that evaluates an aggregation-mode expression per group."""
+        return self._evaluator(compile_group_expression, "group", expression, source, outer)
 
-        def fallback(group_rows: list, representative: tuple) -> SQLValue:
-            context = RowContext(
-                relation=source, row=representative, parent=outer, group_rows=group_rows
-            )
-            return self._evaluate_aggregate_aware(expression, context, source, outer)
+    def _evaluator(
+        self,
+        compile_expression,
+        kind: str,
+        expression: Expression,
+        relation: Relation,
+        outer: RowContext | None,
+    ):
+        """Compile ``expression`` against ``relation``, cached at the top level.
 
-        return fallback
+        Under an outer context (inside a correlated subquery) the closure
+        reads the bound outer rows, so it is compiled per execution and not
+        cached.
+        """
+        if outer is not None:
+            return compile_expression(
+                expression, relation, self._subquery_handler(relation, outer), outer
+            )
+        return self._cached_plan(
+            expression,
+            kind,
+            tuple(relation.labels),
+            lambda: compile_expression(expression, relation, self._subquery_handler(relation, None)),
+        )
 
     # ------------------------------------------------------------------
     # public entry point
@@ -448,7 +363,7 @@ class Executor:
 
         Returns the executed operator list (wall time, rows in/out, nesting
         depth), total wall time, rows/columns returned, and the per-query
-        deltas of the compiled-plan and expression-compile counters.  The
+        delta of the compiled-plan cache counters.  The
         execution is observed, never perturbed: the collector only reads
         stage boundaries, so the produced rows are bit-identical to a plain
         ``execute_select``.
@@ -458,8 +373,6 @@ class Executor:
         collector = _AnalyzeCollector()
         plan_hits = self.plan_cache_hits
         plan_misses = self.plan_cache_misses
-        compiled_before = self.compile_counters.compiled
-        fallbacks_before = self.compile_counters.fallbacks
         self._analyze = collector
         started = time.perf_counter()
         try:
@@ -476,11 +389,6 @@ class Executor:
             "plan_cache": {
                 "hits": self.plan_cache_hits - plan_hits,
                 "misses": self.plan_cache_misses - plan_misses,
-            },
-            "expressions": {
-                "compiled": self.compile_counters.compiled - compiled_before,
-                "interpreter_fallbacks": self.compile_counters.fallbacks
-                - fallbacks_before,
             },
         }
 
@@ -1342,173 +1250,6 @@ class Executor:
         order = self._sorted_positions(order_by, key_columns, len(rows))
         return [rows[position] for position in order]
 
-    # ------------------------------------------------------------------
-    # expression evaluation (the compiler's per-expression fallback)
-    # ------------------------------------------------------------------
-
-    def _evaluate_aggregate_aware(
-        self,
-        expression: Expression,
-        context: RowContext,
-        source: Relation,
-        outer: RowContext | None,
-    ) -> SQLValue:
-        """Evaluate an expression in grouped mode (aggregates over the group)."""
-        if isinstance(expression, FunctionCall) and expression.upper_name in _AGGREGATE_NAMES:
-            group_rows = context.group_rows or []
-            count_star = bool(expression.args) and isinstance(expression.args[0], Star)
-            if count_star or not expression.args:
-                values: list[SQLValue] = [1] * len(group_rows)
-            else:
-                values = []
-                for row in group_rows:
-                    row_context = RowContext(relation=source, row=row, parent=outer)
-                    values.append(self._evaluate(expression.args[0], row_context))
-            return call_aggregate(expression.upper_name, values, expression.distinct, count_star)
-        if isinstance(expression, BinaryOp):
-            left = self._evaluate_aggregate_aware(expression.left, context, source, outer)
-            right = self._evaluate_aggregate_aware(expression.right, context, source, outer)
-            return _apply_binary(expression.op, left, right)
-        if isinstance(expression, UnaryOp):
-            operand = self._evaluate_aggregate_aware(expression.operand, context, source, outer)
-            return _apply_unary(expression.op, operand)
-        if isinstance(expression, FunctionCall) and is_scalar_function(expression.name):
-            args = [
-                self._evaluate_aggregate_aware(arg, context, source, outer)
-                for arg in expression.args
-            ]
-            return call_scalar(expression.name, args)
-        if isinstance(expression, CaseWhen):
-            for condition, result in expression.conditions:
-                if _is_true(self._evaluate_aggregate_aware(condition, context, source, outer)):
-                    return self._evaluate_aggregate_aware(result, context, source, outer)
-            if expression.else_result is not None:
-                return self._evaluate_aggregate_aware(expression.else_result, context, source, outer)
-            return None
-        if isinstance(expression, Cast):
-            operand = self._evaluate_aggregate_aware(expression.operand, context, source, outer)
-            return _apply_cast(operand, expression.target_type)
-        return self._evaluate(expression, context)
-
-    def _evaluate(self, expression: Expression, context: RowContext) -> SQLValue:
-        if isinstance(expression, Literal):
-            return expression.value
-        if isinstance(expression, ColumnRef):
-            return context.lookup(expression.name, expression.table)
-        if isinstance(expression, Star):
-            raise ExecutionError("'*' is only valid inside COUNT(*) or the select list")
-        if isinstance(expression, Parameter):
-            raise ExecutionError("bind parameters are not supported during direct execution")
-        if isinstance(expression, BinaryOp):
-            if expression.op is BinaryOperator.AND:
-                left = self._evaluate(expression.left, context)
-                if left is False:
-                    return False
-                right = self._evaluate(expression.right, context)
-                if right is False:
-                    return False
-                if left is None or right is None:
-                    return None
-                return _is_true(left) and _is_true(right)
-            if expression.op is BinaryOperator.OR:
-                left = self._evaluate(expression.left, context)
-                if _is_true(left):
-                    return True
-                right = self._evaluate(expression.right, context)
-                if _is_true(right):
-                    return True
-                if left is None or right is None:
-                    return None
-                return False
-            left = self._evaluate(expression.left, context)
-            right = self._evaluate(expression.right, context)
-            return _apply_binary(expression.op, left, right)
-        if isinstance(expression, UnaryOp):
-            operand = self._evaluate(expression.operand, context)
-            return _apply_unary(expression.op, operand)
-        if isinstance(expression, FunctionCall):
-            if expression.upper_name in _AGGREGATE_NAMES:
-                # Aggregate outside grouped evaluation: aggregate over the group
-                # rows when available, otherwise this is a malformed query.
-                if context.group_rows is not None and context.relation is not None:
-                    values = []
-                    count_star = bool(expression.args) and isinstance(expression.args[0], Star)
-                    for row in context.group_rows:
-                        if count_star or not expression.args:
-                            values.append(1)
-                        else:
-                            row_context = RowContext(
-                                relation=context.relation, row=row, parent=context.parent
-                            )
-                            values.append(self._evaluate(expression.args[0], row_context))
-                    return call_aggregate(
-                        expression.upper_name, values, expression.distinct, count_star
-                    )
-                raise ExecutionError(
-                    f"aggregate {expression.upper_name} used outside aggregation context"
-                )
-            args = [self._evaluate(arg, context) for arg in expression.args]
-            return call_scalar(expression.name, args)
-        if isinstance(expression, Cast):
-            return _apply_cast(self._evaluate(expression.operand, context), expression.target_type)
-        if isinstance(expression, CaseWhen):
-            for condition, result in expression.conditions:
-                if _is_true(self._evaluate(condition, context)):
-                    return self._evaluate(result, context)
-            if expression.else_result is not None:
-                return self._evaluate(expression.else_result, context)
-            return None
-        if isinstance(expression, IsNull):
-            value = self._evaluate(expression.operand, context)
-            result = value is None
-            return not result if expression.negated else result
-        if isinstance(expression, InList):
-            value = self._evaluate(expression.operand, context)
-            if value is None:
-                return None
-            members = [self._evaluate(item, context) for item in expression.values]
-            contained = any(
-                member is not None and compare_values(value, member) == 0 for member in members
-            )
-            return not contained if expression.negated else contained
-        if isinstance(expression, InSubquery):
-            value = self._evaluate(expression.operand, context)
-            if value is None:
-                return None
-            result = self._execute_subquery_cached(expression.subquery, context)
-            members = [row[0] for row in result.rows if row]
-            contained = any(
-                member is not None and compare_values(value, member) == 0 for member in members
-            )
-            return not contained if expression.negated else contained
-        if isinstance(expression, Exists):
-            result = self._execute_subquery_cached(expression.subquery, context)
-            exists = len(result.rows) > 0
-            return not exists if expression.negated else exists
-        if isinstance(expression, Between):
-            value = self._evaluate(expression.operand, context)
-            low = self._evaluate(expression.low, context)
-            high = self._evaluate(expression.high, context)
-            if value is None or low is None or high is None:
-                return None
-            in_range = compare_values(value, low) >= 0 and compare_values(value, high) <= 0
-            return not in_range if expression.negated else in_range
-        if isinstance(expression, Like):
-            value = self._evaluate(expression.operand, context)
-            pattern = self._evaluate(expression.pattern, context)
-            if value is None or pattern is None:
-                return None
-            matched = _like_match(str(value), str(pattern))
-            return not matched if expression.negated else matched
-        if isinstance(expression, ScalarSubquery):
-            result = self._execute_subquery_cached(expression.query, context)
-            if not result.rows:
-                return None
-            if len(result.rows[0]) != 1:
-                raise ExecutionError("scalar subquery must return exactly one column")
-            return result.rows[0][0]
-        raise ExecutionError(f"unsupported expression node {type(expression).__name__}")
-
 
 # ---------------------------------------------------------------------------
 # helpers
@@ -1520,7 +1261,7 @@ def _column_indices(items: list[SelectItem], source: Relation) -> list[int] | No
 
     ``None`` when any item is another expression or does not resolve in
     ``source`` (an outer reference, an unknown name): such projections take
-    the evaluator path, which resolves or raises exactly as before.
+    the compiled closures, which resolve or raise them.
     """
     indices = []
     for item in items:

@@ -140,21 +140,6 @@ SCALAR_FUNCTIONS = {
 }
 
 
-def call_scalar(name: str, args: list[SQLValue]) -> SQLValue:
-    """Invoke a scalar function by (upper-cased) name."""
-    function = SCALAR_FUNCTIONS.get(name.upper())
-    if function is None:
-        raise ExecutionError(f"unknown scalar function {name!r}")
-    if not args and name.upper() not in ("CONCAT", "COALESCE"):
-        raise ExecutionError(f"scalar function {name!r} expects at least one argument")
-    return function(args)
-
-
-def is_scalar_function(name: str) -> bool:
-    """Whether ``name`` is a known scalar function."""
-    return name.upper() in SCALAR_FUNCTIONS
-
-
 # ---------------------------------------------------------------------------
 # aggregate functions
 # ---------------------------------------------------------------------------

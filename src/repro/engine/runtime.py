@@ -1,11 +1,9 @@
-"""Value-level runtime helpers shared by the interpreter and the compiler.
+"""Value-level runtime helpers of the compiler and the executor.
 
 These functions implement the engine's SQL semantics on plain Python values:
-three-valued truthiness, NULL-propagating binary/unary operators, CAST
-coercion, LIKE matching and hash-key normalisation.  Both execution paths —
-the tree-walking interpreter in :mod:`repro.engine.executor` and the
-closure compiler in :mod:`repro.engine.compiler` — call into this module so
-their results stay bit-identical by construction.
+three-valued truthiness, NULL-propagating unary operators and arithmetic,
+LIKE matching, ``IN`` membership, hash-key normalisation and ORDER BY
+comparison.
 """
 
 from __future__ import annotations
@@ -15,7 +13,7 @@ from typing import Iterable
 
 from repro.errors import ExecutionError
 from repro.engine.types import SQLValue, compare_values, is_numeric
-from repro.sql.ast_nodes import BinaryOperator, OrderItem, UnaryOperator
+from repro.sql.ast_nodes import OrderItem, UnaryOperator
 
 
 def is_true(value: SQLValue) -> bool:
@@ -27,48 +25,6 @@ def is_true(value: SQLValue) -> bool:
     if is_numeric(value):
         return value != 0
     return bool(value)
-
-
-def apply_binary(op: BinaryOperator, left: SQLValue, right: SQLValue) -> SQLValue:
-    """Evaluate a binary operator with SQL NULL propagation."""
-    if op in (BinaryOperator.AND, BinaryOperator.OR):
-        if left is None or right is None:
-            return None
-        return is_true(left) and is_true(right) if op is BinaryOperator.AND else (
-            is_true(left) or is_true(right)
-        )
-    if left is None or right is None:
-        return None
-    if op is BinaryOperator.ADD:
-        return numeric_binary(left, right, lambda a, b: a + b)
-    if op is BinaryOperator.SUB:
-        return numeric_binary(left, right, lambda a, b: a - b)
-    if op is BinaryOperator.MUL:
-        return numeric_binary(left, right, lambda a, b: a * b)
-    if op is BinaryOperator.DIV:
-        if float(right) == 0.0:
-            return None
-        return numeric_binary(left, right, lambda a, b: a / b)
-    if op is BinaryOperator.MOD:
-        if float(right) == 0.0:
-            return None
-        return numeric_binary(left, right, lambda a, b: a % b)
-    if op is BinaryOperator.CONCAT:
-        return f"{left}{right}"
-    comparison = compare_values(left, right)
-    if op is BinaryOperator.EQ:
-        return comparison == 0
-    if op is BinaryOperator.NEQ:
-        return comparison != 0
-    if op is BinaryOperator.LT:
-        return comparison < 0
-    if op is BinaryOperator.LTE:
-        return comparison <= 0
-    if op is BinaryOperator.GT:
-        return comparison > 0
-    if op is BinaryOperator.GTE:
-        return comparison >= 0
-    raise ExecutionError(f"unsupported binary operator {op}")
 
 
 def numeric_binary(left: SQLValue, right: SQLValue, operation) -> SQLValue:
@@ -99,15 +55,6 @@ def apply_unary(op: UnaryOperator, operand: SQLValue) -> SQLValue:
     if op is UnaryOperator.NOT:
         return not is_true(operand)
     raise ExecutionError(f"unsupported unary operator {op}")
-
-
-def apply_cast(value: SQLValue, target_type: str) -> SQLValue:
-    """Evaluate ``CAST(value AS target_type)``."""
-    from repro.engine.types import DataType, coerce_value
-
-    if value is None:
-        return None
-    return coerce_value(value, DataType.from_sql(target_type))
 
 
 def like_regex(pattern: str) -> str:

@@ -5,7 +5,8 @@ from __future__ import annotations
 import pytest
 
 from repro.engine import Database
-from repro.engine.compiler import compile_group_expression, compile_row_expression
+from repro.engine.compiler import RowContext, compile_group_expression, compile_row_expression
+from repro.engine.runtime import MemberSet
 from repro.engine.storage import ColumnLabel, Relation
 from repro.errors import ExecutionError
 from repro.metrics.execution import (
@@ -85,17 +86,57 @@ class TestRowCompiler:
         assert cast_fn(relation.rows[1]) is None
 
     def test_unknown_column_is_not_compilable(self, relation):
-        assert compile_row_expression(parse_expression("missing + 1"), relation) is None
+        # It compiles to a closure that raises once a row reaches it.
+        fn = compile_row_expression(parse_expression("missing + 1"), relation)
+        with pytest.raises(ExecutionError, match="^unknown column reference 'missing'$"):
+            fn(relation.rows[0])
+
+    def test_outer_reference_reads_the_bound_outer_row(self, relation):
+        outer_relation = Relation(labels=[ColumnLabel(name="limit_id", relation="o")])
+        outer = RowContext(outer_relation, (2,))
+        fn = compile_row_expression(parse_expression("id <= o.limit_id"), relation, None, outer)
+        assert [fn(row) for row in relation.rows] == [True, True, False]
+        # The chain is searched nearest first, up to the grandparent.
+        middle = Relation(
+            labels=[ColumnLabel(name="x", relation="m"), ColumnLabel(name="limit_id", relation="m")]
+        )
+        inner = RowContext(middle, (9, 5), outer)
+        nearest = compile_row_expression(parse_expression("limit_id + x"), relation, None, inner)
+        assert nearest(relation.rows[0]) == 14
+        grandparent = compile_row_expression(
+            parse_expression("o.limit_id + x"), relation, None, inner
+        )
+        assert grandparent(relation.rows[0]) == 11
 
     def test_subqueries_are_not_compilable(self, relation):
+        # A subquery runs through the caller's handler; without one it
+        # cannot compile.
         expression = parse_expression("id IN (SELECT 1)")
-        assert compile_row_expression(expression, relation) is None
+
+        def handler(subquery, members=False):
+            assert members
+            return lambda row: MemberSet([1])
+
+        fn = compile_row_expression(expression, relation, handler)
+        assert [fn(row) for row in relation.rows] == [True, False, False]
+        with pytest.raises(ValueError, match="subquery handler"):
+            compile_row_expression(expression, relation)
 
     def test_aggregates_not_compilable_in_row_mode(self, relation):
-        assert compile_row_expression(parse_expression("SUM(amount)"), relation) is None
+        fn = compile_row_expression(parse_expression("SUM(amount)"), relation)
+        with pytest.raises(
+            ExecutionError, match="^aggregate SUM used outside aggregation context$"
+        ):
+            fn(relation.rows[0])
 
     def test_unknown_function_not_compilable(self, relation):
-        assert compile_row_expression(parse_expression("NO_SUCH_FN(id)"), relation) is None
+        fn = compile_row_expression(parse_expression("no_such_fn(id)"), relation)
+        with pytest.raises(ExecutionError, match="^unknown scalar function 'no_such_fn'$"):
+            fn(relation.rows[0])
+        # Its arguments are evaluated first, so theirs is the error raised.
+        fn = compile_row_expression(parse_expression("NO_SUCH_FN(missing)"), relation)
+        with pytest.raises(ExecutionError, match="^unknown column reference 'missing'$"):
+            fn(relation.rows[0])
 
 
 class TestGroupCompiler:
@@ -116,9 +157,23 @@ class TestGroupCompiler:
         assert fn(relation.rows, relation.rows[1]) == "beta"
 
     def test_aggregate_inside_unsupported_node_falls_back(self, relation):
-        # BETWEEN containing an aggregate needs the interpreter's group context.
-        expression = parse_expression("COUNT(*) BETWEEN 1 AND 5")
-        assert compile_group_expression(expression, relation) is None
+        # An aggregate under any node reads the group.
+        between = compile_group_expression(parse_expression("COUNT(*) BETWEEN 1 AND 5"), relation)
+        assert between(relation.rows, relation.rows[0]) is True
+        assert between(relation.rows[:0], relation.rows[0]) is False
+        like = compile_group_expression(parse_expression("MAX(name) LIKE 'b%'"), relation)
+        assert like(relation.rows, relation.rows[0]) is True
+        is_null = compile_group_expression(parse_expression("MIN(amount) IS NULL"), relation)
+        assert is_null(relation.rows[1:2], relation.rows[1]) is True
+
+    def test_zero_argument_scalar_raises_its_execution_error(self):
+        database = Database("zero-args")
+        database.execute("CREATE TABLE t (g TEXT, x INT)")
+        database.execute("INSERT INTO t (g, x) VALUES ('a', 1)")
+        message = "^scalar function 'UPPER' expects at least one argument$"
+        for sql in ("SELECT UPPER() FROM t", "SELECT g, UPPER() FROM t GROUP BY g"):
+            with pytest.raises(ExecutionError, match=message):
+                database.execute(sql)
 
 
 class TestStatementCache:

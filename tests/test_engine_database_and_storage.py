@@ -8,10 +8,8 @@ from repro.engine import (
     StoredColumn,
     StoredTable,
     call_aggregate,
-    call_scalar,
     coerce_value,
     compare_values,
-    is_scalar_function,
     values_equal,
 )
 from repro.errors import CatalogError, ExecutionError, TypeMismatchError
@@ -168,29 +166,39 @@ class TestValueModel:
         assert not values_equal(None, 0)
 
 
+def _scalar(expression: str):
+    """The value of ``SELECT <expression>`` (no FROM: evaluated once)."""
+    return Database("functions").execute(f"SELECT {expression}").rows[0][0]
+
+
 class TestFunctions:
     def test_scalar_function_registry(self):
-        assert is_scalar_function("upper")
-        assert not is_scalar_function("COUNT")
+        # Scalar names resolve case-insensitively; an aggregate is not one.
+        assert _scalar("upper('abc')") == "ABC"
+        database = Database("functions")
+        database.execute("CREATE TABLE t (id INT)")
+        database.execute("INSERT INTO t (id) VALUES (1)")
+        with pytest.raises(ExecutionError, match="aggregate COUNT used outside aggregation context"):
+            database.execute("SELECT id FROM t WHERE COUNT(*) > 0")
 
     def test_scalar_functions(self):
-        assert call_scalar("UPPER", ["abc"]) == "ABC"
-        assert call_scalar("LENGTH", ["abcd"]) == 4
-        assert call_scalar("ROUND", [3.456, 1]) == 3.5
-        assert call_scalar("COALESCE", [None, None, 7]) == 7
-        assert call_scalar("SUBSTR", ["abcdef", 2, 3]) == "bcd"
-        assert call_scalar("NULLIF", [5, 5]) is None
-        assert call_scalar("IFNULL", [None, "x"]) == "x"
-        assert call_scalar("ABS", [-4]) == 4
-        assert call_scalar("CONCAT", ["a", None, "b"]) == "ab"
+        assert _scalar("UPPER('abc')") == "ABC"
+        assert _scalar("LENGTH('abcd')") == 4
+        assert _scalar("ROUND(3.456, 1)") == 3.5
+        assert _scalar("COALESCE(NULL, NULL, 7)") == 7
+        assert _scalar("SUBSTR('abcdef', 2, 3)") == "bcd"
+        assert _scalar("NULLIF(5, 5)") is None
+        assert _scalar("IFNULL(NULL, 'x')") == "x"
+        assert _scalar("ABS(-4)") == 4
+        assert _scalar("CONCAT('a', NULL, 'b')") == "ab"
 
     def test_scalar_null_propagation(self):
-        assert call_scalar("UPPER", [None]) is None
-        assert call_scalar("LENGTH", [None]) is None
+        assert _scalar("UPPER(NULL)") is None
+        assert _scalar("LENGTH(NULL)") is None
 
     def test_unknown_scalar_raises(self):
-        with pytest.raises(ExecutionError):
-            call_scalar("NO_SUCH_FN", [1])
+        with pytest.raises(ExecutionError, match="unknown scalar function 'NO_SUCH_FN'"):
+            _scalar("NO_SUCH_FN(1)")
 
     def test_aggregates(self):
         assert call_aggregate("COUNT", [1, None, 2], distinct=False, count_star=True) == 3

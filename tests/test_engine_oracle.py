@@ -1,4 +1,4 @@
-"""The engine against ``sqlite3``: every generated gold statement, and the known divergences.
+"""The engine against ``sqlite3``: every generated gold statement, the known divergences, and point agreements.
 
 Every workload the gold SQL comes from — the four benchmarks at the paper
 harnesses' scale (row scale 0.0015, 20 queries) at seeds 0-2, plus the
@@ -9,7 +9,9 @@ to 10 significant digits, rows as a multiset without ORDER BY, and up to the
 order of rows tied on the ORDER BY keys with one.  Every other difference is
 listed below with its reason and the ROADMAP item that would remove it; the
 test fails both on an unlisted divergence and on a listed statement that
-agrees again, so a fix deletes its entry.
+agrees again, so a fix deletes its entry.  The point agreements are
+expression shapes (grouped AND/OR, deep outer references, aggregates under
+every node) that must keep agreeing.
 """
 
 from __future__ import annotations
@@ -191,11 +193,11 @@ POINT_DIVERGENCES = [
 ]
 
 
-@pytest.fixture(scope="module")
-def point_databases():
+def _both(tables):
+    """An engine database and an in-memory SQLite one holding ``tables``."""
     database = Database("points")
     connection = sqlite3.connect(":memory:")
-    for create, rows in _POINT_TABLES:
+    for create, rows in tables:
         database.execute(create)
         connection.execute(create)
         name = create.split()[2]
@@ -203,6 +205,12 @@ def point_databases():
         connection.executemany(
             f"INSERT INTO {name} VALUES ({', '.join('?' * len(rows[0]))})", rows
         )
+    return database, connection
+
+
+@pytest.fixture(scope="module")
+def point_databases():
+    database, connection = _both(_POINT_TABLES)
     yield database, connection
     connection.close()
 
@@ -230,3 +238,58 @@ def test_every_cause_is_cited():
     cited = {cause for _, cause in GOLD_DIVERGENCES.values()}
     cited.update(cause for *_, cause in POINT_DIVERGENCES)
     assert cited == CAUSES.keys()
+
+
+# ---------------------------------------------------------------------------
+# point agreements: expression shapes the engine must answer as SQLite does
+# ---------------------------------------------------------------------------
+
+_AGREEMENT_TABLES = (
+    ("CREATE TABLE t (g TEXT, x INT)", [("a", None), ("a", None), ("b", 3)]),
+    ("CREATE TABLE u (g TEXT, y INT, s TEXT)", [("a", 1, "p"), ("b", 2, "q"), ("b", 5, "r")]),
+    ("CREATE TABLE v (y INT, z INT)", [(1, 10), (2, 20), (5, 50)]),
+)
+
+POINT_AGREEMENTS = [
+    # AND/OR over aggregates are three-valued: TRUE OR NULL, FALSE AND NULL.
+    "SELECT g FROM t GROUP BY g HAVING COUNT(*) >= 1 OR MAX(x) > 5",
+    "SELECT g, (COUNT(*) > 5) AND (MAX(x) > 1) FROM t GROUP BY g",
+    # outer references two subqueries deep
+    "SELECT g FROM u WHERE EXISTS (SELECT 1 FROM v WHERE v.y = u.y "
+    "AND EXISTS (SELECT 1 FROM t WHERE t.g = u.g))",
+    "SELECT g, y FROM u WHERE y > (SELECT MIN(v.y) FROM v WHERE v.y < u.y "
+    "AND v.z > (SELECT COUNT(*) FROM t WHERE t.g = u.g))",
+    # a correlated subquery inside a derived table or CTE of a correlated one
+    "SELECT g, y FROM u WHERE EXISTS (SELECT 1 FROM (SELECT v.y FROM v WHERE EXISTS "
+    "(SELECT 1 FROM u AS w WHERE w.y = v.y AND w.g = 'b')) d WHERE d.y = u.y)",
+    "SELECT g, y FROM u WHERE EXISTS (WITH w AS (SELECT v.y FROM v WHERE EXISTS "
+    "(SELECT 1 FROM u AS m WHERE m.y = v.y AND m.g = 'b')) SELECT 1 FROM w WHERE w.y = u.y)",
+    "SELECT g, (SELECT COUNT(*) FROM (SELECT z FROM v WHERE v.y >= u.y) d) FROM u",
+    # an aggregate under IN, BETWEEN, LIKE, IS NULL and IN (SELECT ...)
+    "SELECT g FROM u GROUP BY g HAVING COUNT(*) IN (2, 3)",
+    "SELECT g, COUNT(*) IN (2, 3) FROM u GROUP BY g",
+    "SELECT g FROM u GROUP BY g HAVING SUM(y) BETWEEN 2 AND 7",
+    "SELECT g, SUM(y) BETWEEN 2 AND 6 FROM u GROUP BY g",
+    "SELECT g FROM u GROUP BY g HAVING MAX(s) LIKE 'r%'",
+    "SELECT g, MIN(s) LIKE 'q%' FROM u GROUP BY g",
+    "SELECT g FROM t GROUP BY g HAVING MAX(x) IS NULL",
+    "SELECT g, MAX(x) IS NOT NULL FROM t GROUP BY g",
+    "SELECT g FROM u GROUP BY g HAVING MAX(y) IN (SELECT y FROM v WHERE z >= 50)",
+    "SELECT g, MAX(y) IN (SELECT y FROM v WHERE z >= 50) FROM u GROUP BY g",
+    # a CASE branch that is not taken holds SUM over text
+    "SELECT g, CASE WHEN COUNT(*) > 0 THEN COUNT(*) ELSE SUM(s) END FROM u GROUP BY g",
+    "SELECT g FROM u GROUP BY g HAVING CASE WHEN MAX(y) > 100 THEN SUM(s) > 0 ELSE 1 END",
+]
+
+
+@pytest.fixture(scope="module")
+def agreement_databases():
+    database, connection = _both(_AGREEMENT_TABLES)
+    yield database, connection
+    connection.close()
+
+
+@pytest.mark.parametrize("sql", POINT_AGREEMENTS)
+def test_point_agreement(agreement_databases, sql):
+    database, connection = agreement_databases
+    assert classify(database, connection, sql) in AGREEMENTS
