@@ -28,6 +28,14 @@ of the columns and of every cell's Python type name and value, row by row,
 or the class and message of the error it raised.  Digests are the first 64
 bits of the sha256 of canonical JSON, which spells floats exactly.  The file
 is byte-identical under any ``PYTHONHASHSEED``.
+
+``engine_analyze_golden.json`` holds, per section, one digest per statement
+of what ``EXPLAIN ANALYZE`` reports for it: each operator's ``op``, rows in,
+rows out, depth and detail (not its seconds), and whether the list was
+truncated; ``null`` for a statement that is not a SELECT or raises.  Cached
+subquery results leave their operators out of later statements, so the
+digests hold for the section's statements analyzed in order on a freshly
+built database, and nothing else.
 """
 
 from __future__ import annotations
@@ -72,6 +80,7 @@ from tests.test_engine_parity import (  # noqa: E402
 from tests.test_engine_stream import EDGE_QUERIES  # noqa: E402
 
 GOLDEN_PATH = Path(__file__).with_name("engine_golden.json")
+ANALYZE_PATH = Path(__file__).with_name("engine_analyze_golden.json")
 
 #: The ``tiny_*`` fixtures of ``tests/conftest.py``: (benchmark, row scale),
 #: all at generator seed 11 with 10 queries.
@@ -105,6 +114,26 @@ def record(database: Database, sql: str) -> dict:
             ]
         ),
     }
+
+
+def analyze_digest(database: Database, sql: str) -> str | None:
+    """Digest of the EXPLAIN ANALYZE operator list of ``sql`` (seconds left out)."""
+    try:
+        analyze = database.explain(sql, analyze=True).get("analyze")
+    except ReproError:
+        return None
+    if analyze is None:
+        return None
+    operators = [
+        sorted((key, value) for key, value in operator.items() if key != "seconds")
+        for operator in analyze["operators"]
+    ]
+    return digest([operators, analyze["truncated"]])
+
+
+def analyze_section(database: Database, statements: list[str]) -> list[str | None]:
+    """Every statement's :func:`analyze_digest`, analyzed in order."""
+    return [analyze_digest(database, sql) for sql in statements]
 
 
 def _tiny(name: str, row_scale: float):
@@ -157,14 +186,21 @@ SECTIONS = {
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--out", type=Path, default=GOLDEN_PATH)
+    parser.add_argument("--analyze-out", type=Path, default=ANALYZE_PATH)
     args = parser.parse_args()
     golden = {}
+    analyzed = {}
     for name, build in SECTIONS.items():
         database, statements = build()
         golden[name] = [record(database, sql) for sql in statements]
+        analyzed[name] = analyze_section(*build())
     args.out.write_text(json.dumps(golden, indent=1, sort_keys=True) + "\n", encoding="ascii")
+    args.analyze_out.write_text(
+        json.dumps(analyzed, indent=1, sort_keys=True) + "\n", encoding="ascii"
+    )
     count = sum(len(entries) for entries in golden.values())
     print(f"wrote {count} statements in {len(golden)} sections to {args.out}")
+    print(f"wrote their EXPLAIN ANALYZE digests to {args.analyze_out}")
 
 
 if __name__ == "__main__":
