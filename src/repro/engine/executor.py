@@ -12,6 +12,13 @@ by the workload generators and needed by the evaluation harnesses:
 * correlated and uncorrelated subqueries (scalar, IN, EXISTS),
 * common table expressions, set operations, DISTINCT, ORDER BY, LIMIT/OFFSET.
 
+A SELECT is one pipeline of stages: scan (or stream) and filter, aggregate
+or project, distinct, then the ORDER BY and LIMIT/OFFSET tail that a
+set-operation chain shares after its ``set_op`` links.  Every stage runs
+through :meth:`Executor._stage`, the one place that records what EXPLAIN
+ANALYZE reports (op, seconds, rows in and out, detail), and only while an
+analysis is collecting.
+
 Each WHERE predicate, join condition, projection item, grouping key, ORDER
 BY key and HAVING clause is compiled once into a Python closure with column
 indices pre-resolved (:mod:`repro.engine.compiler`, the one expression
@@ -73,6 +80,7 @@ from repro.sql.ast_nodes import (
     SubqueryRef,
     TableRef,
 )
+from repro.sql.printer import print_expression
 
 #: Compiled-plan cache bound; the cache is cleared wholesale beyond this.
 _PLAN_CACHE_LIMIT = 4096
@@ -86,16 +94,18 @@ _ANALYZE_OPERATOR_LIMIT = 256
 
 
 class _CachedSubquery:
-    """One uncorrelated subquery result, tagged with the data version it read.
+    """What one subquery's context-free execution gave.
 
-    ``members`` is the hashed first-column :class:`MemberSet` for ``IN``,
-    built on first use and dropped with the entry, so DML invalidates the
-    result and its member set together.
+    Either a result tagged with the data version it read, or, when the
+    execution raised, ``result=None``: the subquery is correlated, whatever
+    the version.  ``members`` is the hashed first-column :class:`MemberSet`
+    of a result for ``IN``, built on first use and dropped with the entry,
+    so DML invalidates the result and its member set together.
     """
 
     __slots__ = ("subquery", "version", "result", "members")
 
-    def __init__(self, subquery: Select, version: int, result: "QueryResult") -> None:
+    def __init__(self, subquery: Select, version: int, result: "QueryResult | None") -> None:
         self.subquery = subquery
         self.version = version
         self.result = result
@@ -106,8 +116,8 @@ class _AnalyzeCollector:
     """Accumulates per-operator timings during one EXPLAIN ANALYZE execution.
 
     The executor holds at most one collector at a time (``Executor._analyze``);
-    when it is ``None`` — the normal case — the execution path pays only a
-    handful of ``is not None`` branch checks.  ``depth`` tracks SELECT-body
+    when it is ``None`` — the normal case — only ``Executor._execute_body``
+    and ``Executor._stage`` look at it.  ``depth`` tracks SELECT-body
     nesting (subqueries, CTE bodies, set-operation branches) so the operator
     list can be rendered as a tree.
     """
@@ -118,12 +128,6 @@ class _AnalyzeCollector:
         self.operators: list[dict] = []
         self.depth = 0
         self.truncated = False
-
-    def enter(self) -> None:
-        self.depth += 1
-
-    def exit(self) -> None:
-        self.depth -= 1
 
     def record(
         self, op: str, seconds: float, rows_in: int, rows_out: int, **detail
@@ -164,14 +168,11 @@ class Executor:
 
     def __init__(self, database: "Database") -> None:  # noqa: F821
         self._database = database
-        # Cache of uncorrelated subquery results, keyed by AST node id.  The
-        # node itself is kept in the value so its id cannot be reused while the
-        # cache entry is alive; each entry is tagged with the database's data
-        # version so DML invalidates it lazily without a full clear.
+        # What each subquery's context-free execution gave, keyed by AST node
+        # id.  The node itself is kept in the value so its id cannot be reused
+        # while the entry is alive; a result is tagged with the database's
+        # data version so DML invalidates it lazily without a full clear.
         self._subquery_cache: dict[int, _CachedSubquery] = {}
-        # Subqueries known to be correlated (their context-free execution
-        # failed once); they skip the doomed context-free attempt afterwards.
-        self._subquery_kind: dict[int, tuple[Select, bool]] = {}
         # Compiled-plan cache: (node id, kind, relation signature) -> closure
         # or join plan.  Tagged with the catalog version: schema changes can
         # move column indices.
@@ -183,42 +184,33 @@ class Executor:
         # Active EXPLAIN ANALYZE collector; None outside analyze_select.
         self._analyze: _AnalyzeCollector | None = None
 
-    def clear_cache(self) -> None:
-        """Drop cached subquery results and compiled plans."""
-        self._subquery_cache.clear()
-        self._subquery_kind.clear()
-        self._plan_cache.clear()
-
     def _uncorrelated_subquery(self, subquery: Select) -> _CachedSubquery | None:
         """The cached result of an uncorrelated subquery, or ``None``.
 
         The first execution is attempted without the outer row context; if that
         succeeds the subquery cannot reference outer columns and its result is
-        reused for every outer row — and, because entries are tagged with the
+        reused for every outer row — and, because results are tagged with the
         database's data version, across repeated executions of the same cached
         statement until the next DML.  A subquery whose context-free attempt
         fails is remembered as correlated (``None`` from then on), so later
         rows skip the doomed attempt.
         """
-        version = self._database.data_version
         key = id(subquery)
+        version = self._database.data_version
         cached = self._subquery_cache.get(key)
-        if cached is not None and cached.subquery is subquery and cached.version == version:
-            return cached
-        kind = self._subquery_kind.get(key)
-        if kind is not None and kind[0] is subquery and kind[1]:
-            return None
+        if cached is not None and cached.subquery is subquery:
+            if cached.result is None:
+                return None
+            if cached.version == version:
+                return cached
         try:
             result = self.execute_select(subquery, None)
         except ExecutionError:
-            if len(self._subquery_kind) >= _SUBQUERY_CACHE_LIMIT:
-                self._subquery_kind.clear()
-            self._subquery_kind[key] = (subquery, True)
-            return None
+            result = None
         if len(self._subquery_cache) >= _SUBQUERY_CACHE_LIMIT:
             self._subquery_cache.clear()
         cached = self._subquery_cache[key] = _CachedSubquery(subquery, version, result)
-        return cached
+        return cached if result is not None else None
 
     def _execute_subquery_cached(self, subquery: Select, context: RowContext) -> QueryResult:
         """Execute a subquery: the cached result when uncorrelated, else per row."""
@@ -396,134 +388,97 @@ class Executor:
         self, select: Select, cte_scope: dict[str, Relation], outer: RowContext | None
     ) -> QueryResult:
         collector = self._analyze
-        if collector is None:
-            if select.set_operator is not None and select.set_right is not None:
-                return self._execute_set_operation(select, cte_scope, outer)
-            return self._execute_stages(select, cte_scope, outer, None)
-        # enter/exit must balance even when a context-free subquery attempt
-        # aborts with ExecutionError mid-body (see _execute_subquery_cached).
-        collector.enter()
+        if collector is not None:
+            collector.depth += 1
+        # The depth must come back even when a context-free subquery attempt
+        # aborts with ExecutionError mid-body (see _uncorrelated_subquery).
         try:
             if select.set_operator is not None and select.set_right is not None:
                 return self._execute_set_operation(select, cte_scope, outer)
-            return self._execute_stages(select, cte_scope, outer, collector)
+            return self._execute_stages(select, cte_scope, outer)
         finally:
-            collector.exit()
+            if collector is not None:
+                collector.depth -= 1
+
+    def _stage(self, op: str, rows_in, run, *args, **detail):
+        """Run one stage of the SELECT pipeline, ``run(*args)``; return its output.
+
+        While EXPLAIN ANALYZE collects (``self._analyze``), and only then,
+        the stage is recorded as ``op`` with its wall time, ``rows_in``, the
+        length of its output as rows out, and ``detail``.  A FROM stage
+        learns what it read as it runs: its ``rows_in`` is a function that
+        reads ``(rows in, rows out, detail)`` off its output.
+        """
+        collector = self._analyze
+        if collector is None:
+            return run(*args)
+        started = time.perf_counter()
+        output = run(*args)
+        seconds = time.perf_counter() - started
+        if callable(rows_in):
+            rows_in, rows_out, found = rows_in(output)
+            detail.update(found)
+        else:
+            rows_out = len(output)
+        collector.record(op, seconds, rows_in, rows_out, **detail)
+        return output
 
     def _execute_stages(
+        self, select: Select, cte_scope: dict[str, Relation], outer: RowContext | None
+    ) -> QueryResult:
+        """One SELECT: FROM and WHERE, aggregate or project, DISTINCT, the tail."""
+        chain = _cross_chain(select.from_relation) if outer is None else None
+        if chain is not None:
+            source, rows, _ = self._stage(
+                "stream", _stream_counts, self._stream, select, cte_scope, chain
+            )
+        else:
+            relation = select.from_relation
+            name = "dual" if relation is None else type(relation).__name__
+            source = self._stage(
+                "scan", _scan_counts, self._execute_relation, relation, cte_scope, outer, source=name
+            )
+            rows = source.rows
+            if select.where is not None:
+                rows = self._stage("filter", len(rows), self._where, select, source, rows, outer)
+            else:
+                rows = list(rows)
+
+        aggregated = bool(select.group_by) or self._has_aggregate_items(select)
+        result = self._stage(
+            "aggregate" if aggregated else "project",
+            len(rows),
+            self._execute_aggregation if aggregated else self._execute_projection,
+            select,
+            source,
+            rows,
+            outer,
+        )
+        if select.distinct:
+            result = QueryResult(
+                columns=result.columns,
+                rows=self._stage("distinct", len(result.rows), _distinct_rows, result.rows),
+            )
+        return self._order_and_limit(select, result, outer, source, None if aggregated else rows)
+
+    def _where(
         self,
         select: Select,
-        cte_scope: dict[str, Relation],
+        source: Relation,
+        rows: Iterable[tuple[SQLValue, ...]],
         outer: RowContext | None,
-        collector: _AnalyzeCollector | None,
-    ) -> QueryResult:
-        stage_start = time.perf_counter() if collector is not None else 0.0
-        streamed = self._stream_source(select, cte_scope) if outer is None else None
-        if streamed is None:
-            source = self._execute_relation(select.from_relation, cte_scope, outer)
-            rows = source.rows
-            if collector is not None:
-                collector.record(
-                    "scan",
-                    time.perf_counter() - stage_start,
-                    len(source.rows),
-                    len(source.rows),
-                    source=type(select.from_relation).__name__
-                    if select.from_relation is not None
-                    else "dual",
-                )
-                stage_start = time.perf_counter()
-        else:
-            source, rows, stream_detail = streamed
-
-        # WHERE
-        if select.where is not None:
-            predicate = self._row_evaluator(select.where, source, outer)
-            filtered_rows = [row for row in rows if _is_true(predicate(row))]
-        else:
-            filtered_rows = list(rows)
-        if collector is not None:
-            if streamed is not None:
-                collector.record(
-                    "stream",
-                    time.perf_counter() - stage_start,
-                    sum(stream_detail["inputs"]),
-                    len(filtered_rows),
-                    **stream_detail,
-                )
-            elif select.where is not None:
-                collector.record(
-                    "filter",
-                    time.perf_counter() - stage_start,
-                    len(source.rows),
-                    len(filtered_rows),
-                )
-
-        needs_aggregation = bool(select.group_by) or self._has_aggregate_items(select)
-
-        if collector is not None:
-            stage_start = time.perf_counter()
-        if needs_aggregation:
-            result = self._execute_aggregation(select, source, filtered_rows, outer)
-        else:
-            result = self._execute_projection(select, source, filtered_rows, outer)
-        if collector is not None:
-            collector.record(
-                "aggregate" if needs_aggregation else "project",
-                time.perf_counter() - stage_start,
-                len(filtered_rows),
-                len(result.rows),
-            )
-
-        if select.distinct:
-            if collector is not None:
-                stage_start = time.perf_counter()
-                rows_before = len(result.rows)
-            result = QueryResult(columns=result.columns, rows=_distinct_rows(result.rows))
-            if collector is not None:
-                collector.record(
-                    "distinct",
-                    time.perf_counter() - stage_start,
-                    rows_before,
-                    len(result.rows),
-                )
-
-        if select.order_by:
-            if collector is not None:
-                stage_start = time.perf_counter()
-            result = self._apply_order_by(select, source, filtered_rows, result, outer, needs_aggregation)
-            if collector is not None:
-                collector.record(
-                    "sort",
-                    time.perf_counter() - stage_start,
-                    len(result.rows),
-                    len(result.rows),
-                    keys=len(select.order_by),
-                )
-
-        if select.limit is not None or select.offset is not None:
-            if collector is not None:
-                stage_start = time.perf_counter()
-                rows_before = len(result.rows)
-            offset = select.offset or 0
-            end = offset + select.limit if select.limit is not None else None
-            result = QueryResult(columns=result.columns, rows=result.rows[offset:end])
-            if collector is not None:
-                collector.record(
-                    "limit",
-                    time.perf_counter() - stage_start,
-                    rows_before,
-                    len(result.rows),
-                )
-
-        return result
+    ) -> list[tuple[SQLValue, ...]]:
+        """The rows that satisfy the WHERE clause (all of them without one)."""
+        if select.where is None:
+            return list(rows)
+        predicate = self._row_evaluator(select.where, source, outer)
+        return [row for row in rows if _is_true(predicate(row))]
 
     def _execute_set_operation(
         self, select: Select, cte_scope: dict[str, Relation], outer: RowContext | None
     ) -> QueryResult:
         # The chain ``A op1 B op2 C`` folds left to right: ``(A op1 B) op2 C``.
         result = self._execute_body(_set_operand(select), cte_scope, outer)
-        collector = self._analyze
         node = select
         while node.set_operator is not None and node.set_right is not None:
             left = result
@@ -532,63 +487,45 @@ class Executor:
                 raise ExecutionError(
                     "set operation requires both sides to produce the same number of columns"
                 )
-
-            stage_start = time.perf_counter() if collector is not None else 0.0
-            if node.set_operator is SetOperator.UNION_ALL:
-                rows = left.rows + right.rows
-            elif node.set_operator is SetOperator.UNION:
-                rows = _distinct_rows(left.rows + right.rows)
-            elif node.set_operator is SetOperator.INTERSECT:
-                right_set = {_row_key(row) for row in right.rows}
-                rows = _distinct_rows([row for row in left.rows if _row_key(row) in right_set])
-            else:  # EXCEPT
-                right_set = {_row_key(row) for row in right.rows}
-                rows = _distinct_rows([row for row in left.rows if _row_key(row) not in right_set])
-
-            result = QueryResult(columns=left.columns, rows=rows)
-            if collector is not None:
-                collector.record(
-                    "set_op",
-                    time.perf_counter() - stage_start,
-                    len(left.rows) + len(right.rows),
-                    len(rows),
-                    operator=node.set_operator.value,
-                )
-            node = node.set_right
-
-        if select.order_by:
-            if collector is not None:
-                stage_start = time.perf_counter()
-            relation = result.as_relation()
-            result = QueryResult(
-                columns=result.columns,
-                rows=self._sort_rows(
-                    select.order_by, relation, {}, result.rows, relation, result.rows, outer
-                ),
+            rows = self._stage(
+                "set_op",
+                len(left.rows) + len(right.rows),
+                _combine,
+                node.set_operator,
+                left.rows,
+                right.rows,
+                operator=node.set_operator.value,
             )
-            if collector is not None:
-                collector.record(
-                    "sort",
-                    time.perf_counter() - stage_start,
-                    len(result.rows),
-                    len(result.rows),
-                    keys=len(select.order_by),
-                )
+            result = QueryResult(columns=left.columns, rows=rows)
+            node = node.set_right
+        return self._order_and_limit(select, result, outer)
+
+    def _order_and_limit(
+        self,
+        select: Select,
+        result: QueryResult,
+        outer: RowContext | None,
+        source: Relation | None = None,
+        source_rows: list[tuple[SQLValue, ...]] | None = None,
+    ) -> QueryResult:
+        """ORDER BY, then LIMIT/OFFSET: the tail of a SELECT and of a set-operation chain.
+
+        ``source`` is a SELECT's FROM relation, whose select items an ORDER
+        BY key may match; ``None`` for a set-operation chain, which sorts its
+        output relation alone.  ``source_rows`` are the rows a SELECT
+        projected (``None`` after aggregation).
+        """
+        rows = result.rows
+        if select.order_by:
+            rows = self._stage(
+                "sort", len(rows), self._sort_rows, select, result, outer, source, source_rows,
+                keys=len(select.order_by),
+            )
         if select.limit is not None or select.offset is not None:
-            if collector is not None:
-                stage_start = time.perf_counter()
-                rows_before = len(result.rows)
             offset = select.offset or 0
             end = offset + select.limit if select.limit is not None else None
-            result = QueryResult(columns=result.columns, rows=result.rows[offset:end])
-            if collector is not None:
-                collector.record(
-                    "limit",
-                    time.perf_counter() - stage_start,
-                    rows_before,
-                    len(result.rows),
-                )
-        return result
+            rows = self._stage("limit", len(rows), operator.getitem, rows, slice(offset, end))
+        return result if rows is result.rows else QueryResult(columns=result.columns, rows=rows)
 
     # ------------------------------------------------------------------
     # FROM clause
@@ -780,15 +717,16 @@ class Executor:
 
     # -- streamed FROM chains (top level) ------------------------------
 
-    def _stream_source(
-        self, select: Select, cte_scope: dict[str, Relation]
-    ) -> tuple[Relation, Iterator[tuple[SQLValue, ...]], dict] | None:
+    def _stream(
+        self, select: Select, cte_scope: dict[str, Relation], chain: list[Join]
+    ) -> tuple[Relation, list[tuple[SQLValue, ...]], dict]:
         """Stream a top-level FROM chain that has a cross product into WHERE.
 
-        Returns ``(source, rows, detail)`` — the joined labels (no rows), an
-        iterator over the joined rows in exactly the order the materialized
-        joins would produce them, and the per-input row counts EXPLAIN
-        ANALYZE reports — or ``None`` when the FROM tree has no such chain.
+        ``chain`` is the FROM tree's :func:`_cross_chain`.  Returns
+        ``(source, rows, detail)`` — the joined labels (no rows), the joined
+        rows that satisfy the WHERE clause, in exactly the order the
+        materialized joins would produce them, and the per-input row counts
+        EXPLAIN ANALYZE reports.
 
         The chain's inputs (the lowest cross product's left operand and
         every right operand above it) are resolved, and its joins
@@ -806,9 +744,6 @@ class Executor:
         raises abandons the pushdown: the statement streams unfiltered, and
         the WHERE raises (or not) where it always did.
         """
-        chain = _cross_chain(select.from_relation)
-        if chain is None:
-            return None
         first = self._execute_relation(chain[0].left, cte_scope, None)
         inputs = [first]
         targets = [True]  # the lowest cross product's left operand
@@ -842,7 +777,8 @@ class Executor:
             "kept": [len(rows) for rows in input_rows],
             "pushed": pushed,
         }
-        return source, iter(self._chain_rows(start, steps, input_rows)), detail
+        rows = self._where(select, source, self._chain_rows(start, steps, input_rows), None)
+        return source, rows, detail
 
     def _chain_rows(
         self,
@@ -981,7 +917,7 @@ class Executor:
 
     @staticmethod
     def _build_using_condition(columns: list[str], left: Relation, right: Relation) -> Expression:
-        condition: Expression | None = None
+        comparisons: list[Expression] = []
         for name in columns:
             left_label = next((label for label in left.labels if label.matches(name)), None)
             right_label = next((label for label in right.labels if label.matches(name)), None)
@@ -990,14 +926,14 @@ class Executor:
                 raise ExecutionError(
                     f"USING column {name!r} is missing from the {side} side of the join"
                 )
-            comparison = BinaryOp(
-                op=BinaryOperator.EQ,
-                left=ColumnRef(name=left_label.name, table=left_label.relation or None),
-                right=ColumnRef(name=right_label.name, table=right_label.relation or None),
+            comparisons.append(
+                BinaryOp(
+                    op=BinaryOperator.EQ,
+                    left=ColumnRef(name=left_label.name, table=left_label.relation or None),
+                    right=ColumnRef(name=right_label.name, table=right_label.relation or None),
+                )
             )
-            condition = comparison if condition is None else BinaryOp(
-                op=BinaryOperator.AND, left=condition, right=comparison
-            )
+        condition = _conjoin(comparisons)
         assert condition is not None
         return condition
 
@@ -1075,12 +1011,9 @@ class Executor:
         return resolved
 
     def _has_aggregate_items(self, select: Select) -> bool:
-        expressions: list[Expression | None] = [item.expression for item in select.select_items]
-        expressions.append(select.having)
-        for expression in expressions:
-            if expression is not None and _contains_aggregate(expression):
-                return True
-        return False
+        if select.having is not None and _contains_aggregate(select.having):
+            return True
+        return any(_contains_aggregate(item.expression) for item in select.select_items)
 
     def _execute_aggregation(
         self,
@@ -1125,38 +1058,10 @@ class Executor:
     # ORDER BY
     # ------------------------------------------------------------------
 
-    def _apply_order_by(
-        self,
-        select: Select,
-        source: Relation,
-        source_rows: list[tuple[SQLValue, ...]],
-        result: QueryResult,
-        outer: RowContext | None,
-        aggregated: bool,
-    ) -> QueryResult:
-        output_relation = result.as_relation()
-        expression_positions = self._projected_expression_positions(select, source)
-
-        if not aggregated and not select.distinct and len(source_rows) == len(result.rows):
-            # Sort keys may reference columns that were not projected; evaluate
-            # them against the source rows, which stay aligned with the output.
-            eval_relation, eval_rows = source, source_rows
-        else:
-            eval_relation, eval_rows = output_relation, result.rows
-        return QueryResult(
-            columns=result.columns,
-            rows=self._sort_rows(
-                select.order_by, output_relation, expression_positions, result.rows,
-                eval_relation, eval_rows, outer,
-            ),
-        )
-
     def _projected_expression_positions(
         self, select: Select, source: Relation
     ) -> dict[str, int]:
         """Map printed select-item expressions to their output positions."""
-        from repro.sql.printer import print_expression
-
         positions: dict[str, int] = {}
         items = self._expand_select_items(select, source)
         for index, item in enumerate(items):
@@ -1190,8 +1095,6 @@ class Executor:
             except ExecutionError:
                 pass
         if expression_positions:
-            from repro.sql.printer import print_expression
-
             try:
                 printed = print_expression(expression)
             except Exception:
@@ -1200,42 +1103,36 @@ class Executor:
                 return expression_positions[printed]
         return None
 
-    def _sorted_positions(
-        self, order_by: list[OrderItem], key_columns: list[list[SQLValue]], count: int
-    ) -> list[int]:
-        """Stable-sort row positions over precomputed per-item key columns."""
-
-        def compare(position_a: int, position_b: int) -> int:
-            for item, column in zip(order_by, key_columns):
-                comparison = _null_aware_compare(column[position_a], column[position_b], item)
-                if comparison != 0:
-                    return comparison if item.ascending else -comparison
-            return 0
-
-        return sorted(range(count), key=functools.cmp_to_key(compare))
-
     def _sort_rows(
         self,
-        order_by: list[OrderItem],
-        output_relation: Relation,
-        expression_positions: dict[str, int],
-        rows: list[tuple[SQLValue, ...]],
-        eval_relation: Relation,
-        eval_rows: list[tuple[SQLValue, ...]],
+        select: Select,
+        result: QueryResult,
         outer: RowContext | None,
+        source: Relation | None,
+        source_rows: list[tuple[SQLValue, ...]] | None,
     ) -> list[tuple[SQLValue, ...]]:
-        """ORDER BY: precompute one key column per item, then sort.
+        """ORDER BY: precompute one key column per item, then stable-sort.
 
         Keys resolving to an output column read it directly; every other key
-        is evaluated once per row against ``(eval_relation, eval_rows)`` —
-        the source rows when they stay aligned with the output, the output
-        rows otherwise — and reads as NULL where it raises ExecutionError.
+        is evaluated once per row — against the source rows when they stay
+        aligned with the output, against the output rows otherwise — and
+        reads as NULL where it raises ExecutionError.  See
+        :meth:`_order_and_limit` for ``source`` and ``source_rows``.
         """
+        rows = result.rows
         if len(rows) < 2:
             return list(rows)
+        output_relation = result.as_relation()
+        positions = {} if source is None else self._projected_expression_positions(select, source)
+        if source_rows is not None and not select.distinct and len(source_rows) == len(rows):
+            # Sort keys may reference columns that were not projected.
+            eval_relation, eval_rows = source, source_rows
+        else:
+            eval_relation, eval_rows = output_relation, rows
+        order_by = select.order_by
         key_columns: list[list[SQLValue]] = []
         for item in order_by:
-            output_index = self._order_key_plan(item, output_relation, expression_positions)
+            output_index = self._order_key_plan(item, output_relation, positions)
             if output_index is not None:
                 key_columns.append([row[output_index] for row in rows])
                 continue
@@ -1247,8 +1144,15 @@ class Executor:
                 except ExecutionError:
                     values.append(None)
             key_columns.append(values)
-        order = self._sorted_positions(order_by, key_columns, len(rows))
-        return [rows[position] for position in order]
+
+        def compare(position_a: int, position_b: int) -> int:
+            for item, column in zip(order_by, key_columns):
+                comparison = _null_aware_compare(column[position_a], column[position_b], item)
+                if comparison != 0:
+                    return comparison if item.ascending else -comparison
+            return 0
+
+        return [rows[position] for position in sorted(range(len(rows)), key=functools.cmp_to_key(compare))]
 
 
 # ---------------------------------------------------------------------------
@@ -1273,6 +1177,33 @@ def _column_indices(items: list[SelectItem], source: Relation) -> list[int] | No
         except ExecutionError:
             return None
     return indices
+
+
+def _scan_counts(source: Relation) -> tuple[int, int, dict]:
+    """A scan's EXPLAIN ANALYZE counts: it reads as many rows as it puts out."""
+    return len(source.rows), len(source.rows), {}
+
+
+def _stream_counts(streamed: tuple[Relation, list, dict]) -> tuple[int, int, dict]:
+    """A stream's EXPLAIN ANALYZE counts: every input's rows in, WHERE's rows out."""
+    _, rows, detail = streamed
+    return sum(detail["inputs"]), len(rows), detail
+
+
+def _combine(
+    set_operator: SetOperator,
+    left: list[tuple[SQLValue, ...]],
+    right: list[tuple[SQLValue, ...]],
+) -> list[tuple[SQLValue, ...]]:
+    """One link of a set-operation chain."""
+    if set_operator is SetOperator.UNION_ALL:
+        return left + right
+    if set_operator is SetOperator.UNION:
+        return _distinct_rows(left + right)
+    right_set = {_row_key(row) for row in right}
+    if set_operator is SetOperator.INTERSECT:
+        return _distinct_rows([row for row in left if _row_key(row) in right_set])
+    return _distinct_rows([row for row in left if _row_key(row) not in right_set])
 
 
 def _output_name(item: SelectItem, index: int) -> str:
