@@ -91,6 +91,20 @@ CAUSES = {
         "type affinity",
         "1(e)",
     ),
+    "grouped ORDER BY key read as NULL": (
+        "in an aggregate or DISTINCT query, an ORDER BY key that is not an "
+        "output column (an unselected GROUP BY key or aggregate, a "
+        "table-qualified selected column) is evaluated against the output "
+        "rows, raises there and reads as NULL, so the rows keep first-seen "
+        "order; SQLite sorts them",
+        "1(e)",
+    ),
+    "aggregate of the outer group": (
+        "an aggregate over the enclosing grouped query's columns inside a "
+        "correlated subquery raises, because the subquery compiles it in its "
+        "own row mode; SQLite aggregates it over the outer group",
+        "1(e)",
+    ),
 }
 
 #: Gold statements whose results diverge: (workload, query id) -> (how, cause).
@@ -165,6 +179,9 @@ _POINT_TABLES = (
     ),
     ("CREATE TABLE u (a INT, d INT)", [(1, 5)]),
     ("CREATE TABLE v (r REAL, s TEXT)", [(2.5, "2.50")]),
+    ("CREATE TABLE w (g TEXT, v INT)", [("b", 1), ("a", 2), ("c", 3), ("a", 4)]),
+    ("CREATE TABLE p (g TEXT, y INT)", [("a", 1), ("a", 2), ("b", 5)]),
+    ("CREATE TABLE q (y INT, z INT)", [(1, 10), (2, 20), (5, 50)]),
 )
 
 #: (SQL, engine outcome, SQLite outcome, cause); an outcome is the rows or
@@ -190,6 +207,28 @@ POINT_DIVERGENCES = [
     ("SELECT b FROM t WHERE s", [(2,), (1,)], [(1,)], "text read as a number"),
     ("SELECT b FROM t WHERE f LIKE '%1%'", [], [(2,)], "boolean read as text"),
     ("SELECT r FROM v WHERE r IN (SELECT s FROM v)", [], [(2.5,)], "IN across value types"),
+    (
+        "SELECT COUNT(*) FROM w GROUP BY g ORDER BY g",
+        [(1,), (2,), (1,)], [(2,), (1,), (1,)], "grouped ORDER BY key read as NULL",
+    ),
+    (
+        "SELECT g FROM w GROUP BY g ORDER BY COUNT(*) DESC LIMIT 1",
+        [("b",)], [("a",)], "grouped ORDER BY key read as NULL",
+    ),
+    (
+        "SELECT g, COUNT(*) FROM w GROUP BY g ORDER BY w.g",
+        [("b", 1), ("a", 2), ("c", 1)], [("a", 2), ("b", 1), ("c", 1)],
+        "grouped ORDER BY key read as NULL",
+    ),
+    (
+        "SELECT DISTINCT g FROM w ORDER BY w.g",
+        [("b",), ("a",), ("c",)], [("a",), ("b",), ("c",)],
+        "grouped ORDER BY key read as NULL",
+    ),
+    (
+        "SELECT g, (SELECT SUM(q.z) FROM q WHERE q.y <= MAX(p.y)) FROM p GROUP BY g",
+        "ExecutionError", [("a", 30), ("b", 80)], "aggregate of the outer group",
+    ),
 ]
 
 
