@@ -17,9 +17,9 @@ question.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
 
+from repro.llm.base import _stable_unit
 from repro.llm.nl2sql import NLToSQLGenerator
 from repro.llm.sql2nl import describe_query
 from repro.schema.model import DatabaseSchema
@@ -55,11 +55,6 @@ TEXT2SQL_PROFILES: dict[str, Text2SQLProfile] = {
     "Llama3.1-70B-lt": Text2SQLProfile("Llama3.1-70B-lt", 0.97, 0.88, 1.40, 1.1),
     "Llama3.1-8B-lt": Text2SQLProfile("Llama3.1-8B-lt", 0.93, 0.80, 1.80, 1.3),
 }
-
-
-def _stable_unit(*parts: object) -> float:
-    digest = hashlib.blake2b("|".join(str(p) for p in parts).encode(), digest_size=8).digest()
-    return int.from_bytes(digest, "little") / 2**64
 
 
 class SimulatedText2SQLModel:

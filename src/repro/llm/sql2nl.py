@@ -15,9 +15,9 @@ survive into the NL.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass, field
 
+from repro.llm.base import _stable_unit
 from repro.llm.knowledge import KnowledgeBase
 from repro.schema.linking import split_identifier
 from repro.sql.analyzer import AGGREGATE_FUNCTIONS
@@ -524,13 +524,6 @@ def _join_phrases(phrases: list[str]) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _stable_fraction(*parts: object) -> float:
-    """Deterministic pseudo-random fraction in [0, 1) derived from the inputs."""
-    digest = hashlib.blake2b("|".join(str(part) for part in parts).encode("utf-8"),
-                             digest_size=8).digest()
-    return int.from_bytes(digest, "little") / 2**64
-
-
 def select_facts(
     facts: list[QueryFact],
     fidelity: float,
@@ -553,7 +546,7 @@ def select_facts(
             keep_probability = min(1.0, fidelity + 0.25)
         elif fact.kind in ("order", "limit", "distinct", "having"):
             keep_probability = max(0.0, fidelity - 0.15)
-        draw = _stable_fraction(seed, index, fact.kind, fact.text)
+        draw = _stable_unit(seed, index, fact.kind, fact.text)
         if draw < keep_probability:
             kept.append(fact)
     if not kept and facts:

@@ -15,12 +15,12 @@ latency and accuracy land in the ranges Tables 3–4 report.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
 from enum import Enum
 
 from repro.core.config import TaskConfig
 from repro.core.pipeline import AnnotationPipeline
+from repro.llm.base import _stable_unit
 from repro.llm.knowledge import KnowledgeBase
 from repro.llm.prompts import PromptBuilder
 from repro.llm.simulated import SimulatedLLM
@@ -46,11 +46,6 @@ class ConditionOutput:
     latency_minutes: float
     fidelity: float
     candidates: list[str]
-
-
-def _stable_unit(*parts: object) -> float:
-    digest = hashlib.blake2b("|".join(str(p) for p in parts).encode(), digest_size=8).digest()
-    return int.from_bytes(digest, "little") / 2**64
 
 
 def _complexity_tokens(sql: str) -> float:

@@ -10,9 +10,10 @@ spot and repair gaps when reviewing LLM candidates, and how fast they work.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
 from enum import Enum
+
+from repro.llm.base import _stable_unit
 
 
 class Expertise(Enum):
@@ -50,11 +51,6 @@ class Participant:
     def is_advanced(self) -> bool:
         """Whether the participant is in the advanced stratum."""
         return self.expertise is Expertise.ADVANCED
-
-
-def _stable_unit(*parts: object) -> float:
-    digest = hashlib.blake2b("|".join(str(p) for p in parts).encode(), digest_size=8).digest()
-    return int.from_bytes(digest, "little") / 2**64
 
 
 def make_participants(count: int = 18, seed: int = 0) -> list[Participant]:
