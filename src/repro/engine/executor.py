@@ -440,7 +440,9 @@ class Executor:
             )
             rows = source.rows
             if select.where is not None:
-                rows = self._stage("filter", len(rows), self._where, select, source, rows, outer)
+                rows = self._stage(
+                    "filter", len(rows), self._where, select.where, source, rows, outer
+                )
             else:
                 rows = list(rows)
 
@@ -463,15 +465,15 @@ class Executor:
 
     def _where(
         self,
-        select: Select,
+        where: Expression | None,
         source: Relation,
         rows: Iterable[tuple[SQLValue, ...]],
         outer: RowContext | None,
     ) -> list[tuple[SQLValue, ...]]:
-        """The rows that satisfy the WHERE clause (all of them without one)."""
-        if select.where is None:
+        """The rows that satisfy a WHERE clause (all of them without one)."""
+        if where is None:
             return list(rows)
-        predicate = self._row_evaluator(select.where, source, outer)
+        predicate = self._row_evaluator(where, source, outer)
         return [row for row in rows if _is_true(predicate(row))]
 
     def _execute_set_operation(
@@ -777,7 +779,7 @@ class Executor:
             "kept": [len(rows) for rows in input_rows],
             "pushed": pushed,
         }
-        rows = self._where(select, source, self._chain_rows(start, steps, input_rows), None)
+        rows = self._where(select.where, source, self._chain_rows(start, steps, input_rows), None)
         return source, rows, detail
 
     def _chain_rows(
