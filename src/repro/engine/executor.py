@@ -195,8 +195,8 @@ class Executor:
         fails is remembered as correlated (``None`` from then on), so later
         rows skip the doomed attempt.
         """
-        key = id(subquery)
         version = self._database.data_version
+        key = id(subquery)
         cached = self._subquery_cache.get(key)
         if cached is not None and cached.subquery is subquery:
             if cached.result is None:
