@@ -302,13 +302,7 @@ class AnnotationPipeline:
     ) -> RetrievedContext | None:
         if not self.config.rag_enabled:
             return None
-        return self.retriever.retrieve(
-            sql,
-            dataset=self.dataset_name or None,
-            ast=ast,
-            keys=keys,
-            references=references,
-        )
+        return self.retriever.retrieve(sql, ast=ast, keys=keys, references=references)
 
     def _build_prompt(
         self,
@@ -543,7 +537,6 @@ class AnnotationPipeline:
             if self.config.rag_enabled:
                 contexts = self.retriever.retrieve_batch(
                     all_unit_sqls,
-                    dataset=self.dataset_name or None,
                     asts=all_unit_asts,
                     keys=[keys for item in items for keys in item.unit_keys],
                     references=[refs for item in items for refs in item.unit_references],
@@ -642,9 +635,8 @@ class AnnotationPipeline:
                 fresh_contexts, fresh_prompts = self._fresh_prompts(item)
                 stale = fresh_prompts != item.prompts
             else:
-                dataset = self.dataset_name or None
                 stale = any(
-                    self.retriever.example_count(unit_sql, dataset=dataset, keys=keys)
+                    self.retriever.example_count(unit_sql, keys=keys)
                     != len(prompt.examples)
                     for unit_sql, keys, prompt in zip(item.unit_sqls, item.unit_keys, item.prompts)
                 )

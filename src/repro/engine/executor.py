@@ -155,9 +155,10 @@ class QueryResult:
     rows: list[tuple[SQLValue, ...]] = field(default_factory=list)
 
     def as_relation(self) -> Relation:
-        """View the result as an executor relation (columns unqualified)."""
+        """View the result as an executor relation (columns unqualified),
+        sharing its rows."""
         labels = [ColumnLabel(name=name) for name in self.columns]
-        return Relation(labels=labels, rows=list(self.rows))
+        return Relation(labels=labels, rows=self.rows)
 
     def __len__(self) -> int:
         return len(self.rows)
@@ -444,6 +445,8 @@ class Executor:
                     "filter", len(rows), self._where, select.where, source, rows, outer
                 )
             else:
+                # The one copy of the FROM rows: a SELECT * result must not
+                # share a stored table's list, which inserts extend in place.
                 rows = list(rows)
 
         aggregated = bool(select.group_by) or self._has_aggregate_items(select)

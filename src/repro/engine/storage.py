@@ -64,9 +64,9 @@ class Relation:
         raise ExecutionError(f"unknown column reference {qualified!r}")
 
     def renamed(self, alias: str) -> "Relation":
-        """Return a copy whose columns are re-labelled under ``alias``."""
+        """The same rows (shared, not copied), columns re-labelled under ``alias``."""
         labels = [ColumnLabel(name=label.name, relation=alias) for label in self.labels]
-        return Relation(labels=labels, rows=list(self.rows))
+        return Relation(labels=labels, rows=self.rows)
 
 
 @dataclass
@@ -202,10 +202,15 @@ class StoredTable:
             self.on_mutation()
 
     def to_relation(self, alias: str | None = None) -> Relation:
-        """View the stored table as an executor relation."""
+        """View the stored table as an executor relation.
+
+        The relation shares the table's row list: no engine code changes a
+        relation's rows in place, and the executor copies them before a
+        result can leave it, so a later insert never reaches a result.
+        """
         visible_name = alias or self.name
         labels = [ColumnLabel(name=column.name, relation=visible_name) for column in self.columns]
-        return Relation(labels=labels, rows=list(self.rows))
+        return Relation(labels=labels, rows=self.rows)
 
     def column_values(self, name: str) -> list[SQLValue]:
         """All values of one column (used by the schema profiler)."""

@@ -24,7 +24,7 @@ from repro.engine.database import Database
 from repro.engine.executor import QueryResult
 from repro.engine.types import values_equal
 from repro.errors import ReproError
-from repro.sql.ast_nodes import Select
+from repro.sql.ast_nodes import Select, Statement
 
 
 @dataclass
@@ -119,15 +119,28 @@ def _unexpected_error(exc: Exception) -> str:
 
 def execute_safely(database: Database, sql: str | None) -> tuple[QueryResult | None, str]:
     """Execute SQL, returning ``(result, error_message)`` instead of raising."""
+    _, result, error = _parse_and_execute(database, sql)
+    return result, error
+
+
+def _parse_and_execute(
+    database: Database, sql: str | None
+) -> tuple[Statement | None, QueryResult | None, str]:
+    """``(statement, result, error_message)`` of one statement, never raising.
+
+    The statement is ``None`` when the SQL is empty or does not parse; the
+    result is ``None`` whenever there is an error.
+    """
     if sql is None or not str(sql).strip():
-        return None, "empty query"
+        return None, None, "empty query"
+    statement: Statement | None = None
     try:
         statement = database.parse_cached(sql)
-        return database.execute_statement(statement), ""
+        return statement, database.execute_statement(statement), ""
     except ReproError as exc:
-        return None, str(exc)
+        return statement, None, str(exc)
     except Exception as exc:  # defensive until evaluation has a budget
-        return None, _unexpected_error(exc)
+        return statement, None, _unexpected_error(exc)
 
 
 def _execute_gold(
@@ -142,28 +155,9 @@ def _execute_gold(
         cached = gold_cache.get(gold_sql)
         if cached is not None:
             return cached
-
-    if gold_sql is None or not str(gold_sql).strip():
-        execution = GoldExecution(result=None, error="empty query", ordered=False)
-    else:
-        try:
-            statement = database.parse_cached(gold_sql)
-        except ReproError as exc:
-            execution = GoldExecution(result=None, error=str(exc), ordered=False)
-        except Exception as exc:  # defensive until evaluation has a budget
-            execution = GoldExecution(result=None, error=_unexpected_error(exc), ordered=False)
-        else:
-            ordered = isinstance(statement, Select) and bool(statement.order_by)
-            try:
-                result = database.execute_statement(statement)
-                execution = GoldExecution(result=result, error="", ordered=ordered)
-            except ReproError as exc:
-                execution = GoldExecution(result=None, error=str(exc), ordered=ordered)
-            except Exception as exc:  # defensive until evaluation has a budget
-                execution = GoldExecution(
-                    result=None, error=_unexpected_error(exc), ordered=ordered
-                )
-
+    statement, result, error = _parse_and_execute(database, gold_sql)
+    ordered = isinstance(statement, Select) and bool(statement.order_by)
+    execution = GoldExecution(result=result, error=error, ordered=ordered)
     if gold_cache is not None:
         gold_cache.put(gold_sql, execution)
     return execution

@@ -4,7 +4,9 @@ The paper's retrieval step uses "prior annotated queries (which naturally grow
 over time)" as few-shot examples.  The example store starts empty (the
 cold-start condition described in §5.1) and accumulates accepted annotations
 as the annotation loop progresses.  Each project's store indexes its
-examples in one :class:`~repro.retrieval.vector_store.VectorStore`.
+examples in one :class:`~repro.retrieval.vector_store.VectorStore`; it holds
+only that project's examples, so a retrieval scores every row and needs no
+dataset filter.
 """
 
 from __future__ import annotations
@@ -46,9 +48,8 @@ def _indexed_text(example: AnnotatedExample) -> str:
 class ExampleStore:
     """Vector-indexed store of accepted annotations.
 
-    Every example is indexed with its dataset as metadata, so a retrieval
-    that names a dataset scores the whole index and keeps that dataset's
-    rows.  A service project files all its examples under its own dataset.
+    An example keeps its dataset and quality as record fields; the index
+    holds only its id and vector.
     """
 
     #: Observability sink for search accounting; a class-level no-op default
@@ -89,12 +90,6 @@ class ExampleStore:
         """
         if not sql.strip() or not nl.strip():
             raise RetrievalError("both SQL and NL must be non-empty to store an example")
-        # Retrievals filter on the dataset through a row mask keyed by it,
-        # so it must be hashable; checked before the model observes anything.
-        try:
-            hash(dataset)
-        except TypeError:
-            raise RetrievalError(f"dataset {dataset!r} is not hashable") from None
         example_id = f"ex-{self._counter + 1:05d}"
         example = AnnotatedExample(
             example_id=example_id,
@@ -106,12 +101,7 @@ class ExampleStore:
         )
         if skeleton is None:
             skeleton = sql_keys(example.sql).skeleton
-        self._store.add(
-            example_id,
-            _indexed_text(example),
-            metadata={"dataset": dataset, "quality": quality},
-            profile=profile,
-        )
+        self._store.add(example_id, _indexed_text(example), profile=profile)
         self._counter += 1
         self._examples[example_id] = example
         self._skeletons[example_id] = skeleton
@@ -134,7 +124,6 @@ class ExampleStore:
         self,
         sqls: list[str],
         top_k: int = 3,
-        dataset: str | None = None,
         exclude_identical: bool = True,
         skeletons: list[str] | None = None,
     ) -> list[list[AnnotatedExample]]:
@@ -150,12 +139,9 @@ class ExampleStore:
             return []
         if self.is_empty:
             return [[] for _ in sqls]
-        metadata_filter = {"dataset": dataset} if dataset else None
         tel = self.telemetry
         started = time.perf_counter() if tel.enabled else 0.0
-        id_lists = self._store.search_ids(
-            sqls, top_k=top_k + 5, metadata_filter=metadata_filter
-        )
+        id_lists = self._store.search_ids(sqls, top_k=top_k + 5)
         if tel.enabled:
             tel.count("retrieval_searches_total", len(sqls))
             tel.observe("retrieval_search_seconds", time.perf_counter() - started)
@@ -169,7 +155,6 @@ class ExampleStore:
         self,
         sql: str,
         top_k: int = 3,
-        dataset: str | None = None,
         exclude_identical: bool = True,
         skeleton: str | None = None,
     ) -> int:
@@ -182,10 +167,7 @@ class ExampleStore:
         """
         if self.is_empty:
             return 0
-        metadata_filter = {"dataset": dataset} if dataset else None
-        (doc_ids,) = self._store.search_ids(
-            [sql], top_k=top_k + 5, metadata_filter=metadata_filter
-        )
+        (doc_ids,) = self._store.search_ids([sql], top_k=top_k + 5)
         return len(self._kept(doc_ids, top_k, sql, skeleton, exclude_identical))
 
     def _kept(

@@ -94,20 +94,16 @@ class ContextRetriever:
     def retrieve(
         self,
         sql: str,
-        dataset: str | None = None,
         ast: object | None = None,
         keys: QueryKeys | None = None,
         references: References | None = None,
     ) -> RetrievedContext:
         """Build the retrieval context for one SQL query."""
-        return self._contexts(
-            [sql], dataset, [ast], None if keys is None else [keys], [references]
-        )[0]
+        return self._contexts([sql], [ast], None if keys is None else [keys], [references])[0]
 
     def retrieve_batch(
         self,
         sqls: list[str],
-        dataset: str | None = None,
         asts: list[object] | None = None,
         keys: list[QueryKeys] | None = None,
         references: list[References | None] | None = None,
@@ -123,19 +119,18 @@ class ContextRetriever:
         ``references``).  Equivalent to calling :meth:`retrieve` per query
         against the same store state.
         """
-        return self._contexts(sqls, dataset, asts, keys, references)
+        return self._contexts(sqls, asts, keys, references)
 
     def _contexts(
         self,
         sqls: list[str],
-        dataset: str | None,
         asts: list[object] | None,
         keys: list[QueryKeys] | None,
         references: list[References | None] | None,
     ) -> list[RetrievedContext]:
         keys = keys or [sql_keys(sql) for sql in sqls]
         example_lists = self._example_store.retrieve_many(
-            sqls, self.top_k_examples, dataset, skeletons=[key.skeleton for key in keys]
+            sqls, self.top_k_examples, skeletons=[key.skeleton for key in keys]
         )
         nothing = [None] * len(sqls)
         contexts: list[RetrievedContext] = []
@@ -185,14 +180,10 @@ class ContextRetriever:
 
     # ------------------------------------------------------------------
 
-    def example_count(
-        self, sql: str, dataset: str | None = None, keys: QueryKeys | None = None
-    ) -> int:
+    def example_count(self, sql: str, keys: QueryKeys | None = None) -> int:
         """How many few-shot examples :meth:`retrieve` would return right now."""
         skeleton = None if keys is None else keys.skeleton
-        return self._example_store.retrieve_count(
-            sql, self.top_k_examples, dataset, skeleton=skeleton
-        )
+        return self._example_store.retrieve_count(sql, self.top_k_examples, skeleton=skeleton)
 
     def _linked(
         self,

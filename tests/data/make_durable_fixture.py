@@ -118,7 +118,8 @@ def archive_view(example_store: ExampleStore) -> dict:
 
     The examples and their skeletons; per row of the vector index, its
     doc id, the text it was embedded from (its example's SQL and NL,
-    newline-joined) and its metadata; the stored vectors as base64
+    newline-joined) and its metadata (its example's dataset and quality,
+    which the index once held); the stored vectors as base64
     little-endian float64 rows; and the embedding model's IDF state: each
     feature some document bears, sorted, with its document frequency and
     its signed vector index ``(index + 1) * sign``.
@@ -151,11 +152,14 @@ def archive_view(example_store: ExampleStore) -> dict:
             },
             "entries": [
                 {
-                    "doc_id": entry.doc_id,
-                    "text": f"{examples[entry.doc_id].sql}\n{examples[entry.doc_id].nl}",
-                    "metadata": dict(entry.metadata),
+                    "doc_id": doc_id,
+                    "text": f"{examples[doc_id].sql}\n{examples[doc_id].nl}",
+                    "metadata": {
+                        "dataset": examples[doc_id].dataset,
+                        "quality": examples[doc_id].quality,
+                    },
                 }
-                for entry in index._rows
+                for doc_id in index._ids
             ],
             "vectors": base64.b64encode(
                 index._matrix[: len(index)].astype("<f8").tobytes()

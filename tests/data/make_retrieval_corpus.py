@@ -2,15 +2,19 @@
 
 The committed ``retrieval_corpus.json`` was written by the example archive
 that routed each dataset to its own shard matrix (``ShardedVectorStore``),
-which preceded the single-matrix index.  Replaying it checks that the swap
-kept every retrieval result and that snapshots written before it still load.
-Regenerating it with the current code only re-records today's behaviour.
+which preceded the single-matrix index, and which still filtered retrievals
+by dataset.  Replaying it checks that the swap kept every retrieval result of
+a one-dataset store (the only shape a project's archive takes), the ids and
+order of every unfiltered retrieval of a mixed store, and that snapshots
+written before the swap still load.  Regenerating it with the current code
+only re-records today's behaviour, in which no retrieval is filtered.
 
     PYTHONPATH=src python tests/data/make_retrieval_corpus.py [--seed 24]
 
 Each store replays one fixed add sequence.  After every ``CHECK_EVERY``-th
 add (and after the last) it runs a fixed query set and records, per query
-(named by its position) and per dataset filter: the ranked
+(named by its position) and per dataset label (the filter it was written
+with): the ranked
 ``(doc_id, float.hex(score))`` hits of a one-query index search and of the
 batched search behind ``retrieve_many``, the example ids of a one-query
 ``retrieve_many`` (recorded as ``retrieve``, after the single-query method
@@ -20,8 +24,8 @@ of a one-query ``retrieve_many`` with ``exclude_identical=False``, and
 
 * Three stores each hold one dataset, the only shape a project's archive
   takes in served traffic; one of them outgrows the 64-row initial matrix.
-* One store mixes three datasets, so filtered searches pick rows out of a
-  shared matrix.
+* One store mixes three datasets; when the corpus was written, its filtered
+  searches picked rows out of a shared matrix.
 * One small store's ``state_dict()`` is recorded verbatim, with the
   retrievals it answers, to check that snapshots written before the swap
   load and answer the same.
@@ -155,14 +159,19 @@ def hit_pairs(hits) -> list[list[str]]:
 
 
 def checkpoint(store: ExampleStore, queries: list[str], filters: list) -> list[dict]:
-    """Every recorded retrieval result of ``store`` as it stands."""
+    """Every recorded retrieval result of ``store`` as it stands.
+
+    Each entry of ``filters`` labels one round of calls.  The archive takes
+    no dataset filter any more, so every round searches the whole store: a
+    one-dataset store answers its dataset's round as the filtered archive
+    did, while a mixed store's dataset rounds now answer unfiltered.
+    """
     calls = []
+    index = store._store
     for dataset in filters:
-        metadata_filter = {"dataset": dataset} if dataset else None
         for top_k in TOP_KS:
-            index = store._store
-            batched = index.search_batch(queries, top_k=top_k + 5, metadata_filter=metadata_filter)
-            many = store.retrieve_many(queries, top_k=top_k, dataset=dataset)
+            batched = index.search_batch(queries, top_k=top_k + 5)
+            many = store.retrieve_many(queries, top_k=top_k)
             for position, (query, batch_hits, many_examples) in enumerate(
                 zip(queries, batched, many)
             ):
@@ -170,24 +179,20 @@ def checkpoint(store: ExampleStore, queries: list[str], filters: list) -> list[d
                     "query": position,
                     "dataset": dataset,
                     "top_k": top_k,
-                    "hits": hit_pairs(
-                        index.search_batch(
-                            [query], top_k=top_k + 5, metadata_filter=metadata_filter
-                        )[0]
-                    ),
+                    "hits": hit_pairs(index.search_batch([query], top_k=top_k + 5)[0]),
                     "batch_hits": hit_pairs(batch_hits),
                     "retrieve": [
                         example.example_id
-                        for example in store.retrieve_many([query], top_k=top_k, dataset=dataset)[0]
+                        for example in store.retrieve_many([query], top_k=top_k)[0]
                     ],
                     "retrieve_many": [example.example_id for example in many_examples],
                     "retrieve_all": [
                         example.example_id
                         for example in store.retrieve_many(
-                            [query], top_k=top_k, dataset=dataset, exclude_identical=False
+                            [query], top_k=top_k, exclude_identical=False
                         )[0]
                     ],
-                    "retrieve_count": store.retrieve_count(query, top_k=top_k, dataset=dataset),
+                    "retrieve_count": store.retrieve_count(query, top_k=top_k),
                 })
     return calls
 

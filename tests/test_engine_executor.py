@@ -343,3 +343,32 @@ class TestAliasResolution:
         sql = "SELECT name, salary * 2 AS double_salary FROM employees ORDER BY double_salary"
         rows = hr_database.execute(sql).rows
         assert [row[0] for row in rows] == ["Frank", "Dan", "Carol", "Bob", "Alice", "Eve"]
+
+
+class TestResultsDoNotAliasStoredRows:
+    """Relations share row lists with their tables; results never do."""
+
+    STATEMENTS = [
+        "SELECT * FROM t",
+        "WITH c AS (SELECT * FROM t) SELECT * FROM c",
+        "SELECT * FROM (SELECT * FROM t) AS d",
+        "SELECT * FROM t ORDER BY a DESC",
+        "SELECT * FROM t LIMIT 2",
+        "SELECT * FROM t AS x, t AS y",
+    ]
+
+    def test_an_insert_leaves_earlier_results_unchanged(self):
+        from repro.engine import Database
+
+        database = Database()
+        database.execute("CREATE TABLE t (a INT, b TEXT)")
+        database.execute("INSERT INTO t VALUES (1, 'x'), (2, 'y'), (3, 'z')")
+        stored = database.table("t").rows
+        results = [database.execute(sql) for sql in self.STATEMENTS]
+        before = [list(result.rows) for result in results]
+        assert [len(rows) for rows in before] == [3, 3, 3, 3, 2, 9]
+        database.execute("INSERT INTO t VALUES (4, 'w')")
+        assert database.table("t").rows is stored and len(stored) == 4
+        for sql, result, rows in zip(self.STATEMENTS, results, before):
+            assert result.rows == rows, sql
+            assert result.rows is not stored, sql

@@ -200,7 +200,9 @@ def previous_format_snapshot(offset: int, state: dict) -> bytes:
     """The file the previous snapshot format held for ``state``.
 
     That format escaped the state JSON inside a JSON string, wrote each
-    stored vector as a JSON float list and stored no feature hashes.
+    stored vector as a JSON float list, gave each archive entry its text
+    and its example's dataset and quality as metadata, and stored no
+    feature hashes.
     """
     legacy = copy.deepcopy(state)
     for project in legacy["projects"].values():
@@ -216,7 +218,10 @@ def previous_format_snapshot(offset: int, state: dict) -> bytes:
                 "doc_id": entry["doc_id"],
                 "text": "{sql}\n{nl}".format(**examples[entry["doc_id"]]),
                 "vector": row.tolist(),
-                "metadata": entry["metadata"],
+                "metadata": {
+                    "dataset": examples[entry["doc_id"]]["dataset"],
+                    "quality": examples[entry["doc_id"]]["quality"],
+                },
             }
             for entry, row in zip(vector_store["entries"], rows)
         ]
@@ -750,6 +755,36 @@ class TestReplayParity:
         loop = recovered.pipeline("hr").feedback_loop
         assert loop.priorities == ["mention the salary threshold"]
         assert loop.knowledge.lookup("dept") is not None
+        recovered.close()
+
+    @pytest.mark.parametrize("snapshot_every", [0, 4])
+    def test_every_archived_example_is_filed_under_its_project(self, tmp_path, snapshot_every):
+        # Retrieval takes no dataset filter: it rests on a project's archive
+        # holding only examples filed under that project's name.
+        projects = ["hr", "hr-fast", "hr-small"]
+
+        def archived_datasets(service):
+            return {
+                name: [
+                    example["dataset"]
+                    for example in service.pipeline(name)
+                    .retriever.example_store.state_dict()["examples"]
+                ]
+                for name in projects
+            }
+
+        service = AnnotationService.open_durable(tmp_path / "svc", snapshot_every=snapshot_every)
+        for name in projects:
+            service.register_project(name, make_schema())
+        for offset, name in enumerate(projects):
+            service.submit_many(QUERIES[offset:] + QUERIES[:offset], project=name)
+        service.drain(concurrency=2)
+        live = archived_datasets(service)
+        service.close()
+        assert live == {name: [name] * len(QUERIES) for name in projects}
+
+        recovered = AnnotationService.open_durable(tmp_path / "svc")
+        assert archived_datasets(recovered) == live
         recovered.close()
 
     def test_recovered_service_keeps_working(self, tmp_path):

@@ -169,17 +169,10 @@ class TestEmbeddingModel:
 class TestVectorStore:
     def test_add_search_roundtrip(self):
         store = VectorStore()
-        store.add("1", "count students per term", {"dataset": "beaver"})
-        store.add("2", "average salary per department", {"dataset": "hr"})
+        store.add("1", "count students per term")
+        store.add("2", "average salary per department")
         hits = search(store, "how many students in each term", top_k=1)
         assert hits[0].doc_id == "1"
-
-    def test_metadata_filter(self):
-        store = VectorStore()
-        store.add("1", "count students", {"dataset": "a"})
-        store.add("2", "count students", {"dataset": "b"})
-        hits = search(store, "count students", metadata_filter={"dataset": "b"})
-        assert [hit.doc_id for hit in hits] == ["2"]
 
     def test_empty_doc_id_rejected(self):
         with pytest.raises(RetrievalError):
@@ -239,13 +232,6 @@ class TestExampleStore:
         with pytest.raises(RetrievalError):
             ExampleStore().add("SELECT 1", "   ")
 
-    def test_dataset_filter(self):
-        store = ExampleStore()
-        store.add("SELECT a FROM students", "students a", dataset="beaver")
-        store.add("SELECT a FROM singers", "singers a", dataset="spider")
-        results = retrieve(store, "SELECT b FROM students", dataset="beaver")
-        assert all(example.dataset == "beaver" for example in results)
-
     def test_unknown_example_id_raises(self):
         with pytest.raises(RetrievalError):
             ExampleStore().skeleton("missing")
@@ -284,9 +270,9 @@ class TestContextRetriever:
         assert "employees" in context.table_names
 
 
-def search(store, query, top_k=5, metadata_filter=None):
+def search(store, query, top_k=5):
     """One query's hits from a store's batched search."""
-    return store.search_batch([query], top_k, metadata_filter)[0]
+    return store.search_batch([query], top_k)[0]
 
 
 def retrieve(store, sql, **options):
@@ -309,18 +295,14 @@ class LoopStore:
         self.model = EmbeddingModel(dimensions=dimensions)
         self.entries = {}
 
-    def add(self, doc_id, text, metadata=None):
+    def add(self, doc_id, text):
         self.model.observe(text)
-        self.entries[doc_id] = (self.model.embed(text), dict(metadata or {}))
+        self.entries[doc_id] = self.model.embed(text)
 
-    def search(self, query, top_k=5, metadata_filter=None):
+    def search(self, query, top_k=5):
         query_vector = self.model.embed(query)
         hits = []
-        for doc_id, (vector, metadata) in self.entries.items():
-            if metadata_filter and any(
-                metadata.get(key) != value for key, value in metadata_filter.items()
-            ):
-                continue
+        for doc_id, vector in self.entries.items():
             score = float(np.dot(query_vector, vector))
             if score < 0.0:
                 continue
@@ -333,21 +315,21 @@ class TestVectorizedStore:
     """The matrix/argpartition search must rank exactly like the old loop."""
 
     TEXTS = [
-        ("d01", "count students per term", {"dataset": "beaver"}),
-        ("d02", "average salary per department", {"dataset": "hr"}),
-        ("d03", "count students per campus", {"dataset": "beaver"}),
-        ("d04", "network device inventory report", {"dataset": "it"}),
-        ("d05", "count students per term", {"dataset": "beaver"}),  # exact dup of d01
-        ("d06", "salary of employees by department", {"dataset": "hr"}),
-        ("d07", "list open purchase orders", {"dataset": "erp"}),
-        ("d08", "terms with highest enrollment", {"dataset": "beaver"}),
+        ("d01", "count students per term"),
+        ("d02", "average salary per department"),
+        ("d03", "count students per campus"),
+        ("d04", "network device inventory report"),
+        ("d05", "count students per term"),  # exact dup of d01
+        ("d06", "salary of employees by department"),
+        ("d07", "list open purchase orders"),
+        ("d08", "terms with highest enrollment"),
     ]
 
-    def _stores(self, documents=None):
+    def _stores(self):
         store, oracle = VectorStore(), LoopStore()
-        for doc_id, text, metadata in documents or self.TEXTS:
-            store.add(doc_id, text, metadata)
-            oracle.add(doc_id, text, metadata)
+        for doc_id, text in self.TEXTS:
+            store.add(doc_id, text)
+            oracle.add(doc_id, text)
         return store, oracle
 
     @staticmethod
@@ -360,11 +342,6 @@ class TestVectorizedStore:
 
     def test_ranking_matches_reference(self):
         self._assert_matches_reference(self._stores(), "students enrolled per term", top_k=4)
-
-    def test_ranking_with_metadata_filter(self):
-        self._assert_matches_reference(
-            self._stores(), "count students", top_k=3, metadata_filter={"dataset": "beaver"}
-        )
 
     def test_negative_scores_are_never_returned(self):
         store, oracle = self._stores()
@@ -380,7 +357,7 @@ class TestVectorizedStore:
         store.add("other", "average salary per department")
         state = store.state_dict()
         rows = np.frombuffer(base64.b64decode(state["vectors"]), dtype="<f8").reshape(2, -1)
-        state["entries"].append({"doc_id": "a-dup", "text": "copy", "metadata": {}})
+        state["entries"].append({"doc_id": "a-dup"})
         state["vectors"] = base64.b64encode(np.vstack([rows, rows[:1]]).tobytes()).decode()
         restored = VectorStore.from_state(state)
         hits = search(restored, "count students per term", top_k=2)
@@ -397,68 +374,41 @@ class TestVectorizedStore:
     def test_search_ids_matches_search(self):
         store, _ = self._stores()
         queries = ["count students", "salary by department"]
-        for metadata_filter in (None, {"dataset": "hr"}):
-            hit_lists = [
-                search(store, query, top_k=4, metadata_filter=metadata_filter)
-                for query in queries
-            ]
-            assert store.search_ids(
-                queries, top_k=4, metadata_filter=metadata_filter
-            ) == [[hit.doc_id for hit in hits] for hits in hit_lists]
+        hit_lists = [search(store, query, top_k=4) for query in queries]
+        assert store.search_ids(queries, top_k=4) == [
+            [hit.doc_id for hit in hits] for hits in hit_lists
+        ]
 
     def test_add_replaces_existing_doc(self):
         store, oracle = self._stores()
-        search(store, "invoices", metadata_filter={"dataset": "it"})  # builds the mask
         for target in (store, oracle):
-            target.add("d04", "totally different text about invoices", {"dataset": "fin"})
+            target.add("d04", "totally different text about invoices")
         assert len(store) == len(self.TEXTS)
-        hits = search(store, "invoices", top_k=1, metadata_filter={"dataset": "fin"})
+        hits = search(store, "invoices", top_k=1)
         assert [hit.doc_id for hit in hits] == ["d04"]
-        assert search(store, "invoices", metadata_filter={"dataset": "it"}) == []
         # The replacement keeps its row, so snapshots keep insertion order.
         assert [entry["doc_id"] for entry in store.state_dict()["entries"]] == [
-            doc_id for doc_id, _, _ in self.TEXTS
+            doc_id for doc_id, _ in self.TEXTS
         ]
         self._assert_matches_reference((store, oracle), "invoices", top_k=8)
 
     def test_growth_beyond_initial_capacity(self):
-        store = VectorStore()
+        store, oracle = VectorStore(), LoopStore()
         for index in range(150):  # > the 64-row initial matrix
-            store.add(f"doc-{index:03d}", f"record number {index} of the stress corpus")
+            for target in (store, oracle):
+                target.add(f"doc-{index:03d}", f"record number {index} of the stress corpus")
         assert len(store) == 150
         hits = search(store, "record number 42", top_k=5)
         assert "doc-042" in [hit.doc_id for hit in hits]
-
-    def test_filter_masks_track_adds_and_growth(self):
-        # Masks built early must follow later adds, including the ones that
-        # grow the matrix past its initial 64 rows.
-        datasets = ["beaver", "hr", "it"]
-        documents = [
-            (f"doc-{index:03d}", f"{datasets[index % 3]} corpus record number {index}",
-             {"dataset": datasets[index % 3]})
-            for index in range(100)
-        ]
-        store, oracle = self._stores(documents[:10])
-        for dataset in datasets:
-            search(store, "record", top_k=2, metadata_filter={"dataset": dataset})
-        for doc_id, text, metadata in documents[10:]:
-            store.add(doc_id, text, metadata)
-            oracle.add(doc_id, text, metadata)
-        for dataset in datasets:
-            for query in ("corpus record", "record number 10", "record number 99"):
-                self._assert_matches_reference(
-                    (store, oracle), query, top_k=5, metadata_filter={"dataset": dataset}
-                )
+        for query in ("stress corpus record", "record number 10", "record number 149"):
+            self._assert_matches_reference((store, oracle), query, top_k=5)
 
     def test_state_roundtrip_scores_bit_identically(self):
         store, _ = self._stores()
         clone = VectorStore.from_state(store.state_dict())
         assert clone.state_dict() == store.state_dict()
-        for metadata_filter in (None, {"dataset": "beaver"}):
-            query = "count students per term"
-            assert search(clone, query, top_k=4, metadata_filter=metadata_filter) == search(store, 
-                query, top_k=4, metadata_filter=metadata_filter
-            )
+        query = "count students per term"
+        assert search(clone, query, top_k=4) == search(store, query, top_k=4)
 
 
 class TestRetrievalCaches:
@@ -776,13 +726,27 @@ class TestJournaledProfiles:
         assert not model._feature_ids
 
 
+def unfiltered(points):
+    """Checkpoints with only their calls recorded without a dataset filter."""
+    return [
+        {
+            "after": point["after"],
+            "calls": [call for call in point["calls"] if call["dataset"] is None],
+        }
+        for point in points
+    ]
+
+
 class TestRetrievalCorpus:
     """Replays ``retrieval_corpus.json``, written by the dataset-sharded archive.
 
     A store holding one dataset scored against one shard matrix, so the
-    single index must reproduce it bit for bit.  The mixed store scored
-    each dataset against its own matrix; one matrix over every row keeps
-    ids and order but may differ from it in a score's last ULP.
+    single index must reproduce it bit for bit, under its dataset filter
+    and without one alike, though the index now takes no filter.  The mixed
+    store scored each dataset against its own matrix; one matrix over every
+    row keeps the ids and order of its unfiltered calls but may differ from
+    it in a score's last ULP.  Its filtered calls picked rows the archive
+    no longer filters out, so they are not replayed.
     """
 
     @pytest.fixture(scope="class")
@@ -820,18 +784,18 @@ class TestRetrievalCorpus:
 
     def test_mixed_store_keeps_ids_and_order(self, corpus):
         (config,) = [config for config in corpus["stores"] if config["mixed"]]
-        _, checkpoints = replay(config)
-        self.assert_scores_close(checkpoints, config["checkpoints"])
+        _, checkpoints = replay(dict(config, filters=[None]))
+        self.assert_scores_close(checkpoints, unfiltered(config["checkpoints"]))
 
     def test_recorded_state_loads_and_retrieves_identically(self, corpus):
         small = corpus["small"]
         loaded = ExampleStore()
         loaded.load_state(small["state"])
-        calls = checkpoint(loaded, small["queries"], small["filters"])
-        last = small["checkpoints"][-1]
+        calls = checkpoint(loaded, small["queries"], [None])
+        (last,) = unfiltered(small["checkpoints"][-1:])
         self.assert_scores_close([{"after": last["after"], "calls": calls}], [last])
         rebuilt, _ = replay(small, EmbeddingModel(dimensions=small["dimensions"]))
-        assert calls == checkpoint(rebuilt, small["queries"], small["filters"])
+        assert calls == checkpoint(rebuilt, small["queries"], [None])
 
     def test_state_dict_is_the_recorded_one_without_shard_key(self, corpus):
         small = corpus["small"]
@@ -841,6 +805,10 @@ class TestRetrievalCorpus:
         for entry in expected["vector_store"]["entries"]:
             example = examples[entry["doc_id"]]
             assert entry.pop("text") == f"{example['sql']}\n{example['nl']}"
+            assert entry.pop("metadata") == {
+                "dataset": example["dataset"],
+                "quality": example["quality"],
+            }
         rebuilt, _ = replay(small, EmbeddingModel(dimensions=small["dimensions"]))
         assert rebuilt.state_dict() == expected
         loaded = ExampleStore()
@@ -871,7 +839,6 @@ class TestFailureAtomicAdd:
     @pytest.mark.parametrize("sql, nl, dataset, error", [
         ("SELECT a\ud800 FROM t", "names", "spider", UnicodeEncodeError),
         ("SELECT a FROM t", "lone \udfff surrogate", "spider", UnicodeEncodeError),
-        ("SELECT a FROM t", "names", ["not", "hashable"], RetrievalError),
     ])
     def test_example_store_add_changes_nothing(self, sql, nl, dataset, error):
         model = EmbeddingModel()
