@@ -15,10 +15,7 @@ from typing import TYPE_CHECKING
 from repro.errors import PipelineError
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (llm.base ← config)
-    from typing import Callable
-
     from repro.llm.base import RetryPolicy
-    from repro.llm.resilience import CircuitBreaker
 
 
 class AnnotationTask(Enum):
@@ -65,18 +62,6 @@ class TaskConfig:
         llm_retry_budget_s: Total elapsed-time cap (attempts + backoff
             sleeps) on one logical LLM call; ``None`` disables the cap.
             Bounds the worst-case sleep when ``llm_max_attempts`` is high.
-        breaker_enabled: Guard this project's LLM calls with a per-pipeline
-            circuit breaker.  While open, the service *defers* the project's
-            waves (jobs are re-queued, not quarantined).
-        breaker_window: Rolling outcome window the failure rate is computed
-            over.
-        breaker_failure_rate: Failure fraction within the window that trips
-            the breaker open.
-        breaker_min_calls: Outcomes required in the window before the rate
-            is trusted (prevents one early failure from tripping).
-        breaker_recovery_s: Seconds the breaker stays open before admitting
-            half-open probe calls.
-        breaker_probes: Consecutive probe successes required to close again.
     """
 
     task: AnnotationTask = AnnotationTask.SQL_TO_NL
@@ -95,12 +80,6 @@ class TaskConfig:
     llm_retry_jitter: float = 0.5
     llm_call_timeout: float | None = None
     llm_retry_budget_s: float | None = None
-    breaker_enabled: bool = False
-    breaker_window: int = 16
-    breaker_failure_rate: float = 0.5
-    breaker_min_calls: int = 4
-    breaker_recovery_s: float = 1.0
-    breaker_probes: int = 1
 
     def validate(self) -> None:
         """Raise :class:`PipelineError` on inconsistent settings."""
@@ -122,16 +101,6 @@ class TaskConfig:
             raise PipelineError("llm_call_timeout must be positive when set")
         if self.llm_retry_budget_s is not None and self.llm_retry_budget_s <= 0:
             raise PipelineError("llm_retry_budget_s must be positive when set")
-        if self.breaker_window < 1:
-            raise PipelineError("breaker_window must be at least 1")
-        if not 0.0 < self.breaker_failure_rate <= 1.0:
-            raise PipelineError("breaker_failure_rate must be within (0, 1]")
-        if self.breaker_min_calls < 1:
-            raise PipelineError("breaker_min_calls must be at least 1")
-        if self.breaker_recovery_s < 0:
-            raise PipelineError("breaker_recovery_s cannot be negative")
-        if self.breaker_probes < 1:
-            raise PipelineError("breaker_probes must be at least 1")
         if self.task is AnnotationTask.NL_TO_SQL:
             raise PipelineError(
                 "NL_TO_SQL annotation is future work in the paper and not supported yet"
@@ -148,24 +117,6 @@ class TaskConfig:
             jitter=self.llm_retry_jitter,
             call_timeout=self.llm_call_timeout,
             retry_budget_s=self.llm_retry_budget_s,
-        )
-
-    def circuit_breaker(
-        self, on_transition: "Callable[[str, str], None] | None" = None
-    ) -> "CircuitBreaker | None":
-        """A :class:`~repro.llm.resilience.CircuitBreaker` per these knobs,
-        or ``None`` when breaking is disabled."""
-        if not self.breaker_enabled:
-            return None
-        from repro.llm.resilience import CircuitBreaker
-
-        return CircuitBreaker(
-            window=self.breaker_window,
-            failure_rate=self.breaker_failure_rate,
-            min_calls=self.breaker_min_calls,
-            recovery_timeout=self.breaker_recovery_s,
-            probe_budget=self.breaker_probes,
-            on_transition=on_transition,
         )
 
     def to_dict(self) -> dict:

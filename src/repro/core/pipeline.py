@@ -33,12 +33,7 @@ from dataclasses import dataclass, field
 from repro.core.config import TaskConfig
 from repro.core.feedback import Feedback, FeedbackAction, FeedbackLoop
 from repro.core.journal import ANNOTATION_COMMITTED, FEEDBACK_APPLIED, EventJournal
-from repro.errors import (
-    CircuitOpenError,
-    DeadlineExceededError,
-    JournalError,
-    PipelineError,
-)
+from repro.errors import DeadlineExceededError, JournalError, PipelineError
 from repro.llm.base import LLMClient
 from repro.llm.prompts import Prompt, PromptBuilder
 from repro.llm.resilience import Deadline
@@ -54,11 +49,6 @@ from repro.sql.normalizer import QueryKeys, token_keys
 from repro.sql.parser import parse_select
 from repro.sql.printer import PrintedToken
 from repro.sql.recompose import recompose
-
-#: Errors that stop a run without settling the statements left: the work is
-#: still valid, so the service defers it instead of quarantining it.
-DEFERRAL_ERRORS = (CircuitOpenError, DeadlineExceededError)
-
 
 @dataclass
 class CandidateSet:
@@ -168,12 +158,6 @@ class AnnotationPipeline:
         # Jitter salt for LLM retry backoff: keyed by project so concurrent
         # tenants hitting the same transient error don't retry in lockstep.
         self._retry_salt = dataset_name
-        #: Per-pipeline circuit breaker guarding this project's LLM calls
-        #: (``None`` unless ``TaskConfig.breaker_enabled``).  Breaker state is
-        #: process-local: a recovered service starts with a closed breaker.
-        self.breaker = self.config.circuit_breaker(
-            on_transition=self._note_breaker_transition
-        )
         self._journal: EventJournal | None = None
         self._journal_project = dataset_name
         #: Observability sink; no-op unless a service injects a live one.
@@ -210,23 +194,6 @@ class AnnotationPipeline:
         self.telemetry = telemetry
         self.llm.telemetry = telemetry
         self.retriever.example_store.telemetry = telemetry
-
-    def _note_breaker_transition(self, old_state: str, new_state: str) -> None:
-        """Telemetry callback for circuit-breaker state changes."""
-        tel = self.telemetry
-        if tel.enabled:
-            tel.count(
-                "llm_breaker_transitions_total",
-                model=self.llm.name,
-                project=self.dataset_name,
-                **{"from": old_state, "to": new_state},
-            )
-            tel.event(
-                "breaker_transition",
-                project=self.dataset_name,
-                model=self.llm.name,
-                **{"from": old_state, "to": new_state},
-            )
 
     # ------------------------------------------------------------------
     # candidate generation (steps 3.5 - 5.5)
@@ -558,7 +525,6 @@ class AnnotationPipeline:
                 self._retry_policy,
                 salt=self._retry_salt,
                 deadline=deadline,
-                breaker=self.breaker,
             )
             if tel.enabled:
                 tel.observe(
@@ -720,7 +686,6 @@ class AnnotationPipeline:
             self._retry_policy,
             salt=self._retry_salt,
             deadline=deadline,
-            breaker=self.breaker,
         )
         if item.decomposition is not None:
             unit_candidates = {
@@ -837,10 +802,10 @@ class WaveRun:
         its outcome.  So in a run of several statements a failing statement
         is tried twice, whatever the size of the wave it first failed in; a
         run of one statement parks its failure at once.
-        A failure that leaves the pipeline's circuit breaker open is raised
-        as :class:`~repro.errors.CircuitOpenError` instead.  Deferral signals
-        (:data:`DEFERRAL_ERRORS`), journal errors and ``BaseException``
-        propagate, leaving the outcomes settled so far.
+        The deferral signal (:class:`~repro.errors.DeadlineExceededError`:
+        the work is still valid, there is just no time left for it), journal
+        errors and ``BaseException`` propagate, leaving the outcomes settled
+        so far.
         Finishing the last wave finalises the run's stats automatically.
         """
         if self.done:
@@ -872,16 +837,9 @@ class WaveRun:
                 self.outcomes,
                 deadline=self.deadline,
             )
-        except (*DEFERRAL_ERRORS, JournalError):
+        except (DeadlineExceededError, JournalError):
             raise
         except Exception as exc:
-            breaker = self.pipeline.breaker
-            if breaker is not None and not breaker.would_allow():
-                # The failure left the backend's breaker open: an outage, not
-                # this statement's fault, so the run stops to be deferred.
-                raise CircuitOpenError(
-                    f"circuit breaker for {self.pipeline.llm.name!r} opened: {exc}"
-                ) from exc
             if self._isolating:
                 self.outcomes.append(exc)
             else:

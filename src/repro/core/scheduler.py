@@ -8,7 +8,7 @@ inline on the calling thread; with more, each round's waves go through a
 bounded thread pool so the slow part of a wave — the batched LLM call —
 overlaps across tenants, while each tenant's own waves still run strictly in
 order on a single thread at a time.  Both modes share the same round
-barrier, so breaker, deadline and wave accounting are identical at every
+barrier, so deadline and wave accounting are identical at every
 concurrency.
 
 Correctness argument, in brief:
@@ -28,14 +28,13 @@ Correctness argument, in brief:
   ahead of another, so a hot tenant with a deep queue cannot starve the
   rest of pool slots.
 * The round barrier is also the one place scheduling decisions are made:
-  no round starts after the drain deadline expired, and a project whose
-  circuit breaker refuses calls is retired before its next wave.  Retired
-  and unfinished runs keep their settled outcomes for the caller to settle.
+  no round starts after the drain deadline expired.  Retired and unfinished
+  runs keep their settled outcomes for the caller to settle.
 
 Failure semantics: a run isolates its own failing statements (see
 :meth:`~repro.core.pipeline.WaveRun.run_next_wave`), so a wave raises only a
-deferral signal or a fatal error.  A deferral signal
-(:data:`~repro.core.pipeline.DEFERRAL_ERRORS`) retires only that project;
+deferral signal or a fatal error.  The deferral signal
+(:class:`~repro.errors.DeadlineExceededError`) retires only that project;
 anything else — :class:`~repro.errors.JournalError`, ``BaseException`` such
 as injected crashes — is fatal and re-raised, in the pool only after every
 wave of the current round has settled, so no worker thread is left running
@@ -48,8 +47,8 @@ from concurrent.futures import Future, ThreadPoolExecutor
 from contextlib import nullcontext
 from typing import Callable
 
-from repro.core.pipeline import DEFERRAL_ERRORS, WaveRun
-from repro.errors import PipelineError
+from repro.core.pipeline import WaveRun
+from repro.errors import DeadlineExceededError, PipelineError
 from repro.llm.resilience import Deadline
 from repro.obs import NULL_TELEMETRY, Telemetry
 
@@ -86,14 +85,13 @@ class WaveScheduler:
         (its settled outcomes are untouched); any other error is fatal and
         re-raised.
 
-        At every round barrier, before the first wave and between waves, a
-        run whose pipeline's circuit breaker refuses calls is retired without
-        an error, and with a ``deadline`` no new round starts once the budget
-        has expired.  Either way the unfinished runs are left for the caller
-        to defer (each run's committed prefix is intact).  The deadline also
-        rides inside every wave (via :attr:`WaveRun.deadline`), shrinking
-        per-call LLM timeouts, so the in-flight round itself cannot overshoot
-        by more than the budget's remaining slice.
+        With a ``deadline``, no new round starts once the budget has expired
+        (checked at every round barrier, before the first wave and between
+        waves); the unfinished runs are left for the caller to defer (each
+        run's committed prefix is intact).  The deadline also rides inside
+        every wave (via :attr:`WaveRun.deadline`), shrinking per-call LLM
+        timeouts, so the in-flight round itself cannot overshoot by more than
+        the budget's remaining slice.
         """
         self.rounds = 0
         active = {project: run for project, run in runs.items() if not run.done}
@@ -114,12 +112,6 @@ class WaveScheduler:
                             unfinished_projects=len(active),
                         )
                     break
-                for project in list(active):
-                    breaker = active[project].pipeline.breaker
-                    if breaker is not None and not breaker.would_allow():
-                        del active[project]
-                if not active:
-                    break
                 self.rounds += 1
                 if tel.enabled:
                     tel.count("scheduler_rounds_total")
@@ -132,7 +124,7 @@ class WaveScheduler:
                 for project, future in futures:
                     try:
                         future.result()
-                    except DEFERRAL_ERRORS:
+                    except DeadlineExceededError:
                         del active[project]
                     except BaseException as exc:  # journal errors, injected crashes
                         fatal = fatal if fatal is not None else exc
@@ -147,7 +139,7 @@ class WaveScheduler:
 class _InlineExecutor:
     """Runs each submitted wave at once on the calling thread.
 
-    Deferral signals are parked in the returned future, as a pool would;
+    The deferral signal is parked in the returned future, as a pool would;
     fatal errors propagate immediately, since on one thread no other wave is
     in flight that would have to settle first.
     """
@@ -156,6 +148,6 @@ class _InlineExecutor:
         future: Future = Future()
         try:
             future.set_result(fn())
-        except DEFERRAL_ERRORS as exc:
+        except DeadlineExceededError as exc:
             future.set_exception(exc)
         return future

@@ -15,8 +15,8 @@ One drain path.  Every drain hands one
 one wave per round; the sequential drain is simply that scheduler with one
 inline worker, as is any single-project drain.  With ``max_concurrency > 1`` (or ``drain(concurrency=...)``)
 the rounds run through a bounded worker pool, so independent projects'
-batched LLM calls overlap instead of queueing behind each other.  Breaker and
-deadline checks happen at the round barrier, and every project is settled
+batched LLM calls overlap instead of queueing behind each other.  The
+deadline check happens at the round barrier, and every project is settled
 the same way afterwards, so per-project records, the returned jobs, the
 drain report and the wave accounting are identical at every concurrency.
 Per-tenant admission control (``TaskConfig.max_pending_per_project``)
@@ -218,8 +218,8 @@ class DrainReport:
     """Degradation-aware summary of one :meth:`AnnotationService.drain` call.
 
     Stored as :attr:`AnnotationService.last_drain_report` after every drain.
-    ``deferred`` jobs were re-queued (breaker open, deadline expired, or a
-    disk fault mid-drain) — not failed; a later drain will pick them up.
+    ``deferred`` jobs were re-queued (deadline expired, or a disk fault
+    mid-drain) — not failed; a later drain will pick them up.
     """
 
     completed: int = 0
@@ -243,9 +243,9 @@ class ServiceStats:
     submitted: int = 0
     completed: int = 0
     failed: int = 0
-    #: Deferral events across drains (breaker-open / deadline / disk-fault
-    #: re-queues).  An operational counter: snapshots carry it, but journal
-    #: replay does not reconstruct it (deferred jobs are simply still queued).
+    #: Deferral events across drains (deadline / disk-fault re-queues).  An
+    #: operational counter: snapshots carry it, but journal replay does not
+    #: reconstruct it (deferred jobs are simply still queued).
     deferred: int = 0
     waves: int = 0
     batched_queries: int = 0
@@ -577,14 +577,13 @@ class AnnotationService:
         (shrinking per-call timeouts), and jobs that don't fit the budget are
         *deferred* — re-queued at the front, counted in
         :attr:`ServiceStats.deferred` and :attr:`last_drain_report`, never
-        quarantined.  Projects whose circuit breaker refuses calls at a round
-        barrier are deferred the same way.
+        quarantined.
 
         Failure isolation happens inside each project's run, within the
-        scheduler's rounds (so under the same deadline, breaker checks and
-        wave accounting): when a wave raises, its commits stand and the rest
-        of the run goes one statement per wave, so a single poisoned
-        statement is quarantined instead of sinking its whole wave.  Its
+        scheduler's rounds (so under the same deadline and wave accounting):
+        when a wave raises, its commits stand and the rest of the run goes
+        one statement per wave, so a single poisoned statement is
+        quarantined instead of sinking its whole wave.  Its
         ``job_failed`` event is journaled here, when the drain settles.
         Journal errors are never swallowed — losing durability is fatal, not
         isolable — with one exception: an OS-level disk fault

@@ -79,24 +79,13 @@ class LLMTimeoutError(TransientLLMError):
     """An LLM call exceeded its per-call timeout budget."""
 
 
-class CircuitOpenError(LLMError):
-    """An LLM call was fast-failed because its circuit breaker is open.
-
-    Deliberately *not* transient: the whole point of the breaker is to stop
-    burning retry budget against a backend that is known to be down.  The
-    service layer treats it as a *deferral* signal — the affected project's
-    jobs go back to the queue instead of the quarantine.
-    """
-
-
 class DeadlineExceededError(ReproError):
     """An operation ran out of its deadline budget.
 
     Raised when a :class:`~repro.llm.resilience.Deadline` carried through a
-    drain expires before (or during) an LLM call.  Like
-    :class:`CircuitOpenError` this is a deferral signal, not a backend
-    failure: the work is still valid, there is just no time left for it in
-    this drain.
+    drain expires before (or during) an LLM call.  It is a deferral signal,
+    not a backend failure: the work is still valid, there is just no time
+    left for it in this drain.
     """
 
 

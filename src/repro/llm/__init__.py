@@ -12,7 +12,7 @@ from repro.llm.base import (
 )
 from repro.llm.knowledge import FailurePattern, KnowledgeBase, KnowledgeEntry
 from repro.llm.nl2sql import BacktranslationResult, NLToSQLGenerator
-from repro.llm.resilience import CircuitBreaker, Deadline
+from repro.llm.resilience import Deadline
 from repro.llm.prompts import Prompt, PromptBuilder
 from repro.llm.simulated import SimulatedLLM
 from repro.llm.sql2nl import (
@@ -29,7 +29,6 @@ from repro.llm.sql2nl import (
 
 __all__ = [
     "BacktranslationResult",
-    "CircuitBreaker",
     "Deadline",
     "ESSENTIAL_KINDS",
     "FACT_WEIGHTS",

@@ -19,13 +19,12 @@ from dataclasses import dataclass, field
 from typing import Callable, TypeVar
 
 from repro.errors import (
-    CircuitOpenError,
     DeadlineExceededError,
     LLMTimeoutError,
     TransientLLMError,
 )
 from repro.llm.prompts import Prompt
-from repro.llm.resilience import CircuitBreaker, Deadline
+from repro.llm.resilience import Deadline
 from repro.obs import NULL_TELEMETRY, Telemetry
 
 _T = TypeVar("_T")
@@ -264,7 +263,6 @@ class LLMClient(abc.ABC):
         policy: RetryPolicy | None = None,
         salt: str = "",
         deadline: Deadline | None = None,
-        breaker: CircuitBreaker | None = None,
     ) -> list[GenerationResult]:
         """:meth:`generate_batch` hardened with retry/backoff/timeout.
 
@@ -282,9 +280,7 @@ class LLMClient(abc.ABC):
         backend again in lockstep.
 
         ``deadline`` shrinks the per-call timeout so the attempt sequence
-        cannot outlive the caller's drain budget; ``breaker`` fast-fails with
-        :class:`~repro.errors.CircuitOpenError` while its backend is
-        considered down.
+        cannot outlive the caller's drain budget.
         """
         base = prompts[0].sql if prompts else ""
         results = self._resilient_call(
@@ -292,7 +288,6 @@ class LLMClient(abc.ABC):
             policy,
             salt=_join_salt(salt, f"batch:{len(prompts)}:{base}"),
             deadline=deadline,
-            breaker=breaker,
         )
         tel = self.telemetry
         if tel.enabled:
@@ -310,24 +305,9 @@ class LLMClient(abc.ABC):
         policy: RetryPolicy | None,
         salt: str,
         deadline: Deadline | None = None,
-        breaker: CircuitBreaker | None = None,
     ) -> _T:
         tel = self.telemetry
-
-        def breaker_gate() -> None:
-            # Checked before *every* attempt, not just the first: a breaker
-            # tripped by an earlier attempt in this very retry loop must stop
-            # the remaining attempts (fast-fail into deferral) instead of
-            # letting them burn the attempt budget into a terminal error.
-            if breaker is not None and not breaker.allow():
-                if tel.enabled:
-                    tel.count("llm_breaker_fastfail_total", model=self.name)
-                raise CircuitOpenError(
-                    f"circuit breaker for {self.name!r} is open; call fast-failed"
-                )
-
-        breaker_gate()
-        if policy is None and deadline is None and breaker is None:
+        if policy is None and deadline is None:
             if not tel.enabled:
                 return call()
             started = time.perf_counter()
@@ -346,8 +326,6 @@ class LLMClient(abc.ABC):
         )
         started = time.perf_counter() if tel.enabled else 0.0
         for attempt in range(attempts):
-            if attempt > 0:
-                breaker_gate()
             timeout, clamped = self._effective_timeout(
                 call_timeout, deadline, budget, tel
             )
@@ -360,16 +338,14 @@ class LLMClient(abc.ABC):
                     if clamped:
                         # The timeout that cut this call was the *deadline's*,
                         # not the per-call policy's: the backend was given less
-                        # than its usual budget, so don't blame it (no breaker
-                        # failure) — report deadline exhaustion instead.
+                        # than its usual budget, so don't blame it or retry —
+                        # report deadline exhaustion instead.
                         if tel.enabled:
                             tel.count("llm_deadline_exhausted_total", model=self.name)
                         raise DeadlineExceededError(
                             f"LLM call on {self.name!r} was cut at the caller's "
                             f"deadline ({timeout:.3f}s remaining)"
                         ) from exc
-                if breaker is not None:
-                    breaker.record_failure()
                 if not is_transient_error(exc) or attempt + 1 >= attempts:
                     if tel.enabled:
                         tel.count(
@@ -389,8 +365,6 @@ class LLMClient(abc.ABC):
                 if delay > 0:
                     time.sleep(delay)
             else:
-                if breaker is not None:
-                    breaker.record_success()
                 if tel.enabled:
                     tel.observe(
                         "llm_call_seconds",

@@ -6,8 +6,8 @@ every fault in a scenario up front:
 * **LLM failures** (:class:`ChaosLLM`): transient errors injected per call
   from a finite budget.  The schedule never fails two consecutive calls, so
   a retry policy with ``max_attempts >= 2`` always heals within one logical
-  call — chaos exercises the retry / breaker / deferral ladder without ever
-  pushing a job into quarantine (which would legitimately change the final
+  call — chaos exercises the retry and deferral paths without ever pushing
+  a job into quarantine (which would legitimately change the final
   state and void the bit-identical invariant).
 * **Journal faults** (:class:`ChaosJournal`): at chosen global append
   indices, either a simulated process crash (optionally tearing a prefix of
@@ -35,7 +35,6 @@ from __future__ import annotations
 
 import errno as errno_module
 import random
-import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -66,21 +65,10 @@ def chaos_config() -> TaskConfig:
     """The project configuration every chaos scenario runs under.
 
     ``max_attempts=2`` + the schedule's no-two-consecutive-failures rule mean
-    retries always heal; the tight breaker still trips on 50%-failure windows
-    so deferral gets exercised, and recovers fast enough to keep scenarios
-    quick.
+    retries always heal; deferral is exercised by the expired-deadline
+    drains and the disk faults.
     """
-    return TaskConfig(
-        batch_size=4,
-        llm_max_attempts=2,
-        llm_retry_base_delay=0.0,
-        breaker_enabled=True,
-        breaker_window=4,
-        breaker_failure_rate=0.5,
-        breaker_min_calls=2,
-        breaker_recovery_s=0.02,
-        breaker_probes=1,
-    )
+    return TaskConfig(batch_size=4, llm_max_attempts=2, llm_retry_base_delay=0.0)
 
 
 class ChaosSchedule:
@@ -343,10 +331,6 @@ def run_chaos_scenario(seed: int, root: Path) -> ChaosResult:
                     result.disk_faults += 1
                     alive = False
                     break
-                if report.completed == 0 and report.deferred > 0:
-                    # Breaker open or expired deadline: give the breaker its
-                    # recovery window before trying again.
-                    time.sleep(chaos_config().breaker_recovery_s + 0.005)
             else:
                 raise AssertionError(
                     f"seed {seed}: drain loop failed to converge in "

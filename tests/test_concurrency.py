@@ -1,8 +1,8 @@
 """Tests for the concurrent multi-tenant drain: sequential/concurrent parity,
 the round-based wave scheduler, backpressure admission control, per-tenant
 accounting, retry-jitter salting, thread stress under flaky clients, wave
-accounting under a mid-drain breaker trip, and crash recovery
-mid-concurrent-drain."""
+accounting when a drain's deadline cuts a project part-way through, and
+crash recovery mid-concurrent-drain."""
 
 from __future__ import annotations
 
@@ -17,7 +17,7 @@ from repro.core import (
     TaskConfig,
     WaveScheduler,
 )
-from repro.errors import BackpressureError, CircuitOpenError, PipelineError
+from repro.errors import BackpressureError, DeadlineExceededError, PipelineError
 from repro.llm import SimulatedLLM
 from repro.llm.base import RetryPolicy, _join_salt
 from repro.schema import ColumnSchema, DatabaseSchema, ForeignKey, TableSchema
@@ -241,54 +241,54 @@ class TestFaultIsolationConcurrent:
         assert stressed.stats.completed == reference.stats.completed
 
 
-class TrippingLLM(SimulatedLLM):
-    """Simulated client whose ``trip_on``-th batched round trip finds its
-    breaker open (0 never trips)."""
+class DeadlineCutLLM(SimulatedLLM):
+    """Simulated client whose ``cut_on``-th batched round trip is cut at the
+    caller's deadline (0 never cuts)."""
 
-    def __init__(self, trip_on: int = 0) -> None:
+    def __init__(self, cut_on: int = 0) -> None:
         super().__init__("gpt-4o", schema=make_schema())
-        self.trip_on = trip_on
+        self.cut_on = cut_on
         self.batches = 0
 
     def generate_batch(self, prompts):
         self.batches += 1
-        if self.batches == self.trip_on:
-            raise CircuitOpenError("injected: circuit open")
+        if self.batches == self.cut_on:
+            raise DeadlineExceededError("injected: cut at the deadline")
         return super().generate_batch(prompts)
 
 
 class TestDrainAccountingParity:
-    """A breaker trip mid-drain is settled and counted the same way at every
+    """A deadline cut mid-drain is settled and counted the same way at every
     concurrency: each project's outcome and wave accounting equal what its
     own run does in isolation."""
 
-    TRIP_ON = {"alpha": 0, "beta": 3}
+    CUT_ON = {"alpha": 0, "beta": 3}
 
     def _statements(self):
-        return {name: QUERIES + QUERIES[::-1] for name in self.TRIP_ON}
+        return {name: QUERIES + QUERIES[::-1] for name in self.CUT_ON}
 
     def _isolated_run(self, project, statements):
         pipeline = AnnotationPipeline(
             make_schema(),
             config=TaskConfig(batch_size=3),
-            llm=TrippingLLM(self.TRIP_ON[project]),
+            llm=DeadlineCutLLM(self.CUT_ON[project]),
             dataset_name=project,
         )
         run = pipeline.wave_run(statements)
         try:
             while not run.done:
                 run.run_next_wave()
-        except CircuitOpenError:
+        except DeadlineExceededError:
             pass
         run.finish()
         return [record_key(record) for record in pipeline.annotations], run.stats
 
     @pytest.mark.parametrize("concurrency", [1, 2])
-    def test_breaker_trip_accounting_is_concurrency_independent(self, concurrency):
+    def test_deadline_cut_accounting_is_concurrency_independent(self, concurrency):
         statements = self._statements()
         service = build_service(
-            projects=list(self.TRIP_ON),
-            llm_factory=lambda name: TrippingLLM(self.TRIP_ON[name]),
+            projects=list(self.CUT_ON),
+            llm_factory=lambda name: DeadlineCutLLM(self.CUT_ON[name]),
         )
         for index in range(len(QUERIES) * 2):
             for name, sqls in statements.items():
@@ -311,7 +311,7 @@ class TestDrainAccountingParity:
             expected_counters[2] += stats.regenerated_queries
             expected_counters[3] += stats.llm_requests
         deferred = len(statements) * len(QUERIES) * 2 - committed_total
-        assert 0 < deferred < len(QUERIES) * 2  # beta tripped part-way through
+        assert 0 < deferred < len(QUERIES) * 2  # beta was cut part-way through
 
         assert completed_keys(completed) == expected_keys
         report = service.last_drain_report

@@ -873,6 +873,22 @@ class TestReplayParity:
         assert warm.pipeline("hr-fast").config.model_name == "gpt-3.5-turbo"
         warm.close()
 
+    def test_config_with_retired_breaker_keys_loads_without_them(self):
+        # Journals and snapshots written by builds that still had a circuit
+        # breaker carry six ``breaker_*`` config keys (the durable fixture in
+        # tests/data/durable_service is one); TaskConfig.from_dict drops them.
+        config = TaskConfig(model_name="gpt-3.5-turbo", num_candidates=2)
+        state = config.to_dict()
+        state.update(
+            breaker_enabled=True,
+            breaker_window=8,
+            breaker_failure_rate=0.25,
+            breaker_min_calls=3,
+            breaker_recovery_s=0.5,
+            breaker_probes=2,
+        )
+        assert TaskConfig.from_dict(state) == config
+
     def test_journal_without_skeletons_replays_exactly(self, tmp_path):
         directory = tmp_path / "svc"
         service = AnnotationService.open_durable(directory)

@@ -22,7 +22,7 @@ from repro.errors import (
 )
 from repro.llm import RetryPolicy, SimulatedLLM, is_transient_error
 from repro.llm.base import LLMClient
-from repro.llm.resilience import CircuitBreaker, Deadline
+from repro.llm.resilience import Deadline
 from repro.obs import Telemetry
 
 from tests.faults import DiskFaultJournal, FlakyLLM, SlowLLM
@@ -454,11 +454,11 @@ class TestDrainIsolation:
 
 
 # ----------------------------------------------------------------------
-# circuit breaker (unit)
+# deadline budgets
 # ----------------------------------------------------------------------
 
 class FakeClock:
-    """Steppable monotonic clock for breaker/deadline unit tests."""
+    """Steppable monotonic clock for deadline unit tests."""
 
     def __init__(self) -> None:
         self.now = 0.0
@@ -469,156 +469,6 @@ class FakeClock:
     def advance(self, seconds: float) -> None:
         self.now += seconds
 
-
-class TestCircuitBreaker:
-    def make(self, **overrides):
-        clock = FakeClock()
-        kwargs = dict(
-            window=4,
-            failure_rate=0.5,
-            min_calls=2,
-            recovery_timeout=1.0,
-            probe_budget=1,
-            clock=clock,
-        )
-        kwargs.update(overrides)
-        return CircuitBreaker(**kwargs), clock
-
-    def test_trips_open_at_failure_rate_and_fast_fails(self):
-        breaker, _ = self.make()
-        assert breaker.state == "closed" and breaker.allow()
-        breaker.record_failure()
-        assert breaker.state == "closed"  # min_calls guard: 1 outcome only
-        breaker.record_failure()
-        assert breaker.state == "open" and breaker.opens == 1
-        assert not breaker.allow()
-        assert not breaker.allow()
-        assert breaker.fast_fails == 2
-
-    def test_successes_keep_the_breaker_closed(self):
-        breaker, _ = self.make(failure_rate=0.75)
-        for _ in range(3):
-            breaker.record_success()
-            breaker.record_failure()
-        assert breaker.state == "closed"  # never reaches 75% in the window
-
-    def test_window_is_rolling(self):
-        breaker, _ = self.make(window=2, min_calls=2, failure_rate=0.75)
-        breaker.record_failure()
-        for _ in range(4):
-            breaker.record_success()
-        # The old failure has rolled out of the 2-slot window.
-        breaker.record_failure()
-        assert breaker.state == "closed"
-        breaker.record_failure()
-        assert breaker.state == "open"
-
-    def test_half_open_probe_success_closes_and_clears_window(self):
-        breaker, clock = self.make()
-        breaker.record_failure()
-        breaker.record_failure()
-        assert breaker.state == "open"
-        clock.advance(0.5)
-        assert breaker.state == "open"  # recovery window not over yet
-        clock.advance(0.6)
-        assert breaker.state == "half_open"
-        assert breaker.allow()  # the probe
-        assert not breaker.allow()  # probe budget exhausted
-        breaker.record_success()
-        assert breaker.state == "closed"
-        # Window was cleared on close: one failure must not re-trip.
-        breaker.record_failure()
-        assert breaker.state == "closed"
-
-    def test_half_open_probe_failure_reopens(self):
-        breaker, clock = self.make()
-        breaker.record_failure()
-        breaker.record_failure()
-        clock.advance(1.1)
-        assert breaker.allow()
-        breaker.record_failure()
-        assert breaker.state == "open" and breaker.opens == 2
-        # The recovery clock restarted at the re-trip.
-        clock.advance(0.5)
-        assert not breaker.would_allow()
-        clock.advance(0.6)
-        assert breaker.would_allow()
-
-    def test_would_allow_never_consumes_the_probe(self):
-        breaker, clock = self.make()
-        breaker.record_failure()
-        breaker.record_failure()
-        clock.advance(1.1)
-        for _ in range(5):
-            assert breaker.would_allow()
-        assert breaker.allow()  # the probe slot is still there
-
-    def test_multi_probe_budget_requires_consecutive_successes(self):
-        breaker, clock = self.make(probe_budget=2)
-        breaker.record_failure()
-        breaker.record_failure()
-        clock.advance(1.1)
-        assert breaker.allow() and breaker.allow()
-        breaker.record_success()
-        assert breaker.state == "half_open"  # one of two successes in
-        breaker.record_success()
-        assert breaker.state == "closed"
-
-    def test_transition_callback_sees_every_edge(self):
-        transitions = []
-        clock = FakeClock()
-        breaker = CircuitBreaker(
-            window=4,
-            min_calls=2,
-            recovery_timeout=1.0,
-            clock=clock,
-            on_transition=lambda old, new: transitions.append((old, new)),
-        )
-        breaker.record_failure()
-        breaker.record_failure()
-        clock.advance(1.1)
-        assert breaker.allow()
-        breaker.record_success()
-        assert transitions == [
-            ("closed", "open"),
-            ("open", "half_open"),
-            ("half_open", "closed"),
-        ]
-
-    def test_parameter_validation(self):
-        for bad in (
-            dict(window=0),
-            dict(failure_rate=0.0),
-            dict(failure_rate=1.5),
-            dict(min_calls=0),
-            dict(recovery_timeout=-1),
-            dict(probe_budget=0),
-        ):
-            with pytest.raises(PipelineError):
-                CircuitBreaker(**bad)
-
-    def test_config_builder_round_trip(self):
-        config = TaskConfig(
-            breaker_enabled=True,
-            breaker_window=8,
-            breaker_failure_rate=0.25,
-            breaker_min_calls=3,
-            breaker_recovery_s=0.5,
-            breaker_probes=2,
-        )
-        config.validate()
-        breaker = config.circuit_breaker()
-        assert breaker is not None and breaker.window == 8
-        assert breaker.probe_budget == 2
-        assert TaskConfig().circuit_breaker() is None
-        assert TaskConfig.from_dict(config.to_dict()) == config
-        with pytest.raises(PipelineError):
-            TaskConfig(breaker_enabled=True, breaker_failure_rate=0).validate()
-
-
-# ----------------------------------------------------------------------
-# deadline budgets
-# ----------------------------------------------------------------------
 
 class TestDeadline:
     def test_remaining_expired_and_clamp(self):
@@ -650,20 +500,52 @@ class TestDeadline:
             llm.generate_batch_with_retry([prompt], None, deadline=deadline)
         assert llm.calls == 0
 
-    def test_deadline_cut_call_is_not_blamed_on_the_breaker(self):
-        llm = SlowLLM(SimulatedLLM("gpt-4o", schema=make_schema()), delay_seconds=0.5)
+    def test_deadline_cut_call_raises_deadline_exceeded_not_retried(self):
+        llm = FlakyLLM(
+            SlowLLM(SimulatedLLM("gpt-4o", schema=make_schema()), delay_seconds=0.5),
+            fail_times=0,
+        )
         prompt = make_pipeline().generate_candidates(QUERIES[0]).prompt
-        breaker = CircuitBreaker(window=2, min_calls=1, failure_rate=0.5)
-        with pytest.raises(DeadlineExceededError):
+        with pytest.raises(DeadlineExceededError) as excinfo:
             llm.generate_batch_with_retry(
                 [prompt],
-                RetryPolicy(max_attempts=2, base_delay=0.0),
+                RetryPolicy(max_attempts=3, base_delay=0.0, call_timeout=1.0),
                 deadline=Deadline(0.05),
-                breaker=breaker,
             )
-        # The backend was cut at the caller's deadline, not its own timeout:
-        # the breaker must not count that as a backend failure.
-        assert breaker.state == "closed" and breaker.opens == 0
+        # The call was cut at the caller's deadline, not at its own timeout:
+        # that is a deferral signal, not a transient backend failure to retry.
+        assert not isinstance(excinfo.value, LLMTimeoutError)
+        assert isinstance(excinfo.value.__cause__, LLMTimeoutError)
+        assert llm.calls == 1
+
+    def test_drain_stops_within_a_tenth_of_its_budget(self):
+        # 24 Spider jobs in waves of two against a 25 ms backend need about
+        # 0.3 s; a 0.25 s deadline must stop the drain within 10% of the
+        # budget, defer the rest intact and let a later drain finish it.
+        from repro.workloads import build_benchmark
+
+        workload = build_benchmark("Spider", seed=7, row_scale=0.0015, query_count=24)
+        jobs = workload.query_sql
+        service = AnnotationService()
+        service.register_project(
+            "bench",
+            workload.schema,
+            config=TaskConfig(batch_size=2),
+            llm=SlowLLM(SimulatedLLM("gpt-4o", schema=workload.schema), 0.025),
+        )
+        service.submit_many(jobs, project="bench")
+        budget = 0.25
+        started = time.perf_counter()
+        completed = service.drain(deadline=budget)
+        elapsed = time.perf_counter() - started
+        report = service.last_drain_report
+        assert report is not None and report.deadline_expired
+        assert len(completed) + report.deferred == len(jobs)
+        assert max(0.0, elapsed - budget) / budget <= 0.10, elapsed
+
+        service.drain()
+        assert service.pending_count == 0 and not service.quarantine
+        assert len(service.pipeline("bench").annotations) == len(jobs)
 
     def test_drain_with_expired_deadline_defers_everything(self):
         service = AnnotationService()
@@ -732,98 +614,6 @@ class TestRetryBudget:
         assert config.retry_policy().retry_budget_s == 1.5
         with pytest.raises(PipelineError):
             TaskConfig(llm_retry_budget_s=0).validate()
-
-
-# ----------------------------------------------------------------------
-# breaker-open deferral (service integration)
-# ----------------------------------------------------------------------
-
-def breaker_config(**overrides) -> TaskConfig:
-    kwargs = dict(
-        llm_max_attempts=2,
-        llm_retry_base_delay=0.0,
-        breaker_enabled=True,
-        breaker_window=4,
-        breaker_failure_rate=0.5,
-        breaker_min_calls=2,
-        breaker_recovery_s=0.05,
-    )
-    kwargs.update(overrides)
-    return TaskConfig(**kwargs)
-
-
-class TestBreakerDeferral:
-    def test_open_breaker_defers_instead_of_quarantining(self):
-        llm = FlakyLLM(SimulatedLLM("gpt-4o", schema=make_schema()), fail_times=2)
-        service = AnnotationService()
-        service.register_project("hr", make_schema(), config=breaker_config(), llm=llm)
-        service.submit_many(QUERIES, project="hr")
-
-        completed = service.drain()
-        # Both retry attempts of the first wave failed -> breaker tripped ->
-        # the whole batch was deferred, with nothing quarantined.
-        assert completed == []
-        assert service.pipeline("hr").breaker.opens == 1
-        assert service.stats.failed == 0 and not service.quarantine
-        assert service.stats.deferred == len(QUERIES)
-        assert service.pending_count == len(QUERIES)
-        report = service.last_drain_report
-        assert report is not None and report.deferred == len(QUERIES)
-
-        # After the recovery window the probe succeeds and the queue drains.
-        time.sleep(0.06)
-        completed = service.drain()
-        assert len(completed) == len(QUERIES)
-        assert not any(item.failed for item in completed)
-        assert service.pipeline("hr").breaker.state == "closed"
-
-    def test_deferred_results_match_a_clean_run(self):
-        llm = FlakyLLM(SimulatedLLM("gpt-4o", schema=make_schema()), fail_times=2)
-        broken = AnnotationService()
-        broken.register_project("hr", make_schema(), config=breaker_config(), llm=llm)
-        broken.submit_many(QUERIES, project="hr")
-        assert broken.drain() == []
-        time.sleep(0.06)
-        broken_records = [item.record for item in broken.drain()]
-
-        clean = AnnotationService()
-        clean.register_project("hr", make_schema(), config=breaker_config())
-        clean.submit_many(QUERIES, project="hr")
-        clean_records = [item.record for item in clean.drain()]
-        assert broken_records == clean_records
-
-    def test_open_breaker_defers_before_scheduling_any_wave(self):
-        llm = FlakyLLM(SimulatedLLM("gpt-4o", schema=make_schema()), fail_times=2)
-        service = AnnotationService()
-        service.register_project("hr", make_schema(), config=breaker_config(), llm=llm)
-        service.submit_many(QUERIES[:2], project="hr")
-        service.drain()  # trips the breaker
-        calls_after_trip = llm.calls
-        service.drain()  # breaker still open: deferred up-front, no LLM calls
-        assert llm.calls == calls_after_trip
-        assert service.stats.deferred >= 4
-
-    def test_breaker_telemetry_reaches_the_registry(self):
-        telemetry = Telemetry()
-        llm = FlakyLLM(SimulatedLLM("gpt-4o", schema=make_schema()), fail_times=2)
-        service = AnnotationService(telemetry=telemetry)
-        service.register_project("hr", make_schema(), config=breaker_config(), llm=llm)
-        service.submit_many(QUERIES[:3], project="hr")
-        service.drain()
-        time.sleep(0.06)
-        service.drain()
-        snapshot = telemetry.metrics_dict()
-        assert "llm_breaker_transitions_total" in snapshot
-        transitions = {
-            (
-                dict(series["labels"])["from"],
-                dict(series["labels"])["to"],
-            )
-            for series in snapshot["llm_breaker_transitions_total"]["series"]
-        }
-        assert ("closed", "open") in transitions
-        assert "service_jobs_deferred_total" in snapshot
-        assert "llm_breaker_transitions_total" in telemetry.render_prometheus()
 
 
 # ----------------------------------------------------------------------
