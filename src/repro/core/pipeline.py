@@ -377,8 +377,9 @@ class AnnotationPipeline:
             # recursive deep copy is measurable on this per-commit path.  The
             # example leaves out its SQL and NL, which are the record's
             # (stripped), and carries the skeleton and the feature profile
-            # the archive just computed, so replay need not lex, tokenise or
-            # count its text again.
+            # the archive just computed, with the hashes of the features the
+            # text brought into the archive, so replay need not lex,
+            # tokenise, count or hash its text again.
             example_state = None
             if example is not None:
                 store = self.retriever.example_store

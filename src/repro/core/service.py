@@ -1102,9 +1102,11 @@ class AnnotationService:
         record's, so they are written once, in the record.  A record whose
         SQL is byte-equal to its job's leaves it out, and replay takes it
         from the job, which it settles first.  The profile spares the
-        embedding model from tokenising and counting the archived text; an
-        event without one (an older journal, or a profile its compact form
-        cannot hold) has the model compute it.  Re-applying the events in
+        embedding model from tokenising and counting the archived text, and
+        its journaled hashes from hashing the features new to the archive;
+        an event without one (an older journal, or a profile its compact
+        form cannot hold) has the model compute it, and a profile without
+        hashes (an older journal) has it hash them.  Re-applying the events in
         journal order reproduces the live state bit-for-bit (same example
         ids, same embedding statistics, same feedback history/revision).
         """

@@ -13,26 +13,35 @@ re-embedding, no re-hashing, no re-application of old feedback).
 The schema and each feedback event in the state leave out every field at
 the default their readers fill in (:func:`schema_to_state`,
 :meth:`~repro.core.feedback.Feedback.to_state`), so most columns are just a
-name; snapshots that spell every field, as earlier builds wrote them, load
-to the same state.  The journal suffix replayed after a snapshot carries
-each archived example's SQL and NL once, in its annotation record (see
+name.  The journal suffix replayed after a snapshot carries each archived
+example's SQL and NL once, in its annotation record (see
 :mod:`repro.core.journal`).
 
-File format (``format`` 2): one JSON header line ending in a newline, then
+File format (``format`` 3): one JSON header line ending in a newline, then
 the body::
 
-    {"format":2,"offset":<offset>,"length":<body bytes>,"crc32":<crc>}
+    {"format":3,"offset":<offset>,"length":<body bytes>,"crc32":<crc>}
     <state JSON, UTF-8>
+
+Format 3 packs each example archive's numbers rather than listing them: the
+stored vectors are one base64 little-endian float64 matrix (as in format 2),
+and the embedding vocabulary is its feature names joined by newlines plus
+two base64 fields, the document frequencies as little-endian integers and
+the feature hashes as index bytes and sign bits (see
+:meth:`~repro.retrieval.embedding.EmbeddingModel.state_dict`).  A restore
+decodes each in one call instead of walking JSON lists.
 
 The CRC32 covers the body bytes exactly as written, so the body is verified
 and then decoded once.  A file is used only when its header parses, names
-format 2 and the offset in its file name, and its body has the stated length
+format 3 and the offset in its file name, and its body has the stated length
 and checksum; anything else — a flipped or truncated byte, a missing newline,
-a snapshot written in an older format — is skipped like a corrupt file.
-Files are written atomically (tmp file + fsync + rename), and
-:meth:`SnapshotManager.latest` falls back past skipped files: a damaged or
-outdated snapshot degrades recovery to an older snapshot (or a cold replay of
-the complete journal, which is exact), never to a failure.
+a snapshot written in an older format — is skipped like a corrupt file.  So
+the first restart after upgrading from a format-2 build skips its snapshots
+and is a cold replay of the complete journal, which is exact; the snapshots
+written after it are format 3.  Files are written atomically (tmp file +
+fsync + rename), and :meth:`SnapshotManager.latest` falls back past skipped
+files: a damaged or outdated snapshot degrades recovery to an older
+snapshot (or a cold replay), never to a failure.
 """
 
 from __future__ import annotations
@@ -57,7 +66,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 _SNAPSHOT_PREFIX = "snapshot-"
 _SNAPSHOT_SUFFIX = ".json"
 #: The one snapshot file format this module writes and reads.
-_SNAPSHOT_FORMAT = 2
+_SNAPSHOT_FORMAT = 3
 
 
 # ----------------------------------------------------------------------

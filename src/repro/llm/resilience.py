@@ -58,12 +58,5 @@ class Deadline:
         """Whether the deadline has passed."""
         return self._clock() >= self._expires_at
 
-    def clamp(self, timeout: float | None) -> float:
-        """Shrink a per-call timeout so it cannot outlive the deadline."""
-        remaining = self.remaining()
-        if timeout is None:
-            return remaining
-        return min(timeout, remaining)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Deadline(remaining={self.remaining():.3f}s of {self.budget:.3f}s)"

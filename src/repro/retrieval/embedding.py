@@ -28,8 +28,15 @@ A profile also has a compact journal form (:meth:`EmbeddingModel.profile_state`)
 an annotation commit journals the profile of the text it archives, and a
 replay hands it back to :meth:`EmbeddingModel.prime`, which interns the
 features and caches the profile without tokenising or counting the text
-again.  Only features new to the model are hashed, as when the profile is
-computed.
+again.  Once the text is observed, the form's fourth string holds the hashes
+of the features no earlier observed text carried, so a replay interns the
+features new to its model without hashing them either.
+
+Durable forms pack numbers as base64 (:func:`_packed_hashes`,
+:func:`_packed_frequencies`): a feature hash is its vector index as an unsigned
+little-endian integer, one byte wide up to 256 dimensions, plus one bit for
+its sign; document frequencies are little-endian integers two bytes wide
+while the document count is at most 32,767, four beyond.
 """
 
 from __future__ import annotations
@@ -39,6 +46,7 @@ import hashlib
 import math
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import repeat
 
 import numpy as np
 
@@ -61,6 +69,56 @@ def _stable_hash(feature: str) -> int:
     """Stable (process-independent) hash of a feature string."""
     digest = hashlib.blake2b(feature.encode("utf-8"), digest_size=8).digest()
     return int.from_bytes(digest, "little")
+
+
+def _frequency_dtype(document_count: int) -> str:
+    """The little-endian integer type that holds frequencies up to ``document_count``."""
+    return "<i2" if document_count <= 0x7FFF else "<i4"
+
+
+def _packed_frequencies(frequencies: np.ndarray, document_count: int) -> str:
+    """Document frequencies as base64 little-endian integers."""
+    packed = frequencies.astype(_frequency_dtype(document_count)).tobytes()
+    return base64.b64encode(packed).decode("ascii")
+
+
+def _unpacked_frequencies(encoded: str, document_count: int) -> np.ndarray:
+    """The frequencies :func:`_packed_frequencies` encoded."""
+    return np.frombuffer(base64.b64decode(encoded), dtype=_frequency_dtype(document_count))
+
+
+def _index_dtype(dimensions: int) -> np.dtype:
+    """The unsigned little-endian integer type that holds indices below ``dimensions``."""
+    if dimensions <= 0x100:
+        return np.dtype("<u1")
+    return np.dtype("<u2" if dimensions <= 0x10000 else "<u4")
+
+
+def _packed_hashes(indices: np.ndarray, signs: np.ndarray, dimensions: int) -> str:
+    """Feature hashes as base64: the vector indices as unsigned integers as
+    wide as ``dimensions`` needs, then one bit per sign, set for -1."""
+    packed = indices.astype(_index_dtype(dimensions)).tobytes() + np.packbits(signs < 0).tobytes()
+    return base64.b64encode(packed).decode("ascii")
+
+
+def _unpacked_hashes(
+    encoded: str, count: int, dimensions: int
+) -> tuple[np.ndarray, np.ndarray] | None:
+    """The ``count`` indices and signs :func:`_packed_hashes` encoded, or
+    ``None`` when the encoding holds another number of hashes.
+
+    Raises :class:`ValueError` when an index does not fit the dimensions.
+    """
+    data = base64.b64decode(encoded)
+    dtype = _index_dtype(dimensions)
+    size = count * dtype.itemsize
+    if len(data) != size + (count + 7) // 8:
+        return None
+    indices = np.frombuffer(data, dtype=dtype, count=count)
+    if count and int(indices.max()) >= dimensions:
+        raise ValueError("feature hashes do not fit the dimensions")
+    negative = np.unpackbits(np.frombuffer(data, dtype=np.uint8, offset=size), count=count)
+    return indices, np.where(negative, -1.0, 1.0)
 
 
 def _count_weights(counts: np.ndarray) -> np.ndarray:
@@ -137,6 +195,10 @@ class _FeatureProfile:
     indices: np.ndarray  # hashed vector index per feature
     signed_counts: np.ndarray  # sign * (1 + log(count)) per feature
     journal_form: list[str] | None  # see EmbeddingModel.profile_state
+    #: Which features the text's latest observe raised from document
+    #: frequency zero: ``np.packbits`` of a mask over the features, kept as
+    #: bytes because every cached profile holds one (None until observed).
+    first_observed: bytes | None = None
 
 
 @dataclass
@@ -182,8 +244,11 @@ class EmbeddingModel:
         """
         profile = self._profile(text)
         self._document_count += 1
+        ids = profile.feature_ids
+        if profile.journal_form is not None:
+            profile.first_observed = np.packbits(self._frequencies[ids] == 0.0).tobytes()
         # Ids are unique within a profile, so a fancy-indexed add is exact.
-        self._frequencies[profile.feature_ids] += 1.0
+        self._frequencies[ids] += 1.0
 
     def embed(self, text: str) -> np.ndarray:
         """Embed a text into a normalised dense vector under the current IDF table.
@@ -203,9 +268,15 @@ class EmbeddingModel:
         as base64 bytes.  ``None`` when the form cannot hold the profile: a
         text shorter than three characters has one shorter "trigram", and a
         count may exceed 255.  The form is built with the profile, from the
-        tokens and code points it is counted from.
+        tokens and code points it is counted from.  Once the text is
+        observed, a fourth string follows: the packed hashes of the features
+        whose document frequency its latest :meth:`observe` raised from zero,
+        in profile order.
         """
-        return self._profile(text).journal_form
+        profile = self._profile(text)
+        if profile.journal_form is None or profile.first_observed is None:
+            return profile.journal_form
+        return [*profile.journal_form, self._hashes(_first_observed_ids(profile))]
 
     def prime(self, text: str, state: list[str]) -> None:
         """Cache ``text``'s profile from its :meth:`profile_state` form.
@@ -213,17 +284,26 @@ class EmbeddingModel:
         New features are interned in profile order, as computing the profile
         would intern them, so a primed model matches one that computed.  The
         ``observe`` and ``embed`` calls that follow then hit the cache.
-        Raises :class:`ValueError` when the counts do not match the features.
+
+        The features this model lacks take the form's journaled hashes when
+        there are as many of them, and are hashed otherwise.  They are a
+        subset of the journaled ones whenever the model has seen the
+        documents the writer had observed before the text, so equal counts
+        mean equal features; a three-string form (journaled before hashes
+        were) hashes them all.  Raises :class:`ValueError` when the counts
+        do not match the features or a journaled hash does not fit the
+        dimensions.
         """
         if text in self._profiles:
             return
-        words, grams, encoded = state
+        words, grams, encoded = state[:3]
         codes = np.frombuffer(grams.encode("utf-32-le"), dtype="<u4").reshape(-1, 3)
         features = _word_features(words) + _gram_features(codes)
         counts = np.frombuffer(base64.b64decode(encoded), dtype=np.uint8).astype(np.int64)
         if counts.size != len(features) or not counts.all():
             raise ValueError("profile counts do not match its features")
-        self._store_profile(text, features, counts, state)
+        hashes = state[3] if len(state) > 3 else None
+        self._store_profile(text, features, counts, [words, grams, encoded], hashes)
 
     # ------------------------------------------------------------------
     # durability (snapshot) support
@@ -236,11 +316,15 @@ class EmbeddingModel:
         interned lazily whenever a query is merely embedded, yet only
         :meth:`observe` gives them a document frequency.  So the canonical
         state is the document-bearing features in sorted order, each with its
-        frequency and its feature hash as one signed int ``(index + 1) *
-        sign`` — two models that saw different query traffic but the same
-        documents serialise identically.  The hashes are a deterministic
-        function of the feature string; storing them spares a restore from
-        re-hashing the whole vocabulary.
+        frequency and its feature hash (hashed vector index and sign) — two
+        models that saw different query traffic but the same documents
+        serialise identically.  The hashes are a deterministic function of
+        the feature string; storing them spares a restore from re-hashing
+        the whole vocabulary.
+
+        The vocabulary travels packed: the features joined by newlines (no
+        feature holds one), and the frequencies and hashes as
+        :func:`_packed_frequencies` and :func:`_packed_hashes` encode them.
         """
         frequencies = self._frequencies
         entries = sorted(
@@ -249,14 +333,13 @@ class EmbeddingModel:
             if frequencies[feature_id] > 0
         )
         ids = np.array([feature_id for _, feature_id in entries], dtype=np.intp)
-        hashes = (self._indices[ids] + 1) * self._signs[ids].astype(np.int64)
         return {
             "dimensions": self.dimensions,
             "use_ngrams": self.use_ngrams,
             "document_count": self._document_count,
-            "features": [feature for feature, _ in entries],
-            "frequencies": frequencies[ids].tolist(),
-            "hashes": hashes.tolist(),
+            "features": "\n".join([feature for feature, _ in entries]),
+            "frequencies": _packed_frequencies(frequencies[ids], self._document_count),
+            "hashes": self._hashes(ids),
         }
 
     @classmethod
@@ -269,16 +352,13 @@ class EmbeddingModel:
             dimensions=int(state["dimensions"]), use_ngrams=bool(state["use_ngrams"])
         )
         model._document_count = int(state["document_count"])
-        features = state["features"]
-        hashes = np.asarray(state["hashes"], dtype=np.int64)
-        magnitudes = np.abs(hashes)
-        if hashes.shape != (len(features),) or not np.all(
-            (magnitudes >= 1) & (magnitudes <= model.dimensions)
-        ):
-            raise ValueError("feature hashes do not match the vocabulary and dimensions")
-        model._append(features, magnitudes - 1, np.sign(hashes))
-        frequencies = state["frequencies"]
-        model._frequencies[: len(frequencies)] = frequencies
+        features = state["features"].split("\n") if state["features"] else []
+        frequencies = _unpacked_frequencies(state["frequencies"], model._document_count)
+        hashes = _unpacked_hashes(state["hashes"], len(features), model.dimensions)
+        if hashes is None or frequencies.shape != (len(features),):
+            raise ValueError("feature hashes or frequencies do not match the vocabulary")
+        model._append(features, *hashes)
+        model._frequencies[: len(features)] = frequencies
         return model
 
     # ------------------------------------------------------------------
@@ -316,15 +396,27 @@ class EmbeddingModel:
         features: list[str],
         counts: np.ndarray,
         journal_form: list[str] | None,
+        hashes: str | None = None,
     ) -> _FeatureProfile:
-        """Intern ``features`` (new ones in order) and cache ``text``'s profile."""
-        ids = list(map(self._feature_ids.get, features))
-        if None in ids:
-            new = [position for position, feature_id in enumerate(ids) if feature_id is None]
-            start = self._intern([features[position] for position in new])
-            for offset, position in enumerate(new):
-                ids[position] = start + offset
-        feature_ids = np.array(ids, dtype=np.intp)
+        """Intern ``features`` (new ones in order) and cache ``text``'s profile.
+
+        The new features take the packed ``hashes`` when it holds as many,
+        and are hashed otherwise.
+        """
+        feature_ids = np.fromiter(
+            map(self._feature_ids.get, features, repeat(-1)), dtype=np.intp, count=len(features)
+        )
+        new = np.flatnonzero(feature_ids < 0)
+        if new.size:
+            new_features = [features[position] for position in new.tolist()]
+            journaled = None
+            if hashes is not None:
+                journaled = _unpacked_hashes(hashes, new.size, self.dimensions)
+            if journaled is not None:
+                start = self._append(new_features, *journaled)
+            else:
+                start = self._intern(new_features)
+            feature_ids[new] = np.arange(start, start + new.size)
         profile = _FeatureProfile(
             feature_ids=feature_ids,
             indices=self._indices[feature_ids],
@@ -346,6 +438,10 @@ class EmbeddingModel:
             [hashed % self.dimensions for hashed in hashes],
             [1.0 if (hashed >> 32) % 2 == 0 else -1.0 for hashed in hashes],
         )
+
+    def _hashes(self, ids: np.ndarray) -> str:
+        """The packed hashes of feature ``ids``."""
+        return _packed_hashes(self._indices[ids], self._signs[ids], self.dimensions)
 
     def _append(self, features: list[str], indices, signs) -> int:
         """Intern ``features`` with their hashed indices and signs; returns the first id."""
@@ -385,6 +481,13 @@ class EmbeddingModel:
         if norm > 0:
             vector /= norm
         return vector
+
+
+def _first_observed_ids(profile: _FeatureProfile) -> np.ndarray:
+    """The ids of the features ``profile.first_observed`` marks, in profile order."""
+    ids = profile.feature_ids
+    marked = np.unpackbits(np.frombuffer(profile.first_observed, dtype=np.uint8), count=ids.size)
+    return ids[marked.astype(bool)]
 
 
 def _grown(array: np.ndarray, capacity: int) -> np.ndarray:

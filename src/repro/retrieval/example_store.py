@@ -22,7 +22,7 @@ from repro.sql.normalizer import sql_keys
 
 
 def has_quoted_identifier(sql: str) -> bool:
-    """Whether ``sql`` may quote an identifier: the only SQL whose stored
+    """Whether ``sql`` may quote an identifier: the only SQL whose journaled
     skeleton can predate skeletons keeping identifier quotes."""
     return '"' in sql or "`" in sql
 
@@ -217,25 +217,20 @@ class ExampleStore:
 
         Skeletons, embedding vectors, feature hashes and IDF state all come
         from the snapshot, so neither re-tokenisation, re-hashing nor
-        re-embedding happens — that is what makes warm start fast.  Only
-        the skeletons of SQL that may quote an identifier are recomputed, as
-        older snapshots stored them without the quotes.
+        re-embedding happens — that is what makes warm start fast.
         """
         self._store = VectorStore.from_state(state["vector_store"])
-        self._examples = {}
-        for entry in state["examples"]:
-            example = AnnotatedExample(
+        self._examples = {
+            entry["example_id"]: AnnotatedExample(
                 example_id=entry["example_id"],
                 sql=entry["sql"],
                 nl=entry["nl"],
-                dataset=entry.get("dataset", ""),
-                tables=list(entry.get("tables", [])),
-                quality=entry.get("quality", 1.0),
+                dataset=entry["dataset"],
+                tables=list(entry["tables"]),
+                quality=entry["quality"],
             )
-            self._examples[example.example_id] = example
+            for entry in state["examples"]
+        }
         self._skeletons = dict(state["skeletons"])
-        for example_id, example in self._examples.items():
-            if has_quoted_identifier(example.sql):
-                self._skeletons[example_id] = sql_keys(example.sql).skeleton
         self._counter = int(state["counter"])
         self.version = int(state["version"])

@@ -134,20 +134,26 @@ class VectorStore:
     def from_state(cls, state: dict) -> "VectorStore":
         """Rebuild a store from :meth:`state_dict` output.
 
-        Each entry gets its stored vector verbatim, so searches afterwards
-        score bit-identically to the snapshotted store.  Snapshots of the
-        earlier dataset-sharded index also name their shard key, and earlier
-        snapshots give each entry its text and metadata; all are ignored.
+        The stored vectors are copied into the matrix in one slice, so
+        searches afterwards score bit-identically to the snapshotted store.
+        No document is observed: document frequencies were restored with the
+        model, and these vectors are historical.
         """
         store = cls(EmbeddingModel.from_state(state["model"]))
-        entries = state["entries"]
+        ids = [entry["doc_id"] for entry in state["entries"]]
         vectors = np.frombuffer(base64.b64decode(state["vectors"]), dtype="<f8").reshape(
-            len(entries), store._model.dimensions
+            len(ids), store._model.dimensions
         )
-        for entry, vector in zip(entries, vectors):
-            # No observe(): document frequencies were restored with the model,
-            # and these vectors are historical.
-            store._store_entry(entry["doc_id"], vector)
+        capacity = store._matrix.shape[0]
+        while capacity < len(ids):
+            capacity *= 2
+        if capacity > store._matrix.shape[0]:
+            store._matrix = np.zeros((capacity, store._model.dimensions), dtype=np.float64)
+        store._matrix[: len(ids)] = vectors
+        store._ids = ids
+        store._row_of = {doc_id: row for row, doc_id in enumerate(ids)}
+        if len(store._row_of) != len(ids):
+            raise RetrievalError("snapshot entries repeat a document id")
         return store
 
     # ------------------------------------------------------------------

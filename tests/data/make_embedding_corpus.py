@@ -4,8 +4,9 @@ The committed ``embedding_corpus.json`` was written by the per-feature
 ``EmbeddingModel`` loop that preceded the vectorized one, so replaying it
 checks that the rewrite kept every token, every feature profile (interned
 ids, hashed indices, signed counts), every vector, the canonical
-``state_dict()`` and every error.  Regenerating it with the current model
-only re-records today's behaviour.
+``state_dict()`` (digested in the list form it had then, see
+``tests/model_state.py``) and every error.  Regenerating it with the current
+model only re-records today's behaviour.
 
     PYTHONPATH=src python tests/data/make_embedding_corpus.py [--seed 16] [--count 400]
 
@@ -23,10 +24,16 @@ import argparse
 import hashlib
 import json
 import random
+import sys
 from pathlib import Path
 
-from repro.retrieval.embedding import EmbeddingModel
-from repro.retrieval.text import tokenize_text
+ROOT = Path(__file__).resolve().parents[2]
+if str(ROOT) not in sys.path:
+    sys.path.insert(0, str(ROOT))
+
+from repro.retrieval.embedding import EmbeddingModel  # noqa: E402
+from repro.retrieval.text import tokenize_text  # noqa: E402
+from tests.model_state import list_form  # noqa: E402
 
 #: Hand-picked edge cases: Unicode case mapping and digits, whitespace runs,
 #: texts shorter than a trigram, identifier splitting, and counts of one
@@ -76,7 +83,7 @@ def digest(payload: bytes) -> str:
 
 
 def state_digest(model: EmbeddingModel) -> str:
-    canonical = json.dumps(model.state_dict(), sort_keys=True, separators=(",", ":"))
+    canonical = json.dumps(list_form(model.state_dict()), sort_keys=True, separators=(",", ":"))
     return digest(canonical.encode("utf-8"))
 
 

@@ -26,9 +26,9 @@ of a one-query ``retrieve_many`` with ``exclude_identical=False``, and
   takes in served traffic; one of them outgrows the 64-row initial matrix.
 * One store mixes three datasets; when the corpus was written, its filtered
   searches picked rows out of a shared matrix.
-* One small store's ``state_dict()`` is recorded verbatim, with the
-  retrievals it answers, to check that snapshots written before the swap
-  load and answer the same.
+* One small store's ``state_dict()`` is recorded, its embedding vocabulary
+  in list form (``tests/model_state.py``), with the retrievals it answers,
+  to check that snapshots written before the swap load and answer the same.
 """
 
 from __future__ import annotations
@@ -36,9 +36,15 @@ from __future__ import annotations
 import argparse
 import json
 import random
+import sys
 from pathlib import Path
 
-from repro.retrieval import EmbeddingModel, ExampleStore
+ROOT = Path(__file__).resolve().parents[2]
+if str(ROOT) not in sys.path:
+    sys.path.insert(0, str(ROOT))
+
+from repro.retrieval import EmbeddingModel, ExampleStore  # noqa: E402
+from tests.model_state import list_form  # noqa: E402
 
 #: Adds between two recorded checkpoints.
 CHECK_EVERY = 8
@@ -239,7 +245,7 @@ def main() -> None:
         stores.append(dict(config, checkpoints=checkpoints))
     small = make_small_state(args.seed)
     store, checkpoints = replay(small, EmbeddingModel(dimensions=small["dimensions"]))
-    small.update(checkpoints=checkpoints, state=store.state_dict())
+    small.update(checkpoints=checkpoints, state=list_form(store.state_dict()))
     payload = {"seed": args.seed, "stores": stores, "small": small}
     with open(args.out, "w", encoding="ascii") as handle:
         json.dump(payload, handle, separators=(",", ":"))

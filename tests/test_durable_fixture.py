@@ -1,11 +1,12 @@
 """Recover the committed durable-service fixture (``tests/data/durable_service``).
 
 The directory was written by an earlier durable format; see
-``tests/data/make_durable_fixture.py``.  Both a cold start (the journal
-alone) and a warm start (the mid-way snapshot plus the journal suffix) must
-restore what the live service held: the same records, the same archived
-examples with their ids, texts and skeletons, bit-identical vectors and IDF
-state, the same feedback session and the same pending job.
+``tests/data/make_durable_fixture.py``.  Its snapshot is in format 2, which
+this build skips, so a warm open of the directory is a cold replay of the
+journal, as the first restart after upgrading is.  Both opens must restore
+what the live service held: the same records, the same archived examples
+with their ids, texts and skeletons, bit-identical vectors and IDF state,
+the same feedback session and the same pending job.
 """
 
 from __future__ import annotations
@@ -33,8 +34,12 @@ def directory(tmp_path):
 
 def test_fixture_has_a_snapshot_and_a_suffix(directory):
     records = EventJournal.read_events(directory / "journal.bin")
-    offset, _ = SnapshotManager(directory / "snapshots").latest()
+    snapshots = SnapshotManager(directory / "snapshots")
+    (offset,) = snapshots.offsets()
     assert 0 < offset < len(records)
+    header = snapshots.path_for(offset).read_bytes().split(b"\n", 1)[0]
+    assert json.loads(header)["format"] == 2
+    assert snapshots.latest() is None  # an older format is skipped
     assert sorted(EXPECTED_VIEW["projects"]) == ["hr", "shop"]
     for project in EXPECTED_VIEW["projects"].values():
         assert project["records_digest"] == digest(project["records"])

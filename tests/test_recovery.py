@@ -4,7 +4,6 @@ mid-write, recover, and check the state is exactly the journaled prefix)."""
 
 from __future__ import annotations
 
-import base64
 import copy
 import dataclasses
 import json
@@ -14,7 +13,6 @@ import zlib
 from pathlib import Path
 from unittest import mock
 
-import numpy as np
 import pytest
 
 from repro.core import journal as journal_module
@@ -43,6 +41,7 @@ from repro.sql.lexer import tokenize
 from repro.sql.tokens import TokenKind
 
 from tests.faults import CrashingJournal, InjectedCrash, encode_record
+from tests.model_state import list_form
 
 QUERIES = [
     "SELECT name FROM employees",
@@ -156,7 +155,7 @@ def record_boundaries(buffer: bytes) -> list[tuple[int, int]]:
     return boundaries
 
 
-#: Ways a format-2 snapshot file can be damaged; each must be skipped.
+#: Ways a format-3 snapshot file can be damaged; each must be skipped.
 SNAPSHOT_CORRUPTIONS = [
     "header_flip", "body_flip", "truncated_body", "length_mismatch", "missing_newline",
 ]
@@ -197,42 +196,17 @@ def corrupted_snapshots(data: bytes, case: str) -> list[bytes]:
 
 
 def previous_format_snapshot(offset: int, state: dict) -> bytes:
-    """The file the previous snapshot format held for ``state``.
+    """The format-2 file the previous build wrote for ``state``.
 
-    That format escaped the state JSON inside a JSON string, wrote each
-    stored vector as a JSON float list, gave each archive entry its text
-    and its example's dataset and quality as metadata, and stored no
-    feature hashes.
+    That format had the same header and body layout, but listed each
+    embedding vocabulary's features, frequencies and hashes as JSON lists.
     """
     legacy = copy.deepcopy(state)
     for project in legacy["projects"].values():
-        vector_store = project["example_store"]["vector_store"]
-        del vector_store["model"]["hashes"]
-        rows = np.frombuffer(base64.b64decode(vector_store.pop("vectors")), dtype="<f8")
-        rows = rows.reshape(len(vector_store["entries"]), vector_store["model"]["dimensions"])
-        examples = {
-            example["example_id"]: example for example in project["example_store"]["examples"]
-        }
-        vector_store["entries"] = [
-            {
-                "doc_id": entry["doc_id"],
-                "text": "{sql}\n{nl}".format(**examples[entry["doc_id"]]),
-                "vector": row.tolist(),
-                "metadata": {
-                    "dataset": examples[entry["doc_id"]]["dataset"],
-                    "quality": examples[entry["doc_id"]]["quality"],
-                },
-            }
-            for entry, row in zip(vector_store["entries"], rows)
-        ]
-    state_json = json.dumps(legacy, separators=(",", ":"))
-    return json.dumps(
-        {
-            "offset": offset,
-            "crc32": zlib.crc32(state_json.encode("utf-8")) & 0xFFFFFFFF,
-            "state_json": state_json,
-        }
-    ).encode("utf-8")
+        project["example_store"] = list_form(project["example_store"])
+    body = json.dumps(legacy, separators=(",", ":")).encode("utf-8")
+    header = {"format": 2, "offset": offset, "length": len(body), "crc32": zlib.crc32(body)}
+    return json.dumps(header, separators=(",", ":")).encode("utf-8") + b"\n" + body
 
 
 def snapshot_fallbacks(telemetry: Telemetry) -> float:
@@ -1194,13 +1168,14 @@ class TestSnapshots:
         with pytest.raises(SnapshotError):
             SnapshotManager(tmp_path / "other", keep=0)
 
-    def test_only_format_2_at_its_own_offset_is_read(self, tmp_path):
+    def test_only_format_3_at_its_own_offset_is_read(self, tmp_path):
         manager = SnapshotManager(tmp_path / "snaps")
         manager.save(7, {"data": [7]})
         data = manager.path_for(7).read_bytes()
         newline = data.index(b"\n")
         fields = json.loads(data[:newline])
-        for changed in ({"format": 1}, {"format": 3}, {"offset": 8}):
+        assert fields["format"] == 3
+        for changed in ({"format": 2}, {"format": 4}, {"offset": 8}):
             header = json.dumps(dict(fields, **changed), separators=(",", ":")).encode()
             manager.path_for(7).write_bytes(header + data[newline:])
             assert manager.latest() is None
@@ -1279,22 +1254,6 @@ class TestSnapshots:
         assert snapshot_fallbacks(telemetry) == len(offsets)
         recovered.close()
 
-    def test_snapshot_with_unquoted_skeletons_loads_quoted_ones(self, tmp_path):
-        directory = tmp_path / "svc"
-        live = drain_quoted_queries(directory)
-        snapshots = SnapshotManager(directory / "snapshots")
-        offset, state = snapshots.latest()
-        store_state = state["projects"]["hr"]["example_store"]
-        sqls = {example["example_id"]: example["sql"] for example in store_state["examples"]}
-        old = {example_id: unquoted_skeleton(sqls[example_id]) for example_id in sqls}
-        assert old != store_state["skeletons"]  # the snapshot holds a quoted one
-        store_state["skeletons"] = old
-        snapshots.save(offset, state)  # a current-format file holding old skeletons
-
-        warm = AnnotationService.open_durable(directory)
-        assert semantic_state(warm) == live
-        warm.close()
-
     def test_restored_feature_hashes_are_the_derived_ones(self, tmp_path):
         directory = tmp_path / "svc"
         drain_with_snapshots(directory)
@@ -1306,6 +1265,28 @@ class TestSnapshots:
             assert model._indices[feature_id] == hashed % model.dimensions
             assert model._signs[feature_id] == (1.0 if (hashed >> 32) % 2 == 0 else -1.0)
         warm.close()
+
+    def test_reopening_what_this_build_wrote_hashes_no_feature(self, tmp_path):
+        # Snapshots store every vocabulary hash, and the journal stores the
+        # hashes of the features each archived text brought in first, so
+        # neither a warm open nor a cold replay hashes a feature; the live
+        # drain's retrievals interned features no archived text carried.
+        directory = tmp_path / "svc"
+        live = drain_with_snapshots(directory)
+        assert SnapshotManager(directory / "snapshots").latest() is not None
+        from repro.retrieval import embedding
+
+        for recover in (
+            lambda: AnnotationService.open_durable(directory),  # snapshot + suffix
+            lambda: AnnotationService.recover(directory / "journal.bin"),
+        ):
+            with mock.patch.object(
+                embedding, "_stable_hash", side_effect=embedding._stable_hash
+            ) as hashed:
+                recovered = recover()
+            assert hashed.call_count == 0
+            assert semantic_state(recovered) == live
+            recovered.close()
 
     def test_forced_snapshot_and_cadence(self, tmp_path):
         service = AnnotationService.open_durable(tmp_path / "svc", snapshot_every=0)

@@ -471,13 +471,10 @@ class FakeClock:
 
 
 class TestDeadline:
-    def test_remaining_expired_and_clamp(self):
+    def test_remaining_and_expired(self):
         clock = FakeClock()
         deadline = Deadline(1.0, clock=clock)
         assert deadline.remaining() == pytest.approx(1.0)
-        assert deadline.clamp(5.0) == pytest.approx(1.0)
-        assert deadline.clamp(0.2) == pytest.approx(0.2)
-        assert deadline.clamp(None) == pytest.approx(1.0)
         clock.advance(1.5)
         assert deadline.expired and deadline.remaining() == 0.0
         with pytest.raises(PipelineError):

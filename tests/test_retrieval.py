@@ -7,6 +7,7 @@ import math
 import re
 from collections import Counter
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -32,6 +33,7 @@ from tests.data.make_retrieval_corpus import (
     make_stores,
     replay,
 )
+from tests.model_state import list_form, packed_form, packed_hashes
 
 EMBEDDING_CORPUS_PATH = Path(__file__).parent / "data" / "embedding_corpus.json"
 RETRIEVAL_CORPUS_PATH = Path(__file__).parent / "data" / "retrieval_corpus.json"
@@ -406,9 +408,33 @@ class TestVectorizedStore:
     def test_state_roundtrip_scores_bit_identically(self):
         store, _ = self._stores()
         clone = VectorStore.from_state(store.state_dict())
-        assert clone.state_dict() == store.state_dict()
+        assert list_form(clone.state_dict()) == list_form(store.state_dict())
         query = "count students per term"
         assert search(clone, query, top_k=4) == search(store, query, top_k=4)
+
+    def test_state_roundtrip_beyond_initial_capacity(self):
+        store = VectorStore()
+        for index in range(150):  # > the 64-row initial matrix
+            store.add(f"doc-{index:03d}", f"record number {index} of the stress corpus")
+        clone = VectorStore.from_state(store.state_dict())
+        assert list_form(clone.state_dict()) == list_form(store.state_dict())
+        for query in ("record number 42", "stress corpus record"):
+            assert search(clone, query, top_k=5) == search(store, query, top_k=5)
+        clone.add("doc-150", "record number 150 of the stress corpus")
+        store.add("doc-150", "record number 150 of the stress corpus")
+        assert search(clone, "record number 150", top_k=3) == search(
+            store, "record number 150", top_k=3
+        )
+
+    def test_state_with_a_repeated_doc_id_is_rejected(self):
+        store = VectorStore()
+        store.add("d1", "count students per term")
+        state = store.state_dict()
+        rows = np.frombuffer(base64.b64decode(state["vectors"]), dtype="<f8")
+        state["entries"].append({"doc_id": "d1"})
+        state["vectors"] = base64.b64encode(np.concatenate([rows, rows]).tobytes()).decode()
+        with pytest.raises(RetrievalError):
+            VectorStore.from_state(state)
 
 
 class TestRetrievalCaches:
@@ -551,7 +577,9 @@ class TestEmbeddingEquivalence:
             assert sha256(b"".join(step_vectors)) == config["step_vectors_sha256"]
             final = b"".join(model.embed(text).tobytes() for text in texts)
             assert sha256(final) == config["final_vectors_sha256"]
-            state = json.dumps(model.state_dict(), sort_keys=True, separators=(",", ":"))
+            state = json.dumps(
+                list_form(model.state_dict()), sort_keys=True, separators=(",", ":")
+            )
             assert sha256(state.encode("utf-8")) == config["state_sha256"]
             restored = EmbeddingModel.from_state(model.state_dict())
             vectors = b"".join(restored.embed(text).tobytes() for text in texts)
@@ -577,7 +605,7 @@ class TestEmbeddingEquivalence:
             if observe:
                 model.observe(text)
                 oracle.observe(text)
-        state = model.state_dict()
+        state = list_form(model.state_dict())
         assert list(zip(state["features"], state["frequencies"])) == sorted(
             oracle.frequencies.items()
         )
@@ -601,7 +629,7 @@ class TestEmbeddingEquivalence:
             restored.observe(text)
         for text in probes + later:
             assert model.embed(text).tobytes() == restored.embed(text).tobytes()
-        assert restored.state_dict() == model.state_dict()
+        assert list_form(restored.state_dict()) == list_form(model.state_dict())
         # The stored hashes restore exactly what hashing each feature gives.
         for feature, feature_id in restored._feature_ids.items():
             hashed = _stable_hash(feature)
@@ -611,12 +639,46 @@ class TestEmbeddingEquivalence:
     def test_from_state_rejects_hashes_that_do_not_fit(self):
         model = EmbeddingModel(dimensions=64)
         model.observe("SELECT name FROM singer")
-        state = model.state_dict()
+        state = list_form(model.state_dict())
         assert len(state["hashes"]) == len(state["features"])
         count = len(state["features"])
         for hashes in (state["hashes"][1:], [0] * count, [65] * count, [-65] * count):
             with pytest.raises(ValueError):
-                EmbeddingModel.from_state(dict(state, hashes=hashes))
+                EmbeddingModel.from_state(packed_form(dict(state, hashes=hashes)))
+        with pytest.raises(ValueError):
+            EmbeddingModel.from_state(packed_form(dict(state, frequencies=state["frequencies"][1:])))
+
+    @pytest.mark.parametrize("dimensions, documents, frequency_width, index_width", [
+        (256, 3, 2, 1),
+        (257, 32767, 2, 2),
+        (65536, 32768, 4, 2),
+        (65537, 3, 2, 4),
+    ])
+    def test_packed_state_widths_follow_their_bounds(
+        self, dimensions, documents, frequency_width, index_width
+    ):
+        model = EmbeddingModel(dimensions=dimensions)
+        texts = ["SELECT name FROM singer", "SELECT a FROM t"]
+        for text in texts:
+            model.observe(text)
+        model._document_count = documents  # the bound, not the frequencies, sets the width
+        state = model.state_dict()
+        count = len(state["features"].split("\n"))
+        assert len(base64.b64decode(state["frequencies"])) == count * frequency_width
+        # One sign bit per hash follows the indices.
+        assert len(base64.b64decode(state["hashes"])) == count * index_width + (count + 7) // 8
+        restored = EmbeddingModel.from_state(state)
+        assert list_form(restored.state_dict()) == list_form(state)
+        assert [restored.embed(text).tobytes() for text in texts] == [
+            model.embed(text).tobytes() for text in texts
+        ]
+
+    def test_empty_model_state_round_trips(self):
+        state = EmbeddingModel().state_dict()
+        assert state["features"] == "" and list_form(state)["features"] == []
+        restored = EmbeddingModel.from_state(state)
+        assert not restored._feature_ids
+        assert list_form(restored.state_dict()) == list_form(state)
 
 
 #: A lone surrogate, which no feature can hash.
@@ -636,7 +698,7 @@ class TestJournaledProfiles:
         size = len(computed._feature_ids)
         for name in ("_indices", "_signs", "_frequencies"):
             assert getattr(primed, name)[:size].tolist() == getattr(computed, name)[:size].tolist()
-        assert primed.state_dict() == computed.state_dict()
+        assert list_form(primed.state_dict()) == list_form(computed.state_dict())
         for text in texts:
             assert primed.embed(text).tobytes() == computed.embed(text).tobytes()
 
@@ -661,7 +723,7 @@ class TestJournaledProfiles:
             assert left.feature_ids.tolist() == right.feature_ids.tolist()
             assert left.indices.tolist() == right.indices.tolist()
             assert left.signed_counts.tolist() == right.signed_counts.tolist()
-            assert left.journal_form == right.journal_form == form
+            assert primed.profile_state(text) == computed.profile_state(text) == form
         return primed, computed, forms
 
     def test_corpus_primes_exactly(self):
@@ -706,6 +768,78 @@ class TestJournaledProfiles:
     def test_generated_texts_prime_exactly(self, texts):
         primed, computed, _ = self.primed_and_computed(texts, dimensions=97)
         self.assert_same_model(primed, computed, texts)
+
+    @given(
+        st.lists(
+            st.tuples(EMBEDDING_TEXT.filter(lambda text: not SURROGATE.search(text)), st.booleans()),
+            max_size=12,
+        ),
+        st.sampled_from(["replay", "short", "long", "mirrored"]),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_journaled_hashes_prime_exactly(self, steps, case):
+        """A writer embeds queries (interning features no document carries)
+        and observes documents; a model primed from its four-string forms
+        matches one that computes.
+
+        ``replay`` primes as a journal replay does, without the queries, so
+        no feature is hashed.  ``short`` and ``long`` drop or add a journaled
+        hash, and ``mirrored`` embeds the queries in the primed model too, so
+        it lacks fewer features than the form names: each falls back to
+        hashing.
+        """
+        from repro.retrieval import embedding
+
+        writer, primed, computed = (EmbeddingModel(dimensions=97) for _ in range(3))
+        documents, forms = [], []
+        for text, is_query in steps:
+            if is_query:
+                writer.embed(text)
+                if case == "mirrored":
+                    primed.embed(text)
+                    computed.embed(text)
+                continue
+            writer.observe(text)
+            form = writer.profile_state(text)
+            if form is not None:
+                assert len(form) == 4 and json.loads(json.dumps(form)) == form
+                first = embedding._first_observed_ids(writer._profile(text))
+                assert form[3] == writer._hashes(first)
+                if case == "short" and first.size:
+                    form = [*form[:3], writer._hashes(first[1:])]
+                elif case == "long":
+                    form = [*form[:3], writer._hashes(np.append(first, 0))]
+            documents.append(text)
+            forms.append(form)
+        hashing = mock.patch.object(embedding, "_stable_hash", side_effect=embedding._stable_hash)
+        with hashing as hashed:
+            for text, form in zip(documents, forms):
+                if form is not None:
+                    primed.prime(text, form)
+                primed.observe(text)
+        for text in documents:
+            computed.observe(text)
+            left, right = primed._profile(text), computed._profile(text)
+            assert left.feature_ids.tolist() == right.feature_ids.tolist()
+            assert left.indices.tolist() == right.indices.tolist()
+            assert left.signed_counts.tolist() == right.signed_counts.tolist()
+        self.assert_same_model(primed, computed, documents + [text for text, _ in steps])
+        if case == "replay" and None not in forms:
+            assert hashed.call_count == 0
+
+    def test_journaled_hashes_that_do_not_fit_are_rejected(self):
+        writer = EmbeddingModel(dimensions=64)
+        writer.observe("SELECT a FROM t")
+        words, grams, counts, hashes = writer.profile_state("SELECT a FROM t")
+        count = len(writer._feature_ids)  # every feature of the first text is new
+        for bad in (0, 65, -65):
+            model = EmbeddingModel(dimensions=64)
+            with pytest.raises(ValueError):
+                model.prime("SELECT a FROM t", [words, grams, counts, packed_hashes([bad] * count, 64)])
+            assert not model._feature_ids
+        model = EmbeddingModel(dimensions=64)
+        model.prime("SELECT a FROM t", [words, grams, counts, hashes])
+        assert len(model._feature_ids) == count
 
     def test_what_the_form_cannot_hold_falls_back(self):
         texts = ["ab", "x", " q ", "ab " * 256, "ab " * 255, "zz" * 300, "SELECT a FROM t"]
@@ -787,10 +921,26 @@ class TestRetrievalCorpus:
         _, checkpoints = replay(dict(config, filters=[None]))
         self.assert_scores_close(checkpoints, unfiltered(config["checkpoints"]))
 
+    @staticmethod
+    def recorded_state(small):
+        """The recorded state as this build spells it, in list form: the
+        index keeps no shard key and its entries no text or metadata."""
+        state = json.loads(json.dumps(small["state"]))
+        del state["vector_store"]["shard_key"]
+        examples = {example["example_id"]: example for example in state["examples"]}
+        for entry in state["vector_store"]["entries"]:
+            example = examples[entry["doc_id"]]
+            assert entry.pop("text") == f"{example['sql']}\n{example['nl']}"
+            assert entry.pop("metadata") == {
+                "dataset": example["dataset"],
+                "quality": example["quality"],
+            }
+        return state
+
     def test_recorded_state_loads_and_retrieves_identically(self, corpus):
         small = corpus["small"]
         loaded = ExampleStore()
-        loaded.load_state(small["state"])
+        loaded.load_state(packed_form(self.recorded_state(small)))
         calls = checkpoint(loaded, small["queries"], [None])
         (last,) = unfiltered(small["checkpoints"][-1:])
         self.assert_scores_close([{"after": last["after"], "calls": calls}], [last])
@@ -799,21 +949,12 @@ class TestRetrievalCorpus:
 
     def test_state_dict_is_the_recorded_one_without_shard_key(self, corpus):
         small = corpus["small"]
-        expected = json.loads(json.dumps(small["state"]))
-        del expected["vector_store"]["shard_key"]
-        examples = {example["example_id"]: example for example in expected["examples"]}
-        for entry in expected["vector_store"]["entries"]:
-            example = examples[entry["doc_id"]]
-            assert entry.pop("text") == f"{example['sql']}\n{example['nl']}"
-            assert entry.pop("metadata") == {
-                "dataset": example["dataset"],
-                "quality": example["quality"],
-            }
+        expected = self.recorded_state(small)
         rebuilt, _ = replay(small, EmbeddingModel(dimensions=small["dimensions"]))
-        assert rebuilt.state_dict() == expected
+        assert list_form(rebuilt.state_dict()) == expected
         loaded = ExampleStore()
-        loaded.load_state(small["state"])
-        assert loaded.state_dict() == expected
+        loaded.load_state(packed_form(expected))
+        assert list_form(loaded.state_dict()) == expected
 
 
 class TestFailureAtomicAdd:
@@ -822,19 +963,19 @@ class TestFailureAtomicAdd:
     def test_observe_of_a_lone_surrogate_changes_nothing(self):
         model = EmbeddingModel()
         model.observe("SELECT name FROM singer")
-        before = model.state_dict()
+        before = list_form(model.state_dict())
         with pytest.raises(UnicodeEncodeError):
             model.observe("SELECT a\ud800bc FROM t")
         with pytest.raises(UnicodeEncodeError):
             model.embed("x\ud800")
-        assert model.state_dict() == before
+        assert list_form(model.state_dict()) == before
         clean = EmbeddingModel()
         clean.observe("SELECT name FROM singer")
         for text in ("SELECT name FROM t", "SELECT a bc FROM t"):
             model.observe(text)
             clean.observe(text)
             assert model.embed(text).tobytes() == clean.embed(text).tobytes()
-        assert model.state_dict() == clean.state_dict()
+        assert list_form(model.state_dict()) == list_form(clean.state_dict())
 
     @pytest.mark.parametrize("sql, nl, dataset, error", [
         ("SELECT a\ud800 FROM t", "names", "spider", UnicodeEncodeError),
@@ -844,9 +985,9 @@ class TestFailureAtomicAdd:
         model = EmbeddingModel()
         store = ExampleStore(model)
         store.add("SELECT name FROM singer", "Singer names.", dataset="spider")
-        before_store, before_model = store.state_dict(), model.state_dict()
+        before_store, before_model = list_form(store.state_dict()), list_form(model.state_dict())
         with pytest.raises(error):
             store.add(sql, nl, dataset=dataset)
-        assert store.state_dict() == before_store
-        assert model.state_dict() == before_model
+        assert list_form(store.state_dict()) == before_store
+        assert list_form(model.state_dict()) == before_model
         assert store.add("SELECT a FROM t", "names", dataset="spider").example_id == "ex-00002"
