@@ -1,6 +1,6 @@
 """The BenchPress system: the annotation service, its pipelines, ingestion and export."""
 
-from repro.core.config import AnnotationTask, TaskConfig
+from repro.core.config import TaskConfig
 from repro.core.export import export_benchmark_json, to_benchmark_records
 from repro.core.feedback import Feedback, FeedbackAction, FeedbackLoop, FeedbackOutcome
 from repro.core.ingestion import split_sql_log
@@ -33,7 +33,6 @@ __all__ = [
     "AnnotationPipeline",
     "AnnotationRecord",
     "AnnotationService",
-    "AnnotationTask",
     "CandidateSet",
     "CompletedJob",
     "DrainReport",

@@ -1,15 +1,15 @@
 """Task configuration (paper step 3).
 
-Users choose the annotation direction (currently SQL-to-NL), the language
-model, and the pipeline features to enable.  The configuration object also
-carries the ablation switches used by the E7 benchmarks (RAG on/off,
-decomposition on/off, knowledge feedback on/off, candidate count).
+Users choose the language model and the pipeline features to enable; the
+annotation direction is always SQL-to-NL, the one the paper implements.  The
+configuration object also carries the ablation switches used by the E7
+benchmarks (RAG on/off, decomposition on/off, knowledge feedback on/off,
+candidate count).
 """
 
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, fields
-from enum import Enum
 from typing import TYPE_CHECKING
 
 from repro.errors import PipelineError
@@ -18,21 +18,11 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (llm.base ← config)
     from repro.llm.base import RetryPolicy
 
 
-class AnnotationTask(Enum):
-    """Supported annotation directions."""
-
-    SQL_TO_NL = "sql_to_nl"
-    # The paper lists text-to-SQL validation as future work; the enum leaves
-    # room for it so the configuration surface matches the system description.
-    NL_TO_SQL = "nl_to_sql"
-
-
 @dataclass
 class TaskConfig:
     """Configuration of one annotation project.
 
     Attributes:
-        task: Annotation direction (only SQL_TO_NL is fully supported).
         model_name: Simulated LLM profile to use for candidate generation.
         num_candidates: Candidates generated per query (the paper uses 4).
         top_k_examples: Retrieved prior annotations added to the prompt.
@@ -44,11 +34,6 @@ class TaskConfig:
             how many queries are retrieved and generated together before
             feedback is applied and accepted annotations are committed.
             1 degenerates to fully sequential annotation.
-        max_pending_per_project: Admission-control limit on this project's
-            queued (not yet drained) jobs in the annotation service.  A
-            submit that would exceed it is rejected with
-            :class:`~repro.errors.BackpressureError` instead of letting one
-            hot tenant grow the queue without bound.  0 disables the limit.
         llm_max_attempts: Attempts per LLM call before a transient error is
             surfaced (1 disables retries).
         llm_retry_base_delay: Backoff before the first retry, in seconds;
@@ -64,7 +49,6 @@ class TaskConfig:
             Bounds the worst-case sleep when ``llm_max_attempts`` is high.
     """
 
-    task: AnnotationTask = AnnotationTask.SQL_TO_NL
     model_name: str = "gpt-4o"
     num_candidates: int = 4
     top_k_examples: int = 3
@@ -73,7 +57,6 @@ class TaskConfig:
     knowledge_feedback_enabled: bool = True
     auto_accept_into_examples: bool = True
     batch_size: int = 16
-    max_pending_per_project: int = 0
     llm_max_attempts: int = 3
     llm_retry_base_delay: float = 0.05
     llm_retry_max_delay: float = 2.0
@@ -89,8 +72,6 @@ class TaskConfig:
             raise PipelineError("top_k_examples cannot be negative")
         if self.batch_size < 1:
             raise PipelineError("batch_size must be at least 1")
-        if self.max_pending_per_project < 0:
-            raise PipelineError("max_pending_per_project cannot be negative")
         if self.llm_max_attempts < 1:
             raise PipelineError("llm_max_attempts must be at least 1")
         if self.llm_retry_base_delay < 0 or self.llm_retry_max_delay < 0:
@@ -101,10 +82,6 @@ class TaskConfig:
             raise PipelineError("llm_call_timeout must be positive when set")
         if self.llm_retry_budget_s is not None and self.llm_retry_budget_s <= 0:
             raise PipelineError("llm_retry_budget_s must be positive when set")
-        if self.task is AnnotationTask.NL_TO_SQL:
-            raise PipelineError(
-                "NL_TO_SQL annotation is future work in the paper and not supported yet"
-            )
 
     def retry_policy(self) -> "RetryPolicy":
         """The :class:`~repro.llm.base.RetryPolicy` these knobs describe."""
@@ -121,9 +98,7 @@ class TaskConfig:
 
     def to_dict(self) -> dict:
         """JSON-safe representation (journal / snapshot serialisation)."""
-        state = asdict(self)
-        state["task"] = self.task.value
-        return state
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, state: dict) -> "TaskConfig":
@@ -134,10 +109,7 @@ class TaskConfig:
         defaults.
         """
         known = {field.name for field in fields(cls)}
-        kwargs = {key: value for key, value in state.items() if key in known}
-        if "task" in kwargs:
-            kwargs["task"] = AnnotationTask(kwargs["task"])
-        return cls(**kwargs)
+        return cls(**{key: value for key, value in state.items() if key in known})
 
     def describe(self) -> str:
         """One-line summary used in logs and exports."""
@@ -149,6 +121,6 @@ class TaskConfig:
         if self.knowledge_feedback_enabled:
             features.append("knowledge")
         return (
-            f"{self.task.value} with {self.model_name}, {self.num_candidates} candidates"
+            f"sql_to_nl with {self.model_name}, {self.num_candidates} candidates"
             f" [{', '.join(features) or 'no assistance'}]"
         )

@@ -19,10 +19,9 @@ batched LLM calls overlap instead of queueing behind each other.  The
 deadline check happens at the round barrier, and every project is settled
 the same way afterwards, so per-project records, the returned jobs, the
 drain report and the wave accounting are identical at every concurrency.
-Per-tenant admission control (``TaskConfig.max_pending_per_project``)
-rejects submits with :class:`~repro.errors.BackpressureError` once a
-tenant's queue is full, and :class:`ServiceStats` keeps a lock-guarded
-per-tenant breakdown.
+There is one queue: every submit is admitted in order, and
+:meth:`AnnotationService.pending_jobs` gives one project's view of it.
+:class:`ServiceStats` keeps a lock-guarded per-tenant breakdown.
 
 Durability.  The service can run on top of an append-only
 :class:`~repro.core.journal.EventJournal`: every state change (project
@@ -82,7 +81,6 @@ from repro.core.snapshot import (
 from repro.core.feedback import Feedback
 from repro.core.scheduler import WaveScheduler
 from repro.errors import (
-    BackpressureError,
     DegradedModeError,
     DiskFaultError,
     JournalError,
@@ -92,7 +90,7 @@ from repro.errors import (
 from repro.llm.base import LLMClient, UsageStats
 from repro.llm.resilience import Deadline
 from repro.obs import NULL_TELEMETRY, Telemetry
-from repro.retrieval.example_store import has_quoted_identifier
+from repro.retrieval.example_store import is_stale_skeleton
 from repro.schema.model import DatabaseSchema
 
 #: Optional factory recreating custom LLM clients during recovery, keyed by
@@ -116,19 +114,25 @@ def format_quarantine_traceback(exc: BaseException) -> str:
 
 @dataclass
 class AnnotationJob:
-    """One queued annotation request.
-
-    ``priority`` feeds load-shedding admission: when the service's global
-    pending queue enters its soft-shed band, only submits with a positive
-    priority are still admitted.  It does not reorder the queue — drains
-    stay strictly submission-ordered.
-    """
+    """One queued annotation request."""
 
     job_id: int
     project: str
     sql: str
     query_id: str | None = None
-    priority: int = 0
+
+    @classmethod
+    def from_state(cls, state: dict) -> "AnnotationJob":
+        """Rebuild a job from its journaled or snapshotted fields.
+
+        Other keys are ignored: older builds also wrote a ``priority``.
+        """
+        return cls(
+            job_id=state["job_id"],
+            project=state["project"],
+            sql=state["sql"],
+            query_id=state["query_id"],
+        )
 
 
 @dataclass
@@ -320,30 +324,16 @@ class AnnotationService:
         default_project: str = "default",
         max_concurrency: int = 1,
         telemetry: Telemetry | None = None,
-        global_pending_limit: int = 0,
-        shed_threshold: float = 0.8,
     ) -> None:
         if max_concurrency < 1:
             raise PipelineError("max_concurrency must be at least 1")
-        if global_pending_limit < 0:
-            raise PipelineError("global_pending_limit cannot be negative")
-        if not 0.0 < shed_threshold <= 1.0:
-            raise PipelineError("shed_threshold must be within (0, 1]")
         self._default_project = default_project
         self.max_concurrency = max_concurrency
-        #: Load-shedding admission: with a positive ``global_pending_limit``,
-        #: submits are rejected outright at the limit, and zero/negative
-        #: priority submits are shed once the total pending queue passes
-        #: ``shed_threshold * global_pending_limit`` (highest-priority work
-        #: keeps flowing the longest).  0 disables global shedding.
-        self.global_pending_limit = global_pending_limit
-        self.shed_threshold = shed_threshold
         #: Injected observability sink; the no-op default keeps every
         #: instrumented path bit-identical and effectively free.
         self.telemetry = telemetry if telemetry is not None else NULL_TELEMETRY
         self._pipelines: dict[str, AnnotationPipeline] = {}
         self._queue: list[AnnotationJob] = []
-        self._pending_by_project: dict[str, int] = {}
         self._next_job_id = 1
         self.stats = ServiceStats()
         #: Jobs that failed annotation and were isolated from the queue.
@@ -427,21 +417,8 @@ class AnnotationService:
         sql: str,
         project: str | None = None,
         query_id: str | None = None,
-        priority: int = 0,
     ) -> int:
         """Enqueue one statement; returns its job id.
-
-        Admission control rejects a submit with :class:`BackpressureError`
-        *before* anything is enqueued or journaled — the caller should drain
-        and resubmit:
-
-        * per-tenant, when the project already has
-          :attr:`~repro.core.config.TaskConfig.max_pending_per_project`
-          queued jobs;
-        * globally (load shedding), when :attr:`global_pending_limit` is set
-          and the whole queue is at the limit — or past
-          ``shed_threshold * limit`` and this submit's ``priority`` is not
-          positive, so the lowest-priority traffic is shed first.
 
         In degraded mode every submit raises :class:`DegradedModeError`.
         """
@@ -455,46 +432,11 @@ class AnnotationService:
             raise PipelineError(f"project {name!r} is not registered")
         if not sql.strip().rstrip(";"):
             raise PipelineError("cannot enqueue an empty SQL string")
-        limit = self._pipelines[name].config.max_pending_per_project
-        queued = self._pending_by_project.get(name, 0)
-        if limit > 0 and queued >= limit:
-            tel = self.telemetry
-            if tel.enabled:
-                tel.count("service_backpressure_total", project=name)
-                tel.event(
-                    "submit_rejected", project=name, pending=queued, limit=limit
-                )
-            raise BackpressureError(
-                f"project {name!r} already has {queued} pending jobs "
-                f"(max_pending_per_project={limit}); drain before resubmitting"
-            )
-        if self.global_pending_limit > 0:
-            total = len(self._queue)
-            shed_floor = self.shed_threshold * self.global_pending_limit
-            if total >= self.global_pending_limit or (
-                total >= shed_floor and priority <= 0
-            ):
-                tel = self.telemetry
-                if tel.enabled:
-                    tel.count("service_load_shed_total", project=name)
-                    tel.event(
-                        "submit_shed",
-                        project=name,
-                        pending=total,
-                        limit=self.global_pending_limit,
-                        priority=priority,
-                    )
-                raise BackpressureError(
-                    f"global pending queue holds {total} jobs "
-                    f"(limit={self.global_pending_limit}, shed band starts at "
-                    f"{shed_floor:.0f}); submit with priority={priority} shed"
-                )
         job = AnnotationJob(
             job_id=self._next_job_id,
             project=name,
             sql=sql,
             query_id=query_id,
-            priority=priority,
         )
         if self._journal is not None:
             try:
@@ -505,7 +447,6 @@ class AnnotationService:
                         "project": job.project,
                         "sql": job.sql,
                         "query_id": job.query_id,
-                        "priority": job.priority,
                     },
                 )
             except DiskFaultError as exc:
@@ -517,7 +458,6 @@ class AnnotationService:
                 ) from exc
         self._next_job_id += 1
         self._queue.append(job)
-        self._pending_by_project[name] = queued + 1
         self.stats.note_submitted(name)
         tel = self.telemetry
         if tel.enabled:
@@ -541,10 +481,6 @@ class AnnotationService:
         if project is None:
             return list(self._queue)
         return [job for job in self._queue if job.project == project]
-
-    def pending_count_for(self, project: str) -> int:
-        """Queued jobs for one project (the admission-control counter)."""
-        return self._pending_by_project.get(project, 0)
 
     # ------------------------------------------------------------------
     # drain
@@ -611,9 +547,6 @@ class AnnotationService:
                 duration_seconds=time.perf_counter() - drain_started,
             )
             return []
-        for job in taken:
-            remaining = self._pending_by_project.get(job.project, 0) - 1
-            self._pending_by_project[job.project] = max(0, remaining)
 
         by_project: dict[str, list[AnnotationJob]] = {}
         for job in taken:
@@ -720,9 +653,6 @@ class AnnotationService:
         tel = self.telemetry
         counts: dict[str, int] = {}
         for job in jobs:
-            self._pending_by_project[job.project] = (
-                self._pending_by_project.get(job.project, 0) + 1
-            )
             counts[job.project] = counts.get(job.project, 0) + 1
         for project, count in counts.items():
             self.stats.note_deferred(project, count)
@@ -980,10 +910,10 @@ class AnnotationService:
         """Replace this service's state with a snapshot's (warm start)."""
         self._default_project = state["default_project"]
         self._next_job_id = int(state["next_job_id"])
-        self._queue = [AnnotationJob(**job) for job in state["queue"]]
+        self._queue = [AnnotationJob.from_state(job) for job in state["queue"]]
         self.quarantine = [
             CompletedJob(
-                job=AnnotationJob(**item["job"]),
+                job=AnnotationJob.from_state(item["job"]),
                 record=None,
                 error=item["error"],
                 error_type=item.get("error_type", ""),
@@ -991,11 +921,6 @@ class AnnotationService:
             )
             for item in state["quarantine"]
         ]
-        self._pending_by_project = {}
-        for job in self._queue:
-            self._pending_by_project[job.project] = (
-                self._pending_by_project.get(job.project, 0) + 1
-            )
         self._pipelines = {}
         for name, pipeline_state in state["projects"].items():
             llm = llm_factory(name) if llm_factory is not None else None
@@ -1068,7 +993,6 @@ class AnnotationService:
         default_project: str = "default",
         fsync: str = "batch",
         snapshot_every: int = 0,
-        keep_snapshots: int = 3,
         llm_factory: LLMFactory | None = None,
         max_concurrency: int = 1,
         telemetry: Telemetry | None = None,
@@ -1078,7 +1002,7 @@ class AnnotationService:
         Layout: ``<directory>/journal.bin`` plus ``<directory>/snapshots/``.
         """
         directory = Path(directory)
-        snapshots = SnapshotManager(directory / "snapshots", keep=keep_snapshots)
+        snapshots = SnapshotManager(directory / "snapshots")
         return cls.recover(
             directory / "journal.bin",
             snapshots=snapshots,
@@ -1125,17 +1049,8 @@ class AnnotationService:
             pipeline.attach_telemetry(self.telemetry)
             self._pipelines[name] = pipeline
         elif event.type == JOB_SUBMITTED:
-            job = AnnotationJob(
-                job_id=payload["job_id"],
-                project=payload["project"],
-                sql=payload["sql"],
-                query_id=payload["query_id"],
-                priority=payload.get("priority", 0),
-            )
+            job = AnnotationJob.from_state(payload)
             self._queue.append(job)
-            self._pending_by_project[job.project] = (
-                self._pending_by_project.get(job.project, 0) + 1
-            )
             self._next_job_id = max(self._next_job_id, job.job_id + 1)
             self.stats.note_submitted(job.project)
         elif event.type == ANNOTATION_COMMITTED:
@@ -1166,7 +1081,9 @@ class AnnotationService:
                 # quotes hold a stale one for SQL with a quoted identifier;
                 # add() computes the skeleton in both cases.
                 skeleton = example.get("skeleton")
-                if has_quoted_identifier(record_state["sql"]):
+                if skeleton is not None and is_stale_skeleton(
+                    record_state["sql"], skeleton
+                ):
                     skeleton = None
                 # The live commit archived the record's SQL and NL, and add()
                 # strips both; the copies older journals keep are ignored.
@@ -1185,12 +1102,8 @@ class AnnotationService:
                 list(payload["candidates"]), Feedback.from_state(payload["feedback"])
             )
         elif event.type == JOB_FAILED:
-            # The queued job keeps its priority; the payload does not carry it.
-            job = self._settle_job(payload["job_id"]) or AnnotationJob(
-                job_id=payload["job_id"],
-                project=payload["project"],
-                sql=payload["sql"],
-                query_id=payload["query_id"],
+            job = self._settle_job(payload["job_id"]) or AnnotationJob.from_state(
+                payload
             )
             self.quarantine.append(
                 CompletedJob(
@@ -1232,7 +1145,5 @@ class AnnotationService:
         for index, job in enumerate(self._queue):
             if job.job_id == job_id:
                 del self._queue[index]
-                remaining = self._pending_by_project.get(job.project, 0) - 1
-                self._pending_by_project[job.project] = max(0, remaining)
                 return job
         return None

@@ -93,15 +93,6 @@ class PipelineError(ReproError):
     """Raised by the BenchPress annotation pipeline orchestration."""
 
 
-class BackpressureError(PipelineError):
-    """A submit was rejected because the tenant's queue is at its limit.
-
-    Raised at admission time when a project already has
-    ``TaskConfig.max_pending_per_project`` jobs queued.  Callers should drain
-    (or wait for a drain) and resubmit; the job was *not* enqueued.
-    """
-
-
 class IngestionError(ReproError):
     """Raised when SQL logs or schema files cannot be ingested."""
 

@@ -21,10 +21,15 @@ from repro.retrieval.vector_store import VectorStore
 from repro.sql.normalizer import sql_keys
 
 
-def has_quoted_identifier(sql: str) -> bool:
-    """Whether ``sql`` may quote an identifier: the only SQL whose journaled
-    skeleton can predate skeletons keeping identifier quotes."""
-    return '"' in sql or "`" in sql
+def is_stale_skeleton(sql: str, skeleton: str) -> bool:
+    """Whether a journaled skeleton of ``sql`` predates skeletons keeping
+    identifier quotes.
+
+    A skeleton keeps an identifier's double quotes and turns backticks into
+    them, so one of SQL that may quote an identifier yet holds no ``"`` lost
+    its quotes.
+    """
+    return '"' not in skeleton and ('"' in sql or "`" in sql)
 
 
 @dataclass

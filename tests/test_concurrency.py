@@ -1,8 +1,7 @@
 """Tests for the concurrent multi-tenant drain: sequential/concurrent parity,
-the round-based wave scheduler, backpressure admission control, per-tenant
-accounting, retry-jitter salting, thread stress under flaky clients, wave
-accounting when a drain's deadline cuts a project part-way through, and
-crash recovery mid-concurrent-drain."""
+the round-based wave scheduler, per-tenant accounting, retry-jitter salting,
+thread stress under flaky clients, wave accounting when a drain's deadline
+cuts a project part-way through, and crash recovery mid-concurrent-drain."""
 
 from __future__ import annotations
 
@@ -17,7 +16,7 @@ from repro.core import (
     TaskConfig,
     WaveScheduler,
 )
-from repro.errors import BackpressureError, DeadlineExceededError, PipelineError
+from repro.errors import DeadlineExceededError, PipelineError
 from repro.llm import SimulatedLLM
 from repro.llm.base import RetryPolicy, _join_salt
 from repro.schema import ColumnSchema, DatabaseSchema, ForeignKey, TableSchema
@@ -327,55 +326,12 @@ class TestDrainAccountingParity:
         assert stats.deferred == deferred and service.pending_count == deferred
 
 
-class TestBackpressure:
-    def test_submit_rejected_at_limit(self):
-        service = build_service(
-            projects=["alpha", "beta"],
-            config=TaskConfig(batch_size=3, max_pending_per_project=3),
-        )
-        for _ in range(3):
-            service.submit(QUERIES[0], project="alpha")
-        with pytest.raises(BackpressureError):
-            service.submit(QUERIES[1], project="alpha")
-        # The rejected job was never admitted anywhere.
-        assert service.pending_count == 3
-        assert service.pending_count_for("alpha") == 3
-        assert service.stats.submitted == 3
-        # Other tenants are unaffected by alpha's full queue.
-        service.submit(QUERIES[0], project="beta")
-        # Draining frees the budget.
-        service.drain()
-        assert service.pending_count_for("alpha") == 0
-        service.submit(QUERIES[2], project="alpha")
-
-    def test_rejected_submit_not_journaled(self, tmp_path):
-        from repro.core import EventJournal
-
-        journal = EventJournal(tmp_path / "journal.bin")
-        service = build_service(
-            projects=["alpha"],
-            config=TaskConfig(max_pending_per_project=1),
-        )
-        service.attach_journal(journal)
-        service.submit(QUERIES[0], project="alpha")
-        records_before = journal.record_count
-        with pytest.raises(BackpressureError):
-            service.submit(QUERIES[1], project="alpha")
-        assert journal.record_count == records_before
-
-    def test_zero_limit_disables_backpressure(self):
-        service = build_service(projects=["alpha"], config=TaskConfig())
-        for _ in range(50):
-            service.submit(QUERIES[0], project="alpha")
-        assert service.pending_count_for("alpha") == 50
-
-
 class TestPerTenantStats:
     def test_per_project_breakdown(self):
         service = build_service(max_concurrency=4)
         submit_mix(service)
         per_project_submitted = {
-            name: service.pending_count_for(name) for name in PROJECTS
+            name: len(service.pending_jobs(name)) for name in PROJECTS
         }
         service.drain()
         for name in PROJECTS:

@@ -9,7 +9,6 @@ from repro.core import (
     AnnotationPipeline,
     AnnotationRecord,
     AnnotationService,
-    AnnotationTask,
     Feedback,
     FeedbackAction,
     FeedbackLoop,
@@ -30,10 +29,6 @@ class TestConfig:
         with pytest.raises(PipelineError):
             TaskConfig(num_candidates=0).validate()
 
-    def test_nl_to_sql_not_supported(self):
-        with pytest.raises(PipelineError):
-            TaskConfig(task=AnnotationTask.NL_TO_SQL).validate()
-
     def test_describe_lists_enabled_features(self):
         text = TaskConfig(rag_enabled=False, decomposition_enabled=False,
                           knowledge_feedback_enabled=False).describe()
@@ -45,14 +40,16 @@ class TestConfig:
                             llm_max_attempts=4, llm_call_timeout=2.0)
         state = config.to_dict()
         assert TaskConfig.from_dict(state) == config
-        assert isinstance(TaskConfig.from_dict(state).task, AnnotationTask)
 
     def test_from_dict_drops_unknown_keys(self):
-        # Journals written before the hedging knobs were retired still carry
-        # them; they must rebuild the same configuration, not fail.
+        # Journals written before the hedging knobs, the admission limit and
+        # the task direction were retired still carry them; they must
+        # rebuild the same configuration, not fail.
         state = TaskConfig(llm_max_attempts=3).to_dict()
         retired = dict(state, llm_hedge_enabled=True, llm_hedge_delay_s=0.05,
                        llm_hedge_percentile=0.95, llm_hedge_min_samples=20)
+        assert TaskConfig.from_dict(retired) == TaskConfig.from_dict(state)
+        retired.update(max_pending_per_project=0, task="sql_to_nl")
         assert TaskConfig.from_dict(retired) == TaskConfig.from_dict(state)
 
     def test_from_dict_fills_missing_keys_with_defaults(self):
@@ -316,12 +313,12 @@ class TestServiceProjects:
         log = "SELECT name FROM employees; SELECT dept_name FROM departments;"
         service.submit_many(split_sql_log(log), project="proj")
         assert service.project_names == ["proj"]
-        assert service.pending_count_for("proj") == 2
+        assert len(service.pending_jobs("proj")) == 2
         completed = service.drain(max_jobs=1)
         assert [job.record.query_id for job in completed] == ["proj-00001"]
-        assert service.pending_count_for("proj") == 1
+        assert len(service.pending_jobs("proj")) == 1
         service.drain()
-        assert service.pending_count_for("proj") == 0
+        assert len(service.pending_jobs("proj")) == 0
         assert [r.query_id for r in service.pipeline("proj").annotations] == [
             "proj-00001",
             "proj-00002",

@@ -19,7 +19,7 @@ import pytest
 
 from repro.core import AnnotationService, TaskConfig
 from repro.engine import Database
-from repro.errors import BackpressureError, ExecutionError, LLMError
+from repro.errors import ExecutionError, LLMError
 from repro.llm import SimulatedLLM
 from repro.obs import (
     DEFAULT_LATENCY_BUCKETS,
@@ -377,22 +377,6 @@ class TestServiceTelemetry:
         span_names = {span.name for span in telemetry.tracer.finished_spans()}
         assert "service.drain" in span_names
         assert "pipeline.wave" in span_names
-
-    def test_backpressure_rejection_is_counted(self):
-        telemetry = Telemetry()
-        service = build_telemetry_service(
-            telemetry=telemetry,
-            projects=["alpha"],
-            config=TaskConfig(batch_size=3, max_pending_per_project=2),
-        )
-        service.submit(QUERIES[0], project="alpha")
-        service.submit(QUERIES[1], project="alpha")
-        with pytest.raises(BackpressureError):
-            service.submit(QUERIES[2], project="alpha")
-        snapshot = telemetry.metrics_dict()
-        assert (
-            snapshot["service_backpressure_total"]["series"][0]["value"] == 1.0
-        )
 
     def test_quarantine_counts_and_error_detail(self):
         telemetry = Telemetry()

@@ -4,8 +4,10 @@ mid-write, recover, and check the state is exactly the journaled prefix)."""
 
 from __future__ import annotations
 
+import contextlib
 import copy
 import dataclasses
+import importlib
 import json
 import logging
 import struct
@@ -1048,6 +1050,34 @@ class TestReplayParity:
         assert semantic_state(warm) == live
         warm.close()
 
+    def test_replaying_quoted_skeletons_this_build_wrote_lexes_nothing(self, tmp_path):
+        # Skeletons keep identifier quotes, so a journaled skeleton of SQL
+        # with a quoted identifier is used as it stands.
+        directory = tmp_path / "svc"
+        live = drain_quoted_queries(directory)
+        callers = [
+            importlib.import_module(name)
+            for name in (
+                "repro.retrieval.example_store",
+                "repro.retrieval.retriever",
+                "repro.sql.decompose",
+            )
+        ]
+        for recover in (
+            lambda: AnnotationService.open_durable(directory),  # snapshot + suffix
+            lambda: AnnotationService.recover(directory / "journal.bin"),
+        ):
+            with contextlib.ExitStack() as stack:
+                keyed = [
+                    stack.enter_context(
+                        mock.patch.object(module, "sql_keys", side_effect=module.sql_keys)
+                    )
+                    for module in callers
+                ]
+                recovered = recover()
+            assert [calls.call_count for calls in keyed] == [0, 0, 0]
+            assert semantic_state(recovered) == live
+            recovered.close()
 
     def test_journaled_profiles_recover_warm_and_cold_and_stripped(self, tmp_path):
         directory = tmp_path / "svc"
@@ -1253,6 +1283,48 @@ class TestSnapshots:
         assert semantic_state(recovered) == live
         assert snapshot_fallbacks(telemetry) == len(offsets)
         recovered.close()
+
+    def test_snapshot_with_retired_job_and_config_keys_opens_warm(self, tmp_path):
+        # Earlier builds wrote a ``priority`` with every job, and an admission
+        # limit and a task direction with every config, into the snapshot and
+        # the journal alike.
+        directory = tmp_path / "svc"
+        service = AnnotationService.open_durable(directory)
+        service.register_project("hr", make_schema())
+        service.submit("SELEC name FRM employees", project="hr")  # quarantined
+        service.submit(QUERIES[0], project="hr")
+        service.drain()
+        service.submit(QUERIES[1], project="hr")  # pending
+        service.snapshot()
+        live = semantic_state(service)
+        service.close()
+        assert len(live["queue"]) == len(live["quarantine"]) == 1
+
+        retired_config = {"task": "sql_to_nl", "max_pending_per_project": 0}
+        journal_path = directory / "journal.bin"
+        rewritten = bytearray()
+        for event in EventJournal.read_events(journal_path):
+            if event.type == JOB_SUBMITTED:
+                event.payload["priority"] = 0
+            if event.type == PROJECT_REGISTERED:
+                event.payload["config"] = dict(retired_config, **event.payload["config"])
+            rewritten += encode_record(event.type, event.payload)
+        journal_path.write_bytes(bytes(rewritten))
+        snapshots = SnapshotManager(directory / "snapshots")
+        offset, state = snapshots.latest()
+        assert offset == EventJournal.read_events(journal_path)[-1].offset + 1
+        state["queue"][0]["priority"] = 0
+        state["quarantine"][0]["job"]["priority"] = 3
+        project = state["projects"]["hr"]
+        project["config"] = dict(retired_config, **project["config"])
+        snapshots.save(offset, state)
+
+        warm = AnnotationService.open_durable(directory)  # the snapshot alone
+        assert semantic_state(warm) == live
+        warm.close()
+        cold = AnnotationService.recover(journal_path)
+        assert semantic_state(cold) == live
+        cold.close()
 
     def test_restored_feature_hashes_are_the_derived_ones(self, tmp_path):
         directory = tmp_path / "svc"

@@ -12,7 +12,6 @@ import pytest
 from repro.core import AnnotationService, TaskConfig
 from repro.core.pipeline import AnnotationPipeline
 from repro.errors import (
-    BackpressureError,
     DeadlineExceededError,
     DegradedModeError,
     JournalError,
@@ -418,21 +417,6 @@ class TestDrainIsolation:
         ]
         assert service.last_drain_report.deferred == 3
 
-    def test_quarantined_priority_survives_recovery(self, tmp_path):
-        service = AnnotationService.open_durable(tmp_path / "svc")
-        service.register_project("hr", make_schema())
-        service.submit(self.POISON, project="hr", priority=3)
-        service.submit(QUERIES[0], project="hr")
-        service.drain()
-        assert service.quarantine[0].job.priority == 3
-        live = semantic_state(service)
-        service.close()
-
-        recovered = AnnotationService.open_durable(tmp_path / "svc")
-        assert recovered.quarantine[0].job.priority == 3
-        assert semantic_state(recovered) == live
-        recovered.close()
-
     def test_flaky_batch_call_heals_within_the_drain(self):
         config = TaskConfig(llm_max_attempts=3, llm_retry_base_delay=0.0)
         llm = FlakyLLM(SimulatedLLM("gpt-4o", schema=make_schema()), fail_times=2)
@@ -698,68 +682,6 @@ class TestDegradedMode:
             snapshot["service_degraded_transitions_total"]["series"][0]["value"]
             == 1.0
         )
-
-
-# ----------------------------------------------------------------------
-# load shedding
-# ----------------------------------------------------------------------
-
-class TestLoadShedding:
-    def make_service(self) -> AnnotationService:
-        service = AnnotationService(global_pending_limit=4, shed_threshold=0.5)
-        service.register_project("hr", make_schema())
-        return service
-
-    def test_low_priority_is_shed_first(self):
-        service = self.make_service()
-        service.submit(QUERIES[0], project="hr")
-        service.submit(QUERIES[1], project="hr")
-        # At the shed floor (0.5 * 4 = 2 pending): priority <= 0 is refused...
-        with pytest.raises(BackpressureError):
-            service.submit(QUERIES[2], project="hr")
-        # ...but positive-priority traffic keeps flowing up to the limit.
-        service.submit(QUERIES[2], project="hr", priority=1)
-        service.submit(QUERIES[3], project="hr", priority=5)
-        with pytest.raises(BackpressureError):
-            service.submit(QUERIES[4], project="hr", priority=100)  # hard limit
-        assert service.pending_count == 4
-
-    def test_draining_reopens_admission(self):
-        service = self.make_service()
-        service.submit(QUERIES[0], project="hr")
-        service.submit(QUERIES[1], project="hr")
-        with pytest.raises(BackpressureError):
-            service.submit(QUERIES[2], project="hr")
-        service.drain()
-        service.submit(QUERIES[2], project="hr")  # queue emptied: admitted
-        assert service.pending_count == 1
-
-    def test_priority_survives_recovery(self, tmp_path):
-        service = AnnotationService.open_durable(tmp_path / "svc")
-        service.register_project("hr", make_schema())
-        service.submit(QUERIES[0], project="hr", priority=7)
-        service.close()
-        recovered = AnnotationService.open_durable(tmp_path / "svc")
-        assert recovered.pending_jobs()[0].priority == 7
-        recovered.close()
-
-    def test_shed_telemetry_and_validation(self):
-        telemetry = Telemetry()
-        service = AnnotationService(
-            telemetry=telemetry, global_pending_limit=1, shed_threshold=1.0
-        )
-        service.register_project("hr", make_schema())
-        service.submit(QUERIES[0], project="hr")
-        with pytest.raises(BackpressureError):
-            service.submit(QUERIES[1], project="hr", priority=9)
-        assert (
-            telemetry.metrics_dict()["service_load_shed_total"]["series"][0]["value"]
-            == 1.0
-        )
-        with pytest.raises(PipelineError):
-            AnnotationService(global_pending_limit=-1)
-        with pytest.raises(PipelineError):
-            AnnotationService(shed_threshold=0.0)
 
 
 # ----------------------------------------------------------------------
