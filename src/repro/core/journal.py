@@ -42,16 +42,11 @@ decodes records ``start..`` once: a warm start never decodes the prefix its
 snapshot covers, so a CRC-valid record there that does not decode goes
 unnoticed, where :meth:`EventJournal.scan` and a cold start end the prefix at it.
 
-Fsync discipline is a policy knob:
-
-* ``"always"`` — fsync after every append; survives power loss at a heavy
-  per-record cost.
-* ``"batch"`` (default) — appends stay in the userspace write buffer and are
-  flushed + fsynced at group-commit points (:meth:`EventJournal.commit`,
-  called by the service at drain boundaries).  A crash between commits loses
-  only un-committed records — exactly the suffix group commit never promised.
-* ``"never"`` — buffered writes, flushed at commit points but never fsynced;
-  the OS decides when bytes reach the disk.
+Fsync discipline is group commit (``fsync="batch"``, the only policy):
+appends stay in the userspace write buffer and are flushed + fsynced at
+group-commit points (:meth:`EventJournal.commit`, called by the service at
+drain boundaries).  A crash between commits loses only un-committed records
+— exactly the suffix group commit never promised.
 """
 
 from __future__ import annotations
@@ -77,8 +72,6 @@ _MAX_RECORD_BYTES = 64 * 1024 * 1024
 _RESYNC_WINDOW_BYTES = 16 * 1024 * 1024
 #: Payload ``(begin, end)`` byte offsets of consecutive records in a buffer.
 _Spans = list[tuple[int, int]]
-
-FSYNC_POLICIES = ("always", "batch", "never")
 
 # Event types appended by the service/pipeline layers.  Kept in one place so
 # replay, export and audit tooling agree on the vocabulary.
@@ -168,12 +161,9 @@ class EventJournal:
     telemetry: Telemetry = NULL_TELEMETRY
 
     def __init__(self, path: str | Path, fsync: str = "batch") -> None:
-        if fsync not in FSYNC_POLICIES:
-            raise JournalError(
-                f"unknown fsync policy {fsync!r}; expected one of {FSYNC_POLICIES}"
-            )
+        if fsync != "batch":
+            raise JournalError(f"unknown fsync policy {fsync!r}; expected 'batch'")
         self.path = Path(path)
-        self.fsync_policy = fsync
         self.path.parent.mkdir(parents=True, exist_ok=True)
         # Re-entrant so fault-injection subclasses can hold it around a
         # super().append() call without deadlocking.
@@ -203,9 +193,8 @@ class EventJournal:
     def append(self, event_type: str, payload: dict) -> int:
         """Append one event; returns its record offset.
 
-        Under the ``"always"`` policy the record is durable before this
-        returns; otherwise it sits in the write buffer until the next
-        :meth:`commit` (group commit) makes it durable.
+        The record sits in the write buffer until the next :meth:`commit`
+        (group commit) makes it durable.
         """
         try:
             data = json.dumps(
@@ -221,10 +210,7 @@ class EventJournal:
             self._decode_opened()  # an undecodable tail goes before we append
             try:
                 self._handle.write(record)
-                if self.fsync_policy == "always":
-                    self._sync()
-                else:
-                    self._dirty = True
+                self._dirty = True
             except OSError as exc:
                 raise DiskFaultError(
                     f"failed to append to journal {self.path}: {exc}",
@@ -242,14 +228,20 @@ class EventJournal:
         with self._lock:
             if self._handle is None or not self._dirty:
                 return
+            tel = self.telemetry
+            started = time.perf_counter() if tel.enabled else 0.0
             try:
-                self._sync()
+                self._handle.flush()
+                os.fsync(self._handle.fileno())
             except OSError as exc:
                 raise DiskFaultError(
                     f"failed to sync journal {self.path}: {exc}",
                     errno_value=exc.errno,
                 ) from exc
             self._dirty = False
+            if tel.enabled:
+                tel.count("journal_fsyncs_total")
+                tel.observe("journal_fsync_seconds", time.perf_counter() - started)
 
     def close(self) -> None:
         """Commit and release the file handle (idempotent)."""
@@ -426,19 +418,6 @@ class EventJournal:
             self._truncate_to(self.recovery.valid_bytes)
             self._record_count = broken
         return events
-
-    def _sync(self) -> None:
-        """Flush the write buffer and fsync unless the policy is ``"never"``."""
-        tel = self.telemetry
-        started = time.perf_counter() if tel.enabled else 0.0
-        self._handle.flush()
-        if self.fsync_policy != "never":
-            os.fsync(self._handle.fileno())
-        if tel.enabled:
-            tel.count("journal_fsyncs_total", policy=self.fsync_policy)
-            tel.observe(
-                "journal_fsync_seconds", time.perf_counter() - started, policy=self.fsync_policy
-            )
 
     def _truncate_to(self, valid_bytes: int) -> None:
         """Drop a torn tail, leaving exactly the valid record prefix."""

@@ -430,11 +430,7 @@ class AnnotationPipeline:
         intra-wave commit are regenerated individually, so the records are
         identical to a sequential loop of size-1 waves (:meth:`annotate`).
 
-        While the example archive is cold, nearly every commit changes what
-        the next query retrieves, so large speculative waves would be wasted:
-        wave sizes ramp geometrically from 1 until the archive holds at least
-        a full retrieval window, after which waves start at full size (so
-        repeated incremental drains on a warm pipeline stay fully batched).
+        Waves are sized from the live archive (see :meth:`WaveRun.run_next_wave`).
 
         A statement that fails stops the run: the statements before it are
         committed, and its exception is raised as soon as the run parks it
@@ -720,8 +716,8 @@ class AnnotationPipeline:
 class WaveRun:
     """Resumable wave-at-a-time driver for one pipeline's batched annotation.
 
-    Holds the cursor, the geometric wave-size ramp and the accumulated
-    outcomes/stats of an :meth:`AnnotationPipeline.annotate_many` run, but
+    Holds the cursor and the accumulated outcomes/stats of an
+    :meth:`AnnotationPipeline.annotate_many` run, but
     advances only when :meth:`run_next_wave` is called.  Driving a run to
     completion in a tight loop reproduces ``annotate_many`` exactly; the
     multi-project scheduler instead calls ``run_next_wave`` once per round on
@@ -751,8 +747,8 @@ class WaveRun:
             raise PipelineError("query_ids must align with statements")
         if commit_tags is not None and len(commit_tags) != len(statements):
             raise PipelineError("commit_tags must align with statements")
-        wave_size = batch_size if batch_size is not None else pipeline.config.batch_size
-        if wave_size < 1:
+        batch_size = batch_size if batch_size is not None else pipeline.config.batch_size
+        if batch_size < 1:
             raise PipelineError("batch_size must be at least 1")
         self.pipeline = pipeline
         #: Drain budget carried into every wave's LLM calls (``None`` = none).
@@ -764,16 +760,12 @@ class WaveRun:
         self._commit_tags = (
             list(commit_tags) if commit_tags is not None else [None] * len(self._statements)
         )
-        self._wave_size = wave_size
+        self._batch_size = batch_size
         self.stats = WaveStats(queries=len(self._statements))
         #: One entry per settled statement, in order: its committed record,
         #: or the ``Exception`` it was parked with.
         self.outcomes: list[AnnotationRecord | Exception] = []
         self._requests_before = pipeline.llm.usage.requests
-        archive_warm = (
-            len(pipeline.retriever.example_store) >= pipeline.config.top_k_examples + 5
-        )
-        self._size = wave_size if archive_warm else 1
         # Set once a wave has raised: from then on every wave holds one
         # statement, and a statement that raises in one is parked.  A run of
         # one statement has nothing to isolate and starts out isolating.
@@ -797,6 +789,11 @@ class WaveRun:
         """Advance one wave (parse → retrieve → generate → commit).
 
         Returns the outcomes the wave settled (empty when already done).
+        The wave holds ``batch_size`` statements once the archive holds
+        ``top_k_examples`` examples or RAG is off; while it holds fewer,
+        every commit changes the next prompt's example count, so the wave
+        holds one statement, as it does once a wave has raised.
+
         When a wave raises an ordinary ``Exception``, the commits it made
         stand and the rest of the run goes one statement per wave; a
         statement that raises in one of those isolation waves is parked as
@@ -812,8 +809,12 @@ class WaveRun:
         if self.done:
             self.finish()
             return []
-        start, size = len(self.outcomes), self._size
-        end = start + size
+        config = self.pipeline.config
+        archive_full = (
+            not config.rag_enabled or self.pipeline.example_count >= config.top_k_examples
+        )
+        start = len(self.outcomes)
+        end = start + (self._batch_size if archive_full and not self._isolating else 1)
         wave_statements = self._statements[start:end]
         tel = self.pipeline.telemetry
         if tel.enabled:
@@ -845,11 +846,9 @@ class WaveRun:
                 self.outcomes.append(exc)
             else:
                 self._isolating = True
-                self._wave_size = 1
         if tel.enabled:
             self._last_advance = time.perf_counter()
         self.stats.waves += 1
-        self._size = min(self._wave_size, size * 2)
         if self.done:
             self.finish()
         return self.outcomes[start:]

@@ -146,15 +146,16 @@ class TestBatchSequentialParity:
         # Force the strict full-prompt validation path by marking the LLM as
         # sensitive to example content.
         sequential = AnnotationPipeline(hr_schema, dataset_name="hr")
-        expected = [sequential.annotate(sql) for sql in QUERIES]
+        expected = [record_key(sequential.annotate(sql)) for sql in QUERIES]
 
-        llm = SimulatedLLM("gpt-4o", schema=hr_schema)
-        llm.example_content_sensitive = True
-        batched = AnnotationPipeline(
-            hr_schema, config=TaskConfig(batch_size=4), llm=llm, dataset_name="hr"
-        )
-        actual = batched.annotate_many(QUERIES)
-        assert [record_key(r) for r in actual] == [record_key(r) for r in expected]
+        for batch_size in (1, 3, 4, 8):
+            llm = SimulatedLLM("gpt-4o", schema=hr_schema)
+            llm.example_content_sensitive = True
+            batched = AnnotationPipeline(
+                hr_schema, config=TaskConfig(batch_size=batch_size), llm=llm, dataset_name="hr"
+            )
+            actual = batched.annotate_many(QUERIES)
+            assert [record_key(r) for r in actual] == expected, batch_size
 
     def test_batch_uses_fewer_llm_round_trips(self, hr_schema):
         batched = AnnotationPipeline(
@@ -165,7 +166,7 @@ class TestBatchSequentialParity:
         assert stats.queries == len(QUERIES)
         assert stats.batched_queries + stats.regenerated_queries == len(QUERIES)
         assert stats.llm_requests < len(QUERIES) + 1
-        assert stats.waves >= 2  # ramping wave sizes
+        assert stats.waves >= 2  # one statement per wave while the archive is small
 
     def test_query_ids_are_threaded(self, hr_schema):
         pipeline = AnnotationPipeline(hr_schema, dataset_name="hr")
@@ -184,9 +185,9 @@ class TestBatchSequentialParity:
             pipeline.annotate_many(["   "])
 
     def test_bad_statement_stops_the_run_after_the_ones_before_it(self, hr_schema):
-        # Waves ramp 1, 2, ...: the second wave holds QUERIES[1] and the bad
-        # statement, so QUERIES[1] commits in a wave of its own before the
-        # bad statement raises in its own.
+        # The archive is cold, so each wave holds one statement: QUERIES[0]
+        # and QUERIES[1] commit in waves of their own before the bad
+        # statement raises in its own.
         pipeline = AnnotationPipeline(hr_schema)
         with pytest.raises(PipelineError):
             pipeline.annotate_many([QUERIES[0], QUERIES[1], "   ", QUERIES[2]])
@@ -342,14 +343,56 @@ class TestServiceUsageAccounting:
         service.drain()
         assert service.stats.usage_by_model["gpt-4o"].prompts == llm.usage.prompts
 
-    def test_warm_archive_skips_the_ramp(self, hr_schema):
+
+def wave_sizes(run) -> list[int]:
+    """Drive a :class:`WaveRun` to the end; the outcomes each wave settled."""
+    sizes = []
+    while not run.done:
+        sizes.append(len(run.run_next_wave()))
+    return sizes
+
+
+class TestWaveSizing:
+    """A wave holds one statement while the archive holds fewer than
+    ``top_k_examples`` examples or once a wave has raised, else
+    ``batch_size``."""
+
+    def test_cold_run_batches_once_the_archive_holds_top_k(self, hr_schema):
         pipeline = AnnotationPipeline(
             hr_schema, config=TaskConfig(batch_size=8), dataset_name="hr"
         )
-        pipeline.annotate_many(QUERIES)  # cold run ramps 1, 2, 4, ...
-        assert pipeline.last_run_stats.waves > 1
-        pipeline.annotate_many(QUERIES)  # archive warm: one full-size wave
+        assert pipeline.config.top_k_examples == 3
+        assert wave_sizes(pipeline.wave_run(QUERIES)) == [1, 1, 1, 5]
+
+    def test_archive_of_top_k_examples_runs_one_wave(self, hr_schema):
+        pipeline = AnnotationPipeline(
+            hr_schema, config=TaskConfig(batch_size=8), dataset_name="hr"
+        )
+        for sql in QUERIES[:3]:
+            pipeline.annotate(sql)
+        top_k = pipeline.config.top_k_examples
+        assert top_k <= pipeline.example_count < top_k + 5
+        pipeline.annotate_many(QUERIES[3:])
         assert pipeline.last_run_stats.waves == 1
+
+    def test_rag_off_runs_full_waves_from_a_cold_archive(self, hr_schema):
+        pipeline = AnnotationPipeline(
+            hr_schema, config=TaskConfig(batch_size=3, rag_enabled=False), dataset_name="hr"
+        )
+        assert wave_sizes(pipeline.wave_run(QUERIES)) == [3, 3, 2]
+
+    def test_run_keeps_one_statement_per_wave_after_a_raise(self, hr_schema):
+        pipeline = AnnotationPipeline(
+            hr_schema, config=TaskConfig(batch_size=8), dataset_name="hr"
+        )
+        for sql in QUERIES[:3]:
+            pipeline.annotate(sql)
+        run = pipeline.wave_run([QUERIES[3], "   ", *QUERIES[4:]])
+        # The full first wave raises in phase 1, committing nothing; every
+        # wave after it holds one statement, the bad one parked in its own.
+        assert wave_sizes(run) == [0] + [1] * (len(QUERIES) - 2)
+        assert isinstance(run.outcomes[1], PipelineError)
+        assert [record.sql for record in run.records] == QUERIES[3:]
 
 
 class TestFrontEndWork:

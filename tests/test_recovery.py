@@ -287,8 +287,11 @@ class TestJournalFormat:
                 journal.append("alpha", {"bad": object()})
 
     def test_unknown_fsync_policy_rejected(self, tmp_path):
-        with pytest.raises(JournalError):
-            EventJournal(tmp_path / "journal.bin", fsync="sometimes")
+        # Group commit ("batch") is the only policy; the retired per-append
+        # ("always") and no-fsync ("never") ones are unknown too.
+        for policy in ("sometimes", "always", "never"):
+            with pytest.raises(JournalError):
+                EventJournal(tmp_path / "journal.bin", fsync=policy)
 
     def test_valid_crc_but_garbage_json_is_torn(self, tmp_path):
         path = tmp_path / "journal.bin"

@@ -443,6 +443,9 @@ def test_pipeline_parses_each_statement_once(drain_workloads, parse_calls, mode)
         if mode == "sequential":
             records = [pipeline.annotate(sql) for sql in workload.query_sql]
         else:
+            # Validation then compares whole prompts, so a wave whose commits
+            # change a later statement's retrieved examples regenerates it.
+            pipeline.llm.example_content_sensitive = True
             records = pipeline.annotate_many(workload.query_sql, batch_size=4)
             assert pipeline.last_run_stats.regenerated_queries > 0  # stale path covered
         assert len(parse_calls) == len(workload.query_sql)

@@ -18,11 +18,19 @@ a never-entered function are not listed again.  "Function lines" counts
 the lines of every outermost function (methods included), so a line is
 never counted twice.
 
+``--lines MODULE...`` also traces lines (``sys.settrace``, only in frames
+of the named ``src/`` modules) and lists, per entered function of those
+modules, each run of its executable lines that never ran: a dead branch
+inside a function the served paths do enter.  A line is executable when
+the compiled function (its comprehensions, lambdas and nested classes
+included, its nested functions not) holds an instruction on it.
+
 Run from the repository root (it re-executes itself under
 ``PYTHONHASHSEED=0`` so set iteration, and with it the paths taken, is
 the same from run to run)::
 
     python tools/reachability.py
+    python tools/reachability.py --lines repro/core/pipeline.py
 """
 
 from __future__ import annotations
@@ -36,6 +44,7 @@ import runpy
 import sys
 import tempfile
 import threading
+import types
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -56,22 +65,43 @@ WORKLOAD_SEED = 1
 
 
 class Probe:
-    """Collects the code object of every Python frame entered while active."""
+    """Collects the code object of every Python frame entered while active,
+    and the lines run in frames of the ``line_files`` (resolved paths)."""
 
-    def __init__(self) -> None:
+    def __init__(self, line_files: tuple[str, ...] = ()) -> None:
         self.entered: set = set()
+        #: Resolved path of each traced file -> the line numbers run in it.
+        self.executed: dict[str, set[int]] = {path: set() for path in line_files}
+        # ``co_filename`` -> local trace function (None: not traced).
+        self._local_tracers: dict = {}
 
     def _profile(self, frame, event, arg) -> None:
         if event == "call":
             self.entered.add(frame.f_code)
 
+    def _trace(self, frame, event, arg):
+        filename = frame.f_code.co_filename
+        try:
+            return self._local_tracers[filename]
+        except KeyError:
+            lines = self.executed.get(os.path.realpath(filename))
+            local = None if lines is None else _line_tracer(lines)
+            self._local_tracers[filename] = local
+            return local
+
     @contextlib.contextmanager
     def active(self):
         threading.setprofile(self._profile)
         sys.setprofile(self._profile)
+        if self.executed:
+            threading.settrace(self._trace)
+            sys.settrace(self._trace)
         try:
             yield
         finally:
+            if self.executed:
+                sys.settrace(None)
+                threading.settrace(None)
             sys.setprofile(None)
             threading.setprofile(None)
 
@@ -81,6 +111,17 @@ class Probe:
             (os.path.realpath(code.co_filename), code.co_firstlineno, code.co_name)
             for code in self.entered
         }
+
+
+def _line_tracer(lines: set[int]):
+    """A local trace function adding each line it sees run to ``lines``."""
+
+    def local(frame, event, arg):
+        if event == "line":
+            lines.add(frame.f_lineno)
+        return local
+
+    return local
 
 
 # ----------------------------------------------------------------------
@@ -202,29 +243,102 @@ def report(entered: set[tuple[str, int, str]]) -> tuple[list[str], dict]:
     return lines, totals
 
 
+def executable_lines(path: Path, function_keys: set) -> dict:
+    """Function key -> the lines its compiled code holds instructions on.
+
+    A function's comprehensions, lambdas and nested classes count as its
+    own code; its nested functions (those in ``function_keys``) do not.
+    """
+    real = os.path.realpath(path)
+    found = {}
+
+    def own_lines(code) -> set[int]:
+        lines = {line for _, _, line in code.co_lines() if line is not None}
+        for const in code.co_consts:
+            if isinstance(const, types.CodeType):
+                key = (real, const.co_firstlineno, const.co_name)
+                if key in function_keys:
+                    found[key] = own_lines(const)
+                else:
+                    lines |= own_lines(const)
+        return lines
+
+    own_lines(compile(path.read_text(encoding="utf-8"), real, "exec"))
+    return found
+
+
+def line_report(
+    path: Path, entered: set[tuple[str, int, str]], executed: set[int]
+) -> tuple[list[str], int]:
+    """Runs of never-run executable lines inside the entered functions of
+    one module, and how many lines they hold.  A run spans the executable
+    lines of one function between two that ran; a function's first line
+    (a decorator or its ``def``) runs when it is entered."""
+    relative = path.relative_to(ROOT).as_posix()
+    names = {key: qualname for _, _, qualname, key, _ in function_spans(path)}
+    lines, missed_total = [], 0
+    for key, code_lines in sorted(executable_lines(path, set(names)).items(),
+                                  key=lambda item: item[0][1]):
+        if key not in entered:
+            continue
+        run: list[int] = []
+        for line in sorted(code_lines) + [None]:
+            if line is not None and line != key[1] and line not in executed:
+                run.append(line)
+                continue
+            if run:
+                missed_total += len(run)
+                lines.append(f"{relative}:{run[0]}-{run[-1]}  {names[key]}  "
+                             f"({len(run)} lines never run)")
+                run = []
+    return lines, missed_total
+
+
+def module_path(name: str) -> Path:
+    """A ``src/`` module named by its path from the repo root or ``src/``."""
+    for base in (ROOT, SRC):
+        path = (base / name).resolve()
+        if path.is_file() and path.suffix == ".py" and SRC in path.parents:
+            return path
+    raise SystemExit(f"--lines: {name} is not a module under src/")
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.parse_args()
+    parser.add_argument(
+        "--lines", nargs="+", default=[], metavar="MODULE",
+        help="also list never-run lines inside entered functions of these "
+             "src/ modules (e.g. repro/core/pipeline.py)",
+    )
+    args = parser.parse_args()
+    line_modules = [module_path(name) for name in args.lines]
     if os.environ.get("PYTHONHASHSEED") != "0":
         env = dict(os.environ, PYTHONHASHSEED="0")
         os.execve(sys.executable, [sys.executable, *sys.argv], env)
     sys.path.insert(0, str(SRC))
     sys.path.insert(0, str(ROOT))
 
-    probe = Probe()
+    probe = Probe(tuple(str(path) for path in line_modules))
     failures = run_examples(probe)
     exit_code = run_harnesses(probe)
     if exit_code != 0:
         failures.append(f"paper harnesses (pytest exit code {exit_code})")
     failures += run_workloads(probe)
 
-    lines, totals = report(probe.entered_keys())
+    entered = probe.entered_keys()
+    lines, totals = report(entered)
     print("\n".join(lines))
     print(
         f"never entered: {totals['unreached']} of {totals['functions']} "
         f"functions, {totals['unreached_lines']} of {totals['function_lines']} "
         f"function lines"
     )
+    for path in line_modules:
+        missed, count = line_report(path, entered, probe.executed[str(path)])
+        if missed:
+            print("\n".join(missed))
+        print(f"never run in entered functions of "
+              f"{path.relative_to(ROOT).as_posix()}: {count} lines")
     if failures:
         print("surfaces that failed: " + "; ".join(failures), file=sys.stderr)
         return 1
