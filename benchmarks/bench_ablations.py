@@ -46,7 +46,7 @@ def _run_ablation(beaver_workload):
                 pipeline.feedback_loop.knowledge.add(term, explanation)
         if config.rag_enabled:
             for query in beaver_workload.queries[8:12]:
-                pipeline.retriever.record_annotation(query.sql, query.gold_nl, dataset="Beaver")
+                pipeline.retriever.record_annotation(query.sql, query.gold_nl)
         fidelities[label] = _mean_fidelity(pipeline, queries)
 
     # Candidate-count sweep: probability that the best of k candidates is accurate.

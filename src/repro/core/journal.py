@@ -12,12 +12,13 @@ annotation decision is an inspectable, ordered, checksummed record.
 Each fact is written once.  An ``annotation_committed`` event carries the
 annotation record (statement SQL, NL, candidates, action), the feedback
 that shaped it, and — when the record entered the retrieval archive — the
-archived example's id, dataset, tables, quality, query skeleton and
-feature profile (with the hashes of the features its text brought into the
-archive); the example's SQL and NL are the record's, so they are not
-repeated (journals from builds that did repeat them still replay, the
-copies unread).  The record leaves its SQL out when it equals the SQL of
-the job it settles, which ``job_submitted`` already carries.
+archived example's id, query skeleton and feature profile (with the hashes
+of the features its text brought into the archive); the example's SQL and
+NL are the record's, so they are not repeated.  Journals from builds that
+did repeat them, or that also gave the example a dataset, tables and
+quality, still replay, those keys unread.  The record leaves its SQL out
+when it equals the SQL of the job it settles, which ``job_submitted``
+already carries.
 Schemas (in ``project_registered``) and feedback leave out every field at
 the default their readers fill in.
 

@@ -52,20 +52,22 @@ from repro.sql.recompose import recompose
 
 @dataclass
 class CandidateSet:
-    """Candidates generated for one query, plus the context that produced them."""
+    """Candidates generated for one query, plus the prompt that produced them.
+
+    :attr:`prompt` is the whole statement's prompt.  A wave leaves it out for
+    a decomposed statement, whose candidates come from its units' prompts;
+    :meth:`AnnotationPipeline.generate_candidates` always fills it in.
+    """
 
     sql: str
     candidates: list[str]
-    dataset: str = ""
     prompt: Prompt | None = None
-    context: RetrievedContext | None = None
     decomposition: DecompositionResult | None = None
     unit_candidates: dict[str, list[str]] = field(default_factory=dict)
     model_name: str = ""
-    #: Pre-parsed AST and retrieval keys of :attr:`sql` (optimisation hints:
-    #: the commit links and archives the statement from them instead of
-    #: parsing or lexing the text again).
-    ast: object | None = field(default=None, init=False, compare=False, repr=False)
+    #: Retrieval keys of :attr:`sql` (an optimisation hint: the commit
+    #: archives the statement under their skeleton instead of lexing the
+    #: text again).
     keys: QueryKeys | None = field(default=None, init=False, compare=False, repr=False)
 
     @property
@@ -104,7 +106,6 @@ class _WaveItem:
     unit_keys: list[QueryKeys] = field(default_factory=list)
     # The decomposer's (tables, columns) per unit; None = walk the tree.
     unit_references: list[References | None] = field(default_factory=list)
-    contexts: list[RetrievedContext | None] = field(default_factory=list)
     prompts: list[Prompt] = field(default_factory=list)
     candidate_lists: list[list[str]] = field(default_factory=list)
 
@@ -204,8 +205,16 @@ class AnnotationPipeline:
 
         This is a wave's phase 1 followed by the sequential regeneration step
         for a single item, so it produces exactly what a size-1 wave would.
+        For a decomposed statement it also builds the whole statement's
+        prompt, which a wave does not need, so :attr:`CandidateSet.prompt` is
+        never ``None`` here.
         """
-        return self._regenerate(self._prepare_item(sql, query_id), None, None)
+        item = self._prepare_item(sql, query_id)
+        candidate_set = self._regenerate(item, None)
+        if item.decomposition is not None:
+            context = self._retrieve(item.sql, item.select, item.keys)
+            candidate_set.prompt = self._build_prompt(item.sql, context, ast=item.select)
+        return candidate_set
 
     def _prepare_item(
         self, sql: str, query_id: str | None = None, commit_tag: object = None
@@ -365,11 +374,7 @@ class AnnotationPipeline:
         example = None
         if outcome.accepted and self.config.auto_accept_into_examples and record.nl:
             example = self.retriever.record_annotation(
-                record.sql,
-                record.nl,
-                dataset=self.dataset_name,
-                ast=candidate_set.ast,
-                keys=candidate_set.keys,
+                record.sql, record.nl, keys=candidate_set.keys
             )
         if self._journal is not None:
             # Shallow dicts, not dataclasses.asdict: the payload is consumed
@@ -385,9 +390,6 @@ class AnnotationPipeline:
                 store = self.retriever.example_store
                 example_state = {
                     "example_id": example.example_id,
-                    "dataset": example.dataset,
-                    "tables": example.tables,
-                    "quality": example.quality,
                     "skeleton": store.skeleton(example.example_id),
                 }
                 profile = store.profile_state(example.example_id)
@@ -532,7 +534,6 @@ class AnnotationPipeline:
                 )
             cursor = 0
             for item in items:
-                item.contexts = contexts[cursor : cursor + len(item.unit_sqls)]
                 item.prompts = prompts[cursor : cursor + len(item.unit_sqls)]
                 item.candidate_lists = [
                     result.candidates for result in results[cursor : cursor + len(item.unit_sqls)]
@@ -587,7 +588,6 @@ class AnnotationPipeline:
         sequential path bit-for-bit.
         """
         stale = self.feedback_loop.revision != feedback_revision
-        fresh_contexts: list[RetrievedContext | None] | None = None
         fresh_prompts: list[Prompt] | None = None
         if (
             not stale
@@ -595,7 +595,7 @@ class AnnotationPipeline:
             and self.retriever.example_store.version != store_version
         ):
             if getattr(self.llm, "example_content_sensitive", True):
-                fresh_contexts, fresh_prompts = self._fresh_prompts(item)
+                fresh_prompts = self._fresh_prompts(item)
                 stale = fresh_prompts != item.prompts
             else:
                 stale = any(
@@ -605,7 +605,7 @@ class AnnotationPipeline:
                 )
 
         if stale:
-            candidate_set = self._regenerate(item, fresh_contexts, fresh_prompts, deadline)
+            candidate_set = self._regenerate(item, fresh_prompts, deadline)
             stats.regenerated_queries += 1
             return candidate_set
 
@@ -616,28 +616,26 @@ class AnnotationPipeline:
                 for name, candidates in zip(item.unit_names, item.candidate_lists)
             }
             candidates = self._merge_unit_candidates(item.decomposition, unit_candidates)
-            return self._candidate_set(item, candidates, unit_candidates, None, None)
-        return self._candidate_set(
-            item, item.candidate_lists[0], {}, item.prompts[0], item.contexts[0]
-        )
+            return self._candidate_set(item, candidates, unit_candidates, None)
+        return self._candidate_set(item, item.candidate_lists[0], {}, item.prompts[0])
 
-    def _fresh_prompts(
-        self, item: _WaveItem
-    ) -> tuple[list[RetrievedContext | None], list[Prompt]]:
+    def _fresh_prompts(self, item: _WaveItem) -> list[Prompt]:
         """Retrieve and build every unit's prompt against the live store."""
-        contexts = [
-            self._retrieve(unit_sql, unit_ast, keys, references)
-            for unit_sql, unit_ast, keys, references in zip(
-                item.unit_sqls, item.unit_asts, item.unit_keys, item.unit_references
+        return [
+            self._build_prompt(
+                unit_sql,
+                self._retrieve(unit_sql, unit_ast, keys, references),
+                ast=unit_ast,
+                tokens=tokens,
+            )
+            for unit_sql, unit_ast, keys, references, tokens in zip(
+                item.unit_sqls,
+                item.unit_asts,
+                item.unit_keys,
+                item.unit_references,
+                item.unit_tokens,
             )
         ]
-        prompts = [
-            self._build_prompt(unit_sql, context, ast=unit_ast, tokens=tokens)
-            for unit_sql, context, unit_ast, tokens in zip(
-                item.unit_sqls, contexts, item.unit_asts, item.unit_tokens
-            )
-        ]
-        return contexts, prompts
 
     def _candidate_set(
         self,
@@ -645,39 +643,34 @@ class AnnotationPipeline:
         candidates: list[str],
         unit_candidates: dict[str, list[str]],
         prompt: Prompt | None,
-        context: RetrievedContext | None,
     ) -> CandidateSet:
         candidate_set = CandidateSet(
             sql=item.sql,
             candidates=candidates,
-            dataset=self.dataset_name,
             prompt=prompt,
-            context=context,
             decomposition=item.decomposition,
             unit_candidates=unit_candidates,
             model_name=self.llm.name,
         )
-        candidate_set.ast = item.select
         candidate_set.keys = item.keys
         return candidate_set
 
     def _regenerate(
         self,
         item: _WaveItem,
-        fresh_contexts: list[RetrievedContext | None] | None,
         fresh_prompts: list[Prompt] | None,
         deadline: Deadline | None = None,
     ) -> CandidateSet:
         """Generate one wave item's candidates in one LLM call over its units.
 
-        This is the sequential path: :meth:`generate_candidates` is exactly
-        this step on a freshly prepared item, and a wave falls back to it for
-        items whose batched prompts went stale.  Uses the fresh
-        contexts/prompts computed during validation when available so
-        retrieval is not repeated.
+        This is the sequential path: :meth:`generate_candidates` is this step
+        on a freshly prepared item, and a wave falls back to it for items
+        whose batched prompts went stale.  Uses the fresh prompts built
+        during validation when available so retrieval is not repeated.  A
+        decomposed item's candidate set carries no whole-statement prompt.
         """
-        if fresh_contexts is None or fresh_prompts is None:
-            fresh_contexts, fresh_prompts = self._fresh_prompts(item)
+        if fresh_prompts is None:
+            fresh_prompts = self._fresh_prompts(item)
         results = self.llm.generate_batch_with_retry(
             fresh_prompts,
             self._retry_policy,
@@ -689,14 +682,8 @@ class AnnotationPipeline:
                 name: result.candidates for name, result in zip(item.unit_names, results)
             }
             candidates = self._merge_unit_candidates(item.decomposition, unit_candidates)
-            context = self._retrieve(item.sql, item.select, item.keys)
-            prompt = self._build_prompt(item.sql, context, ast=item.select)
-        else:
-            unit_candidates = {}
-            candidates = results[0].candidates
-            context = fresh_contexts[0]
-            prompt = fresh_prompts[0]
-        return self._candidate_set(item, candidates, unit_candidates, prompt, context)
+            return self._candidate_set(item, candidates, unit_candidates, None)
+        return self._candidate_set(item, results[0].candidates, {}, fresh_prompts[0])
 
     # ------------------------------------------------------------------
     # accessors

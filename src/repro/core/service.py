@@ -1021,9 +1021,10 @@ class AnnotationService:
 
         Replay never calls the LLM.  An ``annotation_committed`` event
         carries the record, the feedback and, when the record entered the
-        archive, the archived example's id, dataset, tables, quality,
-        skeleton and feature profile; the example's SQL and NL are the
-        record's, so they are written once, in the record.  A record whose
+        archive, the archived example's id, skeleton and feature profile;
+        the example's SQL and NL are the record's, so they are written once,
+        in the record.  The dataset, tables and quality that journals of
+        earlier builds also give the example are not read.  A record whose
         SQL is byte-equal to its job's leaves it out, and replay takes it
         from the job, which it settles first.  The profile spares the
         embedding model from tokenising and counting the archived text, and
@@ -1090,9 +1091,6 @@ class AnnotationService:
                 pipeline.retriever.example_store.add(
                     record_state["sql"],
                     record_state["nl"],
-                    dataset=example["dataset"],
-                    tables=list(example["tables"]),
-                    quality=example["quality"],
                     skeleton=skeleton,
                     profile=example.get("profile"),
                 )

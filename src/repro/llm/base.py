@@ -15,7 +15,7 @@ import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from concurrent.futures import TimeoutError as _FutureTimeout
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, TypeVar
 
 from repro.errors import (
@@ -104,7 +104,6 @@ class GenerationResult:
     candidates: list[str]
     model_name: str
     prompt_tokens: int = 0
-    metadata: dict[str, object] = field(default_factory=dict)
 
     @property
     def best(self) -> str:

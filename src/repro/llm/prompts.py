@@ -21,9 +21,7 @@ class Prompt:
     """A structured prompt for SQL-to-NL candidate generation."""
 
     sql: str
-    task: str = "sql_to_nl"
     schema_text: str = ""
-    table_names: list[str] = field(default_factory=list)
     examples: list[tuple[str, str]] = field(default_factory=list)  # (sql, nl)
     knowledge: str = ""
     priorities: list[str] = field(default_factory=list)
@@ -105,12 +103,10 @@ class PromptBuilder:
         condition of the user study: no schema tables and no examples.
         """
         schema_text = ""
-        table_names: list[str] = []
         examples: list[tuple[str, str]] = []
         ambiguous: dict[str, list[str]] = {}
         if context is not None:
             schema_text = context.schema_text()
-            table_names = context.table_names
             examples = [
                 (example.sql, example.nl) for example in context.examples[: self.max_examples]
             ]
@@ -121,7 +117,6 @@ class PromptBuilder:
         return Prompt(
             sql=sql,
             schema_text=schema_text,
-            table_names=table_names,
             examples=examples,
             knowledge=knowledge_text,
             priorities=list(priorities or []),

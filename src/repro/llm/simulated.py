@@ -28,7 +28,7 @@ from repro.llm.base import (
 from repro.llm.knowledge import KnowledgeBase
 from repro.llm.nl2sql import NLToSQLGenerator
 from repro.llm.prompts import Prompt
-from repro.llm.sql2nl import describe_facts, describe_query, extract_facts
+from repro.llm.sql2nl import describe_facts, extract_facts
 from repro.schema.ddl_parser import parse_ddl_script
 from repro.sql.ast_nodes import Select
 from repro.sql.printer import print_select
@@ -64,7 +64,6 @@ class SimulatedLLM(LLMClient):
         self.name = self.profile.name
         self._schema = schema
         self._knowledge = knowledge
-        self.call_count = 0
 
     # ------------------------------------------------------------------
     # SQL -> NL
@@ -73,7 +72,6 @@ class SimulatedLLM(LLMClient):
     def generate(self, prompt: Prompt) -> GenerationResult:
         """Generate candidate descriptions for the SQL in the prompt."""
         started = time.perf_counter()
-        self.call_count += 1
         result = self._generate_one(prompt)
         self.usage.record(
             prompts=1,
@@ -94,7 +92,6 @@ class SimulatedLLM(LLMClient):
         if not prompts:
             return []
         started = time.perf_counter()
-        self.call_count += 1
         results: list[GenerationResult] = []
         memo: dict[tuple[object, ...], GenerationResult] = {}
         for prompt in prompts:
@@ -109,7 +106,6 @@ class SimulatedLLM(LLMClient):
                     candidates=list(cached.candidates),
                     model_name=cached.model_name,
                     prompt_tokens=cached.prompt_tokens,
-                    metadata=dict(cached.metadata),
                 )
             )
         self.usage.record(
@@ -126,7 +122,6 @@ class SimulatedLLM(LLMClient):
         """Hashable identity of everything that influences generation."""
         return (
             prompt.sql,
-            prompt.task,
             prompt.schema_text,
             tuple(prompt.examples),
             prompt.knowledge,
@@ -140,48 +135,33 @@ class SimulatedLLM(LLMClient):
         fidelity = self.effective_fidelity(prompt)
         candidates: list[str] = []
         knowledge = self._knowledge if prompt.has_knowledge else None
-        try:
-            # Parse and extract facts once, reused by every candidate; parsing
-            # and fact extraction are deterministic, so candidates are
-            # identical to the parse-per-candidate path.  A pre-parsed AST on
-            # the prompt (attached by the batch scheduler) skips the parse.
-            select = prompt.ast if isinstance(prompt.ast, Select) else parse_select(prompt.sql)
-            facts = extract_facts(select)
-        except Exception:
-            select = None
-            facts = None
-        sql_text = ""
-        if facts is not None and knowledge is not None:
-            sql_text = print_select(select)
+        # Parse and extract facts once, reused by every candidate; parsing and
+        # fact extraction are deterministic, so candidates are identical to
+        # the parse-per-candidate path.  A pre-parsed AST on the prompt
+        # (attached by the batch scheduler) skips the parse.  Unparseable SQL
+        # raises the parser's error here, before any usage is recorded.
+        select = prompt.ast if isinstance(prompt.ast, Select) else parse_select(prompt.sql)
+        facts = extract_facts(select)
+        sql_text = print_select(select) if knowledge is not None else ""
         for index in range(max(1, prompt.num_candidates)):
             # Later candidates explore lower-fidelity paraphrases; the first
             # candidate is the model's best effort.
             candidate_fidelity = max(0.05, fidelity - 0.06 * index)
             jitter = (_stable_unit(self.name, prompt.sql, index) - 0.5) * 0.06
             candidate_fidelity = min(1.0, max(0.05, candidate_fidelity + jitter))
-            if facts is not None:
-                text = describe_facts(
-                    facts,
-                    fidelity=candidate_fidelity,
-                    seed=(self.name, index),
-                    knowledge=knowledge,
-                    sql_text=sql_text,
-                )
-            else:
-                # Unparseable SQL: preserve the original (raising) behaviour.
-                text = describe_query(
-                    prompt.sql,
-                    fidelity=candidate_fidelity,
-                    seed=(self.name, index),
-                    knowledge=knowledge,
-                )
+            text = describe_facts(
+                facts,
+                fidelity=candidate_fidelity,
+                seed=(self.name, index),
+                knowledge=knowledge,
+                sql_text=sql_text,
+            )
             if text not in candidates:
                 candidates.append(text)
         return GenerationResult(
             candidates=candidates,
             model_name=self.name,
             prompt_tokens=prompt.length_tokens,
-            metadata={"fidelity": fidelity},
         )
 
     def effective_fidelity(self, prompt: Prompt) -> float:
@@ -233,7 +213,6 @@ class SimulatedLLM(LLMClient):
 
     def backtranslate(self, description: str, schema_text: str = "") -> str | None:
         """Regenerate SQL from an NL description using a vanilla configuration."""
-        self.call_count += 1
         schema = self._schema
         if schema is None and schema_text.strip():
             schema = self._schema_from_text(schema_text)
@@ -249,11 +228,3 @@ class SimulatedLLM(LLMClient):
             return parse_ddl_script(schema_text, schema_name="prompt")
         except Exception:
             return None
-
-    # ------------------------------------------------------------------
-    # diagnostics
-    # ------------------------------------------------------------------
-
-    def expected_fact_count(self, sql: str) -> int:
-        """Number of facts a complete description of ``sql`` would contain."""
-        return len(extract_facts(parse_select(sql)))

@@ -37,11 +37,6 @@ class RubricJudgement:
     level: int
     reasons: list[str] = field(default_factory=list)
 
-    @property
-    def is_fully_correct(self) -> bool:
-        """Whether the judgement is Level 5."""
-        return self.level == 5
-
 
 def _set_overlap(gold: list[str], predicted: list[str]) -> float:
     gold_set = {item.lower() for item in gold}

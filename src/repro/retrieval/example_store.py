@@ -12,7 +12,7 @@ dataset filter.
 from __future__ import annotations
 
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 
 from repro.errors import RetrievalError
 from repro.obs import NULL_TELEMETRY, Telemetry
@@ -39,9 +39,6 @@ class AnnotatedExample:
     example_id: str
     sql: str
     nl: str
-    dataset: str = ""
-    tables: list[str] = field(default_factory=list)
-    quality: float = 1.0
 
 
 def _indexed_text(example: AnnotatedExample) -> str:
@@ -53,8 +50,8 @@ def _indexed_text(example: AnnotatedExample) -> str:
 class ExampleStore:
     """Vector-indexed store of accepted annotations.
 
-    An example keeps its dataset and quality as record fields; the index
-    holds only its id and vector.
+    An example is its id, SQL and NL, which is all a prompt reads of it; the
+    index holds only its id and vector.
     """
 
     #: Observability sink for search accounting; a class-level no-op default
@@ -78,8 +75,7 @@ class ExampleStore:
         """True while in the cold-start condition (no prior annotations)."""
         return not self._examples
 
-    def add(self, sql: str, nl: str, dataset: str = "", tables: list[str] | None = None,
-            quality: float = 1.0, skeleton: str | None = None,
+    def add(self, sql: str, nl: str, skeleton: str | None = None,
             profile: list[str] | None = None) -> AnnotatedExample:
         """Add an accepted annotation and return the stored example.
 
@@ -96,14 +92,7 @@ class ExampleStore:
         if not sql.strip() or not nl.strip():
             raise RetrievalError("both SQL and NL must be non-empty to store an example")
         example_id = f"ex-{self._counter + 1:05d}"
-        example = AnnotatedExample(
-            example_id=example_id,
-            sql=sql.strip(),
-            nl=nl.strip(),
-            dataset=dataset,
-            tables=list(tables or []),
-            quality=quality,
-        )
+        example = AnnotatedExample(example_id=example_id, sql=sql.strip(), nl=nl.strip())
         if skeleton is None:
             skeleton = sql_keys(example.sql).skeleton
         self._store.add(example_id, _indexed_text(example), profile=profile)
@@ -222,17 +211,14 @@ class ExampleStore:
 
         Skeletons, embedding vectors, feature hashes and IDF state all come
         from the snapshot, so neither re-tokenisation, re-hashing nor
-        re-embedding happens — that is what makes warm start fast.
+        re-embedding happens — that is what makes warm start fast.  Of each
+        example only its id, SQL and NL are read; the dataset, tables and
+        quality that snapshots of earlier builds also hold are ignored.
         """
         self._store = VectorStore.from_state(state["vector_store"])
         self._examples = {
             entry["example_id"]: AnnotatedExample(
-                example_id=entry["example_id"],
-                sql=entry["sql"],
-                nl=entry["nl"],
-                dataset=entry["dataset"],
-                tables=list(entry["tables"]),
-                quality=entry["quality"],
+                example_id=entry["example_id"], sql=entry["sql"], nl=entry["nl"]
             )
             for entry in state["examples"]
         }

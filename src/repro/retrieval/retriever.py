@@ -24,16 +24,9 @@ from repro.sql.normalizer import QueryKeys, sql_keys
 class RetrievedContext:
     """Everything the prompt builder needs for one query."""
 
-    sql: str
     tables: list[TableSchema] = field(default_factory=list)
     examples: list[AnnotatedExample] = field(default_factory=list)
     ambiguous_columns: dict[str, list[str]] = field(default_factory=dict)
-    unresolved_tables: list[str] = field(default_factory=list)
-
-    @property
-    def table_names(self) -> list[str]:
-        """Names of the retrieved tables."""
-        return [table.name for table in self.tables]
 
     def schema_text(self) -> str:
         """Schema context rendered for the prompt."""
@@ -74,7 +67,7 @@ class ContextRetriever:
         # repeated retrieval of the same or trivially-reformatted query skips
         # parsing and linking entirely.
         self._linking_cache: LruDict[
-            str, tuple[list[TableSchema], list[str], dict[str, list[str]]]
+            str, tuple[list[TableSchema], dict[str, list[str]]]
         ] = LruDict(linking_cache_size)
         # Ambiguous columns per linked table tuple (many queries share one).
         self._ambiguous: LruDict[tuple, dict[str, list[str]]] = LruDict(linking_cache_size)
@@ -137,37 +130,23 @@ class ContextRetriever:
         for sql, examples, query_keys, ast, refs in zip(
             sqls, example_lists, keys, asts or nothing, references or nothing
         ):
-            tables, unresolved, ambiguous = self._linked(sql, query_keys, ast, refs)
+            tables, ambiguous = self._linked(sql, query_keys, ast, refs)
             contexts.append(
-                RetrievedContext(
-                    sql=sql,
-                    tables=tables,
-                    examples=examples,
-                    ambiguous_columns=ambiguous,
-                    unresolved_tables=unresolved,
-                )
+                RetrievedContext(tables=tables, examples=examples, ambiguous_columns=ambiguous)
             )
         return contexts
 
     def record_annotation(
-        self,
-        sql: str,
-        nl: str,
-        dataset: str = "",
-        quality: float = 1.0,
-        ast: object | None = None,
-        keys: QueryKeys | None = None,
+        self, sql: str, nl: str, keys: QueryKeys | None = None
     ) -> AnnotatedExample:
         """Store an accepted annotation so future retrievals can use it.
 
-        ``ast`` and ``keys`` are as in :meth:`retrieve`.
+        The archive keeps the example's SQL and NL, so storing one links
+        nothing to the schema.  ``keys`` is as in :meth:`retrieve`; its
+        skeleton saves lexing the SQL.
         """
-        keys = keys if keys is not None else sql_keys(sql)
-        tables, _, _ = self._linked(sql, keys, ast)
-        tables = [table.name for table in tables]
-        return self._example_store.add(
-            sql, nl, dataset, tables, quality=quality, skeleton=keys.skeleton
-        )
+        skeleton = None if keys is None else keys.skeleton
+        return self._example_store.add(sql, nl, skeleton=skeleton)
 
     def linking_cache_info(self) -> dict[str, int]:
         """Hit/miss/size counters for the schema-linking cache."""
@@ -191,23 +170,23 @@ class ContextRetriever:
         keys: QueryKeys,
         ast: object | None = None,
         references: References | None = None,
-    ) -> tuple[list[TableSchema], list[str], dict[str, list[str]]]:
-        """Cached (tables, unresolved, ambiguous-columns) for one query, under
-        its lexical key, so reformatted duplicates share one entry."""
+    ) -> tuple[list[TableSchema], dict[str, list[str]]]:
+        """Cached (tables, ambiguous-columns) for one query, under its lexical
+        key, so reformatted duplicates share one entry."""
         cached = self._linking_cache.get(keys.lexical)
         if cached is None:
             self._linking_misses += 1
-            tables, unresolved = self._relevant_tables(sql, ast, references)
-            cached = (tables, unresolved, self._ambiguous_among(tables))
+            tables = self._relevant_tables(sql, ast, references)
+            cached = (tables, self._ambiguous_among(tables))
             self._linking_cache.put(keys.lexical, cached)
         else:
             self._linking_hits += 1
-        tables, unresolved, ambiguous = cached
-        return list(tables), list(unresolved), dict(ambiguous)
+        tables, ambiguous = cached
+        return list(tables), dict(ambiguous)
 
     def _relevant_tables(
         self, sql: str, ast: object | None = None, references: References | None = None
-    ) -> tuple[list[TableSchema], list[str]]:
+    ) -> list[TableSchema]:
         try:
             linking = link_sql_to_schema(
                 ast if ast is not None else sql, self._schema, references=references
@@ -232,7 +211,7 @@ class ContextRetriever:
                 if key not in seen:
                     seen.add(key)
                     tables.append(self._schema.table(name))
-        return tables, linking.unresolved_tables
+        return tables
 
     def _ambiguous_among(self, tables: list[TableSchema]) -> dict[str, list[str]]:
         names = tuple(table.name for table in tables)

@@ -114,7 +114,7 @@ class BenchPressCondition(ConditionRunner):
             query.sql, fidelity=fidelity, seed=(participant.participant_id, query.query_id)
         )
         # Feed the accepted annotation back so retrieval improves over the session.
-        self.pipeline.retriever.record_annotation(query.sql, nl, dataset=self.dataset)
+        self.pipeline.retriever.record_annotation(query.sql, nl)
 
         tokens = _complexity_tokens(query.sql)
         latency = (0.55 + 0.0050 * tokens) * participant.speed_factor

@@ -117,9 +117,8 @@ def archive_view(example_store: ExampleStore) -> dict:
     """One project's retrieval archive, read from its objects.
 
     The examples and their skeletons; per row of the vector index, its
-    doc id, the text it was embedded from (its example's SQL and NL,
-    newline-joined) and its metadata (its example's dataset and quality,
-    which the index once held); the stored vectors as base64
+    doc id and the text it was embedded from (its example's SQL and NL,
+    newline-joined); the stored vectors as base64
     little-endian float64 rows; and the embedding model's IDF state: each
     feature some document bears, sorted, with its document frequency and
     its signed vector index ``(index + 1) * sign``.
@@ -154,10 +153,6 @@ def archive_view(example_store: ExampleStore) -> dict:
                 {
                     "doc_id": doc_id,
                     "text": f"{examples[doc_id].sql}\n{examples[doc_id].nl}",
-                    "metadata": {
-                        "dataset": examples[doc_id].dataset,
-                        "quality": examples[doc_id].quality,
-                    },
                 }
                 for doc_id in index._ids
             ],

@@ -208,8 +208,8 @@ def replay(config: dict, model: EmbeddingModel | None = None) -> tuple[ExampleSt
     store = ExampleStore(model)
     checkpoints = [{"after": 0, "calls": checkpoint(store, config["queries"], config["filters"])}]
     sequence = config["sequence"]
-    for index, (sql, nl, dataset) in enumerate(sequence, start=1):
-        store.add(sql, nl, dataset=dataset)
+    for index, (sql, nl, _dataset) in enumerate(sequence, start=1):
+        store.add(sql, nl)
         if index % CHECK_EVERY == 0 or index == len(sequence):
             checkpoints.append({
                 "after": index,

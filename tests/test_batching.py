@@ -239,6 +239,99 @@ class TestGenerateCandidates:
         assert vars(record) == vars(wave_record)
         assert direct.example_count == waved.example_count
 
+    def test_nested_query_keeps_the_whole_statement_prompt(self, hr_schema):
+        pipeline = AnnotationPipeline(hr_schema, dataset_name="hr")
+        pipeline.annotate_many(QUERIES[4:])  # a non-empty archive to search
+        candidate_set = pipeline.generate_candidates(QUERIES[3])
+        assert candidate_set.was_decomposed
+        config, loop = pipeline.config, pipeline.feedback_loop
+        expected = PromptBuilder(config.num_candidates, config.top_k_examples).build(
+            QUERIES[3],
+            context=pipeline.retriever.retrieve(QUERIES[3]),
+            knowledge=loop.knowledge,
+            priorities=loop.priorities,
+        )
+        assert candidate_set.prompt == expected
+        assert candidate_set.prompt.examples
+        assert "TABLE departments" in candidate_set.prompt.schema_text
+
+
+#: A nested statement none of whose units is the statement itself: the
+#: decomposer lifts the derived table into a WITH block of the main unit.
+DERIVED = (
+    "SELECT z.dept_id FROM (SELECT dept_id FROM departments WHERE budget > 100000) z"
+)
+
+
+class TestCommitState:
+    """A commit archives the record's SQL and NL and nothing derived from them."""
+
+    def test_commit_of_a_nested_statement_links_nothing(self, hr_schema):
+        pipeline = AnnotationPipeline(hr_schema, dataset_name="hr")
+        submit = pipeline.submit_feedback
+        misses = []
+
+        def observed_submit(*args, **kwargs):
+            before = pipeline.retriever.linking_cache_info()["misses"]
+            record = submit(*args, **kwargs)
+            misses.append(pipeline.retriever.linking_cache_info()["misses"] - before)
+            return record
+
+        pipeline.submit_feedback = observed_submit
+        assert DERIVED not in [unit.sql for unit in decompose(DERIVED).units]
+        (record,) = pipeline.annotate_many([DERIVED])
+        assert record.was_decomposed and record.accepted
+        assert pipeline.example_count == 1
+        assert misses == [0]
+
+    def test_regenerated_decomposed_item_retrieves_only_its_units(self, hr_schema):
+        # An LLM that reads example content revalidates whole prompts, so a
+        # commit that changes a later item's retrieved examples regenerates it.
+        llm = SimulatedLLM("gpt-4o", schema=hr_schema)
+        llm.example_content_sensitive = True
+        pipeline = AnnotationPipeline(
+            hr_schema, config=TaskConfig(batch_size=8), llm=llm, dataset_name="hr"
+        )
+        pipeline.annotate_many(QUERIES[:3])  # fills the archive to top_k
+        nested = DERIVED
+        regenerated = []
+        regenerate = pipeline._regenerate
+
+        def observed_regenerate(item, *args, **kwargs):
+            regenerated.append(item.sql)
+            return regenerate(item, *args, **kwargs)
+
+        retrieved = []
+        retrieve, retrieve_batch = pipeline.retriever.retrieve, pipeline.retriever.retrieve_batch
+
+        def observed_retrieve(sql, *args, **kwargs):
+            retrieved.append(sql)
+            return retrieve(sql, *args, **kwargs)
+
+        def observed_retrieve_batch(sqls, *args, **kwargs):
+            retrieved.extend(sqls)
+            return retrieve_batch(sqls, *args, **kwargs)
+
+        pipeline._regenerate = observed_regenerate
+        pipeline.retriever.retrieve = observed_retrieve
+        pipeline.retriever.retrieve_batch = observed_retrieve_batch
+        records = pipeline.annotate_many([QUERIES[4], QUERIES[6], nested, QUERIES[7]])
+        assert pipeline.last_run_stats.waves == 1
+        assert nested in regenerated
+        assert records[2].was_decomposed
+        assert nested not in retrieved
+        # The wave's batched pass and the validation's fresh pass retrieve
+        # each unit once, and regeneration reuses the fresh prompts.
+        units = [unit.sql for unit in decompose(nested).units]
+        assert [retrieved.count(unit) for unit in units] == [2, 2]
+
+        sequential = AnnotationPipeline(hr_schema, dataset_name="hr")
+        for sql in QUERIES[:3] + [QUERIES[4], QUERIES[6], nested, QUERIES[7]]:
+            sequential.annotate(sql)
+        assert [record_key(r) for r in records] == [
+            record_key(r) for r in sequential.annotations[3:]
+        ]
+
 
 class TestAnnotationService:
     def test_register_submit_drain(self, hr_schema):

@@ -252,7 +252,18 @@ class TestSimulatedLLM:
         result = llm.generate(prompt)
         assert 1 <= len(result.candidates) <= 4
         assert result.model_name == "gpt-4o"
-        assert llm.call_count == 1
+        assert llm.usage.requests == 1
+
+    def test_unparseable_prompt_raises_the_parser_error(self, hr_schema):
+        prompt = PromptBuilder().build("SELEC name FRM employees")
+        with pytest.raises(Exception) as parsed:
+            parse_select(prompt.sql)
+        llm = SimulatedLLM("gpt-4o", schema=hr_schema)
+        for generate in (lambda: llm.generate(prompt), lambda: llm.generate_batch([prompt])):
+            with pytest.raises(type(parsed.value)) as raised:
+                generate()
+            assert str(raised.value) == str(parsed.value)
+        assert llm.usage.as_dict() == SimulatedLLM("gpt-4o").usage.as_dict()
 
     def test_backtranslate_uses_schema(self, hr_schema):
         llm = SimulatedLLM("gpt-4o", schema=hr_schema)

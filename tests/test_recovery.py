@@ -739,32 +739,56 @@ class TestReplayParity:
     @pytest.mark.parametrize("snapshot_every", [0, 4])
     def test_every_archived_example_is_filed_under_its_project(self, tmp_path, snapshot_every):
         # Retrieval takes no dataset filter: it rests on a project's archive
-        # holding only examples filed under that project's name.
+        # holding exactly that project's accepted annotations, in commit
+        # order, and nothing of another project's.
         projects = ["hr", "hr-fast", "hr-small"]
+        submitted = {
+            name: QUERIES[offset:] + QUERIES[:offset] for offset, name in enumerate(projects)
+        }
 
-        def archived_datasets(service):
+        def archives(service):
             return {
                 name: [
-                    example["dataset"]
+                    (example["sql"], example["nl"])
                     for example in service.pipeline(name)
                     .retriever.example_store.state_dict()["examples"]
                 ]
                 for name in projects
             }
 
-        service = AnnotationService.open_durable(tmp_path / "svc", snapshot_every=snapshot_every)
+        def accepted(service):
+            return {
+                name: [
+                    (record.sql.strip(), record.nl.strip())
+                    for record in service.pipeline(name).annotations
+                    if record.accepted
+                ]
+                for name in projects
+            }
+
+        directory = tmp_path / "svc"
+        service = AnnotationService.open_durable(directory, snapshot_every=snapshot_every)
         for name in projects:
             service.register_project(name, make_schema())
-        for offset, name in enumerate(projects):
-            service.submit_many(QUERIES[offset:] + QUERIES[:offset], project=name)
+        for name in projects:
+            service.submit_many(submitted[name], project=name)
         service.drain(concurrency=2)
-        live = archived_datasets(service)
+        live = archives(service)
+        assert live == accepted(service)
         service.close()
-        assert live == {name: [name] * len(QUERIES) for name in projects}
+        assert {name: [sql for sql, _ in pairs] for name, pairs in live.items()} == submitted
+        assert (SnapshotManager(directory / "snapshots").latest() is not None) == bool(
+            snapshot_every
+        )
 
-        recovered = AnnotationService.open_durable(tmp_path / "svc")
-        assert archived_datasets(recovered) == live
-        recovered.close()
+        for reopen in (
+            lambda: AnnotationService.open_durable(directory),  # warm when snapshotted
+            lambda: AnnotationService.recover(directory / "journal.bin"),  # cold
+        ):
+            recovered = reopen()
+            assert archives(recovered) == live
+            assert accepted(recovered) == live
+            recovered.close()
 
     def test_recovered_service_keeps_working(self, tmp_path):
         service = AnnotationService.open_durable(tmp_path / "svc")
@@ -1288,9 +1312,10 @@ class TestSnapshots:
         recovered.close()
 
     def test_snapshot_with_retired_job_and_config_keys_opens_warm(self, tmp_path):
-        # Earlier builds wrote a ``priority`` with every job, and an admission
-        # limit and a task direction with every config, into the snapshot and
-        # the journal alike.
+        # Earlier builds wrote a ``priority`` with every job, an admission
+        # limit and a task direction with every config, and a dataset, tables
+        # and quality with every archived example, into the snapshot and the
+        # journal alike.
         directory = tmp_path / "svc"
         service = AnnotationService.open_durable(directory)
         service.register_project("hr", make_schema())
@@ -1304,14 +1329,20 @@ class TestSnapshots:
         assert len(live["queue"]) == len(live["quarantine"]) == 1
 
         retired_config = {"task": "sql_to_nl", "max_pending_per_project": 0}
+        retired_example = {"dataset": "hr", "tables": ["employees"], "quality": 1.0}
         journal_path = directory / "journal.bin"
         rewritten = bytearray()
+        archived = 0
         for event in EventJournal.read_events(journal_path):
             if event.type == JOB_SUBMITTED:
                 event.payload["priority"] = 0
             if event.type == PROJECT_REGISTERED:
                 event.payload["config"] = dict(retired_config, **event.payload["config"])
+            if event.type == ANNOTATION_COMMITTED and event.payload["example"] is not None:
+                event.payload["example"].update(retired_example)
+                archived += 1
             rewritten += encode_record(event.type, event.payload)
+        assert archived == 1
         journal_path.write_bytes(bytes(rewritten))
         snapshots = SnapshotManager(directory / "snapshots")
         offset, state = snapshots.latest()
@@ -1320,6 +1351,8 @@ class TestSnapshots:
         state["quarantine"][0]["job"]["priority"] = 3
         project = state["projects"]["hr"]
         project["config"] = dict(retired_config, **project["config"])
+        (example,) = project["example_store"]["examples"]
+        example.update(retired_example)
         snapshots.save(offset, state)
 
         warm = AnnotationService.open_durable(directory)  # the snapshot alone

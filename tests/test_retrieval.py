@@ -194,8 +194,8 @@ class TestExampleStore:
 
     def test_add_and_retrieve(self):
         store = ExampleStore()
-        store.add("SELECT COUNT(*) FROM students", "How many students are there?", dataset="beaver")
-        store.add("SELECT AVG(salary) FROM employees", "What is the average salary?", dataset="hr")
+        store.add("SELECT COUNT(*) FROM students", "How many students are there?")
+        store.add("SELECT AVG(salary) FROM employees", "What is the average salary?")
         results = retrieve(store, "SELECT COUNT(*) FROM students WHERE term = 'fall'", top_k=1)
         assert results[0].nl == "How many students are there?"
 
@@ -243,7 +243,7 @@ class TestContextRetriever:
     def test_retrieves_relevant_tables_via_sql(self, hr_schema):
         retriever = ContextRetriever(hr_schema)
         context = retriever.retrieve("SELECT name FROM employees WHERE salary > 10")
-        assert context.table_names == ["employees"]
+        assert table_names(context) == ["employees"]
         assert "TABLE employees" in context.schema_text()
 
     def test_retrieves_joined_tables(self, hr_schema):
@@ -251,7 +251,7 @@ class TestContextRetriever:
         context = retriever.retrieve(
             "SELECT e.name, d.dept_name FROM employees e JOIN departments d ON e.dept_id = d.dept_id"
         )
-        assert set(context.table_names) == {"employees", "departments"}
+        assert set(table_names(context)) == {"employees", "departments"}
         assert "dept_id" in context.ambiguous_columns
 
     def test_examples_accumulate_and_are_retrieved(self, hr_schema):
@@ -261,15 +261,21 @@ class TestContextRetriever:
         assert len(context.examples) == 1
         assert context.examples[0].nl == "How many employees?"
 
-    def test_unknown_table_reported(self, hr_schema):
+    def test_unknown_table_is_left_out_of_the_context(self, hr_schema):
         retriever = ContextRetriever(hr_schema)
         context = retriever.retrieve("SELECT x FROM payroll_history")
-        assert "payroll_history" in context.unresolved_tables
+        assert "payroll_history" not in table_names(context)
+        assert "payroll_history" not in context.schema_text()
 
     def test_unparseable_query_falls_back_to_text_linking(self, hr_schema):
         retriever = ContextRetriever(hr_schema)
         context = retriever.retrieve("employees salary report !!!")
-        assert "employees" in context.table_names
+        assert "employees" in table_names(context)
+
+
+def table_names(context):
+    """Names of a retrieved context's tables, in order."""
+    return [table.name for table in context.tables]
 
 
 def search(store, query, top_k=5):
@@ -465,7 +471,7 @@ class TestRetrievalCaches:
         sql = "SELECT name FROM employees WHERE salary > 10"
         first = retriever.retrieve(sql)
         second = retriever.retrieve(sql)
-        assert first.table_names == second.table_names
+        assert table_names(first) == table_names(second)
         info = retriever.linking_cache_info()
         assert info["hits"] >= 1
         assert info["misses"] >= 1
@@ -924,16 +930,24 @@ class TestRetrievalCorpus:
     @staticmethod
     def recorded_state(small):
         """The recorded state as this build spells it, in list form: the
-        index keeps no shard key and its entries no text or metadata."""
+        index keeps no shard key and its entries no text or metadata, and
+        an example keeps no dataset, tables or quality."""
         state = json.loads(json.dumps(small["state"]))
         del state["vector_store"]["shard_key"]
+        retired = {
+            example["example_id"]: {
+                key: example.pop(key) for key in ("dataset", "tables", "quality")
+            }
+            for example in state["examples"]
+        }
         examples = {example["example_id"]: example for example in state["examples"]}
         for entry in state["vector_store"]["entries"]:
             example = examples[entry["doc_id"]]
             assert entry.pop("text") == f"{example['sql']}\n{example['nl']}"
+            labels = retired[entry["doc_id"]]
             assert entry.pop("metadata") == {
-                "dataset": example["dataset"],
-                "quality": example["quality"],
+                "dataset": labels["dataset"],
+                "quality": labels["quality"],
             }
         return state
 
@@ -977,17 +991,17 @@ class TestFailureAtomicAdd:
             assert model.embed(text).tobytes() == clean.embed(text).tobytes()
         assert list_form(model.state_dict()) == list_form(clean.state_dict())
 
-    @pytest.mark.parametrize("sql, nl, dataset, error", [
-        ("SELECT a\ud800 FROM t", "names", "spider", UnicodeEncodeError),
-        ("SELECT a FROM t", "lone \udfff surrogate", "spider", UnicodeEncodeError),
+    @pytest.mark.parametrize("sql, nl, error", [
+        ("SELECT a\ud800 FROM t", "names", UnicodeEncodeError),
+        ("SELECT a FROM t", "lone \udfff surrogate", UnicodeEncodeError),
     ])
-    def test_example_store_add_changes_nothing(self, sql, nl, dataset, error):
+    def test_example_store_add_changes_nothing(self, sql, nl, error):
         model = EmbeddingModel()
         store = ExampleStore(model)
-        store.add("SELECT name FROM singer", "Singer names.", dataset="spider")
+        store.add("SELECT name FROM singer", "Singer names.")
         before_store, before_model = list_form(store.state_dict()), list_form(model.state_dict())
         with pytest.raises(error):
-            store.add(sql, nl, dataset=dataset)
+            store.add(sql, nl)
         assert list_form(store.state_dict()) == before_store
         assert list_form(model.state_dict()) == before_model
-        assert store.add("SELECT a FROM t", "names", dataset="spider").example_id == "ex-00002"
+        assert store.add("SELECT a FROM t", "names").example_id == "ex-00002"
